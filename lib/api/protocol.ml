@@ -150,803 +150,396 @@ let error_to_string = function
   | Shard_unavailable m -> "shard unavailable: " ^ m
   | Unknown_labeler id -> Printf.sprintf "unknown labeler %d" id
 
-let ( let* ) = Result.bind
-
 (* ------------------------------------------------------------------ *)
-(* Stable sub-encodings                                                *)
+(* Rows: each message once, as its tag and its fields in wire order    *)
 
-let label_to_json = function
-  | State.Pos -> Json.String "+"
-  | State.Neg -> Json.String "-"
+open Codec
 
-let label_of_json = function
-  | Json.String "+" -> Ok State.Pos
-  | Json.String "-" -> Ok State.Neg
-  | v -> Error ("expected a label \"+\" or \"-\", got " ^ Json.to_string v)
+let label =
+  enum {|expected a label "+" or "-", got |}
+    [ (State.Pos, "+"); (State.Neg, "-") ]
 
-let status_to_json = function
-  | State.Certain_pos -> Json.String "+"
-  | State.Certain_neg -> Json.String "-"
-  | State.Informative -> Json.String "?"
+let status =
+  enum {|expected a status "+", "-" or "?", got |}
+    [ (State.Certain_pos, "+"); (State.Certain_neg, "-");
+      (State.Informative, "?") ]
 
-let status_of_json = function
-  | Json.String "+" -> Ok State.Certain_pos
-  | Json.String "-" -> Ok State.Certain_neg
-  | Json.String "?" -> Ok State.Informative
-  | v -> Error ("expected a status \"+\", \"-\" or \"?\", got " ^ Json.to_string v)
+let partition = conv Partition.to_string Partition.of_string string
 
-let partition_to_json p = Json.String (Partition.to_string p)
+let metrics =
+  obj
+    [ req "meets" int; req "classify_calls" int; req "cache_hits" int;
+      req "cache_misses" int; req "picks" int; req "pick_time_ns" int;
+      req "last_pick_ns" int ]
+    (fun [ meets; classify_calls; cache_hits; cache_misses; picks;
+           pick_time_ns; last_pick_ns ] ->
+      { Metrics.meets; classify_calls; cache_hits; cache_misses; picks;
+        pick_time_ns; last_pick_ns })
+    (fun m ->
+      [ m.meets; m.classify_calls; m.cache_hits; m.cache_misses; m.picks;
+        m.pick_time_ns; m.last_pick_ns ])
 
-let partition_of_json v =
-  let* s = Json.as_string v in
-  Partition.of_string s
+let event =
+  obj
+    [ req "step" int; req "cls" int; req "row" int; req "sg" partition;
+      req "label" label; req "decided_after" int;
+      req "tuples_decided_after" int; req "vs_after" float ]
+    (fun [ step; cls; row; sg; label; decided_after; tuples_decided_after;
+           vs_after ] ->
+      { Session.step; cls; row; sg; label; decided_after;
+        tuples_decided_after; vs_after })
+    (fun (e : Session.event) ->
+      [ e.step; e.cls; e.row; e.sg; e.label; e.decided_after;
+        e.tuples_decided_after; e.vs_after ])
 
-let int_field k v =
-  let* f = Json.field k v in
-  Json.as_int f
+let outcome =
+  obj
+    [ req "query" partition; req "interactions" int;
+      req "contradiction" bool; req "events" (list event) ]
+    (fun [ query; interactions; contradiction; events ] ->
+      { Session.query; interactions; contradiction; events })
+    (fun o -> [ o.query; o.interactions; o.contradiction; o.events ])
 
-let string_field k v =
-  let* f = Json.field k v in
-  Json.as_string f
+let outcome_to_json = to_json outcome
 
-let metrics_to_json (m : Metrics.snapshot) =
-  Json.Obj
+let source =
+  variant "kind" "instance source kind"
     [
-      ("meets", Json.Int m.meets);
-      ("classify_calls", Json.Int m.classify_calls);
-      ("cache_hits", Json.Int m.cache_hits);
-      ("cache_misses", Json.Int m.cache_misses);
-      ("picks", Json.Int m.picks);
-      ("pick_time_ns", Json.Int m.pick_time_ns);
-      ("last_pick_ns", Json.Int m.last_pick_ns);
+      case "builtin" [ req "name" string ]
+        (fun [ name ] -> Builtin name)
+        (function Builtin name -> Some [ name ] | _ -> None);
+      case "synthetic"
+        [ req "n_attrs" int; req "n_tuples" int; req "domain" int;
+          req "goal_rank" int; req "seed" int ]
+        (fun [ n_attrs; n_tuples; domain; goal_rank; seed ] ->
+          Synthetic { n_attrs; n_tuples; domain; goal_rank; seed })
+        (function
+          | Synthetic s ->
+            Some [ s.n_attrs; s.n_tuples; s.domain; s.goal_rank; s.seed ]
+          | _ -> None);
+      case "csv" [ req "text" string ]
+        (fun [ text ] -> Csv_inline text)
+        (function Csv_inline text -> Some [ text ] | _ -> None);
+      case "catalog" [ req "fingerprint" string ]
+        (fun [ fp ] -> Catalog fp)
+        (function Catalog fp -> Some [ fp ] | _ -> None);
     ]
 
-let metrics_of_json v =
-  let* meets = int_field "meets" v in
-  let* classify_calls = int_field "classify_calls" v in
-  let* cache_hits = int_field "cache_hits" v in
-  let* cache_misses = int_field "cache_misses" v in
-  let* picks = int_field "picks" v in
-  let* pick_time_ns = int_field "pick_time_ns" v in
-  let* last_pick_ns = int_field "last_pick_ns" v in
-  Ok
-    {
-      Metrics.meets;
-      classify_calls;
-      cache_hits;
-      cache_misses;
-      picks;
-      pick_time_ns;
-      last_pick_ns;
-    }
+let question =
+  obj
+    [ req "cls" int; req "row" int; req "sg" partition ]
+    (fun [ cls; row; sg ] -> { cls; row; sg })
+    (fun q -> [ q.cls; q.row; q.sg ])
 
-let event_to_json (e : Session.event) =
-  Json.Obj
+let version_field = "jim"
+
+let envelope : (string * Json.t) list =
+  [ (version_field, Json.Int version) ]
+
+let request =
+  variant ~head:envelope "req" "request"
     [
-      ("step", Json.Int e.step);
-      ("cls", Json.Int e.cls);
-      ("row", Json.Int e.row);
-      ("sg", partition_to_json e.sg);
-      ("label", label_to_json e.label);
-      ("decided_after", Json.Int e.decided_after);
-      ("tuples_decided_after", Json.Int e.tuples_decided_after);
-      ("vs_after", Json.Float e.vs_after);
+      case "start_session"
+        [ req "source" source; req "strategy" string; req "seed" int ]
+        (fun [ source; strategy; seed ] ->
+          Start_session { source; strategy; seed })
+        (function
+          | Start_session r -> Some [ r.source; r.strategy; r.seed ]
+          | _ -> None);
+      case "get_question" [ req "session" int ]
+        (fun [ session ] -> Get_question { session })
+        (function Get_question { session } -> Some [ session ] | _ -> None);
+      case "top_questions" [ req "session" int; req "k" int ]
+        (fun [ session; k ] -> Top_questions { session; k })
+        (function
+          | Top_questions { session; k } -> Some [ session; k ] | _ -> None);
+      case "answer" [ req "session" int; req "cls" int; req "label" label ]
+        (fun [ session; cls; label ] -> Answer { session; cls; label })
+        (function
+          | Answer { session; cls; label } -> Some [ session; cls; label ]
+          | _ -> None);
+      case "undo" [ req "session" int ]
+        (fun [ session ] -> Undo { session })
+        (function Undo { session } -> Some [ session ] | _ -> None);
+      case "explain" [ req "session" int; req "cls" int ]
+        (fun [ session; cls ] -> Explain { session; cls })
+        (function
+          | Explain { session; cls } -> Some [ session; cls ] | _ -> None);
+      case "result" [ req "session" int ]
+        (fun [ session ] -> Result { session })
+        (function Result { session } -> Some [ session ] | _ -> None);
+      case "stats" [ req "session" int ]
+        (fun [ session ] -> Stats { session })
+        (function Stats { session } -> Some [ session ] | _ -> None);
+      case "get_transcript" [ req "session" int ]
+        (fun [ session ] -> Get_transcript { session })
+        (function Get_transcript { session } -> Some [ session ] | _ -> None);
+      case "end_session" [ req "session" int ]
+        (fun [ session ] -> End_session { session })
+        (function End_session { session } -> Some [ session ] | _ -> None);
+      case "register_instance" [ req "source" source ]
+        (fun [ source ] -> Register_instance { source })
+        (function Register_instance { source } -> Some [ source ] | _ -> None);
+      case "catalog_stats" []
+        (fun [] -> Catalog_stats)
+        (function Catalog_stats -> Some [] | _ -> None);
+      case "start_pinned"
+        [ req "session" int; req "source" source; req "strategy" string;
+          req "seed" int ]
+        (fun [ session; source; strategy; seed ] ->
+          Start_pinned { session; source; strategy; seed })
+        (function
+          | Start_pinned r -> Some [ r.session; r.source; r.strategy; r.seed ]
+          | _ -> None);
+      case "repl_install" [ req "gen" int; opt "snapshot" string ]
+        (fun [ gen; snapshot ] -> Repl_install { gen; snapshot })
+        (function
+          | Repl_install { gen; snapshot } -> Some [ gen; snapshot ]
+          | _ -> None);
+      case "repl_rotate" [ req "gen" int ]
+        (fun [ gen ] -> Repl_rotate { gen })
+        (function Repl_rotate { gen } -> Some [ gen ] | _ -> None);
+      case "repl_batch" [ req "records" (list string) ]
+        (fun [ records ] -> Repl_batch { records })
+        (function Repl_batch { records } -> Some [ records ] | _ -> None);
+      case "repl_status" []
+        (fun [] -> Repl_status)
+        (function Repl_status -> Some [] | _ -> None);
+      case "promote" []
+        (fun [] -> Promote)
+        (function Promote -> Some [] | _ -> None);
+      case "ring_status" []
+        (fun [] -> Ring_status)
+        (function Ring_status -> Some [] | _ -> None);
+      case "labeler_attach" [ req "session" int ]
+        (fun [ session ] -> Labeler_attach { session })
+        (function Labeler_attach { session } -> Some [ session ] | _ -> None);
+      case "labeler_poll" [ req "session" int; req "labeler" int ]
+        (fun [ session; labeler ] -> Labeler_poll { session; labeler })
+        (function
+          | Labeler_poll { session; labeler } -> Some [ session; labeler ]
+          | _ -> None);
+      case "vote"
+        [ req "session" int; req "labeler" int; req "round" int;
+          req "label" label ]
+        (fun [ session; labeler; round; label ] ->
+          Vote { session; labeler; round; label })
+        (function
+          | Vote r -> Some [ r.session; r.labeler; r.round; r.label ]
+          | _ -> None);
+      case "crowd_stats" [ req "session" int ]
+        (fun [ session ] -> Crowd_stats { session })
+        (function Crowd_stats { session } -> Some [ session ] | _ -> None);
     ]
 
-let event_of_json v =
-  let* step = int_field "step" v in
-  let* cls = int_field "cls" v in
-  let* row = int_field "row" v in
-  let* sg = Result.bind (Json.field "sg" v) partition_of_json in
-  let* label = Result.bind (Json.field "label" v) label_of_json in
-  let* decided_after = int_field "decided_after" v in
-  let* tuples_decided_after = int_field "tuples_decided_after" v in
-  let* vs_after = Result.bind (Json.field "vs_after" v) Json.as_float in
-  Ok
-    {
-      Session.step;
-      cls;
-      row;
-      sg;
-      label;
-      decided_after;
-      tuples_decided_after;
-      vs_after;
-    }
+let session_error =
+  enum "unknown engine error "
+    [ (Session.Contradiction, "contradiction");
+      (Session.Nothing_to_undo, "nothing_to_undo") ]
 
-let outcome_to_json (o : Session.outcome) =
-  Json.Obj
+(* The engine error's "message" is derived from its "error": written for
+   readers of the wire, never read back. *)
+let error =
+  variant "kind" "error kind"
     [
-      ("query", partition_to_json o.query);
-      ("interactions", Json.Int o.interactions);
-      ("contradiction", Json.Bool o.contradiction);
-      ("events", Json.List (List.map event_to_json o.events));
+      case "bad_request" [ req "message" string ]
+        (fun [ m ] -> Bad_request m)
+        (function Bad_request m -> Some [ m ] | _ -> None);
+      case "unknown_session" [ req "session" int ]
+        (fun [ id ] -> Unknown_session id)
+        (function Unknown_session id -> Some [ id ] | _ -> None);
+      case "unknown_strategy" [ req "message" string ]
+        (fun [ m ] -> Unknown_strategy m)
+        (function Unknown_strategy m -> Some [ m ] | _ -> None);
+      case "bad_source" [ req "message" string ]
+        (fun [ m ] -> Bad_source m)
+        (function Bad_source m -> Some [ m ] | _ -> None);
+      case "unknown_instance" [ req "fingerprint" string ]
+        (fun [ fp ] -> Unknown_instance fp)
+        (function Unknown_instance fp -> Some [ fp ] | _ -> None);
+      case "engine" [ req "error" session_error; derived "message" string ]
+        (fun [ e; _ ] -> Engine e)
+        (function
+          | Engine e -> Some [ e; Some (Session.error_to_string e) ]
+          | _ -> None);
+      case "server_busy" [ req "active" int; req "max" int ]
+        (fun [ active; max ] -> Server_busy { active; max })
+        (function
+          | Server_busy { active; max } -> Some [ active; max ] | _ -> None);
+      case "unsupported_version" [ req "version" int ]
+        (fun [ v ] -> Unsupported_version v)
+        (function Unsupported_version v -> Some [ v ] | _ -> None);
+      case "shard_unavailable" [ req "message" string ]
+        (fun [ m ] -> Shard_unavailable m)
+        (function Shard_unavailable m -> Some [ m ] | _ -> None);
+      case "unknown_labeler" [ req "labeler" int ]
+        (fun [ id ] -> Unknown_labeler id)
+        (function Unknown_labeler id -> Some [ id ] | _ -> None);
     ]
 
-let outcome_of_json v =
-  let* query = Result.bind (Json.field "query" v) partition_of_json in
-  let* interactions = int_field "interactions" v in
-  let* contradiction = Result.bind (Json.field "contradiction" v) Json.as_bool in
-  let* events = Result.bind (Json.field "events" v) Json.as_list in
-  let* events =
-    List.fold_left
-      (fun acc e ->
-        let* acc = acc in
-        let* e = event_of_json e in
-        Ok (e :: acc))
-      (Ok []) events
-  in
-  Ok { Session.query; interactions; contradiction; events = List.rev events }
+(* Lag members are additive: replies from shards without an attached
+   standby simply omit them. *)
+let shard_status =
+  obj
+    [ req "name" string; req "promoted" bool;
+      pair "lag_records" int "lag_bytes" int ]
+    (fun [ shard; promoted; lag ] -> { shard; promoted; lag })
+    (fun s -> [ s.shard; s.promoted; s.lag ])
 
-let source_to_json = function
-  | Builtin name ->
-    Json.Obj [ ("kind", Json.String "builtin"); ("name", Json.String name) ]
-  | Synthetic { n_attrs; n_tuples; domain; goal_rank; seed } ->
-    Json.Obj
-      [
-        ("kind", Json.String "synthetic");
-        ("n_attrs", Json.Int n_attrs);
-        ("n_tuples", Json.Int n_tuples);
-        ("domain", Json.Int domain);
-        ("goal_rank", Json.Int goal_rank);
-        ("seed", Json.Int seed);
-      ]
-  | Csv_inline text ->
-    Json.Obj [ ("kind", Json.String "csv"); ("text", Json.String text) ]
-  | Catalog fingerprint ->
-    Json.Obj
-      [
-        ("kind", Json.String "catalog");
-        ("fingerprint", Json.String fingerprint);
-      ]
-
-let source_of_json v =
-  let* kind = string_field "kind" v in
-  match kind with
-  | "builtin" ->
-    let* name = string_field "name" v in
-    Ok (Builtin name)
-  | "synthetic" ->
-    let* n_attrs = int_field "n_attrs" v in
-    let* n_tuples = int_field "n_tuples" v in
-    let* domain = int_field "domain" v in
-    let* goal_rank = int_field "goal_rank" v in
-    let* seed = int_field "seed" v in
-    Ok (Synthetic { n_attrs; n_tuples; domain; goal_rank; seed })
-  | "csv" ->
-    let* text = string_field "text" v in
-    Ok (Csv_inline text)
-  | "catalog" ->
-    let* fingerprint = string_field "fingerprint" v in
-    Ok (Catalog fingerprint)
-  | k -> Error (Printf.sprintf "unknown instance source kind %S" k)
-
-let question_to_json q =
-  Json.Obj
+let response =
+  variant ~head:envelope "resp" "response"
     [
-      ("cls", Json.Int q.cls);
-      ("row", Json.Int q.row);
-      ("sg", partition_to_json q.sg);
+      case "started"
+        [ req "session" int; req "arity" int; req "classes" int;
+          req "tuples" int; req "strategy" string ]
+        (fun [ session; arity; classes; tuples; strategy ] ->
+          Started { session; arity; classes; tuples; strategy })
+        (function
+          | Started r ->
+            Some [ r.session; r.arity; r.classes; r.tuples; r.strategy ]
+          | _ -> None);
+      case "question" [ req "question" (nullable question) ]
+        (fun [ q ] -> Question q)
+        (function Question q -> Some [ q ] | _ -> None);
+      case "questions" [ req "questions" (list question) ]
+        (fun [ qs ] -> Questions qs)
+        (function Questions qs -> Some [ qs ] | _ -> None);
+      case "answered"
+        [ req "finished" bool; req "asked" int; req "decided_classes" int;
+          req "decided_tuples" int ]
+        (fun [ finished; asked; decided_classes; decided_tuples ] ->
+          Answered { finished; asked; decided_classes; decided_tuples })
+        (function
+          | Answered r ->
+            Some [ r.finished; r.asked; r.decided_classes; r.decided_tuples ]
+          | _ -> None);
+      case "undone" [ req "asked" int ]
+        (fun [ asked ] -> Undone { asked })
+        (function Undone { asked } -> Some [ asked ] | _ -> None);
+      case "explanation"
+        [ req "cls" int; req "status" status; req "text" string ]
+        (fun [ cls; status; text ] -> Explanation { cls; status; text })
+        (function
+          | Explanation { cls; status; text } -> Some [ cls; status; text ]
+          | _ -> None);
+      case "outcome" [ req "outcome" outcome ]
+        (fun [ o ] -> Outcome o)
+        (function Outcome o -> Some [ o ] | _ -> None);
+      case "stats"
+        [ req "labeled" int; req "auto_determined" int;
+          req "still_informative" int; req "total" int;
+          req "version_space" float; req "scoring" metrics ]
+        (fun [ labeled; auto_determined; still_informative; total;
+               version_space; scoring ] ->
+          Session_stats
+            { labeled; auto_determined; still_informative; total;
+              version_space; scoring })
+        (function
+          | Session_stats s ->
+            Some
+              [ s.labeled; s.auto_determined; s.still_informative; s.total;
+                s.version_space; s.scoring ]
+          | _ -> None);
+      case "transcript" [ req "text" string ]
+        (fun [ text ] -> Transcript_text { text })
+        (function Transcript_text { text } -> Some [ text ] | _ -> None);
+      case "registered"
+        [ req "fingerprint" string; req "arity" int; req "classes" int;
+          req "tuples" int ]
+        (fun [ fingerprint; arity; classes; tuples ] ->
+          Registered { fingerprint; arity; classes; tuples })
+        (function
+          | Registered r -> Some [ r.fingerprint; r.arity; r.classes; r.tuples ]
+          | _ -> None);
+      case "catalog_stats"
+        [ req "entries" int; req "bytes" int; req "pinned" int; req "hits" int;
+          req "misses" int; req "evictions" int; req "fingerprints" int;
+          req "derivations" int ]
+        (fun [ entries; bytes; pinned; hits; misses; evictions; fingerprints;
+               derivations ] ->
+          Catalog_info
+            { entries; bytes; pinned; hits; misses; evictions; fingerprints;
+              derivations })
+        (function
+          | Catalog_info c ->
+            Some
+              [ c.entries; c.bytes; c.pinned; c.hits; c.misses; c.evictions;
+                c.fingerprints; c.derivations ]
+          | _ -> None);
+      case "repl_ok" [ req "gen" int; req "records" int ]
+        (fun [ gen; records ] -> Repl_ok { gen; records })
+        (function
+          | Repl_ok { gen; records } -> Some [ gen; records ] | _ -> None);
+      case "repl_lag" [ req "records" int; req "bytes" int ]
+        (fun [ records; bytes ] -> Repl_lag { records; bytes })
+        (function
+          | Repl_lag { records; bytes } -> Some [ records; bytes ] | _ -> None);
+      case "promoted" [ req "sessions" int; req "generation" int ]
+        (fun [ sessions; generation ] -> Promoted { sessions; generation })
+        (function
+          | Promoted { sessions; generation } -> Some [ sessions; generation ]
+          | _ -> None);
+      case "ring_status"
+        [ req "shards" (list shard_status); req "sessions" int ]
+        (fun [ shards; sessions ] -> Ring_info { shards; sessions })
+        (function
+          | Ring_info { shards; sessions } -> Some [ shards; sessions ]
+          | _ -> None);
+      case "labeler_attached" [ req "labeler" int; req "votes" int ]
+        (fun [ labeler; votes ] -> Labeler_attached { labeler; votes })
+        (function
+          | Labeler_attached { labeler; votes } -> Some [ labeler; votes ]
+          | _ -> None);
+      case "crowd_question"
+        [ req "round" int; req "question" (nullable question) ]
+        (fun [ round; question ] -> Crowd_question { round; question })
+        (function
+          | Crowd_question { round; question } -> Some [ round; question ]
+          | _ -> None);
+      case "vote_ok"
+        [ req "round" int; req "counted" bool; req "outcome" (nullable label) ]
+        (fun [ round; counted; outcome ] -> Vote_ok { round; counted; outcome })
+        (function
+          | Vote_ok { round; counted; outcome } ->
+            Some [ round; counted; outcome ]
+          | _ -> None);
+      case "crowd_stats"
+        [ req "labelers" int; req "votes" int; req "weighted" bool;
+          req "rounds" int; req "paid_labels" int; req "majority_flips" int;
+          req "timeouts" int; req "re_asks" int ]
+        (fun [ labelers; votes; weighted; rounds; paid_labels; majority_flips;
+               timeouts; re_asks ] ->
+          Crowd_info
+            { labelers; votes; weighted; rounds; paid_labels; majority_flips;
+              timeouts; re_asks })
+        (function
+          | Crowd_info c ->
+            Some
+              [ c.labelers; c.votes; c.weighted; c.rounds; c.paid_labels;
+                c.majority_flips; c.timeouts; c.re_asks ]
+          | _ -> None);
+      case "ended" [] (fun [] -> Ended) (function Ended -> Some [] | _ -> None);
+      case "error" [ req "error" error ]
+        (fun [ e ] -> Failed e)
+        (function Failed e -> Some [ e ] | _ -> None);
     ]
-
-let question_of_json v =
-  let* cls = int_field "cls" v in
-  let* row = int_field "row" v in
-  let* sg = Result.bind (Json.field "sg" v) partition_of_json in
-  Ok { cls; row; sg }
-
-(* ------------------------------------------------------------------ *)
-(* Requests                                                            *)
-
-let envelope tag_key tag fields =
-  Json.Obj ((("jim", Json.Int version) :: (tag_key, Json.String tag) :: fields))
-
-(* Six requests carry nothing but the session id; their encoders and
-   decoders are the same shape, factored here once (the tag is the only
-   difference).  [session_only_tags] is the single list both directions
-   share, so adding such a request is one line. *)
-let session_only_tags : (string * (int -> request)) list =
-  [
-    ("get_question", fun session -> Get_question { session });
-    ("undo", fun session -> Undo { session });
-    ("result", fun session -> Result { session });
-    ("stats", fun session -> Stats { session });
-    ("get_transcript", fun session -> Get_transcript { session });
-    ("end_session", fun session -> End_session { session });
-    ("labeler_attach", fun session -> Labeler_attach { session });
-    ("crowd_stats", fun session -> Crowd_stats { session });
-  ]
-
-let session_req tag session = envelope "req" tag [ ("session", Json.Int session) ]
-
-let request_to_json = function
-  | Start_session { source; strategy; seed } ->
-    envelope "req" "start_session"
-      [
-        ("source", source_to_json source);
-        ("strategy", Json.String strategy);
-        ("seed", Json.Int seed);
-      ]
-  | Get_question { session } -> session_req "get_question" session
-  | Top_questions { session; k } ->
-    envelope "req" "top_questions"
-      [ ("session", Json.Int session); ("k", Json.Int k) ]
-  | Answer { session; cls; label } ->
-    envelope "req" "answer"
-      [
-        ("session", Json.Int session);
-        ("cls", Json.Int cls);
-        ("label", label_to_json label);
-      ]
-  | Undo { session } -> session_req "undo" session
-  | Explain { session; cls } ->
-    envelope "req" "explain"
-      [ ("session", Json.Int session); ("cls", Json.Int cls) ]
-  | Result { session } -> session_req "result" session
-  | Stats { session } -> session_req "stats" session
-  | Get_transcript { session } -> session_req "get_transcript" session
-  | End_session { session } -> session_req "end_session" session
-  | Register_instance { source } ->
-    envelope "req" "register_instance" [ ("source", source_to_json source) ]
-  | Catalog_stats -> envelope "req" "catalog_stats" []
-  | Start_pinned { session; source; strategy; seed } ->
-    envelope "req" "start_pinned"
-      [
-        ("session", Json.Int session);
-        ("source", source_to_json source);
-        ("strategy", Json.String strategy);
-        ("seed", Json.Int seed);
-      ]
-  | Repl_install { gen; snapshot } ->
-    envelope "req" "repl_install"
-      [
-        ("gen", Json.Int gen);
-        ( "snapshot",
-          match snapshot with None -> Json.Null | Some s -> Json.String s );
-      ]
-  | Repl_rotate { gen } -> envelope "req" "repl_rotate" [ ("gen", Json.Int gen) ]
-  | Repl_batch { records } ->
-    envelope "req" "repl_batch"
-      [ ("records", Json.List (List.map (fun r -> Json.String r) records)) ]
-  | Repl_status -> envelope "req" "repl_status" []
-  | Promote -> envelope "req" "promote" []
-  | Ring_status -> envelope "req" "ring_status" []
-  | Labeler_attach { session } -> session_req "labeler_attach" session
-  | Labeler_poll { session; labeler } ->
-    envelope "req" "labeler_poll"
-      [ ("session", Json.Int session); ("labeler", Json.Int labeler) ]
-  | Vote { session; labeler; round; label } ->
-    envelope "req" "vote"
-      [
-        ("session", Json.Int session);
-        ("labeler", Json.Int labeler);
-        ("round", Json.Int round);
-        ("label", label_to_json label);
-      ]
-  | Crowd_stats { session } -> session_req "crowd_stats" session
-
-let check_version v k =
-  match int_field "jim" v with
-  | Error e -> Error (Bad_request e)
-  | Ok ver when ver <> version -> Error (Unsupported_version ver)
-  | Ok _ -> k ()
-
-let bad = function Ok x -> Ok x | Error m -> Error (Bad_request m)
-
-let request_of_json v =
-  check_version v @@ fun () ->
-  let* tag = bad (string_field "req" v) in
-  let session () = bad (int_field "session" v) in
-  match List.assoc_opt tag session_only_tags with
-  | Some make ->
-    let* session = session () in
-    Ok (make session)
-  | None -> (
-    match tag with
-    | "start_session" ->
-      bad
-        (let* source = Result.bind (Json.field "source" v) source_of_json in
-         let* strategy = string_field "strategy" v in
-         let* seed = int_field "seed" v in
-         Ok (Start_session { source; strategy; seed }))
-    | "top_questions" ->
-      let* session = session () in
-      let* k = bad (int_field "k" v) in
-      Ok (Top_questions { session; k })
-    | "answer" ->
-      let* session = session () in
-      bad
-        (let* cls = int_field "cls" v in
-         let* label = Result.bind (Json.field "label" v) label_of_json in
-         Ok (Answer { session; cls; label }))
-    | "explain" ->
-      let* session = session () in
-      let* cls = bad (int_field "cls" v) in
-      Ok (Explain { session; cls })
-    | "register_instance" ->
-      bad
-        (let* source = Result.bind (Json.field "source" v) source_of_json in
-         Ok (Register_instance { source }))
-    | "catalog_stats" -> Ok Catalog_stats
-    | "start_pinned" ->
-      let* session = session () in
-      bad
-        (let* source = Result.bind (Json.field "source" v) source_of_json in
-         let* strategy = string_field "strategy" v in
-         let* seed = int_field "seed" v in
-         Ok (Start_pinned { session; source; strategy; seed }))
-    | "repl_install" ->
-      bad
-        (let* gen = int_field "gen" v in
-         let* snapshot =
-           match Json.member "snapshot" v with
-           | None | Some Json.Null -> Ok None
-           | Some s ->
-             let* s = Json.as_string s in
-             Ok (Some s)
-         in
-         Ok (Repl_install { gen; snapshot }))
-    | "repl_rotate" ->
-      let* gen = bad (int_field "gen" v) in
-      Ok (Repl_rotate { gen })
-    | "repl_batch" ->
-      bad
-        (let* records = Result.bind (Json.field "records" v) Json.as_list in
-         let* records =
-           List.fold_left
-             (fun acc r ->
-               let* acc = acc in
-               let* r = Json.as_string r in
-               Ok (r :: acc))
-             (Ok []) records
-         in
-         Ok (Repl_batch { records = List.rev records }))
-    | "repl_status" -> Ok Repl_status
-    | "promote" -> Ok Promote
-    | "ring_status" -> Ok Ring_status
-    | "labeler_poll" ->
-      let* session = session () in
-      let* labeler = bad (int_field "labeler" v) in
-      Ok (Labeler_poll { session; labeler })
-    | "vote" ->
-      let* session = session () in
-      bad
-        (let* labeler = int_field "labeler" v in
-         let* round = int_field "round" v in
-         let* label = Result.bind (Json.field "label" v) label_of_json in
-         Ok (Vote { session; labeler; round; label }))
-    | tag -> Error (Bad_request (Printf.sprintf "unknown request %S" tag)))
-
-(* ------------------------------------------------------------------ *)
-(* Responses                                                           *)
-
-let session_error_to_json = function
-  | Session.Contradiction -> Json.String "contradiction"
-  | Session.Nothing_to_undo -> Json.String "nothing_to_undo"
-
-let session_error_of_json = function
-  | Json.String "contradiction" -> Ok Session.Contradiction
-  | Json.String "nothing_to_undo" -> Ok Session.Nothing_to_undo
-  | v -> Error ("unknown engine error " ^ Json.to_string v)
-
-let error_to_json e =
-  let fields =
-    match e with
-    | Bad_request m -> [ ("kind", Json.String "bad_request"); ("message", Json.String m) ]
-    | Unknown_session id ->
-      [ ("kind", Json.String "unknown_session"); ("session", Json.Int id) ]
-    | Unknown_strategy m ->
-      [ ("kind", Json.String "unknown_strategy"); ("message", Json.String m) ]
-    | Bad_source m ->
-      [ ("kind", Json.String "bad_source"); ("message", Json.String m) ]
-    | Unknown_instance fp ->
-      [
-        ("kind", Json.String "unknown_instance");
-        ("fingerprint", Json.String fp);
-      ]
-    | Engine err ->
-      [
-        ("kind", Json.String "engine");
-        ("error", session_error_to_json err);
-        ("message", Json.String (Session.error_to_string err));
-      ]
-    | Server_busy { active; max } ->
-      [
-        ("kind", Json.String "server_busy");
-        ("active", Json.Int active);
-        ("max", Json.Int max);
-      ]
-    | Unsupported_version v ->
-      [ ("kind", Json.String "unsupported_version"); ("version", Json.Int v) ]
-    | Shard_unavailable m ->
-      [ ("kind", Json.String "shard_unavailable"); ("message", Json.String m) ]
-    | Unknown_labeler id ->
-      [ ("kind", Json.String "unknown_labeler"); ("labeler", Json.Int id) ]
-  in
-  Json.Obj fields
-
-let error_of_json v =
-  let* kind = string_field "kind" v in
-  match kind with
-  | "bad_request" ->
-    let* m = string_field "message" v in
-    Ok (Bad_request m)
-  | "unknown_session" ->
-    let* id = int_field "session" v in
-    Ok (Unknown_session id)
-  | "unknown_strategy" ->
-    let* m = string_field "message" v in
-    Ok (Unknown_strategy m)
-  | "bad_source" ->
-    let* m = string_field "message" v in
-    Ok (Bad_source m)
-  | "unknown_instance" ->
-    let* fp = string_field "fingerprint" v in
-    Ok (Unknown_instance fp)
-  | "engine" ->
-    let* err = Result.bind (Json.field "error" v) session_error_of_json in
-    Ok (Engine err)
-  | "server_busy" ->
-    let* active = int_field "active" v in
-    let* max = int_field "max" v in
-    Ok (Server_busy { active; max })
-  | "unsupported_version" ->
-    let* ver = int_field "version" v in
-    Ok (Unsupported_version ver)
-  | "shard_unavailable" ->
-    let* m = string_field "message" v in
-    Ok (Shard_unavailable m)
-  | "unknown_labeler" ->
-    let* id = int_field "labeler" v in
-    Ok (Unknown_labeler id)
-  | k -> Error (Printf.sprintf "unknown error kind %S" k)
-
-let response_to_json = function
-  | Started { session; arity; classes; tuples; strategy } ->
-    envelope "resp" "started"
-      [
-        ("session", Json.Int session);
-        ("arity", Json.Int arity);
-        ("classes", Json.Int classes);
-        ("tuples", Json.Int tuples);
-        ("strategy", Json.String strategy);
-      ]
-  | Question q ->
-    envelope "resp" "question"
-      [
-        ( "question",
-          match q with None -> Json.Null | Some q -> question_to_json q );
-      ]
-  | Questions qs ->
-    envelope "resp" "questions"
-      [ ("questions", Json.List (List.map question_to_json qs)) ]
-  | Answered { finished; asked; decided_classes; decided_tuples } ->
-    envelope "resp" "answered"
-      [
-        ("finished", Json.Bool finished);
-        ("asked", Json.Int asked);
-        ("decided_classes", Json.Int decided_classes);
-        ("decided_tuples", Json.Int decided_tuples);
-      ]
-  | Undone { asked } -> envelope "resp" "undone" [ ("asked", Json.Int asked) ]
-  | Explanation { cls; status; text } ->
-    envelope "resp" "explanation"
-      [
-        ("cls", Json.Int cls);
-        ("status", status_to_json status);
-        ("text", Json.String text);
-      ]
-  | Outcome o -> envelope "resp" "outcome" [ ("outcome", outcome_to_json o) ]
-  | Session_stats s ->
-    envelope "resp" "stats"
-      [
-        ("labeled", Json.Int s.labeled);
-        ("auto_determined", Json.Int s.auto_determined);
-        ("still_informative", Json.Int s.still_informative);
-        ("total", Json.Int s.total);
-        ("version_space", Json.Float s.version_space);
-        ("scoring", metrics_to_json s.scoring);
-      ]
-  | Transcript_text { text } ->
-    envelope "resp" "transcript" [ ("text", Json.String text) ]
-  | Registered { fingerprint; arity; classes; tuples } ->
-    envelope "resp" "registered"
-      [
-        ("fingerprint", Json.String fingerprint);
-        ("arity", Json.Int arity);
-        ("classes", Json.Int classes);
-        ("tuples", Json.Int tuples);
-      ]
-  | Catalog_info c ->
-    envelope "resp" "catalog_stats"
-      [
-        ("entries", Json.Int c.entries);
-        ("bytes", Json.Int c.bytes);
-        ("pinned", Json.Int c.pinned);
-        ("hits", Json.Int c.hits);
-        ("misses", Json.Int c.misses);
-        ("evictions", Json.Int c.evictions);
-        ("fingerprints", Json.Int c.fingerprints);
-        ("derivations", Json.Int c.derivations);
-      ]
-  | Repl_ok { gen; records } ->
-    envelope "resp" "repl_ok"
-      [ ("gen", Json.Int gen); ("records", Json.Int records) ]
-  | Repl_lag { records; bytes } ->
-    envelope "resp" "repl_lag"
-      [ ("records", Json.Int records); ("bytes", Json.Int bytes) ]
-  | Promoted { sessions; generation } ->
-    envelope "resp" "promoted"
-      [ ("sessions", Json.Int sessions); ("generation", Json.Int generation) ]
-  | Ring_info { shards; sessions } ->
-    envelope "resp" "ring_status"
-      [
-        ( "shards",
-          Json.List
-            (List.map
-               (fun { shard; promoted; lag } ->
-                 Json.Obj
-                   (("name", Json.String shard)
-                   :: ("promoted", Json.Bool promoted)
-                   ::
-                   (match lag with
-                   | None -> []
-                   | Some (records, bytes) ->
-                     [
-                       ("lag_records", Json.Int records);
-                       ("lag_bytes", Json.Int bytes);
-                     ])))
-               shards) );
-        ("sessions", Json.Int sessions);
-      ]
-  | Labeler_attached { labeler; votes } ->
-    envelope "resp" "labeler_attached"
-      [ ("labeler", Json.Int labeler); ("votes", Json.Int votes) ]
-  | Crowd_question { round; question } ->
-    envelope "resp" "crowd_question"
-      [
-        ("round", Json.Int round);
-        ( "question",
-          match question with None -> Json.Null | Some q -> question_to_json q );
-      ]
-  | Vote_ok { round; counted; outcome } ->
-    envelope "resp" "vote_ok"
-      [
-        ("round", Json.Int round);
-        ("counted", Json.Bool counted);
-        ( "outcome",
-          match outcome with None -> Json.Null | Some l -> label_to_json l );
-      ]
-  | Crowd_info c ->
-    envelope "resp" "crowd_stats"
-      [
-        ("labelers", Json.Int c.labelers);
-        ("votes", Json.Int c.votes);
-        ("weighted", Json.Bool c.weighted);
-        ("rounds", Json.Int c.rounds);
-        ("paid_labels", Json.Int c.paid_labels);
-        ("majority_flips", Json.Int c.majority_flips);
-        ("timeouts", Json.Int c.timeouts);
-        ("re_asks", Json.Int c.re_asks);
-      ]
-  | Ended -> envelope "resp" "ended" []
-  | Failed e -> envelope "resp" "error" [ ("error", error_to_json e) ]
-
-let response_of_json v =
-  check_version v @@ fun () ->
-  let* tag = bad (string_field "resp" v) in
-  match tag with
-  | "started" ->
-    bad
-      (let* session = int_field "session" v in
-       let* arity = int_field "arity" v in
-       let* classes = int_field "classes" v in
-       let* tuples = int_field "tuples" v in
-       let* strategy = string_field "strategy" v in
-       Ok (Started { session; arity; classes; tuples; strategy }))
-  | "question" ->
-    bad
-      (let* q = Json.field "question" v in
-       match q with
-       | Json.Null -> Ok (Question None)
-       | q ->
-         let* q = question_of_json q in
-         Ok (Question (Some q)))
-  | "questions" ->
-    bad
-      (let* qs = Result.bind (Json.field "questions" v) Json.as_list in
-       let* qs =
-         List.fold_left
-           (fun acc q ->
-             let* acc = acc in
-             let* q = question_of_json q in
-             Ok (q :: acc))
-           (Ok []) qs
-       in
-       Ok (Questions (List.rev qs)))
-  | "answered" ->
-    bad
-      (let* finished = Result.bind (Json.field "finished" v) Json.as_bool in
-       let* asked = int_field "asked" v in
-       let* decided_classes = int_field "decided_classes" v in
-       let* decided_tuples = int_field "decided_tuples" v in
-       Ok (Answered { finished; asked; decided_classes; decided_tuples }))
-  | "undone" ->
-    bad
-      (let* asked = int_field "asked" v in
-       Ok (Undone { asked }))
-  | "explanation" ->
-    bad
-      (let* cls = int_field "cls" v in
-       let* status = Result.bind (Json.field "status" v) status_of_json in
-       let* text = string_field "text" v in
-       Ok (Explanation { cls; status; text }))
-  | "outcome" ->
-    bad
-      (let* o = Result.bind (Json.field "outcome" v) outcome_of_json in
-       Ok (Outcome o))
-  | "stats" ->
-    bad
-      (let* labeled = int_field "labeled" v in
-       let* auto_determined = int_field "auto_determined" v in
-       let* still_informative = int_field "still_informative" v in
-       let* total = int_field "total" v in
-       let* version_space =
-         Result.bind (Json.field "version_space" v) Json.as_float
-       in
-       let* scoring = Result.bind (Json.field "scoring" v) metrics_of_json in
-       Ok
-         (Session_stats
-            {
-              labeled;
-              auto_determined;
-              still_informative;
-              total;
-              version_space;
-              scoring;
-            }))
-  | "transcript" ->
-    bad
-      (let* text = string_field "text" v in
-       Ok (Transcript_text { text }))
-  | "registered" ->
-    bad
-      (let* fingerprint = string_field "fingerprint" v in
-       let* arity = int_field "arity" v in
-       let* classes = int_field "classes" v in
-       let* tuples = int_field "tuples" v in
-       Ok (Registered { fingerprint; arity; classes; tuples }))
-  | "catalog_stats" ->
-    bad
-      (let* entries = int_field "entries" v in
-       let* bytes = int_field "bytes" v in
-       let* pinned = int_field "pinned" v in
-       let* hits = int_field "hits" v in
-       let* misses = int_field "misses" v in
-       let* evictions = int_field "evictions" v in
-       let* fingerprints = int_field "fingerprints" v in
-       let* derivations = int_field "derivations" v in
-       Ok
-         (Catalog_info
-            {
-              entries;
-              bytes;
-              pinned;
-              hits;
-              misses;
-              evictions;
-              fingerprints;
-              derivations;
-            }))
-  | "repl_ok" ->
-    bad
-      (let* gen = int_field "gen" v in
-       let* records = int_field "records" v in
-       Ok (Repl_ok { gen; records }))
-  | "repl_lag" ->
-    bad
-      (let* records = int_field "records" v in
-       let* bytes = int_field "bytes" v in
-       Ok (Repl_lag { records; bytes }))
-  | "promoted" ->
-    bad
-      (let* sessions = int_field "sessions" v in
-       let* generation = int_field "generation" v in
-       Ok (Promoted { sessions; generation }))
-  | "ring_status" ->
-    bad
-      (let* shards = Result.bind (Json.field "shards" v) Json.as_list in
-       let* shards =
-         List.fold_left
-           (fun acc s ->
-             let* acc = acc in
-             let* name = string_field "name" s in
-             let* promoted = Result.bind (Json.field "promoted" s) Json.as_bool in
-             (* Lag fields are additive: replies from shards without an
-                attached standby simply omit them. *)
-             let* lag =
-               match (Json.member "lag_records" s, Json.member "lag_bytes" s) with
-               | None, None -> Ok None
-               | Some r, Some b ->
-                 let* r = Json.as_int r in
-                 let* b = Json.as_int b in
-                 Ok (Some (r, b))
-               | _ -> Error "lag_records and lag_bytes must appear together"
-             in
-             Ok ({ shard = name; promoted; lag } :: acc))
-           (Ok []) shards
-       in
-       let* sessions = int_field "sessions" v in
-       Ok (Ring_info { shards = List.rev shards; sessions }))
-  | "labeler_attached" ->
-    bad
-      (let* labeler = int_field "labeler" v in
-       let* votes = int_field "votes" v in
-       Ok (Labeler_attached { labeler; votes }))
-  | "crowd_question" ->
-    bad
-      (let* round = int_field "round" v in
-       let* q = Json.field "question" v in
-       match q with
-       | Json.Null -> Ok (Crowd_question { round; question = None })
-       | q ->
-         let* q = question_of_json q in
-         Ok (Crowd_question { round; question = Some q }))
-  | "vote_ok" ->
-    bad
-      (let* round = int_field "round" v in
-       let* counted = Result.bind (Json.field "counted" v) Json.as_bool in
-       let* outcome =
-         let* l = Json.field "outcome" v in
-         match l with
-         | Json.Null -> Ok None
-         | l ->
-           let* l = label_of_json l in
-           Ok (Some l)
-       in
-       Ok (Vote_ok { round; counted; outcome }))
-  | "crowd_stats" ->
-    bad
-      (let* labelers = int_field "labelers" v in
-       let* votes = int_field "votes" v in
-       let* weighted = Result.bind (Json.field "weighted" v) Json.as_bool in
-       let* rounds = int_field "rounds" v in
-       let* paid_labels = int_field "paid_labels" v in
-       let* majority_flips = int_field "majority_flips" v in
-       let* timeouts = int_field "timeouts" v in
-       let* re_asks = int_field "re_asks" v in
-       Ok
-         (Crowd_info
-            {
-              labelers;
-              votes;
-              weighted;
-              rounds;
-              paid_labels;
-              majority_flips;
-              timeouts;
-              re_asks;
-            }))
-  | "ended" -> Ok Ended
-  | "error" ->
-    bad
-      (let* e = Result.bind (Json.field "error" v) error_of_json in
-       Ok (Failed e))
-  | tag -> Error (Bad_request (Printf.sprintf "unknown response %S" tag))
 
 (* ------------------------------------------------------------------ *)
 (* String wrappers                                                     *)
 
-let request_to_string r = Json.to_string (request_to_json r)
-
-let request_of_string s =
+(* The version is checked before the tag is looked up, so a message
+   from a newer peer is refused as [Unsupported_version], not as an
+   unknown tag. *)
+let decode_message codec s =
   match Json.of_string s with
   | Error m -> Error (Bad_request m)
-  | Ok v -> request_of_json v
+  | Ok v -> (
+    match Result.bind (Json.field version_field v) Json.as_int with
+    | Error m -> Error (Bad_request m)
+    | Ok ver when ver <> version -> Error (Unsupported_version ver)
+    | Ok _ -> Result.map_error (fun m -> Bad_request m) (of_json codec v))
 
-let response_to_string r = Json.to_string (response_to_json r)
-
-let response_of_string s =
-  match Json.of_string s with
-  | Error m -> Error (Bad_request m)
-  | Ok v -> response_of_json v
+let request_to_string = to_string request
+let request_of_string = decode_message request
+let response_to_string = to_string response
+let response_of_string = decode_message response

@@ -14,7 +14,12 @@
     [{"jim": version, "req": "<tag>", ...}], responses
     [{"jim": version, "resp": "<tag>", ...}].  Partitions travel in their
     canonical [Partition.to_string] block syntax (e.g. ["{0,2}{1}"]),
-    labels as ["+"] / ["-"]. *)
+    labels as ["+"] / ["-"].
+
+    Each message is one {!Codec.case} row in [protocol.ml] — its tag,
+    its fields in wire order, and a constructor/projection pair — and
+    both directions are derived from it.  Adding a message means adding
+    its constructor here and one row there. *)
 
 type instance_source =
   | Builtin of string
@@ -328,25 +333,18 @@ val error_to_string : error -> string
     [*_of_string] parses, checks the version and decodes; every failure
     is a typed {!error} so servers can serialise it straight back. *)
 
-val request_to_json : request -> Json.t
-val request_of_json : Json.t -> (request, error) result
 val request_to_string : request -> string
 val request_of_string : string -> (request, error) result
-
-val response_to_json : response -> Json.t
-val response_of_json : Json.t -> (response, error) result
 val response_to_string : response -> string
 val response_of_string : string -> (response, error) result
 
-(** {1 Stable sub-encodings} (exposed for tests and other tooling) *)
+(** {1 Stable sub-encodings} (shared with the journal, the catalog key
+    and snapshots) *)
 
-val label_to_json : Jim_core.State.label -> Json.t
-val label_of_json : Json.t -> (Jim_core.State.label, string) result
-val source_to_json : instance_source -> Json.t
-val source_of_json : Json.t -> (instance_source, string) result
-val partition_to_json : Jim_partition.Partition.t -> Json.t
-val partition_of_json : Json.t -> (Jim_partition.Partition.t, string) result
+val label : Jim_core.State.label Codec.t
+val partition : Jim_partition.Partition.t Codec.t
+val source : instance_source Codec.t
+val outcome : Jim_core.Session.outcome Codec.t
+
 val outcome_to_json : Jim_core.Session.outcome -> Json.t
-val outcome_of_json : Json.t -> (Jim_core.Session.outcome, string) result
-val metrics_to_json : Jim_core.Metrics.snapshot -> Json.t
-val metrics_of_json : Json.t -> (Jim_core.Metrics.snapshot, string) result
+(** [Codec.to_json outcome]. *)

@@ -222,7 +222,7 @@ let resolve t source =
       t.misses <- t.misses + 1;
       Error (P.Unknown_instance fp))
   | concrete -> (
-    let key = Jim_api.Json.to_string (P.source_to_json concrete) in
+    let key = Jim_api.Codec.to_string P.source concrete in
     match Hashtbl.find_opt t.by_source key with
     | Some fp -> (
       match Hashtbl.find_opt t.by_fp fp with

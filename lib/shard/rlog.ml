@@ -1,5 +1,3 @@
-module Json = Jim_api.Json
-
 type entry =
   | Member_added of string
   | Member_removed of string
@@ -7,55 +5,27 @@ type entry =
   | Released of { session : int }
   | Failed_over of { shard : string }
 
-let to_string e =
-  let obj fields = Json.to_string (Json.Obj fields) in
-  match e with
-  | Member_added shard ->
-    obj [ ("rl", Json.String "add"); ("shard", Json.String shard) ]
-  | Member_removed shard ->
-    obj [ ("rl", Json.String "remove"); ("shard", Json.String shard) ]
-  | Placed { session; shard } ->
-    obj
-      [
-        ("rl", Json.String "place");
-        ("session", Json.Int session);
-        ("shard", Json.String shard);
-      ]
-  | Released { session } ->
-    obj [ ("rl", Json.String "release"); ("session", Json.Int session) ]
-  | Failed_over { shard } ->
-    obj [ ("rl", Json.String "failover"); ("shard", Json.String shard) ]
+let codec =
+  let open Jim_api.Codec in
+  variant "rl" "router log entry"
+    [
+      case "add" [ req "shard" string ]
+        (fun [ shard ] -> Member_added shard)
+        (function Member_added shard -> Some [ shard ] | _ -> None);
+      case "remove" [ req "shard" string ]
+        (fun [ shard ] -> Member_removed shard)
+        (function Member_removed shard -> Some [ shard ] | _ -> None);
+      case "place" [ req "session" int; req "shard" string ]
+        (fun [ session; shard ] -> Placed { session; shard })
+        (function
+          | Placed { session; shard } -> Some [ session; shard ] | _ -> None);
+      case "release" [ req "session" int ]
+        (fun [ session ] -> Released { session })
+        (function Released { session } -> Some [ session ] | _ -> None);
+      case "failover" [ req "shard" string ]
+        (fun [ shard ] -> Failed_over { shard })
+        (function Failed_over { shard } -> Some [ shard ] | _ -> None);
+    ]
 
-let ( let* ) = Result.bind
-
-let of_string s =
-  let* v = Json.of_string s in
-  let str k =
-    match Json.member k v with
-    | Some (Json.String s) -> Ok s
-    | _ -> Error (Printf.sprintf "router log entry missing string %S" k)
-  in
-  let int k =
-    match Json.member k v with
-    | Some f -> Json.as_int f
-    | None -> Error (Printf.sprintf "router log entry missing int %S" k)
-  in
-  let* tag = str "rl" in
-  match tag with
-  | "add" ->
-    let* shard = str "shard" in
-    Ok (Member_added shard)
-  | "remove" ->
-    let* shard = str "shard" in
-    Ok (Member_removed shard)
-  | "place" ->
-    let* session = int "session" in
-    let* shard = str "shard" in
-    Ok (Placed { session; shard })
-  | "release" ->
-    let* session = int "session" in
-    Ok (Released { session })
-  | "failover" ->
-    let* shard = str "shard" in
-    Ok (Failed_over { shard })
-  | t -> Error (Printf.sprintf "unknown router log entry %S" t)
+let to_string = Jim_api.Codec.to_string codec
+let of_string = Jim_api.Codec.of_string codec

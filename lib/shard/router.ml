@@ -349,7 +349,7 @@ let handle_register t source line =
     match source with
     | P.Catalog fp -> Ok fp
     | _ -> (
-      let enc = Jim_api.Json.to_string (P.source_to_json source) in
+      let enc = Jim_api.Codec.to_string P.source source in
       Mutex.lock t.lock;
       let memo = Hashtbl.find_opt t.fps enc in
       Mutex.unlock t.lock;

@@ -1,4 +1,3 @@
-module Json = Jim_api.Json
 module P = Jim_api.Protocol
 
 type t =
@@ -26,61 +25,35 @@ let session = function
   | Ended { session } ->
     session
 
-let to_json = function
-  | Started { session; arity; source; strategy; seed; fingerprint } ->
-    Json.Obj
-      [
-        ("ev", Json.String "start");
-        ("session", Json.Int session);
-        ("arity", Json.Int arity);
-        ("source", P.source_to_json source);
-        ("strategy", Json.String strategy);
-        ("seed", Json.Int seed);
-        ("fp", Json.String fingerprint);
-      ]
-  | Answered { session; cls; sg; label } ->
-    Json.Obj
-      [
-        ("ev", Json.String "answer");
-        ("session", Json.Int session);
-        ("cls", Json.Int cls);
-        ("sg", P.partition_to_json sg);
-        ("label", P.label_to_json label);
-      ]
-  | Undone { session } ->
-    Json.Obj [ ("ev", Json.String "undo"); ("session", Json.Int session) ]
-  | Ended { session } ->
-    Json.Obj [ ("ev", Json.String "end"); ("session", Json.Int session) ]
+let codec =
+  let open Jim_api.Codec in
+  variant "ev" "journal event"
+    [
+      case "start"
+        [ req "session" int; req "arity" int; req "source" P.source;
+          req "strategy" string; req "seed" int; req "fp" string ]
+        (fun [ session; arity; source; strategy; seed; fingerprint ] ->
+          Started { session; arity; source; strategy; seed; fingerprint })
+        (function
+          | Started e ->
+            Some
+              [ e.session; e.arity; e.source; e.strategy; e.seed;
+                e.fingerprint ]
+          | _ -> None);
+      case "answer"
+        [ req "session" int; req "cls" int; req "sg" P.partition;
+          req "label" P.label ]
+        (fun [ session; cls; sg; label ] ->
+          Answered { session; cls; sg; label })
+        (function
+          | Answered e -> Some [ e.session; e.cls; e.sg; e.label ] | _ -> None);
+      case "undo" [ req "session" int ]
+        (fun [ session ] -> Undone { session })
+        (function Undone { session } -> Some [ session ] | _ -> None);
+      case "end" [ req "session" int ]
+        (fun [ session ] -> Ended { session })
+        (function Ended { session } -> Some [ session ] | _ -> None);
+    ]
 
-let ( let* ) = Result.bind
-
-let int_field k v =
-  let* f = Json.field k v in
-  Json.as_int f
-
-let of_json v =
-  let* tag = Result.bind (Json.field "ev" v) Json.as_string in
-  let* session = int_field "session" v in
-  match tag with
-  | "start" ->
-    let* arity = int_field "arity" v in
-    let* source = Result.bind (Json.field "source" v) P.source_of_json in
-    let* strategy = Result.bind (Json.field "strategy" v) Json.as_string in
-    let* seed = int_field "seed" v in
-    let* fingerprint = Result.bind (Json.field "fp" v) Json.as_string in
-    Ok (Started { session; arity; source; strategy; seed; fingerprint })
-  | "answer" ->
-    let* cls = int_field "cls" v in
-    let* sg = Result.bind (Json.field "sg" v) P.partition_of_json in
-    let* label = Result.bind (Json.field "label" v) P.label_of_json in
-    Ok (Answered { session; cls; sg; label })
-  | "undo" -> Ok (Undone { session })
-  | "end" -> Ok (Ended { session })
-  | tag -> Error (Printf.sprintf "unknown journal event %S" tag)
-
-let to_string e = Json.to_string (to_json e)
-
-let of_string s =
-  match Json.of_string s with
-  | Error m -> Error m
-  | Ok v -> of_json v
+let to_string = Jim_api.Codec.to_string codec
+let of_string = Jim_api.Codec.of_string codec

@@ -1,4 +1,4 @@
-module Json = Jim_api.Json
+module Codec = Jim_api.Codec
 module P = Jim_api.Protocol
 module Transcript = Jim_core.Transcript
 
@@ -23,7 +23,7 @@ let to_string t =
         (Printf.sprintf "session %d %s %d %s\n" s.id s.strategy s.seed
            s.fingerprint);
       Buffer.add_string buf
-        ("source " ^ Json.to_string (P.source_to_json s.source) ^ "\n");
+        ("source " ^ Codec.to_string P.source s.source ^ "\n");
       Buffer.add_string buf (Transcript.to_string s.transcript);
       Buffer.add_string buf "end\n")
     t.sessions;
@@ -89,9 +89,7 @@ let of_string text =
         | src :: rest
           when String.length src > 7 && String.sub src 0 7 = "source " ->
           let* source =
-            Result.bind
-              (Json.of_string (String.sub src 7 (String.length src - 7)))
-              P.source_of_json
+            Codec.of_string P.source (String.sub src 7 (String.length src - 7))
           in
           (* The transcript block runs until the "end" sentinel. *)
           let rec split_block acc = function

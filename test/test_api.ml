@@ -5,6 +5,7 @@
 
 module P = Jim_partition.Partition
 module Json = Jim_api.Json
+module Codec = Jim_api.Codec
 module Pr = Jim_api.Protocol
 open Jim_core
 
@@ -548,27 +549,27 @@ let prop_source_roundtrip =
      the journal's Started events all ride on *)
   qtest "instance_source sub-encoding round-trips"
     (QCheck.make
-       ~print:(fun s -> Json.to_string (Pr.source_to_json s))
+       ~print:(fun s -> Codec.to_string Pr.source s)
        gen_source)
     (fun s ->
-      match Pr.source_of_json (Pr.source_to_json s) with
+      match Codec.of_json Pr.source (Codec.to_json Pr.source s) with
       | Ok s' -> source_eq s s'
       | Error _ -> false)
 
 let prop_partition_roundtrip =
   qtest "partition sub-encoding round-trips"
     (QCheck.make ~print:P.to_string gen_partition) (fun p ->
-      match Pr.partition_of_json (Pr.partition_to_json p) with
+      match Codec.of_json Pr.partition (Codec.to_json Pr.partition p) with
       | Ok p' -> P.equal p p'
       | Error _ -> false)
 
 let prop_outcome_roundtrip =
   qtest ~count:100 "outcome sub-encoding round-trips"
     (QCheck.make
-       ~print:(fun o -> Json.to_string (Pr.outcome_to_json o))
+       ~print:(fun o -> Codec.to_string Pr.outcome o)
        gen_outcome)
     (fun o ->
-      match Pr.outcome_of_json (Pr.outcome_to_json o) with
+      match Codec.of_json Pr.outcome (Pr.outcome_to_json o) with
       | Ok o' -> outcome_eq o o'
       | Error _ -> false)
 
@@ -660,8 +661,8 @@ let test_repl_batch_errors () =
 
 let test_label_encoding () =
   (* the wire uses the paper's +/- vocabulary; pin it *)
-  Alcotest.(check string) "+" "\"+\"" (Json.to_string (Pr.label_to_json State.Pos));
-  Alcotest.(check string) "-" "\"-\"" (Json.to_string (Pr.label_to_json State.Neg))
+  Alcotest.(check string) "+" "\"+\"" (Codec.to_string Pr.label State.Pos);
+  Alcotest.(check string) "-" "\"-\"" (Codec.to_string Pr.label State.Neg)
 
 let test_json_trailing_garbage () =
   match Json.of_string "{} {}" with
