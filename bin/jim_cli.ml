@@ -819,103 +819,48 @@ let run_client_instance ~address ~framing ~fp ~strategy ~seed =
 let run_client_crowd ~address ~framing ~seed ~strategy:strategy_name ~deadline
     ~receive_timeout ~expect_flips =
   let module P = Jim_api.Protocol in
-  let module Wire = Jim_server.Wire in
+  let module Smoke = Jim_server.Smoke in
   match Strategy.of_string strategy_name with
   | Error e ->
     prerr_endline e;
     2
-  | Ok strat -> (
-    let p = Jim_server.Smoke.synthetic_params seed in
-    let inst = W.Synthetic.generate p in
-    let reference =
-      Session.run ~seed ~strategy:strat
-        ~oracle:(Oracle.of_goal inst.W.Synthetic.goal)
-        inst.W.Synthetic.relation
+  | Ok _ -> (
+    let _, reference =
+      Smoke.reference ~instance_seed:seed ~seed ~strategy:strategy_name
     in
-    match Wire.connect ~retries:50 ~framing address with
-    | Error e ->
-      Printf.eprintf "jim client: connect: %s\n" e;
-      1
-    | Ok conn ->
-      Wire.set_timeout conn receive_timeout;
-      let finish rc =
-        Wire.close conn;
-        rc
-      in
-      let fail what e =
-        Printf.eprintf "jim client: %s: %s\n" what e;
-        finish 1
-      in
-      let call what req k =
-        match Wire.call conn req with
-        | Error e -> fail what e
-        | Ok (P.Failed err) -> fail what (P.error_to_string err)
-        | Ok reply -> k reply
-      in
-      let source =
-        P.Synthetic
-          {
-            n_attrs = p.W.Synthetic.n_attrs;
-            n_tuples = p.W.Synthetic.n_tuples;
-            domain = p.W.Synthetic.domain;
-            goal_rank = p.W.Synthetic.goal_rank;
-            seed = p.W.Synthetic.seed;
-          }
-      in
-      call "start" (P.Start_session { source; strategy = strategy_name; seed })
-      @@ function
-      | P.Started { session; _ } ->
-        Printf.printf "jim client: crowd session %d started (instance seed %d)\n%!"
-          session seed;
-        let t0 = Unix.gettimeofday () in
-        let rec wait () =
-          if Unix.gettimeofday () -. t0 > deadline then
-            fail "crowd"
-              (Printf.sprintf "no convergence within %.0f s (are enough jim \
-                               labeler processes attached?)" deadline)
-          else
-            call "question" (P.Get_question { session }) @@ function
-            | P.Question (Some _) ->
-              Thread.delay 0.05;
-              wait ()
-            | P.Question None ->
-              (call "stats" (P.Crowd_stats { session }) @@ function
-               | P.Crowd_info c ->
-                 (call "result" (P.Result { session }) @@ function
-                  | P.Outcome o ->
-                    (call "end" (P.End_session { session }) @@ fun _ ->
-                     print_endline (crowd_stats_line c);
-                     if
-                       not
-                         (Partition.equal o.Session.query
-                            reference.Session.query)
-                     then begin
-                       Printf.eprintf
-                         "jim client: crowd diverged: inferred %s, reference %s\n"
-                         (Partition.to_string o.Session.query)
-                         (Partition.to_string reference.Session.query);
-                       finish 1
-                     end
-                     else if expect_flips && c.P.majority_flips = 0 then begin
-                       Printf.eprintf
-                         "jim client: crowd converged but the majority never \
-                          overruled a dissenting ballot (expected under the \
-                          drill's seeded noise)\n";
-                       finish 1
-                     end
-                     else begin
-                       Printf.printf
-                         "jim client: crowd converged to the goal predicate \
-                          in %d rounds (%d paid labels)\n"
-                         c.P.rounds c.P.paid_labels;
-                       finish 0
-                     end)
-                  | other -> fail "result" (P.response_to_string other))
-               | other -> fail "stats" (P.response_to_string other))
-            | other -> fail "question" (P.response_to_string other)
-        in
-        wait ()
-      | other -> fail "start" (P.response_to_string other))
+    let fail fmt =
+      Printf.ksprintf (fun e -> Printf.eprintf "jim client: %s\n" e; 1) fmt
+    in
+    let announce session =
+      Printf.printf "jim client: crowd session %d started (instance seed %d)\n%!"
+        session seed
+    in
+    match
+      Smoke.crowd_control ~framing ~receive_timeout ~poll_interval:0.05
+        ~deadline ~on_start:announce ~address ~seed ~strategy:strategy_name ()
+    with
+    | Error { msg; _ } | Ok { converged = Error { msg; _ }; _ } -> fail "%s" msg
+    | Ok { converged = Ok false; _ } ->
+      fail "crowd: no convergence within %.0f s (are enough jim labeler \
+            processes attached?)" deadline
+    | Ok { counters = Some c; outcome = Some o; _ } ->
+      print_endline (crowd_stats_line c);
+      if not (Partition.equal o.Session.query reference.Session.query) then
+        fail "crowd diverged: inferred %s, reference %s"
+          (Partition.to_string o.Session.query)
+          (Partition.to_string reference.Session.query)
+      else if expect_flips && c.P.majority_flips = 0 then
+        fail
+          "crowd converged but the majority never overruled a dissenting \
+           ballot (expected under the drill's seeded noise)"
+      else begin
+        Printf.printf
+          "jim client: crowd converged to the goal predicate in %d rounds (%d \
+           paid labels)\n"
+          c.P.rounds c.P.paid_labels;
+        0
+      end
+    | Ok _ -> fail "crowd: converged, but its counters or outcome were lost")
 
 let run_labeler socket tcp binary session instance error_rate labeler_seed
     poll_interval receive_timeout =
@@ -949,8 +894,8 @@ let run_labeler socket tcp binary session instance error_rate labeler_seed
       Printf.printf "jim labeler: session %d done — %d ballots cast, %d counted\n"
         session cast counted;
       0
-    | Error e ->
-      Printf.eprintf "jim labeler: %s\n" e;
+    | Error { msg; _ } ->
+      Printf.eprintf "jim labeler: %s\n" msg;
       1)
 
 let run_client socket tcp batch smoke pipeline busy crash_start crash_resume
@@ -1012,14 +957,23 @@ let run_client socket tcp batch smoke pipeline busy crash_start crash_resume
     | None, _, Some clients, _ ->
       print_reports ~expected:clients ~tolerate_drops
         "left half-answered for the crash drill"
-        (Jim_server.Smoke.crash_start ~address ~state_file ~clients
+        (Jim_server.Smoke.crash_start ~framing ~address ~state_file ~clients
            ~receive_timeout ())
-    | None, _, None, true ->
-      print_reports ~tolerate_drops
-        "resumed bit-identical to an uninterrupted run"
-        (Jim_server.Smoke.crash_resume ~address ~state_file ~receive_timeout ())
+    | None, _, None, true -> (
+      match
+        Jim_server.Smoke.crash_resume ~framing ~address ~state_file
+          ~receive_timeout ()
+      with
+      | Error e ->
+        Printf.eprintf "jim client: crash resume: %s\n" e;
+        1
+      | Ok reports ->
+        print_reports ~tolerate_drops
+          "resumed bit-identical to an uninterrupted run" reports)
     | None, Some fill, None, false -> (
-      match Jim_server.Smoke.busy_check ~receive_timeout ~address ~fill () with
+      match
+        Jim_server.Smoke.busy_check ~framing ~receive_timeout ~address ~fill ()
+      with
       | Ok () ->
         Printf.printf
           "busy-check ok: session %d refused with Server_busy\n" (fill + 1);
@@ -1662,8 +1616,8 @@ let client_cmd =
       value & flag
       & info [ "binary" ]
           ~doc:"Negotiate length-prefixed binary framing after connecting \
-                (smoke and batch modes).  Fails cleanly against a server \
-                that only speaks the line protocol.")
+                (every mode).  Fails cleanly against a server that only \
+                speaks the line protocol.")
   in
   let instance =
     Arg.(

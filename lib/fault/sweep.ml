@@ -41,20 +41,6 @@ let data_dir = "/data"
 (* The workload: the server smoke test's synthetic instances, driven   *)
 (* in-process (no sockets) so a run costs microseconds.                *)
 
-let params seed =
-  { W.Synthetic.n_attrs = 5; n_tuples = 40; domain = 8; goal_rank = 2; seed }
-
-let source_of seed =
-  let p = params seed in
-  Pr.Synthetic
-    {
-      n_attrs = p.W.Synthetic.n_attrs;
-      n_tuples = p.W.Synthetic.n_tuples;
-      domain = p.W.Synthetic.domain;
-      goal_rank = p.W.Synthetic.goal_rank;
-      seed = p.W.Synthetic.seed;
-    }
-
 let seed_of spec i = spec.seed + i
 let strategy_of spec i = List.nth spec.strategies (i mod List.length spec.strategies)
 
@@ -76,10 +62,10 @@ let env_of ?catalog spec =
   if spec.strategies = [] then invalid_arg "Sweep: strategies";
   let oracle i =
     Oracle.of_goal
-      (W.Synthetic.generate (params (seed_of spec i))).W.Synthetic.goal
+      (W.Synthetic.generate (Smoke.synthetic_params (seed_of spec i))).W.Synthetic.goal
   in
   let expected i =
-    let inst = W.Synthetic.generate (params (seed_of spec i)) in
+    let inst = W.Synthetic.generate (Smoke.synthetic_params (seed_of spec i)) in
     let strategy =
       match Strategy.of_string (strategy_of spec i) with
       | Ok s -> s
@@ -124,7 +110,7 @@ let start_session env service progress i =
   match
     Service.handle service
       (Pr.Start_session
-         { source = source_of seed; strategy = strategy_of env.spec i; seed })
+         { source = Smoke.synthetic_source seed; strategy = strategy_of env.spec i; seed })
   with
   | Pr.Started { session; _ } ->
     progress.ids.(i) <- session;

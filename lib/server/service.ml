@@ -157,6 +157,29 @@ let check_cls s c =
 (* ------------------------------------------------------------------ *)
 (* Request handlers                                                    *)
 
+(* A fresh session on [eng], warm-started off [entry].  Live starts and
+   recovery both build it here, so a restored session replays its labels
+   from the same initial RNG state as the session it replaces. *)
+let new_session t ~id ~strategy ~eng ~entry ~seed =
+  {
+    id;
+    strategy;
+    strategy_name = Strategy.to_string strategy;
+    eng;
+    entry;
+    schema = entry.Catalog.schema;
+    rng = Random.State.make [| seed |];
+    lock = Mutex.create ();
+    pending = None;
+    events_rev = [];
+    contradiction = false;
+    metrics = Metrics.zero;
+    last_used = t.now ();
+    ended = false;
+    crowd =
+      Option.map (fun cfg -> Coordinator.create ~now:(t.now ()) cfg) t.crowd;
+  }
+
 let start_session ?id:pinned t source strategy_name seed =
   ignore (sweep t);
   match Catalog.resolve t.catalog source with
@@ -191,28 +214,7 @@ let start_session ?id:pinned t source strategy_name seed =
                  never collide with a routed one. *)
               let id = match pinned with Some id -> id | None -> t.next_id in
               t.next_id <- max t.next_id (id + 1);
-              let s =
-                {
-                  id;
-                  strategy;
-                  strategy_name = Strategy.to_string strategy;
-                  eng;
-                  entry;
-                  schema = entry.Catalog.schema;
-                  rng = Random.State.make [| seed |];
-                  lock = Mutex.create ();
-                  pending = None;
-                  events_rev = [];
-                  contradiction = false;
-                  metrics = Metrics.zero;
-                  last_used = t.now ();
-                  ended = false;
-                  crowd =
-                    Option.map
-                      (fun cfg -> Coordinator.create ~now:(t.now ()) cfg)
-                      t.crowd;
-                }
-              in
+              let s = new_session t ~id ~strategy ~eng ~entry ~seed in
               Hashtbl.replace t.sessions id s;
               (* Journal the start while still holding the table lock so
                  no later event of this (or any newer) session can
@@ -531,26 +533,7 @@ let restore_session t (rs : Jim_store.Recovery.session) =
     | Error e -> abort (Error e)
     | Ok strategy -> (
     let eng = Catalog.engine entry in
-    let s =
-      {
-        id = rs.id;
-        strategy;
-        strategy_name = Strategy.to_string strategy;
-        eng;
-        entry;
-        schema = entry.Catalog.schema;
-        rng = Random.State.make [| rs.seed |];
-        lock = Mutex.create ();
-        pending = None;
-        events_rev = [];
-        contradiction = false;
-        metrics = Metrics.zero;
-        last_used = t.now ();
-        ended = false;
-        crowd =
-          Option.map (fun cfg -> Coordinator.create ~now:(t.now ()) cfg) t.crowd;
-      }
-    in
+    let s = new_session t ~id:rs.id ~strategy ~eng ~entry ~seed:rs.seed in
     let classes = Session.classes eng in
     let cls_of_sg sg =
       let n = Array.length classes in

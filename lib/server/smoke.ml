@@ -11,25 +11,14 @@ type client_report = {
 }
 
 (* Failures carry their class from the call site that observed them:
-   [transport] failures (refused connect, clean EOF, reset) are what a
-   chaos proxy manufactures on purpose; everything else is the server
-   getting the protocol or the inference wrong. *)
+   [transport] failures (refused connect, clean EOF, reset, timeout) are
+   what a chaos proxy manufactures on purpose; everything else is the
+   server getting the protocol or the inference wrong. *)
 type fail = { transport : bool; msg : string }
 
 let diverged fmt = Printf.ksprintf (fun msg -> { transport = false; msg }) fmt
 
 let ( let* ) r f = match r with Ok x -> f x | Error _ as e -> e
-
-(* [Wire.call_line] errors are transport by construction; an unparsable
-   reply line is not — the bytes arrived, the server spoke garbage. *)
-let call conn req =
-  match Wire.call_line conn (P.request_to_string req) with
-  | Error msg -> Error { transport = true; msg }
-  | Ok line -> (
-    match P.response_of_string line with
-    | Ok resp -> Ok resp
-    | Error e ->
-      Error (diverged "bad reply: %s" (P.error_to_string e)))
 
 let report ~seed ~strategy ~questions = function
   | Ok () -> { seed; strategy; questions; ok = true; dropped = false; detail = "" }
@@ -42,7 +31,28 @@ let synthetic_params seed =
   { Jim_workloads.Synthetic.n_attrs = 5; n_tuples = 40; domain = 8;
     goal_rank = 2; seed }
 
-let params = synthetic_params
+let synthetic_source seed =
+  let p = synthetic_params seed in
+  P.Synthetic
+    {
+      n_attrs = p.Jim_workloads.Synthetic.n_attrs;
+      n_tuples = p.Jim_workloads.Synthetic.n_tuples;
+      domain = p.Jim_workloads.Synthetic.domain;
+      goal_rank = p.Jim_workloads.Synthetic.goal_rank;
+      seed = p.Jim_workloads.Synthetic.seed;
+    }
+
+let reference ~instance_seed ~seed ~strategy =
+  let inst = Jim_workloads.Synthetic.generate (synthetic_params instance_seed) in
+  let oracle = Oracle.of_goal inst.Jim_workloads.Synthetic.goal in
+  let strat =
+    match Strategy.of_string strategy with
+    | Ok s -> s
+    | Error msg -> invalid_arg msg
+  in
+  ( oracle,
+    Session.run ~seed ~strategy:strat ~oracle
+      inst.Jim_workloads.Synthetic.relation )
 
 let event_equal (a : Session.event) (b : Session.event) =
   a.step = b.step && a.cls = b.cls && a.row = b.row
@@ -59,77 +69,16 @@ let outcome_equal (a : Session.outcome) (b : Session.outcome) =
   && List.length a.events = List.length b.events
   && List.for_all2 event_equal a.events b.events
 
+let differs what ~(got : Session.outcome) ~(want : Session.outcome) =
+  diverged "%s: wire %s/%d, local %s/%d" what
+    (Jim_partition.Partition.to_string got.query)
+    got.interactions
+    (Jim_partition.Partition.to_string want.query)
+    want.interactions
+
 let unexpected what resp =
   Error
     (diverged "unexpected reply to %s: %s" what (P.response_to_string resp))
-
-let synthetic_source (p : Jim_workloads.Synthetic.params) =
-  P.Synthetic
-    {
-      n_attrs = p.Jim_workloads.Synthetic.n_attrs;
-      n_tuples = p.Jim_workloads.Synthetic.n_tuples;
-      domain = p.Jim_workloads.Synthetic.domain;
-      goal_rank = p.Jim_workloads.Synthetic.goal_rank;
-      seed = p.Jim_workloads.Synthetic.seed;
-    }
-
-(* Drive one wire session over [source] to completion and hold it to the
-   in-process reference: the instance (and its oracle) is the synthetic
-   one seeded [instance_seed] — which the caller must know [source]
-   resolves to — while [seed] seeds the session's strategy RNG.  The two
-   seeds are decoupled so many sessions (distinct RNG streams) can share
-   one instance, as catalog clients do. *)
-let drive_session conn ~source ~instance_seed ~seed ~strategy =
-  let inst = Jim_workloads.Synthetic.generate (params instance_seed) in
-  let oracle = Oracle.of_goal inst.Jim_workloads.Synthetic.goal in
-  let strat =
-    match Strategy.of_string strategy with
-    | Ok s -> s
-    | Error msg -> invalid_arg msg
-  in
-  let expected =
-    Session.run ~seed ~strategy:strat ~oracle
-      inst.Jim_workloads.Synthetic.relation
-  in
-  let* resp = call conn (P.Start_session { source; strategy; seed }) in
-  let* session =
-    match resp with
-    | P.Started { session; _ } -> Ok session
-    | P.Failed e -> Error (diverged "%s" (P.error_to_string e))
-    | other -> unexpected "Start_session" other
-  in
-  let rec loop asked =
-    let* q = call conn (P.Get_question { session }) in
-    match q with
-    | P.Question None ->
-      let* r = call conn (P.Result { session }) in
-      (match r with
-      | P.Outcome o ->
-        let* _ = call conn (P.End_session { session }) in
-        Ok (asked, o)
-      | other -> unexpected "Result" other)
-    | P.Question (Some { P.cls; sg; _ }) ->
-      let label = Oracle.label oracle sg in
-      let* a = call conn (P.Answer { session; cls; label }) in
-      (match a with
-      | P.Answered _ -> loop (asked + 1)
-      | other -> unexpected "Answer" other)
-    | other -> unexpected "Get_question" other
-  in
-  let* asked, got = loop 0 in
-  if outcome_equal expected got then Ok asked
-  else
-    Error
-      (diverged "outcome differs from local Session.run: wire %s/%d, local %s/%d"
-         (Jim_partition.Partition.to_string got.Session.query)
-         got.Session.interactions
-         (Jim_partition.Partition.to_string expected.Session.query)
-         expected.Session.interactions)
-
-let drive_over conn ~seed ~strategy =
-  drive_session conn
-    ~source:(synthetic_source (params seed))
-    ~instance_seed:seed ~seed ~strategy
 
 (* Every driver caps how long it will wait on one reply: a server (or
    chaos proxy) that stalls instead of answering must classify as a
@@ -137,516 +86,323 @@ let drive_over conn ~seed ~strategy =
    reply; chaos tests shrink it to provoke the timeout on purpose. *)
 let default_receive_timeout = 30.
 
-let drive_one ?(framing = Wire.Line)
-    ?(receive_timeout = default_receive_timeout) ?instance ~address ~seed
-    ~strategy () =
+(* The only place a drill opens a connection, so every drill honours
+   [framing] and the receive timeout alike. *)
+let connect ~framing ~receive_timeout address =
   match Wire.connect ~retries:50 ~framing address with
-  | Error msg ->
-    report ~seed ~strategy ~questions:0
-      (Error { transport = true; msg = "connect: " ^ msg })
+  | Error msg -> Error { transport = true; msg = "connect: " ^ msg }
   | Ok conn ->
     Wire.set_timeout conn receive_timeout;
-    let questions, outcome =
-      match
-        match instance with
-        | None -> drive_over conn ~seed ~strategy
-        | Some instance_seed ->
-          drive_session conn
-            ~source:(synthetic_source (params instance_seed))
-            ~instance_seed ~seed ~strategy
-      with
-      | Ok asked -> (asked, Ok ())
-      | Error e -> (0, Error e)
-      | exception exn -> (0, Error (diverged "%s" (Printexc.to_string exn)))
+    Ok conn
+
+(* [Wire.call_line] errors are transport by construction; an unparsable
+   reply line is not — the bytes arrived, the server spoke garbage. *)
+let parse line =
+  match P.response_of_string line with
+  | Ok resp -> Ok resp
+  | Error e -> Error (diverged "bad reply: %s" (P.error_to_string e))
+
+let call conn req =
+  match Wire.call_line conn (P.request_to_string req) with
+  | Error msg -> Error { transport = true; msg }
+  | Ok line -> parse line
+
+(* ------------------------------------------------------------------ *)
+(* The session machine.  A slot is one oracle-driven session: it holds
+   at most one request in flight and maps each reply to its next
+   request, so any number of slots can share a connection — the server
+   answers in request order, and a FIFO of slot indices in send order
+   routes every reply back to its slot.  Every drill below is this one
+   machine with different slots on different connections. *)
+
+type phase =
+  | Starting
+  | Checking  (* resumed: the server must hold [asked] answers *)
+  | Asking
+  | Answering
+  | Fetching
+  | Ending
+
+type slot = {
+  seed : int;
+  strategy : string;
+  source : P.instance_source;
+  oracle : Oracle.t;
+  expected : Session.outcome;
+  stop_after : int option;
+      (* park the session, unended, after this many acknowledged answers *)
+  resumed : bool;
+  mutable session : int;
+  mutable asked : int;
+  mutable phase : phase;
+  mutable outcome : (unit, fail) result option;  (* [None] = still running *)
+}
+
+(* A slot for the synthetic instance seeded [instance] (default [seed]),
+   started from [source] (default: that instance inline); [resume] picks
+   up an existing session holding [already] acknowledged answers. *)
+let slot ?instance ?source ?stop_after ?resume ~seed ~strategy () =
+  let instance_seed = Option.value instance ~default:seed in
+  let oracle, expected = reference ~instance_seed ~seed ~strategy in
+  let session, asked, phase =
+    match resume with
+    | Some (session, already) -> (session, already, Checking)
+    | None -> (-1, 0, Starting)
+  in
+  {
+    seed;
+    strategy;
+    source = Option.value source ~default:(synthetic_source instance_seed);
+    oracle;
+    expected;
+    stop_after = Option.map (fun f -> f expected) stop_after;
+    resumed = resume <> None;
+    session;
+    asked;
+    phase;
+    outcome = None;
+  }
+
+let opening s =
+  match s.phase with
+  | Checking -> P.Stats { session = s.session }
+  | _ -> P.Start_session { source = s.source; strategy = s.strategy; seed = s.seed }
+
+type step = Next of P.request | Finished | Failed of fail
+
+let step s resp =
+  let next phase req =
+    s.phase <- phase;
+    Next req
+  in
+  let ask () = next Asking (P.Get_question { session = s.session }) in
+  match (s.phase, resp) with
+  | _, P.Failed e -> Failed (diverged "%s" (P.error_to_string e))
+  | Starting, P.Started { session; _ } ->
+    s.session <- session;
+    ask ()
+  | Checking, P.Session_stats { labeled; _ } ->
+    (* Every acknowledged answer must have survived the kill. *)
+    if labeled = s.asked then ask ()
+    else
+      Failed
+        (diverged "recovered session holds %d answers, %d were acknowledged"
+           labeled s.asked)
+  | Asking, P.Question (Some { P.cls; sg; _ }) ->
+    let label = Oracle.label s.oracle sg in
+    next Answering (P.Answer { session = s.session; cls; label })
+  | Asking, P.Question None ->
+    if s.stop_after <> None then Finished
+    else next Fetching (P.Result { session = s.session })
+  | Answering, P.Answered _ ->
+    s.asked <- s.asked + 1;
+    if s.stop_after = Some s.asked then Finished else ask ()
+  | Fetching, P.Outcome got ->
+    if outcome_equal s.expected got then
+      next Ending (P.End_session { session = s.session })
+    else if s.resumed then
+      Failed
+        (differs "resumed outcome differs from uninterrupted run" ~got
+           ~want:s.expected)
+    else
+      Failed
+        (differs "outcome differs from local Session.run" ~got ~want:s.expected)
+  | Ending, P.Ended -> Finished
+  | phase, other ->
+    let what =
+      match phase with
+      | Starting -> "Start_session"
+      | Checking -> "Stats"
+      | Asking -> "Get_question"
+      | Answering -> "Answer"
+      | Fetching -> "Result"
+      | Ending -> "End_session"
     in
-    Wire.close conn;
-    report ~seed ~strategy ~questions outcome
+    Failed
+      (diverged "unexpected reply to %s: %s" what (P.response_to_string other))
+
+(* Drive [slots] over one connection until none is in flight.  Transport
+   death takes every in-flight slot with it. *)
+let pump conn slots =
+  let fifo = Queue.create () in
+  let send i req =
+    match Wire.send_line ~flush:false conn (P.request_to_string req) with
+    | Ok () -> Queue.push i fifo
+    | Error msg -> slots.(i).outcome <- Some (Error { transport = true; msg })
+  in
+  Array.iteri (fun i s -> send i (opening s)) slots;
+  let rec loop () =
+    if not (Queue.is_empty fifo) then
+      match Wire.recv_line conn with
+      | Error msg ->
+        Queue.iter
+          (fun i -> slots.(i).outcome <- Some (Error { transport = true; msg }))
+          fifo
+      | Ok line ->
+        let i = Queue.pop fifo in
+        let s = slots.(i) in
+        (match
+           match parse line with Error e -> Failed e | Ok resp -> step s resp
+         with
+        | Next req -> send i req
+        | Finished -> s.outcome <- Some (Ok ())
+        | Failed e -> s.outcome <- Some (Error e));
+        loop ()
+  in
+  loop ()
+
+(* One thread and one connection per group of slots; returns once every
+   slot has an outcome. *)
+let drive ~framing ~receive_timeout ~address groups =
+  let settle slots e =
+    Array.iter (fun s -> if s.outcome = None then s.outcome <- Some (Error e)) slots
+  in
+  let one slots =
+    match connect ~framing ~receive_timeout address with
+    | Error e -> settle slots e
+    | Ok conn ->
+      (try pump conn slots
+       with exn -> settle slots (diverged "%s" (Printexc.to_string exn)));
+      Wire.close conn
+  in
+  List.iter Thread.join (List.map (Thread.create one) groups)
+
+let report_of s =
+  report ~seed:s.seed ~strategy:s.strategy ~questions:s.asked
+    (Option.value s.outcome ~default:(Error (diverged "session never completed")))
+
+let by_seed reports =
+  List.sort (fun (a : client_report) b -> compare a.seed b.seed) reports
+
+let drill ~framing ~receive_timeout ~address groups =
+  drive ~framing ~receive_timeout ~address groups;
+  by_seed (List.concat_map (fun g -> List.map report_of (Array.to_list g)) groups)
 
 let strategy_for i = if i mod 2 = 0 then "lookahead-entropy" else "random"
 
 let run ?(clients = 32) ?(framing = Wire.Line)
     ?(receive_timeout = default_receive_timeout) ?instance ~address () =
-  let reports = ref [] in
-  let lock = Mutex.create () in
-  let spawn i =
-    Thread.create
-      (fun () ->
-        let seed = 100 + i in
-        let strategy = strategy_for i in
-        let r =
-          drive_one ~framing ~receive_timeout ?instance ~address ~seed
-            ~strategy ()
-        in
-        Mutex.lock lock;
-        reports := r :: !reports;
-        Mutex.unlock lock)
-      ()
-  in
-  let threads = List.init clients spawn in
-  List.iter Thread.join threads;
-  List.sort (fun a b -> compare a.seed b.seed) !reports
-
-(* ------------------------------------------------------------------ *)
-(* Pipelined drill: one connection carries [pipeline] interleaved
-   sessions, each a little state machine holding at most one in-flight
-   request (a session's next request depends on the previous reply, so
-   per-session ordering is trivially safe) — the connection as a whole
-   keeps up to [pipeline] requests in flight.  The server returns
-   replies in request order, so a FIFO of session indices in send order
-   routes each reply back to its machine.  Every session is held to the
-   same bit-identity bar as [run]. *)
-
-type pipeline_phase =
-  | Awaiting_start
-  | Awaiting_question
-  | Awaiting_answer
-  | Awaiting_result
-  | Awaiting_end
-
-type pipeline_slot = {
-  pseed : int;
-  pstrategy : string;
-  oracle : Oracle.t;
-  expected : Session.outcome;
-  mutable session : int;
-  mutable asked : int;
-  mutable phase : pipeline_phase;
-  mutable outcome : (unit, fail) result option;  (* [None] = still running *)
-}
-
-type pipeline_step =
-  | Next of P.request  (* send this, stay in flight *)
-  | Finished
-  | Failed of fail
-
-let pipeline_slot ~seed ~strategy =
-  let inst = Jim_workloads.Synthetic.generate (params seed) in
-  let oracle = Oracle.of_goal inst.Jim_workloads.Synthetic.goal in
-  let strat =
-    match Strategy.of_string strategy with
-    | Ok s -> s
-    | Error msg -> invalid_arg msg
-  in
-  let expected =
-    Session.run ~seed ~strategy:strat ~oracle
-      inst.Jim_workloads.Synthetic.relation
-  in
-  {
-    pseed = seed;
-    pstrategy = strategy;
-    oracle;
-    expected;
-    session = -1;
-    asked = 0;
-    phase = Awaiting_start;
-    outcome = None;
-  }
-
-let pipeline_step slot line =
-  match P.response_of_string line with
-  | Error e -> Failed (diverged "bad reply: %s" (P.error_to_string e))
-  | Ok (P.Failed e) -> Failed (diverged "%s" (P.error_to_string e))
-  | Ok resp -> (
-    match (slot.phase, resp) with
-    | Awaiting_start, P.Started { session; _ } ->
-      slot.session <- session;
-      slot.phase <- Awaiting_question;
-      Next (P.Get_question { session })
-    | Awaiting_question, P.Question (Some { P.cls; sg; _ }) ->
-      let label = Oracle.label slot.oracle sg in
-      slot.phase <- Awaiting_answer;
-      Next (P.Answer { session = slot.session; cls; label })
-    | Awaiting_question, P.Question None ->
-      slot.phase <- Awaiting_result;
-      Next (P.Result { session = slot.session })
-    | Awaiting_answer, P.Answered _ ->
-      slot.asked <- slot.asked + 1;
-      slot.phase <- Awaiting_question;
-      Next (P.Get_question { session = slot.session })
-    | Awaiting_result, P.Outcome got ->
-      if outcome_equal slot.expected got then begin
-        slot.phase <- Awaiting_end;
-        Next (P.End_session { session = slot.session })
-      end
-      else
-        Failed
-          (diverged
-             "outcome differs from local Session.run: wire %s/%d, local %s/%d"
-             (Jim_partition.Partition.to_string got.Session.query)
-             got.Session.interactions
-             (Jim_partition.Partition.to_string slot.expected.Session.query)
-             slot.expected.Session.interactions)
-    | Awaiting_end, P.Ended -> Finished
-    | _, other -> (
-      match
-        unexpected
-          (match slot.phase with
-          | Awaiting_start -> "Start_session"
-          | Awaiting_question -> "Get_question"
-          | Awaiting_answer -> "Answer"
-          | Awaiting_result -> "Result"
-          | Awaiting_end -> "End_session")
-          other
-      with
-      | Error e -> Failed e
-      | Ok _ -> assert false))
-
-let drive_pipelined conn slots =
-  let fifo = Queue.create () in
-  let send idx req =
-    match Wire.send_line ~flush:false conn (P.request_to_string req) with
-    | Ok () -> Queue.push idx fifo
-    | Error msg ->
-      slots.(idx).outcome <- Some (Error { transport = true; msg })
-  in
-  Array.iteri
-    (fun i s ->
-      send i
-        (P.Start_session
-           {
-             source = synthetic_source (params s.pseed);
-             strategy = s.pstrategy;
-             seed = s.pseed;
-           }))
-    slots;
-  let rec loop () =
-    if not (Queue.is_empty fifo) then begin
-      match Wire.recv_line conn with
-      | Error msg ->
-        (* transport death takes every in-flight session with it *)
-        Queue.iter
-          (fun i ->
-            if slots.(i).outcome = None then
-              slots.(i).outcome <- Some (Error { transport = true; msg }))
-          fifo;
-        Queue.clear fifo
-      | Ok line ->
-        let i = Queue.pop fifo in
-        let s = slots.(i) in
-        (match pipeline_step s line with
-        | Next req -> send i req
-        | Finished -> s.outcome <- Some (Ok ())
-        | Failed e -> s.outcome <- Some (Error e));
-        loop ()
-    end
-  in
-  loop ()
+  drill ~framing ~receive_timeout ~address
+    (List.init clients (fun i ->
+         [| slot ?instance ~seed:(100 + i) ~strategy:(strategy_for i) () |]))
 
 let run_pipelined ?(clients = 4) ?(pipeline = 8) ?(framing = Wire.Line)
     ?(receive_timeout = default_receive_timeout) ~address () =
-  let reports = ref [] in
-  let lock = Mutex.create () in
-  let one ci =
-    let slots =
-      Array.init pipeline (fun k ->
-          let seed = 700 + (ci * pipeline) + k in
-          pipeline_slot ~seed ~strategy:(strategy_for k))
-    in
-    (match Wire.connect ~retries:50 ~framing address with
-    | Error msg ->
-      Array.iter
-        (fun s ->
-          s.outcome <- Some (Error { transport = true; msg = "connect: " ^ msg }))
-        slots
-    | Ok conn ->
-      Wire.set_timeout conn receive_timeout;
-      (try drive_pipelined conn slots
-       with exn ->
-         Array.iter
-           (fun s ->
-             if s.outcome = None then
-               s.outcome <- Some (Error (diverged "%s" (Printexc.to_string exn))))
-           slots);
-      Wire.close conn);
-    Array.to_list
-      (Array.map
-         (fun s ->
-           report ~seed:s.pseed ~strategy:s.pstrategy ~questions:s.asked
-             (Option.value s.outcome
-                ~default:(Error (diverged "session never completed"))))
-         slots)
-  in
-  let spawn ci =
-    Thread.create
-      (fun () ->
-        let rs = one ci in
-        Mutex.lock lock;
-        reports := rs @ !reports;
-        Mutex.unlock lock)
-      ()
-  in
-  let threads = List.init clients spawn in
-  List.iter Thread.join threads;
-  List.sort (fun a b -> compare a.seed b.seed) !reports
+  drill ~framing ~receive_timeout ~address
+    (List.init clients (fun ci ->
+         Array.init pipeline (fun k ->
+             slot ~seed:(700 + (ci * pipeline) + k) ~strategy:(strategy_for k) ())))
 
 (* ------------------------------------------------------------------ *)
 (* Catalog drill: register once, start every client by fingerprint, and
-   hold each session to the same bit-identity bar as [run] — plus the
-   server's catalog counters for the caller to assert on (hits > 0,
-   exactly one derivation). *)
+   return the server's catalog counters for the caller to assert on
+   (hits > 0, exactly one derivation). *)
 
 let catalog_smoke ?(clients = 2) ?(instance = 7) ?(framing = Wire.Line)
     ?(receive_timeout = default_receive_timeout) ~address () =
-  match Wire.connect ~retries:50 ~framing address with
-  | Error msg -> Error ("connect: " ^ msg)
-  | Ok conn -> (
-    Wire.set_timeout conn receive_timeout;
-    let fp =
-      match
-        call conn
-          (P.Register_instance { source = synthetic_source (params instance) })
-      with
-      | Ok (P.Registered { fingerprint; _ }) -> Ok fingerprint
-      | Ok other ->
-        Error
-          ("unexpected reply to Register_instance: "
-          ^ P.response_to_string other)
-      | Error { msg; _ } -> Error msg
+  let request conn what req accept =
+    match call conn req with
+    | Ok resp -> (
+      match accept resp with
+      | Some x -> Ok x
+      | None ->
+        Error ("unexpected reply to " ^ what ^ ": " ^ P.response_to_string resp))
+    | Error { msg; _ } -> Error msg
+  in
+  match connect ~framing ~receive_timeout address with
+  | Error { msg; _ } -> Error msg
+  | Ok conn ->
+    let result =
+      let* fp =
+        request conn "Register_instance"
+          (P.Register_instance { source = synthetic_source instance })
+          (function P.Registered { fingerprint; _ } -> Some fingerprint | _ -> None)
+      in
+      let reports =
+        drill ~framing ~receive_timeout ~address
+          (List.init clients (fun i ->
+               [| slot ~instance ~source:(P.Catalog fp) ~seed:(500 + i)
+                    ~strategy:(strategy_for i) () |]))
+      in
+      let* stats =
+        request conn "Catalog_stats" P.Catalog_stats (function
+          | P.Catalog_info c -> Some c
+          | _ -> None)
+      in
+      Ok (reports, stats)
     in
-    match fp with
-    | Error e ->
-      Wire.close conn;
-      Error e
-    | Ok fp -> (
-      let reports = ref [] in
-      let lock = Mutex.create () in
-      let spawn i =
-        Thread.create
-          (fun () ->
-            let seed = 500 + i in
-            let strategy = strategy_for i in
-            let r =
-              match Wire.connect ~retries:50 ~framing address with
-              | Error msg ->
-                report ~seed ~strategy ~questions:0
-                  (Error { transport = true; msg = "connect: " ^ msg })
-              | Ok c ->
-                Wire.set_timeout c receive_timeout;
-                let questions, outcome =
-                  match
-                    drive_session c ~source:(P.Catalog fp)
-                      ~instance_seed:instance ~seed ~strategy
-                  with
-                  | Ok asked -> (asked, Ok ())
-                  | Error e -> (0, Error e)
-                  | exception exn ->
-                    (0, Error (diverged "%s" (Printexc.to_string exn)))
-                in
-                Wire.close c;
-                report ~seed ~strategy ~questions outcome
-            in
-            Mutex.lock lock;
-            reports := r :: !reports;
-            Mutex.unlock lock)
-          ()
-      in
-      let threads = List.init clients spawn in
-      List.iter Thread.join threads;
-      let stats =
-        match call conn P.Catalog_stats with
-        | Ok (P.Catalog_info c) -> Ok c
-        | Ok other ->
-          Error
-            ("unexpected reply to Catalog_stats: " ^ P.response_to_string other)
-        | Error { msg; _ } -> Error msg
-      in
-      Wire.close conn;
-      match stats with
-      | Error e -> Error e
-      | Ok stats ->
-        Ok (List.sort (fun a b -> compare a.seed b.seed) !reports, stats)))
+    Wire.close conn;
+    result
 
 (* ------------------------------------------------------------------ *)
 (* Crash drill: leave sessions half-answered, let the caller SIGKILL the
    server, then resume against the restarted one and hold it to the same
    bit-identical bar as an uninterrupted run. *)
 
-let expected_outcome ~seed ~strategy =
-  let inst = Jim_workloads.Synthetic.generate (params seed) in
-  let oracle = Oracle.of_goal inst.Jim_workloads.Synthetic.goal in
-  let strat =
-    match Strategy.of_string strategy with
-    | Ok s -> s
-    | Error msg -> invalid_arg msg
-  in
-  ( oracle,
-    Session.run ~seed ~strategy:strat ~oracle
-      inst.Jim_workloads.Synthetic.relation )
-
-let start_synthetic conn ~seed ~strategy =
-  let p = params seed in
-  let* resp =
-    call conn
-      (P.Start_session
-         {
-           source =
-             P.Synthetic
-               {
-                 n_attrs = p.Jim_workloads.Synthetic.n_attrs;
-                 n_tuples = p.Jim_workloads.Synthetic.n_tuples;
-                 domain = p.Jim_workloads.Synthetic.domain;
-                 goal_rank = p.Jim_workloads.Synthetic.goal_rank;
-                 seed = p.Jim_workloads.Synthetic.seed;
-               };
-           strategy;
-           seed;
-         })
-  in
-  match resp with
-  | P.Started { session; _ } -> Ok session
-  | P.Failed e -> Error (diverged "%s" (P.error_to_string e))
-  | other -> unexpected "Start_session" other
-
-let answer_rounds conn ~session ~oracle ~rounds =
-  (* [rounds < 0]: run to completion.  Returns how many were answered. *)
-  let rec loop asked =
-    if asked = rounds then Ok asked
-    else
-      let* q = call conn (P.Get_question { session }) in
-      match q with
-      | P.Question None -> Ok asked
-      | P.Question (Some { P.cls; sg; _ }) -> (
-        let label = Oracle.label oracle sg in
-        let* a = call conn (P.Answer { session; cls; label }) in
-        match a with
-        | P.Answered _ -> loop (asked + 1)
-        | other -> unexpected "Answer" other)
-      | other -> unexpected "Get_question" other
-  in
-  loop 0
-
-let crash_start ~address ~state_file ?(clients = 8)
+let crash_start ?(framing = Wire.Line) ~address ~state_file ?(clients = 8)
     ?(receive_timeout = default_receive_timeout) () =
-  let lock = Mutex.create () in
-  let lines = ref [] and reports = ref [] in
-  let one i =
-    let seed = 100 + i in
-    let strategy = strategy_for i in
-    let outcome =
-      match Wire.connect ~retries:50 address with
-      | Error msg -> Error { transport = true; msg = "connect: " ^ msg }
-      | Ok conn ->
-        Wire.set_timeout conn receive_timeout;
-        let r =
+  (* Half the reference run's interactions: enough history to make
+     recovery non-trivial, with real work left for the resume. *)
+  let half (e : Session.outcome) = max 1 (e.interactions / 2) in
+  let groups =
+    List.init clients (fun i ->
+        [| slot ~stop_after:half ~seed:(100 + i) ~strategy:(strategy_for i) () |])
+  in
+  drive ~framing ~receive_timeout ~address groups;
+  let slots = List.map (fun g -> g.(0)) groups in
+  let parked = List.filter (fun s -> s.outcome = Some (Ok ())) slots in
+  Out_channel.with_open_text state_file (fun oc ->
+      List.iter (output_string oc)
+        (List.sort compare
+           (List.map
+              (fun s ->
+                Printf.sprintf "%d %s %d %d\n" s.seed s.strategy s.session s.asked)
+              parked)));
+  by_seed (List.map report_of slots)
+
+let crash_resume ?(framing = Wire.Line) ~address ~state_file
+    ?(receive_timeout = default_receive_timeout) () =
+  let* lines =
+    match In_channel.with_open_text state_file In_channel.input_lines with
+    | lines -> Ok lines
+    | exception Sys_error e -> Error e
+  in
+  (* A line that does not parse becomes a failed report in its place. *)
+  let parsed =
+    List.map
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | [ seed; strategy; session; asked ] -> (
           match
-            let oracle, expected = expected_outcome ~seed ~strategy in
-            let* session = start_synthetic conn ~seed ~strategy in
-            (* Half the reference run's interactions: enough history to make
-               recovery non-trivial, with real work left for the resume. *)
-            let rounds = max 1 (expected.Session.interactions / 2) in
-            let* asked = answer_rounds conn ~session ~oracle ~rounds in
-            Ok (Printf.sprintf "%d %s %d %d" seed strategy session asked, asked)
+            ( int_of_string_opt seed,
+              Strategy.of_string strategy,
+              int_of_string_opt session,
+              int_of_string_opt asked )
           with
-          | r -> r
-          | exception exn -> Error (diverged "%s" (Printexc.to_string exn))
-        in
-        Wire.close conn;
-        r
-    in
-    Mutex.lock lock;
-    (match outcome with
-    | Ok (line, asked) ->
-      lines := line :: !lines;
-      reports :=
-        report ~seed ~strategy ~questions:asked (Ok ()) :: !reports
-    | Error e -> reports := report ~seed ~strategy ~questions:0 (Error e) :: !reports);
-    Mutex.unlock lock
+          | Some seed, Ok _, Some session, Some already ->
+            Ok (slot ~resume:(session, already) ~seed ~strategy ())
+          | _ -> Error line)
+        | _ -> Error line)
+      lines
   in
-  let threads = List.init clients (fun i -> Thread.create one i) in
-  List.iter Thread.join threads;
-  let oc = open_out state_file in
-  List.iter (fun l -> output_string oc (l ^ "\n")) (List.sort compare !lines);
-  close_out oc;
-  List.sort (fun a b -> compare a.seed b.seed) !reports
+  let slots = List.filter_map Result.to_option parsed in
+  drive ~framing ~receive_timeout ~address (List.map (fun s -> [| s |]) slots);
+  Ok
+    (List.map
+       (function
+         | Ok s -> report_of s
+         | Error line ->
+           report ~seed:0 ~strategy:"" ~questions:0
+             (Error (diverged "bad state line: %s" line)))
+       parsed)
 
-let resume_one ~receive_timeout ~address ~seed ~strategy ~session ~already =
-  match Wire.connect ~retries:50 address with
-  | Error msg -> Error { transport = true; msg = "connect: " ^ msg }
-  | Ok conn ->
-    Wire.set_timeout conn receive_timeout;
-    let r =
-      match
-        let oracle, expected = expected_outcome ~seed ~strategy in
-        (* Every acknowledged answer must have survived the kill. *)
-        let* st = call conn (P.Stats { session }) in
-        let* () =
-          match st with
-          | P.Session_stats { labeled; _ } when labeled = already -> Ok ()
-          | P.Session_stats { labeled; _ } ->
-            Error
-              (diverged
-                 "recovered session holds %d answers, %d were acknowledged"
-                 labeled already)
-          | other -> (
-            match unexpected "Stats" other with
-            | Error _ as e -> e
-            | Ok _ -> assert false)
-        in
-        let* _ = answer_rounds conn ~session ~oracle ~rounds:(-1) in
-        let* r = call conn (P.Result { session }) in
-        let* got =
-          match r with
-          | P.Outcome o -> Ok o
-          | other -> unexpected "Result" other
-        in
-        let* _ = call conn (P.End_session { session }) in
-        if outcome_equal expected got then Ok got.Session.interactions
-        else
-          Error
-            (diverged
-               "resumed outcome differs from uninterrupted run: wire %s/%d, local %s/%d"
-               (Jim_partition.Partition.to_string got.Session.query)
-               got.Session.interactions
-               (Jim_partition.Partition.to_string expected.Session.query)
-               expected.Session.interactions)
-      with
-      | r -> r
-      | exception exn -> Error (diverged "%s" (Printexc.to_string exn))
-    in
-    Wire.close conn;
-    r
-
-let crash_resume ~address ~state_file
-    ?(receive_timeout = default_receive_timeout) () =
-  let ic = open_in state_file in
-  let rec read acc =
-    match input_line ic with
-    | exception End_of_file -> List.rev acc
-    | line -> read (line :: acc)
-  in
-  let lines = read [] in
-  close_in ic;
-  List.map
-    (fun line ->
-      match String.split_on_char ' ' line with
-      | [ seed; strategy; session; asked ] -> (
-        let seed = int_of_string seed
-        and session = int_of_string session
-        and asked = int_of_string asked in
-        match
-          resume_one ~receive_timeout ~address ~seed ~strategy ~session
-            ~already:asked
-        with
-        | Ok questions -> report ~seed ~strategy ~questions (Ok ())
-        | Error e -> report ~seed ~strategy ~questions:0 (Error e))
-      | _ ->
-        {
-          seed = 0;
-          strategy = "";
-          questions = 0;
-          ok = false;
-          dropped = false;
-          detail = "bad state line: " ^ line;
-        })
-    lines
-
-let busy_check ?(receive_timeout = default_receive_timeout) ~address ~fill () =
-  match Wire.connect ~retries:50 address with
-  | Error msg -> Error ("connect: " ^ msg)
+let busy_check ?(framing = Wire.Line)
+    ?(receive_timeout = default_receive_timeout) ~address ~fill () =
+  match connect ~framing ~receive_timeout address with
+  | Error { msg; _ } -> Error msg
   | Ok conn ->
     (* A server that neither accepts nor refuses the overflow session —
        it just never replies — must fail the drill, not hang it. *)
-    Wire.set_timeout conn receive_timeout;
     let start seed =
       call conn
         (P.Start_session
@@ -675,10 +431,7 @@ let busy_check ?(receive_timeout = default_receive_timeout) ~address ~fill () =
            Error
              (diverged "Server_busy with odd counters: active=%d max=%d"
                 active max)
-         | other ->
-           (match unexpected "saturated Start_session" other with
-           | Error _ as e -> e
-           | Ok _ -> assert false)
+         | other -> unexpected "saturated Start_session" other
        in
        List.iter
          (fun session -> ignore (call conn (P.End_session { session })))
@@ -714,184 +467,163 @@ type crowd_report = {
 (* One labeler client.  Returns how many ballots were cast and how many
    the server counted (stale ballots — rounds closed by quorum or
    deadline before ours landed — are the difference). *)
-let labeler_loop ?(framing = Wire.Line)
+let run_labeler ?(framing = Wire.Line)
     ?(receive_timeout = default_receive_timeout) ?(poll_interval = 0.002)
     ~address ~session ~oracle () =
-  match Wire.connect ~retries:50 ~framing address with
-  | Error msg -> Error { transport = true; msg = "connect: " ^ msg }
-  | Ok conn ->
-    Wire.set_timeout conn receive_timeout;
-    let r =
-      match
-        let* resp = call conn (P.Labeler_attach { session }) in
-        let* labeler =
-          match resp with
-          | P.Labeler_attached { labeler; _ } -> Ok labeler
-          | P.Failed e -> Error (diverged "%s" (P.error_to_string e))
-          | other -> unexpected "Labeler_attach" other
-        in
-        let rec loop last_round cast counted =
-          let* q = call conn (P.Labeler_poll { session; labeler }) in
-          match q with
-          | P.Crowd_question { question = None; _ } -> Ok (cast, counted)
-          | P.Crowd_question { round; question = Some { P.sg; _ } } ->
-            if round = last_round then begin
-              (* already voted this round; wait for the quorum *)
-              Thread.delay poll_interval;
-              loop last_round cast counted
-            end
-            else
-              let label = Oracle.label oracle sg in
-              let* v = call conn (P.Vote { session; labeler; round; label }) in
-              (match v with
-              | P.Vote_ok { counted = c; _ } ->
-                loop round (cast + 1) (counted + if c then 1 else 0)
-              | P.Failed e -> Error (diverged "%s" (P.error_to_string e))
-              | other -> unexpected "Vote" other)
-          | P.Failed (P.Unknown_session _) ->
-            Ok (cast, counted) (* the controller gave up and ended it *)
-          | P.Failed e -> Error (diverged "%s" (P.error_to_string e))
-          | other -> unexpected "Labeler_poll" other
-        in
-        loop 0 0 0
-      with
-      | r -> r
-      | exception exn -> Error (diverged "%s" (Printexc.to_string exn))
-    in
-    Wire.close conn;
-    r
+  let* conn = connect ~framing ~receive_timeout address in
+  let r =
+    match
+      let* resp = call conn (P.Labeler_attach { session }) in
+      let* labeler =
+        match resp with
+        | P.Labeler_attached { labeler; _ } -> Ok labeler
+        | P.Failed e -> Error (diverged "%s" (P.error_to_string e))
+        | other -> unexpected "Labeler_attach" other
+      in
+      let rec loop last_round cast counted =
+        let* q = call conn (P.Labeler_poll { session; labeler }) in
+        match q with
+        | P.Crowd_question { question = None; _ } -> Ok (cast, counted)
+        | P.Crowd_question { round; question = Some { P.sg; _ } } ->
+          if round = last_round then begin
+            (* already voted this round; wait for the quorum *)
+            Thread.delay poll_interval;
+            loop last_round cast counted
+          end
+          else
+            let label = Oracle.label oracle sg in
+            let* v = call conn (P.Vote { session; labeler; round; label }) in
+            (match v with
+            | P.Vote_ok { counted = c; _ } ->
+              loop round (cast + 1) (counted + if c then 1 else 0)
+            | P.Failed e -> Error (diverged "%s" (P.error_to_string e))
+            | other -> unexpected "Vote" other)
+        | P.Failed (P.Unknown_session _) ->
+          Ok (cast, counted) (* the controller gave up and ended it *)
+        | P.Failed e -> Error (diverged "%s" (P.error_to_string e))
+        | other -> unexpected "Labeler_poll" other
+      in
+      loop 0 0 0
+    with
+    | r -> r
+    | exception exn -> Error (diverged "%s" (Printexc.to_string exn))
+  in
+  Wire.close conn;
+  r
 
-let run_labeler ?framing ?receive_timeout ?poll_interval ~address ~session
-    ~oracle () =
-  match
-    labeler_loop ?framing ?receive_timeout ?poll_interval ~address ~session
-      ~oracle ()
-  with
-  | Ok counts -> Ok counts
-  | Error { msg; _ } -> Error msg
+type crowd_harvest = {
+  converged : (bool, fail) result;
+  counters : P.crowd_stats option;
+  outcome : Session.outcome option;
+}
+
+let crowd_control ?(framing = Wire.Line)
+    ?(receive_timeout = default_receive_timeout) ?(poll_interval = 0.002)
+    ?(deadline = 120.) ?(on_start = ignore) ~address ~seed ~strategy () =
+  let* conn = connect ~framing ~receive_timeout address in
+  let harvest =
+    let* started =
+      call conn (P.Start_session { source = synthetic_source seed; strategy; seed })
+    in
+    let* session =
+      match started with
+      | P.Started { session; _ } -> Ok session
+      | P.Failed e -> Error (diverged "%s" (P.error_to_string e))
+      | other -> unexpected "Start_session" other
+    in
+    on_start session;
+    let t0 = Unix.gettimeofday () in
+    let rec wait_done () =
+      if Unix.gettimeofday () -. t0 > deadline then Ok false
+      else
+        let* q = call conn (P.Get_question { session }) in
+        match q with
+        | P.Question None -> Ok true
+        | P.Question (Some _) ->
+          Thread.delay poll_interval;
+          wait_done ()
+        | P.Failed e -> Error (diverged "%s" (P.error_to_string e))
+        | other -> unexpected "Get_question" other
+    in
+    let converged =
+      try wait_done () with exn -> Error (diverged "%s" (Printexc.to_string exn))
+    in
+    (* Harvest before ending: the coordinator's counters die with the
+       session. *)
+    let counters =
+      match call conn (P.Crowd_stats { session }) with
+      | Ok (P.Crowd_info c) -> Some c
+      | _ -> None
+    in
+    let outcome =
+      match call conn (P.Result { session }) with
+      | Ok (P.Outcome o) -> Some o
+      | _ -> None
+    in
+    ignore (call conn (P.End_session { session }));
+    Ok { converged; counters; outcome }
+  in
+  Wire.close conn;
+  harvest
 
 let crowd_run ?(framing = Wire.Line)
     ?(receive_timeout = default_receive_timeout) ?(poll_interval = 0.002)
     ?(deadline = 120.) ~address ~seed ~strategy ~labelers () =
-  let inst = Jim_workloads.Synthetic.generate (params seed) in
-  let goal_oracle = Oracle.of_goal inst.Jim_workloads.Synthetic.goal in
-  let strat =
-    match Strategy.of_string strategy with
-    | Ok s -> s
-    | Error msg -> invalid_arg msg
+  let goal_oracle, reference = reference ~instance_seed:seed ~seed ~strategy in
+  let fails = Array.make (List.length labelers) None in
+  let threads = ref [] in
+  let spawn session =
+    threads :=
+      List.mapi
+        (fun i spec ->
+          Thread.create
+            (fun () ->
+              let oracle =
+                Oracle.noisy ~seed:spec.labeler_seed
+                  ~flip_probability:spec.error_rate goal_oracle
+              in
+              let address = Option.value spec.labeler_address ~default:address in
+              match
+                run_labeler ~framing ~receive_timeout ~poll_interval ~address
+                  ~session ~oracle ()
+              with
+              | Ok _ -> ()
+              | Error e -> fails.(i) <- Some e)
+            ())
+        labelers
   in
-  let reference =
-    Session.run ~seed ~strategy:strat ~oracle:goal_oracle
-      inst.Jim_workloads.Synthetic.relation
+  let harvest =
+    crowd_control ~framing ~receive_timeout ~poll_interval ~deadline
+      ~on_start:spawn ~address ~seed ~strategy ()
   in
-  let fail e =
+  List.iter Thread.join !threads;
+  match harvest with
+  | Error e ->
     { creport = report ~seed ~strategy ~questions:0 (Error e);
       crowd = None; got = None; reference }
-  in
-  match Wire.connect ~retries:50 ~framing address with
-  | Error msg -> fail { transport = true; msg = "connect: " ^ msg }
-  | Ok conn -> (
-    Wire.set_timeout conn receive_timeout;
-    let started =
-      call conn
-        (P.Start_session
-           { source = synthetic_source (params seed); strategy; seed })
+  | Ok { converged; counters = crowd; outcome = got } ->
+    let questions = match crowd with Some c -> c.P.rounds | None -> 0 in
+    let labeler_fail =
+      Array.find_map
+        (function Some e when not e.transport -> Some e | _ -> None)
+        fails
     in
-    match started with
-    | Error e ->
-      Wire.close conn;
-      fail e
-    | Ok (P.Failed e) ->
-      Wire.close conn;
-      fail (diverged "%s" (P.error_to_string e))
-    | Ok (P.Started { session; _ }) ->
-      let fails = Array.make (List.length labelers) None in
-      let threads =
-        List.mapi
-          (fun i spec ->
-            Thread.create
-              (fun () ->
-                let oracle =
-                  Oracle.noisy ~seed:spec.labeler_seed
-                    ~flip_probability:spec.error_rate goal_oracle
-                in
-                let address =
-                  Option.value spec.labeler_address ~default:address
-                in
-                match
-                  labeler_loop ~framing ~receive_timeout ~poll_interval
-                    ~address ~session ~oracle ()
-                with
-                | Ok _ -> ()
-                | Error e -> fails.(i) <- Some e)
-              ())
-          labelers
-      in
-      let t0 = Unix.gettimeofday () in
-      let rec wait_done () =
-        if Unix.gettimeofday () -. t0 > deadline then Ok false
-        else
-          let* q = call conn (P.Get_question { session }) in
-          match q with
-          | P.Question None -> Ok true
-          | P.Question (Some _) ->
-            Thread.delay poll_interval;
-            wait_done ()
-          | P.Failed e -> Error (diverged "%s" (P.error_to_string e))
-          | other -> unexpected "Get_question" other
-      in
-      let finished = try wait_done () with exn -> Error (diverged "%s" (Printexc.to_string exn)) in
-      (* Harvest before ending: the coordinator's counters die with the
-         session. *)
-      let crowd =
-        match call conn (P.Crowd_stats { session }) with
-        | Ok (P.Crowd_info c) -> Some c
-        | _ -> None
-      in
-      let got =
-        match call conn (P.Result { session }) with
-        | Ok (P.Outcome o) -> Some o
-        | _ -> None
-      in
-      ignore (call conn (P.End_session { session }));
-      List.iter Thread.join threads;
-      Wire.close conn;
-      let questions = match crowd with Some c -> c.P.rounds | None -> 0 in
-      let labeler_fail =
-        Array.fold_left
-          (fun acc f ->
-            match (acc, f) with
-            | Some _, _ -> acc
-            | None, Some e when not e.transport -> Some e
-            | None, _ -> None)
-          None fails
-      in
-      let outcome =
-        match (finished, labeler_fail, got) with
-        | Error e, _, _ -> Error e
-        | _, Some e, _ -> Error e
-        | Ok false, _, _ ->
-          Error (diverged "no convergence within %.0f s deadline" deadline)
-        | Ok true, None, None -> Error (diverged "no outcome after convergence")
-        | Ok true, None, Some got ->
-          if List.for_all (fun s -> s.error_rate = 0.) labelers then
-            (* Perfect crowd: the whole transcript must be bit-identical
-               to the noiseless in-process run. *)
-            if outcome_equal reference got then Ok ()
-            else
-              Error
-                (diverged
-                   "crowd outcome differs from local Session.run: wire %s/%d, \
-                    local %s/%d"
-                   (Jim_partition.Partition.to_string got.Session.query)
-                   got.Session.interactions
-                   (Jim_partition.Partition.to_string reference.Session.query)
-                   reference.Session.interactions)
-          else Ok () (* noisy: the caller judges [got] against [reference] *)
-      in
-      { creport = report ~seed ~strategy ~questions outcome; crowd; got; reference }
-    | Ok other ->
-      Wire.close conn;
-      (match unexpected "Start_session" other with
-      | Error e -> fail e
-      | Ok _ -> assert false))
+    let outcome =
+      match (converged, labeler_fail, got) with
+      | Error e, _, _ -> Error e
+      | _, Some e, _ -> Error e
+      | Ok false, _, _ ->
+        Error (diverged "no convergence within %.0f s deadline" deadline)
+      | Ok true, None, None -> Error (diverged "no outcome after convergence")
+      | Ok true, None, Some got ->
+        if List.for_all (fun s -> s.error_rate = 0.) labelers then
+          (* Perfect crowd: the whole transcript must be bit-identical
+             to the noiseless in-process run. *)
+          if outcome_equal reference got then Ok ()
+          else
+            Error
+              (differs "crowd outcome differs from local Session.run" ~got
+                 ~want:reference)
+        else Ok () (* noisy: the caller judges [got] against [reference] *)
+    in
+    { creport = report ~seed ~strategy ~questions outcome; crowd; got; reference }

@@ -1,8 +1,17 @@
-(** The oracle-driven load generator: many concurrent clients, each
-    running a full inference session over the wire and checking the
-    outcome bit-for-bit against the in-process {!Jim_core.Session.run}
-    with the same instance, seed and strategy.  Shared by [jim client
-    --smoke] and the server test suite. *)
+(** Wire drills: oracle-driven clients that run full inference sessions
+    against a running server and hold every outcome bit-for-bit to the
+    in-process {!Jim_core.Session.run} with the same instance, seed and
+    strategy.  Shared by [jim client] and the server test suites.
+
+    Every session drill — {!run}, {!run_pipelined}, {!catalog_smoke},
+    {!crash_start}, {!crash_resume} — is one state machine per session:
+    each reply maps to the session's next request (start or resume
+    check, then question/answer until no question is left, then result
+    and end).  A connection carries one such session ({!run}) or several
+    interleaved ones ({!run_pipelined}), with replies routed back in
+    request order.  All drills connect through one helper, so each one
+    honours [framing] ([Line] by default, or the negotiated [Binary]
+    framing) and the per-reply [receive_timeout] (30 s by default). *)
 
 type client_report = {
   seed : int;
@@ -23,28 +32,23 @@ val synthetic_params : int -> Jim_workloads.Synthetic.params
     ([jim labeler]) can regenerate the same instance, and with it the
     goal oracle, from the seed alone. *)
 
-val drive_one :
-  ?framing:Wire.framing ->
-  ?receive_timeout:float ->
-  ?instance:int ->
-  address:Wire.address ->
+val synthetic_source : int -> Jim_api.Protocol.instance_source
+(** The inline [Synthetic] source for the instance [synthetic_params seed]. *)
+
+val reference :
+  instance_seed:int ->
   seed:int ->
   strategy:string ->
-  unit ->
-  client_report
-(** One client, one session: start a synthetic instance (deterministic in
-    its seed, so the goal — and hence the oracle — is reconstructed
-    locally), loop question/answer to completion, fetch the outcome and
-    compare with the local reference run.  [framing] (default [Line])
-    selects the wire framing — the outcome bar is identical under both.
-    [receive_timeout] (default 30 s, as on every driver here) caps the
-    wait for any single reply: a server or proxy that stalls instead of
-    answering classifies as a transport drop ([dropped = true]), never a
-    divergence and never a hang.  [instance] decouples the instance seed
-    from the session seed: when given, every client drives the synthetic
-    instance seeded [instance] (so they all resolve to one catalog
-    entry) while [seed] still seeds the strategy RNG; by default the
-    instance seed is [seed]. *)
+  Jim_core.Oracle.t * Jim_core.Session.outcome
+(** The goal oracle of the synthetic instance seeded [instance_seed] and
+    the in-process {!Jim_core.Session.run} over it, its strategy RNG
+    seeded [seed] — the bar every drill holds the wire to.  Raises
+    [Invalid_argument] on an unknown strategy. *)
+
+type fail = { transport : bool; msg : string }
+(** A failure with its class: [transport] when the connection failed
+    (refused connect, EOF, reset, receive timeout), [false] when the
+    server spoke garbage or got the protocol or the inference wrong. *)
 
 val run :
   ?clients:int ->
@@ -54,11 +58,17 @@ val run :
   address:Wire.address ->
   unit ->
   client_report list
-(** [clients] (default 32) threads, one {!drive_one} each, alternating
-    strategies (lookahead-entropy / random) and distinct seeds.  Reports
-    come back sorted by seed.  [instance] as in {!drive_one}: all
-    clients share one instance (one catalog entry) instead of each
-    generating their own. *)
+(** [clients] (default 32) threads, each one connection carrying one
+    session over a synthetic instance (deterministic in its seed, so the
+    goal — and hence the oracle — is reconstructed locally), seeded
+    [100 + i] and alternating strategies (lookahead-entropy / random).
+    A server or proxy that stalls past [receive_timeout] classifies as a
+    transport drop ([dropped = true]), never a divergence and never a
+    hang.  [instance] decouples the instance seed from the session seed:
+    when given, every client drives the synthetic instance seeded
+    [instance] (so they all resolve to one catalog entry) while the
+    session seed still seeds the strategy RNG.  Reports come back sorted
+    by seed; [questions] counts the answers the server acknowledged. *)
 
 val run_pipelined :
   ?clients:int ->
@@ -75,7 +85,8 @@ val run_pipelined :
     connection keeps up to [pipeline] requests in flight for the
     server's reorder-buffered pipeline to chew on.  Replies come back
     in request order; a FIFO of session indices routes each to its
-    session's state machine.  Every session is held to the same
+    session's state machine.  Session [k] of connection [c] is seeded
+    [700 + c * pipeline + k].  Every session is held to the same
     bit-identity bar as {!run}.  Returns [clients * pipeline] reports,
     sorted by seed. *)
 
@@ -97,6 +108,7 @@ val catalog_smoke :
     reports. *)
 
 val crash_start :
+  ?framing:Wire.framing ->
   address:Wire.address ->
   state_file:string ->
   ?clients:int ->
@@ -107,23 +119,29 @@ val crash_start :
     sessions each answer {e half} of their reference run's questions —
     every answer acknowledged by the server — then disconnect without
     ending the session.  What was acknowledged (seed, strategy, session
-    id, answer count) is written to [state_file] for {!crash_resume}.
+    id, answer count) is written to [state_file] for {!crash_resume},
+    one [seed strategy session asked] line per parked session.
     The caller then SIGKILLs the server and restarts it over the same
     data directory. *)
 
 val crash_resume :
+  ?framing:Wire.framing ->
   address:Wire.address ->
   state_file:string ->
   ?receive_timeout:float ->
   unit ->
-  client_report list
+  (client_report list, string) result
 (** Phase two: for each line of [state_file], check the restarted server
     still holds every acknowledged answer (via [Stats]), drive the
     session to completion, and require the outcome bit-identical to an
     uninterrupted local {!Jim_core.Session.run} — the durability
-    invariant the store exists to provide. *)
+    invariant the store exists to provide.  Reports follow the file's
+    line order; a line that does not parse is a failed report
+    ([bad state line: ...]) in its place.  [Error] only when
+    [state_file] cannot be read. *)
 
 val busy_check :
+  ?framing:Wire.framing ->
   ?receive_timeout:float ->
   address:Wire.address ->
   fill:int ->
@@ -175,7 +193,7 @@ val run_labeler :
   session:int ->
   oracle:Jim_core.Oracle.t ->
   unit ->
-  (int * int, string) result
+  (int * int, fail) result
 (** One labeler client, driven to session completion: attach, then loop
     poll → (new round? draw one label from [oracle], vote) → repeat,
     sleeping [poll_interval] (default 2 ms) between polls of an
@@ -184,6 +202,32 @@ val run_labeler :
     [(cast, counted)] — ballots sent vs. ballots the server counted
     (rounds can close by quorum or deadline before a slow ballot lands).
     Also the engine behind [jim labeler]. *)
+
+type crowd_harvest = {
+  converged : (bool, fail) result;
+      (** [Ok false]: the deadline passed with a question still pending *)
+  counters : Jim_api.Protocol.crowd_stats option;
+      (** the server's vote counters, harvested just before ending *)
+  outcome : Jim_core.Session.outcome option;  (** the wire outcome *)
+}
+
+val crowd_control :
+  ?framing:Wire.framing ->
+  ?receive_timeout:float ->
+  ?poll_interval:float ->
+  ?deadline:float ->
+  ?on_start:(int -> unit) ->
+  address:Wire.address ->
+  seed:int ->
+  strategy:string ->
+  unit ->
+  (crowd_harvest, fail) result
+(** The controller half of a crowd drill: start the synthetic session
+    seeded [seed], hand its id to [on_start] (where labelers get
+    spawned or announced), poll [Get_question] every [poll_interval]
+    (default 2 ms) until none is pending or [deadline] (default 120 s)
+    passes, then harvest [Crowd_stats] and [Result] and end the
+    session.  [Error] only when the session could not be started. *)
 
 val crowd_run :
   ?framing:Wire.framing ->
@@ -197,8 +241,8 @@ val crowd_run :
   unit ->
   crowd_report
 (** The full crowd drill against a server started with crowd labeling:
-    start the synthetic session seeded [seed], spawn one {!run_labeler}
-    thread per spec, wait for convergence (pending question gone) within
+    {!crowd_control} the synthetic session seeded [seed], spawn one
+    {!run_labeler} thread per spec as it starts, wait for convergence (pending question gone) within
     [deadline] (default 120 s) and harvest outcome + vote counters.
     Divergence, a labeler's protocol failure, or missing the deadline
     all fail the report; labeler {e transport} failures are tolerated

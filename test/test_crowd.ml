@@ -684,8 +684,9 @@ let test_stalled_reply_is_dropped () =
     (fun () ->
       let t0 = Unix.gettimeofday () in
       let r =
-        Smoke.drive_one ~receive_timeout:0.3 ~address:listen ~seed:4
-          ~strategy:"random" ()
+        match Smoke.run ~clients:1 ~receive_timeout:0.3 ~address:listen () with
+        | [ r ] -> r
+        | rs -> Alcotest.failf "%d reports for one client" (List.length rs)
       in
       Alcotest.(check bool) "classified as a transport drop" true
         r.Smoke.dropped;

@@ -259,9 +259,12 @@ let test_epoll_backend () =
 
 let test_server_busy () =
   with_server ~max_sessions:2 (fun address service ->
-      (match Smoke.busy_check ~address ~fill:2 () with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail e);
+      List.iter
+        (fun framing ->
+          match Smoke.busy_check ~framing ~address ~fill:2 () with
+          | Ok () -> ()
+          | Error e -> Alcotest.fail e)
+        [ Wire.Line; Wire.Binary ];
       (* busy_check ended its sessions: capacity is free again *)
       Alcotest.(check int) "sessions cleaned up" 0 (Service.session_count service))
 

@@ -13,6 +13,7 @@
 module Pr = Jim_api.Protocol
 module Service = Jim_server.Service
 module Smoke = Jim_server.Smoke
+module Wire = Jim_server.Wire
 module Store = Jim_store.Store
 module Journal = Jim_store.Journal
 module Event = Jim_store.Event
@@ -60,19 +61,8 @@ let write_file path data =
 (* ------------------------------------------------------------------ *)
 (* Oracle-driven sessions over a Service (in-process, no socket)       *)
 
-let params seed =
-  { W.Synthetic.n_attrs = 5; n_tuples = 40; domain = 8; goal_rank = 2; seed }
-
-let source_of seed =
-  let p = params seed in
-  Pr.Synthetic
-    {
-      n_attrs = p.W.Synthetic.n_attrs;
-      n_tuples = p.W.Synthetic.n_tuples;
-      domain = p.W.Synthetic.domain;
-      goal_rank = p.W.Synthetic.goal_rank;
-      seed = p.W.Synthetic.seed;
-    }
+let params = Smoke.synthetic_params
+let source_of = Smoke.synthetic_source
 
 let oracle_of seed =
   Oracle.of_goal (W.Synthetic.generate (params seed)).W.Synthetic.goal
@@ -1090,6 +1080,75 @@ let test_fingerprint_canonical () =
   in
   Alcotest.(check bool) "different instances differ" true (fp <> other)
 
+(* ------------------------------------------------------------------ *)
+(* The crash drill over the wire                                       *)
+
+let fresh_socket =
+  let counter = ref 0 in
+  fun () ->
+    incr counter;
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "jim-store-%d-%d.sock" (Unix.getpid ()) !counter)
+
+(* [jim serve --data-dir] in miniature: open and recover the directory,
+   restore its sessions, serve them; stopping closes the store. *)
+let with_durable_server dir f =
+  let service, store, _ = durable_service dir in
+  let server = Wire.serve ~threads:8 service (Wire.Unix_path (fresh_socket ())) in
+  Fun.protect
+    ~finally:(fun () ->
+      Wire.shutdown server;
+      Store.close store)
+    (fun () -> f (Wire.bound_address server))
+
+(* [jim client --crash-start] then [--crash-resume] across a server
+   restart, under both framings: every parked session must resume
+   bit-identical, and a bad or missing state file must come back as a
+   failed report or an error, never an exception. *)
+let test_crash_drill_over_wire () =
+  with_dir (fun dir ->
+      let state name = Filename.concat dir ("state-" ^ name) in
+      let framings = [ ("line", Wire.Line); ("binary", Wire.Binary) ] in
+      with_durable_server (Filename.concat dir "data") (fun address ->
+          List.iter
+            (fun (name, framing) ->
+              let reports =
+                Smoke.crash_start ~framing ~address ~state_file:(state name)
+                  ~clients:4 ()
+              in
+              Alcotest.(check int) (name ^ ": all parked") 4
+                (List.length (List.filter (fun r -> r.Smoke.ok) reports)))
+            framings);
+      with_durable_server (Filename.concat dir "data") (fun address ->
+          List.iter
+            (fun (name, framing) ->
+              match
+                Smoke.crash_resume ~framing ~address ~state_file:(state name) ()
+              with
+              | Error e -> Alcotest.failf "%s: %s" name e
+              | Ok reports ->
+                Alcotest.(check int) (name ^ ": all resumed") 4
+                  (List.length reports);
+                List.iter
+                  (fun r ->
+                    if not r.Smoke.ok then
+                      Alcotest.failf "%s: seed %d: %s" name r.Smoke.seed
+                        r.Smoke.detail)
+                  reports)
+            framings;
+          write_file (state "bad") "x strat 1 2\n";
+          (match Smoke.crash_resume ~address ~state_file:(state "bad") () with
+          | Ok [ r ] ->
+            Alcotest.(check bool) "malformed line fails" false r.Smoke.ok;
+            Alcotest.(check bool) "names the bad line" true
+              (contains ~needle:"bad state line: x strat 1 2" r.Smoke.detail)
+          | Ok rs -> Alcotest.failf "%d reports for one line" (List.length rs)
+          | Error e -> Alcotest.failf "bad state file: %s" e);
+          match Smoke.crash_resume ~address ~state_file:(state "missing") () with
+          | Error _ -> ()
+          | Ok _ -> Alcotest.fail "a missing state file resumed"))
+
 let () =
   Alcotest.run "store"
     [
@@ -1156,6 +1215,8 @@ let () =
             `Quick test_post_ended_events_tolerated;
           Alcotest.test_case "fingerprint drift is refused" `Quick
             test_fingerprint_drift_refused;
+          Alcotest.test_case "crash drill over the wire, both framings" `Quick
+            test_crash_drill_over_wire;
           Alcotest.test_case "fingerprint is canonical" `Quick
             test_fingerprint_canonical;
         ] );
