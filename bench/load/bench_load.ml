@@ -32,7 +32,7 @@
    in CI by bench/gate against the committed baseline. *)
 
 module P = Jim_api.Protocol
-module Service = Jim_server.Service
+module Node = Jim_shard.Node
 module Wire = Jim_server.Wire
 module Store = Jim_store.Store
 module Oracle = Jim_core.Oracle
@@ -269,40 +269,26 @@ let with_server ~window ~threads ~sync_us name f =
     if sync_us > 0 then sync_modelled_io (float_of_int sync_us /. 1e6)
     else Jim_store.Io.real
   in
-  let store, _ =
-    match
-      Store.open_dir ~fsync:true ~commit_window:window ~snapshot_every:100_000
-        ~io dir
-    with
-    | Ok v -> v
-    | Error e -> failwith ("open_dir: " ^ e)
-  in
-  let service =
-    Service.create ~max_sessions:4096 ~persist:(Store.record store) ()
-  in
   let address = Wire.Unix_path (tmp (name ^ ".sock")) in
-  let config = { Wire.default_config with threads } in
-  let server =
-    Wire.serve_handler ~config (Service.handle_line_status service) address
+  let node =
+    Result.fold ~ok:Fun.id ~error:failwith
+      (Node.start
+         {
+           (Node.config (Node.Primary { data_dir = Some dir; replicate_to = None }))
+           with
+           listen = address;
+           wire = { Wire.default_config with threads };
+           settings = { Node.default_settings with max_sessions = 4096 };
+           snapshot_every = 100_000;
+           commit_window = window;
+           io;
+         })
   in
   Fun.protect
     ~finally:(fun () ->
-      Wire.shutdown server;
-      let cs = Store.commit_stats store in
-      let ns = Jim_server.Netstats.snapshot () in
-      Printf.eprintf
-        "# %s: commit %d batches / %d records (max %d) · wire %d reqs, %d \
-         flushes, %d coalesced, depth %d\n\
-         %!"
-        name cs.Jim_store.Journal.batches cs.Jim_store.Journal.records
-        cs.Jim_store.Journal.max_batch ns.Jim_server.Netstats.requests
-        ns.Jim_server.Netstats.flushes ns.Jim_server.Netstats.writes_coalesced
-        ns.Jim_server.Netstats.pipelined_depth_max;
+      Printf.eprintf "# %s: %s\n%!" name (Node.stats_line node);
+      Node.stop node;
       Jim_server.Netstats.reset ();
-      Store.close store;
-      (match address with
-      | Wire.Unix_path p -> ( try Sys.remove p with Sys_error _ -> ())
-      | _ -> ());
       rm_rf dir)
     (fun () -> f address)
 

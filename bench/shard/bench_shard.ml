@@ -13,7 +13,7 @@
    in CI by bench/gate against the committed baseline. *)
 
 module P = Jim_api.Protocol
-module Service = Jim_server.Service
+module Node = Jim_shard.Node
 module Wire = Jim_server.Wire
 module Router = Jim_shard.Router
 module Front = Jim_shard.Front
@@ -99,18 +99,26 @@ let measure ~name ~clients ~requests address =
     p99_us = percentile all 99.0;
   }
 
+let start_node role ~threads listen =
+  Result.fold ~ok:Fun.id ~error:failwith
+    (Node.start
+       {
+         (Node.config role) with
+         listen;
+         wire = { Wire.default_config with threads };
+         settings = { Node.default_settings with max_sessions = 4096 };
+       })
+
 let with_shards n f =
   let shards =
     List.init n (fun i ->
         let name = Printf.sprintf "s%d" i in
         let addr = sock name in
-        let service = Service.create ~max_sessions:4096 () in
-        let server = Wire.serve ~threads:4 service addr in
-        (name, addr, server))
+        let role = Node.Primary { data_dir = None; replicate_to = None } in
+        (name, addr, start_node role ~threads:4 addr))
   in
   Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun (_, _, server) -> Wire.shutdown server) shards)
+    ~finally:(fun () -> List.iter (fun (_, _, node) -> Node.stop node) shards)
     (fun () -> f shards)
 
 let with_router shards f =
@@ -119,18 +127,13 @@ let with_router shards f =
       (fun (name, primary, _) -> Front.wire_upstream ~name ~primary ())
       shards
   in
-  let router =
-    match Router.create ~shards:upstreams () with
-    | Ok r -> r
-    | Error e -> failwith ("router: " ^ e)
-  in
   let addr = sock "router" in
-  let server = Wire.serve_handler (Router.handle_line router) addr in
-  Fun.protect
-    ~finally:(fun () ->
-      Wire.shutdown server;
-      Router.close router)
-    (fun () -> f addr)
+  let node =
+    start_node
+      (Node.Router { data_dir = None; vnodes = 64; shards = upstreams })
+      ~threads:16 addr
+  in
+  Fun.protect ~finally:(fun () -> Node.stop node) (fun () -> f addr)
 
 (* ------------------------------------------------------------------ *)
 (* Replication rows: the persist path with and without the stream.     *)

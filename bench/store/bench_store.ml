@@ -9,6 +9,7 @@
 
 module Pr = Jim_api.Protocol
 module Service = Jim_server.Service
+module Node = Jim_shard.Node
 module Store = Jim_store.Store
 module Journal = Jim_store.Journal
 module Event = Jim_store.Event
@@ -216,12 +217,16 @@ let bench_recovery_snapshot ~sessions ~answers =
    through the engine, the part that actually re-runs inference).        *)
 let bench_recovery_service ~sessions =
   let dir = scratch () in
-  let store =
-    match Store.open_dir ~fsync:false dir with
-    | Ok (s, _) -> s
-    | Error e -> failwith e
+  let durable_node () =
+    Result.fold ~ok:Fun.id ~error:failwith
+      (Node.create
+         {
+           (Node.config (Node.Primary { data_dir = Some dir; replicate_to = None }))
+           with
+           fsync = false;
+         })
   in
-  let service = Service.create ~persist:(Store.record store) () in
+  let node = durable_node () in
   let total_answers = ref 0 in
   for seed = 1 to sessions do
     let params =
@@ -231,7 +236,7 @@ let bench_recovery_service ~sessions =
     let oracle = Oracle.of_goal inst.W.Synthetic.goal in
     let session =
       match
-        Service.handle service
+        Node.handle node
           (Pr.Start_session
              {
                source =
@@ -251,10 +256,10 @@ let bench_recovery_service ~sessions =
       | other -> failwith (Pr.response_to_string other)
     in
     let rec answer () =
-      match Service.handle service (Pr.Get_question { session }) with
+      match Node.handle node (Pr.Get_question { session }) with
       | Pr.Question (Some { Pr.cls; sg; _ }) -> (
         match
-          Service.handle service
+          Node.handle node
             (Pr.Answer { session; cls; label = Oracle.label oracle sg })
         with
         | Pr.Answered _ ->
@@ -266,21 +271,14 @@ let bench_recovery_service ~sessions =
     in
     answer ()
   done;
-  Store.close store;
+  Node.stop node;
   let t0 = Unix.gettimeofday () in
-  let store', recovered =
-    match Store.open_dir ~fsync:false dir with
-    | Ok (s, r) -> (s, r)
-    | Error e -> failwith e
-  in
-  let service' = Service.create ~persist:(Store.record store') () in
-  let restored =
-    match Service.restore service' recovered with
-    | Ok n -> n
-    | Error e -> failwith e
-  in
+  let node' = durable_node () in
   let wall = Unix.gettimeofday () -. t0 in
-  Store.close store';
+  let restored =
+    Option.fold ~none:0 ~some:Service.session_count (Node.service node')
+  in
+  Node.stop node';
   rm_rf dir;
   assert (restored = sessions);
   {

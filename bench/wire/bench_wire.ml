@@ -12,7 +12,7 @@
    other BENCH files: schema_version + generated_by + rows). *)
 
 module P = Jim_api.Protocol
-module Service = Jim_server.Service
+module Node = Jim_shard.Node
 module Wire = Jim_server.Wire
 module Netstats = Jim_server.Netstats
 
@@ -36,12 +36,10 @@ let percentile sorted p =
     let idx = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
     float_of_int sorted.(max 0 (min (n - 1) idx)) /. 1000.0
 
-let socket_path =
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "jim-bench-wire-%d.sock" (Unix.getpid ()))
-
-let address = Wire.Unix_path socket_path
+let address =
+  Wire.Unix_path
+    (Filename.concat (Filename.get_temp_dir_name ())
+       (Printf.sprintf "jim-bench-wire-%d.sock" (Unix.getpid ())))
 
 let start_session client =
   match
@@ -140,8 +138,17 @@ let () =
     find 1
   in
   let scale n = if quick then max 1 (n / 10) else n in
-  let service = Service.create ~max_sessions:4096 () in
-  let server = Wire.serve ~threads:8 service address in
+  let node =
+    Result.fold ~ok:Fun.id ~error:failwith
+      (Node.start
+         {
+           (Node.config (Node.Primary { data_dir = None; replicate_to = None }))
+           with
+           listen = address;
+           wire = { Wire.default_config with threads = 8 };
+           settings = { Node.default_settings with max_sessions = 4096 };
+         })
+  in
   let requests = scale 20_000 in
   let idle = scale 1_000 in
   let rows =
@@ -155,7 +162,7 @@ let () =
     ]
   in
   let stats = Netstats.snapshot () in
-  Wire.shutdown server;
+  Node.stop node;
   Printf.printf "%-22s %8s %8s %10s %12s %10s %10s\n" "benchmark" "clients"
     "idle" "requests" "rps" "p50 us" "p99 us";
   List.iter
@@ -165,5 +172,4 @@ let () =
     rows;
   Printf.printf "\nwire: %s\n" (Netstats.to_string stats);
   write_json ~path:out rows;
-  Printf.printf "wrote %s\n" out;
-  try Sys.remove socket_path with Sys_error _ -> ()
+  Printf.printf "wrote %s\n" out

@@ -18,6 +18,7 @@ module Relation = Jim_relational.Relation
 module Schema = Jim_relational.Schema
 module Csv = Jim_relational.Csv
 module W = Jim_workloads
+module Node = Jim_shard.Node
 open Jim_core
 
 let strategy_arg =
@@ -387,16 +388,7 @@ let resolve_address socket tcp =
     | Ok (Jim_server.Wire.Tcp _ as a) -> Ok a
     | Ok (Jim_server.Wire.Unix_path _) -> Error "--tcp wants HOST:PORT"
     | Error e -> Error e)
-  | None, None -> Ok (Jim_server.Wire.Unix_path "/tmp/jim.sock")
-
-let catalog_stats_line (s : Jim_api.Protocol.catalog_stats) =
-  Printf.sprintf
-    "catalog: %d entries (%d pinned, %d bytes), %d hits / %d misses, %d \
-     evictions, %d fingerprints, %d derivations"
-    s.Jim_api.Protocol.entries s.Jim_api.Protocol.pinned
-    s.Jim_api.Protocol.bytes s.Jim_api.Protocol.hits s.Jim_api.Protocol.misses
-    s.Jim_api.Protocol.evictions s.Jim_api.Protocol.fingerprints
-    s.Jim_api.Protocol.derivations
+  | None, None -> Ok Jim_server.Wire.default_address
 
 let crowd_stats_line (c : Jim_api.Protocol.crowd_stats) =
   Printf.sprintf
@@ -408,208 +400,81 @@ let crowd_stats_line (c : Jim_api.Protocol.crowd_stats) =
     c.Jim_api.Protocol.majority_flips c.Jim_api.Protocol.timeouts
     c.Jim_api.Protocol.re_asks
 
-let run_serve socket tcp max_sessions idle_ttl threads data_dir snapshot_every
-    commit_window stats_every catalog_max_entries drain_timeout replicate_to
-    votes vote_timeout vote_weighted =
-  match
-    match resolve_address socket tcp with
-    | Error e -> Error e
-    | Ok addr ->
-      if votes = 0 then Ok (addr, None)
-      else if votes < 0 || votes mod 2 = 0 then
-        Error "--votes must be odd and positive (0 disables crowd labeling)"
-      else if vote_timeout <= 0. then Error "--vote-timeout must be positive"
-      else
-        Ok
-          ( addr,
-            Some
-              {
-                Jim_server.Coordinator.votes;
-                timeout = vote_timeout;
-                weighted = vote_weighted;
-              } )
-  with
-  | Error e ->
-    Printf.eprintf "jim serve: %s\n" e;
-    2
-  | Ok (addr, crowd) -> (
-    let store =
-      match data_dir with
-      | None -> Ok None
-      | Some dir -> (
-        match
-          Jim_store.Store.open_dir ~snapshot_every ~commit_window dir
-        with
-        | Ok (st, recovered) -> Ok (Some (st, recovered))
-        | Error e -> Error e)
-    in
-    match store with
-    | Error e ->
-      Printf.eprintf "jim serve: %s\n" e;
-      1
-    | Ok store -> (
-      (* Replication attaches before any traffic: the standby receives
-         the current snapshot + journal baseline, then every event rides
-         the persist hook — journal locally, stream, only then ack. *)
-      let repl =
-        match (replicate_to, store) with
-        | None, _ -> Ok None
-        | Some _, None ->
-          Error "--replicate-to needs --data-dir (nothing durable to ship)"
-        | Some spec, Some (st, _) -> (
-          match Jim_server.Wire.address_of_string spec with
-          | Error e -> Error e
-          | Ok standby_addr -> (
-            let target =
-              Jim_shard.Front.wire_target ~name:"replica" standby_addr
-            in
-            match Jim_shard.Repl.attach st target with
-            | Error e -> Error ("replication attach failed: " ^ e)
-            | Ok r -> Ok (Some r)))
-      in
-      match repl with
-      | Error e ->
-        Printf.eprintf "jim serve: %s\n" e;
-        Option.iter (fun (st, _) -> Jim_store.Store.close st) store;
-        1
-      | Ok repl -> (
-      let persist =
-        Option.map
-          (fun (st, _) ev ->
-            Jim_store.Store.record st ev;
-            Option.iter (fun r -> Jim_shard.Repl.send r ev) repl)
-          store
-      in
-      let catalog =
-        Jim_catalog.Catalog.create ~max_entries:catalog_max_entries ()
-      in
-      let service =
-        Jim_server.Service.create ~max_sessions ~idle_ttl ~catalog ?persist
-          ?crowd ()
-      in
-      let restored =
-        match store with
-        | None -> Ok 0
-        | Some (_, recovered) -> Jim_server.Service.restore service recovered
-      in
-      match restored with
-      | Error e ->
-        Printf.eprintf "jim serve: recovery failed: %s\n" e;
-        Option.iter (fun (st, _) -> Jim_store.Store.close st) store;
-        1
-      | Ok restored ->
-        (* When replicating, answer Repl_status ourselves with the
-           stream's current lag (the router's Ring_status probe);
-           everything else goes to the service as usual. *)
-        let handle_line payload =
-          match repl with
-          | Some r when String.length payload <= 64 -> (
-            match Jim_api.Protocol.request_of_string payload with
-            | Ok Jim_api.Protocol.Repl_status ->
-              let records, bytes = Jim_shard.Repl.lag r in
-              ( Jim_api.Protocol.response_to_string
-                  (Jim_api.Protocol.Repl_lag { records; bytes }),
-                true )
-            | _ -> Jim_server.Service.handle_line_status service payload)
-          | _ -> Jim_server.Service.handle_line_status service payload
-        in
-        let config =
-          { Jim_server.Wire.default_config with threads; drain_timeout }
-        in
-        let server =
-          Jim_server.Wire.serve_handler ~config
-            ~sweep:(fun () -> Jim_server.Service.sweep service)
-            handle_line addr
-        in
-        Printf.printf
-          "jim serve: listening on %s (max %d sessions, %d threads)\n%!"
-          (Jim_server.Wire.address_to_string
-             (Jim_server.Wire.bound_address server))
-          max_sessions threads;
-        Option.iter
-          (fun (c : Jim_server.Coordinator.config) ->
-            Printf.printf
-              "jim serve: crowd labeling on — quorum %d, %gs straggler \
-               deadline%s\n%!"
-              c.Jim_server.Coordinator.votes c.Jim_server.Coordinator.timeout
-              (if c.Jim_server.Coordinator.weighted then ", accuracy-weighted"
-               else ""))
-          crowd;
-        Option.iter
-          (fun r ->
-            let gen, records = Jim_shard.Repl.position r in
-            Printf.printf
-              "jim serve: replicating to %s (generation %d, %d records \
-               shipped)\n%!"
-              (Jim_shard.Repl.describe r) gen records)
-          repl;
-        Option.iter
-          (fun (st, _) ->
-            Printf.printf
-              "jim serve: durable in %s (generation %d, %d sessions recovered)\n%!"
-              (Jim_store.Store.dir st)
-              (Jim_store.Store.generation st)
-              restored)
-          store;
-        let commit_line () =
-          match store with
-          | Some (st, _) when commit_window > 0. ->
-            let s = Jim_store.Store.commit_stats st in
-            Printf.sprintf "; commit: %d batches / %d records (max %d)"
-              s.Jim_store.Journal.batches s.Jim_store.Journal.records
-              s.Jim_store.Journal.max_batch
-          | _ -> ""
-        in
-        let stats_line () =
-          Printf.sprintf "wire: %s; %s%s"
-            (Jim_server.Netstats.to_string (Jim_server.Netstats.snapshot ()))
-            (catalog_stats_line (Jim_catalog.Catalog.stats catalog))
-            (commit_line ())
-        in
-        Option.iter
-          (fun period ->
-            ignore
-              (Thread.create
-                 (fun () ->
-                   while true do
-                     Thread.delay period;
-                     Printf.printf "jim serve: %s\n%!" (stats_line ())
-                   done)
-                 ()))
-          stats_every;
-        Jim_server.Wire.wait server;
-        Printf.printf "jim serve: %s\n%!" (stats_line ());
-        Option.iter Jim_shard.Repl.close repl;
-        Option.iter (fun (st, _) -> Jim_store.Store.close st) store;
-        0)))
+(* The serving subcommands: parse flags into a start-up (a usage error
+   exits 2), run it through [Node.start] (a failure exits [start_fails]),
+   print the banner, then block until the listener shuts down. *)
+let serve_node name ?stats_every ?(start_fails = 1) start =
+  let fail code e =
+    Printf.eprintf "jim %s: %s\n" name e;
+    code
+  in
+  match Result.map (fun start -> start ()) start with
+  | Error e -> fail 2 e
+  | Ok (Error e) -> fail start_fails e
+  | Ok (Ok node) ->
+    let say line = Printf.printf "jim %s: %s\n%!" name line in
+    List.iter say (Node.banner node);
+    Option.iter
+      (fun period ->
+        ignore
+          (Thread.create
+             (fun () ->
+               while true do
+                 Thread.delay period;
+                 say (Node.stats_line node)
+               done)
+             ()))
+      stats_every;
+    Node.wait node;
+    Node.stop node;
+    0
+
+let ( let* ) = Result.bind
+
+let run_serve socket tcp settings wire data_dir snapshot_every commit_window
+    stats_every replicate_to =
+  serve_node "serve" ?stats_every
+    (let* listen = resolve_address socket tcp in
+     let* settings = settings in
+     Ok
+       (fun () ->
+         (* a bad --replicate-to fails start-up, as a failed attach does *)
+         let* replicate_to =
+           match replicate_to with
+           | None -> Ok None
+           | Some _ when data_dir = None ->
+             Error "--replicate-to needs --data-dir (nothing durable to ship)"
+           | Some spec ->
+             Result.map
+               (fun a -> Some (Jim_shard.Front.wire_target ~name:"replica" a))
+               (Jim_server.Wire.address_of_string spec)
+         in
+         Node.start
+           {
+             (Node.config (Node.Primary { data_dir; replicate_to })) with
+             listen;
+             wire;
+             settings;
+             snapshot_every;
+             commit_window;
+           }))
 
 (* standby: the receiving half of the replication stream               *)
 
-let run_standby socket tcp data_dir snapshot_every threads drain_timeout =
-  match resolve_address socket tcp with
-  | Error e ->
-    Printf.eprintf "jim standby: %s\n" e;
-    2
-  | Ok addr ->
-    let stb = Jim_shard.Standby.create ~dir:data_dir () in
-    let node = Jim_shard.Front.standby_node ~snapshot_every stb in
-    let config =
-      { Jim_server.Wire.default_config with threads; drain_timeout }
-    in
-    let server =
-      Jim_server.Wire.serve_handler ~config
-        ~sweep:(fun () -> Jim_shard.Front.sweep node)
-        (Jim_shard.Front.handle_line node)
-        addr
-    in
-    Printf.printf
-      "jim standby: listening on %s, accumulating in %s (serves after \
-       Promote)\n%!"
-      (Jim_server.Wire.address_to_string (Jim_server.Wire.bound_address server))
-      data_dir;
-    Jim_server.Wire.wait server;
-    Jim_shard.Standby.close stb;
-    0
+let run_standby socket tcp settings wire data_dir snapshot_every =
+  serve_node "standby"
+    (let* listen = resolve_address socket tcp in
+     let* settings = settings in
+     Ok
+       (fun () ->
+         Node.start
+           {
+             (Node.config (Node.Standby { data_dir })) with
+             listen;
+             wire;
+             settings;
+             snapshot_every;
+           }))
 
 (* router: the consistent-hash front over the shards                   *)
 
@@ -626,69 +491,36 @@ let parse_named what spec =
     | Ok a -> Ok (name, a)
     | Error e -> Error (Printf.sprintf "--%s %s: %s" what name e))
 
-let run_router socket tcp shard_specs standby_specs data_dir vnodes threads
-    drain_timeout =
-  let ( let* ) r k =
-    match r with
-    | Error e ->
-      Printf.eprintf "jim router: %s\n" e;
-      2
-    | Ok v -> k v
-  in
-  let rec parse_all what = function
-    | [] -> Ok []
-    | spec :: rest -> (
-      match parse_named what spec with
-      | Error e -> Error e
-      | Ok p -> Result.map (fun ps -> p :: ps) (parse_all what rest))
-  in
-  let* listen = resolve_address socket tcp in
-  let* shards = parse_all "shard" shard_specs in
-  let* standbys = parse_all "standby" standby_specs in
-  let* () =
-    if shards = [] then Error "at least one --shard NAME=ADDR is required"
-    else Ok ()
-  in
-  let* () =
-    match
-      List.find_opt
-        (fun (n, _) -> not (List.mem_assoc n shards))
-        standbys
-    with
-    | Some (n, _) ->
-      Error (Printf.sprintf "--standby %s names no --shard" n)
-    | None -> Ok ()
-  in
-  let upstreams =
-    List.map
-      (fun (name, primary) ->
-        let standby = List.assoc_opt name standbys in
-        Jim_shard.Front.wire_upstream ~name ~primary ?standby ())
-      shards
-  in
-  let* router =
-    Jim_shard.Router.create ?dir:data_dir ~vnodes ~shards:upstreams ()
-  in
-  let config =
-    { Jim_server.Wire.default_config with threads; drain_timeout }
-  in
-  let server =
-    Jim_server.Wire.serve_handler ~config
-      (Jim_shard.Router.handle_line router)
-      listen
-  in
-  Printf.printf
-    "jim router: listening on %s, %d shards (%d with standbys), %d live \
-     placements\n%!"
-    (Jim_server.Wire.address_to_string (Jim_server.Wire.bound_address server))
-    (List.length shards) (List.length standbys)
-    (Jim_shard.Router.session_count router);
-  Option.iter
-    (fun dir -> Printf.printf "jim router: placements durable in %s\n%!" dir)
-    data_dir;
-  Jim_server.Wire.wait server;
-  Jim_shard.Router.close router;
-  0
+let rec parse_all what = function
+  | [] -> Ok []
+  | spec :: rest ->
+    let* p = parse_named what spec in
+    Result.map (fun ps -> p :: ps) (parse_all what rest)
+
+let run_router socket tcp wire shard_specs standby_specs data_dir vnodes =
+  (* every router start-up failure exits 2, a bad router log included *)
+  serve_node "router" ~start_fails:2
+    (let* listen = resolve_address socket tcp in
+     let* shards = parse_all "shard" shard_specs in
+     let* standbys = parse_all "standby" standby_specs in
+     match List.find_opt (fun (n, _) -> not (List.mem_assoc n shards)) standbys with
+     | Some (n, _) -> Error (Printf.sprintf "--standby %s names no --shard" n)
+     | None ->
+       let shards =
+         List.map
+           (fun (name, primary) ->
+             let standby = List.assoc_opt name standbys in
+             Jim_shard.Front.wire_upstream ~name ~primary ?standby ())
+           shards
+       in
+       Ok
+         (fun () ->
+           Node.start
+             {
+               (Node.config (Node.Router { data_dir; vnodes; shards })) with
+               listen;
+               wire;
+             }))
 
 (* Exit-code policy: a drill passes only when every expected report came
    back and none of them diverged.  An empty (or short) report list is a
@@ -928,7 +760,7 @@ let run_client socket tcp batch smoke pipeline busy crash_start crash_resume
           print_reports ~expected:clients ~tolerate_drops
             "bit-identical through the shared catalog entry" reports
         in
-        print_endline (catalog_stats_line stats);
+        print_endline (Jim_catalog.Catalog.stats_to_string stats);
         if stats.Jim_api.Protocol.hits <= 0 then begin
           Printf.eprintf
             "jim client: catalog smoke: sessions never hit the catalog\n";
@@ -1066,7 +898,7 @@ let run_instance_stats socket tcp binary =
   with_server_call ~what:"stats" socket tcp binary Jim_api.Protocol.Catalog_stats
     (function
       | Jim_api.Protocol.Catalog_info stats ->
-        print_endline (catalog_stats_line stats);
+        print_endline (Jim_catalog.Catalog.stats_to_string stats);
         0
       | other ->
         Printf.eprintf "jim instance stats: unexpected reply: %s\n"
@@ -1078,7 +910,6 @@ let run_instance_stats socket tcp binary =
 
 let run_chaos socket tcp upstream plan =
   match
-    let ( let* ) = Result.bind in
     let* listen = resolve_address socket tcp in
     let* upstream = Jim_server.Wire.address_of_string upstream in
     let* plan = Jim_server.Chaos.plan_of_string plan in
@@ -1331,13 +1162,97 @@ let tcp_arg =
     & info [ "tcp" ] ~docv:"HOST:PORT"
         ~doc:"Listen on / connect to TCP instead of a Unix socket.")
 
-let drain_timeout_arg =
-  Arg.(
-    value
-    & opt float Jim_server.Wire.default_config.Jim_server.Wire.drain_timeout
-    & info [ "drain-timeout" ] ~docv:"SECONDS"
-        ~doc:"How long shutdown lingers for in-flight replies to flush \
-              before closing connections.")
+(* --threads and --drain-timeout, shared by every serving subcommand. *)
+let wire_arg =
+  let threads =
+    Arg.(
+      value & opt int 16
+      & info [ "threads" ] ~doc:"Connection worker pool size.")
+  in
+  let drain_timeout =
+    Arg.(
+      value
+      & opt float Jim_server.Wire.default_config.drain_timeout
+      & info [ "drain-timeout" ] ~docv:"SECONDS"
+          ~doc:"How long shutdown lingers for in-flight replies to flush \
+                before closing connections.")
+  in
+  Term.(
+    const (fun threads drain_timeout ->
+        { Jim_server.Wire.default_config with threads; drain_timeout })
+    $ threads $ drain_timeout)
+
+(* The service flags, shared by [serve] and [standby]: a standby builds
+   its service from them when it is promoted. *)
+let service_settings_arg =
+  let defaults = Node.default_settings in
+  let max_sessions =
+    Arg.(
+      value & opt int defaults.max_sessions
+      & info [ "max-sessions" ]
+          ~doc:"Concurrent session cap; beyond it Start_session gets a \
+                typed Server_busy reply.")
+  in
+  let idle_ttl =
+    Arg.(
+      value & opt float defaults.idle_ttl
+      & info [ "idle-ttl" ] ~docv:"SECONDS"
+          ~doc:"Evict sessions idle longer than this.")
+  in
+  let catalog_max_entries =
+    Arg.(
+      value & opt int defaults.catalog_max_entries
+      & info [ "catalog-max-entries" ] ~docv:"N"
+          ~doc:"Instance catalog capacity: beyond $(docv) entries the \
+                least-recently-used entry with no live sessions is \
+                evicted (entries pinned by live sessions never are).")
+  in
+  let votes =
+    Arg.(
+      value & opt int 0
+      & info [ "votes" ] ~docv:"K"
+          ~doc:"Enable crowd labeling: fan each session's pending question \
+                out to its attached labelers ($(b,jim labeler)) and absorb \
+                the majority of $(docv) votes as the session's answer — \
+                only the aggregate is journaled.  $(docv) must be odd; 0 \
+                (the default) disables crowd labeling and direct answers \
+                work as usual.")
+  in
+  let vote_timeout =
+    Arg.(
+      value & opt float 30.
+      & info [ "vote-timeout" ] ~docv:"SECONDS"
+          ~doc:"Straggler deadline per voting round (with $(b,--votes)): \
+                past it a decisively unbalanced round closes short and a \
+                tied one is re-asked.")
+  in
+  let vote_weighted =
+    Arg.(
+      value & flag
+      & info [ "vote-weighted" ]
+          ~doc:"Weight each ballot by the labeler's running accuracy \
+                estimate (Laplace-smoothed agreement with past \
+                aggregates) instead of counting ballots equally.")
+  in
+  let settings max_sessions idle_ttl catalog_max_entries votes timeout
+      weighted =
+    if votes < 0 || (votes > 0 && votes mod 2 = 0) then
+      Error "--votes must be odd and positive (0 disables crowd labeling)"
+    else if votes > 0 && timeout <= 0. then
+      Error "--vote-timeout must be positive"
+    else
+      let crowd = { Jim_server.Coordinator.votes; timeout; weighted } in
+      Ok
+        {
+          Node.max_sessions;
+          idle_ttl;
+          catalog_max_entries;
+          crowd = (if votes = 0 then None else Some crowd);
+        }
+  in
+  Term.(
+    const settings $ max_sessions $ idle_ttl $ catalog_max_entries $ votes
+    $ vote_timeout $ vote_weighted)
 
 let serve_cmd =
   let replicate_to =
@@ -1349,26 +1264,6 @@ let serve_cmd =
                 $(docv) (HOST:PORT or unix:PATH) before acknowledging; \
                 needs $(b,--data-dir).  The standby is sent the current \
                 snapshot and journal on attach, so it can start empty.")
-  in
-  let max_sessions =
-    Arg.(
-      value & opt int 64
-      & info [ "max-sessions" ]
-          ~doc:"Concurrent session cap; beyond it Start_session gets a \
-                typed Server_busy reply.")
-  in
-  let idle_ttl =
-    Arg.(
-      value & opt float 600.
-      & info [ "idle-ttl" ] ~docv:"SECONDS"
-          ~doc:"Evict sessions idle longer than this.")
-  in
-  let threads =
-    Arg.(
-      value & opt int 16
-      & info [ "threads" ]
-          ~doc:"Connection worker pool size (a worker owns a connection \
-                until the peer closes).")
   in
   let data_dir =
     Arg.(
@@ -1409,49 +1304,12 @@ let serve_cmd =
                 evictions) and — with $(b,--commit-window) — group-commit \
                 batch counters every $(docv) seconds.")
   in
-  let catalog_max_entries =
-    Arg.(
-      value & opt int 64
-      & info [ "catalog-max-entries" ] ~docv:"N"
-          ~doc:"Instance catalog capacity: beyond $(docv) entries the \
-                least-recently-used entry with no live sessions is \
-                evicted (entries pinned by live sessions never are).")
-  in
-  let votes =
-    Arg.(
-      value & opt int 0
-      & info [ "votes" ] ~docv:"K"
-          ~doc:"Enable crowd labeling: fan each session's pending question \
-                out to its attached labelers ($(b,jim labeler)) and absorb \
-                the majority of $(docv) votes as the session's answer — \
-                only the aggregate is journaled.  $(docv) must be odd; 0 \
-                (the default) disables crowd labeling and direct answers \
-                work as usual.")
-  in
-  let vote_timeout =
-    Arg.(
-      value & opt float 30.
-      & info [ "vote-timeout" ] ~docv:"SECONDS"
-          ~doc:"Straggler deadline per voting round (with $(b,--votes)): \
-                past it a decisively unbalanced round closes short and a \
-                tied one is re-asked.")
-  in
-  let vote_weighted =
-    Arg.(
-      value & flag
-      & info [ "vote-weighted" ]
-          ~doc:"Weight each ballot by the labeler's running accuracy \
-                estimate (Laplace-smoothed agreement with past \
-                aggregates) instead of counting ballots equally.")
-  in
   let term =
     Term.(
-      const (fun () s t m i th d se cw ste cme dt rt v vt vw ->
-          run_serve s t m i th d se cw ste cme dt rt v vt vw)
-      $ domains_arg $ socket_arg $ tcp_arg $ max_sessions $ idle_ttl $ threads
+      const (fun () s t st w d se cw ste rt -> run_serve s t st w d se cw ste rt)
+      $ domains_arg $ socket_arg $ tcp_arg $ service_settings_arg $ wire_arg
       $ data_dir $ snapshot_every $ commit_window $ stats_every
-      $ catalog_max_entries $ drain_timeout_arg $ replicate_to $ votes
-      $ vote_timeout $ vote_weighted)
+      $ replicate_to)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1474,16 +1332,10 @@ let standby_cmd =
       & info [ "snapshot-every" ] ~docv:"N"
           ~doc:"Snapshot cadence of the store opened at promotion.")
   in
-  let threads =
-    Arg.(
-      value & opt int 16
-      & info [ "threads" ] ~doc:"Connection worker pool size.")
-  in
   let term =
     Term.(
-      const (fun s t d se th dt -> run_standby s t d se th dt)
-      $ socket_arg $ tcp_arg $ data_dir $ snapshot_every $ threads
-      $ drain_timeout_arg)
+      const run_standby $ socket_arg $ tcp_arg $ service_settings_arg
+      $ wire_arg $ data_dir $ snapshot_every)
   in
   Cmd.v
     (Cmd.info "standby"
@@ -1525,16 +1377,10 @@ let router_cmd =
       & info [ "vnodes" ] ~docv:"N"
           ~doc:"Virtual nodes per shard on the hash ring.")
   in
-  let threads =
-    Arg.(
-      value & opt int 16
-      & info [ "threads" ] ~doc:"Connection worker pool size.")
-  in
   let term =
     Term.(
-      const (fun s t sh st d v th dt -> run_router s t sh st d v th dt)
-      $ socket_arg $ tcp_arg $ shard $ standby $ data_dir $ vnodes $ threads
-      $ drain_timeout_arg)
+      const run_router $ socket_arg $ tcp_arg $ wire_arg $ shard $ standby
+      $ data_dir $ vnodes)
   in
   Cmd.v
     (Cmd.info "router"

@@ -263,3 +263,10 @@ let stats t =
     fingerprints = t.fingerprints;
     derivations = t.derivations;
   }
+
+let stats_to_string (s : P.catalog_stats) =
+  Printf.sprintf
+    "catalog: %d entries (%d pinned, %d bytes), %d hits / %d misses, %d \
+     evictions, %d fingerprints, %d derivations"
+    s.entries s.pinned s.bytes s.hits s.misses s.evictions s.fingerprints
+    s.derivations

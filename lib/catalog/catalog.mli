@@ -84,3 +84,7 @@ val stats : t -> Jim_api.Protocol.catalog_stats
 (** Counter snapshot — the payload of the wire [Catalog_stats] reply.
     [fingerprints] and [derivations] are how tests assert the
     once-per-entry invariants. *)
+
+val stats_to_string : Jim_api.Protocol.catalog_stats -> string
+(** One human-readable line ([catalog: N entries (...)]), as
+    [jim serve --stats-every] and [jim instance stats] print it. *)

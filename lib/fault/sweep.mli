@@ -1,6 +1,6 @@
 (** Exhaustive simulated crash sweeps: drive a full multi-session
-    inference workload through a {!Jim_server.Service} persisted by a
-    {!Jim_store.Store} running on a {!Memfs}, injure the filesystem at
+    inference workload through a durable {!Jim_shard.Node} — the same
+    assembly [jim serve] runs — whose store lives on a {!Memfs}, injure the filesystem at
     every interesting point, and prove recovery.
 
     Each sweep replays the {e same} deterministic workload (sessions over

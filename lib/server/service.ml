@@ -81,8 +81,6 @@ let persist t ev =
   match t.persist_hook with None -> () | Some f -> f ev
 
 let session_count t = with_lock t.lock (fun () -> Hashtbl.length t.sessions)
-let max_sessions t = t.max_sessions
-let idle_ttl t = t.idle_ttl
 
 let sweep t =
   let now = t.now () in
@@ -623,16 +621,3 @@ let handle t req =
   | P.Vote { session; labeler; round; label } ->
     with_session t session (fun s -> do_vote t s labeler round label)
   | P.Crowd_stats { session } -> with_session t session do_crowd_stats
-
-let handle_line_status t line =
-  match P.request_of_string line with
-  | Error e -> (P.response_to_string (P.Failed e), false)
-  | Ok req ->
-    let resp =
-      try handle t req
-      with exn ->
-        P.Failed (P.Bad_request ("internal error: " ^ Printexc.to_string exn))
-    in
-    (P.response_to_string resp, true)
-
-let handle_line t line = fst (handle_line_status t line)

@@ -77,25 +77,14 @@ val restore : t -> Jim_store.Recovery.t -> (int, string) result
     (the journal already holds those events). *)
 
 val handle : t -> Jim_api.Protocol.request -> Jim_api.Protocol.response
-(** Serve one request.  Never raises: internal exceptions become a
-    [Failed (Bad_request _)] reply. *)
-
-val handle_line : t -> string -> string
-(** The wire entry point: parse one request payload (version check
-    included), {!handle}, print.  Always returns exactly one JSON
-    payload (without any trailing newline) — the transport framing
-    around it is the wire layer's business. *)
-
-val handle_line_status : t -> string -> string * bool
-(** Like {!handle_line}, also saying whether the request payload parsed
-    at all ([false] = malformed / wrong version — the wire layer counts
-    these in {!Netstats}-style metrics without re-parsing). *)
+(** Serve one request.  Protocol-level failures come back as [Failed]
+    replies, but exceptions from [persist] propagate:
+    {!Jim_store.Store.record}'s I/O errors and a replication failure
+    (the fault sweeps crash a node this way).  The wire path
+    ([Jim_shard.Node.handle_line]) turns them into a
+    [Bad_request "internal error: ..."] reply. *)
 
 val sweep : t -> int
 (** Evict sessions idle longer than the TTL; returns how many died. *)
 
 val session_count : t -> int
-val max_sessions : t -> int
-
-val idle_ttl : t -> float
-(** The eviction threshold, seconds. *)

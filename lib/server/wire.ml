@@ -2,6 +2,8 @@ module P = Jim_api.Protocol
 
 type address = Tcp of string * int | Unix_path of string
 
+let default_address = Unix_path "/tmp/jim.sock"
+
 let address_to_string = function
   | Tcp (host, port) ->
     (* IPv6 literals go back out in the same bracket syntax
@@ -153,7 +155,6 @@ type config = {
   threads : int;
   backlog : int;
   drain_timeout : float;
-  sweep_interval : float;
   max_pipeline : int;
 }
 
@@ -162,7 +163,6 @@ let default_config =
     threads = 16;
     backlog = 64;
     drain_timeout = 2.0;
-    sweep_interval = 30.0;
     max_pipeline = 8;
   }
 
@@ -194,9 +194,7 @@ type conn = {
 type server = {
   handler : string -> string * bool;
       (* one request payload in, one response payload out, plus whether
-         the request parsed at all (malformed counting); usually
-         [Service.handle_line_status], but the shard router and the
-         replication standby plug their own in *)
+         the request parsed at all (malformed counting) *)
   drain_timeout : float;
   max_pipeline : int;  (* in-flight requests allowed per connection *)
   listen_fd : Unix.file_descr;
@@ -592,7 +590,8 @@ let sweeper srv interval sweep =
   in
   loop ()
 
-let serve_handler ?(config = default_config) ?sweep handler addr =
+let serve_handler ?(config = default_config) ?(sweep_every = 30.) ?sweep handler
+    addr =
   ignore_sigpipe ();
   let fd = socket_for addr in
   (match addr with
@@ -641,28 +640,10 @@ let serve_handler ?(config = default_config) ?sweep handler addr =
     match sweep with
     | None -> []
     | Some f ->
-      [ Thread.create (fun () -> sweeper srv config.sweep_interval f) () ]
+      [ Thread.create (fun () -> sweeper srv sweep_every f) () ]
   in
   srv.pool <- housekeeping @ (loop :: workers);
   srv
-
-let serve ?(threads = 16) ?(backlog = 64)
-    ?(drain_timeout = default_config.drain_timeout) service addr =
-  let sweep_interval =
-    Float.min (Float.max 0.5 (Service.idle_ttl service /. 4.)) 30.
-  in
-  serve_handler
-    ~config:
-      {
-        threads;
-        backlog;
-        drain_timeout;
-        sweep_interval;
-        max_pipeline = default_config.max_pipeline;
-      }
-    ~sweep:(fun () -> Service.sweep service)
-    (Service.handle_line_status service)
-    addr
 
 let bound_address srv = srv.bound
 let wait srv = List.iter Thread.join srv.pool

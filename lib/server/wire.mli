@@ -1,5 +1,6 @@
-(** The transport under {!Service}: JSON payloads over a socket, in
-    either of two framings.
+(** A pure transport: request and response payloads over a socket, in
+    either of two framings, around any payload handler.  It knows
+    nothing of sessions — [Jim_shard.Node] assembles the handler.
 
     Every connection starts in {e line} framing — one request payload
     per line in, one response payload per line out, byte-compatible with
@@ -13,17 +14,21 @@
 
     The serve loop is a single epoll event-loop thread owning every
     socket (non-blocking, per-connection reuseable read/write buffers)
-    plus a worker pool that only runs {!Service.handle_line_status} —
-    so thousands of mostly-idle connections cost file descriptors, not
-    threads.  Falls back to a [select]-backed poller on systems without
-    epoll (see {!Epoll}).  A housekeeping thread runs {!Service.sweep}
-    periodically so idle sessions die even when no one is connecting.
+    plus a worker pool that only runs the handler — so thousands of
+    mostly-idle connections cost file descriptors, not threads.  Falls
+    back to a [select]-backed poller on systems without epoll (see
+    {!Epoll}).  An optional housekeeping thread runs a sweep function
+    periodically (idle-session eviction, even when no one is
+    connecting).
     Wire-level counters (accepted / active / failed connections,
     malformed payloads, bytes in/out) are recorded in {!Netstats}. *)
 
 type address =
   | Tcp of string * int  (** host, port (port 0 lets the kernel pick) *)
   | Unix_path of string
+
+val default_address : address
+(** [unix:/tmp/jim.sock], where nodes listen and clients dial by default. *)
 
 val address_to_string : address -> string
 (** ["host:port"], ["[v6host]:port"] for hosts containing [':'], or
@@ -60,9 +65,6 @@ type config = {
       (** seconds {!shutdown} lingers for in-flight replies to flush —
           also the bound a failing-over router waits for a dying shard's
           last replies *)
-  sweep_interval : float;
-      (** housekeeping thread period, seconds (only used when a sweep
-          function is given) *)
   max_pipeline : int;
       (** requests a single connection may have in flight at once
           (clamped to at least 1).  Replies always leave in request
@@ -77,31 +79,21 @@ type config = {
 }
 
 val default_config : config
-(** [{threads = 16; backlog = 64; drain_timeout = 2.0;
-     sweep_interval = 30.0; max_pipeline = 8}] *)
+(** [{threads = 16; backlog = 64; drain_timeout = 2.0; max_pipeline = 8}] *)
 
 val serve_handler :
-  ?config:config -> ?sweep:(unit -> int) -> (string -> string * bool) ->
-  address -> server
+  ?config:config -> ?sweep_every:float -> ?sweep:(unit -> int) ->
+  (string -> string * bool) -> address -> server
 (** The generic serve loop: bind, listen and start the event loop plus
     worker pool around an arbitrary payload handler — one request
     payload in, one response payload out, plus whether the payload
     parsed (malformed counting).  Both framings (line + negotiated
-    binary) work against any handler; {!Service}-backed serving, the
-    shard router front and the replication standby all ride this one
-    loop.  [sweep], when given, runs every [config.sweep_interval]
-    seconds on a housekeeping thread.  The call returns immediately. *)
-
-val serve :
-  ?threads:int -> ?backlog:int -> ?drain_timeout:float -> Service.t ->
-  address -> server
-(** Bind, listen and start the event loop plus [threads] workers
-    (default 16); the call returns immediately.  Equivalent to
-    {!serve_handler} over [Service.handle_line_status] with the
-    service's idle-TTL sweeping.  For [Tcp (_, 0)] the kernel-chosen
-    port is reflected in {!bound_address}.  Raises [Unix.Unix_error] if
-    the bind fails.  Ignores [SIGPIPE] process-wide (abandoned
-    connections must not kill the server). *)
+    binary) work against any handler.  [sweep], when given, runs every
+    [sweep_every] seconds (default 30) on a housekeeping thread.  The
+    call returns immediately.  For [Tcp (_, 0)] the kernel-chosen port is
+    reflected in {!bound_address}.  Raises [Unix.Unix_error] if the bind
+    fails.  Ignores [SIGPIPE] process-wide (abandoned connections must
+    not kill the server). *)
 
 val bound_address : server -> address
 

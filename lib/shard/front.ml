@@ -1,21 +1,16 @@
 (* Wire plumbing for the sharded tier: the connection pools a router
    forwards through, the [Router.upstream] built from shard/standby
-   addresses, and the standby serve node — the handler a warm standby
-   runs so a primary can stream to it and the router can promote it
-   over the wire. *)
+   addresses, the standby serve node, and the replication target a
+   primary streams through. *)
 
 module Wire = Jim_server.Wire
-module Service = Jim_server.Service
 module P = Jim_api.Protocol
-module Journal = Jim_store.Journal
-module Store = Jim_store.Store
 
 (* ------------------------------------------------------------------ *)
 (* Connection pool                                                     *)
 
 type pool = {
   addr : Wire.address;
-  framing : Wire.framing;
   retries : int;
   plock : Mutex.t;
   mutable idle : Wire.client list;
@@ -24,8 +19,8 @@ type pool = {
 
 let max_idle = 16
 
-let pool ?(framing = Wire.Binary) ?(retries = 5) addr =
-  { addr; framing; retries; plock = Mutex.create (); idle = []; closed = false }
+let pool ?(retries = 5) addr =
+  { addr; retries; plock = Mutex.create (); idle = []; closed = false }
 
 let pool_take p =
   Mutex.lock p.plock;
@@ -39,7 +34,7 @@ let pool_take p =
   Mutex.unlock p.plock;
   match reused with
   | Some c -> Ok c
-  | None -> Wire.connect ~retries:p.retries ~framing:p.framing p.addr
+  | None -> Wire.connect ~retries:p.retries ~framing:Wire.Binary p.addr
 
 let pool_give p c =
   Mutex.lock p.plock;
@@ -107,113 +102,15 @@ let wire_upstream ~name ~primary ?standby () =
   Router.upstream ~name ?promote (pool_call primary_pool)
 
 (* ------------------------------------------------------------------ *)
-(* The standby serve node                                              *)
+(* The standby serve node: a {!Node} around a caller-owned standby     *)
 
-type standby_node = {
-  nlock : Mutex.t;
-  stb : Standby.t;
-  snapshot_every : int option;
-  mutable service : Service.t option;
-  mutable promoted_reply : P.response option;
-}
+type standby_node = Node.t
 
-let standby_node ?snapshot_every stb =
-  {
-    nlock = Mutex.create ();
-    stb;
-    snapshot_every;
-    service = None;
-    promoted_reply = None;
-  }
+let standby_node stb =
+  Node.of_standby (Node.config (Node.Standby { data_dir = Standby.dir stb })) stb
 
-let reply r = P.response_to_string r
-let fail e = reply (P.Failed e)
-
-let repl_ok node =
-  let gen, records = Standby.position node.stb in
-  reply (P.Repl_ok { gen; records })
-
-let do_promote node =
-  match node.promoted_reply with
-  | Some r -> Ok r  (* idempotent: a retrying router gets the same answer *)
-  | None -> (
-    match Standby.promote ?snapshot_every:node.snapshot_every node.stb with
-    | Error e -> Error ("promote: " ^ e)
-    | Ok (store, recovered) -> (
-      let svc = Service.create ~persist:(Store.record store) () in
-      match Service.restore svc recovered with
-      | Error e -> Error ("promote: restore: " ^ e)
-      | Ok sessions ->
-        let r =
-          P.Promoted { sessions; generation = Store.generation store }
-        in
-        node.service <- Some svc;
-        node.promoted_reply <- Some r;
-        Ok r))
-
-(* The standby's request handler, for [Wire.serve_handler].  Streamed
-   journal records arrive as raw JREC bytes (the record magic is how
-   they are told apart from JSON); everything else is the protocol,
-   answered by the replication surface until [Promote] flips the node
-   into an ordinary serving shard. *)
-let handle_line node payload =
-  let magic = Journal.record_magic in
-  let mlen = String.length magic in
-  if String.length payload >= mlen && String.sub payload 0 mlen = magic then (
-    match Standby.apply node.stb payload with
-    | Ok (gen, records) -> (reply (P.Repl_ok { gen; records }), true)
-    | Error msg -> (fail (P.Bad_request msg), true))
-  else
-    match P.request_of_string payload with
-    | Error e -> (fail e, false)
-    | Ok req -> (
-      Mutex.lock node.nlock;
-      let service = node.service in
-      let result =
-        match (service, req) with
-        | Some _, P.Promote -> (
-          match do_promote node with
-          | Ok r -> (reply r, true)
-          | Error msg -> (fail (P.Bad_request msg), true))
-        | Some svc, _ ->
-          Mutex.unlock node.nlock;
-          let r = Service.handle_line_status svc payload in
-          Mutex.lock node.nlock;
-          r
-        | None, P.Repl_install { gen; snapshot } -> (
-          match Standby.install node.stb ~gen ~snapshot with
-          | Ok () -> (repl_ok node, true)
-          | Error msg -> (fail (P.Bad_request msg), true))
-        | None, P.Repl_rotate { gen } -> (
-          match Standby.rotate node.stb ~gen with
-          | Ok () -> (repl_ok node, true)
-          | Error msg -> (fail (P.Bad_request msg), true))
-        | None, P.Repl_batch { records } -> (
-          match Standby.apply_batch node.stb records with
-          | Ok (gen, records) -> (reply (P.Repl_ok { gen; records }), true)
-          | Error msg -> (fail (P.Bad_request msg), true))
-        | None, P.Repl_status -> (repl_ok node, true)
-        | None, P.Promote -> (
-          match do_promote node with
-          | Ok r -> (reply r, true)
-          | Error msg -> (fail (P.Bad_request msg), true))
-        | None, _ ->
-          (fail (P.Shard_unavailable "standby: not serving (promote first)"), true)
-      in
-      Mutex.unlock node.nlock;
-      result)
-
-let sweep node =
-  Mutex.lock node.nlock;
-  let svc = node.service in
-  Mutex.unlock node.nlock;
-  match svc with Some s -> Service.sweep s | None -> 0
-
-let service node =
-  Mutex.lock node.nlock;
-  let svc = node.service in
-  Mutex.unlock node.nlock;
-  svc
+let handle_line = Node.handle_line
+let sweep = Node.sweep
 
 (* ------------------------------------------------------------------ *)
 (* Wire replication target                                             *)
@@ -237,7 +134,6 @@ let wire_target ~name addr =
   in
   {
     Repl.describe = Printf.sprintf "standby %s at %s" name (Wire.address_to_string addr);
-    position = (fun () -> request P.Repl_status);
     install =
       (fun ~gen ~snapshot ->
         Result.map (fun _ -> ()) (request (P.Repl_install { gen; snapshot })));

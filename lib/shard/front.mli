@@ -8,19 +8,6 @@
     — and dial lazily with retries, so process start order does not
     matter. *)
 
-type pool
-
-val pool :
-  ?framing:Jim_server.Wire.framing ->
-  ?retries:int ->
-  Jim_server.Wire.address ->
-  pool
-(** A lazy connection pool (idle connections capped; a transport error
-    discards the connection rather than returning it). *)
-
-val pool_call : pool -> string -> (string, string) result
-val pool_close : pool -> unit
-
 val wire_upstream :
   name:string ->
   primary:Jim_server.Wire.address ->
@@ -37,24 +24,14 @@ val wire_upstream :
 
 type standby_node
 
-val standby_node : ?snapshot_every:int -> Standby.t -> standby_node
-(** Wrap a {!Standby} for serving.  [snapshot_every] is passed to the
-    store opened at promotion. *)
+val standby_node : Standby.t -> standby_node
+(** {!Node.of_standby} with {!Node.config}'s defaults. *)
 
 val handle_line : standby_node -> string -> string * bool
-(** The node's request handler for [Jim_server.Wire.serve_handler]:
-    raw JREC bytes (detected by the record magic) are applied to the
-    standby; [Repl_install]/[Repl_rotate]/[Repl_status] drive the
-    stream; [Promote] recovers the accumulated directory into a
-    serving {!Jim_server.Service} (idempotent — a retrying router gets
-    the same reply); anything else answers [Shard_unavailable] until
-    promoted, and is served normally after. *)
+(** {!Node.handle_line}. *)
 
 val sweep : standby_node -> int
-(** Idle-session sweep once promoted; 0 before. *)
-
-val service : standby_node -> Jim_server.Service.t option
-(** The serving service, once promoted. *)
+(** {!Node.sweep}: 0 until promoted. *)
 
 (** {1 Wire replication target} *)
 

@@ -1,0 +1,103 @@
+(** The one node assembler: every serving process — primary, warm
+    standby, router — is built here from a {!config}.
+
+    Assembly: open the store, attach replication, build the service,
+    restore the recovered sessions and, for {!start}, bind the listener
+    with its idle-session sweeper.  Whatever was opened is closed again,
+    most recent first, on every error path and by {!stop}.
+
+    One handler chain answers every payload, decoding it once.  It
+    routes by tag: [Repl_status] on a replicating primary, the stream
+    messages and [Promote] on a standby; everything else goes to the
+    {!Jim_server.Service}.  A router takes payloads as they come. *)
+
+type settings = {
+  max_sessions : int;
+  idle_ttl : float;
+      (** seconds; idle sessions are swept every [idle_ttl / 4] s,
+          clamped to [0.5, 30] *)
+  catalog_max_entries : int;
+  crowd : Jim_server.Coordinator.config option;
+}
+(** How the service is built, by a primary at start and by a standby at
+    promotion alike — a session that fails over keeps its crowd. *)
+
+val default_settings : settings
+(** 64 sessions, 600 s TTL, 64 catalog entries, no crowd. *)
+
+type role =
+  | Primary of {
+      data_dir : string option;  (** [None]: sessions live in memory *)
+      replicate_to : Repl.target option;
+          (** needs [data_dir]; the node closes it exactly once *)
+    }
+  | Standby of { data_dir : string }
+  | Router of {
+      data_dir : string option;  (** where [router.wal] lives *)
+      vnodes : int;
+      shards : Router.upstream list;
+    }
+
+type config = {
+  role : role;
+  listen : Jim_server.Wire.address;  (** {!start} only *)
+  wire : Jim_server.Wire.config;
+  settings : settings;
+  snapshot_every : int;  (** the store a primary or a promotion opens *)
+  commit_window : float;  (** a primary's group-commit window *)
+  fsync : bool;
+      (** a primary's or standby's store; [false] in benchmarks and tests *)
+  io : Jim_store.Io.t;
+  catalog : Jim_catalog.Catalog.t option;
+      (** shared with other nodes; [None]: a private one *)
+}
+
+val config : role -> config
+(** [jim serve]'s defaults: {!Jim_server.Wire.default_address},
+    {!Jim_server.Wire.default_config}, {!default_settings}, snapshots
+    every 1024 records, no commit window, fsync on, {!Jim_store.Io.real},
+    a private catalog. *)
+
+type t
+
+val create : config -> (t, string) result
+(** Assemble in-process, without a socket. *)
+
+val start : config -> (t, string) result
+(** {!create}, then bind [config.listen] and serve both framings. *)
+
+val of_standby : config -> Standby.t -> t
+(** An in-process standby node around a standby the caller owns and
+    closes ([config.role] is ignored). *)
+
+val address : t -> Jim_server.Wire.address option
+(** The bound address, port 0 resolved; [None] in-process. *)
+
+val handle : t -> Jim_api.Protocol.request -> Jim_api.Protocol.response
+(** The in-process path of a primary or standby (a router raises
+    [Invalid_argument]).  Persist-hook exceptions propagate — the fault
+    sweeps crash a node that way. *)
+
+val handle_line : t -> string -> string * bool
+(** The wire path: reply payload, and whether the request parsed.
+    Never raises: an exception becomes [Bad_request "internal error"]. *)
+
+val sweep : t -> int
+val service : t -> Jim_server.Service.t option
+(** Always on a primary, after [Promote] on a standby, never on a
+    router. *)
+
+val banner : t -> string list
+(** The start-up lines: address and capacity, then crowd, replication,
+    durability or placement details as they apply. *)
+
+val stats_line : t -> string
+(** Wire counters, then catalog and group-commit counters as they
+    apply. *)
+
+val wait : t -> unit
+(** Block until the listener shuts down; returns at once in-process. *)
+
+val stop : t -> unit
+(** Shut the listener down and close everything, most recent first.
+    Idempotent. *)

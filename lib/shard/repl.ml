@@ -28,7 +28,6 @@ module Io = Jim_store.Io
 
 type target = {
   describe : string;
-  position : unit -> (int * int, string) result;
   install : gen:int -> snapshot:string option -> (unit, string) result;
   rotate : gen:int -> (unit, string) result;
   append_batch : string list -> (int * int, string) result;
@@ -38,7 +37,6 @@ type target = {
 let of_standby stb =
   {
     describe = "in-process standby";
-    position = (fun () -> Ok (Standby.position stb));
     install = (fun ~gen ~snapshot -> Standby.install stb ~gen ~snapshot);
     rotate = (fun ~gen -> Standby.rotate stb ~gen);
     append_batch = (fun records -> Standby.apply_batch stb records);

@@ -20,7 +20,6 @@
 
 type target = {
   describe : string;
-  position : unit -> (int * int, string) result;
   install : gen:int -> snapshot:string option -> (unit, string) result;
   rotate : gen:int -> (unit, string) result;
   append_batch : string list -> (int * int, string) result;

@@ -501,7 +501,7 @@ let route t line = function
     handle_session t session ~retryable:false ~ended_releases:true line
 
 (* The router's [Wire.serve_handler] handler: same (reply, parsed)
-   contract as [Service.handle_line_status]. *)
+   contract as [Node.handle_line]. *)
 let handle_line t line =
   match P.request_of_string line with
   | Error e -> (fail e, false)

@@ -52,6 +52,7 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
+let dir t = t.dir
 let position t = locked t (fun () -> (t.gen, t.records))
 let session_count t = locked t (fun () -> Shadow.session_count t.shadow)
 

@@ -28,6 +28,8 @@ val create : ?io:Jim_store.Io.t -> ?fsync:bool -> dir:string -> unit -> t
 (** A standby writing under [dir] (created if needed).  Nothing is
     written until the first {!install}. *)
 
+val dir : t -> string
+
 val install :
   t -> gen:int -> snapshot:string option -> (unit, string) result
 

@@ -637,10 +637,14 @@ let fresh_socket =
 
 let test_wire_crowd_smoke () =
   let address = Wire.Unix_path (fresh_socket ()) in
-  let service = Service.create ~crowd:(crowd_config 3) () in
-  let server = Wire.serve ~threads:16 service address in
+  let node =
+    Serving.start
+      ~settings:
+        { Jim_shard.Node.default_settings with crowd = Some (crowd_config 3) }
+      Serving.memory address
+  in
   Fun.protect
-    ~finally:(fun () -> Wire.shutdown server)
+    ~finally:(fun () -> Jim_shard.Node.stop node)
     (fun () ->
       let r =
         Smoke.crowd_run ~address ~seed:11 ~strategy:"lookahead-entropy"
@@ -665,8 +669,7 @@ let test_stalled_reply_is_dropped () =
      drop — never as divergence, never as a hang. *)
   let upstream = Wire.Unix_path (fresh_socket ()) in
   let listen = Wire.Unix_path (fresh_socket ()) in
-  let service = Service.create () in
-  let server = Wire.serve ~threads:4 service upstream in
+  let node = Serving.start ~threads:4 Serving.memory upstream in
   let plan =
     match Chaos.plan_of_string "stall=1,delay-ms=300" with
     | Ok p -> p
@@ -680,7 +683,7 @@ let test_stalled_reply_is_dropped () =
   Fun.protect
     ~finally:(fun () ->
       ignore (Chaos.stop proxy);
-      Wire.shutdown server)
+      Jim_shard.Node.stop node)
     (fun () ->
       let t0 = Unix.gettimeofday () in
       let r =

@@ -546,8 +546,7 @@ let fresh_socket =
 let chaos_proxy_smoke framing () =
   let upstream = Wire.Unix_path (fresh_socket ()) in
   let listen = Wire.Unix_path (fresh_socket ()) in
-  let service = Service.create () in
-  let server = Wire.serve ~threads:16 service upstream in
+  let node = Serving.start Serving.memory upstream in
   let plan =
     (* delay-ms=0: exercise the ragged-delivery paths without sleeping *)
     match Chaos.plan_of_string "drop=3,trickle=5,partial=7,delay-ms=0" with
@@ -562,7 +561,7 @@ let chaos_proxy_smoke framing () =
   Fun.protect
     ~finally:(fun () ->
       ignore (Chaos.stop proxy);
-      Wire.shutdown server)
+      Jim_shard.Node.stop node)
     (fun () ->
       let reports = Smoke.run ~clients:8 ~framing ~address:listen () in
       Alcotest.(check int) "all clients reported" 8 (List.length reports);
@@ -598,8 +597,7 @@ let chaos_proxy_smoke framing () =
 let chaos_proxy_pipelined framing () =
   let upstream = Wire.Unix_path (fresh_socket ()) in
   let listen = Wire.Unix_path (fresh_socket ()) in
-  let service = Service.create () in
-  let server = Wire.serve ~threads:16 service upstream in
+  let node = Serving.start Serving.memory upstream in
   let plan =
     match Chaos.plan_of_string "drop=3" with
     | Ok p -> p
@@ -613,7 +611,7 @@ let chaos_proxy_pipelined framing () =
   Fun.protect
     ~finally:(fun () ->
       ignore (Chaos.stop proxy);
-      Wire.shutdown server)
+      Jim_shard.Node.stop node)
     (fun () ->
       let reports =
         Smoke.run_pipelined ~clients:4 ~pipeline:8 ~framing ~address:listen ()

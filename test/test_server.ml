@@ -7,7 +7,7 @@
    Alongside it: max-sessions backpressure (a saturated server answers
    Server_busy, it does not hang), idle-TTL eviction with an injected
    clock, Get_question idempotency, undo over the wire, and protocol
-   error replies straight off [Service.handle_line]. *)
+   error replies straight off [Node.handle_line]. *)
 
 module Pr = Jim_api.Protocol
 module Service = Jim_server.Service
@@ -24,13 +24,16 @@ let fresh_socket =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "jim-test-%d-%d.sock" (Unix.getpid ()) !counter)
 
-let with_server ?max_sessions ?idle_ttl ?(threads = 40) f =
-  let path = fresh_socket () in
-  let service = Service.create ?max_sessions ?idle_ttl () in
-  let server = Wire.serve ~threads service (Wire.Unix_path path) in
+let with_server ?(max_sessions = 64) ?(threads = 40) f =
+  let node =
+    Serving.start
+      ~settings:{ Jim_shard.Node.default_settings with max_sessions }
+      ~threads Serving.memory
+      (Wire.Unix_path (fresh_socket ()))
+  in
   Fun.protect
-    ~finally:(fun () -> Wire.shutdown server)
-    (fun () -> f (Wire.Unix_path path) service)
+    ~finally:(fun () -> Jim_shard.Node.stop node)
+    (fun () -> f (Serving.address node) (Serving.service node))
 
 (* ------------------------------------------------------------------ *)
 (* Address syntax                                                      *)
@@ -418,9 +421,13 @@ let test_get_transcript () =
     Alcotest.failf "expected Unknown_session: %s" (Pr.response_to_string other)
 
 let test_bad_requests () =
-  let service = Service.create () in
+  let node =
+    match Jim_shard.Node.create (Jim_shard.Node.config Serving.memory) with
+    | Ok node -> node
+    | Error e -> Alcotest.fail e
+  in
   let line l =
-    match Pr.response_of_string (Service.handle_line service l) with
+    match Pr.response_of_string (fst (Jim_shard.Node.handle_line node l)) with
     | Ok r -> r
     | Error e -> Alcotest.failf "reply unparseable: %s" (Pr.error_to_string e)
   in
@@ -435,7 +442,7 @@ let test_bad_requests () =
   | Pr.Failed (Pr.Unknown_session 999) -> ()
   | other -> Alcotest.failf "expected Unknown_session: %s" (Pr.response_to_string other));
   (match
-     Service.handle service
+     Jim_shard.Node.handle node
        (Pr.Start_session
           { source = Pr.Builtin "flights"; strategy = "nonesuch"; seed = 0 })
    with
@@ -443,14 +450,14 @@ let test_bad_requests () =
   | other ->
     Alcotest.failf "expected Unknown_strategy: %s" (Pr.response_to_string other));
   (match
-     Service.handle service
+     Jim_shard.Node.handle node
        (Pr.Start_session
           { source = Pr.Builtin "narnia"; strategy = "random"; seed = 0 })
    with
   | Pr.Failed (Pr.Bad_source _) -> ()
   | other -> Alcotest.failf "expected Bad_source: %s" (Pr.response_to_string other));
   (match
-     Service.handle service
+     Jim_shard.Node.handle node
        (Pr.Start_session
           {
             source =
@@ -464,9 +471,9 @@ let test_bad_requests () =
   | other ->
     Alcotest.failf "expected Bad_source (domain too small): %s"
       (Pr.response_to_string other));
-  let s = start_flights service ~seed:9 in
+  let s = start_flights (Option.get (Jim_shard.Node.service node)) ~seed:9 in
   match
-    Service.handle service (Pr.Answer { session = s; cls = 99; label = State.Pos })
+    Jim_shard.Node.handle node (Pr.Answer { session = s; cls = 99; label = State.Pos })
   with
   | Pr.Failed (Pr.Bad_request _) -> ()
   | other ->

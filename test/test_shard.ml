@@ -6,7 +6,10 @@
    an in-process kill-and-promote failover: acked history survives on
    the promoted standby, mutating requests in the failover window get
    [Shard_unavailable] (at-most-once), and the resumed session finishes
-   bit-identical to the uninterrupted reference run. *)
+   bit-identical to the uninterrupted reference run.  Last, the node
+   assembler: the idle sweep follows the TTL, [Repl_status] is routed by
+   tag, promotion keeps the service settings, and a failed start closes
+   what it opened. *)
 
 module P = Jim_api.Protocol
 module Service = Jim_server.Service
@@ -19,6 +22,7 @@ module Rlog = Jim_shard.Rlog
 module Router = Jim_shard.Router
 module Standby = Jim_shard.Standby
 module Repl = Jim_shard.Repl
+module Node = Jim_shard.Node
 open Jim_core
 
 (* ------------------------------------------------------------------ *)
@@ -136,9 +140,24 @@ let test_rlog_roundtrip () =
 (* ------------------------------------------------------------------ *)
 (* Router helpers: in-process shard upstreams                          *)
 
-let service_upstream name svc =
-  Router.upstream ~name (fun line ->
-      Ok (fst (Service.handle_line_status svc line)))
+let create_node cfg =
+  match Node.create cfg with
+  | Ok node -> node
+  | Error e -> Alcotest.failf "node: %s" e
+
+(* An in-memory primary, reached through its wire entry point. *)
+let memory_node () = create_node (Node.config Serving.memory)
+
+(* A durable primary on [fs]'s "/data", optionally replicating. *)
+let primary_config ?(settings = Node.default_settings) ?replicate_to fs =
+  {
+    (Node.config (Node.Primary { data_dir = Some "/data"; replicate_to })) with
+    settings;
+    io = Memfs.io fs;
+  }
+
+let node_upstream name node =
+  Router.upstream ~name (fun line -> Ok (fst (Node.handle_line node line)))
 
 let call router req =
   let line, _ = Router.handle_line router (P.request_to_string req) in
@@ -210,7 +229,7 @@ let mk_router ?io ?dir names_and_services =
   match
     Router.create ?io ?dir
       ~shards:
-        (List.map (fun (n, s) -> service_upstream n s) names_and_services)
+        (List.map (fun (n, s) -> node_upstream n s) names_and_services)
       ()
   with
   | Ok r -> r
@@ -222,7 +241,7 @@ let mk_router ?io ?dir names_and_services =
 let test_router_spreads_and_journals () =
   let fs = Memfs.create () in
   let io = Memfs.io fs in
-  let shards = List.init 3 (fun i -> (Printf.sprintf "s%d" i, Service.create ())) in
+  let shards = List.init 3 (fun i -> (Printf.sprintf "s%d" i, memory_node ())) in
   let router = mk_router ~io ~dir:"/router" shards in
   let sessions = 24 in
   let ids =
@@ -288,7 +307,7 @@ let test_router_spreads_and_journals () =
     (List.for_all (fun id -> fresh > id) ids)
 
 let test_router_rejects_internal () =
-  let router = mk_router [ ("s0", Service.create ()) ] in
+  let router = mk_router [ ("s0", memory_node ()) ] in
   (match
      call router
        (P.Start_pinned
@@ -315,18 +334,23 @@ let fresh_socket =
       (Printf.sprintf "jim-shard-%d-%d.sock" (Unix.getpid ()) !counter)
 
 let with_wire_router shards f =
-  let router = mk_router shards in
-  let addr = Wire.Unix_path (fresh_socket ()) in
-  let server = Wire.serve_handler (Router.handle_line router) addr in
+  let node =
+    Serving.start
+      (Jim_shard.Node.Router
+         {
+           data_dir = None;
+           vnodes = 64;
+           shards = List.map (fun (n, s) -> node_upstream n s) shards;
+         })
+      (Wire.Unix_path (fresh_socket ()))
+  in
   Fun.protect
-    ~finally:(fun () ->
-      Wire.shutdown server;
-      Router.close router)
-    (fun () -> f router addr)
+    ~finally:(fun () -> Jim_shard.Node.stop node)
+    (fun () -> f (Serving.address node))
 
 let smoke_through_router framing () =
-  let shards = List.init 2 (fun i -> (Printf.sprintf "s%d" i, Service.create ())) in
-  with_wire_router shards (fun _router addr ->
+  let shards = List.init 2 (fun i -> (Printf.sprintf "s%d" i, memory_node ())) in
+  with_wire_router shards (fun addr ->
       let reports = Smoke.run ~clients:32 ~framing ~address:addr () in
       Alcotest.(check int) "all clients reported" 32 (List.length reports);
       List.iter
@@ -337,8 +361,8 @@ let smoke_through_router framing () =
         reports)
 
 let test_catalog_through_router () =
-  let shards = List.init 3 (fun i -> (Printf.sprintf "s%d" i, Service.create ())) in
-  with_wire_router shards (fun router addr ->
+  let shards = List.init 3 (fun i -> (Printf.sprintf "s%d" i, memory_node ())) in
+  with_wire_router shards (fun addr ->
       match Smoke.catalog_smoke ~clients:4 ~address:addr () with
       | Error e -> Alcotest.fail e
       | Ok (reports, stats) ->
@@ -355,63 +379,52 @@ let test_catalog_through_router () =
         Alcotest.(check bool) "warm starts hit" true (stats.P.hits >= 4);
         let with_entries =
           List.filter
-            (fun (_, svc) ->
-              (Jim_catalog.Catalog.stats (Service.catalog svc)).P.entries > 0)
+            (fun (_, node) ->
+              let catalog = Service.catalog (Serving.service node) in
+              (Jim_catalog.Catalog.stats catalog).P.entries > 0)
             shards
         in
         Alcotest.(check int) "catalog entry lives on exactly one shard" 1
-          (List.length with_entries);
-        ignore router)
+          (List.length with_entries))
 
 (* ------------------------------------------------------------------ *)
 (* Failover: kill the primary mid-session, promote, resume             *)
+
+(* One shard in process: a durable primary replicating to [stb], which
+   the router promotes — by a [Promote] payload, as over the wire — once
+   [killed] makes the primary unreachable. *)
+let failover_pair stb killed =
+  let primary =
+    create_node
+      (primary_config ~replicate_to:(Repl.of_standby stb) (Memfs.create ()))
+  in
+  let standby =
+    Node.of_standby (Node.config (Node.Standby { data_dir = "/standby" })) stb
+  in
+  let line_of node line = Ok (fst (Node.handle_line node line)) in
+  let promote () =
+    match Node.handle standby P.Promote with
+    | P.Promoted _ -> Ok (line_of standby)
+    | other -> Error (P.response_to_string other)
+  in
+  let up =
+    Router.upstream ~name:"s0" ~promote (fun line ->
+        if !killed then Error "connection refused (killed)"
+        else line_of primary line)
+  in
+  match Router.create ~shards:[ up ] () with
+  | Ok router -> (primary, standby, router)
+  | Error e -> Alcotest.failf "router: %s" e
 
 let test_failover_kill_and_promote () =
   let seed = 4242 and strategy = "lookahead-entropy" in
   let oracle = oracle_of seed in
   let expected = expected_of ~seed ~strategy in
-  (* primary: store + service on its own fs, streaming to a standby *)
-  let fs_p = Memfs.create () in
-  let store, _ =
-    match Store.open_dir ~io:(Memfs.io fs_p) "/data" with
-    | Ok v -> v
-    | Error e -> Alcotest.failf "open_dir: %s" e
-  in
-  let fs_b = Memfs.create () in
-  let stb = Standby.create ~io:(Memfs.io fs_b) ~dir:"/standby" () in
-  let repl =
-    match Repl.attach store (Repl.of_standby stb) with
-    | Ok r -> r
-    | Error e -> Alcotest.failf "attach: %s" e
-  in
-  let svc_p =
-    Service.create
-      ~persist:(fun ev ->
-        Store.record store ev;
-        Repl.send repl ev)
-      ()
-  in
+  (* primary: a durable node on its own fs, streaming to a standby *)
+  let stb = Standby.create ~io:(Memfs.io (Memfs.create ())) ~dir:"/standby" () in
   let killed = ref false in
   let acked = ref 0 in
-  let promote () =
-    match Standby.promote stb with
-    | Error e -> Error e
-    | Ok (store', recovered) -> (
-      let svc' = Service.create ~persist:(Store.record store') () in
-      match Service.restore svc' recovered with
-      | Error e -> Error e
-      | Ok _ -> Ok (fun line -> Ok (fst (Service.handle_line_status svc' line))))
-  in
-  let up =
-    Router.upstream ~name:"s0" ~promote (fun line ->
-        if !killed then Error "connection refused (killed)"
-        else Ok (fst (Service.handle_line_status svc_p line)))
-  in
-  let router =
-    match Router.create ~shards:[ up ] () with
-    | Ok r -> r
-    | Error e -> Alcotest.failf "router: %s" e
-  in
+  let primary, standby, router = failover_pair stb killed in
   let id = start router ~seed ~strategy in
   (* half the session through the primary *)
   for _ = 1 to 4 do
@@ -445,6 +458,8 @@ let test_failover_kill_and_promote () =
   Alcotest.(check bool) "resumed outcome bit-identical" true
     (Smoke.outcome_equal (result_of router id) expected);
   Router.close router;
+  Node.stop primary;
+  Node.stop standby;
   Standby.close stb
 
 (* A non-mutating request in the failover window is retried
@@ -453,46 +468,9 @@ let test_failover_transparent_read () =
   let seed = 77 and strategy = "random" in
   let oracle = oracle_of seed in
   let expected = expected_of ~seed ~strategy in
-  let fs_b = Memfs.create () in
-  let stb = Standby.create ~io:(Memfs.io fs_b) ~dir:"/standby" () in
-  let fs_p = Memfs.create () in
-  let store, _ =
-    match Store.open_dir ~io:(Memfs.io fs_p) "/data" with
-    | Ok v -> v
-    | Error e -> Alcotest.failf "open_dir: %s" e
-  in
-  let repl =
-    match Repl.attach store (Repl.of_standby stb) with
-    | Ok r -> r
-    | Error e -> Alcotest.failf "attach: %s" e
-  in
-  let svc_p =
-    Service.create
-      ~persist:(fun ev ->
-        Store.record store ev;
-        Repl.send repl ev)
-      ()
-  in
+  let stb = Standby.create ~io:(Memfs.io (Memfs.create ())) ~dir:"/standby" () in
   let killed = ref false in
-  let promote () =
-    match Standby.promote stb with
-    | Error e -> Error e
-    | Ok (store', recovered) -> (
-      let svc' = Service.create ~persist:(Store.record store') () in
-      match Service.restore svc' recovered with
-      | Error e -> Error e
-      | Ok _ -> Ok (fun line -> Ok (fst (Service.handle_line_status svc' line))))
-  in
-  let up =
-    Router.upstream ~name:"s0" ~promote (fun line ->
-        if !killed then Error "connection refused (killed)"
-        else Ok (fst (Service.handle_line_status svc_p line)))
-  in
-  let router =
-    match Router.create ~shards:[ up ] () with
-    | Ok r -> r
-    | Error e -> Alcotest.failf "router: %s" e
-  in
+  let primary, standby, router = failover_pair stb killed in
   let id = start router ~seed ~strategy in
   ignore (answer_one router oracle id);
   killed := true;
@@ -507,7 +485,159 @@ let test_failover_transparent_read () =
   Alcotest.(check bool) "outcome bit-identical" true
     (Smoke.outcome_equal (result_of router id) expected);
   Router.close router;
+  Node.stop primary;
+  Node.stop standby;
   Standby.close stb
+
+(* ------------------------------------------------------------------ *)
+(* Node: the one assembler                                             *)
+
+let start_flights handle =
+  match
+    handle
+      (P.Start_session
+         { source = P.Builtin "flights"; strategy = "lookahead-entropy"; seed = 7 })
+  with
+  | P.Started { session; _ } -> session
+  | other -> Alcotest.failf "start: %s" (P.response_to_string other)
+
+(* The sweep interval follows the TTL: a 0.2 s TTL is swept every 0.5 s,
+   so an idle session dies with no further request. *)
+let test_node_idle_ttl_sweeps () =
+  let node =
+    Serving.start
+      ~settings:{ Node.default_settings with idle_ttl = 0.2 }
+      Serving.memory
+      (Wire.Unix_path (fresh_socket ()))
+  in
+  Fun.protect
+    ~finally:(fun () -> Node.stop node)
+    (fun () ->
+      let c =
+        match Wire.connect (Serving.address node) with
+        | Ok c -> c
+        | Error e -> Alcotest.failf "connect: %s" e
+      in
+      ignore
+        (start_flights (fun req ->
+             match Wire.call c req with
+             | Ok r -> r
+             | Error e -> Alcotest.failf "call: %s" e));
+      Wire.close c;
+      let service = Serving.service node in
+      let deadline = Unix.gettimeofday () +. 1.5 in
+      while Service.session_count service > 0 && Unix.gettimeofday () < deadline do
+        Thread.delay 0.05
+      done;
+      Alcotest.(check int) "idle session evicted within 1.5 s" 0
+        (Service.session_count service))
+
+(* [Repl_status] is routed by tag, whatever the payload's length. *)
+let test_node_padded_repl_status () =
+  let stb = Standby.create ~io:(Memfs.io (Memfs.create ())) ~dir:"/standby" () in
+  let padded = "{\"jim\":1," ^ String.make 60 ' ' ^ "\"req\":\"repl_status\"}" in
+  Alcotest.(check bool) "longer than 64 bytes" true (String.length padded > 64);
+  Alcotest.(check bool) "a valid repl_status" true
+    (P.request_of_string padded = Ok P.Repl_status);
+  let node =
+    match
+      Node.start
+        {
+          (primary_config ~replicate_to:(Repl.of_standby stb) (Memfs.create ()))
+          with
+          listen = Wire.Unix_path (fresh_socket ());
+        }
+    with
+    | Ok node -> node
+    | Error e -> Alcotest.failf "node: %s" e
+  in
+  Fun.protect
+    ~finally:(fun () -> Node.stop node)
+    (fun () ->
+      List.iter
+        (fun framing ->
+          match Wire.connect ~framing (Serving.address node) with
+          | Error e -> Alcotest.failf "connect: %s" e
+          | Ok c -> (
+            let reply = Wire.call_line c padded in
+            Wire.close c;
+            match Result.map P.response_of_string reply with
+            | Ok (Ok (P.Repl_lag _)) -> ()
+            | Ok (Ok other) ->
+              Alcotest.failf "padded repl_status: %s" (P.response_to_string other)
+            | Ok (Error e) -> Alcotest.failf "reply: %s" (P.error_to_string e)
+            | Error e -> Alcotest.failf "call: %s" e))
+        [ Wire.Line; Wire.Binary ])
+
+(* A crowd session that fails over keeps its crowd: the standby is
+   promoted with the primary's settings. *)
+let test_node_promotes_with_settings () =
+  let settings =
+    {
+      Node.default_settings with
+      crowd = Some { Jim_server.Coordinator.votes = 3; timeout = 30.; weighted = false };
+    }
+  in
+  let stb = Standby.create ~io:(Memfs.io (Memfs.create ())) ~dir:"/standby" () in
+  let primary =
+    create_node
+      (primary_config ~settings ~replicate_to:(Repl.of_standby stb)
+         (Memfs.create ()))
+  in
+  let session = start_flights (Node.handle primary) in
+  Node.stop primary;
+  let standby = Node.of_standby { (Node.config (Node.Standby { data_dir = "/standby" })) with settings } stb in
+  (match Node.handle standby P.Promote with
+  | P.Promoted { sessions = 1; _ } -> ()
+  | other -> Alcotest.failf "promote: %s" (P.response_to_string other));
+  (match Node.handle standby (P.Answer { session; cls = 0; label = State.Pos }) with
+  | P.Failed (P.Bad_request "session is crowd-labeled: answers arrive by vote") -> ()
+  | other -> Alcotest.failf "direct answer: %s" (P.response_to_string other));
+  (match Node.handle standby (P.Labeler_attach { session }) with
+  | P.Labeler_attached _ -> ()
+  | other -> Alcotest.failf "labeler attach: %s" (P.response_to_string other));
+  (* one decode per payload, and a malformed one is still counted *)
+  let _, parsed = Node.handle_line standby "{\"jim\":1,\"req\":" in
+  Alcotest.(check bool) "malformed payload reported unparsed" false parsed;
+  Node.stop standby;
+  Standby.close stb
+
+(* A failed restore closes what the node opened: the replication target
+   exactly once, and the store so it can be opened again. *)
+let test_node_closes_on_error () =
+  let fs = Memfs.create () in
+  (match Store.open_dir ~io:(Memfs.io fs) "/data" with
+  | Error e -> Alcotest.failf "open_dir: %s" e
+  | Ok (store, _) ->
+    (* a session whose instance no longer matches its fingerprint *)
+    Store.record store
+      (Jim_store.Event.Started
+         {
+           session = 1;
+           arity = 4;
+           source = P.Builtin "flights";
+           strategy = "random";
+           seed = 1;
+           fingerprint = "drifted";
+         });
+    Store.close store);
+  let closes = ref 0 in
+  let target =
+    {
+      Repl.describe = "counting target";
+      install = (fun ~gen:_ ~snapshot:_ -> Ok ());
+      rotate = (fun ~gen:_ -> Ok ());
+      append_batch = (fun records -> Ok (0, List.length records));
+      close = (fun () -> incr closes);
+    }
+  in
+  (match Node.create (primary_config ~replicate_to:target fs) with
+  | Ok _ -> Alcotest.fail "a drifted session restored"
+  | Error _ -> ());
+  Alcotest.(check int) "target closed exactly once" 1 !closes;
+  match Store.open_dir ~io:(Memfs.io fs) "/data" with
+  | Ok (store, _) -> Store.close store
+  | Error e -> Alcotest.failf "re-open after the failed start: %s" e
 
 (* ------------------------------------------------------------------ *)
 
@@ -549,5 +679,16 @@ let () =
             `Quick test_failover_kill_and_promote;
           Alcotest.test_case "reads retry transparently across failover"
             `Quick test_failover_transparent_read;
+        ] );
+      ( "node",
+        [
+          Alcotest.test_case "idle sessions swept on the TTL's interval"
+            `Quick test_node_idle_ttl_sweeps;
+          Alcotest.test_case "padded repl_status routed by tag" `Quick
+            test_node_padded_repl_status;
+          Alcotest.test_case "promotion keeps the crowd settings" `Quick
+            test_node_promotes_with_settings;
+          Alcotest.test_case "failed restore closes what it opened" `Quick
+            test_node_closes_on_error;
         ] );
     ]

@@ -1094,13 +1094,14 @@ let fresh_socket =
 (* [jim serve --data-dir] in miniature: open and recover the directory,
    restore its sessions, serve them; stopping closes the store. *)
 let with_durable_server dir f =
-  let service, store, _ = durable_service dir in
-  let server = Wire.serve ~threads:8 service (Wire.Unix_path (fresh_socket ())) in
+  let node =
+    Serving.start ~threads:8 ~fsync:false
+      (Jim_shard.Node.Primary { data_dir = Some dir; replicate_to = None })
+      (Wire.Unix_path (fresh_socket ()))
+  in
   Fun.protect
-    ~finally:(fun () ->
-      Wire.shutdown server;
-      Store.close store)
-    (fun () -> f (Wire.bound_address server))
+    ~finally:(fun () -> Jim_shard.Node.stop node)
+    (fun () -> f (Serving.address node))
 
 (* [jim client --crash-start] then [--crash-resume] across a server
    restart, under both framings: every parked session must resume
