@@ -138,6 +138,11 @@ let bench_store_record ~name ~fsync ~events =
 (* ------------------------------------------------------------------ *)
 (* Recovery latency                                                    *)
 
+(* Each recovery row times well under a millisecond, so a major GC
+   slice left pending by the setup would dominate it.  Every row starts
+   its timed window from a settled heap. *)
+let settle () = Gc.full_major ()
+
 (* Journal [sessions] synthetic sessions of [answers] answers each,
    leaving them live, and return the data directory. *)
 let populate ~sessions ~answers =
@@ -173,6 +178,7 @@ let populate ~sessions ~answers =
 let bench_recovery_journal ~sessions ~answers =
   let dir, store = populate ~sessions ~answers in
   Store.close store;
+  settle ();
   let t0 = Unix.gettimeofday () in
   let recovered =
     match Store.open_dir ~fsync:false dir with
@@ -195,6 +201,7 @@ let bench_recovery_snapshot ~sessions ~answers =
   let dir, store = populate ~sessions ~answers in
   Store.checkpoint store;
   Store.close store;
+  settle ();
   let t0 = Unix.gettimeofday () in
   let recovered =
     match Store.open_dir ~fsync:false dir with
@@ -272,6 +279,7 @@ let bench_recovery_service ~sessions =
     answer ()
   done;
   Node.stop node;
+  settle ();
   let t0 = Unix.gettimeofday () in
   let node' = durable_node () in
   let wall = Unix.gettimeofday () -. t0 in

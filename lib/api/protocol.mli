@@ -106,8 +106,8 @@ type request =
   | Repl_rotate of { gen : int }
       (** Replication control: the primary checkpointed into generation
           [gen].  The standby writes its {e own} snapshot from its
-          shadow state (deterministic, byte-identical to the primary's)
-          and starts a fresh journal for [gen].  Idempotent for the
+          shadow state and starts a fresh journal for [gen]; the bytes
+          may differ from the primary's, the recovered sessions do not.  Idempotent for the
           current generation.  Reply: {!Repl_ok}. *)
   | Repl_batch of { records : string list }
       (** Replication control (primary → standby): a group-commit batch

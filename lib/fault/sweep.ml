@@ -26,6 +26,7 @@ type spec = {
   sessions : int;
   snapshot_every : int;
   commit_window : float;
+  shared_inline : bool;
 }
 
 let default =
@@ -35,6 +36,7 @@ let default =
     sessions = 7;
     snapshot_every = 16;
     commit_window = 0.;
+    shared_inline = false;
   }
 
 type stats = { events : int; points : int; runs : int; images : int }
@@ -48,10 +50,17 @@ let data_dir = "/data"
 let seed_of spec i = spec.seed + i
 let strategy_of spec i = List.nth spec.strategies (i mod List.length spec.strategies)
 
+(* The synthetic instance session [i] runs on: its own, or with
+   [shared_inline] one of two shared ones. *)
+let instance_of spec i =
+  let i = if spec.shared_inline then i mod 2 else i in
+  W.Synthetic.generate (Smoke.synthetic_params (seed_of spec i))
+
 (* Everything derivable from the spec alone, shared across the hundreds
    of faulted runs of a sweep. *)
 type env = {
   spec : spec;
+  sources : Pr.instance_source array;
   oracles : Oracle.t array;
   expected : Session.outcome array;
   catalog : Jim_catalog.Catalog.t option;
@@ -64,23 +73,35 @@ type env = {
 let env_of ?catalog spec =
   if spec.sessions < 1 then invalid_arg "Sweep: sessions";
   if spec.strategies = [] then invalid_arg "Sweep: strategies";
-  let oracle i =
-    Oracle.of_goal
-      (W.Synthetic.generate (Smoke.synthetic_params (seed_of spec i))).W.Synthetic.goal
+  let source i =
+    if spec.shared_inline then
+      Pr.Csv_inline
+        (Jim_relational.Csv.to_string (instance_of spec i).W.Synthetic.relation)
+    else Smoke.synthetic_source (seed_of spec i)
   in
+  let sources = Array.init spec.sessions source in
+  (* The reference run sees the relation the server resolves: for an
+     inline source, the parsed CSV. *)
+  let relation i =
+    match sources.(i) with
+    | Pr.Csv_inline text -> (
+      match Jim_relational.Csv.load_string ~name:"inline" text with
+      | Ok rel -> rel
+      | Error m -> div "inline instance %d: %s" i m)
+    | _ -> (instance_of spec i).W.Synthetic.relation
+  in
+  let oracle i = Oracle.of_goal (instance_of spec i).W.Synthetic.goal in
   let expected i =
-    let inst = W.Synthetic.generate (Smoke.synthetic_params (seed_of spec i)) in
     let strategy =
       match Strategy.of_string (strategy_of spec i) with
       | Ok s -> s
       | Error m -> div "bad strategy %S: %s" (strategy_of spec i) m
     in
-    Session.run ~seed:(seed_of spec i) ~strategy
-      ~oracle:(Oracle.of_goal inst.W.Synthetic.goal)
-      inst.W.Synthetic.relation
+    Session.run ~seed:(seed_of spec i) ~strategy ~oracle:(oracle i) (relation i)
   in
   {
     spec;
+    sources;
     oracles = Array.init spec.sessions oracle;
     expected = Array.init spec.sessions expected;
     catalog;
@@ -116,7 +137,7 @@ let start_session env handle progress i =
   match
     handle
       (Pr.Start_session
-         { source = Smoke.synthetic_source seed; strategy = strategy_of env.spec i; seed })
+         { source = env.sources.(i); strategy = strategy_of env.spec i; seed })
   with
   | Pr.Started { session; _ } ->
     progress.ids.(i) <- session;
@@ -182,36 +203,44 @@ let labeled_of handle id =
 
 (* Start every session, then round-robin one answer at a time — so the
    journal interleaves sessions and a crash point usually cuts several
-   sessions at different depths.  With [votes], each answer is a voting
-   round, acked when the decisive ballot's reply carries the aggregate —
-   i.e. after the journal write. *)
+   sessions at different depths.  With [shared_inline], session [i]
+   starts just before round [i] instead, so sessions on one instance
+   start on both sides of checkpoints.  With [votes], each answer is a
+   voting round, acked when the decisive ballot's reply carries the
+   aggregate — i.e. after the journal write. *)
 let run_workload ?votes env handle progress =
-  for i = 0 to env.spec.sessions - 1 do
-    start_session env handle progress i
-  done;
-  let answer =
+  let n = env.spec.sessions in
+  let labelers = Array.make n [||] in
+  let answer i =
     match votes with
-    | None -> fun i -> answer_one handle env.oracles.(i) progress.ids.(i)
-    | Some votes ->
-      let labelers =
-        Array.map (fun id -> crowd_attach handle id votes) progress.ids
-      in
-      fun i ->
-        crowd_answer_one handle env.oracles.(i) progress.ids.(i) labelers.(i)
+    | None -> answer_one handle env.oracles.(i) progress.ids.(i)
+    | Some _ ->
+      crowd_answer_one handle env.oracles.(i) progress.ids.(i) labelers.(i)
   in
-  let live = Array.make env.spec.sessions true in
-  let continue = ref true in
-  while !continue do
-    continue := false;
-    for i = 0 to env.spec.sessions - 1 do
+  let live = Array.make n true in
+  let rec round r started =
+    let due = if env.spec.shared_inline then min n (r + 1) else n in
+    for i = started to due - 1 do
+      start_session env handle progress i
+    done;
+    Option.iter
+      (fun votes ->
+        for i = started to due - 1 do
+          labelers.(i) <- crowd_attach handle progress.ids.(i) votes
+        done)
+      votes;
+    let answered = ref false in
+    for i = 0 to due - 1 do
       if live.(i) then
         if answer i then begin
           progress.acked.(i) <- progress.acked.(i) + 1;
-          continue := true
+          answered := true
         end
         else live.(i) <- false
-    done
-  done
+    done;
+    if !answered || due < n then round (r + 1) due
+  in
+  round 0 0
 
 (* ------------------------------------------------------------------ *)
 (* Faulted runs and their verification                                 *)

@@ -38,11 +38,21 @@ type spec = {
           batch boundaries and torn mid-batch — the durability contract
           must hold identically.  Ignored by [fsync:false] recovery
           opens (windowed commit requires fsync). *)
+  shared_inline : bool;
+      (** [false]: session [i] starts on its own [Synthetic] instance,
+          and every session starts before the first answer.  [true]:
+          sessions alternate over two synthetic instances shipped as
+          [Csv_inline] text, and session [i] starts just before round
+          [i] of the round-robin, so sessions on one instance start
+          within one generation and across checkpoints — the journal
+          and snapshots then carry instance references
+          ({!Jim_store.Instances}). *)
 }
 
 val default : spec
 (** 7 sessions, lookahead-entropy/random alternating, [snapshot_every =
-    16] — journals 60+ events and crosses several checkpoints.
+    16], each on its own synthetic instance — journals 60+ events and
+    crosses several checkpoints.
     [commit_window = 0.] (unbatched); sweep with
     [{ default with commit_window = 0.002 }] to cover group commit. *)
 

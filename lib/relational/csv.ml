@@ -155,14 +155,17 @@ let load_auto ?sep ?name path =
   | exception Sys_error msg -> Error msg
   | text -> load_string ?sep ~name text
 
-let save ?sep r path =
+let to_string ?sep r =
   let header = Array.to_list (Schema.names (Relation.schema r)) in
   let rows =
     List.map
       (fun t -> List.map Value.to_string (Array.to_list t))
       (Relation.tuples r)
   in
+  print_string ?sep (header :: rows)
+
+let save ?sep r path =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (print_string ?sep (header :: rows)))
+    (fun () -> output_string oc (to_string ?sep r))

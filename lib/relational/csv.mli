@@ -23,4 +23,8 @@ val load_auto : ?sep:char -> ?name:string -> string -> (Relation.t, string) resu
 (** Like {!load} but infers each column's type from the data (int ⊂ float
     ⊂ string; bool and date recognised when every non-empty cell parses). *)
 
+val to_string : ?sep:char -> Relation.t -> string
+(** A header row of attribute names, then one row per tuple: the text
+    {!save} writes. *)
+
 val save : ?sep:char -> Relation.t -> string -> unit

@@ -216,10 +216,14 @@ let start_session ?id:pinned t source strategy_name seed =
               Hashtbl.replace t.sessions id s;
               (* Journal the start while still holding the table lock so
                  no later event of this (or any newer) session can
-                 precede it in the log.  The journaled source is the
-                 entry's concrete origin, never [Catalog fp]: after a
-                 restart the catalog is empty, and recovery must be able
-                 to re-resolve from the journal alone. *)
+                 precede it in the log.  The event carries the entry's
+                 concrete origin, never the client's [Catalog fp]: after
+                 a restart the catalog is empty, and recovery must be
+                 able to re-resolve from the data directory alone.  The
+                 store writes an inline origin's text once per
+                 generation and a [Catalog fp] reference after that,
+                 which recovery resolves within the same generation's
+                 files (see [Jim_store.Instances]). *)
               persist t
                 (Jim_store.Event.Started
                    {
@@ -502,10 +506,11 @@ let restore_session t (rs : Jim_store.Recovery.session) =
     Printf.ksprintf (fun m -> Error (Printf.sprintf "session %d: %s" rs.id m)) fmt
   in
   (* Resolve through the catalog: restored sessions on one instance share
-     (and warm) the same entry live sessions will use.  The journaled
-     source is always concrete (see [start_session]), and its entry's
-     fingerprint was computed once at interning — compare it against the
-     journaled one to refuse drifted instances, exactly as before. *)
+     (and warm) the same entry live sessions will use.  The recovered
+     source is always concrete — recovery resolves the store's instance
+     references (see [start_session]) — and its entry's fingerprint was
+     computed once at interning: compare it against the journaled one
+     to refuse drifted instances, exactly as before. *)
   let* entry =
     match Catalog.resolve t.catalog rs.source with
     | Ok e -> Ok e

@@ -26,6 +26,7 @@ type t = {
   journal_path : string;
   journal_records : int;
   torn : (int * int) option;
+  instances : Instances.t;
 }
 
 (* The session's surviving labels as a snapshot entry: fold the steps
@@ -184,7 +185,7 @@ let load ?(io = Io.real) dir =
       g
     | [], [] -> 0
   in
-  let* base, next_id =
+  let* base, next_id, instances =
     if List.mem generation snaps then
       let* snap = Snapshot.load ~io (snapshot_path dir generation) in
       Ok
@@ -204,8 +205,9 @@ let load ?(io = Io.real) dir =
                     s.transcript.Transcript.entries;
               })
             snap.Snapshot.sessions,
-          snap.Snapshot.next_id )
-    else Ok ([], 1)
+          snap.Snapshot.next_id,
+          Snapshot.instances snap )
+    else Ok ([], 1, Instances.empty)
   in
   let jpath = journal_path dir generation in
   let* records, torn =
@@ -220,17 +222,23 @@ let load ?(io = Io.real) dir =
              offset reason)
     else Ok ([], None)
   in
-  let* events =
+  (* Decode in file order, resolving each instance reference against
+     what the generation's files hold before it. *)
+  let* events, instances =
     List.fold_left
       (fun acc (offset, payload) ->
-        let* acc = acc in
-        match Event.of_string payload with
-        | Ok ev -> Ok ((offset, ev) :: acc)
-        | Error m ->
+        let* acc, instances = acc in
+        let fail what m =
           Error
-            (Printf.sprintf "%s: undecodable event at byte offset %d: %s" jpath
-               offset m))
-      (Ok []) records
+            (Printf.sprintf "%s: %s at byte offset %d: %s" jpath what offset m)
+        in
+        match Event.of_string payload with
+        | Error m -> fail "undecodable event" m
+        | Ok ev -> (
+          match Instances.read_event instances ev with
+          | Ok (ev, instances) -> Ok ((offset, ev) :: acc, instances)
+          | Error m -> fail "unresolved event" m))
+      (Ok ([], instances)) records
   in
   let events = List.rev events in
   let* sessions, next_id =
@@ -244,4 +252,5 @@ let load ?(io = Io.real) dir =
       journal_path = jpath;
       journal_records = List.length records;
       torn;
+      instances;
     }

@@ -32,6 +32,8 @@ type session = {
   id : int;
   arity : int;
   source : Jim_api.Protocol.instance_source;
+      (** always concrete: instance references are resolved against the
+          generation's files *)
   strategy : string;
   seed : int;
   fingerprint : string;
@@ -46,6 +48,9 @@ type t = {
   journal_records : int;  (** complete records replayed from the tail *)
   torn : (int * int) option;
       (** [(offset, bytes)] of a torn final record to cut, if any *)
+  instances : Instances.t;
+      (** the generation's instance table after its complete records —
+          what a store appending to this journal starts from *)
 }
 
 val snapshot_session : session -> Snapshot.session
@@ -63,5 +68,7 @@ val load : ?io:Io.t -> string -> (t, string) result
 (** Read-only recovery of [dir].  A missing directory or an empty one is
     a valid fresh store (generation 0, no sessions).  Errors: a corrupt
     snapshot, a mid-log CRC/framing failure (the message names the file
-    and byte offset), or a journal event that contradicts the state built
-    so far.  All reads go through [io] (default {!Io.real}). *)
+    and byte offset), an instance reference with no origin earlier in
+    its generation (file and byte offset), or a journal event that
+    contradicts the state built so far.  All reads go through [io]
+    (default {!Io.real}). *)

@@ -10,14 +10,23 @@ type entry = {
   mutable e_entries_rev : Transcript.entry list;
 }
 
-type t = { sessions : (int, entry) Hashtbl.t; mutable next_id : int }
+type t = {
+  sessions : (int, entry) Hashtbl.t;
+  mutable next_id : int;
+  mutable instances : Instances.t;
+}
 
-let create () = { sessions = Hashtbl.create 16; next_id = 1 }
+let create () =
+  { sessions = Hashtbl.create 16; next_id = 1; instances = Instances.empty }
+
 let next_id t = t.next_id
 let session_count t = Hashtbl.length t.sessions
+let instances t = t.instances
+let compact t ev = Instances.compact_event t.instances ev
 
 let apply t = function
   | Event.Started { session; arity; source; strategy; seed; fingerprint } ->
+    t.instances <- Instances.hold t.instances ~fingerprint source;
     Hashtbl.replace t.sessions session
       {
         e_arity = arity;
@@ -41,9 +50,10 @@ let apply t = function
       | _ :: tl -> s.e_entries_rev <- tl))
   | Event.Ended { session } -> Hashtbl.remove t.sessions session
 
-let seed t ~next_id sessions =
+let seed t ~next_id ~instances sessions =
   Hashtbl.reset t.sessions;
   t.next_id <- next_id;
+  t.instances <- instances;
   List.iter
     (fun (s : Snapshot.session) ->
       Hashtbl.replace t.sessions s.Snapshot.id
@@ -80,3 +90,5 @@ let snapshot t =
     |> List.sort (fun a b -> compare a.Snapshot.id b.Snapshot.id)
   in
   { Snapshot.next_id = t.next_id; sessions }
+
+let rotated t snap = t.instances <- Snapshot.instances snap

@@ -13,20 +13,32 @@ type session = {
 
 type t = { next_id : int; sessions : session list }
 
+let instances t =
+  List.fold_left
+    (fun tbl s -> Instances.hold tbl ~fingerprint:s.fingerprint s.source)
+    Instances.empty t.sessions
+
+(* Each inline instance's text goes with the first session on it; later
+   sessions on the same origin carry [Catalog fp]. *)
 let to_string t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "jim-snapshot 1\n";
   Buffer.add_string buf (Printf.sprintf "next-id %d\n" t.next_id);
-  List.iter
-    (fun s ->
-      Buffer.add_string buf
-        (Printf.sprintf "session %d %s %d %s\n" s.id s.strategy s.seed
-           s.fingerprint);
-      Buffer.add_string buf
-        ("source " ^ Codec.to_string P.source s.source ^ "\n");
-      Buffer.add_string buf (Transcript.to_string s.transcript);
-      Buffer.add_string buf "end\n")
-    t.sessions;
+  ignore
+    (List.fold_left
+       (fun tbl s ->
+         Buffer.add_string buf
+           (Printf.sprintf "session %d %s %d %s\n" s.id s.strategy s.seed
+              s.fingerprint);
+         let source =
+           Instances.compact tbl ~fingerprint:s.fingerprint s.source
+         in
+         Buffer.add_string buf
+           ("source " ^ Codec.to_string P.source source ^ "\n");
+         Buffer.add_string buf (Transcript.to_string s.transcript);
+         Buffer.add_string buf "end\n";
+         Instances.hold tbl ~fingerprint:s.fingerprint s.source)
+       Instances.empty t.sessions);
   let body = Buffer.contents buf in
   body ^ "checksum " ^ Crc32.to_hex (Crc32.digest_string body) ^ "\n"
 
@@ -55,15 +67,25 @@ let of_string text =
                  hex actual)
         | _ -> Error "snapshot: missing checksum trailer")
   in
-  let lines = String.split_on_char '\n' body in
+  (* Each line with its byte offset, so an unresolved instance reference
+     names where it sits. *)
+  let lines =
+    let off = ref 0 in
+    List.map
+      (fun l ->
+        let o = !off in
+        off := o + String.length l + 1;
+        (o, l))
+      (String.split_on_char '\n' body)
+  in
   let* rest =
     match lines with
-    | "jim-snapshot 1" :: rest -> Ok rest
+    | (_, "jim-snapshot 1") :: rest -> Ok rest
     | _ -> Error "snapshot: unknown header"
   in
   let* next_id, rest =
     match rest with
-    | first :: more -> (
+    | (_, first) :: more -> (
       match String.split_on_char ' ' first with
       | [ "next-id"; n ] -> (
         match int_of_string_opt n with
@@ -72,9 +94,9 @@ let of_string text =
       | _ -> Error "snapshot: expected a next-id line")
     | [] -> Error "snapshot: missing next-id line"
   in
-  let rec sessions acc = function
-    | [] | [ "" ] -> Ok (List.rev acc)
-    | line :: rest -> (
+  let rec sessions acc tbl = function
+    | [] | [ (_, "") ] -> Ok (List.rev acc)
+    | (_, line) :: rest -> (
       match String.split_on_char ' ' line with
       | [ "session"; id; strategy; seed; fingerprint ] -> (
         let* id =
@@ -86,26 +108,32 @@ let of_string text =
             (int_of_string_opt seed)
         in
         match rest with
-        | src :: rest
+        | (offset, src) :: rest
           when String.length src > 7 && String.sub src 0 7 = "source " ->
           let* source =
             Codec.of_string P.source (String.sub src 7 (String.length src - 7))
           in
+          let* source =
+            Result.map_error
+              (Printf.sprintf "snapshot: byte offset %d: %s" offset)
+              (Instances.resolve tbl source)
+          in
           (* The transcript block runs until the "end" sentinel. *)
           let rec split_block acc = function
-            | "end" :: rest -> Ok (List.rev acc, rest)
-            | l :: rest -> split_block (l :: acc) rest
+            | (_, "end") :: rest -> Ok (List.rev acc, rest)
+            | (_, l) :: rest -> split_block (l :: acc) rest
             | [] -> Error "snapshot: unterminated transcript block"
           in
           let* block, rest = split_block [] rest in
           let* transcript = Transcript.of_string (String.concat "\n" block) in
           sessions
             ({ id; source; strategy; seed; fingerprint; transcript } :: acc)
+            (Instances.hold tbl ~fingerprint source)
             rest
         | _ -> Error "snapshot: expected a source line")
       | _ -> Error ("snapshot: bad line: " ^ line))
   in
-  let* sessions = sessions [] rest in
+  let* sessions = sessions [] Instances.empty rest in
   Ok { next_id; sessions }
 
 (* Write-tmp / fsync / rename / fsync-dir, all through the pluggable

@@ -20,6 +20,12 @@
     checksum 0f3a99c1                            # CRC-32 of all bytes above
     v}
 
+    An inline CSV instance's text is written once, with the first
+    session on it (in id order); later sessions on the same origin
+    carry [{"kind":"catalog","fp":...}], which {!of_string} resolves
+    back to the concrete source (see {!Instances}).  A reference with
+    no origin earlier in the file is an error naming its byte offset.
+
     Each session's labels are the {e surviving} history (undone rounds
     are compacted away, exactly like {!Jim_core.Transcript.of_engine}),
     so recovery replays them as if the user had answered that sequence
@@ -49,7 +55,13 @@ type t = {
 }
 
 val to_string : t -> string
+
 val of_string : string -> (t, string) result
+(** Every returned source is concrete. *)
+
+val instances : t -> Instances.t
+(** The instance table {!to_string} leaves behind: what a generation
+    whose files are just this snapshot holds. *)
 
 val write : ?io:Io.t -> string -> t -> (unit, string) result
 (** [write path t]: atomic create-and-rename with the fsync dance above,

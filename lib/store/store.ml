@@ -62,10 +62,8 @@ let fingerprint rel = fingerprint_of_csv (canonical_csv rel)
    every event still being appended to generation g's journal.  *)
 let checkpoint_locked t =
   let g' = t.gen + 1 in
-  (match
-     Snapshot.write ~io:t.io (Recovery.snapshot_path t.dir g')
-       (Shadow.snapshot t.shadow)
-   with
+  let snap = Shadow.snapshot t.shadow in
+  (match Snapshot.write ~io:t.io (Recovery.snapshot_path t.dir g') snap with
   | Ok () -> ()
   | Error m -> failwith m);
   let journal' =
@@ -89,7 +87,8 @@ let checkpoint_locked t =
   t.io.Io.remove (Recovery.snapshot_path t.dir t.gen);
   t.journal <- journal';
   t.gen <- g';
-  t.since_snapshot <- 0
+  t.since_snapshot <- 0;
+  Shadow.rotated t.shadow snap
 
 (* ------------------------------------------------------------------ *)
 (* Opening                                                             *)
@@ -155,6 +154,7 @@ let open_dir ?(fsync = true) ?(commit_window = 0.) ?(snapshot_every = 1024)
         }
       in
       Shadow.seed t.shadow ~next_id:recovered.Recovery.next_id
+        ~instances:recovered.Recovery.instances
         (List.map Recovery.snapshot_session recovered.Recovery.sessions);
       (* Stale lower generations (crash between rotate and sweep). *)
       for g = 0 to t.gen - 1 do
@@ -176,6 +176,10 @@ let record t ev =
     Condition.wait t.idle t.lock
   done;
   let journal = t.journal in
+  (* Decided with the handle: an instance enters the table only once
+     its concrete record is appended, so a reference never precedes its
+     origin in this journal, whatever happens to later appends. *)
+  let written = Shadow.compact t.shadow ev in
   t.inflight <- t.inflight + 1;
   Mutex.unlock t.lock;
   (* Journal first, shadow second: if the append fails the caller
@@ -195,7 +199,7 @@ let record t ev =
     Mutex.unlock t.lock;
     due
   in
-  (try Journal.append journal (Event.to_string ev)
+  (try Journal.append journal (Event.to_string written)
    with exn ->
      ignore (finish false);
      raise exn);

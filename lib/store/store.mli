@@ -6,7 +6,8 @@
     events it journals, so checkpoints never need to consult the engine:
     every [snapshot_every] records it compacts the shadow into a
     {!Snapshot}, starts a fresh journal generation and deletes the old
-    files.
+    files.  Each generation's files hold each inline instance's CSV text
+    once ({!Instances}).
 
     Concurrency: {!record} is thread-safe.  Shadow updates take a short
     store lock; the journal append itself runs outside it and
@@ -42,7 +43,10 @@ val open_dir :
     filesystem in tests. *)
 
 val record : t -> Event.t -> unit
-(** Journal one event; returns once it is durable.  May raise
+(** Journal one (concrete) event; returns once it is durable.  A
+    [Started] on an inline CSV instance whose text this generation's
+    files already hold is journaled as a [Catalog fp] reference (see
+    {!Instances}); recovery resolves it back.  May raise
     [Unix.Unix_error] if the disk fails — the caller's reply turns into a
     typed internal error, and the in-memory session is then ahead of the
     log (documented, unrecovered). *)

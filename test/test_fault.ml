@@ -241,6 +241,27 @@ let test_replicated_sweep () =
   Alcotest.(check int) "clean cut + torn tail per boundary"
     (2 * st.Sweep.points) st.Sweep.runs
 
+(* The instance-reference path: sessions alternate over two instances
+   shipped as inline CSV and start one per round, so later Starteds on
+   an instance are journaled as [Catalog fp] references — within one
+   generation and after checkpoints — and snapshots hold each text once.
+   A cut at every write boundary must still recover bit-identically, on
+   a disk image and on a promoted standby.  Eight sessions, because seven
+   on these two instances journal fewer than the 50 events the sweeps
+   require. *)
+let shared_inline =
+  { Sweep.default with Sweep.shared_inline = true; sessions = 8 }
+
+let test_crash_sweep_shared_inline () =
+  let st = Sweep.crash_sweep shared_inline in
+  check_stats "crash sweep (shared inline)" st;
+  Alcotest.(check int) "clean cut + torn tail per boundary"
+    (2 * st.Sweep.points) st.Sweep.runs
+
+let test_replicated_sweep_shared_inline () =
+  check_stats "replicated sweep (shared inline)" ~images_per_run:1
+    (Sweep.replicated_sweep shared_inline)
+
 let test_crowd_crash_sweep () =
   (* The crowd-labeled workload under power cuts: every answer arrives
      as a 3-ballot unanimous vote, so each crash point lands at an
@@ -678,6 +699,10 @@ let () =
              test_fsync_sweep_windowed;
            Alcotest.test_case "group commit: replicated batches, promote"
              `Quick test_replicated_sweep_windowed;
+           Alcotest.test_case "shared inline instance: crash at every boundary"
+             `Quick test_crash_sweep_shared_inline;
+           Alcotest.test_case "shared inline instance: replicated, promote"
+             `Quick test_replicated_sweep_shared_inline;
          ]
          @ if_slow
              [

@@ -602,6 +602,111 @@ let test_node_promotes_with_settings () =
   Node.stop standby;
   Standby.close stb
 
+(* ------------------------------------------------------------------ *)
+(* Replication across checkpoints                                      *)
+
+module Event = Jim_store.Event
+module Recovery = Jim_store.Recovery
+module Snapshot = Jim_store.Snapshot
+
+(* The record that triggers a primary checkpoint lands in the primary's
+   old generation but in the standby's new one, so the two directories
+   can differ in bytes.  What must hold is that, after every shipped
+   record, both recover the same sessions: ids, concrete sources and
+   surviving labels.  The sessions share one inline instance; the
+   standby attaches after the primary has already journaled references
+   to its snapshot's copy of the text, and at the end every session on
+   the instance ends and a checkpoint drops the text before it is used
+   again. *)
+let test_standby_matches_every_generation () =
+  let fs_p = Memfs.create () and fs_s = Memfs.create () in
+  let store =
+    match
+      Store.open_dir ~fsync:false ~snapshot_every:4 ~io:(Memfs.io fs_p) "/data"
+    with
+    | Ok (s, _) -> s
+    | Error e -> Alcotest.failf "open_dir: %s" e
+  in
+  let stb = Standby.create ~io:(Memfs.io fs_s) ~fsync:false ~dir:"/standby" () in
+  let src = P.Csv_inline "a,b,c\n1,2,3\n4,5,6\n" in
+  let sg =
+    match Jim_partition.Partition.of_string "{0,1}{2}" with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let started id =
+    Event.Started
+      { session = id; arity = 3; source = src; strategy = "random"; seed = id;
+        fingerprint = "0a1b2c3d" }
+  in
+  let answered id =
+    Event.Answered { session = id; cls = 0; sg; label = State.Pos }
+  in
+  let flights =
+    Event.Started
+      { session = 30; arity = 3; source = P.Builtin "flights";
+        strategy = "random"; seed = 0; fingerprint = "00000000" }
+  in
+  let load fs dir =
+    match Recovery.load ~io:(Memfs.io fs) dir with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "%s: %s" dir e
+  in
+  let render (r : Recovery.t) =
+    List.iter
+      (fun s ->
+        match s.Recovery.source with
+        | P.Catalog _ ->
+          Alcotest.failf "session %d recovered a reference" s.Recovery.id
+        | _ -> ())
+      r.Recovery.sessions;
+    Snapshot.to_string
+      { Snapshot.next_id = r.Recovery.next_id;
+        sessions = List.map Recovery.snapshot_session r.Recovery.sessions }
+  in
+  (* Before attaching: a checkpoint, then two starts referring to it. *)
+  List.iter (Store.record store)
+    [ started 1; answered 1; answered 1; answered 1; started 2; started 3 ];
+  let repl =
+    match Repl.attach store (Repl.of_standby stb) with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "attach: %s" e
+  in
+  let split = ref 0 in
+  let ship =
+    List.iter (fun ev ->
+        Store.record store ev;
+        Repl.send repl ev;
+        let p = load fs_p "/data" and s = load fs_s "/standby" in
+        let what = Printf.sprintf "at %s" (Event.to_string ev) in
+        Alcotest.(check int) (what ^ ": generation") p.Recovery.generation
+          s.Recovery.generation;
+        Alcotest.(check string) (what ^ ": sessions") (render p) (render s);
+        let snap fs dir =
+          Memfs.file fs (Recovery.snapshot_path dir p.Recovery.generation)
+        in
+        if snap fs_p "/data" <> snap fs_s "/standby" then incr split)
+  in
+  ship
+    (List.concat_map
+       (fun id ->
+         [ started id; answered id; answered (id - 1) ]
+         @ (if id mod 3 = 0 then [ Event.Undone { session = id } ] else [])
+         @ if id mod 4 = 0 then [ Event.Ended { session = id - 2 } ] else [])
+       (List.init 8 (fun i -> i + 4)));
+  ship
+    (List.map
+       (fun s -> Event.Ended { session = s.Recovery.id })
+       (load fs_p "/data").Recovery.sessions
+    @ [ flights; answered 30; answered 30; answered 30; answered 30;
+        started 31; started 32 ]);
+  if Store.generation store < 4 then
+    Alcotest.failf "only %d checkpoints crossed" (Store.generation store);
+  Alcotest.(check bool) "some checkpoint split at different records" true
+    (!split > 0);
+  Repl.close repl;
+  Store.close store
+
 (* A failed restore closes what the node opened: the replication target
    exactly once, and the store so it can be opened again. *)
 let test_node_closes_on_error () =
@@ -690,5 +795,10 @@ let () =
             test_node_promotes_with_settings;
           Alcotest.test_case "failed restore closes what it opened" `Quick
             test_node_closes_on_error;
+        ] );
+      ( "standby",
+        [
+          Alcotest.test_case "standby recovers the same sessions every generation"
+            `Quick test_standby_matches_every_generation;
         ] );
     ]

@@ -1081,6 +1081,220 @@ let test_fingerprint_canonical () =
   Alcotest.(check bool) "different instances differ" true (fp <> other)
 
 (* ------------------------------------------------------------------ *)
+(* Instance references: each inline CSV text once per generation      *)
+
+module Standby = Jim_shard.Standby
+module Instances = Jim_store.Instances
+
+(* The paper-scale inline instance: 6 attributes, 1,600 tuples. *)
+let big_csv =
+  lazy
+    (Jim_relational.Csv.to_string
+       (W.Synthetic.generate
+          { W.Synthetic.n_attrs = 6; n_tuples = 1600; domain = 6;
+            goal_rank = 2; seed = 3 })
+         .W.Synthetic.relation)
+
+let started ?(fingerprint = "0a1b2c3d") session source =
+  Event.Started
+    { session; arity = 6; source; strategy = "random"; seed = session;
+      fingerprint }
+
+let journal_payloads path =
+  match Journal.scan path with
+  | Ok (records, _) -> List.map snd records
+  | Error (`Corrupt (o, m)) -> Alcotest.failf "%s: corrupt at %d: %s" path o m
+
+let count ~needle hay =
+  let n = String.length needle in
+  let rec go i acc =
+    if i + n > String.length hay then acc
+    else if String.sub hay i n = needle then go (i + n) (acc + 1)
+    else go (i + 1) acc
+  in
+  go 0 0
+
+(* Sessions [ids] recovered, each with the concrete inline source. *)
+let check_concrete what csv (r : Recovery.t) ids =
+  List.iter
+    (fun id ->
+      match List.find_opt (fun s -> s.Recovery.id = id) r.Recovery.sessions with
+      | None -> Alcotest.failf "%s: session %d lost" what id
+      | Some { Recovery.source = Pr.Csv_inline text; _ } when text = csv -> ()
+      | Some _ -> Alcotest.failf "%s: session %d not concrete" what id)
+    ids
+
+let test_inline_instance_once () =
+  let csv = Lazy.force big_csv in
+  let src = Pr.Csv_inline csv in
+  with_dir (fun dir ->
+      let store, _ = open_store dir in
+      let builtin id = started id (Pr.Builtin "flights")
+      and synthetic id = started id (source_of 42) in
+      List.iter (Store.record store)
+        [ builtin 10; started 1 src; synthetic 11; started 2 src; builtin 12;
+          synthetic 13 ];
+      Store.close store;
+      (match journal_payloads (Recovery.journal_path dir 0) with
+      | [ b1; first; s1; second; b2; s2 ] ->
+        Alcotest.(check bool) "first Started carries the text" true
+          (String.length first > String.length csv);
+        if String.length second >= 256 then
+          Alcotest.failf "second Started is %d B" (String.length second);
+        (* Builtin and synthetic sources are never referenced. *)
+        List.iter
+          (fun (ev, p) ->
+            Alcotest.(check string) "journaled as is" (Event.to_string ev) p)
+          [ (builtin 10, b1); (builtin 12, b2); (synthetic 11, s1);
+            (synthetic 13, s2) ]
+      | l -> Alcotest.failf "%d records" (List.length l));
+      (match Recovery.load dir with
+      | Ok r -> check_concrete "one generation" csv r [ 1; 2 ]
+      | Error e -> Alcotest.fail e);
+      (* Reopened, the store knows what the journal holds; a checkpoint
+         writes the text once for all 8 sessions, and a start after it
+         refers to the snapshot's copy. *)
+      let store, _ = open_store dir in
+      for id = 3 to 8 do
+        Store.record store (started id src)
+      done;
+      List.iteri
+        (fun i p ->
+          if i >= 2 && String.length p >= 256 then
+            Alcotest.failf "record %d after reopen is %d B" i (String.length p))
+        (journal_payloads (Recovery.journal_path dir 0));
+      Store.checkpoint store;
+      let snap = read_file (Recovery.snapshot_path dir 1) in
+      Alcotest.(check int) "snapshot holds the text once" 1
+        (count ~needle:(Jim_api.Codec.to_string Pr.source src) snap);
+      Store.record store (started 9 src);
+      Store.close store;
+      (match journal_payloads (Recovery.journal_path dir 1) with
+      | [ p ] when String.length p < 256 -> ()
+      | _ -> Alcotest.fail "start after the checkpoint is not a reference");
+      match Recovery.load dir with
+      | Ok r -> check_concrete "after a checkpoint" csv r (List.init 9 succ)
+      | Error e -> Alcotest.fail e)
+
+(* A reference whose origin is not earlier in its generation: recovery
+   and the standby refuse it with an error naming where it sits. *)
+let test_dangling_reference_refused () =
+  let dangling = started 2 (Pr.Catalog "deadbeef") in
+  with_dir (fun dir ->
+      Unix.mkdir dir 0o755;
+      let j = Journal.create ~fsync:false (Recovery.journal_path dir 0) in
+      let first = Event.to_string (started 1 (Pr.Builtin "flights")) in
+      Journal.append j first;
+      Journal.append j (Event.to_string dangling);
+      Journal.close j;
+      (match Store.open_dir ~fsync:false dir with
+      | Ok _ -> Alcotest.fail "dangling journal reference recovered"
+      | Error e ->
+        let offset =
+          Printf.sprintf "byte offset %d"
+            (Journal.header_size + String.length (Journal.encode_record first))
+        in
+        List.iter
+          (fun needle ->
+            Alcotest.(check bool) ("names " ^ needle ^ ": " ^ e) true
+              (contains ~needle e))
+          [ "journal.0.wal"; offset; "deadbeef" ]);
+      let stb = Standby.create ~fsync:false ~dir:(Filename.concat dir "stb") () in
+      (match Standby.install stb ~gen:0 ~snapshot:None with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+      (match
+         Standby.apply_batch stb
+           [ Journal.encode_record first;
+             Journal.encode_record (Event.to_string dangling) ]
+       with
+      | Ok _ -> Alcotest.fail "standby applied a dangling reference"
+      | Error _ ->
+        Alcotest.(check (pair int int)) "batch left no trace" (0, 0)
+          (Standby.position stb));
+      Standby.close stb);
+  with_dir (fun dir ->
+      Unix.mkdir dir 0o755;
+      let snap = sample_snapshot () in
+      let snap =
+        {
+          snap with
+          Snapshot.sessions =
+            List.map
+              (fun s -> { s with Snapshot.source = Pr.Catalog "deadbeef" })
+              snap.Snapshot.sessions;
+        }
+      in
+      (match Snapshot.write (Recovery.snapshot_path dir 1) snap with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+      (match Store.open_dir ~fsync:false dir with
+      | Ok _ -> Alcotest.fail "dangling snapshot reference recovered"
+      | Error e ->
+        List.iter
+          (fun needle ->
+            Alcotest.(check bool) ("names " ^ needle ^ ": " ^ e) true
+              (contains ~needle e))
+          [ "snapshot.1"; "byte offset"; "deadbeef" ]);
+      let stb = Standby.create ~fsync:false ~dir:(Filename.concat dir "stb") () in
+      (match
+         Standby.install stb ~gen:1
+           ~snapshot:(Some (read_file (Recovery.snapshot_path dir 1)))
+       with
+      | Ok () -> Alcotest.fail "standby installed a dangling reference"
+      | Error _ ->
+        Alcotest.(check bool) "refused baseline not written" false
+          (Sys.file_exists
+             (Recovery.snapshot_path (Filename.concat dir "stb") 1)));
+      Standby.close stb)
+
+(* Files written before instance references existed hold every source
+   concretely; they recover as they are, and the store appends
+   references to them from then on. *)
+let test_all_concrete_dir_recovers () =
+  let csv = Lazy.force big_csv in
+  let src = Pr.Csv_inline csv in
+  with_dir (fun dir ->
+      Unix.mkdir dir 0o755;
+      let session id =
+        {
+          Snapshot.id;
+          source = src;
+          strategy = "random";
+          seed = id;
+          fingerprint = "0a1b2c3d";
+          transcript = { Transcript.arity = 6; entries = []; result = None };
+        }
+      in
+      let body =
+        "jim-snapshot 1\nnext-id 3\n"
+        ^ String.concat ""
+            (List.map
+               (fun (s : Snapshot.session) ->
+                 Printf.sprintf "session %d random %d 0a1b2c3d\nsource %s\n%send\n"
+                   s.id s.seed
+                   (Jim_api.Codec.to_string Pr.source s.source)
+                   (Transcript.to_string s.transcript))
+               [ session 1; session 2 ])
+      in
+      write_file (Recovery.snapshot_path dir 1)
+        (body ^ "checksum " ^ Crc32.to_hex (Crc32.digest_string body) ^ "\n");
+      let j = Journal.create ~fsync:false (Recovery.journal_path dir 1) in
+      Journal.append j (Event.to_string (started 3 src));
+      Journal.append j (Event.to_string (started 4 src));
+      Journal.close j;
+      let store, r = open_store dir in
+      check_concrete "all-concrete files" csv r [ 1; 2; 3; 4 ];
+      Store.record store (started 5 src);
+      Store.close store;
+      (match List.rev (journal_payloads (Recovery.journal_path dir 1)) with
+      | last :: _ when String.length last < 256 -> ()
+      | _ -> Alcotest.fail "new start on a held instance is not a reference");
+      match Recovery.load dir with
+      | Ok r -> check_concrete "after appending" csv r [ 1; 2; 3; 4; 5 ]
+      | Error e -> Alcotest.fail e)
+
+(* ------------------------------------------------------------------ *)
 (* The crash drill over the wire                                       *)
 
 let fresh_socket =
@@ -1220,5 +1434,14 @@ let () =
             test_crash_drill_over_wire;
           Alcotest.test_case "fingerprint is canonical" `Quick
             test_fingerprint_canonical;
+        ] );
+      ( "instance",
+        [
+          Alcotest.test_case "inline text once per generation" `Quick
+            test_inline_instance_once;
+          Alcotest.test_case "dangling reference is an error, never a raise"
+            `Quick test_dangling_reference_refused;
+          Alcotest.test_case "all-concrete directories still recover" `Quick
+            test_all_concrete_dir_recovers;
         ] );
     ]
