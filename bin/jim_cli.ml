@@ -949,19 +949,6 @@ let run_chaos socket tcp upstream plan =
 (* ------------------------------------------------------------------ *)
 (* journal: offline inspection of a data directory                     *)
 
-let transcript_of_steps arity steps =
-  let entries_rev =
-    List.fold_left
-      (fun acc (step : Jim_store.Recovery.step) ->
-        match step with
-        | Jim_store.Recovery.Label { sg; label; _ } ->
-          { Transcript.sg; label } :: acc
-        | Jim_store.Recovery.Undo -> (
-          match acc with [] -> [] | _ :: tl -> tl))
-      [] steps
-  in
-  { Transcript.arity; entries = List.rev entries_rev; result = None }
-
 let run_journal_inspect dir =
   match Jim_store.Recovery.load dir with
   | Error e ->
@@ -1038,8 +1025,7 @@ let run_journal_export dir session out =
     | Some s ->
       let text =
         Transcript.to_string
-          (transcript_of_steps s.Jim_store.Recovery.arity
-             s.Jim_store.Recovery.steps)
+          (Jim_store.Recovery.snapshot_session s).Jim_store.Snapshot.transcript
       in
       (match out with
       | None -> print_string text

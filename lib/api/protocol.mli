@@ -97,18 +97,20 @@ type request =
           from clients. *)
   | Repl_install of { gen : int; snapshot : string option }
       (** Replication control (primary → standby): reset the standby to
-          generation [gen], seeding its shadow state from [snapshot]
-          (the primary's current {!Jim_store.Snapshot} text, [None] when
-          the primary has no snapshot yet) and opening a fresh standby
-          journal.  Sent once when the replication channel attaches; the
+          generation [gen], writing [snapshot] verbatim (the primary's
+          current {!Jim_store.Snapshot} text, [None] when the primary
+          has no snapshot yet) and opening a store over it.  Sent once when the replication channel attaches; the
           primary then streams its existing journal records before any
           live ones.  Reply: {!Repl_ok}. *)
   | Repl_rotate of { gen : int }
       (** Replication control: the primary checkpointed into generation
-          [gen].  The standby writes its {e own} snapshot from its
-          shadow state and starts a fresh journal for [gen]; the bytes
-          may differ from the primary's, the recovered sessions do not.  Idempotent for the
-          current generation.  Reply: {!Repl_ok}. *)
+          [gen].  The standby's store checkpoints into [gen] too, by
+          the primary's own write path: for a stream shipped in journal
+          order the files are byte-identical to the primary's; under
+          concurrent writers each generation recovers the same
+          sessions.  Idempotent for the current generation; a rotate
+          before any install, or below the current generation, is
+          refused.  Reply: {!Repl_ok}. *)
   | Repl_batch of { records : string list }
       (** Replication control (primary → standby): a group-commit batch
           of whole journal records ({!Jim_store.Journal.encode_record}

@@ -477,13 +477,14 @@ let standby_dir = "/standby"
    primary mid-record, before the send, which is exactly what makes
    "everything acked is on the standby" a checkable invariant. *)
 let drive_pair ?votes env plan =
-  let stb = Standby.create ~io:(Memfs.io (Memfs.create ())) ~dir:standby_dir () in
+  let fs_s = Memfs.create () in
+  let stb = Standby.create ~io:(Memfs.io fs_s) ~dir:standby_dir () in
   let fs_p = Memfs.create ~plan () in
   let progress = fresh_progress env.spec in
   let outcome =
     drive ?votes ~replicate_to:(Repl.of_standby stb) env fs_p progress
   in
-  (outcome, fs_p, stb, progress)
+  (outcome, (fs_p, fs_s), stb, progress)
 
 (* Promote the survivor and hold it to the same three-part contract a
    recovered disk image must meet: every acked event present, at most
@@ -495,12 +496,25 @@ let verify_pair env progress stb =
   | Error m -> div "standby promotion refused: %s" m
   | Ok recovered -> verify_recovered env progress recovered
 
-(* Fault-free pair: pins the stream end-to-end — the promoted standby
-   must resume every completed session verbatim — and counts the
-   primary write ordinals a sweep enumerates. *)
+(* The store files under [dir], by name, with their bytes. *)
+let files fs dir =
+  Array.to_list ((Memfs.io fs).Jim_store.Io.readdir dir)
+  |> List.sort compare
+  |> List.map (fun name -> (name, Memfs.file fs (Filename.concat dir name)))
+
+(* Fault-free pair: pins the stream end-to-end — the standby's files
+   must be byte-identical to the primary's (a sequential workload ships
+   in journal order), and the promoted standby must resume every
+   completed session verbatim — and counts the primary write ordinals a
+   sweep enumerates. *)
 let reference_pair ?votes env =
-  let outcome, fs_p, stb, progress = drive_pair ?votes env Plan.none in
+  let outcome, (fs_p, fs_s), stb, progress = drive_pair ?votes env Plan.none in
   completed "reference pair run" outcome;
+  let primary = files fs_p data_dir and standby = files fs_s standby_dir in
+  if primary <> standby then
+    div "standby files differ in bytes from the primary's: [%s] vs [%s]"
+      (String.concat " " (List.map fst primary))
+      (String.concat " " (List.map fst standby));
   verify_pair env progress stb;
   (fs_p, progress)
 

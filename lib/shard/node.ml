@@ -236,7 +236,8 @@ let handle_line t payload =
   | Routing r -> Router.handle_line r payload
   | Warm w when String.starts_with ~prefix:Journal.record_magic payload ->
     (* a streamed journal record, as raw JREC bytes *)
-    (P.response_to_string (stream_reply (Standby.apply w.stb payload)), true)
+    let reply = stream_reply (Standby.apply_batch w.stb [ payload ]) in
+    (P.response_to_string reply, true)
   | Serving _ | Warm _ -> (
     match P.request_of_string payload with
     | Error e -> (P.response_to_string (P.Failed e), false)

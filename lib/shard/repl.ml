@@ -172,10 +172,14 @@ let rec drain t =
   end
 
 (* Called from the persist hook, after Store.record: the event is
-   already locally durable and — if the store just checkpointed — the
-   store's generation may have advanced past [gen_sent], in which case
-   the standby rotates first (writing its own snapshot from its shadow)
-   so both sides agree on the generation the batch lands in. *)
+   already locally durable and — if the store checkpointed at the start
+   of this record — the store's generation may have advanced past
+   [gen_sent], in which case the standby checkpoints into the same
+   generation first, so the record lands in the same generation on both
+   sides.  For a stream shipped in journal order the two directories
+   are therefore byte-identical; under concurrent writers a batch may
+   straddle a checkpoint, and each generation recovers the same
+   sessions. *)
 let send t ev =
   let record = Journal.encode_record (Event.to_string ev) in
   Mutex.lock t.lock;

@@ -19,10 +19,7 @@ type t = {
 let create () =
   { sessions = Hashtbl.create 16; next_id = 1; instances = Instances.empty }
 
-let next_id t = t.next_id
-let session_count t = Hashtbl.length t.sessions
 let instances t = t.instances
-let compact t ev = Instances.compact_event t.instances ev
 
 let apply t = function
   | Event.Started { session; arity; source; strategy; seed; fingerprint } ->

@@ -4,28 +4,19 @@
     current generation's {!Instances} table.
 
     One instance lives inside every {!Store.t} (folded forward on each
-    recorded event so checkpoints are O(live state), not O(journal));
-    a second lives inside every replication standby (lib/shard), which
-    applies the streamed journal records through it and, on a rotate,
-    writes its {e own} snapshot.  The two sides may split a checkpoint
-    at different records, so their files can differ in bytes, but each
-    generation recovers the same sessions on both.
+    recorded event so checkpoints are O(live state), not O(journal)).
+    A replication standby is a store as well, so it folds the streamed
+    records through the same code.
 
-    Events folded in are always concrete; {!compact} gives the form the
-    generation's journal holds.
+    Events folded in are always concrete; {!Instances.compact_event}
+    against {!instances} gives the form the generation's journal holds.
 
-    Not thread-safe: callers serialise access (the store under its lock,
-    the standby under its). *)
+    Not thread-safe: the store serialises access under its lock. *)
 
 type t
 
 val create : unit -> t
 (** Empty shadow: no sessions, [next_id] 1. *)
-
-val compact : t -> Event.t -> Event.t
-(** The form in which this generation's journal holds a concrete event:
-    a [Started] whose inline instance the generation's files already
-    hold carries [Catalog fp] (see {!Instances.compact_event}). *)
 
 val apply : t -> Event.t -> unit
 (** Fold one concrete event forward, once its record is in the
@@ -52,6 +43,3 @@ val instances : t -> Instances.t
 val snapshot : t -> Snapshot.t
 (** The current state as a snapshot (sessions in ascending id order —
     the deterministic form {!Snapshot.write} persists). *)
-
-val next_id : t -> int
-val session_count : t -> int

@@ -141,14 +141,14 @@ let of_string text =
    snapshot protocol.  An injected power cut (a non-[Unix_error]
    exception) propagates raw: it models the process dying, not an error
    the checkpoint could handle. *)
-let write ?(io = Io.real) path t =
+let write_text ?(io = Io.real) path text =
   let tmp = path ^ ".tmp" in
   match
     let file = io.Io.create tmp in
     Fun.protect
       ~finally:(fun () -> try file.Io.close () with Unix.Unix_error _ -> ())
       (fun () ->
-        let data = Bytes.of_string (to_string t) in
+        let data = Bytes.of_string text in
         let len = Bytes.length data in
         let rec go off =
           if off < len then go (off + file.Io.write data off (len - off))
@@ -162,6 +162,8 @@ let write ?(io = Io.real) path t =
   | exception Unix.Unix_error (e, op, _) ->
     io.Io.remove tmp;
     Error (Printf.sprintf "snapshot %s: %s: %s" path op (Unix.error_message e))
+
+let write ?io path t = write_text ?io path (to_string t)
 
 let load ?(io = Io.real) path =
   match io.Io.read_file path with

@@ -67,4 +67,8 @@ val write : ?io:Io.t -> string -> t -> (unit, string) result
 (** [write path t]: atomic create-and-rename with the fsync dance above,
     through [io] (default {!Io.real}). *)
 
+val write_text : ?io:Io.t -> string -> string -> (unit, string) result
+(** [write_text path text]: {!write} of an already-rendered snapshot —
+    how a standby installs its primary's snapshot bytes verbatim. *)
+
 val load : ?io:Io.t -> string -> (t, string) result

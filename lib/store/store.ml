@@ -55,13 +55,12 @@ let fingerprint rel = fingerprint_of_csv (canonical_csv rel)
 
    Failure discipline: if the snapshot write fails, nothing changed —
    the old generation stays live and the caller's exception leaves the
-   store usable (the checkpoint retries at the next due record).  If
+   store usable (the checkpoint retries at the next record).  If
    the *new journal* creation fails after the snapshot landed, the
    orphan snapshot must not survive: recovery picks the highest
-   complete snapshot, and generation g+1 with no journal would shadow
+   complete snapshot, and generation g' with no journal would shadow
    every event still being appended to generation g's journal.  *)
-let checkpoint_locked t =
-  let g' = t.gen + 1 in
+let checkpoint_locked t g' =
   let snap = Shadow.snapshot t.shadow in
   (match Snapshot.write ~io:t.io (Recovery.snapshot_path t.dir g') snap with
   | Ok () -> ()
@@ -164,76 +163,110 @@ let open_dir ?(fsync = true) ?(commit_window = 0.) ?(snapshot_every = 1024)
       Ok (t, recovered))
 
 (* ------------------------------------------------------------------ *)
-(* The hot path                                                        *)
+(* The write path                                                      *)
 
-let record t ev =
-  Mutex.lock t.lock;
+(* Caller holds [t.lock]: run [f] with appends quiesced. *)
+let exclusively t f =
+  t.checkpointing <- true;
+  while t.inflight > 0 do
+    Condition.wait t.idle t.lock
+  done;
+  Fun.protect
+    ~finally:(fun () ->
+      t.checkpointing <- false;
+      Condition.broadcast t.idle)
+    f
+
+(* Caller holds [t.lock].  Wait out a checkpoint in flight, then run
+   the automatic one if the generation is full, so the records about
+   to be appended open the next generation.  On a raise (closed store,
+   failed checkpoint) the lock is released and nothing was appended. *)
+let rec admit t =
   if t.closed then begin
     Mutex.unlock t.lock;
     invalid_arg "Store.record: closed"
-  end;
-  while t.checkpointing do
-    Condition.wait t.idle t.lock
-  done;
-  let journal = t.journal in
-  (* Decided with the handle: an instance enters the table only once
-     its concrete record is appended, so a reference never precedes its
-     origin in this journal, whatever happens to later appends. *)
-  let written = Shadow.compact t.shadow ev in
-  t.inflight <- t.inflight + 1;
-  Mutex.unlock t.lock;
-  (* Journal first, shadow second: if the append fails the caller
-     reports Failed, and the event must not survive into the next
-     snapshot via the shadow — recovery would resurrect state the
-     client was told did not happen.  Our inflight ticket keeps the
-     checkpointer out until the shadow catches up. *)
-  let finish applied =
-    Mutex.lock t.lock;
-    if applied then begin
-      Shadow.apply t.shadow ev;
-      t.since_snapshot <- t.since_snapshot + 1
-    end;
-    t.inflight <- t.inflight - 1;
-    if t.inflight = 0 then Condition.broadcast t.idle;
-    let due = applied && t.since_snapshot >= t.snapshot_every in
-    Mutex.unlock t.lock;
-    due
-  in
-  (try Journal.append journal (Event.to_string written)
-   with exn ->
-     ignore (finish false);
-     raise exn);
-  let due = finish true in
-  if due then begin
-    Mutex.lock t.lock;
-    if t.since_snapshot >= t.snapshot_every && not t.checkpointing then begin
-      t.checkpointing <- true;
-      while t.inflight > 0 do
-        Condition.wait t.idle t.lock
-      done;
-      Fun.protect
-        ~finally:(fun () ->
-          t.checkpointing <- false;
-          Condition.broadcast t.idle)
-        (fun () -> checkpoint_locked t)
-    end;
-    Mutex.unlock t.lock
+  end
+  else if t.checkpointing then begin
+    Condition.wait t.idle t.lock;
+    admit t
+  end
+  else if t.since_snapshot >= t.snapshot_every then begin
+    (try exclusively t (fun () -> checkpoint_locked t (t.gen + 1))
+     with exn ->
+       Mutex.unlock t.lock;
+       raise exn);
+    admit t
   end
 
-let checkpoint t =
+let record_many t evs =
   Mutex.lock t.lock;
-  if not t.closed && not t.checkpointing then begin
-    t.checkpointing <- true;
-    while t.inflight > 0 do
-      Condition.wait t.idle t.lock
-    done;
-    Fun.protect
-      ~finally:(fun () ->
-        t.checkpointing <- false;
-        Condition.broadcast t.idle)
-      (fun () -> checkpoint_locked t)
+  admit t;
+  (* Decided with the handle, folding the generation's instance table
+     through the batch: each record resolves against the table as the
+     records before it leave it, and is written in the form that table
+     calls for.  An instance enters the shadow's table only once its
+     concrete record is appended, so a reference never precedes its
+     origin in this journal, whatever happens to later appends. *)
+  let folded =
+    List.fold_left
+      (fun acc ev ->
+        let* rev, tbl = acc in
+        let* concrete, tbl' = Instances.read_event tbl ev in
+        Ok ((concrete, Instances.compact_event tbl concrete) :: rev, tbl'))
+      (Ok ([], Shadow.instances t.shadow))
+      evs
+  in
+  match folded with
+  | Error m ->
+    Mutex.unlock t.lock;
+    Error m
+  | Ok (rev, _) ->
+    let evs = List.rev rev in
+    let journal = t.journal in
+    t.inflight <- t.inflight + 1;
+    Mutex.unlock t.lock;
+    (* Journal first, shadow second: if the append fails the caller
+       reports Failed, and the events must not survive into the next
+       snapshot via the shadow — recovery would resurrect state the
+       client was told did not happen.  Our inflight ticket keeps the
+       checkpointer out until the shadow catches up. *)
+    let finish applied =
+      Mutex.lock t.lock;
+      if applied then begin
+        List.iter (fun (ev, _) -> Shadow.apply t.shadow ev) evs;
+        t.since_snapshot <- t.since_snapshot + List.length evs
+      end;
+      t.inflight <- t.inflight - 1;
+      if t.inflight = 0 then Condition.broadcast t.idle;
+      Mutex.unlock t.lock
+    in
+    (try
+       match List.map (fun (_, written) -> Event.to_string written) evs with
+       | [ payload ] -> Journal.append journal payload
+       | payloads -> Journal.append_many journal payloads
+     with exn ->
+       finish false;
+       raise exn);
+    finish true;
+    Ok ()
+
+let record t ev =
+  match record_many t [ ev ] with
+  | Ok () -> ()
+  | Error m -> invalid_arg ("Store.record: " ^ m)
+
+let checkpoint ?gen t =
+  Mutex.lock t.lock;
+  let g' = Option.value gen ~default:(t.gen + 1) in
+  if g' <= t.gen then begin
+    Mutex.unlock t.lock;
+    invalid_arg "Store.checkpoint: gen"
   end;
-  Mutex.unlock t.lock
+  if not t.closed && not t.checkpointing then
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock t.lock)
+      (fun () -> exclusively t (fun () -> checkpoint_locked t g'))
+  else Mutex.unlock t.lock
 
 let close t =
   Mutex.lock t.lock;

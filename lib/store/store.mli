@@ -4,17 +4,22 @@
     The store keeps a lightweight {e shadow} of every live session
     (source, strategy, seed, surviving labels) rebuilt from the same
     events it journals, so checkpoints never need to consult the engine:
-    every [snapshot_every] records it compacts the shadow into a
-    {!Snapshot}, starts a fresh journal generation and deletes the old
-    files.  Each generation's files hold each inline instance's CSV text
-    once ({!Instances}).
+    a record that finds the generation full (its [snapshot_every]
+    records written) first compacts the shadow into a {!Snapshot},
+    starts a fresh journal generation and deletes the old files.  Each
+    generation's files hold each inline instance's CSV text once
+    ({!Instances}).
 
-    Concurrency: {!record} is thread-safe.  Shadow updates take a short
-    store lock; the journal append itself runs outside it and
-    group-commits (see {!Journal}), so concurrent sessions share fsync
-    barriers.  A checkpoint briefly quiesces appends (records arriving
-    mid-checkpoint wait; they are covered by the snapshot being written
-    either way). *)
+    A replication standby (lib/shard) is a store too, fed the
+    primary's records through {!record_many} and checkpointing when
+    the primary does, so its files are written by this same path.
+
+    Concurrency: {!record} and {!record_many} are thread-safe.  Shadow
+    updates take a short store lock; the journal append itself runs
+    outside it and group-commits (see {!Journal}), so concurrent
+    sessions share fsync barriers.  A checkpoint briefly quiesces
+    appends (records arriving mid-checkpoint wait, and land in the new
+    generation). *)
 
 type t
 
@@ -38,7 +43,8 @@ val open_dir :
     long so queued records join its combined append (see
     {!Journal.create}); [0.] keeps per-record writes.  Raises
     [Invalid_argument] if negative.  [snapshot_every] (default 1024):
-    journal records between automatic checkpoints.  [io] (default
+    journal records per generation — the automatic checkpoint runs at
+    the start of the next record, before it is appended.  [io] (default
     {!Io.real}): the filesystem the store runs against — a fault
     filesystem in tests. *)
 
@@ -49,10 +55,28 @@ val record : t -> Event.t -> unit
     {!Instances}); recovery resolves it back.  May raise
     [Unix.Unix_error] if the disk fails — the caller's reply turns into a
     typed internal error, and the in-memory session is then ahead of the
-    log (documented, unrecovered). *)
+    log (documented, unrecovered).  A failed automatic checkpoint raises
+    before the event is appended, so the event leaves no trace.
+    [record t ev] is [record_many t [ev]]. *)
 
-val checkpoint : t -> unit
-(** Force a snapshot + journal rotation now (tests, graceful shutdown). *)
+val record_many : t -> Event.t list -> (unit, string) result
+(** Journal a batch of events under one fsync barrier
+    ({!Journal.append_many}) and fold them into the shadow.  Events may
+    be concrete or in a generation's journal form: a [Catalog fp]
+    source resolves against this generation's instance table as the
+    batch's earlier events leave it, and each event is written in the
+    form that table calls for, so a batch writes the same bytes as the
+    same events recorded one by one.  A reference with no origin
+    refuses the whole batch with an [Error] before anything is written.
+    Raises as {!record} on a disk failure; the batch then leaves no
+    trace in the shadow. *)
+
+val checkpoint : ?gen:int -> t -> unit
+(** Force a snapshot + journal rotation now (tests, graceful shutdown,
+    a standby following its primary) into generation [gen] (default:
+    the next one).  Raises [Invalid_argument] unless [gen] is above the
+    current generation; raises as {!record} on a failed write, with the
+    store left usable at its current generation. *)
 
 val close : t -> unit
 

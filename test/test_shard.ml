@@ -609,15 +609,22 @@ module Event = Jim_store.Event
 module Recovery = Jim_store.Recovery
 module Snapshot = Jim_store.Snapshot
 
-(* The record that triggers a primary checkpoint lands in the primary's
-   old generation but in the standby's new one, so the two directories
-   can differ in bytes.  What must hold is that, after every shipped
-   record, both recover the same sessions: ids, concrete sources and
-   surviving labels.  The sessions share one inline instance; the
-   standby attaches after the primary has already journaled references
-   to its snapshot's copy of the text, and at the end every session on
-   the instance ends and a checkpoint drops the text before it is used
-   again. *)
+(* The store files under [dir], by name, with their bytes. *)
+let files fs dir =
+  Array.to_list ((Memfs.io fs).Jim_store.Io.readdir dir)
+  |> List.sort compare
+  |> List.map (fun name -> (name, Memfs.file fs (Filename.concat dir name)))
+
+(* A stream shipped in journal order leaves the two directories
+   byte-identical after every record: the primary checkpoints at the
+   start of the record that finds its generation full, and the stream
+   rotates the standby before shipping that record, so no checkpoint
+   splits at different records.  Both also recover the same sessions:
+   ids, concrete sources and surviving labels.  The sessions share one
+   inline instance; the standby attaches after the primary has already
+   journaled references to its snapshot's copy of the text, and at the
+   end every session on the instance ends and a checkpoint drops the
+   text before it is used again. *)
 let test_standby_matches_every_generation () =
   let fs_p = Memfs.create () and fs_s = Memfs.create () in
   let store =
@@ -672,7 +679,6 @@ let test_standby_matches_every_generation () =
     | Ok r -> r
     | Error e -> Alcotest.failf "attach: %s" e
   in
-  let split = ref 0 in
   let ship =
     List.iter (fun ev ->
         Store.record store ev;
@@ -682,10 +688,9 @@ let test_standby_matches_every_generation () =
         Alcotest.(check int) (what ^ ": generation") p.Recovery.generation
           s.Recovery.generation;
         Alcotest.(check string) (what ^ ": sessions") (render p) (render s);
-        let snap fs dir =
-          Memfs.file fs (Recovery.snapshot_path dir p.Recovery.generation)
-        in
-        if snap fs_p "/data" <> snap fs_s "/standby" then incr split)
+        Alcotest.(check (list (pair string (option string))))
+          (what ^ ": no split, files byte-identical")
+          (files fs_p "/data") (files fs_s "/standby"))
   in
   ship
     (List.concat_map
@@ -702,10 +707,42 @@ let test_standby_matches_every_generation () =
         started 31; started 32 ]);
   if Store.generation store < 4 then
     Alcotest.failf "only %d checkpoints crossed" (Store.generation store);
-  Alcotest.(check bool) "some checkpoint split at different records" true
-    (!split > 0);
   Repl.close repl;
   Store.close store
+
+(* Hostile stream control: a rotate the standby cannot follow is an
+   error, and the files stay as they were. *)
+let refused_rotate ~what setup gen =
+  let fs = Memfs.create () in
+  let stb = Standby.create ~io:(Memfs.io fs) ~fsync:false ~dir:"/standby" () in
+  setup stb;
+  let before = files fs "/standby" and position = Standby.position stb in
+  (match Standby.rotate stb ~gen with
+  | Ok () -> Alcotest.failf "%s: rotate accepted" what
+  | Error _ -> ());
+  Alcotest.(check (list (pair string (option string))))
+    (what ^ ": files untouched") before (files fs "/standby");
+  Alcotest.(check (pair int int)) (what ^ ": position") position
+    (Standby.position stb);
+  Standby.close stb
+
+let test_standby_rotate_before_install () =
+  refused_rotate ~what:"rotate before install" ignore 1
+
+let test_standby_rotate_backwards () =
+  let started =
+    Event.Started
+      { session = 1; arity = 4; source = P.Builtin "flights";
+        strategy = "random"; seed = 1; fingerprint = "00000000" }
+  in
+  let setup stb =
+    let ok = function Ok _ -> () | Error e -> Alcotest.fail e in
+    ok (Standby.install stb ~gen:0 ~snapshot:None);
+    ok (Standby.apply_batch stb
+          [ Jim_store.Journal.encode_record (Event.to_string started) ]);
+    ok (Standby.rotate stb ~gen:3)  (* skipping forward is legal *)
+  in
+  refused_rotate ~what:"rotate backwards" setup 2
 
 (* A failed restore closes what the node opened: the replication target
    exactly once, and the store so it can be opened again. *)
@@ -800,5 +837,9 @@ let () =
         [
           Alcotest.test_case "standby recovers the same sessions every generation"
             `Quick test_standby_matches_every_generation;
+          Alcotest.test_case "rotate before install is refused" `Quick
+            test_standby_rotate_before_install;
+          Alcotest.test_case "rotate backwards is refused" `Quick
+            test_standby_rotate_backwards;
         ] );
     ]

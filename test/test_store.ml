@@ -920,6 +920,59 @@ let test_forced_checkpoint () =
         (Smoke.outcome_equal
            (expected_outcome ~seed:106 ~strategy:"random") got))
 
+(* The automatic checkpoint runs at the start of the record that finds
+   the generation full.  When its snapshot write fails, that record
+   raises before it is journaled: neither disk image recovers it, and
+   the store retries the checkpoint at the next record. *)
+let test_failed_checkpoint_leaves_no_trace () =
+  let fs = Jim_fault.Memfs.create () in
+  let broken = ref false in
+  let io =
+    let io = Jim_fault.Memfs.io fs in
+    {
+      io with
+      Jim_store.Io.create =
+        (fun path ->
+          if !broken && Filename.check_suffix path ".tmp" then
+            raise (Unix.Unix_error (Unix.EIO, "create", path))
+          else io.Jim_store.Io.create path);
+    }
+  in
+  let store =
+    match Store.open_dir ~snapshot_every:2 ~io "/data" with
+    | Ok (store, _) -> store
+    | Error e -> Alcotest.fail e
+  in
+  let start id =
+    Event.Started
+      { session = id; arity = 4; source = Pr.Builtin "flights";
+        strategy = "random"; seed = id; fingerprint = "00000000" }
+  in
+  broken := true;
+  (* the first record whose checkpoint fails *)
+  let rec failing id =
+    if id > 4 then Alcotest.fail "no record saw its checkpoint fail"
+    else
+      match Store.record store (start id) with
+      | () -> failing (id + 1)
+      | exception Failure _ -> id
+  in
+  let failed = failing 1 in
+  List.iter
+    (fun (what, image) ->
+      match Recovery.load ~io:(Jim_fault.Memfs.io image) "/data" with
+      | Error e -> Alcotest.failf "%s: %s" what e
+      | Ok r ->
+        Alcotest.(check (list int)) (what ^ ": the failed record is absent")
+          (List.init (failed - 1) succ)
+          (List.map (fun s -> s.Recovery.id) r.Recovery.sessions))
+    [ ("durable image", Jim_fault.Memfs.durable_image fs);
+      ("flushed image", Jim_fault.Memfs.flushed_image fs) ];
+  broken := false;
+  Store.record store (start failed);
+  Alcotest.(check int) "checkpoint retried" 1 (Store.generation store);
+  Store.close store
+
 (* ------------------------------------------------------------------ *)
 (* Undo replay, ended sessions, id monotonicity, fingerprints           *)
 
@@ -1402,6 +1455,8 @@ let () =
           Alcotest.test_case "rotation across generations" `Quick
             test_snapshot_rotation;
           Alcotest.test_case "forced checkpoint" `Quick test_forced_checkpoint;
+          Alcotest.test_case "failed checkpoint leaves no trace" `Quick
+            test_failed_checkpoint_leaves_no_trace;
         ] );
       ( "recovery",
         (* The on-disk prefix-cut sweeps are superseded by the simulated
