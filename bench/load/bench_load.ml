@@ -8,14 +8,15 @@
    next request) and reports requests/s plus p50/p95/p99 latency:
 
      batch=off  commit_window = 0 and one request in flight per
-                connection — the per-record path: one journal write and
-                one fsync barrier per request, one response per write.
+                connection: one response per write, but requests of
+                different connections that land in one event-loop turn
+                still share its one journal write and fsync barrier.
      batch=on   commit_window > 0 and [pipeline] requests in flight per
                 connection (one per session, so per-session ordering is
-                trivial) — records group-commit into combined writes
-                under shared fsyncs, the server coalesces replies into
-                shared flushes, and each connection amortises its
-                syscalls over the pipeline.
+                trivial) — a connection's pipelined requests share
+                turns, so more records ride each barrier, the server
+                coalesces replies into shared flushes, and each
+                connection amortises its syscalls over the pipeline.
 
    The store runs on the real filesystem with fsync on: the off rows
    pay the disk the way an unbatched server would.  [--sync-us N]
@@ -23,9 +24,8 @@
    a model of a slower sync device (SATA SSD / fs journal / cloud
    block device) for runners whose local NVMe acks a sync faster than
    a thread wakeup.  Both modes pay the same modelled disk; note the
-   journal shares fsync barriers between concurrent appenders even
-   with the window off, so on a slow disk the off rows group-commit
-   too and the spread narrows to the syscall/wakeup amortisation.
+   per-turn barrier batches the off rows too, so on a slow disk the
+   spread narrows to the syscall amortisation.
 
    Run with: dune exec bench/load/bench_load.exe [-- --quick] [--out F]
    Writes BENCH_load.json (schema_version + generated_by + rows), gated
@@ -234,7 +234,7 @@ let measure ~name ~batch ~conns ~pipeline ~window_ms ~requests_target address =
   }
 
 (* ------------------------------------------------------------------ *)
-(* One server per mode: same worker pool, same framing, same store
+(* One server per mode: same event loop, same framing, same store
    layout — only the commit window (server side) and the pipeline depth
    (client side) change between off and on. *)
 
@@ -262,7 +262,7 @@ let sync_modelled_io delay =
           (real.Jim_store.Io.open_append path));
   }
 
-let with_server ~window ~threads ~sync_us name f =
+let with_server ~window ~sync_us name f =
   let dir = tmp (name ^ ".d") in
   rm_rf dir;
   let io =
@@ -277,7 +277,6 @@ let with_server ~window ~threads ~sync_us name f =
            (Node.config (Node.Primary { data_dir = Some dir; replicate_to = None }))
            with
            listen = address;
-           wire = { Wire.default_config with threads };
            settings = { Node.default_settings with max_sessions = 4096 };
            snapshot_every = 100_000;
            commit_window = window;
@@ -341,13 +340,12 @@ let () =
     | c -> [ c ]
   in
   let requests_target = if quick then 4_000 else 24_000 in
-  let threads = int_flag "--threads" 64 in
   let pipeline = int_flag "--pipeline" 4 in
   let window = float_of_int (int_flag "--window-us" 100) /. 1e6 in
   let sync_us = int_flag "--sync-us" 0 in
   ignore (Lazy.force oracle);
   let off =
-    with_server ~window:0. ~threads ~sync_us "off" (fun address ->
+    with_server ~window:0. ~sync_us "off" (fun address ->
         List.map
           (fun conns ->
             measure
@@ -357,7 +355,7 @@ let () =
           conns_list)
   in
   let on =
-    with_server ~window ~threads ~sync_us "on" (fun address ->
+    with_server ~window ~sync_us "on" (fun address ->
         List.map
           (fun conns ->
             measure

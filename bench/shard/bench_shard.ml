@@ -99,13 +99,12 @@ let measure ~name ~clients ~requests address =
     p99_us = percentile all 99.0;
   }
 
-let start_node role ~threads listen =
+let start_node role listen =
   Result.fold ~ok:Fun.id ~error:failwith
     (Node.start
        {
          (Node.config role) with
          listen;
-         wire = { Wire.default_config with threads };
          settings = { Node.default_settings with max_sessions = 4096 };
        })
 
@@ -115,7 +114,7 @@ let with_shards n f =
         let name = Printf.sprintf "s%d" i in
         let addr = sock name in
         let role = Node.Primary { data_dir = None; replicate_to = None } in
-        (name, addr, start_node role ~threads:4 addr))
+        (name, addr, start_node role addr))
   in
   Fun.protect
     ~finally:(fun () -> List.iter (fun (_, _, node) -> Node.stop node) shards)
@@ -131,7 +130,7 @@ let with_router shards f =
   let node =
     start_node
       (Node.Router { data_dir = None; vnodes = 64; shards = upstreams })
-      ~threads:16 addr
+      addr
   in
   Fun.protect ~finally:(fun () -> Node.stop node) (fun () -> f addr)
 

@@ -145,7 +145,6 @@ let () =
            (Node.config (Node.Primary { data_dir = None; replicate_to = None }))
            with
            listen = address;
-           wire = { Wire.default_config with threads = 8 };
            settings = { Node.default_settings with max_sessions = 4096 };
          })
   in

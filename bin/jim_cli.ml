@@ -781,11 +781,12 @@ let run_client socket tcp batch smoke pipeline busy crash_start crash_resume
         ~expected:(conns * pipeline)
         ~tolerate_drops "bit-identical to the local run (pipelined)"
         (Jim_server.Smoke.run_pipelined ~clients:conns ~pipeline ~framing
-           ~receive_timeout ~address ())
+           ~receive_timeout ~seed_offset:seed ~address ())
     | Some clients, _, _, _ ->
       print_reports ~expected:clients ~tolerate_drops
         "bit-identical to the local run"
-        (Jim_server.Smoke.run ~clients ~framing ~receive_timeout ~address ())
+        (Jim_server.Smoke.run ~clients ~framing ~receive_timeout
+           ~seed_offset:seed ~address ())
     | None, _, Some clients, _ ->
       print_reports ~expected:clients ~tolerate_drops
         "left half-answered for the crash drill"
@@ -1148,13 +1149,8 @@ let tcp_arg =
     & info [ "tcp" ] ~docv:"HOST:PORT"
         ~doc:"Listen on / connect to TCP instead of a Unix socket.")
 
-(* --threads and --drain-timeout, shared by every serving subcommand. *)
+(* --drain-timeout, shared by every serving subcommand. *)
 let wire_arg =
-  let threads =
-    Arg.(
-      value & opt int 16
-      & info [ "threads" ] ~doc:"Connection worker pool size.")
-  in
   let drain_timeout =
     Arg.(
       value
@@ -1164,9 +1160,9 @@ let wire_arg =
                 before closing connections.")
   in
   Term.(
-    const (fun threads drain_timeout ->
-        { Jim_server.Wire.default_config with threads; drain_timeout })
-    $ threads $ drain_timeout)
+    const (fun drain_timeout ->
+        { Jim_server.Wire.default_config with drain_timeout })
+    $ drain_timeout)
 
 (* The service flags, shared by [serve] and [standby]: a standby builds
    its service from them when it is promoted. *)
@@ -1271,11 +1267,12 @@ let serve_cmd =
     Arg.(
       value & opt float 0.
       & info [ "commit-window" ] ~docv:"SECONDS"
-          ~doc:"Adaptive group commit (with $(b,--data-dir)): under \
-                concurrent load the fsync leader dallies up to $(docv) \
-                collecting queued journal records into one combined \
-                append + single fsync.  0 (the default) keeps the \
-                classic one-fsync-per-record path; durability is \
+          ~doc:"Adaptive group commit (with $(b,--data-dir)): an fsync \
+                leader with other appenders queued behind it dallies up \
+                to $(docv) collecting their records into one combined \
+                append + single fsync.  The server's event loop is its \
+                only appender and already shares one fsync per loop \
+                turn, so the window never dallies there.  Durability is \
                 identical either way — no record is acknowledged before \
                 its batch is synced.")
   in
@@ -1287,8 +1284,8 @@ let serve_cmd =
           ~doc:"Print wire-layer counters (connections accepted / active / \
                 failed, malformed requests, coalesced writes and flushes, \
                 bytes in/out), catalog counters (entries, hits/misses, \
-                evictions) and — with $(b,--commit-window) — group-commit \
-                batch counters every $(docv) seconds.")
+                evictions) and — with $(b,--data-dir) — journal batch \
+                counters every $(docv) seconds.")
   in
   let term =
     Term.(
@@ -1474,7 +1471,9 @@ let client_cmd =
     Arg.(
       value & opt int 0
       & info [ "seed" ] ~docv:"SEED"
-          ~doc:"Session seed for $(b,--instance) mode.")
+          ~doc:"Session seed for $(b,--instance) mode.  With \
+                $(b,--smoke), shifts every smoke session's seed by \
+                $(docv) (0 keeps the default seeds).")
   in
   let receive_timeout =
     Arg.(

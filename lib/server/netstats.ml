@@ -1,7 +1,7 @@
 (* Process-wide wire-layer counters, the network-side sibling of
    Jim_core.Metrics: every accept, close, failure, malformed request and
-   byte through the serve loop.  Atomic, so the event loop and the
-   worker pool update them without coordination. *)
+   byte through the serve loop.  Atomic, so the event loops of several
+   servers in one process update them without coordination. *)
 
 let accepted = Atomic.make 0
 let closed = Atomic.make 0

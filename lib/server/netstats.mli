@@ -1,8 +1,8 @@
 (** Process-wide wire-layer counters: connections accepted / active /
     failed, malformed requests, requests served, negotiated-binary
     connections, and bytes in / out of the serve loop.  The network-side
-    sibling of {!Jim_core.Metrics} — atomic, updated by the event loop
-    and the worker pool, read by [jim serve] stats reporting and the
+    sibling of {!Jim_core.Metrics} — atomic, updated by every event
+    loop in the process, read by [jim serve] stats reporting and the
     wire bench. *)
 
 type snapshot = {
@@ -15,7 +15,7 @@ type snapshot = {
   malformed : int;
       (** request payloads the protocol layer could not parse, plus
           binary-framing violations *)
-  requests : int;  (** request payloads dispatched to the service *)
+  requests : int;  (** request payloads handed to a turn *)
   binary_conns : int;  (** connections that negotiated binary framing *)
   bytes_in : int;
   bytes_out : int;
@@ -24,8 +24,8 @@ type snapshot = {
           a flush carrying [n] responses counts [n - 1] here *)
   flushes : int;  (** response flush attempts (socket write rounds) *)
   pipelined_depth_max : int;
-      (** high-water mark of concurrently in-flight requests on any one
-          connection — 1 for strictly request/reply clients, up to the
+      (** high-water mark of requests one connection put into a single
+          loop turn — 1 for strictly request/reply clients, up to the
           server's pipeline bound for pipelining ones *)
 }
 

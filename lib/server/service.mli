@@ -4,13 +4,13 @@
     it under a monotonically increasing id; every later request addresses
     the session by id.  The manager is thread-safe — a short global lock
     guards the session table, a per-session lock serialises engine work —
-    so a pool of connection threads can call {!handle} freely.
+    so several threads can call {!handle} freely.
 
     Capacity is bounded: when [max_sessions] sessions are live, further
     [Start_session]s get a typed [Server_busy] reply (backpressure, not a
     hang).  Sessions idle longer than [idle_ttl] seconds are evicted by
-    {!sweep}, which runs on every [Start_session] and periodically from
-    the wire loop's housekeeping thread.
+    {!sweep}, which runs on every [Start_session] and periodically on
+    the wire's event loop.
 
     Determinism: the pending question is computed once per round and
     cached until an answer or undo invalidates it, so a session driven
@@ -41,9 +41,12 @@ val create :
 
     [persist] is the durability hook: it is called with every
     state-mutating event (session start, acknowledged answer, undo, end —
-    including idle evictions) {e before} the reply is built, so wiring in
-    {!Jim_store.Store.record} gives write-ahead semantics: an answer is
-    never acknowledged before it is on disk.  When omitted the service is
+    including idle evictions) {e before} the reply is built.  Wiring in
+    {!Jim_store.Store.record} gives write-ahead semantics directly; a
+    serving node wires in {!Jim_store.Store.stage} instead and runs the
+    durability barrier before the reply leaves (see [Jim_shard.Node]),
+    so either way an answer is never acknowledged before it is on
+    disk.  When omitted the service is
     purely in-memory.  Session-start events journal the catalog entry's
     concrete origin source (never [Catalog fp] — a restart empties the
     catalog) plus its fingerprint, which the catalog computed exactly

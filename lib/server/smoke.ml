@@ -281,17 +281,22 @@ let drill ~framing ~receive_timeout ~address groups =
 let strategy_for i = if i mod 2 = 0 then "lookahead-entropy" else "random"
 
 let run ?(clients = 32) ?(framing = Wire.Line)
-    ?(receive_timeout = default_receive_timeout) ?instance ~address () =
+    ?(receive_timeout = default_receive_timeout) ?instance ?(seed_offset = 0)
+    ~address () =
   drill ~framing ~receive_timeout ~address
     (List.init clients (fun i ->
-         [| slot ?instance ~seed:(100 + i) ~strategy:(strategy_for i) () |]))
+         [|
+           slot ?instance ~seed:(100 + seed_offset + i) ~strategy:(strategy_for i) ();
+         |]))
 
 let run_pipelined ?(clients = 4) ?(pipeline = 8) ?(framing = Wire.Line)
-    ?(receive_timeout = default_receive_timeout) ~address () =
+    ?(receive_timeout = default_receive_timeout) ?(seed_offset = 0) ~address () =
   drill ~framing ~receive_timeout ~address
     (List.init clients (fun ci ->
          Array.init pipeline (fun k ->
-             slot ~seed:(700 + (ci * pipeline) + k) ~strategy:(strategy_for k) ())))
+             slot
+               ~seed:(700 + seed_offset + (ci * pipeline) + k)
+               ~strategy:(strategy_for k) ())))
 
 (* ------------------------------------------------------------------ *)
 (* Catalog drill: register once, start every client by fingerprint, and

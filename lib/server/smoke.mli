@@ -55,13 +55,15 @@ val run :
   ?framing:Wire.framing ->
   ?receive_timeout:float ->
   ?instance:int ->
+  ?seed_offset:int ->
   address:Wire.address ->
   unit ->
   client_report list
 (** [clients] (default 32) threads, each one connection carrying one
     session over a synthetic instance (deterministic in its seed, so the
     goal — and hence the oracle — is reconstructed locally), seeded
-    [100 + i] and alternating strategies (lookahead-entropy / random).
+    [100 + seed_offset + i] ([seed_offset] defaults to 0) and
+    alternating strategies (lookahead-entropy / random).
     A server or proxy that stalls past [receive_timeout] classifies as a
     transport drop ([dropped = true]), never a divergence and never a
     hang.  [instance] decouples the instance seed from the session seed:
@@ -75,6 +77,7 @@ val run_pipelined :
   ?pipeline:int ->
   ?framing:Wire.framing ->
   ?receive_timeout:float ->
+  ?seed_offset:int ->
   address:Wire.address ->
   unit ->
   client_report list
@@ -83,10 +86,10 @@ val run_pipelined :
     (default 8) interleaved sessions — one in-flight request per
     session, so per-session ordering is trivially preserved, while the
     connection keeps up to [pipeline] requests in flight for the
-    server's reorder-buffered pipeline to chew on.  Replies come back
-    in request order; a FIFO of session indices routes each to its
-    session's state machine.  Session [k] of connection [c] is seeded
-    [700 + c * pipeline + k].  Every session is held to the same
+    server's pipeline to chew on.  Replies come back in request order;
+    a FIFO of session indices routes each to its session's state
+    machine.  Session [k] of connection [c] is seeded
+    [700 + seed_offset + c * pipeline + k].  Every session is held to the same
     bit-identity bar as {!run}.  Returns [clients * pipeline] reports,
     sorted by seed. *)
 

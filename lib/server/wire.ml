@@ -76,12 +76,14 @@ let ignore_sigpipe () =
 (* ------------------------------------------------------------------ *)
 (* Server: an epoll event loop                                         *)
 
-(* One event-loop thread owns every socket: non-blocking reads and
-   writes, per-connection buffers, framing negotiation.  Parsed request
-   payloads go to a worker pool (scoring is the expensive part and must
-   not stall the loop); completed responses come back over a queue plus
-   a wake pipe.  A thousand mostly-idle clients therefore cost a
-   thousand fds in one epoll set, not a thousand blocked threads. *)
+(* One event-loop thread owns every socket — non-blocking reads and
+   writes, per-connection buffers, framing negotiation — and runs every
+   request itself.  Each loop turn reads what is ready, hands the parsed
+   requests to the turn function in arrival order, and only then writes
+   the replies: a node makes the turn's writes durable inside the turn
+   function, so one fsync barrier covers the whole turn.  A thousand
+   mostly-idle clients cost a thousand fds in one epoll set, and no
+   request ever waits for a thread. *)
 
 type framing = Line | Binary
 
@@ -152,112 +154,51 @@ module Bq = struct
 end
 
 type config = {
-  threads : int;
   backlog : int;
   drain_timeout : float;
   max_pipeline : int;
 }
 
-let default_config =
-  {
-    threads = 16;
-    backlog = 64;
-    drain_timeout = 2.0;
-    max_pipeline = 8;
-  }
+let default_config = { backlog = 64; drain_timeout = 2.0; max_pipeline = 8 }
 
 type conn = {
   fd : Unix.file_descr;
-  token : int;
-      (* completions address connections by token, never by fd: the
-         kernel reuses fd numbers the moment one closes, a token is
-         never reused — a late response can only be dropped, not
-         delivered to the wrong peer *)
   mutable mode : framing;
   rbuf : Bq.t;
   wbuf : Bq.t;
-  pending : string Queue.t;  (* parsed payloads not yet dispatched *)
-  mutable in_flight : int;
-      (* requests handed to workers whose replies have not been emitted
-         yet — bounded by the server's pipeline depth *)
-  mutable next_seq : int;  (* per-conn sequence stamped on dispatch *)
-  mutable next_reply : int;  (* next sequence to emit (request order) *)
-  replies : (int, string) Hashtbl.t;
-      (* completed replies waiting for an earlier sequence to finish —
-         the reorder buffer that keeps responses in request order even
-         when workers finish out of order *)
+  pending : string Queue.t;  (* parsed payloads not yet run *)
+  mutable ready : bool;  (* queued for a turn *)
+  mutable replies : int;  (* replies buffered in the current turn *)
   mutable rd_closed : bool;  (* peer EOF seen; flush replies, then close *)
-  mutable want_out : bool;   (* registered for writability *)
+  mutable interest : bool * bool;  (* registered (readable, writable) *)
   mutable dead : bool;
 }
 
 type server = {
-  handler : string -> string * bool;
-      (* one request payload in, one response payload out, plus whether
-         the request parsed at all (malformed counting) *)
+  turn : string array -> (string * bool) array;
+      (* a turn's request payloads in, its replies out in the same
+         order, each with whether the request parsed (malformed
+         counting) *)
+  sweep : (float * (unit -> int)) option;  (* interval, sweep *)
   drain_timeout : float;
-  max_pipeline : int;  (* in-flight requests allowed per connection *)
+  max_pipeline : int;  (* requests one connection may put in a turn *)
   listen_fd : Unix.file_descr;
   bound : address;
-  jobs : (int * int * string) Queue.t;  (* token, seq, request payload *)
-  jlock : Mutex.t;
-  jcond : Condition.t;
-  completions : (int * int * string) Queue.t;  (* token, seq, response *)
-  clock : Mutex.t;
-  mutable stopping : bool;
-  mutable pool : Thread.t list;
-      (* event loop + workers + sweeper; joined on shutdown *)
-  wake_r : Unix.file_descr;
-      (* self-pipe: workers wake the event loop out of epoll_wait when a
-         completion lands (and shutdown wakes it to exit) *)
-  wake_w : Unix.file_descr;
-  stop_r : Unix.file_descr;
-      (* self-pipe: the sweeper sleeps in [select] on this instead of
-         [Thread.delay], so shutdown can wake it instantly and join it *)
-  stop_w : Unix.file_descr;
+  stopping : bool Atomic.t;
+  mutable loop : Thread.t option;
 }
-
-let wake srv =
-  (* Nonblocking: a full pipe already holds a pending wake. *)
-  try ignore (Unix.write srv.wake_w (Bytes.of_string "w") 0 1)
-  with Unix.Unix_error _ -> ()
-
-let worker srv =
-  let rec next () =
-    Mutex.lock srv.jlock;
-    while Queue.is_empty srv.jobs && not srv.stopping do
-      Condition.wait srv.jcond srv.jlock
-    done;
-    let job =
-      if Queue.is_empty srv.jobs then None else Some (Queue.pop srv.jobs)
-    in
-    Mutex.unlock srv.jlock;
-    match job with
-    | None -> ()
-    | Some (token, seq, payload) ->
-      let resp, parsed = srv.handler payload in
-      if not parsed then Netstats.record_malformed ();
-      Mutex.lock srv.clock;
-      Queue.push (token, seq, resp) srv.completions;
-      Mutex.unlock srv.clock;
-      wake srv;
-      next ()
-  in
-  next ()
 
 let event_loop srv =
   let poller = Epoll.create () in
-  let conns : (int, conn) Hashtbl.t = Hashtbl.create 64 in
-  let by_fd : (Unix.file_descr, int) Hashtbl.t = Hashtbl.create 64 in
-  let next_token = ref 0 in
+  let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 64 in
+  (* connections with parsed requests waiting, in arrival order *)
+  let ready : conn Queue.t = Queue.create () in
   Epoll.add poller srv.listen_fd ~readable:true ~writable:false;
-  Epoll.add poller srv.wake_r ~readable:true ~writable:false;
 
   let close_conn ?(failed = false) conn =
     if not conn.dead then begin
       conn.dead <- true;
-      Hashtbl.remove conns conn.token;
-      Hashtbl.remove by_fd conn.fd;
+      Hashtbl.remove conns conn.fd;
       Epoll.remove poller conn.fd;
       (try Unix.close conn.fd with Unix.Unix_error _ -> ());
       Netstats.record_close ();
@@ -266,16 +207,22 @@ let event_loop srv =
   in
   let maybe_close conn =
     if
-      (not conn.dead) && conn.rd_closed && conn.in_flight = 0
+      (not conn.dead) && conn.rd_closed
       && Queue.is_empty conn.pending
       && Bq.is_empty conn.wbuf
     then close_conn conn
   in
+  (* Read interest drops after EOF and while stopping: a draining loop
+     only flushes. *)
   let update_interest conn =
-    let want = not (Bq.is_empty conn.wbuf) in
-    if want <> conn.want_out then begin
-      conn.want_out <- want;
-      Epoll.modify poller conn.fd ~readable:true ~writable:want
+    let want =
+      ( not (conn.rd_closed || Atomic.get srv.stopping),
+        not (Bq.is_empty conn.wbuf) )
+    in
+    if want <> conn.interest then begin
+      conn.interest <- want;
+      let readable, writable = want in
+      Epoll.modify poller conn.fd ~readable ~writable
     end
   in
   let rec try_write conn =
@@ -295,46 +242,6 @@ let event_loop srv =
       maybe_close conn
     end
   in
-  (* Hand up to [max_pipeline] parsed requests to the workers at once.
-     Each carries the connection's sequence number, so replies can be
-     reassembled into request order no matter which worker finishes
-     first. *)
-  let dispatch conn =
-    let burst = ref 0 in
-    while
-      (not conn.dead)
-      && conn.in_flight < srv.max_pipeline
-      && not (Queue.is_empty conn.pending)
-    do
-      let payload = Queue.pop conn.pending in
-      let seq = conn.next_seq in
-      conn.next_seq <- seq + 1;
-      conn.in_flight <- conn.in_flight + 1;
-      Netstats.record_request ();
-      Netstats.record_depth conn.in_flight;
-      Mutex.lock srv.jlock;
-      Queue.push (conn.token, seq, payload) srv.jobs;
-      Mutex.unlock srv.jlock;
-      incr burst
-    done;
-    if !burst > 0 then begin
-      (* One signal per queued job, not a broadcast: a pipelined burst
-         needs exactly [burst] workers, and waking the whole (possibly
-         much larger) idle pool for every burst is a thundering herd
-         that costs more than the requests themselves under load.  A
-         signal landing on an already-running worker is harmless — any
-         awake worker drains the queue before sleeping. *)
-      Mutex.lock srv.jlock;
-      for _ = 1 to !burst do
-        Condition.signal srv.jcond
-      done;
-      Mutex.unlock srv.jlock
-    end
-  in
-  (* Append a response to the connection's write buffer without
-     flushing: completions are buffered per event-loop round and
-     flushed once per touched connection, so replies that complete
-     together leave in one write. *)
   let buffer_response conn payload =
     match conn.mode with
     | Line ->
@@ -342,9 +249,16 @@ let event_loop srv =
       Bq.add_string conn.wbuf "\n"
     | Binary -> Bq.add_frame conn.wbuf payload
   in
+  let enqueue conn payload =
+    Queue.push payload conn.pending;
+    if not conn.ready then begin
+      conn.ready <- true;
+      Queue.push conn ready
+    end
+  in
   (* Extract every complete request sitting in the read buffer.  The
-     handshake line is only honoured before any request is in flight —
-     so switching framings can never reorder or reframe an earlier
+     handshake line is only honoured before any request is pending — so
+     switching framings can never reorder or reframe an earlier
      reply. *)
   let parse_conn conn =
     let progress = ref true in
@@ -359,17 +273,14 @@ let event_loop srv =
           let line = String.trim raw in
           progress := true;
           if line = "" then ()
-          else if
-            line = Frame.handshake_request
-            && conn.in_flight = 0
-            && Queue.is_empty conn.pending
+          else if line = Frame.handshake_request && Queue.is_empty conn.pending
           then begin
             conn.mode <- Binary;
             Netstats.record_binary ();
             Bq.add_string conn.wbuf (Frame.handshake_ack ^ "\n");
             try_write conn
           end
-          else Queue.push line conn.pending
+          else enqueue conn line
         | None ->
           if Bq.length conn.rbuf > Frame.max_payload then begin
             (* an endless line is not a protocol we speak *)
@@ -381,7 +292,7 @@ let event_loop srv =
                loop served it, so keep doing that *)
             let raw = Bq.take_string conn.rbuf (Bq.length conn.rbuf) in
             let line = String.trim raw in
-            if line <> "" then Queue.push line conn.pending
+            if line <> "" then enqueue conn line
           end)
       | Binary -> (
         match
@@ -390,17 +301,15 @@ let event_loop srv =
         with
         | Frame.Frame (payload, used) ->
           Bq.consume conn.rbuf used;
-          Queue.push payload conn.pending;
+          enqueue conn payload;
           progress := true
         | Frame.Need_more -> ()
         | Frame.Junk _ ->
           Netstats.record_malformed ();
           close_conn ~failed:true conn)
     done;
-    if not conn.dead then begin
-      dispatch conn;
-      maybe_close conn
-    end
+    maybe_close conn;
+    if not conn.dead then update_interest conn
   in
   let read_conn conn =
     let rec go () =
@@ -429,139 +338,134 @@ let event_loop srv =
       Unix.set_nonblock fd;
       (try Unix.setsockopt fd Unix.TCP_NODELAY true
        with Unix.Unix_error _ | Invalid_argument _ -> ());
-      incr next_token;
       let conn =
         {
           fd;
-          token = !next_token;
           mode = Line;
           rbuf = Bq.create 4096;
           wbuf = Bq.create 4096;
           pending = Queue.create ();
-          in_flight = 0;
-          next_seq = 0;
-          next_reply = 0;
-          replies = Hashtbl.create 4;
+          ready = false;
+          replies = 0;
           rd_closed = false;
-          want_out = false;
+          interest = (true, false);
           dead = false;
         }
       in
-      Hashtbl.replace conns conn.token conn;
-      Hashtbl.replace by_fd fd conn.token;
+      Hashtbl.replace conns fd conn;
       Epoll.add poller fd ~readable:true ~writable:false;
       Netstats.record_accept ();
       accept_loop ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error ((Unix.ECONNABORTED | Unix.EINTR), _, _) ->
       accept_loop ()
-    | exception Unix.Unix_error _ -> ()  (* listen fd closed: shutting down *)
+    | exception Unix.Unix_error _ -> ()
   in
-  let drain_wake () =
-    let scratch = Bytes.create 256 in
-    let rec go () =
-      match Unix.read srv.wake_r scratch 0 256 with
-      | 256 -> go ()
-      | _ -> ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-      | exception Unix.Unix_error _ -> ()
-    in
-    go ()
-  in
-  (* Drain the completion queue in one go: buffer every reply (in
-     request order, via the per-conn reorder buffer), refill each
-     connection's worker pipeline, then flush each touched connection
-     once — replies that completed in the same round leave in one
-     socket write. *)
-  let handle_completions () =
-    Mutex.lock srv.clock;
-    let batch = Queue.create () in
-    Queue.transfer srv.completions batch;
-    Mutex.unlock srv.clock;
-    let touched : (int, conn * int ref) Hashtbl.t = Hashtbl.create 8 in
-    Queue.iter
-      (fun (token, seq, resp) ->
-        match Hashtbl.find_opt conns token with
-        | None -> ()  (* connection died while the worker was busy *)
-        | Some conn ->
-          conn.in_flight <- conn.in_flight - 1;
-          Hashtbl.replace conn.replies seq resp;
-          let emitted =
-            match Hashtbl.find_opt touched token with
-            | Some (_, e) -> e
-            | None ->
-              let e = ref 0 in
-              Hashtbl.replace touched token (conn, e);
-              e
-          in
-          let rec emit () =
-            match Hashtbl.find_opt conn.replies conn.next_reply with
-            | None -> ()
-            | Some r ->
-              Hashtbl.remove conn.replies conn.next_reply;
-              conn.next_reply <- conn.next_reply + 1;
-              buffer_response conn r;
-              incr emitted;
-              emit ()
-          in
-          emit ();
-          if not conn.dead then dispatch conn)
-      batch;
-    Hashtbl.iter
-      (fun _ (conn, emitted) ->
-        if (not conn.dead) && !emitted > 0 then begin
-          Netstats.record_flush ();
-          Netstats.record_coalesced (!emitted - 1);
-          try_write conn
+  (* Run one turn: up to [max_pipeline] requests from each ready
+     connection, in arrival order, through the turn function; then
+     buffer every reply and flush each touched connection once, so
+     replies of one turn leave in one write per connection.  A
+     connection with requests left over goes to the back of the line
+     for the next turn. *)
+  let run_turn () =
+    let n = Queue.length ready in
+    let taken = ref [] in
+    for _ = 1 to n do
+      let conn = Queue.pop ready in
+      conn.ready <- false;
+      if not conn.dead then begin
+        let k = ref 0 in
+        while !k < srv.max_pipeline && not (Queue.is_empty conn.pending) do
+          taken := (conn, Queue.pop conn.pending) :: !taken;
+          incr k;
+          Netstats.record_request ()
+        done;
+        Netstats.record_depth !k;
+        if not (Queue.is_empty conn.pending) then begin
+          conn.ready <- true;
+          Queue.push conn ready
         end
-        else if not conn.dead then maybe_close conn)
-      touched
-  in
-  (* After [stopping] flips, linger briefly so replies already being
-     computed still go out — the contract is that in-flight requests
-     finish; idle connections are simply dropped. *)
-  let draining () =
-    Hashtbl.fold
-      (fun _ c acc -> acc || c.in_flight > 0 || not (Bq.is_empty c.wbuf))
-      conns false
-  in
-  let deadline = ref None in
-  let rec run () =
-    let stop =
-      if not srv.stopping then false
-      else begin
-        (match !deadline with
-        | None -> deadline := Some (Unix.gettimeofday () +. srv.drain_timeout)
-        | Some _ -> ());
-        (not (draining ()))
-        || (match !deadline with
-           | Some d -> Unix.gettimeofday () > d
-           | None -> false)
       end
+    done;
+    match List.rev !taken with
+    | [] -> ()
+    | taken ->
+      let replies = srv.turn (Array.of_list (List.map snd taken)) in
+      let touched = ref [] in
+      List.iteri
+        (fun i (conn, _) ->
+          let reply, parsed = replies.(i) in
+          if not parsed then Netstats.record_malformed ();
+          if not conn.dead then begin
+            if conn.replies = 0 then touched := conn :: !touched;
+            conn.replies <- conn.replies + 1;
+            buffer_response conn reply
+          end)
+        taken;
+      List.iter
+        (fun conn ->
+          Netstats.record_flush ();
+          Netstats.record_coalesced (conn.replies - 1);
+          conn.replies <- 0;
+          try_write conn)
+        (List.rev !touched)
+  in
+  let next_sweep =
+    ref (match srv.sweep with Some (every, _) -> Unix.gettimeofday () +. every | None -> infinity)
+  in
+  let run_sweep () =
+    match srv.sweep with
+    | Some (every, sweep) when Unix.gettimeofday () >= !next_sweep ->
+      (try ignore (sweep ())
+       with exn ->
+         Printf.eprintf "jim: idle sweep failed: %s\n%!" (Printexc.to_string exn));
+      next_sweep := Unix.gettimeofday () +. every
+    | _ -> ()
+  in
+  (* After [stopping] flips, stop accepting and reading, but finish the
+     requests already read and flush their replies — bounded by the
+     drain deadline; idle connections are simply dropped. *)
+  let deadline = ref None in
+  let begin_drain () =
+    deadline := Some (Unix.gettimeofday () +. srv.drain_timeout);
+    Epoll.remove poller srv.listen_fd;
+    Hashtbl.iter (fun _ conn -> update_interest conn) conns
+  in
+  let drained () =
+    Queue.is_empty ready
+    && Hashtbl.fold (fun _ c acc -> acc && Bq.is_empty c.wbuf) conns true
+  in
+  let rec run () =
+    if Atomic.get srv.stopping && !deadline = None then begin_drain ();
+    let stop =
+      match !deadline with
+      | None -> false
+      | Some d -> drained () || Unix.gettimeofday () > d
     in
     if not stop then begin
-      let timeout_ms = if srv.stopping then 20 else 200 in
+      let timeout_ms =
+        if not (Queue.is_empty ready) then 0
+        else if !deadline <> None then 20
+        else
+          let to_sweep = (!next_sweep -. Unix.gettimeofday ()) *. 1000. in
+          int_of_float (Float.ceil (Float.max 0. (Float.min 200. to_sweep)))
+      in
       let evs = Epoll.wait poller ~timeout_ms in
+      let reading = !deadline = None in
       List.iter
         (fun { Epoll.fd; readable; writable } ->
           if fd = srv.listen_fd then begin
-            if readable && not srv.stopping then accept_loop ()
-          end
-          else if fd = srv.wake_r then begin
-            if readable then drain_wake ()
+            if readable && reading then accept_loop ()
           end
           else
-            match Hashtbl.find_opt by_fd fd with
+            match Hashtbl.find_opt conns fd with
             | None -> ()
-            | Some token -> (
-              match Hashtbl.find_opt conns token with
-              | None -> ()
-              | Some conn ->
-                if writable && not conn.dead then try_write conn;
-                if readable && not conn.dead then read_conn conn))
+            | Some conn ->
+              if writable && not conn.dead then try_write conn;
+              if readable && reading && not conn.dead then read_conn conn)
         evs;
-      handle_completions ();
+      if reading then run_sweep ();
+      run_turn ();
       run ()
     end
   in
@@ -572,26 +476,10 @@ let event_loop srv =
       try Unix.close conn.fd with Unix.Unix_error _ -> ())
     conns;
   Hashtbl.reset conns;
-  Hashtbl.reset by_fd;
-  Epoll.close poller
+  Epoll.close poller;
+  try Unix.close srv.listen_fd with Unix.Unix_error _ -> ()
 
-let sweeper srv interval sweep =
-  let rec loop () =
-    if not srv.stopping then begin
-      (match Unix.select [ srv.stop_r ] [] [] interval with
-      | [], _, _ -> ()  (* interval elapsed *)
-      | _ -> ()  (* shutdown wrote the wake byte *)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      if not srv.stopping then begin
-        ignore (sweep ());
-        loop ()
-      end
-    end
-  in
-  loop ()
-
-let serve_handler ?(config = default_config) ?(sweep_every = 30.) ?sweep handler
-    addr =
+let serve_turns ?(config = default_config) ?(sweep_every = 30.) ?sweep turn addr =
   ignore_sigpipe ();
   let fd = socket_for addr in
   (match addr with
@@ -608,68 +496,42 @@ let serve_handler ?(config = default_config) ?(sweep_every = 30.) ?sweep handler
       | _ -> addr)
     | a -> a
   in
-  let wake_r, wake_w = Unix.pipe () in
-  Unix.set_nonblock wake_r;
-  Unix.set_nonblock wake_w;
-  let stop_r, stop_w = Unix.pipe () in
   let srv =
     {
-      handler;
+      turn;
+      sweep = Option.map (fun f -> (sweep_every, f)) sweep;
       drain_timeout = config.drain_timeout;
       max_pipeline = max 1 config.max_pipeline;
       listen_fd = fd;
       bound;
-      jobs = Queue.create ();
-      jlock = Mutex.create ();
-      jcond = Condition.create ();
-      completions = Queue.create ();
-      clock = Mutex.create ();
-      stopping = false;
-      pool = [];
-      wake_r;
-      wake_w;
-      stop_r;
-      stop_w;
+      stopping = Atomic.make false;
+      loop = None;
     }
   in
-  let workers =
-    List.init (max 1 config.threads) (fun _ -> Thread.create worker srv)
-  in
-  let loop = Thread.create event_loop srv in
-  let housekeeping =
-    match sweep with
-    | None -> []
-    | Some f ->
-      [ Thread.create (fun () -> sweeper srv sweep_every f) () ]
-  in
-  srv.pool <- housekeeping @ (loop :: workers);
+  srv.loop <- Some (Thread.create event_loop srv);
   srv
 
+let serve_handler ?config ?sweep_every ?sweep handler addr =
+  let guarded payload =
+    try handler payload
+    with exn ->
+      ( P.response_to_string
+          (P.Failed (P.Bad_request ("internal error: " ^ Printexc.to_string exn))),
+        true )
+  in
+  serve_turns ?config ?sweep_every ?sweep (Array.map guarded) addr
+
 let bound_address srv = srv.bound
-let wait srv = List.iter Thread.join srv.pool
+let wait srv = Option.iter Thread.join srv.loop
 
 let shutdown srv =
-  srv.stopping <- true;
-  (try Unix.close srv.listen_fd with Unix.Unix_error _ -> ());
-  (* Wake the event loop out of epoll_wait and the sweeper out of its
-     select sleep. *)
-  wake srv;
-  (try ignore (Unix.write srv.stop_w (Bytes.of_string "x") 0 1)
-   with Unix.Unix_error _ -> ());
-  Mutex.lock srv.jlock;
-  Condition.broadcast srv.jcond;
-  Mutex.unlock srv.jlock;
-  List.iter Thread.join srv.pool;
-  (try Unix.close srv.wake_r with Unix.Unix_error _ -> ());
-  (try Unix.close srv.wake_w with Unix.Unix_error _ -> ());
-  (try Unix.close srv.stop_r with Unix.Unix_error _ -> ());
-  (try Unix.close srv.stop_w with Unix.Unix_error _ -> ());
-  Mutex.lock srv.jlock;
-  Queue.clear srv.jobs;
-  Mutex.unlock srv.jlock;
-  Mutex.lock srv.clock;
-  Queue.clear srv.completions;
-  Mutex.unlock srv.clock;
+  if not (Atomic.exchange srv.stopping true) then
+    (* Wake the loop out of epoll_wait: shutting the listening socket
+       down makes it readable (HUP) at once.  The loop itself closes
+       it. *)
+    (try Unix.shutdown srv.listen_fd Unix.SHUTDOWN_RECEIVE
+     with Unix.Unix_error _ -> ());
+  wait srv;
   match srv.bound with
   | Unix_path path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
   | Tcp _ -> ()

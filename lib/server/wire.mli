@@ -12,14 +12,19 @@
     JSON parse error, which a new client reports cleanly — negotiation
     never breaks a line-only peer.
 
-    The serve loop is a single epoll event-loop thread owning every
-    socket (non-blocking, per-connection reuseable read/write buffers)
-    plus a worker pool that only runs the handler — so thousands of
-    mostly-idle connections cost file descriptors, not threads.  Falls
-    back to a [select]-backed poller on systems without epoll (see
-    {!Epoll}).  An optional housekeeping thread runs a sweep function
-    periodically (idle-session eviction, even when no one is
-    connecting).
+    The serve loop is a single epoll event-loop thread that owns every
+    socket (non-blocking, per-connection reusable read/write buffers)
+    and runs every request itself, so thousands of mostly-idle
+    connections cost file descriptors, not threads.  It works in
+    {e turns}: read what is ready, run the parsed requests in arrival
+    order, then write their replies.  A durable node stages each
+    request's writes and runs one fsync barrier at the end of the turn,
+    before any reply of the turn is written, so pipelined and
+    concurrent writes share one barrier (see [Jim_shard.Node]).  A slow
+    request holds up every connection for its duration.  The loop also
+    runs an optional sweep function periodically (idle-session
+    eviction, even when no one is connecting).  Falls back to a
+    [select]-backed poller on systems without epoll (see {!Epoll}).
     Wire-level counters (accepted / active / failed connections,
     malformed payloads, bytes in/out) are recorded in {!Netstats}. *)
 
@@ -59,54 +64,59 @@ type framing =
 type server
 
 type config = {
-  threads : int;  (** worker pool size *)
   backlog : int;  (** listen backlog *)
   drain_timeout : float;
       (** seconds {!shutdown} lingers for in-flight replies to flush —
           also the bound a failing-over router waits for a dying shard's
           last replies *)
   max_pipeline : int;
-      (** requests a single connection may have in flight at once
-          (clamped to at least 1).  Replies always leave in request
-          order — workers may finish out of order, a per-connection
-          reorder buffer fixes it — so a strictly request/reply client
-          sees no change, while a pipelining client (see {!send_line} /
-          {!recv_line}) overlaps up to this many requests.  Requests
-          pipelined on one connection may {e execute} concurrently, so a
-          client multiplexing sessions must keep at most one in-flight
-          request per session (exactly what [jim client --pipeline]
-          does). *)
+      (** requests one connection may put into a single turn (clamped
+          to at least 1); the rest wait for the next turn, behind the
+          other connections.  Requests pipelined on one connection run
+          one after another, in request order, and their replies leave
+          in request order, so a pipelining client (see {!send_line} /
+          {!recv_line}) saves round trips and shares barriers but never
+          sees its requests reordered. *)
 }
 
 val default_config : config
-(** [{threads = 16; backlog = 64; drain_timeout = 2.0; max_pipeline = 8}] *)
+(** [{backlog = 64; drain_timeout = 2.0; max_pipeline = 8}] *)
+
+val serve_turns :
+  ?config:config -> ?sweep_every:float -> ?sweep:(unit -> int) ->
+  (string array -> (string * bool) array) -> address -> server
+(** The serve loop: bind, listen and start the event-loop thread around
+    a turn function.  Each turn it gets every request payload the turn
+    read, in arrival order, and returns one reply per payload in the
+    same order, each with whether the payload parsed (malformed
+    counting); the replies are written only after it returns.  It runs
+    on the loop thread and must not raise.  Both framings (line +
+    negotiated binary) work against any turn function.  [sweep], when
+    given, runs on the loop every [sweep_every] seconds (default 30);
+    an exception from it is reported on stderr.  The call returns
+    immediately.  For [Tcp (_, 0)] the kernel-chosen port is reflected
+    in {!bound_address}.  Raises [Unix.Unix_error] if the bind fails.
+    Ignores [SIGPIPE] process-wide (abandoned connections must not kill
+    the server). *)
 
 val serve_handler :
   ?config:config -> ?sweep_every:float -> ?sweep:(unit -> int) ->
   (string -> string * bool) -> address -> server
-(** The generic serve loop: bind, listen and start the event loop plus
-    worker pool around an arbitrary payload handler — one request
-    payload in, one response payload out, plus whether the payload
-    parsed (malformed counting).  Both framings (line + negotiated
-    binary) work against any handler.  [sweep], when given, runs every
-    [sweep_every] seconds (default 30) on a housekeeping thread.  The
-    call returns immediately.  For [Tcp (_, 0)] the kernel-chosen port is
-    reflected in {!bound_address}.  Raises [Unix.Unix_error] if the bind
-    fails.  Ignores [SIGPIPE] process-wide (abandoned connections must
-    not kill the server). *)
+(** {!serve_turns} around a per-payload handler, run on each payload of
+    a turn in order.  A handler exception becomes a
+    [Bad_request "internal error: ..."] reply. *)
 
 val bound_address : server -> address
 
 val wait : server -> unit
-(** Block until the server is shut down (joins the pool). *)
+(** Block until the server is shut down (joins the loop thread). *)
 
 val shutdown : server -> unit
-(** Stop accepting, wake the event loop and the idle-session sweeper
-    (both sleep on self-pipes so they can be interrupted instantly),
-    join every thread, and unlink a Unix-domain socket path.  Replies
-    already being computed are flushed (bounded by a short drain
-    deadline); idle connections are dropped.  No thread outlives this
-    call. *)
+(** Stop accepting and reading, wake the event loop (shutting the
+    listening socket down wakes it at once), join it, and unlink a
+    Unix-domain socket path.  Requests already read still run and their
+    replies are flushed, bounded by [drain_timeout]; idle connections
+    are dropped.  No thread outlives this call. *)
 
 (** {1 Client} *)
 

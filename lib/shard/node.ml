@@ -53,20 +53,43 @@ let config role =
     catalog = None;
   }
 
+(* A primary's write path.  The persist hook stages each event — a
+   journal record assembled in memory plus a shadow fold — and
+   remembers it with its generation; [barrier] writes and fsyncs
+   everything staged at once, then ships it to the standby as one batch
+   and waits for the ack.  The wire runs one barrier per event-loop turn, before any
+   reply of the turn is written; [handle] runs one per request. *)
+type durable = {
+  store : Store.t;
+  repl : Repl.t option;
+  mutable staged : (int * Jim_store.Event.t) list;  (* newest first *)
+}
+
+let stage d ev =
+  Store.stage d.store ev;
+  d.staged <- (Store.generation d.store, ev) :: d.staged
+
+let barrier d =
+  match d.staged with
+  | [] -> ()
+  | staged ->
+    d.staged <- [];
+    Store.sync d.store;
+    Option.iter (fun r -> Repl.ship r (List.rev staged)) d.repl
+
 (* A standby before and after [Promote]: the stream operations run under
-   [lock]; once promoted, [promoted] holds the serving service and the
-   (idempotent) reply. *)
+   [lock]; once promoted, [promoted] holds the serving service, its
+   write path and the (idempotent) reply. *)
 type warm = {
   stb : Standby.t;
   lock : Mutex.t;
-  mutable promoted : (Service.t * P.response) option;
+  mutable promoted : (Service.t * durable * P.response) option;
 }
 
 type kind =
   | Serving of {
       service : Service.t;
-      store : Store.t option;
-      repl : Repl.t option;
+      durable : durable option;
       restored : int;
     }
   | Warm of warm
@@ -75,6 +98,9 @@ type kind =
 type t = {
   cfg : config;
   kind : kind;
+  turn : Mutex.t;
+      (* held for a whole turn, barrier included: requests and sweeps
+         run one at a time, so a barrier covers exactly its turn *)
   mutable server : Wire.server option;
   mutable closers : (unit -> unit) list;  (* most recently opened first *)
 }
@@ -94,9 +120,10 @@ let make_service cfg ~persist =
     ?persist ?crowd:s.crowd ()
 
 (* Open the store, attach replication (the standby gets the snapshot +
-   journal baseline before any traffic; every event then rides the
-   persist hook — journal locally, stream, only then ack), build the
-   service and restore the recovered sessions.  [closers] collects what
+   journal baseline before any traffic; every event is then staged by
+   the persist hook, and the barrier syncs locally, streams, and only
+   then are replies written), build the service and restore the
+   recovered sessions.  [closers] collects what
    is open, so an error closes exactly that.  [Repl.close] is the
    target's own [close], registered once up front. *)
 let create_primary cfg closers ~data_dir ~replicate_to =
@@ -124,14 +151,10 @@ let create_primary cfg closers ~data_dir ~replicate_to =
            (Repl.attach st target))
     | _ -> Ok None
   in
-  let persist =
-    Option.map
-      (fun (st, _) ev ->
-        Store.record st ev;
-        Option.iter (fun r -> Repl.send r ev) repl)
-      store
+  let durable =
+    Option.map (fun (st, _) -> { store = st; repl; staged = [] }) store
   in
-  let service = make_service cfg ~persist in
+  let service = make_service cfg ~persist:(Option.map stage durable) in
   let* restored =
     match store with
     | None -> Ok 0
@@ -139,9 +162,10 @@ let create_primary cfg closers ~data_dir ~replicate_to =
       Result.map_error (( ^ ) "recovery failed: ")
         (Service.restore service recovered)
   in
-  Ok (Serving { service; store = Option.map fst store; repl; restored })
+  Ok (Serving { service; durable; restored })
 
-let make cfg kind closers = { cfg; kind; server = None; closers }
+let make cfg kind closers =
+  { cfg; kind; turn = Mutex.create (); server = None; closers }
 
 let warm stb = Warm { stb; lock = Mutex.create (); promoted = None }
 let of_standby cfg stb = make cfg (warm stb) []
@@ -165,7 +189,15 @@ let create cfg =
 let service t =
   match t.kind with
   | Serving s -> Some s.service
-  | Warm w -> Mutex.protect w.lock (fun () -> Option.map fst w.promoted)
+  | Warm w ->
+    Mutex.protect w.lock (fun () -> Option.map (fun (s, _, _) -> s) w.promoted)
+  | Routing _ -> None
+
+let durable_of t =
+  match t.kind with
+  | Serving s -> s.durable
+  | Warm w ->
+    Mutex.protect w.lock (fun () -> Option.map (fun (_, d, _) -> d) w.promoted)
   | Routing _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -176,13 +208,14 @@ let service t =
    retrying router gets the same reply.  Called under [w.lock]. *)
 let promote t w =
   match w.promoted with
-  | Some (_, reply) -> reply
+  | Some (_, _, reply) -> reply
   | None -> (
     let failed msg = P.Failed (P.Bad_request ("promote: " ^ msg)) in
     match Standby.promote ~snapshot_every:t.cfg.snapshot_every w.stb with
     | Error e -> failed e
     | Ok (store, recovered) -> (
-      let service = make_service t.cfg ~persist:(Some (Store.record store)) in
+      let d = { store; repl = None; staged = [] } in
+      let service = make_service t.cfg ~persist:(Some (stage d)) in
       match Service.restore service recovered with
       | Error e ->
         Store.close store;
@@ -191,7 +224,7 @@ let promote t w =
         let reply =
           P.Promoted { sessions; generation = Store.generation store }
         in
-        w.promoted <- Some (service, reply);
+        w.promoted <- Some (service, d, reply);
         t.closers <- (fun () -> Store.close store) :: t.closers;
         reply))
 
@@ -202,7 +235,7 @@ let stream_reply = function
 let warm_handle t w req =
   Mutex.lock w.lock;
   match (w.promoted, req) with
-  | Some (service, _), req when req <> P.Promote ->
+  | Some (service, _, _), req when req <> P.Promote ->
     Mutex.unlock w.lock;
     Service.handle service req
   | _ ->
@@ -221,9 +254,10 @@ let warm_handle t w req =
         | P.Repl_status -> stream_reply (Ok (Standby.position w.stb))
         | _ -> P.Failed (P.Shard_unavailable "standby: not serving (promote first)"))
 
-let handle t req =
+(* The chain without the turn lock or a barrier. *)
+let dispatch t req =
   match (t.kind, req) with
-  | Serving { repl = Some r; _ }, P.Repl_status ->
+  | Serving { durable = Some { repl = Some r; _ }; _ }, P.Repl_status ->
     (* the router's Ring_status probe reads the stream's lag *)
     let records, bytes = Repl.lag r in
     P.Repl_lag { records; bytes }
@@ -231,7 +265,10 @@ let handle t req =
   | Warm w, _ -> warm_handle t w req
   | Routing _, _ -> invalid_arg "Node.handle: a router serves payloads only"
 
-let handle_line t payload =
+let internal_error exn =
+  P.Failed (P.Bad_request ("internal error: " ^ Printexc.to_string exn))
+
+let dispatch_line t payload =
   match t.kind with
   | Routing r -> Router.handle_line r payload
   | Warm w when String.starts_with ~prefix:Journal.record_magic payload ->
@@ -242,14 +279,52 @@ let handle_line t payload =
     match P.request_of_string payload with
     | Error e -> (P.response_to_string (P.Failed e), false)
     | Ok req ->
-      let resp =
-        try handle t req
-        with exn ->
-          P.Failed (P.Bad_request ("internal error: " ^ Printexc.to_string exn))
-      in
+      let resp = try dispatch t req with exn -> internal_error exn in
       (P.response_to_string resp, true))
 
-let sweep t = match service t with Some svc -> Service.sweep svc | None -> 0
+let end_turn t = Option.iter barrier (durable_of t)
+
+let handle t req =
+  Mutex.protect t.turn (fun () ->
+      let resp = dispatch t req in
+      end_turn t;
+      resp)
+
+(* One event-loop turn: every payload in order, then one barrier over
+   the turn's writes.  If the barrier fails, each reply whose request
+   staged an event becomes the internal error a failed synchronous
+   write gives; replies that wrote nothing stand. *)
+let turn t payloads =
+  Mutex.protect t.turn (fun () ->
+      let staged () =
+        Option.fold ~none:[] ~some:(fun d -> d.staged) (durable_of t)
+      in
+      let replies =
+        Array.map
+          (fun payload ->
+            let before = staged () in
+            let reply = dispatch_line t payload in
+            (reply, staged () != before))
+          payloads
+      in
+      match end_turn t with
+      | () -> Array.map fst replies
+      | exception exn ->
+        let failed = P.response_to_string (internal_error exn) in
+        Array.map
+          (fun ((reply, parsed), wrote) ->
+            ((if wrote then failed else reply), parsed))
+          replies)
+
+let handle_line t payload = (turn t [| payload |]).(0)
+
+let sweep t =
+  Mutex.protect t.turn (fun () ->
+      let evicted =
+        match service t with Some svc -> Service.sweep svc | None -> 0
+      in
+      end_turn t;
+      evicted)
 
 (* ------------------------------------------------------------------ *)
 (* Listening and teardown                                              *)
@@ -270,8 +345,7 @@ let start cfg =
     match t.kind with Routing _ -> None | Serving _ | Warm _ -> Some (fun () -> sweep t)
   in
   match
-    Wire.serve_handler ~config:cfg.wire ~sweep_every ?sweep (handle_line t)
-      cfg.listen
+    Wire.serve_turns ~config:cfg.wire ~sweep_every ?sweep (turn t) cfg.listen
   with
   | server ->
     t.server <- Some server;
@@ -299,9 +373,11 @@ let banner t =
   in
   let line_of f x = Option.to_list (Option.map f x) in
   match (t.kind, t.cfg.role) with
-  | Serving { store; repl; restored; _ }, _ ->
-    Printf.sprintf "listening on %s (max %d sessions, %d threads)" where
-      t.cfg.settings.max_sessions t.cfg.wire.threads
+  | Serving { durable; restored; _ }, _ ->
+    let store = Option.map (fun d -> d.store) durable in
+    let repl = Option.bind durable (fun d -> d.repl) in
+    Printf.sprintf "listening on %s (max %d sessions)" where
+      t.cfg.settings.max_sessions
     :: line_of
          (fun (c : Jim_server.Coordinator.config) ->
            Printf.sprintf "crowd labeling on — quorum %d, %gs straggler deadline%s"
@@ -342,8 +418,8 @@ let stats_line t =
   in
   let commit =
     match t.kind with
-    | Serving { store = Some st; _ } when t.cfg.commit_window > 0. ->
-      let s = Store.commit_stats st in
+    | Serving { durable = Some d; _ } ->
+      let s = Store.commit_stats d.store in
       Printf.sprintf "; commit: %d batches / %d records (max %d)"
         s.Journal.batches s.Journal.records s.Journal.max_batch
     | _ -> ""

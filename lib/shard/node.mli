@@ -9,7 +9,15 @@
     One handler chain answers every payload, decoding it once.  It
     routes by tag: [Repl_status] on a replicating primary, the stream
     messages and [Promote] on a standby; everything else goes to the
-    {!Jim_server.Service}.  A router takes payloads as they come. *)
+    {!Jim_server.Service}.  A router takes payloads as they come.
+
+    One write path: a durable primary's (or promoted standby's) persist
+    hook stages each event ({!Jim_store.Store.stage}), and a barrier —
+    one store fsync, then one {!Repl.ship} batch acked by the standby —
+    makes them durable.  Over the wire the barrier ends each event-loop
+    turn, before any reply of the turn is written; in-process it ends
+    each {!handle}, {!handle_line} and {!sweep}.  Requests and sweeps
+    run one at a time. *)
 
 type settings = {
   max_sessions : int;
@@ -75,14 +83,19 @@ val address : t -> Jim_server.Wire.address option
 
 val handle : t -> Jim_api.Protocol.request -> Jim_api.Protocol.response
 (** The in-process path of a primary or standby (a router raises
-    [Invalid_argument]).  Persist-hook exceptions propagate — the fault
-    sweeps crash a node that way. *)
+    [Invalid_argument]): the request, then the barrier, so its writes
+    are durable (and replicated) on return.  Persist-hook and barrier
+    exceptions propagate — the fault sweeps crash a node that way. *)
 
 val handle_line : t -> string -> string * bool
-(** The wire path: reply payload, and whether the request parsed.
-    Never raises: an exception becomes [Bad_request "internal error"]. *)
+(** One payload as a turn of its own: reply payload, and whether the
+    request parsed.  Never raises: an exception, or a failed barrier
+    after a write, becomes [Bad_request "internal error: ..."]. *)
 
 val sweep : t -> int
+(** Evict idle sessions, then the barrier over their [Ended] events;
+    returns how many were evicted. *)
+
 val service : t -> Jim_server.Service.t option
 (** Always on a primary, after [Promote] on a standby, never on a
     router. *)
@@ -92,8 +105,8 @@ val banner : t -> string list
     durability or placement details as they apply. *)
 
 val stats_line : t -> string
-(** Wire counters, then catalog and group-commit counters as they
-    apply. *)
+(** Wire counters, then catalog counters and, on a durable primary, the
+    journal's batch counters (records per combined write). *)
 
 val wait : t -> unit
 (** Block until the listener shuts down; returns at once in-process. *)

@@ -1,24 +1,20 @@
 (* The sending half of journal-streaming replication.
 
    A primary attaches one replication target (a warm standby — directly
-   in-process for tests, or behind a connection pool via {!Front}) and
-   then calls [send] from its persist hook *after* {!Jim_store.Store.record}
-   has made the event locally durable.  [send] returns only once the
-   standby has acknowledged — and the standby acknowledges only after
-   its own group commit — so an event the client sees acked is durable
-   in two places.  A failed send raises {!Replication_failed}, which the
-   wire layer turns into an error reply: the client is never told "ok"
-   for an event the standby missed (semi-synchronous replication with a
-   hard ack gate, not async shipping).
+   in-process for tests, or behind a connection pool via {!Front}).  Its
+   durability barrier ships each turn's events *after*
+   {!Jim_store.Store.sync} has made them locally durable.  [ship]
+   returns only once the standby has acknowledged — and the standby
+   acknowledges only after its own fsync — so an event the client sees
+   acked is durable in two places.  A failed ship raises
+   {!Replication_failed}, which the node turns into error replies: the
+   client is never told "ok" for an event the standby missed
+   (semi-synchronous replication with a hard ack gate, not async
+   shipping).
 
-   Batching: concurrent senders do not each pay a standby round-trip.
-   The first sender to arrive becomes the shipping leader; everyone who
-   queues behind it while the leader's round-trip is in flight has their
-   records drained into the next batch and shipped as one [Repl_batch]
-   message, acknowledged by the standby's high-water mark after a single
-   combined group commit.  The ack gate is unchanged — every waiter
-   blocks until the batch holding its record is durably acked — but a
-   batch of [n] records costs one round-trip instead of [n]. *)
+   Batching: a [ship] call's records go out as one [Repl_batch] per
+   store generation, so a turn's records cost one round-trip.  Calls
+   from several threads ship one after another. *)
 
 module Journal = Jim_store.Journal
 module Recovery = Jim_store.Recovery
@@ -50,22 +46,14 @@ let () =
     | Replication_failed msg -> Some ("Replication_failed: " ^ msg)
     | _ -> None)
 
-type waiter = {
-  record : string;  (* encoded JREC bytes *)
-  mutable outcome : (unit, string) result option;
-}
-
 type t = {
   store : Store.t;
   target : target;
-  lock : Mutex.t;
-  cond : Condition.t;
-  queue : waiter Queue.t;
-  mutable sending : bool;  (* a leader's round-trip is in flight *)
+  lock : Mutex.t;  (* one shipment at a time *)
   mutable gen_sent : int;
   mutable acked : int;  (* records acked by the target this generation *)
-  mutable pending_records : int;  (* queued or in flight, not yet acked *)
-  mutable pending_bytes : int;
+  pending_records : int Atomic.t;  (* in the shipment in flight *)
+  pending_bytes : int Atomic.t;
 }
 
 let ( let* ) = Result.bind
@@ -114,101 +102,65 @@ let attach store target =
       store;
       target;
       lock = Mutex.create ();
-      cond = Condition.create ();
-      queue = Queue.create ();
-      sending = false;
       gen_sent = gen;
       acked;
-      pending_records = 0;
-      pending_bytes = 0;
+      pending_records = Atomic.make 0;
+      pending_bytes = Atomic.make 0;
     }
 
-let position t =
-  Mutex.lock t.lock;
-  let p = (t.gen_sent, t.acked) in
-  Mutex.unlock t.lock;
-  p
+let position t = Mutex.protect t.lock (fun () -> (t.gen_sent, t.acked))
 
-let lag t =
-  Mutex.lock t.lock;
-  let l = (t.pending_records, t.pending_bytes) in
-  Mutex.unlock t.lock;
-  l
+(* Read without the lock, so it sees a shipment in flight. *)
+let lag t = (Atomic.get t.pending_records, Atomic.get t.pending_bytes)
 
 let describe t = t.target.describe
 
-(* Leader loop: called with the lock held and [t.sending] set.  Drains
-   everything queued so far into one batch, ships it unlocked (rotating
-   first if the store checkpointed since the last batch), then resolves
-   every drained waiter under the lock and loops — records that queued
-   during the round-trip form the next batch. *)
-let rec drain t =
-  if not (Queue.is_empty t.queue) then begin
-    let batch = List.of_seq (Queue.to_seq t.queue) in
-    Queue.clear t.queue;
-    let gen = Store.generation t.store in
-    let rotate_needed = gen <> t.gen_sent in
-    Mutex.unlock t.lock;
-    let result =
-      try
-        let* () = if rotate_needed then t.target.rotate ~gen else Ok () in
-        t.target.append_batch (List.map (fun w -> w.record) batch)
-      with e -> Error (Printexc.to_string e)
-    in
-    Mutex.lock t.lock;
-    (match result with
-    | Ok (_gen, acked) ->
-      t.gen_sent <- gen;
-      t.acked <- acked;
-      List.iter (fun w -> w.outcome <- Some (Ok ())) batch
-    | Error msg -> List.iter (fun w -> w.outcome <- Some (Error msg)) batch);
-    List.iter
-      (fun w ->
-        t.pending_records <- t.pending_records - 1;
-        t.pending_bytes <- t.pending_bytes - String.length w.record)
-      batch;
-    Condition.broadcast t.cond;
-    drain t
-  end
+(* The records of [gen] at the head of [records], and the rest. *)
+let rec same_gen gen = function
+  | (g, record) :: rest when g = gen ->
+    let batch, rest = same_gen gen rest in
+    (record :: batch, rest)
+  | rest -> ([], rest)
 
-(* Called from the persist hook, after Store.record: the event is
-   already locally durable and — if the store checkpointed at the start
-   of this record — the store's generation may have advanced past
-   [gen_sent], in which case the standby checkpoints into the same
-   generation first, so the record lands in the same generation on both
-   sides.  For a stream shipped in journal order the two directories
-   are therefore byte-identical; under concurrent writers a batch may
-   straddle a checkpoint, and each generation recovers the same
-   sessions. *)
-let send t ev =
-  let record = Journal.encode_record (Event.to_string ev) in
-  Mutex.lock t.lock;
-  let w = { record; outcome = None } in
-  Queue.push w t.queue;
-  t.pending_records <- t.pending_records + 1;
-  t.pending_bytes <- t.pending_bytes + String.length record;
-  if t.sending then
-    (* A leader's round-trip is in flight; it will drain us into the
-       next batch.  Wait for our outcome. *)
-    while w.outcome = None do
-      Condition.wait t.cond t.lock
-    done
-  else begin
-    t.sending <- true;
-    Fun.protect
-      ~finally:(fun () ->
-        t.sending <- false;
-        Condition.broadcast t.cond)
-      (fun () -> drain t)
-  end;
-  let outcome = w.outcome in
-  Mutex.unlock t.lock;
-  match outcome with
-  | Some (Ok ()) -> ()
-  | Some (Error msg) ->
-    raise (Replication_failed (t.target.describe ^ ": " ^ msg))
-  | None ->
-    (* unreachable: the leader resolves every drained waiter *)
-    raise (Replication_failed (t.target.describe ^ ": record never shipped"))
+(* One batch per generation, in journal order, each after rotating the
+   standby into its generation if it is not there yet — so a checkpoint
+   between two shipped events falls at the same record on both sides,
+   and a stream shipped in journal order leaves the two directories
+   byte-identical.  The first failure stops the shipment: shipping later
+   records past a gap would leave the standby's journal ahead of a
+   hole. *)
+let ship t evs =
+  let records =
+    List.map (fun (gen, ev) -> (gen, Journal.encode_record (Event.to_string ev))) evs
+  in
+  Mutex.protect t.lock (fun () ->
+      Atomic.set t.pending_records (List.length records);
+      Atomic.set t.pending_bytes
+        (List.fold_left (fun n (_, r) -> n + String.length r) 0 records);
+      let rec go = function
+        | [] -> Ok ()
+        | (gen, _) :: _ as records ->
+          let batch, rest = same_gen gen records in
+          let* () =
+            if gen = t.gen_sent then Ok ()
+            else
+              let* () = t.target.rotate ~gen in
+              t.gen_sent <- gen;
+              Ok ()
+          in
+          let* _gen, acked = t.target.append_batch batch in
+          t.acked <- acked;
+          go rest
+      in
+      let result = try go records with e -> Error (Printexc.to_string e) in
+      Atomic.set t.pending_records 0;
+      Atomic.set t.pending_bytes 0;
+      match result with
+      | Ok () -> ()
+      | Error msg -> raise (Replication_failed (t.target.describe ^ ": " ^ msg)))
+
+(* Called from a persist hook after Store.record: the event is already
+   locally durable, in the store's current generation. *)
+let send t ev = ship t [ (Store.generation t.store, ev) ]
 
 let close t = t.target.close ()

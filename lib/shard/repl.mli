@@ -1,22 +1,22 @@
 (** The sending half of journal-streaming replication: a primary's
-    attachment to one warm {!Standby}, called from its persist hook.
+    attachment to one warm {!Standby}, driven by its durability
+    barrier.
 
     Ack discipline (the semi-synchronous contract the failover sweep
-    asserts): {!send} is called {e after} {!Jim_store.Store.record} has
-    group-committed the event locally, and returns only once the
-    standby has acknowledged — which it does only after its own group
-    commit.  A send failure raises {!Replication_failed}, which the
-    wire layer converts into an error reply, so the client is never
-    acked an event the standby does not durably hold.
+    asserts): records are shipped only {e after}
+    {!Jim_store.Store.sync} has made them locally durable, and {!ship}
+    returns only once the standby has acknowledged — which it does only
+    after its own fsync.  A serving node stages a whole event-loop
+    turn's events, syncs the store once, then ships them in one call,
+    before any reply of the turn leaves.  A ship failure raises
+    {!Replication_failed}, which the node turns into error replies, so
+    the client is never acked an event the standby does not durably
+    hold.
 
-    Batching: concurrent {!send}s coalesce.  The first sender becomes
-    the shipping leader; records queued behind it while its round-trip
-    is in flight are drained into the next batch and shipped as one
-    {!Jim_api.Protocol.Repl_batch} message, which the standby lands
-    atomically (one combined append, one fsync) and acks with its
-    high-water mark.  Every waiter still blocks until its record's
-    batch is acked — the durability contract is unchanged; only the
-    number of round-trips shrinks. *)
+    Batching: one {!ship} call's records travel as one
+    {!Jim_api.Protocol.Repl_batch} per store generation, which the
+    standby lands atomically (one combined append, one fsync) and acks
+    with its high-water mark. *)
 
 type target = {
   describe : string;
@@ -44,23 +44,29 @@ val attach : Jim_store.Store.t -> target -> (t, string) result
     {!send} keeps the stream current.  Call before the service starts
     accepting requests, with the store quiescent. *)
 
+val ship : t -> (int * Jim_store.Event.t) list -> unit
+(** Stream already-durable events, each tagged with the store
+    generation it was journaled in, in journal order; returns once the
+    standby has durably acked them all.  The standby is rotated into a
+    generation before that generation's first batch, so a checkpoint
+    between two shipped events falls at the same record on both sides.
+    Raises {!Replication_failed} on any stream error; a failed batch
+    stops the shipment.  Thread-safe: concurrent calls ship one after
+    another. *)
+
 val send : t -> Jim_store.Event.t -> unit
-(** Stream one just-recorded event; returns once the standby has
-    durably acked the batch holding it.  Rotates the standby first if
-    the store checkpointed since the last batch.  Raises
-    {!Replication_failed} on any stream error.  Thread-safe: concurrent
-    sends batch behind a single shipping leader, in record order. *)
+(** [ship] of one just-recorded event, in the store's current
+    generation. *)
 
 val position : t -> int * int
 (** Last acked [(generation, record count)]. *)
 
 val lag : t -> int * int
-(** Current replication lag as [(records, bytes)]: records accepted
-    into the stream (queued or in a batch in flight) that the standby
-    has not yet acknowledged.  [(0, 0)] when the stream is idle — the
-    semi-synchronous ack gate keeps the lag bounded by the in-flight
-    batch.  This is what a primary reports in its
-    {!Jim_api.Protocol.Repl_lag} reply. *)
+(** Current replication lag as [(records, bytes)]: records of the
+    shipment in flight that the standby has not yet acknowledged.
+    [(0, 0)] when the stream is idle — the semi-synchronous ack gate
+    keeps the lag bounded by one shipment.  This is what a primary
+    reports in its {!Jim_api.Protocol.Repl_lag} reply. *)
 
 val describe : t -> string
 val close : t -> unit

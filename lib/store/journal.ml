@@ -15,8 +15,8 @@ type t = {
   file : Io.file;
   fsync : bool;
   window : float;
-      (* commit-window dally, seconds; [> 0] switches appends to the
-         staged (combined-write) group commit below *)
+      (* commit-window dally, seconds; [> 0] switches barriers to the
+         windowed leader below, which writes outside the lock *)
   window_bytes : int;  (* byte budget: stop dallying once staged past it *)
   lock : Mutex.t;
   cond : Condition.t;
@@ -24,8 +24,8 @@ type t = {
   mutable synced : int;  (* bytes known covered by an fsync *)
   mutable staged : int;  (* logical end: [written] plus pending bytes *)
   pending : Buffer.t;
-      (* records staged but not yet written (windowed mode only); the
-         leader drains the whole buffer as one combined [write] *)
+      (* records staged but not yet written; the next barrier drains
+         the whole buffer as one combined [write] *)
   mutable pending_records : int;  (* records inside [pending] *)
   mutable waiters : int;  (* appenders parked on the fsync barrier *)
   mutable syncing : bool;  (* a leader's write+fsync is in flight *)
@@ -165,8 +165,8 @@ let batch_stats t =
   Mutex.unlock t.lock;
   s
 
-(* Group commit, immediate-write flavour: the record is already on file;
-   wait until some leader's fsync barrier covers [ticket].  The first
+(* Group commit, immediate-write flavour: the records are already on
+   file; wait until some leader's fsync barrier covers [ticket].  The first
    waiter whose bytes are not yet durable becomes the leader, releases
    the lock for the (slow) fsync, and broadcasts the new high-water
    mark; appenders that wrote while the leader was syncing ride the next
@@ -279,19 +279,24 @@ let stage t payload =
   t.staged <- t.staged + total;
   t.pending_records <- t.pending_records + 1
 
-(* Caller holds the lock.  Write one record straight to the file,
-   poisoning on failure (the lock is released before re-raising). *)
-let write_immediate t payload =
-  let total = record_into t payload in
-  (match write_all t.file t.scratch 0 total with
-  | () -> ()
-  | exception exn ->
-    t.failed <- true;
-    Condition.broadcast t.cond;
-    Mutex.unlock t.lock;
-    raise exn);
-  t.written <- t.written + total;
-  t.staged <- t.written
+(* Caller holds the lock with no windowed leader in flight.  Push the
+   staged records to the file as one combined write, poisoning on
+   failure.  A write of several records counts as a batch. *)
+let flush_pending_locked t =
+  if Buffer.length t.pending > 0 then begin
+    let batch = Buffer.to_bytes t.pending in
+    let nrec = t.pending_records in
+    Buffer.clear t.pending;
+    t.pending_records <- 0;
+    match write_all t.file batch 0 (Bytes.length batch) with
+    | () ->
+      t.written <- t.written + Bytes.length batch;
+      if nrec > 1 then note_batch t nrec
+    | exception exn ->
+      t.failed <- true;
+      Condition.broadcast t.cond;
+      raise exn
+  end
 
 let check_open t ~op =
   if t.closed then begin
@@ -303,102 +308,47 @@ let check_open t ~op =
     raise Poisoned
   end
 
-let append t payload =
-  Mutex.lock t.lock;
-  check_open t ~op:"Journal.append";
+(* Caller holds the lock.  Wait until a barrier covers every record
+   staged so far: the windowed leader writes and syncs them; otherwise
+   they go down as one combined write here and then share an fsync.
+   Returns with the lock held (released on raise). *)
+let await t =
   if windowed t then begin
-    stage t payload;
-    let ticket = t.staged in
     t.waiters <- t.waiters + 1;
-    await_windowed t ticket;
-    Mutex.unlock t.lock
+    await_windowed t t.staged
   end
   else begin
-    write_immediate t payload;
-    let ticket = t.written in
-    if t.fsync then await_immediate t ticket;
-    Mutex.unlock t.lock
+    (try flush_pending_locked t
+     with exn ->
+       Mutex.unlock t.lock;
+       raise exn);
+    if t.fsync then await_immediate t t.written
   end
 
-(* Append a batch under one barrier: all records become durable together
-   and the call returns after a single fsync covers the lot.  Even
-   without a commit window the records go down as one combined [write],
-   so the torn-tail story is the same as a windowed batch — this is what
-   a replication standby uses to apply a [Repl_batch] atomically. *)
-let append_many t payloads =
-  match payloads with
-  | [] -> ()
-  | payloads ->
+let write t payloads =
+  if payloads <> [] then begin
     Mutex.lock t.lock;
-    check_open t ~op:"Journal.append_many";
-    if windowed t then begin
-      List.iter (stage t) payloads;
-      let ticket = t.staged in
-      t.waiters <- t.waiters + 1;
-      await_windowed t ticket;
-      Mutex.unlock t.lock
-    end
-    else begin
-      let buf = Buffer.create 1024 in
-      List.iter
-        (fun p ->
-          let total = record_into t p in
-          Buffer.add_subbytes buf t.scratch 0 total)
-        payloads;
-      let batch = Buffer.to_bytes buf in
-      (match write_all t.file batch 0 (Bytes.length batch) with
-      | () -> ()
-      | exception exn ->
-        t.failed <- true;
-        Condition.broadcast t.cond;
-        Mutex.unlock t.lock;
-        raise exn);
-      t.written <- t.written + Bytes.length batch;
-      t.staged <- t.written;
-      note_batch t (List.length payloads);
-      if t.fsync then await_immediate t t.written;
-      Mutex.unlock t.lock
-    end
-
-(* Caller holds the lock with no leader in flight.  Push any staged
-   records to the file (one combined write); poisons on failure. *)
-let flush_pending_locked t =
-  if Buffer.length t.pending > 0 then begin
-    let batch = Buffer.to_bytes t.pending in
-    let nrec = t.pending_records in
-    Buffer.clear t.pending;
-    t.pending_records <- 0;
-    match write_all t.file batch 0 (Bytes.length batch) with
-    | () ->
-      t.written <- t.written + Bytes.length batch;
-      if nrec > 0 then note_batch t nrec
-    | exception exn ->
-      t.failed <- true;
-      Condition.broadcast t.cond;
-      raise exn
+    check_open t ~op:"Journal.write";
+    List.iter (stage t) payloads;
+    Mutex.unlock t.lock
   end
 
 let sync t =
   Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () ->
-      while t.syncing do
-        Condition.wait t.cond t.lock
-      done;
-      if t.failed then raise Poisoned;
-      if not t.closed then begin
-        flush_pending_locked t;
-        let barrier = t.written in
-        if t.synced < barrier then begin
-          (match t.file.Io.fsync () with
-          | () -> ()
-          | exception exn ->
-            t.failed <- true;
-            raise exn);
-          t.synced <- max t.synced barrier
-        end
-      end)
+  check_open t ~op:"Journal.sync";
+  await t;
+  Mutex.unlock t.lock
+
+let append_many t payloads =
+  if payloads <> [] then begin
+    Mutex.lock t.lock;
+    check_open t ~op:"Journal.append_many";
+    List.iter (stage t) payloads;
+    await t;
+    Mutex.unlock t.lock
+  end
+
+let append t payload = append_many t [ payload ]
 
 let failed t =
   Mutex.lock t.lock;

@@ -22,14 +22,12 @@
       payload     [length] bytes (one Event.to_string line, no newline)
     v}
 
-    Each record is assembled in memory and appended with a single
-    [write] — either alone, or as part of one {e combined append} when a
-    commit window is set or {!append_many} batches records (the batch is
-    concatenated in memory and handed to [write] once).  Either way a
-    crash leaves a clean prefix of whole records plus at most one
-    partial write at the tail, and everything a torn write can damage is
-    by construction unacknowledged — no {!append} in the batch had
-    returned.  {!scan} distinguishes the two failure shapes the
+    Records are assembled in memory and staged; the next durability
+    barrier hands everything staged to [write] once, as one {e combined
+    append}.  A crash therefore leaves a clean prefix of whole records
+    plus at most one partial write at the tail, and everything a torn
+    write can damage is by construction unacknowledged — no barrier
+    covering it had returned.  {!scan} distinguishes the two failure shapes the
     acceptance criteria name:
 
     - a {e torn tail} — the file ends inside a record header or payload,
@@ -46,17 +44,17 @@
 
     {1 Group commit}
 
-    {!append} returns only once the record is durable ([fsync] has
-    covered it), but concurrent appenders share fsyncs: the first thread
-    to need one becomes the leader and syncs every byte written so far;
+    {!append} and {!sync} return only once the records are durable
+    ([fsync] has covered them), but concurrent callers share fsyncs: the
+    first thread to need one becomes the leader and syncs every byte
+    written so far;
     the rest wait on a condition variable and piggyback on the leader's
     barrier.  Under [n] concurrent sessions the hot path pays ~1/n of an
     fsync each.
 
-    With a commit window ([window > 0]), appends are {e staged}: records
-    accumulate in memory and the fsync leader drains everything staged —
-    including records queued while the previous sync ran — as one
-    combined [write] followed by a single fsync.  The window is
+    With a commit window ([window > 0]), the fsync leader itself drains
+    everything staged — including records queued while the previous
+    sync ran — as one combined [write] followed by a single fsync.  The window is
     adaptive: a leader that sees other appenders in flight dallies up to
     [window] seconds (or until [window_bytes] are staged) so their
     records join its batch; an uncontended leader drains immediately, so
@@ -112,7 +110,7 @@ val append : t -> string -> unit
 (** Append one payload as a record; returns after the record is fsynced
     (group-committed).  Thread-safe.  Raises the underlying I/O error on
     failure (poisoning the journal), or {!Poisoned} if a previous append
-    already failed. *)
+    already failed.  [append t p] is {!write} then {!sync}. *)
 
 val append_many : t -> string list -> unit
 (** Append a batch of payloads as one combined write under a single
@@ -121,9 +119,18 @@ val append_many : t -> string list -> unit
     This is how a replication standby applies a batch atomically —
     either the whole batch is acknowledged or none of it was. *)
 
+val write : t -> string list -> unit
+(** The staging half of {!append_many}: assemble the records in memory
+    for the next barrier, without a syscall.  Nothing staged this way
+    reaches the file before a {!sync} (or a {!close}).  Raises
+    [Invalid_argument] on a closed journal and {!Poisoned} on a
+    poisoned one. *)
+
 val sync : t -> unit
-(** Flush any staged records and force an fsync barrier over everything
-    appended so far. *)
+(** The durability barrier: writes every record staged so far as one
+    combined write and returns once they are durable.  Concurrent
+    callers share fsyncs as appenders do; without fsync it only writes.
+    Raises the I/O error (poisoning the journal), or {!Poisoned}. *)
 
 type batch_stats = {
   batches : int;  (** combined appends drained *)
@@ -135,9 +142,9 @@ type batch_stats = {
 }
 
 val batch_stats : t -> batch_stats
-(** Batch size distribution of combined appends so far (windowed drains
-    and {!append_many} calls; immediate single-record appends are not
-    counted). *)
+(** Batch size distribution of combined appends so far: every windowed
+    drain, and otherwise every barrier that wrote several records (a
+    barrier over a single record is not counted). *)
 
 val failed : t -> bool
 (** Has this journal been poisoned by a write/fsync failure? *)

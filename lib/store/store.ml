@@ -10,7 +10,7 @@ type t = {
   mutable gen : int;
   mutable journal : Journal.t;
   mutable since_snapshot : int;
-  mutable inflight : int;  (* appends between handle-grab and completion *)
+  mutable inflight : int;  (* barriers between handle-grab and completion *)
   mutable checkpointing : bool;
   mutable closed : bool;
 }
@@ -177,14 +177,21 @@ let exclusively t f =
       Condition.broadcast t.idle)
     f
 
-(* Caller holds [t.lock].  Wait out a checkpoint in flight, then run
-   the automatic one if the generation is full, so the records about
-   to be appended open the next generation.  On a raise (closed store,
-   failed checkpoint) the lock is released and nothing was appended. *)
+(* Caller holds [t.lock].  Refuse a store whose journal a failed write
+   or barrier poisoned: its shadow may hold staged events that never
+   became durable, and no checkpoint may snapshot them.  Then wait out
+   a checkpoint in flight and run the automatic one if the generation
+   is full, so the records about to be staged open the next generation.
+   On a raise (closed or poisoned store, failed checkpoint) the lock is
+   released and nothing was written. *)
 let rec admit t =
   if t.closed then begin
     Mutex.unlock t.lock;
     invalid_arg "Store.record: closed"
+  end
+  else if Journal.failed t.journal then begin
+    Mutex.unlock t.lock;
+    raise Journal.Poisoned
   end
   else if t.checkpointing then begin
     Condition.wait t.idle t.lock;
@@ -198,15 +205,15 @@ let rec admit t =
     admit t
   end
 
-let record_many t evs =
+let stage_many t evs =
   Mutex.lock t.lock;
   admit t;
-  (* Decided with the handle, folding the generation's instance table
-     through the batch: each record resolves against the table as the
-     records before it leave it, and is written in the form that table
-     calls for.  An instance enters the shadow's table only once its
-     concrete record is appended, so a reference never precedes its
-     origin in this journal, whatever happens to later appends. *)
+  (* Folding the generation's instance table through the batch: each
+     record resolves against the table as the records before it leave
+     it, and is written in the form that table calls for.  An instance
+     enters the shadow's table only once its concrete record is
+     written, so a reference never precedes its origin in this
+     journal. *)
   let folded =
     List.fold_left
       (fun acc ev ->
@@ -222,38 +229,59 @@ let record_many t evs =
     Error m
   | Ok (rev, _) ->
     let evs = List.rev rev in
-    let journal = t.journal in
-    t.inflight <- t.inflight + 1;
+    (match
+       Journal.write t.journal
+         (List.map (fun (_, written) -> Event.to_string written) evs)
+     with
+    | () -> ()
+    | exception exn ->
+      Mutex.unlock t.lock;
+      raise exn);
+    List.iter (fun (ev, _) -> Shadow.apply t.shadow ev) evs;
+    t.since_snapshot <- t.since_snapshot + List.length evs;
     Mutex.unlock t.lock;
-    (* Journal first, shadow second: if the append fails the caller
-       reports Failed, and the events must not survive into the next
-       snapshot via the shadow — recovery would resurrect state the
-       client was told did not happen.  Our inflight ticket keeps the
-       checkpointer out until the shadow catches up. *)
-    let finish applied =
-      Mutex.lock t.lock;
-      if applied then begin
-        List.iter (fun (ev, _) -> Shadow.apply t.shadow ev) evs;
-        t.since_snapshot <- t.since_snapshot + List.length evs
-      end;
-      t.inflight <- t.inflight - 1;
-      if t.inflight = 0 then Condition.broadcast t.idle;
-      Mutex.unlock t.lock
-    in
-    (try
-       match List.map (fun (_, written) -> Event.to_string written) evs with
-       | [ payload ] -> Journal.append journal payload
-       | payloads -> Journal.append_many journal payloads
-     with exn ->
-       finish false;
-       raise exn);
-    finish true;
     Ok ()
 
-let record t ev =
-  match record_many t [ ev ] with
+let stage t ev =
+  match stage_many t [ ev ] with
   | Ok () -> ()
   | Error m -> invalid_arg ("Store.record: " ^ m)
+
+(* The barrier runs outside the store lock, so concurrent callers share
+   the journal's fsync; the inflight ticket keeps a checkpoint from
+   closing the journal under it. *)
+let sync t =
+  Mutex.lock t.lock;
+  while t.checkpointing do
+    Condition.wait t.idle t.lock
+  done;
+  if t.closed then begin
+    Mutex.unlock t.lock;
+    invalid_arg "Store.sync: closed"
+  end;
+  let journal = t.journal in
+  t.inflight <- t.inflight + 1;
+  Mutex.unlock t.lock;
+  let finish () =
+    Mutex.lock t.lock;
+    t.inflight <- t.inflight - 1;
+    if t.inflight = 0 then Condition.broadcast t.idle;
+    Mutex.unlock t.lock
+  in
+  (try Journal.sync journal
+   with exn ->
+     finish ();
+     raise exn);
+  finish ()
+
+let record_many t evs =
+  let* () = stage_many t evs in
+  sync t;
+  Ok ()
+
+let record t ev =
+  stage t ev;
+  sync t
 
 let checkpoint ?gen t =
   Mutex.lock t.lock;
@@ -262,11 +290,15 @@ let checkpoint ?gen t =
     Mutex.unlock t.lock;
     invalid_arg "Store.checkpoint: gen"
   end;
-  if not t.closed && not t.checkpointing then
+  if t.closed || t.checkpointing then Mutex.unlock t.lock
+  else if Journal.failed t.journal then begin
+    Mutex.unlock t.lock;
+    raise Journal.Poisoned
+  end
+  else
     Fun.protect
       ~finally:(fun () -> Mutex.unlock t.lock)
       (fun () -> exclusively t (fun () -> checkpoint_locked t g'))
-  else Mutex.unlock t.lock
 
 let close t =
   Mutex.lock t.lock;

@@ -14,12 +14,17 @@
     primary's records through {!record_many} and checkpointing when
     the primary does, so its files are written by this same path.
 
-    Concurrency: {!record} and {!record_many} are thread-safe.  Shadow
-    updates take a short store lock; the journal append itself runs
-    outside it and group-commits (see {!Journal}), so concurrent
-    sessions share fsync barriers.  A checkpoint briefly quiesces
-    appends (records arriving mid-checkpoint wait, and land in the new
-    generation). *)
+    Writes come in two halves: {!stage} puts an event down (journal
+    write plus shadow fold, no fsync) and {!sync} is the durability
+    barrier over everything staged so far.  A serving primary stages
+    every event of an event-loop turn and syncs once before any reply
+    of the turn leaves; {!record} is the two halves back to back.
+
+    Concurrency: every write function is thread-safe.  Staging takes a
+    short store lock; the barrier runs outside it and group-commits
+    (see {!Journal}), so concurrent callers share fsyncs.  A checkpoint
+    briefly quiesces barriers (records arriving mid-checkpoint wait,
+    and land in the new generation). *)
 
 type t
 
@@ -48,35 +53,47 @@ val open_dir :
     {!Io.real}): the filesystem the store runs against — a fault
     filesystem in tests. *)
 
-val record : t -> Event.t -> unit
-(** Journal one (concrete) event; returns once it is durable.  A
+val stage : t -> Event.t -> unit
+(** Stage one (concrete) event for the journal and fold it into the
+    shadow; the next {!sync} writes it and makes it durable.  A
     [Started] on an inline CSV instance whose text this generation's
     files already hold is journaled as a [Catalog fp] reference (see
-    {!Instances}); recovery resolves it back.  May raise
-    [Unix.Unix_error] if the disk fails — the caller's reply turns into a
-    typed internal error, and the in-memory session is then ahead of the
-    log (documented, unrecovered).  A failed automatic checkpoint raises
-    before the event is appended, so the event leaves no trace.
-    [record t ev] is [record_many t [ev]]. *)
+    {!Instances}); recovery resolves it back.  Raises
+    {!Journal.Poisoned} on a poisoned store.  The automatic checkpoint
+    runs here, before the event is staged: if it fails it raises (as
+    {!sync} does on a disk failure) and the event leaves no trace. *)
+
+val sync : t -> unit
+(** The durability barrier: writes every event staged so far and
+    returns once they are durable.  May raise [Unix.Unix_error] if the
+    disk fails — the callers' replies turn into a typed internal error,
+    and their in-memory sessions are then ahead of the log (documented,
+    unrecovered).  The journal is then poisoned: the shadow holds
+    staged events the disk never got, so every later {!stage},
+    {!record} and {!checkpoint} raises {!Journal.Poisoned} and the
+    store must be reopened. *)
+
+val record : t -> Event.t -> unit
+(** {!stage} then {!sync}: returns once the event is durable. *)
 
 val record_many : t -> Event.t list -> (unit, string) result
-(** Journal a batch of events under one fsync barrier
-    ({!Journal.append_many}) and fold them into the shadow.  Events may
-    be concrete or in a generation's journal form: a [Catalog fp]
-    source resolves against this generation's instance table as the
-    batch's earlier events leave it, and each event is written in the
-    form that table calls for, so a batch writes the same bytes as the
-    same events recorded one by one.  A reference with no origin
-    refuses the whole batch with an [Error] before anything is written.
-    Raises as {!record} on a disk failure; the batch then leaves no
-    trace in the shadow. *)
+(** Journal a batch of events as one combined write under one fsync
+    barrier, and fold them into the shadow.  Events may be concrete or
+    in a generation's journal form: a [Catalog fp] source resolves
+    against this generation's instance table as the batch's earlier
+    events leave it, and each event is written in the form that table
+    calls for, so a batch writes the same bytes as the same events
+    recorded one by one.  A reference with no origin refuses the whole
+    batch with an [Error] before anything is staged.  Raises as
+    {!stage} and {!sync}. *)
 
 val checkpoint : ?gen:int -> t -> unit
 (** Force a snapshot + journal rotation now (tests, graceful shutdown,
     a standby following its primary) into generation [gen] (default:
     the next one).  Raises [Invalid_argument] unless [gen] is above the
     current generation; raises as {!record} on a failed write, with the
-    store left usable at its current generation. *)
+    store left usable at its current generation, and
+    {!Journal.Poisoned} on a poisoned store. *)
 
 val close : t -> unit
 

@@ -2,23 +2,12 @@
    [Node.start], exactly as [jim serve|standby|router] assemble theirs. *)
 
 module Node = Jim_shard.Node
-module Wire = Jim_server.Wire
 
 (* An in-memory primary: no data dir, no replication. *)
 let memory = Node.Primary { data_dir = None; replicate_to = None }
 
-let start ?(settings = Node.default_settings) ?(threads = 16) ?(fsync = true)
-    role listen =
-  match
-    Node.start
-      {
-        (Node.config role) with
-        listen;
-        wire = { Wire.default_config with threads };
-        settings;
-        fsync;
-      }
-  with
+let start ?(settings = Node.default_settings) ?(fsync = true) role listen =
+  match Node.start { (Node.config role) with listen; settings; fsync } with
   | Ok node -> node
   | Error e -> Alcotest.failf "node: %s" e
 

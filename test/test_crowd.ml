@@ -669,7 +669,7 @@ let test_stalled_reply_is_dropped () =
      drop — never as divergence, never as a hang. *)
   let upstream = Wire.Unix_path (fresh_socket ()) in
   let listen = Wire.Unix_path (fresh_socket ()) in
-  let node = Serving.start ~threads:4 Serving.memory upstream in
+  let node = Serving.start Serving.memory upstream in
   let plan =
     match Chaos.plan_of_string "stall=1,delay-ms=300" with
     | Ok p -> p

@@ -24,11 +24,11 @@ let fresh_socket =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "jim-test-%d-%d.sock" (Unix.getpid ()) !counter)
 
-let with_server ?(max_sessions = 64) ?(threads = 40) f =
+let with_server ?(max_sessions = 64) f =
   let node =
     Serving.start
       ~settings:{ Jim_shard.Node.default_settings with max_sessions }
-      ~threads Serving.memory
+      Serving.memory
       (Wire.Unix_path (fresh_socket ()))
   in
   Fun.protect
@@ -104,9 +104,9 @@ let test_smoke_32_clients_binary () =
 
 (* Pipelined clients: 4 connections, 8 interleaved sessions each, so
    every connection keeps up to 8 requests in flight.  Outcomes stay
-   bit-identical (the reorder buffer delivers replies in request
-   order), and the wire counters must show the pipeline working:
-   depth above 1, and responses sharing flushes. *)
+   bit-identical (requests run and reply in request order), and the
+   wire counters must show the pipeline working: several requests of
+   one connection in a turn, and responses sharing flushes. *)
 let test_smoke_pipelined () =
   with_server (fun address _ ->
       let before = Netstats.snapshot () in
@@ -491,6 +491,241 @@ let test_csv_inline_source () =
   | Pr.Started { arity = 3; tuples = 3; _ } -> ()
   | other -> Alcotest.failf "csv start failed: %s" (Pr.response_to_string other)
 
+(* ------------------------------------------------------------------ *)
+(* The per-turn durability barrier, seen from the socket               *)
+
+(* A durable primary on an in-memory filesystem whose every fsync first
+   runs [gate] — which may block (a held fsync) or raise (a failing
+   disk). *)
+let with_gated_node gate f =
+  let base = Jim_fault.Memfs.io (Jim_fault.Memfs.create ()) in
+  let wrap (file : Jim_store.Io.file) =
+    {
+      file with
+      Jim_store.Io.fsync =
+        (fun () ->
+          gate ();
+          file.Jim_store.Io.fsync ());
+    }
+  in
+  let io =
+    {
+      base with
+      Jim_store.Io.create = (fun path -> wrap (base.Jim_store.Io.create path));
+      open_append =
+        (fun path ->
+          Result.map
+            (fun (file, size) -> (wrap file, size))
+            (base.Jim_store.Io.open_append path));
+    }
+  in
+  let node =
+    match
+      Jim_shard.Node.start
+        {
+          (Jim_shard.Node.config
+             (Jim_shard.Node.Primary { data_dir = Some "/data"; replicate_to = None }))
+          with
+          listen = Wire.Unix_path (fresh_socket ());
+          io;
+        }
+    with
+    | Ok node -> node
+    | Error e -> Alcotest.failf "node: %s" e
+  in
+  Fun.protect
+    ~finally:(fun () -> Jim_shard.Node.stop node)
+    (fun () -> f (Serving.address node))
+
+(* A bare line-framed socket, so the tests see exactly when reply bytes
+   arrive and can put several requests in one write. *)
+type raw = { fd : Unix.file_descr; inbox : Buffer.t }
+
+let raw_connect address =
+  let fd = Wire.socket_for address in
+  Unix.connect fd (Wire.sockaddr_of address);
+  { fd; inbox = Buffer.create 256 }
+
+let raw_send c reqs =
+  let s = String.concat "" (List.map (fun r -> Pr.request_to_string r ^ "\n") reqs) in
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring c.fd s off (String.length s - off))
+  in
+  go 0
+
+let readable c seconds =
+  match Unix.select [ c.fd ] [] [] seconds with [], _, _ -> false | _ -> true
+
+(* The next [n] replies, in arrival order. *)
+let raw_recv c n =
+  let chunk = Bytes.create 4096 in
+  let rec lines acc k =
+    if k = 0 then List.rev acc
+    else
+      let text = Buffer.contents c.inbox in
+      match String.index_opt text '\n' with
+      | Some i ->
+        Buffer.clear c.inbox;
+        Buffer.add_string c.inbox (String.sub text (i + 1) (String.length text - i - 1));
+        let reply =
+          match Pr.response_of_string (String.sub text 0 i) with
+          | Ok r -> r
+          | Error e -> Alcotest.failf "bad reply: %s" (Pr.error_to_string e)
+        in
+        lines (reply :: acc) (k - 1)
+      | None ->
+        if not (readable c 10.) then Alcotest.fail "no reply within 10 s";
+        let got = Unix.read c.fd chunk 0 (Bytes.length chunk) in
+        if got = 0 then Alcotest.fail "server closed the connection";
+        Buffer.add_subbytes c.inbox chunk 0 got;
+        lines acc k
+  in
+  lines [] n
+
+let raw_call c req =
+  raw_send c [ req ];
+  List.hd (raw_recv c 1)
+
+(* Start a flights session and fetch its first question: the answer
+   request that would journal it next. *)
+let answer_request c ~seed =
+  let session =
+    match
+      raw_call c
+        (Pr.Start_session { source = Pr.Builtin "flights"; strategy = "random"; seed })
+    with
+    | Pr.Started { session; _ } -> session
+    | other -> Alcotest.failf "start: %s" (Pr.response_to_string other)
+  in
+  match raw_call c (Pr.Get_question { session }) with
+  | Pr.Question (Some q) -> Pr.Answer { session; cls = q.Pr.cls; label = State.Pos }
+  | other -> Alcotest.failf "question: %s" (Pr.response_to_string other)
+
+let is_answered = function Pr.Answered _ -> true | _ -> false
+
+let test_reply_waits_for_fsync () =
+  let held = Atomic.make false and entered = Atomic.make false in
+  let gate () =
+    if Atomic.get held then begin
+      Atomic.set entered true;
+      while Atomic.get held do
+        Thread.delay 0.002
+      done
+    end
+  in
+  with_gated_node gate @@ fun address ->
+  (* released on every path, or stopping the node blocks in its fsync *)
+  Fun.protect ~finally:(fun () -> Atomic.set held false) @@ fun () ->
+  let c = raw_connect address in
+  let answer = answer_request c ~seed:1 in
+  Atomic.set held true;
+  raw_send c [ answer ];
+  let rec await_fsync k =
+    if not (Atomic.get entered) then
+      if k = 0 then Alcotest.fail "the answer never reached its fsync"
+      else begin
+        Thread.delay 0.005;
+        await_fsync (k - 1)
+      end
+  in
+  await_fsync 400;
+  Alcotest.(check bool) "no reply while the fsync is held" false (readable c 0.1);
+  Atomic.set held false;
+  Alcotest.(check bool) "the reply follows the fsync" true
+    (is_answered (List.hd (raw_recv c 1)));
+  Unix.close c.fd
+
+let test_one_fsync_per_turn () =
+  let fsyncs = Atomic.make 0 in
+  with_gated_node
+    (fun () -> Atomic.incr fsyncs)
+    (fun address ->
+      let c = raw_connect address in
+      let answers = List.init 8 (fun i -> answer_request c ~seed:(10 + i)) in
+      let before = Atomic.get fsyncs in
+      raw_send c answers;
+      let replies = raw_recv c 8 in
+      List.iteri
+        (fun i r ->
+          if not (is_answered r) then
+            Alcotest.failf "answer %d: %s" i (Pr.response_to_string r))
+        replies;
+      Alcotest.(check int) "one fsync covers all eight answers" 1
+        (Atomic.get fsyncs - before);
+      Unix.close c.fd)
+
+let test_failed_barrier_fails_the_turn () =
+  let failing = Atomic.make false in
+  let gate () =
+    if Atomic.get failing then raise (Unix.Unix_error (Unix.EIO, "fsync", ""))
+  in
+  with_gated_node gate (fun address ->
+      let c = raw_connect address in
+      let answers = List.init 6 (fun i -> answer_request c ~seed:(20 + i)) in
+      let stats_of = function
+        | Pr.Answer { session; _ } -> Pr.Stats { session }
+        | _ -> assert false
+      in
+      (* six writes and two reads in one write, so one turn *)
+      let turn =
+        (List.hd answers :: stats_of (List.hd answers) :: List.tl answers)
+        @ [ stats_of (List.nth answers 5) ]
+      in
+      Atomic.set failing true;
+      raw_send c turn;
+      let typed_error = function
+        | Pr.Failed (Pr.Bad_request msg) ->
+          String.length msg >= 14 && String.sub msg 0 14 = "internal error"
+        | _ -> false
+      in
+      List.iteri
+        (fun i (req, reply) ->
+          match req with
+          | Pr.Answer _ ->
+            if not (typed_error reply) then
+              Alcotest.failf "write %d of the failed turn: %s" i
+                (Pr.response_to_string reply)
+          | _ -> (
+            match reply with
+            | Pr.Session_stats _ -> ()
+            | other -> Alcotest.failf "read %d: %s" i (Pr.response_to_string other)))
+        (List.combine turn (raw_recv c (List.length turn)));
+      (* the journal is poisoned: later writes keep failing *)
+      Atomic.set failing false;
+      Alcotest.(check bool) "a later write is refused" true
+        (typed_error
+           (raw_call c
+              (Pr.Start_session
+                 { source = Pr.Builtin "flights"; strategy = "random"; seed = 99 })));
+      Unix.close c.fd)
+
+let test_replies_in_request_order () =
+  with_server (fun address _ ->
+      let c = raw_connect address in
+      let session =
+        match
+          raw_call c
+            (Pr.Start_session
+               {
+                 source =
+                   Pr.Synthetic
+                     { n_attrs = 6; n_tuples = 300; domain = 8; goal_rank = 2; seed = 5 };
+                 strategy = "lookahead-entropy";
+                 seed = 5;
+               })
+        with
+        | Pr.Started { session; _ } -> session
+        | other -> Alcotest.failf "start: %s" (Pr.response_to_string other)
+      in
+      raw_send c [ Pr.Get_question { session }; Pr.Stats { session } ];
+      (match raw_recv c 2 with
+      | [ Pr.Question (Some _); Pr.Session_stats _ ] -> ()
+      | replies ->
+        Alcotest.failf "out of order: %s"
+          (String.concat " | " (List.map Pr.response_to_string replies)));
+      Unix.close c.fd)
+
 let () =
   Alcotest.run "server"
     [
@@ -536,5 +771,16 @@ let () =
         [
           Alcotest.test_case "typed failure replies" `Quick test_bad_requests;
           Alcotest.test_case "inline CSV source" `Quick test_csv_inline_source;
+        ] );
+      ( "turn barrier",
+        [
+          Alcotest.test_case "a reply waits for its fsync" `Quick
+            test_reply_waits_for_fsync;
+          Alcotest.test_case "one fsync covers a pipelined turn" `Quick
+            test_one_fsync_per_turn;
+          Alcotest.test_case "a failed fsync fails the turn's writes" `Quick
+            test_failed_barrier_fails_the_turn;
+          Alcotest.test_case "a cold pick replies before a later stats" `Quick
+            test_replies_in_request_order;
         ] );
     ]

@@ -1362,7 +1362,7 @@ let fresh_socket =
    restore its sessions, serve them; stopping closes the store. *)
 let with_durable_server dir f =
   let node =
-    Serving.start ~threads:8 ~fsync:false
+    Serving.start ~fsync:false
       (Jim_shard.Node.Primary { data_dir = Some dir; replicate_to = None })
       (Wire.Unix_path (fresh_socket ()))
   in
