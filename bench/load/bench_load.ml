@@ -1,5 +1,5 @@
 (* The closed-loop load bench: the mutating hot path under concurrent
-   traffic, batching on vs off.
+   traffic, pipelining on vs off.
 
    Every request journals one durable (fsync'd) record — clients
    alternate Answer/Undo on live sessions, so the loop runs in steady
@@ -7,16 +7,16 @@
    [conns] connections fully loaded (closed loop: a reply triggers the
    next request) and reports requests/s plus p50/p95/p99 latency:
 
-     batch=off  commit_window = 0 and one request in flight per
-                connection: one response per write, but requests of
-                different connections that land in one event-loop turn
-                still share its one journal write and fsync barrier.
-     batch=on   commit_window > 0 and [pipeline] requests in flight per
-                connection (one per session, so per-session ordering is
-                trivial) — a connection's pipelined requests share
-                turns, so more records ride each barrier, the server
-                coalesces replies into shared flushes, and each
-                connection amortises its syscalls over the pipeline.
+     batch=off  one request in flight per connection: one response
+                per write, but requests of different connections that
+                land in one event-loop turn still share its one journal
+                write and fsync barrier.
+     batch=on   [pipeline] requests in flight per connection (one per
+                session, so per-session ordering is trivial) — a
+                connection's pipelined requests share turns, so more
+                records ride each barrier, the server coalesces replies
+                into shared flushes, and each connection amortises its
+                syscalls over the pipeline.
 
    The store runs on the real filesystem with fsync on: the off rows
    pay the disk the way an unbatched server would.  [--sync-us N]
@@ -43,7 +43,6 @@ type row = {
   batch : bool;
   conns : int;
   pipeline : int;
-  window_ms : float;
   requests : int;
   wall_s : float;
   p50_us : float;
@@ -206,7 +205,7 @@ let client_run ~pipeline ~waves ~address ~barrier latencies slot =
   Wire.close client;
   latencies.(slot) <- lat
 
-let measure ~name ~batch ~conns ~pipeline ~window_ms ~requests_target address =
+let measure ~name ~batch ~conns ~pipeline ~requests_target address =
   let waves = max 2 (requests_target / (conns * pipeline)) in
   let latencies = Array.make conns [||] in
   let barrier = Barrier.make (conns + 1) in
@@ -225,7 +224,6 @@ let measure ~name ~batch ~conns ~pipeline ~window_ms ~requests_target address =
     batch;
     conns;
     pipeline;
-    window_ms;
     requests = conns * pipeline * waves;
     wall_s = wall;
     p50_us = percentile all 50.0;
@@ -235,8 +233,8 @@ let measure ~name ~batch ~conns ~pipeline ~window_ms ~requests_target address =
 
 (* ------------------------------------------------------------------ *)
 (* One server per mode: same event loop, same framing, same store
-   layout — only the commit window (server side) and the pipeline depth
-   (client side) change between off and on. *)
+   layout — only the client's pipeline depth changes between off and
+   on. *)
 
 (* [Io.real] with [delay] seconds added to every file fsync — the
    modelled sync device.  Only the journal's fsync sits on the hot
@@ -262,7 +260,7 @@ let sync_modelled_io delay =
           (real.Jim_store.Io.open_append path));
   }
 
-let with_server ~window ~sync_us name f =
+let with_server ~sync_us name f =
   let dir = tmp (name ^ ".d") in
   rm_rf dir;
   let io =
@@ -279,7 +277,6 @@ let with_server ~window ~sync_us name f =
            listen = address;
            settings = { Node.default_settings with max_sessions = 4096 };
            snapshot_every = 100_000;
-           commit_window = window;
            io;
          })
   in
@@ -297,9 +294,9 @@ let with_server ~window ~sync_us name f =
 let json_of_row r =
   Printf.sprintf
     "    {\"name\":%S,\"batch\":%b,\"conns\":%d,\"pipeline\":%d,\
-     \"window_ms\":%.1f,\"requests\":%d,\"wall_s\":%.6f,\"rps\":%.1f,\
+     \"requests\":%d,\"wall_s\":%.6f,\"rps\":%.1f,\
      \"p50_us\":%.1f,\"p95_us\":%.1f,\"p99_us\":%.1f}"
-    r.name r.batch r.conns r.pipeline r.window_ms r.requests r.wall_s (rps r)
+    r.name r.batch r.conns r.pipeline r.requests r.wall_s (rps r)
     r.p50_us r.p95_us r.p99_us
 
 let write_json ~path ~sync_us rows =
@@ -341,27 +338,24 @@ let () =
   in
   let requests_target = if quick then 4_000 else 24_000 in
   let pipeline = int_flag "--pipeline" 4 in
-  let window = float_of_int (int_flag "--window-us" 100) /. 1e6 in
   let sync_us = int_flag "--sync-us" 0 in
   ignore (Lazy.force oracle);
   let off =
-    with_server ~window:0. ~sync_us "off" (fun address ->
+    with_server ~sync_us "off" (fun address ->
         List.map
           (fun conns ->
             measure
               ~name:(Printf.sprintf "mut/c%d/batch=off" conns)
-              ~batch:false ~conns ~pipeline:1 ~window_ms:0. ~requests_target
-              address)
+              ~batch:false ~conns ~pipeline:1 ~requests_target address)
           conns_list)
   in
   let on =
-    with_server ~window ~sync_us "on" (fun address ->
+    with_server ~sync_us "on" (fun address ->
         List.map
           (fun conns ->
             measure
               ~name:(Printf.sprintf "mut/c%d/batch=on" conns)
-              ~batch:true ~conns ~pipeline ~window_ms:(window *. 1000.)
-              ~requests_target address)
+              ~batch:true ~conns ~pipeline ~requests_target address)
           conns_list)
   in
   let rows =

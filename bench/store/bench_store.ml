@@ -1,6 +1,6 @@
 (* Durability-cost benchmarks for the session store: journal append
-   throughput with the fsync barrier off and on (single writer vs the
-   group-commit multi-writer case), the full Store.record hot path, and
+   throughput with the fsync barrier off and on (single writer vs eight
+   concurrent writers), the full Store.record hot path, and
    recovery latency from a journal tail vs from a snapshot.
 
    Run with: dune exec bench/store/bench_store.exe [-- --quick] [--out F]

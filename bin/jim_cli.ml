@@ -431,8 +431,8 @@ let serve_node name ?stats_every ?(start_fails = 1) start =
 
 let ( let* ) = Result.bind
 
-let run_serve socket tcp settings wire data_dir snapshot_every commit_window
-    stats_every replicate_to =
+let run_serve socket tcp settings wire data_dir snapshot_every stats_every
+    replicate_to =
   serve_node "serve" ?stats_every
     (let* listen = resolve_address socket tcp in
      let* settings = settings in
@@ -456,7 +456,6 @@ let run_serve socket tcp settings wire data_dir snapshot_every commit_window
              wire;
              settings;
              snapshot_every;
-             commit_window;
            }))
 
 (* standby: the receiving half of the replication stream               *)
@@ -930,21 +929,21 @@ let run_chaos socket tcp upstream plan =
         (Jim_server.Wire.address_to_string (Jim_server.Chaos.bound proxy))
         (Jim_server.Wire.address_to_string upstream)
         (Jim_server.Chaos.plan_to_string plan);
-      let stop _ =
-        let st = Jim_server.Chaos.stop proxy in
-        Printf.printf
-          "jim chaos: %d connections, %d dropped, %d trickled, %d partial, \
-           %d stalled\n%!"
-          st.Jim_server.Chaos.connections st.Jim_server.Chaos.dropped
-          st.Jim_server.Chaos.trickled st.Jim_server.Chaos.chopped
-          st.Jim_server.Chaos.stalled;
-        exit 0
-      in
+      (* The handler may run on any thread, the acceptor's included:
+         it only starts the shutdown, and this thread finishes it. *)
+      let shutdown = Sys.Signal_handle (fun _ -> Jim_server.Chaos.shutdown proxy) in
       (try
-         ignore (Sys.signal Sys.sigint (Sys.Signal_handle stop));
-         ignore (Sys.signal Sys.sigterm (Sys.Signal_handle stop))
+         ignore (Sys.signal Sys.sigint shutdown);
+         ignore (Sys.signal Sys.sigterm shutdown)
        with Invalid_argument _ -> ());
       Jim_server.Chaos.wait proxy;
+      let st = Jim_server.Chaos.stop proxy in
+      Printf.printf
+        "jim chaos: %d connections, %d dropped, %d trickled, %d partial, %d \
+         stalled\n%!"
+        st.Jim_server.Chaos.connections st.Jim_server.Chaos.dropped
+        st.Jim_server.Chaos.trickled st.Jim_server.Chaos.chopped
+        st.Jim_server.Chaos.stalled;
       0)
 
 (* ------------------------------------------------------------------ *)
@@ -1263,19 +1262,6 @@ let serve_cmd =
           ~doc:"Journal records between snapshot compactions (with \
                 $(b,--data-dir)).")
   in
-  let commit_window =
-    Arg.(
-      value & opt float 0.
-      & info [ "commit-window" ] ~docv:"SECONDS"
-          ~doc:"Adaptive group commit (with $(b,--data-dir)): an fsync \
-                leader with other appenders queued behind it dallies up \
-                to $(docv) collecting their records into one combined \
-                append + single fsync.  The server's event loop is its \
-                only appender and already shares one fsync per loop \
-                turn, so the window never dallies there.  Durability is \
-                identical either way — no record is acknowledged before \
-                its batch is synced.")
-  in
   let stats_every =
     Arg.(
       value
@@ -1289,10 +1275,9 @@ let serve_cmd =
   in
   let term =
     Term.(
-      const (fun () s t st w d se cw ste rt -> run_serve s t st w d se cw ste rt)
+      const (fun () s t st w d se ste rt -> run_serve s t st w d se ste rt)
       $ domains_arg $ socket_arg $ tcp_arg $ service_settings_arg $ wire_arg
-      $ data_dir $ snapshot_every $ commit_window $ stats_every
-      $ replicate_to)
+      $ data_dir $ snapshot_every $ stats_every $ replicate_to)
   in
   Cmd.v
     (Cmd.info "serve"

@@ -25,7 +25,6 @@ type spec = {
   strategies : string list;
   sessions : int;
   snapshot_every : int;
-  commit_window : float;
   shared_inline : bool;
 }
 
@@ -35,7 +34,6 @@ let default =
     strategies = [ "lookahead-entropy"; "random" ];
     sessions = 7;
     snapshot_every = 16;
-    commit_window = 0.;
     shared_inline = false;
   }
 
@@ -275,7 +273,6 @@ let drive ?votes ?replicate_to env fs progress =
              settings =
                { Node.default_settings with crowd = Option.map crowd_config votes };
              snapshot_every = env.spec.snapshot_every;
-             commit_window = env.spec.commit_window;
              io = Memfs.io fs;
              catalog = env.catalog;
            })
@@ -345,8 +342,8 @@ let verify_recovered env progress (store, recovered) =
 (* The three-part contract, against one post-crash disk image. *)
 let verify_image env progress fs =
   match
-    Store.open_dir ~fsync:false ~commit_window:env.spec.commit_window
-      ~snapshot_every:env.spec.snapshot_every ~io:(Memfs.io fs) data_dir
+    Store.open_dir ~fsync:false ~snapshot_every:env.spec.snapshot_every
+      ~io:(Memfs.io fs) data_dir
   with
   | Error m -> div "recovery refused: %s" m
   | Ok recovered -> verify_recovered env progress recovered

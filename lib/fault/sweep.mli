@@ -30,14 +30,6 @@ type spec = {
   sessions : int;
   snapshot_every : int;
       (** keep small (e.g. 16) so sweeps cross checkpoint rotations *)
-  commit_window : float;
-      (** group-commit window ({!Jim_store.Store.open_dir}'s
-          [commit_window]) for every store the sweep opens.  [0.]
-          disables batching; a positive window makes the faulted runs
-          stage records and combine fsyncs, so crash points land at
-          batch boundaries and torn mid-batch — the durability contract
-          must hold identically.  Ignored by [fsync:false] recovery
-          opens (windowed commit requires fsync). *)
   shared_inline : bool;
       (** [false]: session [i] starts on its own [Synthetic] instance,
           and every session starts before the first answer.  [true]:
@@ -52,9 +44,7 @@ type spec = {
 val default : spec
 (** 7 sessions, lookahead-entropy/random alternating, [snapshot_every =
     16], each on its own synthetic instance — journals 60+ events and
-    crosses several checkpoints.
-    [commit_window = 0.] (unbatched); sweep with
-    [{ default with commit_window = 0.002 }] to cover group commit. *)
+    crosses several checkpoints. *)
 
 type stats = {
   events : int;  (** events the uninterrupted reference run journals *)

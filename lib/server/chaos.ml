@@ -103,6 +103,9 @@ type t = {
   mutable stopping : bool;
   mutable acceptor : Thread.t option;
   mutable conns : Thread.t list;
+  live : (int, Unix.file_descr) Hashtbl.t;
+      (* client sockets of running connections, by index; a connection
+         leaves the table before it closes its socket *)
 }
 
 let bound t = t.bound
@@ -173,6 +176,10 @@ let deliver t mode oc index data =
 
 let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
+let release t index fd =
+  Mutex.protect t.lock (fun () -> Hashtbl.remove t.live index);
+  close_fd fd
+
 let le32_of s =
   Char.code s.[0]
   lor (Char.code s.[1] lsl 8)
@@ -207,7 +214,7 @@ let handle_conn t index fd =
      or already a request.  Only then is the upstream dialed — with the
      same framing, so the relay below never re-frames payloads. *)
   match input_line ic with
-  | exception (End_of_file | Sys_error _) -> close_fd fd
+  | exception (End_of_file | Sys_error _) -> release t index fd
   | first -> (
     let framing =
       if first = Frame.handshake_request then Wire.Binary else Wire.Line
@@ -215,7 +222,7 @@ let handle_conn t index fd =
     match Wire.connect ~retries:5 ~framing t.upstream with
     | Error e ->
       t.log (Printf.sprintf "conn %d: upstream unreachable: %s" index e);
-      close_fd fd
+      release t index fd
     | Ok up ->
       (* The protocol is lockstep (one reply per request), so a
          reply-level relay is a faithful proxy — and gives us the reply
@@ -268,7 +275,7 @@ let handle_conn t index fd =
          else line_loop 0 first
        with Sys_error _ | Unix.Unix_error _ -> ());
       Wire.close up;
-      close_fd fd)
+      release t index fd)
 
 let acceptor t =
   let rec loop index =
@@ -280,10 +287,9 @@ let acceptor t =
         match Unix.accept t.listen_fd with
         | fd, _ ->
           bump t (fun s -> { s with connections = s.connections + 1 });
+          Mutex.protect t.lock (fun () -> Hashtbl.replace t.live index fd);
           let th = Thread.create (fun () -> handle_conn t index fd) () in
-          Mutex.lock t.lock;
-          t.conns <- th :: t.conns;
-          Mutex.unlock t.lock;
+          Mutex.protect t.lock (fun () -> t.conns <- th :: t.conns);
           loop (index + 1)
         | exception Unix.Unix_error ((Unix.ECONNABORTED | Unix.EINTR), _, _)
           ->
@@ -330,6 +336,7 @@ let start ?(log = fun _ -> ()) ~plan ~listen ~upstream () =
         stopping = false;
         acceptor = None;
         conns = [];
+        live = Hashtbl.create 16;
       }
     in
     t.acceptor <- Some (Thread.create acceptor t);
@@ -337,14 +344,26 @@ let start ?(log = fun _ -> ()) ~plan ~listen ~upstream () =
 
 let wait t = match t.acceptor with None -> () | Some th -> Thread.join th
 
+let shutdown t = t.stopping <- true
+
+(* The acceptor notices [stopping] within one select timeout.  Client
+   sockets are shut down before their threads are joined, so a
+   connection blocked reading its client (idle or stalled) ends at
+   once. *)
 let stop t =
-  t.stopping <- true;
+  shutdown t;
+  wait t;
   close_fd t.listen_fd;
-  (match t.acceptor with None -> () | Some th -> Thread.join th);
-  Mutex.lock t.lock;
-  let conns = t.conns in
-  t.conns <- [];
-  Mutex.unlock t.lock;
+  let conns =
+    Mutex.protect t.lock (fun () ->
+        Hashtbl.iter
+          (fun _ fd ->
+            try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+          t.live;
+        let conns = t.conns in
+        t.conns <- [];
+        conns)
+  in
   List.iter Thread.join conns;
   (match t.bound with
   | Wire.Unix_path path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())

@@ -73,5 +73,18 @@ val bound : t -> Wire.address
 (** Like {!Wire.bound_address}: the actual address (port 0 resolved). *)
 
 val stats : t -> stats
+
 val wait : t -> unit
+(** Block until the proxy stops accepting — after {!shutdown} or
+    {!stop}, within a fraction of a second. *)
+
+val shutdown : t -> unit
+(** Ask the proxy to stop accepting, without waiting: it only sets a
+    flag, so a signal handler may call it.  {!wait} then returns and the
+    caller runs {!stop}. *)
+
 val stop : t -> stats
+(** Stop accepting, shut down every open client connection, join its
+    thread and remove a Unix socket file; returns the final counters.
+    A connection blocked on its upstream ends once the upstream replies
+    or fails. *)

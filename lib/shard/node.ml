@@ -34,7 +34,6 @@ type config = {
   wire : Wire.config;
   settings : settings;
   snapshot_every : int;
-  commit_window : float;
   fsync : bool;
   io : Jim_store.Io.t;
   catalog : Catalog.t option;
@@ -47,7 +46,6 @@ let config role =
     wire = Wire.default_config;
     settings = default_settings;
     snapshot_every = 1024;
-    commit_window = 0.;
     fsync = true;
     io = Jim_store.Io.real;
     catalog = None;
@@ -136,8 +134,8 @@ let create_primary cfg closers ~data_dir ~replicate_to =
     | None -> Ok None
     | Some dir ->
       let* st, recovered =
-        Store.open_dir ~fsync:cfg.fsync ~commit_window:cfg.commit_window
-          ~snapshot_every:cfg.snapshot_every ~io:cfg.io dir
+        Store.open_dir ~fsync:cfg.fsync ~snapshot_every:cfg.snapshot_every
+          ~io:cfg.io dir
       in
       opened (fun () -> Store.close st);
       Ok (Some (st, recovered))

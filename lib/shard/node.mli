@@ -52,7 +52,6 @@ type config = {
   wire : Jim_server.Wire.config;
   settings : settings;
   snapshot_every : int;  (** the store a primary or a promotion opens *)
-  commit_window : float;  (** a primary's group-commit window *)
   fsync : bool;
       (** a primary's or standby's store; [false] in benchmarks and tests *)
   io : Jim_store.Io.t;
@@ -63,8 +62,8 @@ type config = {
 val config : role -> config
 (** [jim serve]'s defaults: {!Jim_server.Wire.default_address},
     {!Jim_server.Wire.default_config}, {!default_settings}, snapshots
-    every 1024 records, no commit window, fsync on, {!Jim_store.Io.real},
-    a private catalog. *)
+    every 1024 records, fsync on, {!Jim_store.Io.real}, a private
+    catalog. *)
 
 type t
 

@@ -14,29 +14,18 @@ type batch_stats = {
 type t = {
   file : Io.file;
   fsync : bool;
-  window : float;
-      (* commit-window dally, seconds; [> 0] switches barriers to the
-         windowed leader below, which writes outside the lock *)
-  window_bytes : int;  (* byte budget: stop dallying once staged past it *)
   lock : Mutex.t;
-  cond : Condition.t;
-  mutable written : int;  (* bytes handed to [write] so far *)
-  mutable synced : int;  (* bytes known covered by an fsync *)
-  mutable staged : int;  (* logical end: [written] plus pending bytes *)
+      (* held across every syscall: one barrier runs at a time, and a
+         caller that queues behind it finds its records already durable *)
   pending : Buffer.t;
       (* records staged but not yet written; the next barrier drains
          the whole buffer as one combined [write] *)
   mutable pending_records : int;  (* records inside [pending] *)
-  mutable waiters : int;  (* appenders parked on the fsync barrier *)
-  mutable syncing : bool;  (* a leader's write+fsync is in flight *)
+  mutable dirty : bool;  (* bytes written since the last fsync *)
   mutable failed : bool;  (* poisoned by a write/fsync failure *)
   mutable closed : bool;
-  mutable scratch : Bytes.t;
-      (* record assembly buffer, reused across appends; only touched
-         under [lock] and only before the bytes reach [write] or
-         [pending], so a leader releasing the lock for its fsync cannot
-         race it *)
-  mutable batches : int;  (* combined appends drained *)
+  mutable scratch : Bytes.t;  (* record assembly buffer, reused across appends *)
+  mutable batches : int;  (* barriers that wrote several records *)
   mutable batched_records : int;  (* records those batches carried *)
   mutable max_batch : int;  (* largest batch, in records *)
   by_size : int array;
@@ -71,21 +60,14 @@ let write_all (file : Io.file) buf off len =
   let rec go off = if off < stop then go (off + file.Io.write buf off (stop - off)) in
   go off
 
-let of_file ~fsync ~window ~window_bytes ~written file =
+let of_file ~fsync file =
   {
     file;
     fsync;
-    window;
-    window_bytes;
     lock = Mutex.create ();
-    cond = Condition.create ();
-    written;
-    synced = written;
-    staged = written;
     pending = Buffer.create 4096;
     pending_records = 0;
-    waiters = 0;
-    syncing = false;
+    dirty = false;
     failed = false;
     closed = false;
     scratch = Bytes.create 512;
@@ -95,20 +77,13 @@ let of_file ~fsync ~window ~window_bytes ~written file =
     by_size = Array.make 8 0;
   }
 
-(* Staged (combined-write) appends only make sense when a durability
-   barrier exists to amortise: without fsync there is nothing to wait
-   for, so records go straight to [write] as before. *)
-let windowed t = t.fsync && t.window > 0.
-
-let create ?(fsync = true) ?(window = 0.) ?(window_bytes = 256 * 1024)
-    ?(io = Io.real) path =
+let create ?(fsync = true) ?(io = Io.real) path =
   let file = io.Io.create path in
   write_all file (Bytes.of_string file_magic) 0 header_size;
   if fsync then file.Io.fsync ();
-  of_file ~fsync ~window ~window_bytes ~written:header_size file
+  of_file ~fsync file
 
-let open_append ?(fsync = true) ?(window = 0.) ?(window_bytes = 256 * 1024)
-    ?(io = Io.real) path =
+let open_append ?(fsync = true) ?(io = Io.real) path =
   (* Validate the header before taking an append handle; [Recovery.load]
      has normally just scanned the file, so this re-read is cheap and
      only happens at startup. *)
@@ -122,7 +97,7 @@ let open_append ?(fsync = true) ?(window = 0.) ?(window_bytes = 256 * 1024)
     else (
       match io.Io.open_append path with
       | Error m -> Error (Printf.sprintf "%s: %s" path m)
-      | Ok (file, size) -> Ok (of_file ~fsync ~window ~window_bytes ~written:size file))
+      | Ok (file, _size) -> Ok (of_file ~fsync file))
 
 (* Assemble the record into [t.scratch] (growing it if the payload needs
    more room); returns the record's total length.  Caller holds the
@@ -153,25 +128,22 @@ let note_batch t n =
   t.by_size.(b) <- t.by_size.(b) + 1
 
 let batch_stats t =
-  Mutex.lock t.lock;
-  let s : batch_stats =
-    {
-      batches = t.batches;
-      records = t.batched_records;
-      max_batch = t.max_batch;
-      by_size = Array.copy t.by_size;
-    }
-  in
-  Mutex.unlock t.lock;
-  s
+  Mutex.protect t.lock (fun () : batch_stats ->
+      {
+        batches = t.batches;
+        records = t.batched_records;
+        max_batch = t.max_batch;
+        by_size = Array.copy t.by_size;
+      })
 
-(* Group commit, immediate-write flavour: the records are already on
-   file; wait until some leader's fsync barrier covers [ticket].  The first
-   waiter whose bytes are not yet durable becomes the leader, releases
-   the lock for the (slow) fsync, and broadcasts the new high-water
-   mark; appenders that wrote while the leader was syncing ride the next
-   round.  Caller holds the lock; returns with it held (released on
-   raise).
+(* Caller holds the lock.  Stage one record into [t.pending]. *)
+let stage t payload =
+  let total = record_into t payload in
+  Buffer.add_subbytes t.pending t.scratch 0 total;
+  t.pending_records <- t.pending_records + 1
+
+(* Caller holds the lock.  Run one I/O step of a barrier, poisoning the
+   journal if it fails.
 
    Poisoning: a failed or short write can leave a partial record
    mid-file, and a failed fsync leaves the kernel free to have dropped
@@ -181,195 +153,68 @@ let batch_stats t =
    and every later append raises {!Poisoned}, so the damage stays
    confined to the (unacknowledged) tail where recovery can cut it,
    instead of becoming mid-log corruption under acknowledged records. *)
-let rec await_immediate t ticket =
-  if t.synced < ticket then begin
-    if t.failed then begin
-      Mutex.unlock t.lock;
-      raise Poisoned
-    end;
-    if t.syncing then begin
-      Condition.wait t.cond t.lock;
-      await_immediate t ticket
-    end
-    else begin
-      t.syncing <- true;
-      let barrier = t.written in
-      Mutex.unlock t.lock;
-      let result = try Ok (t.file.Io.fsync ()) with exn -> Error exn in
-      Mutex.lock t.lock;
-      (* Reset + broadcast even on failure, or every waiting appender
-         blocks forever on a leader that will never report back. *)
-      t.syncing <- false;
-      (match result with
-      | Ok () -> t.synced <- max t.synced barrier
-      | Error _ -> t.failed <- true);
-      Condition.broadcast t.cond;
-      match result with
-      | Ok () -> await_immediate t ticket
-      | Error exn ->
-        Mutex.unlock t.lock;
-        raise exn
-    end
-  end
+let poisoning t f =
+  try f ()
+  with exn ->
+    t.failed <- true;
+    raise exn
 
-(* Group commit, staged (commit-window) flavour: records accumulate in
-   [t.pending] and the leader drains the whole buffer as one combined
-   [write] followed by one fsync — a crash can tear only the tail of
-   that single write, so recovery still sees a clean prefix of whole
-   records plus at most one partial batch, all of it unacknowledged.
-
-   The adaptive part: a leader that sees other appenders in flight
-   dallies for the commit window before draining, letting their records
-   join its batch; an uncontended leader (or one already past the byte
-   budget) drains immediately, so a single client never pays the window
-   as latency.  Caller holds the lock with [t.waiters] counting it;
-   returns with the lock held and the count dropped (ditto on raise). *)
-let rec await_windowed t ticket =
-  if t.synced >= ticket then t.waiters <- t.waiters - 1
-  else if t.failed then begin
-    t.waiters <- t.waiters - 1;
-    Mutex.unlock t.lock;
-    raise Poisoned
-  end
-  else if t.syncing then begin
-    Condition.wait t.cond t.lock;
-    await_windowed t ticket
-  end
-  else begin
-    t.syncing <- true;
-    if t.waiters > 1 && Buffer.length t.pending < t.window_bytes then begin
-      Mutex.unlock t.lock;
-      Thread.delay t.window;
-      Mutex.lock t.lock
-    end;
-    let batch = Buffer.to_bytes t.pending in
-    let nrec = t.pending_records in
-    Buffer.clear t.pending;
-    t.pending_records <- 0;
-    let barrier = t.staged in
-    Mutex.unlock t.lock;
-    let result =
-      try
-        write_all t.file batch 0 (Bytes.length batch);
-        t.file.Io.fsync ();
-        Ok ()
-      with exn -> Error exn
-    in
-    Mutex.lock t.lock;
-    t.syncing <- false;
-    (match result with
-    | Ok () ->
-      t.written <- barrier;
-      t.synced <- max t.synced barrier;
-      if nrec > 0 then note_batch t nrec
-    | Error _ -> t.failed <- true);
-    Condition.broadcast t.cond;
-    match result with
-    | Ok () -> await_windowed t ticket
-    | Error exn ->
-      t.waiters <- t.waiters - 1;
-      Mutex.unlock t.lock;
-      raise exn
-  end
-
-(* Caller holds the lock.  Stage one record into [t.pending]. *)
-let stage t payload =
-  let total = record_into t payload in
-  Buffer.add_subbytes t.pending t.scratch 0 total;
-  t.staged <- t.staged + total;
-  t.pending_records <- t.pending_records + 1
-
-(* Caller holds the lock with no windowed leader in flight.  Push the
-   staged records to the file as one combined write, poisoning on
-   failure.  A write of several records counts as a batch. *)
-let flush_pending_locked t =
+(* Caller holds the lock.  Push the staged records to the file as one
+   combined write.  A write of several records counts as a batch. *)
+let flush_pending t =
   if Buffer.length t.pending > 0 then begin
     let batch = Buffer.to_bytes t.pending in
     let nrec = t.pending_records in
     Buffer.clear t.pending;
     t.pending_records <- 0;
-    match write_all t.file batch 0 (Bytes.length batch) with
-    | () ->
-      t.written <- t.written + Bytes.length batch;
-      if nrec > 1 then note_batch t nrec
-    | exception exn ->
-      t.failed <- true;
-      Condition.broadcast t.cond;
-      raise exn
+    poisoning t (fun () -> write_all t.file batch 0 (Bytes.length batch));
+    t.dirty <- true;
+    if nrec > 1 then note_batch t nrec
   end
 
-let check_open t ~op =
-  if t.closed then begin
-    Mutex.unlock t.lock;
-    invalid_arg (op ^ ": closed")
-  end;
-  if t.failed then begin
-    Mutex.unlock t.lock;
-    raise Poisoned
+(* Caller holds the lock.  The barrier: the staged records go down as
+   one combined write, then one fsync covers every byte written since
+   the last.  With nothing staged and nothing unsynced it makes no
+   syscall — the case of a caller whose records an earlier barrier
+   already covered. *)
+let barrier t =
+  flush_pending t;
+  if t.fsync && t.dirty then begin
+    poisoning t t.file.Io.fsync;
+    t.dirty <- false
   end
 
-(* Caller holds the lock.  Wait until a barrier covers every record
-   staged so far: the windowed leader writes and syncs them; otherwise
-   they go down as one combined write here and then share an fsync.
-   Returns with the lock held (released on raise). *)
-let await t =
-  if windowed t then begin
-    t.waiters <- t.waiters + 1;
-    await_windowed t t.staged
-  end
-  else begin
-    (try flush_pending_locked t
-     with exn ->
-       Mutex.unlock t.lock;
-       raise exn);
-    if t.fsync then await_immediate t t.written
-  end
+let locked t ~op f =
+  Mutex.protect t.lock (fun () ->
+      if t.closed then invalid_arg (op ^ ": closed");
+      if t.failed then raise Poisoned;
+      f ())
 
 let write t payloads =
-  if payloads <> [] then begin
-    Mutex.lock t.lock;
-    check_open t ~op:"Journal.write";
-    List.iter (stage t) payloads;
-    Mutex.unlock t.lock
-  end
+  if payloads <> [] then
+    locked t ~op:"Journal.write" (fun () -> List.iter (stage t) payloads)
 
-let sync t =
-  Mutex.lock t.lock;
-  check_open t ~op:"Journal.sync";
-  await t;
-  Mutex.unlock t.lock
+let sync t = locked t ~op:"Journal.sync" (fun () -> barrier t)
 
 let append_many t payloads =
-  if payloads <> [] then begin
-    Mutex.lock t.lock;
-    check_open t ~op:"Journal.append_many";
-    List.iter (stage t) payloads;
-    await t;
-    Mutex.unlock t.lock
-  end
+  if payloads <> [] then
+    locked t ~op:"Journal.append_many" (fun () ->
+        List.iter (stage t) payloads;
+        barrier t)
 
 let append t payload = append_many t [ payload ]
 
-let failed t =
-  Mutex.lock t.lock;
-  let f = t.failed in
-  Mutex.unlock t.lock;
-  f
+let failed t = Mutex.protect t.lock (fun () -> t.failed)
 
 let close t =
-  Mutex.lock t.lock;
-  if not t.closed then begin
-    while t.syncing do
-      Condition.wait t.cond t.lock
-    done;
-    t.closed <- true;
-    if not t.failed then
-      (try flush_pending_locked t with _ -> t.failed <- true);
-    if t.fsync && not t.failed then
-      (try t.file.Io.fsync () with _ -> t.failed <- true);
-    (try t.file.Io.close () with _ -> ())
-  end;
-  Mutex.unlock t.lock
+  Mutex.protect t.lock (fun () ->
+      if not t.closed then begin
+        t.closed <- true;
+        if not t.failed then (try flush_pending t with _ -> ());
+        if t.fsync && not t.failed then
+          (try t.file.Io.fsync () with _ -> t.failed <- true);
+        try t.file.Io.close () with _ -> ()
+      end)
 
 type tail = Complete | Truncated of { offset : int; bytes : int }
 

@@ -42,28 +42,19 @@
       offset, because silently dropping acknowledged history is exactly
       what the store exists to prevent.
 
-    {1 Group commit}
+    {1 Barriers}
 
-    {!append} and {!sync} return only once the records are durable
-    ([fsync] has covered them), but concurrent callers share fsyncs: the
-    first thread to need one becomes the leader and syncs every byte
-    written so far;
-    the rest wait on a condition variable and piggyback on the leader's
-    barrier.  Under [n] concurrent sessions the hot path pays ~1/n of an
-    fsync each.
-
-    With a commit window ([window > 0]), the fsync leader itself drains
-    everything staged — including records queued while the previous
-    sync ran — as one combined [write] followed by a single fsync.  The window is
-    adaptive: a leader that sees other appenders in flight dallies up to
-    [window] seconds (or until [window_bytes] are staged) so their
-    records join its batch; an uncontended leader drains immediately, so
-    a lone client never pays the window as latency.  The durability
-    contract is unchanged — {!append} still returns only after the fsync
-    that covers its record — and {!batch_stats} reports the batch size
-    distribution actually achieved.  Ordering is append order in both
-    modes: records reach the file in the order their appends staged
-    them, never reordered across a batch boundary.
+    {!write} stages records in memory; {!sync} is the durability
+    barrier.  It runs under one mutex held across its syscalls: it
+    hands everything staged to [write] as one combined append, then
+    fsyncs if any bytes were written since the last fsync, and returns
+    only once they are durable.  Barriers are therefore serialised, and
+    a caller that queued behind another's barrier may find its records
+    already written and synced — it then returns without a syscall.  A
+    serving process has a single appender (its event loop), which
+    stages a whole turn's records and pays one write and one fsync for
+    them.  Ordering is append order: records reach the file in the
+    order they were staged.
 
     {1 Failure poisoning}
 
@@ -87,28 +78,18 @@ exception Poisoned
 (** Raised by {!append}/{!sync} after an earlier write or fsync failure
     has poisoned the journal. *)
 
-val create :
-  ?fsync:bool -> ?window:float -> ?window_bytes:int -> ?io:Io.t -> string -> t
+val create : ?fsync:bool -> ?io:Io.t -> string -> t
 (** Create (or truncate) a journal file and write the file header.
     [fsync false] (default [true]) turns the durability barrier off —
-    for benchmarks and tests only.  [window] (seconds, default [0.])
-    enables staged group commit with an adaptive commit window;
-    [window_bytes] (default 256 KiB) is the byte budget past which a
-    leader stops dallying.  [window] is ignored when [fsync] is off. *)
+    for benchmarks and tests only. *)
 
-val open_append :
-  ?fsync:bool ->
-  ?window:float ->
-  ?window_bytes:int ->
-  ?io:Io.t ->
-  string ->
-  (t, string) result
+val open_append : ?fsync:bool -> ?io:Io.t -> string -> (t, string) result
 (** Open an existing journal for appending — after {!scan} has validated
     it and any torn tail has been cut with {!truncate}. *)
 
 val append : t -> string -> unit
-(** Append one payload as a record; returns after the record is fsynced
-    (group-committed).  Thread-safe.  Raises the underlying I/O error on
+(** Append one payload as a record; returns after the record is
+    fsynced.  Thread-safe.  Raises the underlying I/O error on
     failure (poisoning the journal), or {!Poisoned} if a previous append
     already failed.  [append t p] is {!write} then {!sync}. *)
 
@@ -128,9 +109,11 @@ val write : t -> string list -> unit
 
 val sync : t -> unit
 (** The durability barrier: writes every record staged so far as one
-    combined write and returns once they are durable.  Concurrent
-    callers share fsyncs as appenders do; without fsync it only writes.
-    Raises the I/O error (poisoning the journal), or {!Poisoned}. *)
+    combined write and returns once they are durable — one [write] and
+    one fsync however many records were staged, and no syscall when an
+    earlier barrier already covered them.  Thread-safe; without fsync it
+    only writes.  Raises the I/O error (poisoning the journal), or
+    {!Poisoned}. *)
 
 type batch_stats = {
   batches : int;  (** combined appends drained *)
@@ -142,9 +125,9 @@ type batch_stats = {
 }
 
 val batch_stats : t -> batch_stats
-(** Batch size distribution of combined appends so far: every windowed
-    drain, and otherwise every barrier that wrote several records (a
-    barrier over a single record is not counted). *)
+(** Batch size distribution of combined appends so far: every barrier
+    that wrote several records (a barrier over a single record is not
+    counted). *)
 
 val failed : t -> bool
 (** Has this journal been poisoned by a write/fsync failure? *)

@@ -2,16 +2,14 @@ type t = {
   dir : string;
   io : Io.t;
   fsync : bool;
-  commit_window : float;
   snapshot_every : int;
   lock : Mutex.t;
-  idle : Condition.t;
+      (* held for the whole of every stage, barrier, checkpoint and
+         close, fsync included *)
   shadow : Shadow.t;
   mutable gen : int;
   mutable journal : Journal.t;
   mutable since_snapshot : int;
-  mutable inflight : int;  (* barriers between handle-grab and completion *)
-  mutable checkpointing : bool;
   mutable closed : bool;
 }
 
@@ -20,11 +18,7 @@ let io t = t.io
 let generation t = t.gen
 let record_count t = t.since_snapshot
 
-let commit_stats t =
-  Mutex.lock t.lock;
-  let j = t.journal in
-  Mutex.unlock t.lock;
-  Journal.batch_stats j
+let commit_stats t = Journal.batch_stats (Mutex.protect t.lock (fun () -> t.journal))
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprint                                                         *)
@@ -51,7 +45,7 @@ let fingerprint rel = fingerprint_of_csv (canonical_csv rel)
 (* ------------------------------------------------------------------ *)
 (* Checkpoint: snapshot the shadow, rotate the journal, sweep.         *)
 
-(* Caller holds [t.lock] and has quiesced appends ([t.inflight = 0]).
+(* Caller holds [t.lock].
 
    Failure discipline: if the snapshot write fails, nothing changed —
    the old generation stays live and the caller's exception leaves the
@@ -67,7 +61,7 @@ let checkpoint_locked t g' =
   | Error m -> failwith m);
   let journal' =
     try
-      Journal.create ~fsync:t.fsync ~window:t.commit_window ~io:t.io
+      Journal.create ~fsync:t.fsync ~io:t.io
         (Recovery.journal_path t.dir g')
     with exn ->
       (* Unwind in the order that keeps every intermediate crash state
@@ -94,10 +88,8 @@ let checkpoint_locked t g' =
 
 let ( let* ) = Result.bind
 
-let open_dir ?(fsync = true) ?(commit_window = 0.) ?(snapshot_every = 1024)
-    ?(io = Io.real) dir =
+let open_dir ?(fsync = true) ?(snapshot_every = 1024) ?(io = Io.real) dir =
   if snapshot_every < 1 then invalid_arg "Store.open_dir: snapshot_every";
-  if commit_window < 0. then invalid_arg "Store.open_dir: commit_window";
   match
     io.Io.mkdir_p dir;
     Recovery.load ~io dir
@@ -118,18 +110,11 @@ let open_dir ?(fsync = true) ?(commit_window = 0.) ?(snapshot_every = 1024)
     in
     let journal =
       match recovered.Recovery.torn with
-      | Some (0, _) ->
-        Ok
-          (Journal.create ~fsync ~window:commit_window ~io
-             recovered.Recovery.journal_path)
+      | Some (0, _) -> Ok (Journal.create ~fsync ~io recovered.Recovery.journal_path)
       | _ ->
         if io.Io.exists recovered.Recovery.journal_path then
-          Journal.open_append ~fsync ~window:commit_window ~io
-            recovered.Recovery.journal_path
-        else
-          Ok
-            (Journal.create ~fsync ~window:commit_window ~io
-               recovered.Recovery.journal_path)
+          Journal.open_append ~fsync ~io recovered.Recovery.journal_path
+        else Ok (Journal.create ~fsync ~io recovered.Recovery.journal_path)
     in
     match journal with
     | Error _ as e -> e
@@ -139,16 +124,12 @@ let open_dir ?(fsync = true) ?(commit_window = 0.) ?(snapshot_every = 1024)
           dir;
           io;
           fsync;
-          commit_window;
           snapshot_every;
           lock = Mutex.create ();
-          idle = Condition.create ();
           shadow = Shadow.create ();
           gen = recovered.Recovery.generation;
           journal;
           since_snapshot = recovered.Recovery.journal_records;
-          inflight = 0;
-          checkpointing = false;
           closed = false;
         }
       in
@@ -165,48 +146,19 @@ let open_dir ?(fsync = true) ?(commit_window = 0.) ?(snapshot_every = 1024)
 (* ------------------------------------------------------------------ *)
 (* The write path                                                      *)
 
-(* Caller holds [t.lock]: run [f] with appends quiesced. *)
-let exclusively t f =
-  t.checkpointing <- true;
-  while t.inflight > 0 do
-    Condition.wait t.idle t.lock
-  done;
-  Fun.protect
-    ~finally:(fun () ->
-      t.checkpointing <- false;
-      Condition.broadcast t.idle)
-    f
-
 (* Caller holds [t.lock].  Refuse a store whose journal a failed write
    or barrier poisoned: its shadow may hold staged events that never
-   became durable, and no checkpoint may snapshot them.  Then wait out
-   a checkpoint in flight and run the automatic one if the generation
-   is full, so the records about to be staged open the next generation.
-   On a raise (closed or poisoned store, failed checkpoint) the lock is
-   released and nothing was written. *)
-let rec admit t =
-  if t.closed then begin
-    Mutex.unlock t.lock;
-    invalid_arg "Store.record: closed"
-  end
-  else if Journal.failed t.journal then begin
-    Mutex.unlock t.lock;
-    raise Journal.Poisoned
-  end
-  else if t.checkpointing then begin
-    Condition.wait t.idle t.lock;
-    admit t
-  end
-  else if t.since_snapshot >= t.snapshot_every then begin
-    (try exclusively t (fun () -> checkpoint_locked t (t.gen + 1))
-     with exn ->
-       Mutex.unlock t.lock;
-       raise exn);
-    admit t
-  end
+   became durable, and no checkpoint may snapshot them.  Then run the
+   automatic checkpoint if the generation is full, so the records about
+   to be staged open the next generation.  On a raise (closed or
+   poisoned store, failed checkpoint) nothing was written. *)
+let admit t =
+  if t.closed then invalid_arg "Store.record: closed";
+  if Journal.failed t.journal then raise Journal.Poisoned;
+  if t.since_snapshot >= t.snapshot_every then checkpoint_locked t (t.gen + 1)
 
 let stage_many t evs =
-  Mutex.lock t.lock;
+  Mutex.protect t.lock @@ fun () ->
   admit t;
   (* Folding the generation's instance table through the batch: each
      record resolves against the table as the records before it leave
@@ -223,56 +175,23 @@ let stage_many t evs =
       (Ok ([], Shadow.instances t.shadow))
       evs
   in
-  match folded with
-  | Error m ->
-    Mutex.unlock t.lock;
-    Error m
-  | Ok (rev, _) ->
-    let evs = List.rev rev in
-    (match
-       Journal.write t.journal
-         (List.map (fun (_, written) -> Event.to_string written) evs)
-     with
-    | () -> ()
-    | exception exn ->
-      Mutex.unlock t.lock;
-      raise exn);
-    List.iter (fun (ev, _) -> Shadow.apply t.shadow ev) evs;
-    t.since_snapshot <- t.since_snapshot + List.length evs;
-    Mutex.unlock t.lock;
-    Ok ()
+  let* rev, _ = folded in
+  let evs = List.rev rev in
+  Journal.write t.journal
+    (List.map (fun (_, written) -> Event.to_string written) evs);
+  List.iter (fun (ev, _) -> Shadow.apply t.shadow ev) evs;
+  t.since_snapshot <- t.since_snapshot + List.length evs;
+  Ok ()
 
 let stage t ev =
   match stage_many t [ ev ] with
   | Ok () -> ()
   | Error m -> invalid_arg ("Store.record: " ^ m)
 
-(* The barrier runs outside the store lock, so concurrent callers share
-   the journal's fsync; the inflight ticket keeps a checkpoint from
-   closing the journal under it. *)
 let sync t =
-  Mutex.lock t.lock;
-  while t.checkpointing do
-    Condition.wait t.idle t.lock
-  done;
-  if t.closed then begin
-    Mutex.unlock t.lock;
-    invalid_arg "Store.sync: closed"
-  end;
-  let journal = t.journal in
-  t.inflight <- t.inflight + 1;
-  Mutex.unlock t.lock;
-  let finish () =
-    Mutex.lock t.lock;
-    t.inflight <- t.inflight - 1;
-    if t.inflight = 0 then Condition.broadcast t.idle;
-    Mutex.unlock t.lock
-  in
-  (try Journal.sync journal
-   with exn ->
-     finish ();
-     raise exn);
-  finish ()
+  Mutex.protect t.lock (fun () ->
+      if t.closed then invalid_arg "Store.sync: closed";
+      Journal.sync t.journal)
 
 let record_many t evs =
   let* () = stage_many t evs in
@@ -284,32 +203,17 @@ let record t ev =
   sync t
 
 let checkpoint ?gen t =
-  Mutex.lock t.lock;
-  let g' = Option.value gen ~default:(t.gen + 1) in
-  if g' <= t.gen then begin
-    Mutex.unlock t.lock;
-    invalid_arg "Store.checkpoint: gen"
-  end;
-  if t.closed || t.checkpointing then Mutex.unlock t.lock
-  else if Journal.failed t.journal then begin
-    Mutex.unlock t.lock;
-    raise Journal.Poisoned
-  end
-  else
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.lock)
-      (fun () -> exclusively t (fun () -> checkpoint_locked t g'))
+  Mutex.protect t.lock (fun () ->
+      let g' = Option.value gen ~default:(t.gen + 1) in
+      if g' <= t.gen then invalid_arg "Store.checkpoint: gen";
+      if not t.closed then begin
+        if Journal.failed t.journal then raise Journal.Poisoned;
+        checkpoint_locked t g'
+      end)
 
 let close t =
-  Mutex.lock t.lock;
-  if not t.closed then begin
-    while t.checkpointing do
-      Condition.wait t.idle t.lock
-    done;
-    while t.inflight > 0 do
-      Condition.wait t.idle t.lock
-    done;
-    t.closed <- true;
-    Journal.close t.journal
-  end;
-  Mutex.unlock t.lock
+  Mutex.protect t.lock (fun () ->
+      if not t.closed then begin
+        t.closed <- true;
+        Journal.close t.journal
+      end)

@@ -20,17 +20,18 @@
     every event of an event-loop turn and syncs once before any reply
     of the turn leaves; {!record} is the two halves back to back.
 
-    Concurrency: every write function is thread-safe.  Staging takes a
-    short store lock; the barrier runs outside it and group-commits
-    (see {!Journal}), so concurrent callers share fsyncs.  A checkpoint
-    briefly quiesces barriers (records arriving mid-checkpoint wait,
-    and land in the new generation). *)
+    Concurrency: every write function is thread-safe.  One store lock
+    is held for the whole of every {!stage}, {!sync}, {!checkpoint} and
+    {!close}, fsync included, so they run one at a time: a checkpoint
+    never rotates the journal under a barrier, and records arriving
+    mid-checkpoint wait and land in the new generation.  A serving
+    process has a single appender, its event loop, so the lock is
+    uncontended there. *)
 
 type t
 
 val open_dir :
   ?fsync:bool ->
-  ?commit_window:float ->
   ?snapshot_every:int ->
   ?io:Io.t ->
   string ->
@@ -43,15 +44,10 @@ val open_dir :
 
     [fsync] (default [true]): turn off the durability barrier (benchmarks
     and tests only — acknowledged answers can then be lost to a crash).
-    [commit_window] (seconds, default [0.]): adaptive group-commit
-    window — a journal fsync leader under contention dallies up to this
-    long so queued records join its combined append (see
-    {!Journal.create}); [0.] keeps per-record writes.  Raises
-    [Invalid_argument] if negative.  [snapshot_every] (default 1024):
-    journal records per generation — the automatic checkpoint runs at
-    the start of the next record, before it is appended.  [io] (default
-    {!Io.real}): the filesystem the store runs against — a fault
-    filesystem in tests. *)
+    [snapshot_every] (default 1024): journal records per generation —
+    the automatic checkpoint runs at the start of the next record,
+    before it is appended.  [io] (default {!Io.real}): the filesystem
+    the store runs against — a fault filesystem in tests. *)
 
 val stage : t -> Event.t -> unit
 (** Stage one (concrete) event for the journal and fold it into the
@@ -111,7 +107,7 @@ val record_count : t -> int
     checkpoint). *)
 
 val commit_stats : t -> Journal.batch_stats
-(** Group-commit batch distribution of the current journal generation
+(** Batch size distribution of the current journal generation
     (see {!Journal.batch_stats}); resets when a checkpoint rotates the
     journal. *)
 

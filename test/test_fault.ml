@@ -285,26 +285,6 @@ let test_crowd_crash_sweep_full () =
   check_stats "crowd crash sweep (stride 1)"
     (Sweep.crowd_crash_sweep Sweep.default)
 
-(* Group commit under fault: the same sweeps with a positive commit
-   window, so the store stages records and combines fsyncs — every
-   crash point now lands at a batch boundary (applied=0) or tears the
-   batch mid-write (applied=3).  The three-part recovery contract must
-   hold identically; the replicated variant ships each batch as one
-   [Repl_batch] and the standby must apply it atomically. *)
-
-let windowed = { Sweep.default with Sweep.commit_window = 0.002 }
-
-let test_crash_sweep_windowed () =
-  let st = Sweep.crash_sweep ~stride:3 windowed in
-  check_stats "crash sweep (group commit)" st
-
-let test_fsync_sweep_windowed () =
-  check_stats "fsync sweep (group commit)" (Sweep.fsync_sweep ~stride:3 windowed)
-
-let test_replicated_sweep_windowed () =
-  check_stats "replicated sweep (group commit)" ~images_per_run:1
-    (Sweep.replicated_sweep ~stride:3 windowed)
-
 (* Slow variants: no strides, plus crashes inside chunked writes. *)
 
 let test_fsync_sweep_full () =
@@ -325,14 +305,6 @@ let test_replicated_sweep_full () =
      and torn mid-record, a promotion verified for each. *)
   check_stats "replicated sweep (stride 1)" ~images_per_run:1
     (Sweep.replicated_sweep Sweep.default)
-
-let test_crash_sweep_windowed_full () =
-  check_stats "crash sweep (group commit, stride 1)"
-    (Sweep.crash_sweep windowed)
-
-let test_replicated_sweep_windowed_full () =
-  check_stats "replicated sweep (group commit, stride 1)" ~images_per_run:1
-    (Sweep.replicated_sweep windowed)
 
 (* ------------------------------------------------------------------ *)
 (* qcheck: Journal.scan's verdict on every single-byte mutation        *)
@@ -651,6 +623,49 @@ let chaos_proxy_pipelined framing () =
       Alcotest.(check int) "proxy saw every connection" 4 st.Chaos.connections;
       Alcotest.(check int) "proxy cut one" 1 st.Chaos.dropped)
 
+(* Shutting the proxy down must not wait on its clients: a connection
+   whose client never sends a byte (or went quiet mid-session) ends when
+   {!Chaos.stop} shuts its socket down.  [jim chaos] takes this path on
+   SIGTERM and SIGINT, after its handler has called {!Chaos.shutdown}. *)
+let chaos_stop_ends_idle_connections () =
+  let listen = Wire.Unix_path (fresh_socket ()) in
+  let upstream = Wire.Unix_path (fresh_socket ()) in
+  let node = Serving.start Serving.memory upstream in
+  let proxy =
+    match Chaos.start ~plan:Chaos.plan_none ~listen ~upstream () with
+    | Ok t -> t
+    | Error e -> Alcotest.fail e
+  in
+  let silent =
+    let fd = Wire.socket_for listen in
+    Unix.connect fd (Wire.sockaddr_of listen);
+    fd
+  in
+  let quiet =
+    match Wire.connect listen with Ok c -> c | Error e -> Alcotest.fail e
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close silent with Unix.Unix_error _ -> ());
+      Wire.close quiet;
+      Jim_shard.Node.stop node)
+    (fun () ->
+      (match Wire.call quiet Pr.Catalog_stats with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "stats through the proxy: %s" e);
+      Chaos.shutdown proxy;
+      Chaos.wait proxy;
+      let stopped = ref None in
+      ignore (Thread.create (fun () -> stopped := Some (Chaos.stop proxy)) ());
+      let deadline = Unix.gettimeofday () +. 5. in
+      while !stopped = None && Unix.gettimeofday () < deadline do
+        Thread.delay 0.01
+      done;
+      match !stopped with
+      | None -> Alcotest.fail "stop still joining idle connections after 5 s"
+      | Some st ->
+        Alcotest.(check int) "both connections counted" 2 st.Chaos.connections)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -693,12 +708,6 @@ let () =
              `Quick test_crowd_crash_sweep;
            Alcotest.test_case "crowd votes: replicated standby bit-identity"
              `Quick test_crowd_replicated_run;
-           Alcotest.test_case "group commit: crash at batch boundaries" `Quick
-             test_crash_sweep_windowed;
-           Alcotest.test_case "group commit: failed combined fsync" `Quick
-             test_fsync_sweep_windowed;
-           Alcotest.test_case "group commit: replicated batches, promote"
-             `Quick test_replicated_sweep_windowed;
            Alcotest.test_case "shared inline instance: crash at every boundary"
              `Quick test_crash_sweep_shared_inline;
            Alcotest.test_case "shared inline instance: replicated, promote"
@@ -716,10 +725,6 @@ let () =
                  test_crowd_crash_sweep_full;
                Alcotest.test_case "replicated pair, every ordinal" `Slow
                  test_replicated_sweep_full;
-               Alcotest.test_case "group commit crash, every ordinal" `Slow
-                 test_crash_sweep_windowed_full;
-               Alcotest.test_case "group commit replicated, every ordinal"
-                 `Slow test_replicated_sweep_windowed_full;
              ] );
        ( "journal",
          [ QCheck_alcotest.to_alcotest scan_classifies_mutations ] );
@@ -738,6 +743,8 @@ let () =
              `Quick (chaos_proxy_pipelined Wire.Line);
            Alcotest.test_case "proxied pipelined smoke, binary frames" `Quick
              (chaos_proxy_pipelined Wire.Binary);
+           Alcotest.test_case "stop ends idle connections" `Quick
+             chaos_stop_ends_idle_connections;
          ] );
      ]
     |> List.filter (fun (_, cases) -> cases <> []))

@@ -6,8 +6,9 @@
    must recover — every acknowledged answer intact — and the resumed
    session must finish bit-identical to the uninterrupted in-process
    [Session.run].  Alongside: record framing (torn tail vs mid-log
-   corruption, the latter failing with the byte offset), group-commit
-   concurrency, snapshot rotation and checksums, undo replay, ended
+   corruption, the latter failing with the byte offset), the barrier's
+   syscall cost, concurrent appenders and recorders across checkpoints,
+   snapshot rotation and checksums, undo replay, ended
    sessions staying dead, and fingerprint drift detection. *)
 
 module Pr = Jim_api.Protocol
@@ -370,7 +371,7 @@ let test_journal_tail () =
 
 let test_journal_group_commit () =
   (* Concurrent appenders with real fsync: every payload must land
-     exactly once (the group-commit leader/follower dance loses none). *)
+     exactly once (serialised barriers lose none). *)
   with_dir (fun dir ->
       Unix.mkdir dir 0o755;
       let path = Filename.concat dir "j.wal" in
@@ -401,54 +402,47 @@ let test_journal_group_commit () =
         in
         Alcotest.(check (list string)) "all payloads, once each" want got)
 
-let test_journal_windowed_group_commit () =
-  (* Adaptive group commit (--commit-window): staged appends drain as
-     combined writes under one fsync barrier.  A multi-payload
-     append_many forms one batch deterministically; concurrent
-     appenders must still land every payload exactly once, and the
-     batch counters must account for every record. *)
-  with_dir (fun dir ->
-      Unix.mkdir dir 0o755;
-      let path = Filename.concat dir "j.wal" in
-      let j = Journal.create ~fsync:true ~window:0.002 path in
-      let bulk = List.init 5 (Printf.sprintf "bulk-%d") in
-      Journal.append_many j bulk;
-      let s = Journal.batch_stats j in
-      Alcotest.(check bool) "append_many forms one batch of 5" true
-        (s.Journal.max_batch >= 5);
-      let n_threads = 8 and per_thread = 25 in
-      let spawn t =
-        Thread.create
-          (fun () ->
-            for i = 0 to per_thread - 1 do
-              Journal.append j (Printf.sprintf "t%d-%d" t i)
-            done)
-          ()
-      in
-      let threads = List.init n_threads spawn in
-      List.iter Thread.join threads;
-      Journal.close j;
-      let s = Journal.batch_stats j in
-      let total = 5 + (n_threads * per_thread) in
-      Alcotest.(check int) "every record went through a batch" total
-        s.Journal.records;
-      Alcotest.(check int) "histogram sums to the batch count"
-        s.Journal.batches
-        (Array.fold_left ( + ) 0 s.Journal.by_size);
-      match Journal.scan path with
-      | Error (`Corrupt (off, m)) -> Alcotest.failf "corrupt at %d: %s" off m
-      | Ok (records, tail) ->
-        Alcotest.(check bool) "complete" true (tail = Journal.Complete);
-        let got = List.sort compare (List.map snd records) in
-        let want =
-          List.sort compare
-            (bulk
-            @ List.concat_map
-                (fun t ->
-                  List.init per_thread (fun i -> Printf.sprintf "t%d-%d" t i))
-                (List.init n_threads Fun.id))
-        in
-        Alcotest.(check (list string)) "all payloads, once each" want got)
+let test_journal_barrier_accounting () =
+  (* The barrier's syscall bill on a counting filesystem: staging costs
+     nothing, one sync over k staged records costs exactly one write
+     and one fsync, and a sync with nothing staged costs none.  The
+     batch counters count every barrier that wrote several records. *)
+  let fs = Jim_fault.Memfs.create () in
+  let path = "/j.wal" in
+  let j = Journal.create ~fsync:true ~io:(Jim_fault.Memfs.io fs) path in
+  let cost f =
+    let w = Jim_fault.Memfs.writes fs and s = Jim_fault.Memfs.fsyncs fs in
+    f ();
+    (Jim_fault.Memfs.writes fs - w, Jim_fault.Memfs.fsyncs fs - s)
+  in
+  let pair = Alcotest.(pair int int) in
+  let staged = List.init 4 (Printf.sprintf "staged-%d") in
+  Alcotest.check pair "k writes stage without a syscall" (0, 0)
+    (cost (fun () -> List.iter (fun p -> Journal.write j [ p ]) staged));
+  Alcotest.check pair "one sync: 1 write, 1 fsync" (1, 1)
+    (cost (fun () -> Journal.sync j));
+  Alcotest.check pair "empty sync: no syscall" (0, 0)
+    (cost (fun () -> Journal.sync j));
+  let bulk = List.init 5 (Printf.sprintf "bulk-%d") in
+  Alcotest.check pair "append_many: 1 write, 1 fsync" (1, 1)
+    (cost (fun () -> Journal.append_many j bulk));
+  Alcotest.check pair "single append: 1 write, 1 fsync" (1, 1)
+    (cost (fun () -> Journal.append j "single"));
+  let s = Journal.batch_stats j in
+  Alcotest.(check int) "two multi-record barriers" 2 s.Journal.batches;
+  Alcotest.(check int) "carrying 4 + 5 records" 9 s.Journal.records;
+  Alcotest.(check int) "append_many of 5 is one batch of 5" 5
+    s.Journal.max_batch;
+  Alcotest.(check int) "histogram sums to the batch count" s.Journal.batches
+    (Array.fold_left ( + ) 0 s.Journal.by_size);
+  Journal.close j;
+  match Journal.scan ~io:(Jim_fault.Memfs.io fs) path with
+  | Error (`Corrupt (off, m)) -> Alcotest.failf "corrupt at %d: %s" off m
+  | Ok (records, tail) ->
+    Alcotest.(check bool) "complete" true (tail = Journal.Complete);
+    Alcotest.(check (list string)) "every record, in order"
+      (staged @ bulk @ [ "single" ])
+      (List.map snd records)
 
 let test_journal_torn_batch () =
   (* A combined (batched) append cut at any byte must behave exactly
@@ -459,7 +453,7 @@ let test_journal_torn_batch () =
       Unix.mkdir dir 0o755;
       let path = Filename.concat dir "j.wal" in
       let payloads = List.init 6 (Printf.sprintf "batched-%d") in
-      let j = Journal.create ~fsync:true ~window:0.002 path in
+      let j = Journal.create ~fsync:true path in
       Journal.append_many j payloads;
       Journal.close j;
       let data = read_file path in
@@ -919,6 +913,95 @@ let test_forced_checkpoint () =
       Alcotest.(check bool) "outcome preserved" true
         (Smoke.outcome_equal
            (expected_outcome ~seed:106 ~strategy:"random") got))
+
+let test_concurrent_records_across_checkpoints () =
+  (* Four threads record into one fsyncing store whose generations hold
+     five records each, so automatic checkpoints interleave with the
+     other threads' stages and barriers.  Reopened, the store holds
+     every event exactly once, in each session's order, and only the
+     final generation's files remain. *)
+  with_dir (fun dir ->
+      let store =
+        match Store.open_dir ~fsync:true ~snapshot_every:5 dir with
+        | Ok (s, _) -> s
+        | Error e -> Alcotest.failf "open_dir: %s" e
+      in
+      let sgs =
+        Array.map
+          (fun s ->
+            match Jim_partition.Partition.of_string s with
+            | Ok p -> p
+            | Error e -> failwith e)
+          [| "{0}{1}{2}{3}{4}"; "{0,1}{2,3,4}"; "{0,2}{1}{3,4}"; "{0,1,2,3,4}" |]
+      in
+      (* answer [i] of every session: 8 distinct (sg, label) steps in
+         rotation, so a lost, doubled or reordered record shows *)
+      let step i =
+        (sgs.(i mod 4), if i / 4 mod 2 = 0 then State.Pos else State.Neg)
+      in
+      let n_threads = 4 and answers = 30 in
+      let run t =
+        let session = t + 1 in
+        Store.record store
+          (Event.Started
+             {
+               session;
+               arity = 5;
+               source = Pr.Builtin "flights";
+               strategy = "random";
+               seed = t;
+               fingerprint = "cafe0001";
+             });
+        for i = 0 to answers - 1 do
+          let sg, label = step i in
+          Store.record store (Event.Answered { session; cls = i; sg; label })
+        done
+      in
+      (* a raise in a thread would only print: keep it for the check *)
+      let errors = Array.make n_threads None in
+      let guarded t = try run t with exn -> errors.(t) <- Some exn in
+      List.iter Thread.join (List.init n_threads (Thread.create guarded));
+      Array.iteri
+        (fun t e ->
+          Option.iter
+            (fun exn ->
+              Alcotest.failf "thread %d: %s" t (Printexc.to_string exn))
+            e)
+        errors;
+      let g = Store.generation store in
+      Alcotest.(check bool) "checkpoints interleaved" true
+        (g >= n_threads * (answers + 1) / 5 - 1);
+      Store.close store;
+      let expected_files =
+        List.sort compare
+          [
+            Filename.basename (Recovery.snapshot_path dir g);
+            Filename.basename (Recovery.journal_path dir g);
+          ]
+      in
+      Alcotest.(check (list string)) "only the last generation's files"
+        expected_files
+        (List.sort compare (Array.to_list (Sys.readdir dir)));
+      let store', recovered = open_store ~snapshot_every:5 dir in
+      Store.close store';
+      Alcotest.(check (list int)) "every session recovered"
+        (List.init n_threads (fun t -> t + 1))
+        (List.map (fun s -> s.Recovery.id) recovered.Recovery.sessions);
+      List.iter
+        (fun s ->
+          let got =
+            List.map
+              (function
+                | Recovery.Label { sg; label; _ } -> (sg, label)
+                | Recovery.Undo -> Alcotest.fail "an undo was never recorded")
+              s.Recovery.steps
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "session %d: every answer once, in order"
+               s.Recovery.id)
+            true
+            (got = List.init answers step))
+        recovered.Recovery.sessions)
 
 (* The automatic checkpoint runs at the start of the record that finds
    the generation full.  When its snapshot write fails, that record
@@ -1433,8 +1516,8 @@ let () =
             test_record_codec;
           Alcotest.test_case "tail streams from an offset" `Quick
             test_journal_tail;
-          Alcotest.test_case "windowed group commit batches and counts"
-            `Quick test_journal_windowed_group_commit;
+          Alcotest.test_case "barrier: one write and one fsync per sync"
+            `Quick test_journal_barrier_accounting;
           Alcotest.test_case "torn combined append is a clean prefix" `Quick
             test_journal_torn_batch;
           Alcotest.test_case "group commit under threads" `Quick
@@ -1457,6 +1540,8 @@ let () =
           Alcotest.test_case "forced checkpoint" `Quick test_forced_checkpoint;
           Alcotest.test_case "failed checkpoint leaves no trace" `Quick
             test_failed_checkpoint_leaves_no_trace;
+          Alcotest.test_case "concurrent records across checkpoints" `Quick
+            test_concurrent_records_across_checkpoints;
         ] );
       ( "recovery",
         (* The on-disk prefix-cut sweeps are superseded by the simulated
