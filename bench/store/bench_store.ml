@@ -349,7 +349,7 @@ let () =
         ~per_thread:(scale 50_000);
       bench_append ~name:"append/fsync" ~fsync:true ~threads:1
         ~per_thread:(scale 500);
-      bench_append ~name:"append/fsync-group-commit-8" ~fsync:true ~threads:8
+      bench_append ~name:"append/fsync-8-writers" ~fsync:true ~threads:8
         ~per_thread:(scale 500);
       bench_store_record ~name:"store-record/no-fsync" ~fsync:false
         ~events:(scale 50_000);

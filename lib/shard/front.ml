@@ -43,20 +43,33 @@ let pool_give p c =
   Mutex.unlock p.plock;
   if not keep then Wire.close c
 
-(* One request/reply on a pooled connection.  A transport error closes
-   the connection instead of returning it — the next call dials
+(* A pipelined burst on one pooled connection: every request leaves
+   before the first reply is read, so the shard takes the whole burst
+   in one or two of its turns.  The replies read before a transport
+   error stand; that request and every later one get the error, and
+   the connection is closed instead of returned — the next call dials
    fresh — so one dead socket never poisons the pool. *)
-let pool_call p payload =
+let pool_calls p payloads =
   match pool_take p with
-  | Error e -> Error e
-  | Ok c -> (
-    match Wire.call_line c payload with
-    | Ok resp ->
-      pool_give p c;
-      Ok resp
-    | Error e ->
-      Wire.close c;
-      Error e)
+  | Error e -> Array.map (fun _ -> Error e) payloads
+  | Ok c ->
+    let broken = ref None in
+    let step f x =
+      match !broken with
+      | Some e -> Error e
+      | None ->
+        let r = f x in
+        Result.iter_error (fun e -> broken := Some e) r;
+        r
+    in
+    Array.iter
+      (fun payload -> ignore (step (Wire.send_line ~flush:false c) payload))
+      payloads;
+    let replies = Array.map (fun _ -> step Wire.recv_line c) payloads in
+    if !broken = None then pool_give p c else Wire.close c;
+    replies
+
+let pool_call p payload = (pool_calls p [| payload |]).(0)
 
 let pool_close p =
   Mutex.lock p.plock;
@@ -71,7 +84,7 @@ let pool_close p =
 
 (* Promotion over the wire: dial the standby fresh, tell it to promote
    (it recovers its accumulated directory and starts serving), and
-   hand the router a pooled call path to it. *)
+   hand the router a pooled batch path to it. *)
 let promote_standby ~name addr () =
   match Wire.connect ~retries:5 addr with
   | Error e -> Error (Printf.sprintf "standby %s: %s" name e)
@@ -86,7 +99,7 @@ let promote_standby ~name addr () =
     in
     Wire.close c;
     (match result with
-    | Ok () -> Ok (pool_call (pool addr))
+    | Ok () -> Ok (pool_calls (pool addr))
     | Error _ as e -> e)
 
 let wire_upstream ~name ~primary ?standby () =
@@ -99,7 +112,7 @@ let wire_upstream ~name ~primary ?standby () =
         r)
       standby
   in
-  Router.upstream ~name ?promote (pool_call primary_pool)
+  Router.batch_upstream ~name ?promote (pool_calls primary_pool)
 
 (* ------------------------------------------------------------------ *)
 (* The standby serve node: a {!Node} around a caller-owned standby     *)

@@ -268,12 +268,11 @@ let internal_error exn =
 
 let dispatch_line t payload =
   match t.kind with
-  | Routing r -> Router.handle_line r payload
   | Warm w when String.starts_with ~prefix:Journal.record_magic payload ->
     (* a streamed journal record, as raw JREC bytes *)
     let reply = stream_reply (Standby.apply_batch w.stb [ payload ]) in
     (P.response_to_string reply, true)
-  | Serving _ | Warm _ -> (
+  | _ -> (
     match P.request_of_string payload with
     | Error e -> (P.response_to_string (P.Failed e), false)
     | Ok req ->
@@ -291,28 +290,32 @@ let handle t req =
 (* One event-loop turn: every payload in order, then one barrier over
    the turn's writes.  If the barrier fails, each reply whose request
    staged an event becomes the internal error a failed synchronous
-   write gives; replies that wrote nothing stand. *)
+   write gives; replies that wrote nothing stand.  A router relays the
+   turn whole ({!Router.turn}). *)
 let turn t payloads =
   Mutex.protect t.turn (fun () ->
-      let staged () =
-        Option.fold ~none:[] ~some:(fun d -> d.staged) (durable_of t)
-      in
-      let replies =
-        Array.map
-          (fun payload ->
-            let before = staged () in
-            let reply = dispatch_line t payload in
-            (reply, staged () != before))
-          payloads
-      in
-      match end_turn t with
-      | () -> Array.map fst replies
-      | exception exn ->
-        let failed = P.response_to_string (internal_error exn) in
-        Array.map
-          (fun ((reply, parsed), wrote) ->
-            ((if wrote then failed else reply), parsed))
-          replies)
+      match t.kind with
+      | Routing r -> Router.turn r payloads
+      | Serving _ | Warm _ -> (
+        let staged () =
+          Option.fold ~none:[] ~some:(fun d -> d.staged) (durable_of t)
+        in
+        let replies =
+          Array.map
+            (fun payload ->
+              let before = staged () in
+              let reply = dispatch_line t payload in
+              (reply, staged () != before))
+            payloads
+        in
+        match end_turn t with
+        | () -> Array.map fst replies
+        | exception exn ->
+          let failed = P.response_to_string (internal_error exn) in
+          Array.map
+            (fun ((reply, parsed), wrote) ->
+              ((if wrote then failed else reply), parsed))
+            replies))
 
 let handle_line t payload = (turn t [| payload |]).(0)
 

@@ -9,7 +9,7 @@
     One handler chain answers every payload, decoding it once.  It
     routes by tag: [Repl_status] on a replicating primary, the stream
     messages and [Promote] on a standby; everything else goes to the
-    {!Jim_server.Service}.  A router takes payloads as they come.
+    {!Jim_server.Service}.  A router relays each turn whole ({!Router.turn}).
 
     One write path: a durable primary's (or promoted standby's) persist
     hook stages each event ({!Jim_store.Store.stage}), and a barrier —

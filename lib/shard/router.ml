@@ -9,17 +9,25 @@
    (JREC records of {!Rlog} lines) so routing survives a router
    restart.
 
-   Failover: when a shard's transport dies mid-request the router
+   A turn relays together: every payload is decoded and placed first,
+   then each shard gets its share of the turn as one pipelined batch,
+   so the shard serves it in one or two of its own turns and their
+   writes share its barrier.  The turn's [Placed] entries are made
+   durable by one log sync before any start leaves, and its [Released]
+   entries by one more before the replies go back.
+
+   Failover: when a shard's transport dies mid-batch the router
    promotes its standby (the upstream's [promote] closure — see
-   {!Front.wire_upstream}), swaps the call path, journals the
-   promotion, and then applies at-most-once discipline: non-mutating
-   requests are retried transparently against the promoted standby;
-   mutating requests ([Answer]/[Undo]/[End_session]) answer
-   [Shard_unavailable] and let the client decide, because the dead
-   primary may or may not have acked them.  [Start_session] is retried
-   with a {e fresh} id — the old pin is released, so a half-started
-   session on the promoted standby is an orphan the TTL sweep
-   collects, never a correctness hazard. *)
+   {!Front.wire_upstream}), swaps the call paths, journals the
+   promotion, and then applies at-most-once discipline to every
+   request the break left unanswered: non-mutating requests are retried
+   transparently against the promoted standby; mutating requests
+   ([Answer]/[Undo]/[End_session]) answer [Shard_unavailable] and let
+   the client decide, because the dead primary may or may not have
+   acked them.  [Start_session] is retried with a {e fresh} id — the
+   old pin is released, so a half-started session on the promoted
+   standby is an orphan the TTL sweep collects, never a correctness
+   hazard. *)
 
 module P = Jim_api.Protocol
 module Journal = Jim_store.Journal
@@ -31,13 +39,45 @@ type upstream = {
       (** one request line in, one reply line out; [Error] is a
           transport failure (connect/read/write), not a protocol
           [Failed] *)
-  promote : (unit -> ((string -> (string, string) result), string) result) option;
+  mutable calls : string array -> (string, string) result array;
+  promote :
+    (unit -> (string array -> (string, string) result array, string) result)
+    option;
   mutable promoted : bool;
   ulock : Mutex.t;
 }
 
+(* A batch over a one-request call path: in order, and nothing more is
+   sent once the transport has failed. *)
+let one_at_a_time call lines =
+  let broken = ref None in
+  Array.map
+    (fun line ->
+      match !broken with
+      | Some e -> Error e
+      | None ->
+        let r = call line in
+        Result.iter_error (fun e -> broken := Some e) r;
+        r)
+    lines
+
+let single calls line = (calls [| line |]).(0)
+
+let batch_upstream ~name ?promote calls =
+  {
+    name;
+    call = single calls;
+    calls;
+    promote;
+    promoted = false;
+    ulock = Mutex.create ();
+  }
+
 let upstream ~name ?promote call =
-  { name; call; promote; promoted = false; ulock = Mutex.create () }
+  let promote =
+    Option.map (fun f () -> Result.map one_at_a_time (f ())) promote
+  in
+  { (batch_upstream ~name ?promote (one_at_a_time call)) with call }
 
 type t = {
   lock : Mutex.t;
@@ -81,10 +121,11 @@ let replay records =
   in
   Ok (members, placements, failed_over, !next_id)
 
+(* Stage a log entry; [sync_log] makes everything staged durable. *)
 let journal_entry t e =
-  match t.journal with
-  | None -> ()
-  | Some j -> Journal.append j (Rlog.to_string e)
+  Option.iter (fun j -> Journal.write j [ Rlog.to_string e ]) t.journal
+
+let sync_log t = Option.iter Journal.sync t.journal
 
 (* Promote [up]'s standby if that has not happened yet.  Ok () means
    the upstream is promoted now (by us or a racing thread); the
@@ -98,8 +139,9 @@ let ensure_promoted t up =
       | None -> Error "no standby configured"
       | Some f -> (
         match f () with
-        | Ok call ->
-          up.call <- call;
+        | Ok calls ->
+          up.calls <- calls;
+          up.call <- single calls;
           up.promoted <- true;
           Ok `Promoted
         | Error e -> Error ("standby promotion failed: " ^ e))
@@ -107,9 +149,9 @@ let ensure_promoted t up =
   Mutex.unlock up.ulock;
   match result with
   | Ok `Promoted ->
-    Mutex.lock t.lock;
-    journal_entry t (Rlog.Failed_over { shard = up.name });
-    Mutex.unlock t.lock;
+    Mutex.protect t.lock (fun () ->
+        journal_entry t (Rlog.Failed_over { shard = up.name });
+        sync_log t);
     Ok ()
   | Ok `Already -> Ok ()
   | Error e -> Error e
@@ -171,6 +213,7 @@ let create ?(io = Io.real) ?dir ?vnodes ~shards () =
       if not (List.mem m configured) then
         journal_entry t (Rlog.Member_removed m))
     journaled_members;
+  sync_log t;
   (* A journaled promotion means the primary is gone: re-point those
      upstreams at their standbys before serving (best effort — a
      failed attempt is retried by the ordinary failover path). *)
@@ -205,38 +248,14 @@ let close t =
 let fail e = P.response_to_string (P.Failed e)
 let unavailable msg = fail (P.Shard_unavailable msg)
 
-let call_of up =
-  Mutex.lock up.ulock;
-  let c = up.call and p = up.promoted in
-  Mutex.unlock up.ulock;
-  (c, p)
+let internal_error exn =
+  fail (P.Bad_request ("internal error: " ^ Printexc.to_string exn))
 
-(* Forward one line; on transport failure promote the standby and —
-   only for [retryable] (non-mutating) requests — retry once. *)
-let forward t up ~retryable line =
-  let c, was_promoted = call_of up in
-  match c line with
-  | Ok resp -> Ok resp
-  | Error err ->
-    if was_promoted then
-      Error (Printf.sprintf "shard %s unreachable after failover: %s" up.name err)
-    else (
-      match ensure_promoted t up with
-      | Error e ->
-        Error (Printf.sprintf "shard %s down (%s); %s" up.name err e)
-      | Ok () ->
-        if retryable then (
-          let c, _ = call_of up in
-          match c line with
-          | Ok resp -> Ok resp
-          | Error e2 ->
-            Error
-              (Printf.sprintf "shard %s standby unreachable: %s" up.name e2))
-        else
-          Error
-            (Printf.sprintf
-               "shard %s failed over mid-request; not retried (at-most-once)"
-               up.name))
+let started_prefix = {|{"jim":1,"resp":"started"|}
+let ended_reply = {|{"jim":1,"resp":"ended"}|}
+
+let unknown_session_prefix =
+  {|{"jim":1,"resp":"error","error":{"kind":"unknown_session"|}
 
 let upstream_for t shard_name =
   match Hashtbl.find_opt t.shards shard_name with
@@ -244,142 +263,109 @@ let upstream_for t shard_name =
   | None -> Error (Printf.sprintf "shard %s is not configured" shard_name)
 
 let release t id =
-  Mutex.lock t.lock;
-  if Hashtbl.mem t.placements id then begin
-    Hashtbl.remove t.placements id;
-    journal_entry t (Rlog.Released { session = id })
-  end;
-  Mutex.unlock t.lock
+  Mutex.protect t.lock (fun () ->
+      if Hashtbl.mem t.placements id then begin
+        Hashtbl.remove t.placements id;
+        journal_entry t (Rlog.Released { session = id })
+      end)
 
-(* Place a new session: allocate the id, pick the shard, and journal
-   the placement BEFORE the start is forwarded — a crash in between
-   leaves a dead placement (the shard answers [Unknown_session]),
-   never an unroutable live session. *)
-let place_new t ~key_of_id =
-  Mutex.lock t.lock;
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  let shard = Ring.place t.ring (key_of_id id) in
-  (match shard with
-  | Some shard ->
-    journal_entry t (Rlog.Placed { session = id; shard });
-    Hashtbl.replace t.placements id shard
-  | None -> ());
-  Mutex.unlock t.lock;
-  (id, shard)
+type start = { source : P.instance_source; strategy : string; seed : int }
 
-let handle_start t source strategy seed =
-  let key_of_id =
-    match source with
+type kind =
+  | Read  (** non-mutating: retried once on the promoted standby *)
+  | Write  (** mutating: never retried after a break (at-most-once) *)
+  | End  (** [End_session]: a [Write] whose [Ended] releases the pin *)
+  | Start of start  (** retried once with a fresh id *)
+
+(* One request on its way upstream.  [reply] is final once set. *)
+type relay = {
+  kind : kind;
+  mutable up : upstream;
+  mutable line : string;
+  mutable session : int option;  (** the pin it routes by, or a start's id *)
+  mutable retried : bool;
+  mutable reply : string option;
+}
+
+type plan =
+  | Done of string  (** answered by the router itself *)
+  | Relay of relay
+  | Catalog of relay list  (** one per shard, summed *)
+
+let relay ?session kind up line =
+  { kind; up; line; session; retried = false; reply = None }
+
+(* Place a new session: allocate the id, pick the shard, and stage the
+   placement — made durable before the start leaves, so a crash in
+   between leaves a dead placement (the shard answers
+   [Unknown_session]), never an unroutable live session. *)
+let place t (s : start) =
+  let key =
+    match s.source with
     | P.Catalog fp -> fun _ -> Ring.fingerprint_key fp
-    | _ -> fun id -> Ring.session_key id
+    | _ -> Ring.session_key
   in
-  let start_once () =
-    let id, shard = place_new t ~key_of_id in
-    match shard with
-    | None -> Error (`Final (unavailable "no shards in the ring"))
-    | Some shard_name -> (
-      match upstream_for t shard_name with
-      | Error msg ->
-        release t id;
-        Error (`Final (unavailable msg))
-      | Ok up -> (
-        let line =
+  let id, shard =
+    Mutex.protect t.lock (fun () ->
+        let id = t.next_id in
+        t.next_id <- id + 1;
+        let shard = Ring.place t.ring (key id) in
+        Option.iter
+          (fun shard ->
+            journal_entry t (Rlog.Placed { session = id; shard });
+            Hashtbl.replace t.placements id shard)
+          shard;
+        (id, shard))
+  in
+  match shard with
+  | None -> Error (unavailable "no shards in the ring")
+  | Some shard -> (
+    match upstream_for t shard with
+    | Ok up ->
+      let { source; strategy; seed } = s in
+      Ok
+        ( id,
+          up,
           P.request_to_string
-            (P.Start_pinned { session = id; source; strategy; seed })
-        in
-        let c, was_promoted = call_of up in
-        match c line with
-        | Ok resp ->
-          (match P.response_of_string resp with
-          | Ok (P.Failed _) | Error _ -> release t id
-          | Ok _ -> ());
-          Ok resp
-        | Error err ->
-          release t id;
-          if was_promoted then
-            Error
-              (`Final
-                (unavailable
-                   (Printf.sprintf "shard %s unreachable after failover: %s"
-                      shard_name err)))
-          else (
-            match ensure_promoted t up with
-            | Ok () -> Error `Retry
-            | Error e ->
-              Error
-                (`Final
-                  (unavailable
-                     (Printf.sprintf "shard %s down (%s); %s" shard_name err
-                        e))))))
-  in
-  (* A start that died in transit is retried once with a FRESH id
-     against the promoted standby: the old pin is released, and if the
-     dead primary did persist the start, the standby holds an orphan
-     session the idle sweep collects. *)
-  match start_once () with
-  | Ok resp -> resp
-  | Error (`Final resp) -> resp
-  | Error `Retry -> (
-    match start_once () with
-    | Ok resp -> resp
-    | Error (`Final resp) -> resp
-    | Error `Retry -> unavailable "shard failed over twice during start")
+            (P.Start_pinned { session = id; source; strategy; seed }) )
+    | Error msg ->
+      release t id;
+      Error (unavailable msg))
 
-let handle_session t id ~retryable ~ended_releases line =
-  match placement t id with
-  | None -> fail (P.Unknown_session id)
-  | Some shard_name -> (
-    match upstream_for t shard_name with
-    | Error msg -> unavailable msg
-    | Ok up -> (
-      match forward t up ~retryable line with
-      | Error msg -> unavailable msg
-      | Ok resp ->
-        (match P.response_of_string resp with
-        | Ok P.Ended when ended_releases -> release t id
-        | Ok (P.Failed (P.Unknown_session _)) ->
-          (* evicted or never started on the shard: drop the stale pin *)
-          release t id
-        | _ -> ());
-        resp))
+let relay_to t ?session kind shard line =
+  match upstream_for t shard with
+  | Ok up -> Relay (relay ?session kind up line)
+  | Error msg -> Done (unavailable msg)
 
-let handle_register t source line =
-  let fp =
-    match source with
-    | P.Catalog fp -> Ok fp
-    | _ -> (
-      let enc = Jim_api.Codec.to_string P.source source in
-      Mutex.lock t.lock;
-      let memo = Hashtbl.find_opt t.fps enc in
-      Mutex.unlock t.lock;
-      match memo with
-      | Some fp -> Ok fp
-      | None -> (
-        match Jim_catalog.Catalog.relation_of source with
-        | Error e -> Error e
-        | Ok (rel, _schema) ->
+let pinned t id kind line =
+  match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.placements id) with
+  | None -> Done (fail (P.Unknown_session id))
+  | Some shard -> relay_to t ~session:id kind shard line
+
+let fingerprint t = function
+  | P.Catalog fp -> Ok fp
+  | source -> (
+    let enc = Jim_api.Codec.to_string P.source source in
+    match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.fps enc) with
+    | Some fp -> Ok fp
+    | None ->
+      Result.map
+        (fun (rel, _schema) ->
           let fp = Jim_store.Store.fingerprint rel in
-          Mutex.lock t.lock;
-          Hashtbl.replace t.fps enc fp;
-          Mutex.unlock t.lock;
-          Ok fp))
-  in
-  match fp with
-  | Error e -> fail e
+          Mutex.protect t.lock (fun () -> Hashtbl.replace t.fps enc fp);
+          fp)
+        (Jim_catalog.Catalog.relation_of source))
+
+let plan_register t source line =
+  match fingerprint t source with
+  | Error e -> Done (fail e)
   | Ok fp -> (
-    Mutex.lock t.lock;
-    let shard = Ring.place t.ring (Ring.fingerprint_key fp) in
-    Mutex.unlock t.lock;
-    match shard with
-    | None -> unavailable "no shards in the ring"
-    | Some shard_name -> (
-      match upstream_for t shard_name with
-      | Error msg -> unavailable msg
-      | Ok up -> (
-        match forward t up ~retryable:true line with
-        | Ok resp -> resp
-        | Error msg -> unavailable msg)))
+    match
+      Mutex.protect t.lock (fun () ->
+          Ring.place t.ring (Ring.fingerprint_key fp))
+    with
+    | None -> Done (unavailable "no shards in the ring")
+    | Some shard -> relay_to t Read shard line)
 
 let add_stats (a : P.catalog_stats) (b : P.catalog_stats) : P.catalog_stats =
   {
@@ -407,31 +393,23 @@ let zero_stats : P.catalog_stats =
 
 (* Catalog counters live per shard; the router-level answer is the sum
    over every reachable shard. *)
-let handle_catalog_stats t line =
-  let ups = Hashtbl.fold (fun _ up acc -> up :: acc) t.shards [] in
-  if ups = [] then unavailable "no shards configured"
-  else begin
-    let total = ref zero_stats and reached = ref 0 in
-    List.iter
-      (fun up ->
-        match forward t up ~retryable:true line with
-        | Ok resp -> (
-          match P.response_of_string resp with
-          | Ok (P.Catalog_info cs) ->
-            total := add_stats !total cs;
-            incr reached
-          | _ -> ())
-        | Error _ -> ())
-      ups;
-    if !reached = 0 then unavailable "no shard reachable for catalog stats"
-    else P.response_to_string (P.Catalog_info !total)
-  end
+let catalog_reply relays =
+  let reached =
+    List.filter_map
+      (fun r ->
+        match Option.map P.response_of_string r.reply with
+        | Some (Ok (P.Catalog_info cs)) -> Some cs
+        | _ -> None)
+      relays
+  in
+  if reached = [] then unavailable "no shard reachable for catalog stats"
+  else P.response_to_string (P.Catalog_info (List.fold_left add_stats zero_stats reached))
 
 let handle_ring_status t =
-  Mutex.lock t.lock;
-  let sessions = Hashtbl.length t.placements in
-  let members = Ring.members t.ring in
-  Mutex.unlock t.lock;
+  let sessions, members =
+    Mutex.protect t.lock (fun () ->
+        (Hashtbl.length t.placements, Ring.members t.ring))
+  in
   let status_line = P.request_to_string P.Repl_status in
   let shards =
     List.map
@@ -439,24 +417,19 @@ let handle_ring_status t =
         let up = Hashtbl.find_opt t.shards m in
         let promoted =
           match up with
-          | Some up ->
-            Mutex.lock up.ulock;
-            let p = up.promoted in
-            Mutex.unlock up.ulock;
-            p
+          | Some up -> Mutex.protect up.ulock (fun () -> up.promoted)
           | None -> false
         in
         (* Replication lag is best-effort observability: a shard with an
            attached standby answers [Repl_status] with [Repl_lag]; one
            without (or an unreachable one) contributes no lag fields.
-           Plain [call_of], not [forward]: a failed status probe must
-           never promote a standby. *)
+           A plain call, not a relay: a failed status probe must never
+           promote a standby. *)
         let lag =
           match up with
           | None -> None
           | Some up -> (
-            let c, _ = call_of up in
-            match c status_line with
+            match (Mutex.protect up.ulock (fun () -> up.call)) status_line with
             | Ok resp -> (
               match P.response_of_string resp with
               | Ok (P.Repl_lag { records; bytes }) -> Some (records, bytes)
@@ -468,45 +441,187 @@ let handle_ring_status t =
   in
   P.response_to_string (P.Ring_info { shards; sessions })
 
-let route t line = function
-  | P.Start_session { source; strategy; seed } ->
-    handle_start t source strategy seed
+let plan_request t line = function
+  | P.Start_session { source; strategy; seed } -> (
+    let s = { source; strategy; seed } in
+    match place t s with
+    | Ok (id, up, line) -> Relay (relay ~session:id (Start s) up line)
+    | Error reply -> Done reply)
   | P.Start_pinned _ ->
-    fail (P.Bad_request "start_pinned is shard-internal (use start_session)")
-  | P.Register_instance { source } -> handle_register t source line
-  | P.Catalog_stats -> handle_catalog_stats t line
-  | P.Ring_status -> handle_ring_status t
+    Done (fail (P.Bad_request "start_pinned is shard-internal (use start_session)"))
+  | P.Register_instance { source } -> plan_register t source line
+  | P.Catalog_stats ->
+    let ups = Hashtbl.fold (fun _ up acc -> up :: acc) t.shards [] in
+    if ups = [] then Done (unavailable "no shards configured")
+    else Catalog (List.map (fun up -> relay Read up line) ups)
+  | P.Ring_status -> Done (handle_ring_status t)
   | P.Repl_install _ | P.Repl_rotate _ | P.Repl_batch _ | P.Repl_status
   | P.Promote ->
-    fail (P.Bad_request "replication control messages bypass the router")
+    Done (fail (P.Bad_request "replication control messages bypass the router"))
   | P.Get_question { session }
   | P.Top_questions { session; _ }
   | P.Explain { session; _ }
   | P.Result { session }
   | P.Stats { session }
-  | P.Get_transcript { session } ->
-    handle_session t session ~retryable:true ~ended_releases:false line
-  | P.Answer { session; _ } | P.Undo { session } ->
-    handle_session t session ~retryable:false ~ended_releases:false line
+  | P.Get_transcript { session }
+  | P.Crowd_stats { session } ->
+    pinned t session Read line
   (* Crowd messages route by session like any other.  Attach allocates a
      labeler id and poll/vote can close a round (absorbing an answer), so
      none of them may be transparently retried after a failover. *)
+  | P.Answer { session; _ }
+  | P.Undo { session }
   | P.Labeler_attach { session }
   | P.Labeler_poll { session; _ }
   | P.Vote { session; _ } ->
-    handle_session t session ~retryable:false ~ended_releases:false line
-  | P.Crowd_stats { session } ->
-    handle_session t session ~retryable:true ~ended_releases:false line
-  | P.End_session { session } ->
-    handle_session t session ~retryable:false ~ended_releases:true line
+    pinned t session Write line
+  | P.End_session { session } -> pinned t session End line
 
-(* The router's [Wire.serve_handler] handler: same (reply, parsed)
-   contract as [Node.handle_line]. *)
-let handle_line t line =
-  match P.request_of_string line with
-  | Error e -> (fail e, false)
-  | Ok req -> (
-    match route t line req with
-    | resp -> (resp, true)
-    | exception e ->
-      (fail (P.Bad_request ("internal error: " ^ Printexc.to_string e)), true))
+(* A reply arrived: it is final, and it may release the pin — a start
+   the shard refused, an [Ended], or a session the shard no longer
+   knows (evicted or never started). *)
+let settle t r reply =
+  r.reply <- Some reply;
+  let releases =
+    match r.kind with
+    | Start _ -> not (String.starts_with ~prefix:started_prefix reply)
+    | End when String.equal reply ended_reply -> true
+    | Read | Write | End ->
+      String.starts_with ~prefix:unknown_session_prefix reply
+  in
+  if releases then Option.iter (release t) r.session
+
+let give_up t r msg =
+  (match r.kind with Start _ -> Option.iter (release t) r.session | _ -> ());
+  r.reply <- Some (unavailable msg)
+
+(* Send one upstream its share of the turn as one batch (a batch of
+   one through [call]).  Replies that arrived stand.  If the transport
+   broke, promote the standby once, then apply at-most-once to every
+   unanswered request; returns those to relay again. *)
+let send_group t up group =
+  let call, calls, was_promoted =
+    Mutex.protect up.ulock (fun () -> (up.call, up.calls, up.promoted))
+  in
+  let results =
+    match group with
+    | [| r |] -> [| call r.line |]
+    | _ -> calls (Array.map (fun r -> r.line) group)
+  in
+  let broken =
+    List.filter_map
+      (fun (r, result) ->
+        match result with
+        | Ok reply ->
+          settle t r reply;
+          None
+        | Error err -> Some (r, err))
+      (List.combine (Array.to_list group) (Array.to_list results))
+  in
+  match broken with
+  | [] -> []
+  | (_, err) :: _ -> (
+    let promoted =
+      if was_promoted then
+        Error (Printf.sprintf "shard %s unreachable after failover: %s" up.name err)
+      else
+        Result.map_error
+          (Printf.sprintf "shard %s down (%s); %s" up.name err)
+          (ensure_promoted t up)
+    in
+    match promoted with
+    | Error msg ->
+      List.iter (fun (r, _) -> give_up t r msg) broken;
+      []
+    | Ok () ->
+      List.filter_map
+        (fun (r, _) ->
+          match r.kind with
+          | Read when not r.retried ->
+            r.retried <- true;
+            Some r
+          | Start s when not r.retried -> (
+            Option.iter (release t) r.session;
+            r.retried <- true;
+            match place t s with
+            | Ok (id, up, line) ->
+              r.session <- Some id;
+              r.up <- up;
+              r.line <- line;
+              Some r
+            | Error reply ->
+              r.reply <- Some reply;
+              None)
+          | Start _ -> give_up t r "shard failed over twice during start"; None
+          | Read ->
+            give_up t r (Printf.sprintf "shard %s standby unreachable" up.name);
+            None
+          | Write | End ->
+            give_up t r
+              (Printf.sprintf
+                 "shard %s failed over mid-request; not retried (at-most-once)"
+                 up.name);
+            None)
+        broken)
+
+let rec by_upstream = function
+  | [] -> []
+  | r :: _ as relays ->
+    let mine, rest = List.partition (fun r' -> r'.up == r.up) relays in
+    (r.up, Array.of_list mine) :: by_upstream rest
+
+(* Relay rounds: make the staged placements durable, then send each
+   upstream its relays, in order, as one batch.  A start that died in
+   transit goes round again with a FRESH id (its old pin was released;
+   if the dead primary did persist it, the standby holds an orphan the
+   idle sweep collects); a read retries on the promoted standby.  Each
+   request goes round at most twice. *)
+let rec relay_rounds t = function
+  | [] -> ()
+  | relays ->
+    sync_log t;
+    relay_rounds t
+      (List.concat_map
+         (fun (up, group) -> send_group t up group)
+         (by_upstream relays))
+
+let turn t payloads =
+  let plans =
+    Array.map
+      (fun payload ->
+        match P.request_of_string payload with
+        | Error e -> (Done (fail e), false)
+        | Ok req -> (
+          try (plan_request t payload req, true)
+          with exn -> (Done (internal_error exn), true)))
+      payloads
+  in
+  let relays =
+    Array.fold_right
+      (fun (plan, _) acc ->
+        match plan with
+        | Done _ -> acc
+        | Relay r -> r :: acc
+        | Catalog rs -> rs @ acc)
+      plans []
+  in
+  (* the turn's releases become durable before any reply goes back *)
+  (match
+     relay_rounds t relays;
+     sync_log t
+   with
+  | () -> ()
+  | exception exn ->
+    List.iter (fun r -> r.reply <- Some (internal_error exn)) relays);
+  Array.map
+    (fun (plan, parsed) ->
+      let reply =
+        match plan with
+        | Done reply -> reply
+        | Relay r -> Option.get r.reply
+        | Catalog rs -> catalog_reply rs
+      in
+      (reply, parsed))
+    plans
+
+let handle_line t line = (turn t [| line |]).(0)

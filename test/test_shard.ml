@@ -16,6 +16,7 @@ module Service = Jim_server.Service
 module Wire = Jim_server.Wire
 module Smoke = Jim_server.Smoke
 module Store = Jim_store.Store
+module Journal = Jim_store.Journal
 module Memfs = Jim_fault.Memfs
 module Ring = Jim_shard.Ring
 module Rlog = Jim_shard.Rlog
@@ -490,6 +491,260 @@ let test_failover_transparent_read () =
   Standby.close stb
 
 (* ------------------------------------------------------------------ *)
+(* Pipelined turns: one batch per upstream, at-most-once per request   *)
+
+(* A batch path into [node] that records every batch's size.  While
+   [break_at] is [Some k], the transport breaks at index [k]: the
+   requests before it are served, it and every later one get [Error]
+   without reaching the node, and every later batch fails whole. *)
+let counting_calls ?(break_at = ref None) batches node lines =
+  batches := !batches @ [ Array.length lines ];
+  let replies =
+    Array.mapi
+      (fun i line ->
+        match !break_at with
+        | Some k when i >= k -> Error "connection reset (test break)"
+        | _ -> Ok (fst (Node.handle_line node line)))
+      lines
+  in
+  if !break_at <> None then break_at := Some 0;
+  replies
+
+let batch_router ?io ?dir ?promote calls =
+  match
+    Router.create ?io ?dir
+      ~shards:[ Router.batch_upstream ~name:"s0" ?promote calls ]
+      ()
+  with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "router: %s" e
+
+let question_of router id =
+  match call router (P.Get_question { session = id }) with
+  | P.Question (Some { P.cls; sg; _ }) -> (cls, sg)
+  | other -> Alcotest.failf "question: %s" (P.response_to_string other)
+
+let start_line seed =
+  P.request_to_string
+    (P.Start_session { source = synthetic seed; strategy = "random"; seed })
+
+let router_log fs =
+  match Journal.scan ~io:(Memfs.io fs) "/router/router.wal" with
+  | Ok (records, _) ->
+    List.map
+      (fun (_, payload) ->
+        match Rlog.of_string payload with
+        | Ok e -> e
+        | Error e -> Alcotest.failf "router log entry: %s" e)
+      records
+  | Error (`Corrupt (off, why)) ->
+    Alcotest.failf "router log corrupt at %d: %s" off why
+
+(* A turn over several sessions on one shard reaches it as ONE batch,
+   and its replies are byte-identical, in order, to the same requests
+   relayed one at a time against an identical shard. *)
+let test_turn_one_batch () =
+  let setup () =
+    let batches = ref [] in
+    (batch_router (counting_calls batches (memory_node ())), batches)
+  in
+  let piped, batches = setup () and single, _ = setup () in
+  let seeds = [ 31; 32; 33 ] in
+  let ids =
+    List.map (fun seed -> start piped ~seed ~strategy:"random") seeds
+  in
+  List.iter (fun seed -> ignore (start single ~seed ~strategy:"random")) seeds;
+  let answer id seed =
+    let cls, sg = question_of single id in
+    ignore (question_of piped id);
+    P.Answer { session = id; cls; label = Oracle.label (oracle_of seed) sg }
+  in
+  let a, b, c =
+    match ids with [ a; b; c ] -> (a, b, c) | _ -> assert false
+  in
+  let lines =
+    Array.of_list
+      (List.map P.request_to_string
+         [
+           answer a 31;
+           P.Get_question { session = a };
+           P.Top_questions { session = b; k = 2 };
+           answer b 32;
+           P.Undo { session = b };
+           P.Result { session = c };
+           P.End_session { session = c };
+           P.Get_question { session = c };
+           P.Get_transcript { session = a };
+         ]
+      @ [ start_line 34; "not json" ])
+  in
+  batches := [];
+  let replies = Router.turn piped lines in
+  Alcotest.(check (list int)) "one batch of every relayed request"
+    [ Array.length lines - 1 ] !batches;
+  let expected = Array.map (Router.handle_line single) lines in
+  Alcotest.(check (array (pair string bool)))
+    "replies in request order, byte-identical to one at a time" expected
+    replies;
+  Alcotest.(check (option string)) "ended session released" None
+    (Router.placement piped c);
+  Alcotest.(check (option string)) "new session placed" (Some "s0")
+    (Router.placement piped (c + 1))
+
+(* The transport breaks at index 2 of a batch: the two replies that
+   arrived stand; a read retries on the promoted standby, a mutation
+   answers shard_unavailable, a start is retried with a fresh id, and
+   the promotion is journaled once. *)
+let test_turn_break_mid_batch () =
+  let fs = Memfs.create () in
+  let stb = Standby.create ~io:(Memfs.io (Memfs.create ())) ~dir:"/standby" () in
+  let primary =
+    create_node
+      (primary_config ~replicate_to:(Repl.of_standby stb) (Memfs.create ()))
+  in
+  let standby =
+    Node.of_standby (Node.config (Node.Standby { data_dir = "/standby" })) stb
+  in
+  let promotions = ref 0 in
+  let promote () =
+    incr promotions;
+    match Node.handle standby P.Promote with
+    | P.Promoted _ -> Ok (counting_calls (ref []) standby)
+    | other -> Error (P.response_to_string other)
+  in
+  let break_at = ref None in
+  let router =
+    batch_router ~io:(Memfs.io fs) ~dir:"/router" ~promote
+      (counting_calls ~break_at (ref []) primary)
+  in
+  let a = start router ~seed:41 ~strategy:"random" in
+  let b = start router ~seed:42 ~strategy:"random" in
+  let c = start router ~seed:43 ~strategy:"random" in
+  let cls_a, sg_a = question_of router a and cls_b, _ = question_of router b in
+  break_at := Some 2;
+  let replies =
+    Router.turn router
+      (Array.of_list
+         (List.map P.request_to_string
+            [
+              P.Get_question { session = a };
+              P.Answer
+                { session = a; cls = cls_a; label = Oracle.label (oracle_of 41) sg_a };
+              P.Stats { session = a };
+              P.Answer { session = b; cls = cls_b; label = State.Pos };
+              P.Start_session { source = synthetic 44; strategy = "random"; seed = 44 };
+              P.Get_question { session = b };
+              P.End_session { session = c };
+            ]))
+  in
+  let reply i =
+    match P.response_of_string (fst replies.(i)) with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "reply %d: %s" i (P.error_to_string e)
+  in
+  (match (reply 0, reply 1) with
+  | P.Question (Some _), P.Answered _ -> ()
+  | r0, r1 ->
+    Alcotest.failf "replies before the break: %s / %s" (P.response_to_string r0)
+      (P.response_to_string r1));
+  (match reply 2 with
+  | P.Session_stats st ->
+    Alcotest.(check int) "read retried on the standby, acked answer there" 1
+      st.P.labeled
+  | other -> Alcotest.failf "stats: %s" (P.response_to_string other));
+  let unavailable what = function
+    | P.Failed (P.Shard_unavailable _) -> ()
+    | other -> Alcotest.failf "%s: %s" what (P.response_to_string other)
+  in
+  unavailable "answer after the break" (reply 3);
+  unavailable "end after the break" (reply 6);
+  (match reply 4 with
+  | P.Started { session; _ } ->
+    Alcotest.(check int) "start retried with a fresh id" (c + 2) session;
+    Alcotest.(check (option string)) "first id released" None
+      (Router.placement router (c + 1));
+    Alcotest.(check (option string)) "fresh id placed" (Some "s0")
+      (Router.placement router session)
+  | other -> Alcotest.failf "start: %s" (P.response_to_string other));
+  (match reply 5 with
+  | P.Question _ -> ()
+  | other -> Alcotest.failf "question: %s" (P.response_to_string other));
+  Alcotest.(check (option string)) "unsent end keeps its pin" (Some "s0")
+    (Router.placement router c);
+  Alcotest.(check int) "promoted once" 1 !promotions;
+  Alcotest.(check int) "one failed_over entry" 1
+    (List.length
+       (List.filter
+          (function Rlog.Failed_over _ -> true | _ -> false)
+          (router_log fs)));
+  Router.close router;
+  Node.stop primary;
+  Node.stop standby;
+  Standby.close stb
+
+(* A turn of starts costs one router-log fsync, and every placement is
+   on the durable image before its start_pinned reaches the shard. *)
+let test_turn_one_log_sync () =
+  let fs = Memfs.create () in
+  let node = memory_node () in
+  let pinned = ref [] in
+  let calls lines =
+    let durable =
+      List.filter_map
+        (function Rlog.Placed { session; _ } -> Some session | _ -> None)
+        (router_log (Memfs.durable_image fs))
+    in
+    Array.iter
+      (fun line ->
+        match P.request_of_string line with
+        | Ok (P.Start_pinned { session; _ }) ->
+          pinned := (session, List.mem session durable) :: !pinned
+        | _ -> ())
+      lines;
+    counting_calls (ref []) node lines
+  in
+  let router = batch_router ~io:(Memfs.io fs) ~dir:"/router" calls in
+  let before = Memfs.fsyncs fs in
+  let replies = Router.turn router (Array.init 5 (fun i -> start_line (50 + i))) in
+  Alcotest.(check int) "one router-log fsync for the turn" 1
+    (Memfs.fsyncs fs - before);
+  Array.iter
+    (fun (reply, _) ->
+      if not (String.starts_with ~prefix:Router.started_prefix reply) then
+        Alcotest.failf "start: %s" reply)
+    replies;
+  Alcotest.(check int) "five starts relayed" 5 (List.length !pinned);
+  List.iter
+    (fun (session, durable) ->
+      if not durable then
+        Alcotest.failf "session %d left before its placement was durable" session)
+    !pinned;
+  Router.close router
+
+(* The router reads these replies by prefix: pin the prefixes to the
+   codec's own output. *)
+let test_reply_tags () =
+  let check_prefix what prefix resp =
+    let s = P.response_to_string resp in
+    if not (String.starts_with ~prefix s) then
+      Alcotest.failf "%s: %S is not a prefix of %S" what prefix s
+  in
+  Alcotest.(check string) "ended" (P.response_to_string P.Ended)
+    Router.ended_reply;
+  check_prefix "unknown_session" Router.unknown_session_prefix
+    (P.Failed (P.Unknown_session 7));
+  check_prefix "started" Router.started_prefix
+    (P.Started
+       { session = 3; arity = 2; classes = 3; tuples = 4; strategy = "random" });
+  List.iter
+    (fun resp ->
+      if
+        String.starts_with ~prefix:Router.unknown_session_prefix
+          (P.response_to_string resp)
+      then Alcotest.failf "%s read as unknown_session" (P.response_to_string resp))
+    [ P.Failed (P.Shard_unavailable "x"); P.Failed (P.Bad_request "y"); P.Ended ]
+
+(* ------------------------------------------------------------------ *)
 (* Node: the one assembler                                             *)
 
 let start_flights handle =
@@ -821,6 +1076,17 @@ let () =
             `Quick test_failover_kill_and_promote;
           Alcotest.test_case "reads retry transparently across failover"
             `Quick test_failover_transparent_read;
+        ] );
+      ( "pipeline",
+        [
+          Alcotest.test_case "one batch per upstream, replies byte-identical"
+            `Quick test_turn_one_batch;
+          Alcotest.test_case "break mid-batch: at-most-once per request"
+            `Quick test_turn_break_mid_batch;
+          Alcotest.test_case "one router-log fsync, placements durable first"
+            `Quick test_turn_one_log_sync;
+          Alcotest.test_case "reply tags pinned to the codec" `Quick
+            test_reply_tags;
         ] );
       ( "node",
         [
