@@ -17,7 +17,8 @@ open Jim_core
    cold misses briefly serialise, which is the price of deriving each
    instance exactly once; warm resolves only touch the tables.  The
    entry payload needs no lock at all: sessions read it freely, and the
-   shared scorer memo synchronises internally (see {!Scorer.cache}). *)
+   shared scorer memo synchronises internally and keeps itself within
+   its byte budget (see {!Scorer.cache}). *)
 
 let with_lock m f =
   Mutex.lock m;
@@ -253,6 +254,18 @@ let engine (e : entry) =
 
 let stats t =
   with_lock t.lock @@ fun () ->
+  let memo =
+    Hashtbl.fold
+      (fun _ slot (acc : Scorer.memo_stats) ->
+        let m = Scorer.memo_stats slot.entry.cache in
+        {
+          rows = acc.rows + m.rows;
+          bytes = acc.bytes + m.bytes;
+          evictions = acc.evictions + m.evictions;
+        })
+      t.by_fp
+      { Scorer.rows = 0; bytes = 0; evictions = 0 }
+  in
   {
     P.entries = Hashtbl.length t.by_fp;
     bytes = t.bytes;
@@ -262,11 +275,15 @@ let stats t =
     evictions = t.evictions;
     fingerprints = t.fingerprints;
     derivations = t.derivations;
+    memo_rows = memo.rows;
+    memo_bytes = memo.bytes;
+    memo_evictions = memo.evictions;
   }
 
 let stats_to_string (s : P.catalog_stats) =
   Printf.sprintf
     "catalog: %d entries (%d pinned, %d bytes), %d hits / %d misses, %d \
-     evictions, %d fingerprints, %d derivations"
+     evictions, %d fingerprints, %d derivations; memo %d rows, %d bytes, %d \
+     evictions"
     s.entries s.pinned s.bytes s.hits s.misses s.evictions s.fingerprints
-    s.derivations
+    s.derivations s.memo_rows s.memo_bytes s.memo_evictions

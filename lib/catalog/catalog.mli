@@ -14,7 +14,14 @@
     refcount-zero entry idles until the LRU cap ([max_entries]) evicts
     it.  Eviction only forgets the cache — re-resolving the concrete
     source re-derives, and a [Catalog fp] start answers
-    [Unknown_instance] until someone re-registers. *)
+    [Unknown_instance] until someone re-registers.
+
+    Memory: each entry's scorer memo is bounded by
+    {!Jim_core.Scorer.default_budget_bytes} (8 MiB), evicting its own
+    rows past that, so however long its sessions run, the memos of a
+    catalog hold at most [max_entries] × 8 MiB (512 MiB at the default
+    cap) — more only while pinned entries push the catalog past its
+    cap.  {!stats} reports the memos' rows, bytes and evictions. *)
 
 type entry = {
   fingerprint : string;  (** canonical CSV fingerprint = the catalog key *)
@@ -27,7 +34,9 @@ type entry = {
   row_class : int array;  (** row number → class index *)
   initial_statuses : Jim_core.State.status array;
       (** class statuses at round 0 (empty state) *)
-  cache : Jim_core.Scorer.cache;  (** shared by every session on the entry *)
+  cache : Jim_core.Scorer.cache;
+      (** shared by every session on the entry; bounded by the default
+          memo budget *)
   origin : Jim_api.Protocol.instance_source;
       (** the concrete (never [Catalog]) source first seen for this data
           — what session-start events journal, so recovery after a
@@ -83,7 +92,8 @@ val relation_of :
 val stats : t -> Jim_api.Protocol.catalog_stats
 (** Counter snapshot — the payload of the wire [Catalog_stats] reply.
     [fingerprints] and [derivations] are how tests assert the
-    once-per-entry invariants. *)
+    once-per-entry invariants; the [memo_*] fields sum the scorer memos
+    of the entries currently cataloged. *)
 
 val stats_to_string : Jim_api.Protocol.catalog_stats -> string
 (** One human-readable line ([catalog: N entries (...)]), as

@@ -16,7 +16,7 @@ module Partition = Jim_partition.Partition
      with equal clipped meets), across the two count/cardinality passes,
      and across rounds (the answered branch becomes the next round's base
      state) — so classifications are memoised in a [cache] keyed by
-     [State.key] x class index that outlives the round;
+     the packed [State.key] x class index that outlives the round;
    - candidate scoring is effect-free, so it can fan out across domains
      ([JIM_DOMAINS] / [--domains]); the merge is a deterministic
      lowest-index-wins argmax, making parallel and sequential picks
@@ -26,56 +26,130 @@ module Partition = Jim_partition.Partition
    cache can be shared by every session on the same instance, so rows are
    interned in a striped structure:
 
-   - a [row] (one status slot per class, keyed by [State.key]) and a
-     [meet] row (one meet slot per class, keyed by the canonical
-     predicate [s]) hold values that are pure functions of their key, so
-     slot reads and writes need no synchronisation — a racing reader
-     either sees [None] (recomputes the identical value) or the value;
+   - a status row ([Bytes.t], one byte per class, keyed by [State.key])
+     and a meet row ([Partition.t array], one slot per class, keyed by
+     [State.canonical_key]) hold values that are pure functions of their
+     key, so slot reads and writes need no synchronisation.  A status
+     byte is [unset] until computed, then one code per status; a meet
+     slot is the physical sentinel [no_meet] until computed.  A slot
+     write is a single store (never a read-modify-write of shared bits),
+     so a racing reader either sees the sentinel (and recomputes the
+     identical value) or the value;
    - interning the row itself is the only write that touches shared
      bookkeeping, so it takes a per-stripe mutex.  Lookups try a dirty
      [Hashtbl.find_opt] first; a miss falls into the locked find-or-add,
-     which re-checks — a reader racing a rehash can only miss, never
-     see a wrong row.
+     which re-checks — a reader racing a rehash or a reset can only
+     miss, or find a row that is still correct;
+   - the cache has a byte budget, counted per row as its bytes plus its
+     key plus [row_overhead] (headers and the table's bucket).  Each of
+     the 16 stripes owns 1/16 of it; an insert that would overflow its
+     stripe's share first resets that stripe and counts the dropped rows
+     as evictions.  Rows are pure functions of their keys, so an
+     eviction only costs recomputation: counts change, picks never do.
 
    All shared-cache traffic comes from sys-threads of one domain (the
    scoring domains spawned by [best] use private clones), so the dirty
    read is over memory the runtime lock already keeps coherent. *)
 
-type 'v stripe = { lock : Mutex.t; tbl : (string, 'v) Hashtbl.t }
-
-type cache = {
-  row_stripes : State.status option array stripe array;
-  meet_stripes : Partition.t option array stripe array;
+type stripe = {
+  lock : Mutex.t;
+  rows : (string, Bytes.t) Hashtbl.t;
+  meet_rows : (string, Partition.t array) Hashtbl.t;
+  mutable bytes : int;
+  mutable evicted : int;
 }
 
-let stripes () =
-  Array.init 16 (fun _ -> { lock = Mutex.create (); tbl = Hashtbl.create 16 })
+type cache = { stripes : stripe array; share : int }
 
-let new_cache () : cache =
-  { row_stripes = stripes (); meet_stripes = stripes () }
+let default_budget_bytes = 8 * 1024 * 1024
 
-let find_or_add stripes key fresh =
-  let s = stripes.(Hashtbl.hash key land (Array.length stripes - 1)) in
-  match Hashtbl.find_opt s.tbl key with
+(* Per row: the table's bucket cell (4 words), its slot in the bucket
+   array, and the row's and key's headers, rounded up. *)
+let row_overhead = 64
+
+let new_cache ?(budget_bytes = default_budget_bytes) () : cache =
+  let stripe () =
+    {
+      lock = Mutex.create ();
+      rows = Hashtbl.create 16;
+      meet_rows = Hashtbl.create 16;
+      bytes = 0;
+      evicted = 0;
+    }
+  in
+  let stripes = Array.init 16 (fun _ -> stripe ()) in
+  { stripes; share = max 1 (budget_bytes / Array.length stripes) }
+
+type memo_stats = { rows : int; bytes : int; evictions : int }
+
+let memo_stats cache =
+  Array.fold_left
+    (fun (acc : memo_stats) (s : stripe) ->
+      {
+        rows = acc.rows + Hashtbl.length s.rows + Hashtbl.length s.meet_rows;
+        bytes = acc.bytes + s.bytes;
+        evictions = acc.evictions + s.evicted;
+      })
+    { rows = 0; bytes = 0; evictions = 0 }
+    cache.stripes
+
+(* [table] picks which of the stripe's two tables the row lives in;
+   [size] is the row's own bytes. *)
+let find_or_add cache table key ~size fresh =
+  let s =
+    cache.stripes.(Hashtbl.hash key land (Array.length cache.stripes - 1))
+  in
+  match Hashtbl.find_opt (table s) key with
   | Some v -> v
   | None ->
     Mutex.lock s.lock;
     let v =
-      match Hashtbl.find_opt s.tbl key with
+      match Hashtbl.find_opt (table s) key with
       | Some v -> v
       | None ->
+        let cost = size + String.length key + row_overhead in
+        if s.bytes > 0 && s.bytes + cost > cache.share then begin
+          s.evicted <-
+            s.evicted + Hashtbl.length s.rows + Hashtbl.length s.meet_rows;
+          Hashtbl.reset s.rows;
+          Hashtbl.reset s.meet_rows;
+          s.bytes <- 0
+        end;
         let v = fresh () in
-        Hashtbl.add s.tbl key v;
+        Hashtbl.add (table s) key v;
+        s.bytes <- s.bytes + cost;
         v
     in
     Mutex.unlock s.lock;
     v
 
+(* Status bytes.  Decoding is a match on the code, so a read allocates
+   nothing. *)
+let unset = '\000'
+
+let encode = function
+  | State.Certain_pos -> '\001'
+  | State.Certain_neg -> '\002'
+  | State.Informative -> '\003'
+
+let decode = function
+  | '\001' -> State.Certain_pos
+  | '\002' -> State.Certain_neg
+  | _ -> State.Informative
+
+(* The "not computed yet" meet slot: a private one-element partition.
+   A real meet is a fresh array from [Partition.meet], so it is never
+   physically equal to this value (a zero-size sentinel would not do: it
+   would be the shared empty array, which is also the meet of two
+   zero-attribute partitions). *)
+let no_meet = Partition.bottom 1
+
 type t = {
   st : State.t;
   classes : Sigclass.cls array;
   informative : int array;
-  meets : Partition.t option array;  (** per class: [meet st.s sig_i] *)
+  meets : Partition.t array;
+      (** per class: [meet st.s sig_i], [no_meet] until computed *)
   hyps : (State.t option * State.t option) option array;
       (** per candidate: the two hypothetical states *)
   cache : cache;
@@ -108,47 +182,45 @@ let informative_of st classes =
 
 (* The per-round meet table only depends on the round's canonical
    predicate [s], so with a shared cache it is interned under
-   [Partition.to_string s]: every session on the instance that reaches a
-   state with the same [s] (most obviously round 0) reuses the same
-   row. *)
+   [State.canonical_key]: every session on the instance that reaches a
+   state with the same [s] (most obviously round 0) reuses the same row.
+   Its size is counted as if every slot were filled: the array plus one
+   [n]-element partition per class. *)
 let meets_row cache classes st =
-  find_or_add cache.meet_stripes
-    (Partition.to_string st.State.s)
-    (fun () -> Array.make (Array.length classes) None)
+  let k = Array.length classes in
+  find_or_add cache
+    (fun s -> s.meet_rows)
+    (State.canonical_key st)
+    ~size:(k * (st.State.n + 2) * (Sys.word_size / 8))
+    (fun () -> Array.make k no_meet)
 
 let create ?cache st classes informative =
-  match cache with
-  | None ->
-    let cache = new_cache () in
-    {
-      st;
-      classes;
-      informative;
-      meets = Array.make (Array.length classes) None;
-      hyps = Array.make (Array.length classes) None;
-      cache;
-    }
-  | Some cache ->
-    {
-      st;
-      classes;
-      informative;
-      meets = meets_row cache classes st;
-      hyps = Array.make (Array.length classes) None;
-      cache;
-    }
+  let cache, meets =
+    match cache with
+    | None -> (new_cache (), Array.make (Array.length classes) no_meet)
+    | Some cache -> (cache, meets_row cache classes st)
+  in
+  {
+    st;
+    classes;
+    informative;
+    meets;
+    hyps = Array.make (Array.length classes) None;
+    cache;
+  }
 
 let state sc = sc.st
 let informative sc = sc.informative
 
 let meet_s sc i =
-  match sc.meets.(i) with
-  | Some m -> m
-  | None ->
+  let m = sc.meets.(i) in
+  if m != no_meet then m
+  else begin
     Metrics.record_meet ();
     let m = Partition.meet sc.st.State.s sc.classes.(i).Sigclass.sg in
-    sc.meets.(i) <- Some m;
+    sc.meets.(i) <- m;
     m
+  end
 
 let meet_rank sc i = Partition.rank (meet_s sc i)
 
@@ -168,10 +240,13 @@ let hypothetical sc c =
     sc.hyps.(c) <- Some h;
     h
 
-(* The memo row of a (hypothetical) state: one status slot per class. *)
+(* The memo row of a (hypothetical) state: one status byte per class. *)
 let row_of cache classes st' =
-  find_or_add cache.row_stripes (State.key st') (fun () ->
-      Array.make (Array.length classes) None)
+  let k = Array.length classes in
+  find_or_add cache
+    (fun s -> s.rows)
+    (State.key st') ~size:k
+    (fun () -> Bytes.make k unset)
 
 (* [State.classify st' sig_i], but reusing the shared per-round meets when
    [st'] kept the round's canonical predicate (every negative branch
@@ -192,29 +267,36 @@ let classify_uncached sc st' i =
       State.Certain_neg
     else State.Informative
 
-let classify_row sc st' (row : State.status option array) i =
-  match row.(i) with
-  | Some v ->
+(* A memoised slot is decoded on a hit; a miss computes the status and
+   stores its code.  (Written out twice rather than through a closure:
+   these are the hottest reads of a pick and must not allocate.) *)
+let classify_row sc st' row i =
+  let c = Bytes.get row i in
+  if c <> unset then begin
     Metrics.record_hit ();
-    v
-  | None ->
+    decode c
+  end
+  else begin
     Metrics.record_miss ();
     let v = classify_uncached sc st' i in
-    row.(i) <- Some v;
+    Bytes.set row i (encode v);
     v
+  end
 
 let class_status cache classes st i =
   let row = row_of cache classes st in
-  match row.(i) with
-  | Some v ->
+  let c = Bytes.get row i in
+  if c <> unset then begin
     Metrics.record_hit ();
-    v
-  | None ->
+    decode c
+  end
+  else begin
     Metrics.record_miss ();
     Metrics.record_classify ();
     let v = State.classify st classes.(i).Sigclass.sg in
-    row.(i) <- Some v;
+    Bytes.set row i (encode v);
     v
+  end
 
 (* When a shared cache is supplied the informative set is computed
    through it, so inner lookahead sweeps reuse the classifications the

@@ -22,14 +22,41 @@ type cache
     engine so the work done evaluating a candidate is reused when its
     answer arrives (and by {!Session.top_questions}'s repeated picks).
 
-    A cache may also be shared by every session on one instance (the
-    server's catalog does this): rows are interned in a striped
-    structure whose reads are lock-free — only interning a new row
-    takes a per-stripe mutex — and every memoised value is a pure
-    function of its key, so sharing changes hit/miss counts but never a
-    status, score, or pick. *)
+    Rows are compact: a status row is one byte per class (0 until
+    computed, then one code per {!State.status}), keyed by the packed
+    {!State.key}; a meet row is one partition slot per class, keyed by
+    {!State.canonical_key}, holding a physical sentinel until computed.
 
-val new_cache : unit -> cache
+    A cache may also be shared by every session on one instance (the
+    server's catalog does this): rows are interned in 16 stripes whose
+    reads are lock-free — only interning a new row takes a per-stripe
+    mutex — and every memoised value is a pure function of its key, so
+    sharing changes hit/miss counts but never a status, score, or pick.
+
+    The memo is bounded: each stripe owns 1/16 of the cache's byte
+    budget, counting a row as its bytes plus its key plus a fixed
+    per-row overhead (a meet row as if every slot were filled).  An
+    insert that would overflow its stripe's share first drops every row
+    of that stripe, counted as evictions.  Eviction only costs
+    recomputation, so it too changes counts but never a pick.  A stripe
+    exceeds its share only when a single row is larger than the share. *)
+
+val default_budget_bytes : int
+(** 8 MiB. *)
+
+val new_cache : ?budget_bytes:int -> unit -> cache
+(** A fresh, empty memo bounded by [budget_bytes] (default
+    {!default_budget_bytes}). *)
+
+type memo_stats = {
+  rows : int;  (** status and meet rows currently interned *)
+  bytes : int;  (** their accounted size *)
+  evictions : int;  (** rows dropped to keep a stripe within budget *)
+}
+
+val memo_stats : cache -> memo_stats
+(** A snapshot of the memo's counters (unlocked reads; exact when no
+    session is scoring on the cache). *)
 
 val create : ?cache:cache -> State.t -> Sigclass.cls array -> int array -> t
 (** [create st classes informative]: scorer over the given informative

@@ -78,9 +78,32 @@ let consistent st q =
 
 let canonical st = st.s
 
-let key st =
-  String.concat "|"
-    (Partition.to_string st.s :: List.map Partition.to_string st.negatives)
+(* Keys are the partitions' representative arrays written as raw bytes,
+   [s] first and then the sorted negatives: every partition of a state
+   has [n] elements, so the layout is fixed-width and the key injective.
+   One byte per element while every representative fits, wider past
+   that. *)
+let key_width n = if n > 0xffff then 4 else if n > 0xff then 2 else 1
+
+let pack n s negatives =
+  let w = key_width n in
+  let b = Bytes.create (w * n * (1 + List.length negatives)) in
+  let put j p =
+    let off = j * n in
+    for i = 0 to n - 1 do
+      let r = Partition.rep p i in
+      match w with
+      | 1 -> Bytes.unsafe_set b (off + i) (Char.unsafe_chr r)
+      | 2 -> Bytes.set_uint16_le b (2 * (off + i)) r
+      | _ -> Bytes.set_int32_le b (4 * (off + i)) (Int32.of_int r)
+    done
+  in
+  put 0 s;
+  List.iteri (fun j u -> put (j + 1) u) negatives;
+  Bytes.unsafe_to_string b
+
+let key st = pack st.n st.s st.negatives
+let canonical_key st = pack st.n st.s []
 
 let pp fmt st =
   Format.fprintf fmt "@[<v>s = %a@ negatives = {%s}@ (%d+, %d-)@]"

@@ -60,8 +60,15 @@ val canonical : t -> Jim_partition.Partition.t
 (** The most specific consistent predicate, [s]. *)
 
 val key : t -> string
-(** Canonical serialisation of [(s, negatives)]; equal states (same
-    consistent set) produce equal keys.  Used to memoise the optimal
-    strategy. *)
+(** Canonical packing of [(s, negatives)]: the representative arrays of
+    [s] and then of each negative, written as raw bytes (one byte per
+    element while [n <= 255], two up to 65,535, four past that).  For
+    states over the same [n], [key a = key b] iff [a] and [b] have equal
+    [s] and [negatives] (the same consistent set).  Keys the scorer's
+    classification memo and {!Optimal}'s. *)
+
+val canonical_key : t -> string
+(** The same packing of [s] alone — the key of the scorer's per-[s]
+    meet rows. *)
 
 val pp : Format.formatter -> t -> unit

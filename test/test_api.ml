@@ -251,6 +251,9 @@ let gen_catalog_stats =
     let* evictions = nat in
     let* fingerprints = nat in
     let* derivations = nat in
+    let* memo_rows = nat in
+    let* memo_bytes = nat in
+    let* memo_evictions = nat in
     return
       {
         Pr.entries;
@@ -261,6 +264,9 @@ let gen_catalog_stats =
         evictions;
         fingerprints;
         derivations;
+        memo_rows;
+        memo_bytes;
+        memo_evictions;
       })
 
 let gen_crowd_stats =

@@ -139,6 +139,100 @@ let prop_warm_bit_identical =
       Catalog.release cat entry;
       Smoke.outcome_equal cold first && Smoke.outcome_equal cold second)
 
+(* The same bar under a memo budget so small that every stripe holds at
+   most one row: each pick evicts, and the picks must not move.  The
+   warm engine is {!Catalog.engine}'s, with the entry's memo swapped for
+   the tiny one. *)
+let prop_warm_bit_identical_evicting =
+  qtest "warm-started engines bit-identical to cold runs, evicting memo"
+    QCheck.(
+      make
+        ~print:(fun (inst, seed, strat) ->
+          Printf.sprintf "instance %d, seed %d, %s" inst seed strat)
+        Gen.(
+          let* inst = int_range 0 5 in
+          let* seed = int_range 0 1000 in
+          let* strat = oneofl [ "lookahead-entropy"; "lookahead-maximin" ] in
+          return (inst, seed, strat)))
+    (fun (inst, seed, strat) ->
+      let cat = Catalog.create () in
+      let source = synthetic ~n_tuples:30 inst in
+      let gen = W.Synthetic.generate (params_of source) in
+      let oracle = Oracle.of_goal gen.W.Synthetic.goal in
+      let strategy =
+        match Strategy.of_string strat with
+        | Ok s -> s
+        | Error m -> QCheck.Test.fail_report m
+      in
+      let cold =
+        Session.run ~seed ~strategy ~oracle gen.W.Synthetic.relation
+      in
+      let e = resolve_ok cat source in
+      let cache = Scorer.new_cache ~budget_bytes:16 () in
+      let warm () =
+        Session.run_engine ~seed ~strategy ~oracle
+          (Session.of_classes ~cache ~statuses:e.Catalog.initial_statuses
+             ~row_class:e.Catalog.row_class ~n:e.Catalog.arity
+             e.Catalog.classes)
+      in
+      let first = warm () in
+      let second = warm () in
+      Catalog.release cat e;
+      let evictions = (Scorer.memo_stats cache).Scorer.evictions in
+      if evictions = 0 then QCheck.Test.fail_report "the memo never evicted";
+      Smoke.outcome_equal cold first && Smoke.outcome_equal cold second)
+
+(* ------------------------------------------------------------------ *)
+(* Memo budget                                                         *)
+
+(* A session on a 6-attribute, 400-tuple instance keeps the entry's memo
+   within its budget after every pick.  With the default budget nothing
+   is evicted; with a budget the session outgrows, the memo evicts, stays
+   within it, and asks the same questions. *)
+let test_memo_within_budget () =
+  let source =
+    P.Synthetic { n_attrs = 6; n_tuples = 400; domain = 8; goal_rank = 2; seed = 3 }
+  in
+  let gen = W.Synthetic.generate (params_of source) in
+  let oracle = Oracle.of_goal gen.W.Synthetic.goal in
+  let cat = Catalog.create () in
+  let e = resolve_ok cat source in
+  let picks = 4 in
+  let session ~budget cache eng =
+    let rng = Random.State.make [| 5 |] in
+    List.init picks (fun _ ->
+        match Session.question eng Strategy.lookahead_entropy rng with
+        | None -> -1
+        | Some ci ->
+          let m = Scorer.memo_stats cache in
+          if m.Scorer.bytes > budget then
+            Alcotest.failf "memo holds %d bytes over its %d-byte budget"
+              m.Scorer.bytes budget;
+          let sg = e.Catalog.classes.(ci).Sigclass.sg in
+          ignore (Session.answer eng ci (Oracle.label oracle sg));
+          ci)
+  in
+  let unbounded =
+    session ~budget:Scorer.default_budget_bytes e.Catalog.cache
+      (Catalog.engine e)
+  in
+  let m = Scorer.memo_stats e.Catalog.cache in
+  Alcotest.(check int) "default budget: no eviction" 0 m.Scorer.evictions;
+  Alcotest.(check bool) "memo rows interned" true (m.Scorer.rows > 0);
+  Alcotest.(check int) "catalog reports the entry's memo" m.Scorer.bytes
+    (Catalog.stats cat).P.memo_bytes;
+  let budget = m.Scorer.bytes / 2 in
+  let tight = Scorer.new_cache ~budget_bytes:budget () in
+  let bounded =
+    session ~budget tight
+      (Session.of_classes ~cache:tight ~statuses:e.Catalog.initial_statuses
+         ~row_class:e.Catalog.row_class ~n:e.Catalog.arity e.Catalog.classes)
+  in
+  Alcotest.(check bool) "a tight budget evicts" true
+    ((Scorer.memo_stats tight).Scorer.evictions > 0);
+  Alcotest.(check (list int)) "same picks under eviction" unbounded bounded;
+  Catalog.release cat e
+
 (* ------------------------------------------------------------------ *)
 (* Eviction                                                            *)
 
@@ -237,7 +331,13 @@ let () =
           Alcotest.test_case "alias on identical data" `Quick
             test_alias_same_data;
         ] );
-      ("determinism", [ prop_warm_bit_identical ]);
+      ( "determinism",
+        [ prop_warm_bit_identical; prop_warm_bit_identical_evicting ] );
+      ( "memo",
+        [
+          Alcotest.test_case "a session stays within the memo budget" `Quick
+            test_memo_within_budget;
+        ] );
       ( "eviction",
         [
           Alcotest.test_case "LRU by idle time" `Quick test_eviction_lru;

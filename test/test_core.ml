@@ -196,6 +196,53 @@ let prop_classify_brute =
           if State.classify st sg <> expected then ok := false);
       !ok)
 
+let prop_state_key_injective =
+  (* [State.key a = State.key b] exactly when [a] and [b] have equal [s]
+     and negatives.  Signatures equate attributes among 1, n-3 and n-1,
+     and the second state relabels the first's tuples in another order
+     (equal states), or swaps attributes 1 and n-3 in them (on 260
+     attributes: states that differ only in representatives 1 and 257,
+     which agree in their low byte, so they need the two-byte packing),
+     or is drawn independently. *)
+  let gen =
+    QCheck.Gen.(
+      let* n = oneofl [ 4; 260 ] in
+      let ends = [| 1; n - 3; n - 1 |] in
+      let atom =
+        let* a = int_bound 2 in
+        let* b = int_bound 2 in
+        return (ends.(a), ends.(b))
+      in
+      let sg = map (P.of_pairs n) (list_size (int_range 0 2) atom) in
+      let swap p =
+        let perm i = if i = 1 then n - 3 else if i = n - 3 then 1 else i in
+        P.of_pairs n (List.map (fun (i, j) -> (perm i, perm j)) (P.pairs p))
+      in
+      let* goal = sg in
+      let* a = list_size (int_range 0 4) sg in
+      let* b =
+        oneof
+          [
+            map (fun b -> (goal, b)) (shuffle_l a);
+            return (swap goal, List.map swap a);
+            pair sg (list_size (int_range 0 4) sg);
+          ]
+      in
+      return ((goal, a), b))
+  in
+  let print ((ga, a), (gb, b)) =
+    let sc g l = String.concat " " (List.map P.to_string (g :: l)) in
+    Printf.sprintf "a: %s | b: %s" (sc ga a) (sc gb b)
+  in
+  qtest "State.key equal iff s and negatives equal" (QCheck.make ~print gen)
+    (fun (a, b) ->
+      let sa = state_of_scenario a and sb = state_of_scenario b in
+      let same =
+        P.equal sa.State.s sb.State.s
+        && List.equal P.equal sa.State.negatives sb.State.negatives
+      in
+      State.key sa = State.key sb = same)
+
 let prop_informative_label_shrinks_vs =
   (* Labelling an informative signature strictly shrinks the version
      space, whichever consistent answer is given. *)
@@ -356,6 +403,48 @@ let prop_scorer_matches_reference =
           && Scorer.decided_cards sc c
              = Strategy.decided_cards st classes inf c)
         inf)
+
+let prop_scorer_matches_reference_warm =
+  (* The same agreement read back through an already populated cache:
+     the second pass is answered from memo hits only, so every status it
+     returns — counts, and each class under each hypothetical branch — is
+     decoded from a stored byte rather than computed. *)
+  qtest ~count:120 "scorer counts = unmemoised reference, populated cache"
+    (arb_scenario 5) (fun (goal, sigs) ->
+      let k = List.length sigs / 2 in
+      let labelled = List.filteri (fun i _ -> i < k) sigs in
+      let st = state_of_scenario (goal, labelled) in
+      let classes = Sigclass.of_signatures sigs in
+      let cache = Scorer.new_cache () in
+      let pass () =
+        let sc = Scorer.of_state ~cache st classes in
+        let inf = Array.to_list (Scorer.informative sc) in
+        let statuses_agree = function
+          | None -> true
+          | Some st' ->
+            Array.for_all Fun.id
+              (Array.mapi
+                 (fun i (c : Sigclass.cls) ->
+                   Scorer.class_status cache classes st' i
+                   = State.classify st' c.Sigclass.sg)
+                 classes)
+        in
+        statuses_agree (Some st)
+        && List.for_all
+             (fun c ->
+               let p, n = Scorer.hypothetical sc c in
+               Scorer.decided_counts sc c
+               = Strategy.decided_counts st classes inf c
+               && Scorer.decided_cards sc c
+                  = Strategy.decided_cards st classes inf c
+               && statuses_agree p && statuses_agree n)
+             inf
+      in
+      let first = pass () in
+      let before = Metrics.snapshot () in
+      let second = pass () in
+      let d = Metrics.diff (Metrics.snapshot ()) before in
+      first && second && d.Metrics.cache_misses = 0 && d.Metrics.cache_hits > 0)
 
 let prop_parallel_pick_equivalence =
   (* Scoring candidates across 4 domains picks the exact question
@@ -788,6 +877,7 @@ let () =
           prop_state_consistency_brute;
           prop_goal_always_consistent;
           prop_classify_brute;
+          prop_state_key_injective;
           prop_informative_label_shrinks_vs;
         ] );
       ( "version-space",
@@ -811,7 +901,11 @@ let () =
             test_entropy_wide_instance;
         ] );
       ( "scorer",
-        [ prop_scorer_matches_reference; prop_parallel_pick_equivalence ] );
+        [
+          prop_scorer_matches_reference;
+          prop_scorer_matches_reference_warm;
+          prop_parallel_pick_equivalence;
+        ] );
       ( "optimal",
         [
           Alcotest.test_case "flights depth + lower bound" `Slow

@@ -157,8 +157,11 @@ let responses =
           evictions = 6;
           fingerprints = 7;
           derivations = 8;
+          memo_rows = 9;
+          memo_bytes = 10;
+          memo_evictions = 11;
         },
-      {|{"jim":1,"resp":"catalog_stats","entries":1,"bytes":2,"pinned":3,"hits":4,"misses":5,"evictions":6,"fingerprints":7,"derivations":8}|}
+      {|{"jim":1,"resp":"catalog_stats","entries":1,"bytes":2,"pinned":3,"hits":4,"misses":5,"evictions":6,"fingerprints":7,"derivations":8,"memo_rows":9,"memo_bytes":10,"memo_evictions":11}|}
     );
     (Pr.Repl_ok { gen = 2; records = 17 }, {|{"jim":1,"resp":"repl_ok","gen":2,"records":17}|});
     ( Pr.Repl_lag { records = 3; bytes = 420 },
