@@ -1,6 +1,6 @@
 (* Per-session vote coordinator: the state machine behind the crowd
-   labeling wire messages.  Purely in-memory and single-threaded — the
-   service drives it under the session lock and owns all engine and
+   labeling wire messages.  Purely in-memory and owned by the thread
+   that serves its session — the service drives it and owns all engine and
    journal effects (two-phase: [expire]/[vote] return an [Aggregate]
    decision, the service absorbs it through the normal answer path and
    reports back with [absorbed]/[rejected]). *)

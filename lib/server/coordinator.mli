@@ -1,8 +1,9 @@
 (** Per-session vote coordinator: fan a session's pending question out to
     the crowd, collect [+]/[−] ballots, and decide the aggregate label.
 
-    The coordinator is a pure in-memory state machine.  The {!Service}
-    drives it under the session lock and owns every effect: when
+    The coordinator is a pure in-memory state machine, owned by the
+    thread that serves its session.  The {!Service} drives it and owns
+    every effect: when
     {!expire} or {!vote} returns [Aggregate l], the service absorbs [l]
     through the normal answer path — journaling it as the session's only
     event for the round — and reports back with {!absorbed} (engine took

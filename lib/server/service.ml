@@ -2,10 +2,6 @@ module P = Jim_api.Protocol
 module Catalog = Jim_catalog.Catalog
 open Jim_core
 
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
 type session = {
   id : int;
   strategy : Strategy.t;
@@ -16,7 +12,6 @@ type session = {
          session's pin — released when the session ends or is swept *)
   schema : Jim_relational.Schema.t;
   rng : Random.State.t;
-  lock : Mutex.t;
   mutable pending : int option option;
       (* memoised next question: [Some q] until an answer or undo
          invalidates it, so repeated Get_questions advance the RNG exactly
@@ -25,12 +20,6 @@ type session = {
   mutable contradiction : bool;
   mutable metrics : Metrics.snapshot;
   mutable last_used : float;
-  mutable ended : bool;
-      (* set under [lock] when the session is ended/swept, *before* the
-         Ended event is journalled.  Handlers check it under the same
-         lock, so nothing can journal an Answered/Undone after Ended —
-         recovery replays the log in order and would otherwise see
-         events for a session it already discarded. *)
   crowd : Coordinator.t option;
       (* Some iff the service was created with crowd labeling enabled:
          answers then arrive only as vote aggregates.  In-memory only —
@@ -40,7 +29,6 @@ type session = {
 }
 
 type t = {
-  lock : Mutex.t;  (* guards [sessions] and [next_id] *)
   sessions : (int, session) Hashtbl.t;
   mutable next_id : int;
   max_sessions : int;
@@ -64,7 +52,6 @@ let create ?(max_sessions = 64) ?(idle_ttl = 600.) ?(now = Unix.gettimeofday)
   | Some cfg -> ignore (Coordinator.create ~now:0. cfg)
   | None -> ());
   {
-    lock = Mutex.create ();
     sessions = Hashtbl.create 16;
     next_id = 1;
     max_sessions;
@@ -80,41 +67,34 @@ let catalog t = t.catalog
 let persist t ev =
   match t.persist_hook with None -> () | Some f -> f ev
 
-let session_count t = with_lock t.lock (fun () -> Hashtbl.length t.sessions)
+let session_count t = Hashtbl.length t.sessions
+
+(* Drop a session from the table, journal its end and unpin its entry.
+   Nothing can reach it afterwards, so no event of it follows Ended. *)
+let retire t (s : session) =
+  Hashtbl.remove t.sessions s.id;
+  persist t (Jim_store.Event.Ended { session = s.id });
+  Catalog.release t.catalog s.entry
 
 let sweep t =
   let now = t.now () in
   let stale =
-    with_lock t.lock (fun () ->
-        let stale =
-          Hashtbl.fold
-            (fun _ s acc ->
-              if now -. s.last_used > t.idle_ttl then s :: acc else acc)
-            t.sessions []
-        in
-        List.iter (fun s -> Hashtbl.remove t.sessions s.id) stale;
-        stale)
+    Hashtbl.fold
+      (fun _ s acc -> if now -. s.last_used > t.idle_ttl then s :: acc else acc)
+      t.sessions []
   in
-  (* Journal Ended under each session's own lock: an in-flight handler
-     that looked the session up before removal either journals before us
-     (we wait for its lock) or sees [ended] and refuses. *)
-  List.iter
-    (fun (s : session) ->
-      with_lock s.lock (fun () ->
-          s.ended <- true;
-          persist t (Jim_store.Event.Ended { session = s.id }));
-      Catalog.release t.catalog s.entry)
-    stale;
+  List.iter (retire t) stale;
   List.length stale
 
 (* ------------------------------------------------------------------ *)
 (* Per-session helpers                                                 *)
 
 (* Scorer counters are process-global (see Metrics); we attribute each
-   engine-touching request's delta to the session that caused it.  Under
-   concurrent load deltas can interleave across sessions — the totals
-   stay exact, the attribution is best-effort, which is all the Stats
-   reply promises. *)
+   engine-touching request's delta to the session that caused it.  A
+   service is owned by the thread that serves it, so its own requests
+   never interleave; another service in the same process (a second node
+   in a test) can still add to a delta — the totals stay exact, the
+   attribution is best-effort, which is all the Stats reply promises. *)
 let measured s f =
   let before = Metrics.snapshot () in
   let r = f () in
@@ -167,13 +147,11 @@ let new_session t ~id ~strategy ~eng ~entry ~seed =
     entry;
     schema = entry.Catalog.schema;
     rng = Random.State.make [| seed |];
-    lock = Mutex.create ();
     pending = None;
     events_rev = [];
     contradiction = false;
     metrics = Metrics.zero;
     last_used = t.now ();
-    ended = false;
     crowd =
       Option.map (fun cfg -> Coordinator.create ~now:(t.now ()) cfg) t.crowd;
   }
@@ -188,81 +166,65 @@ let start_session ?id:pinned t source strategy_name seed =
       Catalog.release t.catalog entry;
       P.Failed (P.Unknown_strategy msg)
     | Ok strategy ->
-      (* Warm-start the engine off the catalog entry outside the table
-         lock.  Cold derivation happened (once) inside the catalog;
-         this is an array copy. *)
-      let eng = Catalog.engine entry in
-      let reply =
-        with_lock t.lock (fun () ->
-            let active = Hashtbl.length t.sessions in
-            if active >= t.max_sessions then
-              P.Failed (P.Server_busy { active; max = t.max_sessions })
-            else if
-              match pinned with
-              | Some id -> Hashtbl.mem t.sessions id
-              | None -> false
-            then
-              P.Failed
-                (P.Bad_request
-                   (Printf.sprintf "session id %d already in use"
-                      (Option.get pinned)))
-            else begin
-              (* A pinned id comes from the router's global allocator;
-                 bump ours past it so a locally-started session can
-                 never collide with a routed one. *)
-              let id = match pinned with Some id -> id | None -> t.next_id in
-              t.next_id <- max t.next_id (id + 1);
-              let s = new_session t ~id ~strategy ~eng ~entry ~seed in
-              Hashtbl.replace t.sessions id s;
-              (* Journal the start while still holding the table lock so
-                 no later event of this (or any newer) session can
-                 precede it in the log.  The event carries the entry's
-                 concrete origin, never the client's [Catalog fp]: after
-                 a restart the catalog is empty, and recovery must be
-                 able to re-resolve from the data directory alone.  The
-                 store writes an inline origin's text once per
-                 generation and a [Catalog fp] reference after that,
-                 which recovery resolves within the same generation's
-                 files (see [Jim_store.Instances]). *)
-              persist t
-                (Jim_store.Event.Started
-                   {
-                     session = id;
-                     arity = entry.Catalog.arity;
-                     source = entry.Catalog.origin;
-                     strategy = s.strategy_name;
-                     seed;
-                     fingerprint = entry.Catalog.fingerprint;
-                   });
-              P.Started
-                {
-                  session = id;
-                  arity = entry.Catalog.arity;
-                  classes = Array.length entry.Catalog.classes;
-                  tuples = entry.Catalog.tuples;
-                  strategy = s.strategy_name;
-                }
-            end)
+      let active = Hashtbl.length t.sessions in
+      let refuse e =
+        Catalog.release t.catalog entry;
+        P.Failed e
       in
-      (match reply with
-      | P.Failed _ -> Catalog.release t.catalog entry
-      | _ -> ());
-      reply)
+      if active >= t.max_sessions then
+        refuse (P.Server_busy { active; max = t.max_sessions })
+      else if
+        match pinned with
+        | Some id -> Hashtbl.mem t.sessions id
+        | None -> false
+      then
+        refuse
+          (P.Bad_request
+             (Printf.sprintf "session id %d already in use" (Option.get pinned)))
+      else begin
+        (* A pinned id comes from the router's global allocator; bump
+           ours past it so a locally-started session can never collide
+           with a routed one. *)
+        let id = match pinned with Some id -> id | None -> t.next_id in
+        t.next_id <- max t.next_id (id + 1);
+        (* Warm-start the engine off the catalog entry: cold derivation
+           happened (once) inside the catalog; this is an array copy. *)
+        let eng = Catalog.engine entry in
+        let s = new_session t ~id ~strategy ~eng ~entry ~seed in
+        Hashtbl.replace t.sessions id s;
+        (* The event carries the entry's concrete origin, never the
+           client's [Catalog fp]: after a restart the catalog is empty,
+           and recovery must be able to re-resolve from the data
+           directory alone.  The store writes an inline origin's text
+           once per generation and a [Catalog fp] reference after that,
+           which recovery resolves within the same generation's files
+           (see [Jim_store.Instances]). *)
+        persist t
+          (Jim_store.Event.Started
+             {
+               session = id;
+               arity = entry.Catalog.arity;
+               source = entry.Catalog.origin;
+               strategy = s.strategy_name;
+               seed;
+               fingerprint = entry.Catalog.fingerprint;
+             });
+        P.Started
+          {
+            session = id;
+            arity = entry.Catalog.arity;
+            classes = Array.length entry.Catalog.classes;
+            tuples = entry.Catalog.tuples;
+            strategy = s.strategy_name;
+          }
+      end)
 
 let with_session t id f =
-  let found =
-    with_lock t.lock (fun () ->
-        match Hashtbl.find_opt t.sessions id with
-        | None -> None
-        | Some s ->
-          s.last_used <- t.now ();
-          Some s)
-  in
-  match found with
+  match Hashtbl.find_opt t.sessions id with
   | None -> P.Failed (P.Unknown_session id)
   | Some s ->
-    with_lock s.lock (fun () ->
-        if s.ended then P.Failed (P.Unknown_session id) else f s)
+    s.last_used <- t.now ();
+    f s
 
 let get_question s = P.Question (Option.map (question_of_cls s.eng) (pending_question s))
 
@@ -375,24 +337,10 @@ let do_transcript s =
   P.Transcript_text { text = Transcript.to_string (Transcript.of_engine s.eng) }
 
 let end_session t id =
-  let found =
-    with_lock t.lock (fun () ->
-        match Hashtbl.find_opt t.sessions id with
-        | None -> None
-        | Some s ->
-          Hashtbl.remove t.sessions id;
-          Some s)
-  in
-  match found with
+  match Hashtbl.find_opt t.sessions id with
   | None -> P.Failed (P.Unknown_session id)
   | Some s ->
-    (* Same discipline as [sweep]: mark + journal under the session lock
-       so Ended is totally ordered after every journalled answer/undo of
-       this session. *)
-    with_lock s.lock (fun () ->
-        s.ended <- true;
-        persist t (Jim_store.Event.Ended { session = id }));
-    Catalog.release t.catalog s.entry;
+    retire t s;
     P.Ended
 
 (* ------------------------------------------------------------------ *)
@@ -581,9 +529,8 @@ let restore t (r : Jim_store.Recovery.t) =
         Error e)
   in
   let* restored = go [] r.sessions in
-  with_lock t.lock (fun () ->
-      List.iter (fun s -> Hashtbl.replace t.sessions s.id s) restored;
-      t.next_id <- max t.next_id r.next_id);
+  List.iter (fun s -> Hashtbl.replace t.sessions s.id s) restored;
+  t.next_id <- max t.next_id r.next_id;
   Ok (List.length restored)
 
 let handle t req =

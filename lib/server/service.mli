@@ -2,9 +2,11 @@
 
     Each {!Jim_api.Protocol.Start_session} builds an engine and registers
     it under a monotonically increasing id; every later request addresses
-    the session by id.  The manager is thread-safe — a short global lock
-    guards the session table, a per-session lock serialises engine work —
-    so several threads can call {!handle} freely.
+    the session by id.  A service is owned by the thread that serves it
+    (a node's event loop): every call runs to completion before the
+    next, so a session's events reach [persist] in the order they
+    happened and none follows its [Ended].  A service has no locks;
+    another thread may read only its {!catalog}, which keeps its own.
 
     Capacity is bounded: when [max_sessions] sessions are live, further
     [Start_session]s get a typed [Server_busy] reply (backpressure, not a

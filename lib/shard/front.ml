@@ -9,39 +9,27 @@ module P = Jim_api.Protocol
 (* ------------------------------------------------------------------ *)
 (* Connection pool                                                     *)
 
+(* A pool is owned by the thread that serves its node (a router's or a
+   replicating primary's event loop), which holds one connection at a
+   time, so one idle connection is all a pool keeps. *)
 type pool = {
   addr : Wire.address;
   retries : int;
-  plock : Mutex.t;
-  mutable idle : Wire.client list;
-  mutable closed : bool;
+  mutable idle : Wire.client option;
 }
 
-let max_idle = 16
-
-let pool ?(retries = 5) addr =
-  { addr; retries; plock = Mutex.create (); idle = []; closed = false }
+let pool ?(retries = 5) addr = { addr; retries; idle = None }
 
 let pool_take p =
-  Mutex.lock p.plock;
-  let reused =
-    match p.idle with
-    | c :: rest ->
-      p.idle <- rest;
-      Some c
-    | [] -> None
-  in
-  Mutex.unlock p.plock;
-  match reused with
-  | Some c -> Ok c
+  match p.idle with
+  | Some c ->
+    p.idle <- None;
+    Ok c
   | None -> Wire.connect ~retries:p.retries ~framing:Wire.Binary p.addr
 
 let pool_give p c =
-  Mutex.lock p.plock;
-  let keep = (not p.closed) && List.length p.idle < max_idle in
-  if keep then p.idle <- c :: p.idle;
-  Mutex.unlock p.plock;
-  if not keep then Wire.close c
+  Option.iter Wire.close p.idle;
+  p.idle <- Some c
 
 (* A pipelined burst on one pooled connection: every request leaves
    before the first reply is read, so the shard takes the whole burst
@@ -72,12 +60,8 @@ let pool_calls p payloads =
 let pool_call p payload = (pool_calls p [| payload |]).(0)
 
 let pool_close p =
-  Mutex.lock p.plock;
-  let idle = p.idle in
-  p.idle <- [];
-  p.closed <- true;
-  Mutex.unlock p.plock;
-  List.iter Wire.close idle
+  Option.iter Wire.close p.idle;
+  p.idle <- None
 
 (* ------------------------------------------------------------------ *)
 (* Router upstreams over the wire                                      *)

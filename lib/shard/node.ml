@@ -75,12 +75,12 @@ let barrier d =
     Store.sync d.store;
     Option.iter (fun r -> Repl.ship r (List.rev staged)) d.repl
 
-(* A standby before and after [Promote]: the stream operations run under
-   [lock]; once promoted, [promoted] holds the serving service, its
-   write path and the (idempotent) reply. *)
+(* A standby before and after [Promote]: once promoted, [promoted]
+   holds the serving service (built over [catalog]), its write path and
+   the (idempotent) reply. *)
 type warm = {
   stb : Standby.t;
-  lock : Mutex.t;
+  catalog : Catalog.t;
   mutable promoted : (Service.t * durable * P.response) option;
 }
 
@@ -93,27 +93,33 @@ type kind =
   | Warm of warm
   | Routing of Router.t
 
+(* A node is owned by one thread at a time: the building thread until
+   [Wire.serve_turns] starts the loop, the loop while it serves, and
+   [stop] once [Wire.shutdown] has joined it.  Requests and sweeps run
+   one at a time, so a barrier covers exactly its turn.  [banner] and
+   [stats_line] may run on other threads; they read only [facts] and
+   [kind]'s immutable fields, fixed at create, and modules that keep
+   their own locks. *)
 type t = {
   cfg : config;
   kind : kind;
-  turn : Mutex.t;
-      (* held for a whole turn, barrier included: requests and sweeps
-         run one at a time, so a barrier covers exactly its turn *)
+  facts : string * string list;
+      (* the banner after "listening on ADDRESS", then its other lines *)
   mutable server : Wire.server option;
   mutable closers : (unit -> unit) list;  (* most recently opened first *)
 }
 
 let ( let* ) = Result.bind
 
+let node_catalog (cfg : config) =
+  match cfg.catalog with
+  | Some c -> c
+  | None -> Catalog.create ~max_entries:cfg.settings.catalog_max_entries ()
+
 (* The one place a service is built: a primary at start and a standby
    at promotion read the same settings. *)
-let make_service cfg ~persist =
+let make_service cfg ~catalog ~persist =
   let s = cfg.settings in
-  let catalog =
-    match cfg.catalog with
-    | Some c -> c
-    | None -> Catalog.create ~max_entries:s.catalog_max_entries ()
-  in
   Service.create ~max_sessions:s.max_sessions ~idle_ttl:s.idle_ttl ~catalog
     ?persist ?crowd:s.crowd ()
 
@@ -152,7 +158,10 @@ let create_primary cfg closers ~data_dir ~replicate_to =
   let durable =
     Option.map (fun (st, _) -> { store = st; repl; staged = [] }) store
   in
-  let service = make_service cfg ~persist:(Option.map stage durable) in
+  let service =
+    make_service cfg ~catalog:(node_catalog cfg)
+      ~persist:(Option.map stage durable)
+  in
   let* restored =
     match store with
     | None -> Ok 0
@@ -162,11 +171,49 @@ let create_primary cfg closers ~data_dir ~replicate_to =
   in
   Ok (Serving { service; durable; restored })
 
-let make cfg kind closers =
-  { cfg; kind; turn = Mutex.create (); server = None; closers }
+(* What the banner reports, read while the building thread owns the
+   node. *)
+let facts cfg kind =
+  let line_of f x = Option.to_list (Option.map f x) in
+  match (kind, cfg.role) with
+  | Serving { durable; restored; _ }, _ ->
+    let store = Option.map (fun d -> d.store) durable in
+    let repl = Option.bind durable (fun d -> d.repl) in
+    ( Printf.sprintf " (max %d sessions)" cfg.settings.max_sessions,
+      line_of
+        (fun (c : Jim_server.Coordinator.config) ->
+          Printf.sprintf "crowd labeling on — quorum %d, %gs straggler deadline%s"
+            c.votes c.timeout
+            (if c.weighted then ", accuracy-weighted" else ""))
+        cfg.settings.crowd
+      @ line_of
+          (fun r ->
+            let gen, records = Repl.position r in
+            Printf.sprintf "replicating to %s (generation %d, %d records shipped)"
+              (Repl.describe r) gen records)
+          repl
+      @ line_of
+          (fun st ->
+            Printf.sprintf "durable in %s (generation %d, %d sessions recovered)"
+              (Store.dir st) (Store.generation st) restored)
+          store )
+  | Warm w, _ ->
+    ( Printf.sprintf ", accumulating in %s (serves after Promote)"
+        (Standby.dir w.stb),
+      [] )
+  | Routing r, Router { shards; data_dir; _ } ->
+    ( Printf.sprintf ", %d shards (%d with standbys), %d live placements"
+        (List.length shards)
+        (List.length (List.filter (fun u -> u.Router.promote <> None) shards))
+        (Router.session_count r),
+      line_of (Printf.sprintf "placements durable in %s") data_dir )
+  | Routing _, (Primary _ | Standby _) -> ("", [])
 
-let warm stb = Warm { stb; lock = Mutex.create (); promoted = None }
-let of_standby cfg stb = make cfg (warm stb) []
+let make cfg kind closers =
+  { cfg; kind; facts = facts cfg kind; server = None; closers }
+
+let warm cfg stb = Warm { stb; catalog = node_catalog cfg; promoted = None }
+let of_standby cfg stb = make cfg (warm cfg stb) []
 
 let create cfg =
   match cfg.role with
@@ -179,7 +226,7 @@ let create cfg =
       Error e)
   | Standby { data_dir } ->
     let stb = Standby.create ~io:cfg.io ~fsync:cfg.fsync ~dir:data_dir () in
-    Ok (make cfg (warm stb) [ (fun () -> Standby.close stb) ])
+    Ok (make cfg (warm cfg stb) [ (fun () -> Standby.close stb) ])
   | Router { data_dir; vnodes; shards } ->
     let* router = Router.create ~io:cfg.io ?dir:data_dir ~vnodes ~shards () in
     Ok (make cfg (Routing router) [ (fun () -> Router.close router) ])
@@ -187,15 +234,13 @@ let create cfg =
 let service t =
   match t.kind with
   | Serving s -> Some s.service
-  | Warm w ->
-    Mutex.protect w.lock (fun () -> Option.map (fun (s, _, _) -> s) w.promoted)
+  | Warm w -> Option.map (fun (s, _, _) -> s) w.promoted
   | Routing _ -> None
 
 let durable_of t =
   match t.kind with
   | Serving s -> s.durable
-  | Warm w ->
-    Mutex.protect w.lock (fun () -> Option.map (fun (_, d, _) -> d) w.promoted)
+  | Warm w -> Option.map (fun (_, d, _) -> d) w.promoted
   | Routing _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -203,7 +248,7 @@ let durable_of t =
 
 (* Promotion recovers the accumulated directory into a serving store
    and builds the service from the node's settings.  Idempotent: a
-   retrying router gets the same reply.  Called under [w.lock]. *)
+   retrying router gets the same reply. *)
 let promote t w =
   match w.promoted with
   | Some (_, _, reply) -> reply
@@ -213,7 +258,9 @@ let promote t w =
     | Error e -> failed e
     | Ok (store, recovered) -> (
       let d = { store; repl = None; staged = [] } in
-      let service = make_service t.cfg ~persist:(Some (stage d)) in
+      let service =
+        make_service t.cfg ~catalog:w.catalog ~persist:(Some (stage d))
+      in
       match Service.restore service recovered with
       | Error e ->
         Store.close store;
@@ -231,34 +278,31 @@ let stream_reply = function
   | Error msg -> P.Failed (P.Bad_request msg)
 
 let warm_handle t w req =
-  Mutex.lock w.lock;
+  let then_position = Result.map (fun () -> Standby.position w.stb) in
   match (w.promoted, req) with
-  | Some (service, _, _), req when req <> P.Promote ->
-    Mutex.unlock w.lock;
-    Service.handle service req
-  | _ ->
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock w.lock)
-      (fun () ->
-        let then_position = Result.map (fun () -> Standby.position w.stb) in
-        match req with
-        | P.Promote -> promote t w
-        | P.Repl_install { gen; snapshot } ->
-          stream_reply (then_position (Standby.install w.stb ~gen ~snapshot))
-        | P.Repl_rotate { gen } ->
-          stream_reply (then_position (Standby.rotate w.stb ~gen))
-        | P.Repl_batch { records } ->
-          stream_reply (Standby.apply_batch w.stb records)
-        | P.Repl_status -> stream_reply (Ok (Standby.position w.stb))
-        | _ -> P.Failed (P.Shard_unavailable "standby: not serving (promote first)"))
+  | Some (service, _, _), req when req <> P.Promote -> Service.handle service req
+  | _, P.Promote -> promote t w
+  | _, P.Repl_install { gen; snapshot } ->
+    stream_reply (then_position (Standby.install w.stb ~gen ~snapshot))
+  | _, P.Repl_rotate { gen } ->
+    stream_reply (then_position (Standby.rotate w.stb ~gen))
+  | _, P.Repl_batch { records } -> stream_reply (Standby.apply_batch w.stb records)
+  | _, P.Repl_status -> stream_reply (Ok (Standby.position w.stb))
+  | _ -> P.Failed (P.Shard_unavailable "standby: not serving (promote first)")
 
-(* The chain without the turn lock or a barrier. *)
+(* The chain without a barrier. *)
 let dispatch t req =
   match (t.kind, req) with
-  | Serving { durable = Some { repl = Some r; _ }; _ }, P.Repl_status ->
-    (* the router's Ring_status probe reads the stream's lag *)
-    let records, bytes = Repl.lag r in
-    P.Repl_lag { records; bytes }
+  | Serving { durable = Some ({ repl = Some _; _ } as d); _ }, P.Repl_status ->
+    (* The router's Ring_status probe: the standby has yet to ack what
+       this turn staged, which the turn's barrier ships. *)
+    let bytes =
+      List.fold_left
+        (fun n (_, ev) ->
+          n + String.length (Journal.encode_record (Jim_store.Event.to_string ev)))
+        0 d.staged
+    in
+    P.Repl_lag { records = List.length d.staged; bytes }
   | Serving s, _ -> Service.handle s.service req
   | Warm w, _ -> warm_handle t w req
   | Routing _, _ -> invalid_arg "Node.handle: a router serves payloads only"
@@ -282,10 +326,9 @@ let dispatch_line t payload =
 let end_turn t = Option.iter barrier (durable_of t)
 
 let handle t req =
-  Mutex.protect t.turn (fun () ->
-      let resp = dispatch t req in
-      end_turn t;
-      resp)
+  let resp = dispatch t req in
+  end_turn t;
+  resp
 
 (* One event-loop turn: every payload in order, then one barrier over
    the turn's writes.  If the barrier fails, each reply whose request
@@ -293,39 +336,37 @@ let handle t req =
    write gives; replies that wrote nothing stand.  A router relays the
    turn whole ({!Router.turn}). *)
 let turn t payloads =
-  Mutex.protect t.turn (fun () ->
-      match t.kind with
-      | Routing r -> Router.turn r payloads
-      | Serving _ | Warm _ -> (
-        let staged () =
-          Option.fold ~none:[] ~some:(fun d -> d.staged) (durable_of t)
-        in
-        let replies =
-          Array.map
-            (fun payload ->
-              let before = staged () in
-              let reply = dispatch_line t payload in
-              (reply, staged () != before))
-            payloads
-        in
-        match end_turn t with
-        | () -> Array.map fst replies
-        | exception exn ->
-          let failed = P.response_to_string (internal_error exn) in
-          Array.map
-            (fun ((reply, parsed), wrote) ->
-              ((if wrote then failed else reply), parsed))
-            replies))
+  match t.kind with
+  | Routing r -> Router.turn r payloads
+  | Serving _ | Warm _ -> (
+    let staged () =
+      Option.fold ~none:[] ~some:(fun d -> d.staged) (durable_of t)
+    in
+    let replies =
+      Array.map
+        (fun payload ->
+          let before = staged () in
+          let reply = dispatch_line t payload in
+          (reply, staged () != before))
+        payloads
+    in
+    match end_turn t with
+    | () -> Array.map fst replies
+    | exception exn ->
+      let failed = P.response_to_string (internal_error exn) in
+      Array.map
+        (fun ((reply, parsed), wrote) ->
+          ((if wrote then failed else reply), parsed))
+        replies)
 
 let handle_line t payload = (turn t [| payload |]).(0)
 
 let sweep t =
-  Mutex.protect t.turn (fun () ->
-      let evicted =
-        match service t with Some svc -> Service.sweep svc | None -> 0
-      in
-      end_turn t;
-      evicted)
+  let evicted =
+    match service t with Some svc -> Service.sweep svc | None -> 0
+  in
+  end_turn t;
+  evicted
 
 (* ------------------------------------------------------------------ *)
 (* Listening and teardown                                              *)
@@ -372,50 +413,16 @@ let banner t =
   let where =
     Option.fold ~none:"(in-process)" ~some:Wire.address_to_string (address t)
   in
-  let line_of f x = Option.to_list (Option.map f x) in
-  match (t.kind, t.cfg.role) with
-  | Serving { durable; restored; _ }, _ ->
-    let store = Option.map (fun d -> d.store) durable in
-    let repl = Option.bind durable (fun d -> d.repl) in
-    Printf.sprintf "listening on %s (max %d sessions)" where
-      t.cfg.settings.max_sessions
-    :: line_of
-         (fun (c : Jim_server.Coordinator.config) ->
-           Printf.sprintf "crowd labeling on — quorum %d, %gs straggler deadline%s"
-             c.votes c.timeout
-             (if c.weighted then ", accuracy-weighted" else ""))
-         t.cfg.settings.crowd
-    @ line_of
-        (fun r ->
-          let gen, records = Repl.position r in
-          Printf.sprintf "replicating to %s (generation %d, %d records shipped)"
-            (Repl.describe r) gen records)
-        repl
-    @ line_of
-        (fun st ->
-          Printf.sprintf "durable in %s (generation %d, %d sessions recovered)"
-            (Store.dir st) (Store.generation st) restored)
-        store
-  | Warm w, _ ->
-    [
-      Printf.sprintf "listening on %s, accumulating in %s (serves after Promote)"
-        where (Standby.dir w.stb);
-    ]
-  | Routing r, Router { shards; data_dir; _ } ->
-    Printf.sprintf
-      "listening on %s, %d shards (%d with standbys), %d live placements" where
-      (List.length shards)
-      (List.length (List.filter (fun u -> u.Router.promote <> None) shards))
-      (Router.session_count r)
-    :: line_of (Printf.sprintf "placements durable in %s") data_dir
-  | Routing _, (Primary _ | Standby _) -> []
+  let first, rest = t.facts in
+  ("listening on " ^ where ^ first) :: rest
 
 let stats_line t =
+  let counters c = "; " ^ Catalog.stats_to_string (Catalog.stats c) in
   let catalog =
-    match service t with
-    | Some svc ->
-      "; " ^ Catalog.stats_to_string (Catalog.stats (Service.catalog svc))
-    | None -> ""
+    match t.kind with
+    | Serving { service; _ } -> counters (Service.catalog service)
+    | Warm w -> counters w.catalog
+    | Routing _ -> ""
   in
   let commit =
     match t.kind with

@@ -16,8 +16,14 @@
     one store fsync, then one {!Repl.ship} batch acked by the standby —
     makes them durable.  Over the wire the barrier ends each event-loop
     turn, before any reply of the turn is written; in-process it ends
-    each {!handle}, {!handle_line} and {!sweep}.  Requests and sweeps
-    run one at a time. *)
+    each {!handle}, {!handle_line} and {!sweep}.
+
+    A node is owned by the thread that serves it, and holds no lock:
+    the building thread owns it until {!start}'s event loop begins, the
+    loop owns it while serving, and {!stop} takes it back once the loop
+    has been joined.  Requests and sweeps therefore run one at a time.
+    Only {!banner} and {!stats_line} may be called from another thread
+    while the node serves. *)
 
 type settings = {
   max_sessions : int;
@@ -86,10 +92,18 @@ val handle : t -> Jim_api.Protocol.request -> Jim_api.Protocol.response
     are durable (and replicated) on return.  Persist-hook and barrier
     exceptions propagate — the fault sweeps crash a node that way. *)
 
+val turn : t -> string array -> (string * bool) array
+(** One event-loop turn, the function {!start} serves: every payload in
+    order, a reply payload and whether the request parsed for each,
+    then one barrier over the turn's writes.  A [Repl_status] on a
+    replicating primary reports the records (and their encoded bytes)
+    staged so far this turn, which the standby has yet to acknowledge.
+    Never raises: an exception, or a failed barrier after a write,
+    becomes [Bad_request "internal error: ..."] for the requests that
+    wrote; a router relays the turn whole ({!Router.turn}). *)
+
 val handle_line : t -> string -> string * bool
-(** One payload as a turn of its own: reply payload, and whether the
-    request parsed.  Never raises: an exception, or a failed barrier
-    after a write, becomes [Bad_request "internal error: ..."]. *)
+(** One payload as a turn of its own ({!turn}). *)
 
 val sweep : t -> int
 (** Evict idle sessions, then the barrier over their [Ended] events;
@@ -97,15 +111,18 @@ val sweep : t -> int
 
 val service : t -> Jim_server.Service.t option
 (** Always on a primary, after [Promote] on a standby, never on a
-    router. *)
+    router.  Owned by the thread that serves the node. *)
 
 val banner : t -> string list
 (** The start-up lines: address and capacity, then crowd, replication,
-    durability or placement details as they apply. *)
+    durability or placement details as they apply, as they stood when
+    the node was created.  Safe from any thread. *)
 
 val stats_line : t -> string
-(** Wire counters, then catalog counters and, on a durable primary, the
-    journal's batch counters (records per combined write). *)
+(** Wire counters, then catalog counters (on a primary or standby) and,
+    on a durable primary, the journal's batch counters (records per
+    combined write).  Safe from any thread: it reads only modules that
+    keep their own locks. *)
 
 val wait : t -> unit
 (** Block until the listener shuts down; returns at once in-process. *)

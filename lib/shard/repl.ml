@@ -13,8 +13,9 @@
    shipping).
 
    Batching: a [ship] call's records go out as one [Repl_batch] per
-   store generation, so a turn's records cost one round-trip.  Calls
-   from several threads ship one after another. *)
+   store generation, so a turn's records cost one round-trip.  A sender
+   is owned by the thread that serves its node, so shipments never
+   overlap. *)
 
 module Journal = Jim_store.Journal
 module Recovery = Jim_store.Recovery
@@ -49,11 +50,10 @@ let () =
 type t = {
   store : Store.t;
   target : target;
-  lock : Mutex.t;  (* one shipment at a time *)
   mutable gen_sent : int;
   mutable acked : int;  (* records acked by the target this generation *)
-  pending_records : int Atomic.t;  (* in the shipment in flight *)
-  pending_bytes : int Atomic.t;
+  mutable pending_records : int;  (* in the shipment in flight *)
+  mutable pending_bytes : int;
 }
 
 let ( let* ) = Result.bind
@@ -101,17 +101,14 @@ let attach store target =
     {
       store;
       target;
-      lock = Mutex.create ();
       gen_sent = gen;
       acked;
-      pending_records = Atomic.make 0;
-      pending_bytes = Atomic.make 0;
+      pending_records = 0;
+      pending_bytes = 0;
     }
 
-let position t = Mutex.protect t.lock (fun () -> (t.gen_sent, t.acked))
-
-(* Read without the lock, so it sees a shipment in flight. *)
-let lag t = (Atomic.get t.pending_records, Atomic.get t.pending_bytes)
+let position t = (t.gen_sent, t.acked)
+let lag t = (t.pending_records, t.pending_bytes)
 
 let describe t = t.target.describe
 
@@ -133,31 +130,29 @@ let ship t evs =
   let records =
     List.map (fun (gen, ev) -> (gen, Journal.encode_record (Event.to_string ev))) evs
   in
-  Mutex.protect t.lock (fun () ->
-      Atomic.set t.pending_records (List.length records);
-      Atomic.set t.pending_bytes
-        (List.fold_left (fun n (_, r) -> n + String.length r) 0 records);
-      let rec go = function
-        | [] -> Ok ()
-        | (gen, _) :: _ as records ->
-          let batch, rest = same_gen gen records in
-          let* () =
-            if gen = t.gen_sent then Ok ()
-            else
-              let* () = t.target.rotate ~gen in
-              t.gen_sent <- gen;
-              Ok ()
-          in
-          let* _gen, acked = t.target.append_batch batch in
-          t.acked <- acked;
-          go rest
+  t.pending_records <- List.length records;
+  t.pending_bytes <- List.fold_left (fun n (_, r) -> n + String.length r) 0 records;
+  let rec go = function
+    | [] -> Ok ()
+    | (gen, _) :: _ as records ->
+      let batch, rest = same_gen gen records in
+      let* () =
+        if gen = t.gen_sent then Ok ()
+        else
+          let* () = t.target.rotate ~gen in
+          t.gen_sent <- gen;
+          Ok ()
       in
-      let result = try go records with e -> Error (Printexc.to_string e) in
-      Atomic.set t.pending_records 0;
-      Atomic.set t.pending_bytes 0;
-      match result with
-      | Ok () -> ()
-      | Error msg -> raise (Replication_failed (t.target.describe ^ ": " ^ msg)))
+      let* _gen, acked = t.target.append_batch batch in
+      t.acked <- acked;
+      go rest
+  in
+  let result = try go records with e -> Error (Printexc.to_string e) in
+  t.pending_records <- 0;
+  t.pending_bytes <- 0;
+  match result with
+  | Ok () -> ()
+  | Error msg -> raise (Replication_failed (t.target.describe ^ ": " ^ msg))
 
 (* Called from a persist hook after Store.record: the event is already
    locally durable, in the store's current generation. *)

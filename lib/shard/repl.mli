@@ -16,7 +16,11 @@
     Batching: one {!ship} call's records travel as one
     {!Jim_api.Protocol.Repl_batch} per store generation, which the
     standby lands atomically (one combined append, one fsync) and acks
-    with its high-water mark. *)
+    with its high-water mark.
+
+    A sender is owned by the thread that serves its node: {!attach}
+    runs on the building thread before serving starts, every later
+    call on the node's event loop, so shipments never overlap. *)
 
 type target = {
   describe : string;
@@ -51,8 +55,7 @@ val ship : t -> (int * Jim_store.Event.t) list -> unit
     generation before that generation's first batch, so a checkpoint
     between two shipped events falls at the same record on both sides.
     Raises {!Replication_failed} on any stream error; a failed batch
-    stops the shipment.  Thread-safe: concurrent calls ship one after
-    another. *)
+    stops the shipment. *)
 
 val send : t -> Jim_store.Event.t -> unit
 (** [ship] of one just-recorded event, in the store's current
@@ -62,11 +65,12 @@ val position : t -> int * int
 (** Last acked [(generation, record count)]. *)
 
 val lag : t -> int * int
-(** Current replication lag as [(records, bytes)]: records of the
-    shipment in flight that the standby has not yet acknowledged.
-    [(0, 0)] when the stream is idle — the semi-synchronous ack gate
-    keeps the lag bounded by one shipment.  This is what a primary
-    reports in its {!Jim_api.Protocol.Repl_lag} reply. *)
+(** [(records, bytes)] of the shipment in flight: nonzero only while
+    {!ship} runs (a target's closures see it), [(0, 0)] to every other
+    caller, because the semi-synchronous ack gate leaves nothing
+    unacknowledged once [ship] returns.  A node answers
+    {!Jim_api.Protocol.Repl_status} from the events its current turn
+    has staged for the next shipment instead. *)
 
 val describe : t -> string
 val close : t -> unit

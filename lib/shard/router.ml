@@ -44,43 +44,14 @@ type upstream = {
     (unit -> (string array -> (string, string) result array, string) result)
     option;
   mutable promoted : bool;
-  ulock : Mutex.t;
 }
-
-(* A batch over a one-request call path: in order, and nothing more is
-   sent once the transport has failed. *)
-let one_at_a_time call lines =
-  let broken = ref None in
-  Array.map
-    (fun line ->
-      match !broken with
-      | Some e -> Error e
-      | None ->
-        let r = call line in
-        Result.iter_error (fun e -> broken := Some e) r;
-        r)
-    lines
 
 let single calls line = (calls [| line |]).(0)
 
 let batch_upstream ~name ?promote calls =
-  {
-    name;
-    call = single calls;
-    calls;
-    promote;
-    promoted = false;
-    ulock = Mutex.create ();
-  }
-
-let upstream ~name ?promote call =
-  let promote =
-    Option.map (fun f () -> Result.map one_at_a_time (f ())) promote
-  in
-  { (batch_upstream ~name ?promote (one_at_a_time call)) with call }
+  { name; call = single calls; calls; promote; promoted = false }
 
 type t = {
-  lock : Mutex.t;
   ring : Ring.t;
   shards : (string, upstream) Hashtbl.t;
   placements : (int, string) Hashtbl.t;
@@ -127,34 +98,23 @@ let journal_entry t e =
 
 let sync_log t = Option.iter Journal.sync t.journal
 
-(* Promote [up]'s standby if that has not happened yet.  Ok () means
-   the upstream is promoted now (by us or a racing thread); the
-   promotion is journaled exactly when we performed it. *)
+(* Promote [up]'s standby if that has not happened yet, and journal
+   the promotion when it does. *)
 let ensure_promoted t up =
-  Mutex.lock up.ulock;
-  let result =
-    if up.promoted then Ok `Already
-    else
-      match up.promote with
-      | None -> Error "no standby configured"
-      | Some f -> (
-        match f () with
-        | Ok calls ->
-          up.calls <- calls;
-          up.call <- single calls;
-          up.promoted <- true;
-          Ok `Promoted
-        | Error e -> Error ("standby promotion failed: " ^ e))
-  in
-  Mutex.unlock up.ulock;
-  match result with
-  | Ok `Promoted ->
-    Mutex.protect t.lock (fun () ->
+  if up.promoted then Ok ()
+  else
+    match up.promote with
+    | None -> Error "no standby configured"
+    | Some f -> (
+      match f () with
+      | Ok calls ->
+        up.calls <- calls;
+        up.call <- single calls;
+        up.promoted <- true;
         journal_entry t (Rlog.Failed_over { shard = up.name });
-        sync_log t);
-    Ok ()
-  | Ok `Already -> Ok ()
-  | Error e -> Error e
+        sync_log t;
+        Ok ()
+      | Error e -> Error ("standby promotion failed: " ^ e))
 
 let create ?(io = Io.real) ?dir ?vnodes ~shards () =
   let tbl = Hashtbl.create 7 in
@@ -192,7 +152,6 @@ let create ?(io = Io.real) ?dir ?vnodes ~shards () =
   in
   let t =
     {
-      lock = Mutex.create ();
       ring = Ring.create ?vnodes configured;
       shards = tbl;
       placements;
@@ -225,22 +184,9 @@ let create ?(io = Io.real) ?dir ?vnodes ~shards () =
     failed_over;
   Ok t
 
-let placement t id =
-  Mutex.lock t.lock;
-  let p = Hashtbl.find_opt t.placements id in
-  Mutex.unlock t.lock;
-  p
-
-let session_count t =
-  Mutex.lock t.lock;
-  let n = Hashtbl.length t.placements in
-  Mutex.unlock t.lock;
-  n
-
-let close t =
-  Mutex.lock t.lock;
-  Option.iter Journal.close t.journal;
-  Mutex.unlock t.lock
+let placement t id = Hashtbl.find_opt t.placements id
+let session_count t = Hashtbl.length t.placements
+let close t = Option.iter Journal.close t.journal
 
 (* ------------------------------------------------------------------ *)
 (* Request handling                                                    *)
@@ -263,11 +209,10 @@ let upstream_for t shard_name =
   | None -> Error (Printf.sprintf "shard %s is not configured" shard_name)
 
 let release t id =
-  Mutex.protect t.lock (fun () ->
-      if Hashtbl.mem t.placements id then begin
-        Hashtbl.remove t.placements id;
-        journal_entry t (Rlog.Released { session = id })
-      end)
+  if Hashtbl.mem t.placements id then begin
+    Hashtbl.remove t.placements id;
+    journal_entry t (Rlog.Released { session = id })
+  end
 
 type start = { source : P.instance_source; strategy : string; seed : int }
 
@@ -305,21 +250,13 @@ let place t (s : start) =
     | P.Catalog fp -> fun _ -> Ring.fingerprint_key fp
     | _ -> Ring.session_key
   in
-  let id, shard =
-    Mutex.protect t.lock (fun () ->
-        let id = t.next_id in
-        t.next_id <- id + 1;
-        let shard = Ring.place t.ring (key id) in
-        Option.iter
-          (fun shard ->
-            journal_entry t (Rlog.Placed { session = id; shard });
-            Hashtbl.replace t.placements id shard)
-          shard;
-        (id, shard))
-  in
-  match shard with
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  match Ring.place t.ring (key id) with
   | None -> Error (unavailable "no shards in the ring")
   | Some shard -> (
+    journal_entry t (Rlog.Placed { session = id; shard });
+    Hashtbl.replace t.placements id shard;
     match upstream_for t shard with
     | Ok up ->
       let { source; strategy; seed } = s in
@@ -338,7 +275,7 @@ let relay_to t ?session kind shard line =
   | Error msg -> Done (unavailable msg)
 
 let pinned t id kind line =
-  match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.placements id) with
+  match Hashtbl.find_opt t.placements id with
   | None -> Done (fail (P.Unknown_session id))
   | Some shard -> relay_to t ~session:id kind shard line
 
@@ -346,13 +283,13 @@ let fingerprint t = function
   | P.Catalog fp -> Ok fp
   | source -> (
     let enc = Jim_api.Codec.to_string P.source source in
-    match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.fps enc) with
+    match Hashtbl.find_opt t.fps enc with
     | Some fp -> Ok fp
     | None ->
       Result.map
         (fun (rel, _schema) ->
           let fp = Jim_store.Store.fingerprint rel in
-          Mutex.protect t.lock (fun () -> Hashtbl.replace t.fps enc fp);
+          Hashtbl.replace t.fps enc fp;
           fp)
         (Jim_catalog.Catalog.relation_of source))
 
@@ -360,10 +297,7 @@ let plan_register t source line =
   match fingerprint t source with
   | Error e -> Done (fail e)
   | Ok fp -> (
-    match
-      Mutex.protect t.lock (fun () ->
-          Ring.place t.ring (Ring.fingerprint_key fp))
-    with
+    match Ring.place t.ring (Ring.fingerprint_key fp) with
     | None -> Done (unavailable "no shards in the ring")
     | Some shard -> relay_to t Read shard line)
 
@@ -412,20 +346,12 @@ let catalog_reply relays =
   else P.response_to_string (P.Catalog_info (List.fold_left add_stats zero_stats reached))
 
 let handle_ring_status t =
-  let sessions, members =
-    Mutex.protect t.lock (fun () ->
-        (Hashtbl.length t.placements, Ring.members t.ring))
-  in
   let status_line = P.request_to_string P.Repl_status in
   let shards =
     List.map
       (fun m ->
         let up = Hashtbl.find_opt t.shards m in
-        let promoted =
-          match up with
-          | Some up -> Mutex.protect up.ulock (fun () -> up.promoted)
-          | None -> false
-        in
+        let promoted = Option.fold ~none:false ~some:(fun up -> up.promoted) up in
         (* Replication lag is best-effort observability: a shard with an
            attached standby answers [Repl_status] with [Repl_lag]; one
            without (or an unreachable one) contributes no lag fields.
@@ -435,7 +361,7 @@ let handle_ring_status t =
           match up with
           | None -> None
           | Some up -> (
-            match (Mutex.protect up.ulock (fun () -> up.call)) status_line with
+            match up.call status_line with
             | Ok resp -> (
               match P.response_of_string resp with
               | Ok (P.Repl_lag { records; bytes }) -> Some (records, bytes)
@@ -443,9 +369,10 @@ let handle_ring_status t =
             | Error _ -> None)
         in
         { P.shard = m; promoted; lag })
-      members
+      (Ring.members t.ring)
   in
-  P.response_to_string (P.Ring_info { shards; sessions })
+  P.response_to_string
+    (P.Ring_info { shards; sessions = Hashtbl.length t.placements })
 
 let plan_request t line = function
   | P.Start_session { source; strategy; seed } -> (
@@ -506,13 +433,11 @@ let give_up t r msg =
    broke, promote the standby once, then apply at-most-once to every
    unanswered request; returns those to relay again. *)
 let send_group t up group =
-  let call, calls, was_promoted =
-    Mutex.protect up.ulock (fun () -> (up.call, up.calls, up.promoted))
-  in
+  let was_promoted = up.promoted in
   let results =
     match group with
-    | [| r |] -> [| call r.line |]
-    | _ -> calls (Array.map (fun r -> r.line) group)
+    | [| r |] -> [| up.call r.line |]
+    | _ -> up.calls (Array.map (fun r -> r.line) group)
   in
   let broken =
     List.filter_map

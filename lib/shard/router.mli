@@ -29,7 +29,11 @@
     non-mutating ones retry transparently on the standby, mutating ones
     answer [{!Jim_api.Protocol.Shard_unavailable}] (at-most-once — the
     dead primary may have acked them), and a [Start_session] is retried
-    once with a fresh id. *)
+    once with a fresh id.
+
+    A router and its upstreams are owned by the thread that serves
+    them: the building thread until the router node's event loop
+    starts, then the loop.  Nothing here takes a lock. *)
 
 type upstream = {
   name : string;
@@ -47,7 +51,6 @@ type upstream = {
           path (its one-request case becomes [call]); [None] when the
           shard has no standby *)
   mutable promoted : bool;
-  ulock : Mutex.t;
 }
 
 val batch_upstream :
@@ -57,14 +60,6 @@ val batch_upstream :
   (string array -> (string, string) result array) ->
   upstream
 (** An upstream over a batch path; [call] is its one-request case. *)
-
-val upstream :
-  name:string ->
-  ?promote:(unit -> ((string -> (string, string) result), string) result) ->
-  (string -> (string, string) result) ->
-  upstream
-(** An upstream over a one-request path: its batches go one request at a
-    time, and nothing more is sent once the transport has failed. *)
 
 type t
 

@@ -19,25 +19,22 @@ type t = {
   io : Io.t;
   dir : string;
   fsync : bool;
-  lock : Mutex.t;
   mutable store : Store.t option;  (* None until the first install *)
 }
 
 let create ?(io = Io.real) ?(fsync = true) ~dir () =
   io.Io.mkdir_p dir;
-  { io; dir; fsync; lock = Mutex.create (); store = None }
+  { io; dir; fsync; store = None }
 
-let locked t f = Mutex.protect t.lock f
 let dir t = t.dir
 let ( let* ) = Result.bind
 
 let position t =
-  locked t (fun () ->
-      match t.store with
-      | None -> (-1, 0)
-      | Some s -> (Store.generation s, Store.record_count s))
+  match t.store with
+  | None -> (-1, 0)
+  | Some s -> (Store.generation s, Store.record_count s)
 
-let close_store t =
+let close t =
   Option.iter Store.close t.store;
   t.store <- None
 
@@ -52,31 +49,29 @@ let install t ~gen ~snapshot =
     | None when gen = 0 -> Ok ()
     | None -> Error (Printf.sprintf "standby: no snapshot for generation %d" gen)
   in
-  locked t (fun () ->
-      close_store t;
-      Array.iter
-        (fun name ->
-          if String.starts_with ~prefix:"snapshot" name
-             || String.starts_with ~prefix:"journal" name
-          then t.io.Io.remove (Filename.concat t.dir name))
-        (t.io.Io.readdir t.dir);
-      let* () =
-        Option.fold snapshot ~none:(Ok ()) ~some:(fun text ->
-            let path = Jim_store.Recovery.snapshot_path t.dir gen in
-            Snapshot.write_text ~io:t.io path text)
-      in
-      let* store, _ =
-        Store.open_dir ~fsync:t.fsync ~snapshot_every:max_int ~io:t.io t.dir
-      in
-      Ok (t.store <- Some store))
+  close t;
+  Array.iter
+    (fun name ->
+      if String.starts_with ~prefix:"snapshot" name
+         || String.starts_with ~prefix:"journal" name
+      then t.io.Io.remove (Filename.concat t.dir name))
+    (t.io.Io.readdir t.dir);
+  let* () =
+    Option.fold snapshot ~none:(Ok ()) ~some:(fun text ->
+        let path = Jim_store.Recovery.snapshot_path t.dir gen in
+        Snapshot.write_text ~io:t.io path text)
+  in
+  let* store, _ =
+    Store.open_dir ~fsync:t.fsync ~snapshot_every:max_int ~io:t.io t.dir
+  in
+  Ok (t.store <- Some store)
 
 let with_store t f =
-  locked t (fun () ->
-      match t.store with
-      | None -> Error "standby: no generation installed"
-      | Some s ->
-        Result.map_error (( ^ ) "standby: ")
-          (try f s with e -> Error (Printexc.to_string e)))
+  match t.store with
+  | None -> Error "standby: no generation installed"
+  | Some s ->
+    Result.map_error (( ^ ) "standby: ")
+      (try f s with e -> Error (Printexc.to_string e))
 
 (* Every record is decoded before the store sees any, and the store
    refuses a bad reference before writing.  The position returned is
@@ -106,8 +101,6 @@ let rotate t ~gen =
       else Ok (if gen > current then Store.checkpoint ~gen s))
 
 let promote ?fsync ?snapshot_every t =
-  locked t (fun () -> close_store t);
+  close t;
   let fsync = Option.value fsync ~default:t.fsync in
   Store.open_dir ~fsync ?snapshot_every ~io:t.io t.dir
-
-let close t = locked t (fun () -> close_store t)

@@ -24,7 +24,10 @@
       {!Jim_store.Store.open_dir} over the accumulated directory, the
       same bit-identical replay path a restarted primary uses.
 
-    Thread-safe: each operation takes the standby's lock. *)
+    A standby is owned by the thread that serves it: the standby
+    node's event loop, or the primary's when an in-process standby is
+    its replication target ({!Repl.of_standby}).  Calls never overlap,
+    so it holds no lock. *)
 
 type t
 

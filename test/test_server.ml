@@ -261,15 +261,25 @@ let test_epoll_backend () =
   end
 
 let test_server_busy () =
-  with_server ~max_sessions:2 (fun address service ->
+  with_server ~max_sessions:2 (fun address _ ->
       List.iter
         (fun framing ->
           match Smoke.busy_check ~framing ~address ~fill:2 () with
           | Ok () -> ()
           | Error e -> Alcotest.fail e)
         [ Wire.Line; Wire.Binary ];
-      (* busy_check ended its sessions: capacity is free again *)
-      Alcotest.(check int) "sessions cleaned up" 0 (Service.session_count service))
+      (* busy_check ended its sessions: nothing pins the catalog any
+         more, read over the wire from the loop that owns the service *)
+      match Wire.connect address with
+      | Error e -> Alcotest.failf "connect: %s" e
+      | Ok c -> (
+        let reply = Wire.call c Pr.Catalog_stats in
+        Wire.close c;
+        match reply with
+        | Ok (Pr.Catalog_info s) ->
+          Alcotest.(check int) "sessions cleaned up" 0 s.Pr.pinned
+        | Ok other -> Alcotest.failf "catalog_stats: %s" (Pr.response_to_string other)
+        | Error e -> Alcotest.failf "call: %s" e))
 
 (* ------------------------------------------------------------------ *)
 (* Service-level behaviour (no socket: direct handle calls)            *)

@@ -8,8 +8,9 @@
    [Shard_unavailable] (at-most-once), and the resumed session finishes
    bit-identical to the uninterrupted reference run.  Last, the node
    assembler: the idle sweep follows the TTL, [Repl_status] is routed by
-   tag, promotion keeps the service settings, and a failed start closes
-   what it opened. *)
+   tag and reports the turn's unshipped records, [stats_line] is safe
+   from a second thread while the loop serves, promotion keeps the
+   service settings, and a failed start closes what it opened. *)
 
 module P = Jim_api.Protocol
 module Service = Jim_server.Service
@@ -157,8 +158,9 @@ let primary_config ?(settings = Node.default_settings) ?replicate_to fs =
     io = Memfs.io fs;
   }
 
-let node_upstream name node =
-  Router.upstream ~name (fun line -> Ok (fst (Node.handle_line node line)))
+(* A batch path into [node]: each batch is one turn of the node. *)
+let turn_of node lines = Array.map (fun (reply, _) -> Ok reply) (Node.turn node lines)
+let node_upstream name node = Router.batch_upstream ~name (turn_of node)
 
 let call router req =
   let line, _ = Router.handle_line router (P.request_to_string req) in
@@ -402,16 +404,15 @@ let failover_pair stb killed =
   let standby =
     Node.of_standby (Node.config (Node.Standby { data_dir = "/standby" })) stb
   in
-  let line_of node line = Ok (fst (Node.handle_line node line)) in
   let promote () =
     match Node.handle standby P.Promote with
-    | P.Promoted _ -> Ok (line_of standby)
+    | P.Promoted _ -> Ok (turn_of standby)
     | other -> Error (P.response_to_string other)
   in
   let up =
-    Router.upstream ~name:"s0" ~promote (fun line ->
-        if !killed then Error "connection refused (killed)"
-        else line_of primary line)
+    Router.batch_upstream ~name:"s0" ~promote (fun lines ->
+        if !killed then Array.map (fun _ -> Error "connection refused (killed)") lines
+        else turn_of primary lines)
   in
   match Router.create ~shards:[ up ] () with
   | Ok router -> (primary, standby, router)
@@ -757,7 +758,10 @@ let start_flights handle =
   | other -> Alcotest.failf "start: %s" (P.response_to_string other)
 
 (* The sweep interval follows the TTL: a 0.2 s TTL is swept every 0.5 s,
-   so an idle session dies with no further request. *)
+   so an idle session dies with no further request.  The test reads the
+   node over the wire, as the loop owns it: each [Stats] poll touches
+   the session, so polls are 0.8 s apart — more than the TTL plus one
+   sweep interval — and the session is idle long enough between two. *)
 let test_node_idle_ttl_sweeps () =
   let node =
     Serving.start
@@ -773,19 +777,24 @@ let test_node_idle_ttl_sweeps () =
         | Ok c -> c
         | Error e -> Alcotest.failf "connect: %s" e
       in
-      ignore
-        (start_flights (fun req ->
-             match Wire.call c req with
-             | Ok r -> r
-             | Error e -> Alcotest.failf "call: %s" e));
+      let call req =
+        match Wire.call c req with
+        | Ok r -> r
+        | Error e -> Alcotest.failf "call: %s" e
+      in
+      let session = start_flights call in
+      let deadline = Unix.gettimeofday () +. 2.5 in
+      let rec evicted () =
+        Thread.delay 0.8;
+        match call (P.Stats { session }) with
+        | P.Failed (P.Unknown_session id) when id = session -> true
+        | P.Session_stats _ when Unix.gettimeofday () < deadline -> evicted ()
+        | P.Session_stats _ -> false
+        | other -> Alcotest.failf "stats: %s" (P.response_to_string other)
+      in
+      let gone = evicted () in
       Wire.close c;
-      let service = Serving.service node in
-      let deadline = Unix.gettimeofday () +. 1.5 in
-      while Service.session_count service > 0 && Unix.gettimeofday () < deadline do
-        Thread.delay 0.05
-      done;
-      Alcotest.(check int) "idle session evicted within 1.5 s" 0
-        (Service.session_count service))
+      Alcotest.(check bool) "idle session evicted within 2.5 s" true gone)
 
 (* [Repl_status] is routed by tag, whatever the payload's length. *)
 let test_node_padded_repl_status () =
@@ -823,6 +832,86 @@ let test_node_padded_repl_status () =
             | Ok (Error e) -> Alcotest.failf "reply: %s" (P.error_to_string e)
             | Error e -> Alcotest.failf "call: %s" e))
         [ Wire.Line; Wire.Binary ])
+
+(* [Repl_status] reports what the standby has yet to acknowledge: the
+   records the current turn has staged, which its barrier ships. *)
+let test_node_repl_lag () =
+  let stb = Standby.create ~io:(Memfs.io (Memfs.create ())) ~dir:"/standby" () in
+  let primary =
+    create_node
+      (primary_config ~replicate_to:(Repl.of_standby stb) (Memfs.create ()))
+  in
+  let session = start_flights (Node.handle primary) in
+  let cls, sg =
+    match Node.handle primary (P.Get_question { session }) with
+    | P.Question (Some { P.cls; sg; _ }) -> (cls, sg)
+    | other -> Alcotest.failf "question: %s" (P.response_to_string other)
+  in
+  let lag_in payloads =
+    let replies = Node.turn primary (Array.map P.request_to_string payloads) in
+    match P.response_of_string (fst replies.(Array.length replies - 1)) with
+    | Ok (P.Repl_lag { records; bytes }) -> (records, bytes)
+    | Ok other -> Alcotest.failf "repl_status: %s" (P.response_to_string other)
+    | Error e -> Alcotest.failf "reply: %s" (P.error_to_string e)
+  in
+  let record =
+    Journal.encode_record
+      (Jim_store.Event.to_string
+         (Jim_store.Event.Answered { session; cls; sg; label = State.Pos }))
+  in
+  Alcotest.(check (pair int int)) "the turn's answer is unacknowledged"
+    (1, String.length record)
+    (lag_in [| P.Answer { session; cls; label = State.Pos }; P.Repl_status |]);
+  Alcotest.(check (pair int int)) "the barrier shipped it" (0, 0)
+    (lag_in [| P.Repl_status |]);
+  Node.stop primary;
+  Standby.close stb
+
+(* [stats_line] is the one call another thread makes while the loop
+   serves ([jim serve --stats-every]): it must not disturb the sessions
+   nor raise. *)
+let test_node_stats_line_while_serving () =
+  let node =
+    match
+      Node.start
+        {
+          (primary_config (Memfs.create ())) with
+          listen = Wire.Unix_path (fresh_socket ());
+          fsync = false;
+        }
+    with
+    | Ok node -> node
+    | Error e -> Alcotest.failf "node: %s" e
+  in
+  Fun.protect
+    ~finally:(fun () -> Node.stop node)
+    (fun () ->
+      let serving = Atomic.make true and lines = ref 0 and failure = ref None in
+      let reader =
+        Thread.create
+          (fun () ->
+            try
+              while Atomic.get serving do
+                let line = Node.stats_line node in
+                if not (String.starts_with ~prefix:"wire: " line) then
+                  failwith ("stats line: " ^ line);
+                incr lines;
+                Thread.delay 0.001
+              done
+            with exn -> failure := Some (Printexc.to_string exn))
+          ()
+      in
+      let reports = Smoke.run ~clients:8 ~address:(Serving.address node) () in
+      Atomic.set serving false;
+      Thread.join reader;
+      Option.iter (Alcotest.failf "stats_line raised: %s") !failure;
+      Alcotest.(check bool) "stats lines read while serving" true (!lines > 0);
+      Alcotest.(check int) "all clients reported" 8 (List.length reports);
+      List.iter
+        (fun r ->
+          if not r.Smoke.ok then
+            Alcotest.failf "seed %d diverged: %s" r.Smoke.seed r.Smoke.detail)
+        reports)
 
 (* A crowd session that fails over keeps its crowd: the standby is
    promoted with the primary's settings. *)
@@ -1094,6 +1183,10 @@ let () =
             `Quick test_node_idle_ttl_sweeps;
           Alcotest.test_case "padded repl_status routed by tag" `Quick
             test_node_padded_repl_status;
+          Alcotest.test_case "repl_status reports the turn's unshipped records"
+            `Quick test_node_repl_lag;
+          Alcotest.test_case "stats_line from another thread while serving"
+            `Quick test_node_stats_line_while_serving;
           Alcotest.test_case "promotion keeps the crowd settings" `Quick
             test_node_promotes_with_settings;
           Alcotest.test_case "failed restore closes what it opened" `Quick
