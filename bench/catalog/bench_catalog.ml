@@ -17,17 +17,10 @@
    Writes the machine-readable BENCH_catalog.json (schema mirrors the
    other BENCH files: schema_version + generated_by + rows). *)
 
+module B = Jim_bench
 module P = Jim_api.Protocol
-module Catalog = Jim_catalog.Catalog
 module Service = Jim_server.Service
-
-type row = { name : string; starts : int; wall_s : float }
-
-let sps r =
-  if r.wall_s <= 0.0 then 0.0 else float_of_int r.starts /. r.wall_s
-
-let source seed =
-  P.Synthetic { n_attrs = 5; n_tuples = 40; domain = 8; goal_rank = 2; seed }
+module Smoke = Jim_server.Smoke
 
 let start_end service src i =
   match
@@ -41,7 +34,13 @@ let start_end service src i =
 let timed ~name ~starts f =
   let t0 = Unix.gettimeofday () in
   f ();
-  { name; starts; wall_s = Unix.gettimeofday () -. t0 }
+  let wall_s = Unix.gettimeofday () -. t0 in
+  [
+    ("name", B.S name);
+    ("starts", B.D starts);
+    ("wall_s", B.F6 wall_s);
+    ("starts_per_s", B.F1 (B.rate starts wall_s));
+  ]
 
 (* Cold: a fresh instance every time, so every start pays fingerprint +
    derivation (and, past the cap, an eviction). *)
@@ -49,17 +48,17 @@ let bench_cold ~starts =
   let service = Service.create ~max_sessions:8 () in
   timed ~name:"start/cold" ~starts (fun () ->
       for i = 0 to starts - 1 do
-        start_end service (source (1000 + i)) i
+        start_end service (Smoke.synthetic_source (1000 + i)) i
       done)
 
 (* Warm: the same concrete source every time — one derivation up front,
    then every start is a by-source catalog hit. *)
 let bench_warm ~starts =
   let service = Service.create ~max_sessions:8 () in
-  start_end service (source 7) (-1);
+  start_end service (Smoke.synthetic_source 7) (-1);
   timed ~name:"start/warm" ~starts (fun () ->
       for i = 0 to starts - 1 do
-        start_end service (source 7) i
+        start_end service (Smoke.synthetic_source 7) i
       done)
 
 (* By fingerprint: the redesigned flow — register once, then every start
@@ -67,7 +66,10 @@ let bench_warm ~starts =
 let bench_by_fp ~starts =
   let service = Service.create ~max_sessions:8 () in
   let fp =
-    match Service.handle service (P.Register_instance { source = source 7 }) with
+    match
+      Service.handle service
+        (P.Register_instance { source = Smoke.synthetic_source 7 })
+    with
     | P.Registered { fingerprint; _ } -> fingerprint
     | other -> failwith ("register: " ^ P.response_to_string other)
   in
@@ -76,50 +78,15 @@ let bench_by_fp ~starts =
         start_end service (P.Catalog fp) i
       done)
 
-(* ------------------------------------------------------------------ *)
-(* Output                                                              *)
-
-let json_of_row r =
-  Printf.sprintf
-    "    {\"name\":%S,\"starts\":%d,\"wall_s\":%.6f,\"starts_per_s\":%.1f}"
-    r.name r.starts r.wall_s (sps r)
-
-let write_json ~path rows =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n\
-        \  \"schema_version\": 1,\n\
-        \  \"generated_by\": \"jim bench catalog\",\n\
-        \  \"results\": [\n%s\n  ]\n}\n"
-        (String.concat ",\n" (List.map json_of_row rows)))
-
 let () =
-  let quick = Array.mem "--quick" Sys.argv in
-  let out =
-    let rec find i =
-      if i + 1 >= Array.length Sys.argv then "BENCH_catalog.json"
-      else if Sys.argv.(i) = "--out" then Sys.argv.(i + 1)
-      else find (i + 1)
-    in
-    find 1
-  in
-  let scale n = if quick then max 1 (n / 10) else n in
+  let out = B.out "BENCH_catalog.json" in
   let rows =
     [
-      bench_cold ~starts:(scale 500);
-      bench_warm ~starts:(scale 20_000);
-      bench_by_fp ~starts:(scale 20_000);
+      bench_cold ~starts:(B.scale 500);
+      bench_warm ~starts:(B.scale 20_000);
+      bench_by_fp ~starts:(B.scale 20_000);
     ]
   in
-  Printf.printf "%-22s %10s %10s %14s\n" "benchmark" "starts" "wall s"
-    "starts/s";
-  List.iter
-    (fun r ->
-      Printf.printf "%-22s %10d %10.3f %14.1f\n" r.name r.starts r.wall_s
-        (sps r))
-    rows;
-  write_json ~path:out rows;
+  B.print_rows [ "name"; "starts"; "wall_s"; "starts_per_s" ] rows;
+  B.write_json B.catalog ~path:out rows;
   Printf.printf "wrote %s\n" out

@@ -4,6 +4,7 @@
    machine-readable BENCH_strategies.json (schema documented in the
    README). *)
 
+module B = Jim_bench
 module W = Jim_workloads
 open Jim_core
 
@@ -59,30 +60,30 @@ let measure ~n_attrs ~n_tuples ~goal_rank ~seeds strat =
 let per_question_ms r =
   if r.questions = 0 then 0.0 else r.wall_s *. 1e3 /. float_of_int r.questions
 
-let json_of_row r =
-  Printf.sprintf
-    "    {\"name\":%S,\"kind\":%S,\"interactions_avg\":%.3f,\
-     \"questions\":%d,\"wall_s\":%.6f,\"per_question_ms\":%.6f,\
-     \"metrics\":%s}"
-    r.name r.kind r.interactions_avg r.questions r.wall_s (per_question_ms r)
-    (Metrics.to_json r.snap)
+let json_row r =
+  [
+    ("name", B.S r.name);
+    ("kind", B.S r.kind);
+    ("interactions_avg", B.F3 r.interactions_avg);
+    ("questions", B.D r.questions);
+    ("wall_s", B.F6 r.wall_s);
+    ("per_question_ms", B.F6 (per_question_ms r));
+    ("metrics", B.Raw (Metrics.to_json r.snap));
+  ]
 
 let write_json ~path ~workload rows =
   let n_attrs, n_tuples, goal_rank, seeds = workload in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n\
-        \  \"schema_version\": 1,\n\
-        \  \"generated_by\": \"jim bench compare\",\n\
-        \  \"domains\": %d,\n\
-        \  \"workload\": {\"n_attrs\":%d,\"n_tuples\":%d,\"goal_rank\":%d,\
-         \"seeds\":%d},\n\
-        \  \"strategies\": [\n%s\n  ]\n}\n"
-        (Scorer.domains ()) n_attrs n_tuples goal_rank seeds
-        (String.concat ",\n" (List.map json_of_row rows)))
+  B.write_json B.strategies ~path
+    ~header:
+      [
+        ("domains", B.D (Scorer.domains ()));
+        ( "workload",
+          B.Raw
+            (Printf.sprintf
+               "{\"n_attrs\":%d,\"n_tuples\":%d,\"goal_rank\":%d,\"seeds\":%d}"
+               n_attrs n_tuples goal_rank seeds) );
+      ]
+    (List.map json_row rows)
 
 let run ?(out = "BENCH_strategies.json") ?(workload = default_workload) () =
   let n_attrs, n_tuples, goal_rank, seeds = workload in
@@ -96,7 +97,7 @@ let run ?(out = "BENCH_strategies.json") ?(workload = default_workload) () =
   let rows =
     List.map (measure ~n_attrs ~n_tuples ~goal_rank ~seeds) strategies
   in
-  Harness.table
+  B.table
     [
       "strategy"; "interactions"; "ms/question"; "meets"; "classify";
       "cache hit%";

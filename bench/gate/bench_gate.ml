@@ -6,17 +6,11 @@
      bench_gate.exe --baseline BENCH_wire.json --fresh fresh.json
                     [--tolerance 0.20] [--skip SUBSTRING]...
 
-   The file kind is dispatched on "generated_by", so one binary gates
-   all three committed BENCH files:
-     jim bench compare  -> strategies[].per_question_ms   (lower better)
-     jim bench store    -> results[].ops_per_s            (higher better)
-     jim bench wire     -> results[].rps (higher better)
-                           + results[].p50_us (lower better)
-     jim bench catalog  -> results[].starts_per_s         (higher better)
-     jim bench shard    -> results[].rps (higher better)
-                           + results[].p99_us (lower better)
-     jim bench load     -> results[].rps (higher better)
-                           + results[].p99_us (lower better)
+   The file kind is dispatched on "generated_by" through the kind table
+   in bench/common, which names each kind's row array, its gated
+   metrics with their directions, and its run parameters.  Runs whose
+   parameters differ (e.g. "domains" or "sync_us") are refused (exit 2)
+   rather than compared.
 
    --skip excludes rows whose name contains the substring — for rows
    that measure the machine rather than the code (e.g. fsync-bound
@@ -37,47 +31,10 @@ let read_json path =
   | Ok v -> v
   | Error e -> die "%s: %s" path e
 
-let str_field name v =
-  match Json.member name v with
-  | Some (Json.String s) -> s
-  | _ -> die "missing string field %S" name
-
-let num_field name row =
-  match Json.member name row with
-  | Some v -> (
-    match Json.as_float v with
-    | Ok f -> f
-    | Error e -> die "field %S: %s" name e)
-  | None -> die "row %s has no field %S" (str_field "name" row) name
-
-let rows_of kind v =
-  let list_field name =
-    match Json.member name v with
-    | Some (Json.List l) -> l
-    | _ -> die "missing array field %S" name
-  in
-  match kind with
-  | "jim bench compare" -> list_field "strategies"
-  | "jim bench store" | "jim bench wire" | "jim bench catalog"
-  | "jim bench shard" | "jim bench load" ->
-    list_field "results"
-  | k -> die "unknown generated_by %S" k
-
-(* (metric name, value extractor, direction): [`Higher] = bigger is
-   better (throughput), [`Lower] = smaller is better (latency). *)
-let metrics_of = function
-  | "jim bench compare" -> [ ("per_question_ms", `Lower) ]
-  | "jim bench store" -> [ ("ops_per_s", `Higher) ]
-  | "jim bench wire" -> [ ("rps", `Higher); ("p50_us", `Lower) ]
-  | "jim bench catalog" -> [ ("starts_per_s", `Higher) ]
-  | "jim bench shard" -> [ ("rps", `Higher); ("p99_us", `Lower) ]
-  | "jim bench load" -> [ ("rps", `Higher); ("p99_us", `Lower) ]
-  | k -> die "unknown generated_by %S" k
-
 let () =
   let baseline = ref "" and fresh = ref "" in
   let tolerance = ref 0.20 in
-  let skips = ref [] in
+  let skip = ref [] in
   let rec parse i =
     if i >= Array.length Sys.argv then ()
     else
@@ -90,69 +47,24 @@ let () =
       | "--baseline" -> baseline := need (); parse (i + 2)
       | "--fresh" -> fresh := need (); parse (i + 2)
       | "--tolerance" -> tolerance := float_of_string (need ()); parse (i + 2)
-      | "--skip" -> skips := need () :: !skips; parse (i + 2)
+      | "--skip" -> skip := need () :: !skip; parse (i + 2)
       | a -> die "unknown argument %S" a
   in
   parse 1;
   if !baseline = "" || !fresh = "" then
     die "usage: --baseline FILE --fresh FILE [--tolerance T] [--skip S]...";
   let base_json = read_json !baseline and fresh_json = read_json !fresh in
-  let kind = str_field "generated_by" base_json in
-  let fresh_kind = str_field "generated_by" fresh_json in
-  if kind <> fresh_kind then
-    die "kind mismatch: baseline is %S, fresh is %S" kind fresh_kind;
-  let fresh_rows =
-    List.map (fun r -> (str_field "name" r, r)) (rows_of kind fresh_json)
-  in
-  let skipped name = List.exists (fun s ->
-      let sl = String.length s and nl = String.length name in
-      let rec at i = i + sl <= nl && (String.sub name i sl = s || at (i + 1)) in
-      at 0)
-      !skips
-  in
-  let failures = ref 0 in
-  let checked = ref 0 in
-  List.iter
-    (fun row ->
-      let name = str_field "name" row in
-      if skipped name then Printf.printf "SKIP  %s\n" name
-      else
-        match List.assoc_opt name fresh_rows with
-        | None ->
-          incr failures;
-          Printf.printf "FAIL  %s: present in baseline, missing from fresh run\n"
-            name
-        | Some fresh_row ->
-          List.iter
-            (fun (metric, dir) ->
-              incr checked;
-              let base_v = num_field metric row in
-              let fresh_v = num_field metric fresh_row in
-              let ok, bound =
-                match dir with
-                | `Higher ->
-                  let bound = base_v *. (1.0 -. !tolerance) in
-                  (fresh_v >= bound, bound)
-                | `Lower ->
-                  let bound = base_v *. (1.0 +. !tolerance) in
-                  (fresh_v <= bound, bound)
-              in
-              if ok then
-                Printf.printf "ok    %s %s: %.1f (baseline %.1f)\n" name metric
-                  fresh_v base_v
-              else begin
-                incr failures;
-                Printf.printf
-                  "FAIL  %s %s: %.1f vs baseline %.1f (bound %.1f, tolerance \
-                   %.0f%%)\n"
-                  name metric fresh_v base_v bound (!tolerance *. 100.0)
-              end)
-            (metrics_of kind))
-    (rows_of kind base_json);
-  if !checked = 0 then die "no metrics compared — empty baseline?";
-  if !failures > 0 then begin
-    Printf.printf "bench-gate: %d regression(s) vs %s\n" !failures !baseline;
-    exit 1
-  end;
-  Printf.printf "bench-gate: %d metric(s) within %.0f%% of %s\n" !checked
-    (!tolerance *. 100.0) !baseline
+  match
+    Jim_bench.gate ~tolerance:!tolerance ~skip:!skip ~baseline:base_json
+      ~fresh:fresh_json
+  with
+  | Error m -> die "%s" m
+  | Ok v ->
+    List.iter (Printf.printf "%s\n") v.lines;
+    if v.checked = 0 then die "no metrics compared — empty baseline?";
+    if v.failures > 0 then begin
+      Printf.printf "bench-gate: %d regression(s) vs %s\n" v.failures !baseline;
+      exit 1
+    end;
+    Printf.printf "bench-gate: %d metric(s) within %.0f%% of %s\n" v.checked
+      (!tolerance *. 100.0) !baseline

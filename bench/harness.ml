@@ -18,26 +18,7 @@ let check name ok =
   Printf.printf "  [%s] %s\n" (if ok then "PASS" else "FAIL") name;
   ok
 
-(* A fixed-width table printer: headers + string rows. *)
-let table headers rows =
-  let cols = List.length headers in
-  let width c =
-    List.fold_left
-      (fun w row -> max w (String.length (List.nth row c)))
-      (String.length (List.nth headers c))
-      rows
-  in
-  let widths = List.init cols width in
-  let print_row row =
-    print_string "  ";
-    List.iteri
-      (fun c cell -> Printf.printf "%-*s  " (List.nth widths c) cell)
-      row;
-    print_newline ()
-  in
-  print_row headers;
-  print_row (List.map (fun w -> String.make w '-') widths);
-  List.iter print_row rows
+let table = Jim_bench.table
 
 (* Average interactions of [strategy] against [goal] on [instance] over
    [seeds] session seeds (the seed only matters for randomised

@@ -31,43 +31,12 @@
    Writes BENCH_load.json (schema_version + generated_by + rows), gated
    in CI by bench/gate against the committed baseline. *)
 
+module B = Jim_bench
 module P = Jim_api.Protocol
 module Node = Jim_shard.Node
 module Wire = Jim_server.Wire
-module Store = Jim_store.Store
 module Oracle = Jim_core.Oracle
 module Synth = Jim_workloads.Synthetic
-
-type row = {
-  name : string;
-  batch : bool;
-  conns : int;
-  pipeline : int;
-  requests : int;
-  wall_s : float;
-  p50_us : float;
-  p95_us : float;
-  p99_us : float;
-}
-
-let rps r = if r.wall_s <= 0.0 then 0.0 else float_of_int r.requests /. r.wall_s
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else
-    let idx = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
-    float_of_int sorted.(max 0 (min (n - 1) idx)) /. 1000.0
-
-let tmp name =
-  Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "jim-bench-load-%d-%s" (Unix.getpid ()) name)
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  end
 
 (* All threads of a row release together so the wall clock measures the
    loaded steady state, not connection ramp-up. *)
@@ -109,14 +78,8 @@ let oracle = lazy (Oracle.of_goal (Synth.generate params).Synth.goal)
 
 type session_reqs = { id : int; answer : string; undo : string }
 
-let start_session client seed =
-  match Wire.call client (P.Start_session { source; strategy = "random"; seed }) with
-  | Ok (P.Started { session; _ }) -> session
-  | Ok other -> failwith ("unexpected reply: " ^ P.response_to_string other)
-  | Error e -> failwith ("start: " ^ e)
-
 let setup_session client seed =
-  let id = start_session client seed in
+  let id = B.start_session client source seed in
   match Wire.call client (P.Get_question { session = id }) with
   | Ok (P.Question (Some { P.cls; sg; _ })) ->
     let label = Oracle.label (Lazy.force oracle) sg in
@@ -170,12 +133,8 @@ let check_reply line =
    [pipeline] in-order replies.  Each session has exactly one request
    in flight, the connection has [pipeline].  Latency is per request,
    from just before its wave's send burst to its reply. *)
-let client_run ~pipeline ~waves ~address ~barrier latencies slot =
-  let client =
-    match Wire.connect ~retries:50 ~framing:Wire.Binary address with
-    | Ok c -> c
-    | Error e -> failwith ("connect: " ^ e)
-  in
+let client_run ~pipeline ~waves ~address ~barrier slot =
+  let client = B.connect ~framing:Wire.Binary address in
   let sessions =
     List.init pipeline (fun k -> setup_session client ((1000 * slot) + k + 2))
   in
@@ -203,33 +162,25 @@ let client_run ~pipeline ~waves ~address ~barrier latencies slot =
   done;
   List.iter (fun s -> ignore (Wire.call client (P.End_session { session = s.id }))) sessions;
   Wire.close client;
-  latencies.(slot) <- lat
+  lat
 
 let measure ~name ~batch ~conns ~pipeline ~requests_target address =
   let waves = max 2 (requests_target / (conns * pipeline)) in
-  let latencies = Array.make conns [||] in
   let barrier = Barrier.make (conns + 1) in
-  let threads =
-    List.init conns (fun slot ->
-        Thread.create (client_run ~pipeline ~waves ~address ~barrier latencies) slot)
+  let clients =
+    B.spawn conns (client_run ~pipeline ~waves ~address ~barrier)
   in
   Barrier.wait barrier;
   let t0 = Unix.gettimeofday () in
-  List.iter Thread.join threads;
-  let wall = Unix.gettimeofday () -. t0 in
-  let all = Array.concat (Array.to_list latencies) in
-  Array.sort compare all;
-  {
-    name;
-    batch;
-    conns;
-    pipeline;
-    requests = conns * pipeline * waves;
-    wall_s = wall;
-    p50_us = percentile all 50.0;
-    p95_us = percentile all 95.0;
-    p99_us = percentile all 99.0;
-  }
+  let lat = B.join clients in
+  let wall_s = Unix.gettimeofday () -. t0 in
+  [
+    ("name", B.S name);
+    ("batch", B.B batch);
+    ("conns", B.D conns);
+    ("pipeline", B.D pipeline);
+  ]
+  @ B.timing ~requests:(conns * pipeline * waves) ~wall_s lat [ 50; 95; 99 ]
 
 (* ------------------------------------------------------------------ *)
 (* One server per mode: same event loop, same framing, same store
@@ -261,13 +212,13 @@ let sync_modelled_io delay =
   }
 
 let with_server ~sync_us name f =
-  let dir = tmp (name ^ ".d") in
-  rm_rf dir;
+  let dir = B.tmp (name ^ ".d") in
+  B.rm_rf dir;
   let io =
     if sync_us > 0 then sync_modelled_io (float_of_int sync_us /. 1e6)
     else Jim_store.Io.real
   in
-  let address = Wire.Unix_path (tmp (name ^ ".sock")) in
+  let address = Wire.Unix_path (B.tmp (name ^ ".sock")) in
   let node =
     Result.fold ~ok:Fun.id ~error:failwith
       (Node.start
@@ -285,60 +236,20 @@ let with_server ~sync_us name f =
       Printf.eprintf "# %s: %s\n%!" name (Node.stats_line node);
       Node.stop node;
       Jim_server.Netstats.reset ();
-      rm_rf dir)
+      B.rm_rf dir)
     (fun () -> f address)
 
-(* ------------------------------------------------------------------ *)
-(* Output                                                              *)
-
-let json_of_row r =
-  Printf.sprintf
-    "    {\"name\":%S,\"batch\":%b,\"conns\":%d,\"pipeline\":%d,\
-     \"requests\":%d,\"wall_s\":%.6f,\"rps\":%.1f,\
-     \"p50_us\":%.1f,\"p95_us\":%.1f,\"p99_us\":%.1f}"
-    r.name r.batch r.conns r.pipeline r.requests r.wall_s (rps r)
-    r.p50_us r.p95_us r.p99_us
-
-let write_json ~path ~sync_us rows =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n\
-        \  \"schema_version\": 1,\n\
-        \  \"generated_by\": \"jim bench load\",\n\
-        \  \"sync_us\": %d,\n\
-        \  \"results\": [\n%s\n  ]\n}\n"
-        sync_us
-        (String.concat ",\n" (List.map json_of_row rows)))
-
 let () =
-  let quick = Array.mem "--quick" Sys.argv in
-  let out =
-    let rec find i =
-      if i + 1 >= Array.length Sys.argv then "BENCH_load.json"
-      else if Sys.argv.(i) = "--out" then Sys.argv.(i + 1)
-      else find (i + 1)
-    in
-    find 1
-  in
-  let int_flag name default =
-    let rec find i =
-      if i + 1 >= Array.length Sys.argv then default
-      else if Sys.argv.(i) = name then int_of_string Sys.argv.(i + 1)
-      else find (i + 1)
-    in
-    find 1
-  in
+  let quick = B.quick () in
+  let out = B.out "BENCH_load.json" in
   let conns_list =
-    match int_flag "--conns" 0 with
+    match B.int_flag "--conns" 0 with
     | 0 -> if quick then [ 1; 8 ] else [ 1; 8; 64; 256 ]
     | c -> [ c ]
   in
   let requests_target = if quick then 4_000 else 24_000 in
-  let pipeline = int_flag "--pipeline" 4 in
-  let sync_us = int_flag "--sync-us" 0 in
+  let pipeline = B.int_flag "--pipeline" 4 in
+  let sync_us = B.int_flag "--sync-us" 0 in
   ignore (Lazy.force oracle);
   let off =
     with_server ~sync_us "off" (fun address ->
@@ -358,30 +269,20 @@ let () =
               ~batch:true ~conns ~pipeline ~requests_target address)
           conns_list)
   in
-  let rows =
-    List.concat_map (fun c ->
-        List.filter (fun r -> r.conns = c) (off @ on))
-      conns_list
-  in
-  Printf.printf "%-20s %6s %9s %10s %12s %9s %9s %9s\n" "benchmark" "conns"
-    "pipeline" "requests" "rps" "p50 us" "p95 us" "p99 us";
-  List.iter
-    (fun r ->
-      Printf.printf "%-20s %6d %9d %10d %12.1f %9.1f %9.1f %9.1f\n" r.name
-        r.conns r.pipeline r.requests (rps r) r.p50_us r.p95_us r.p99_us)
+  let pairs = List.combine off on in
+  let rows = List.concat_map (fun (o, b) -> [ o; b ]) pairs in
+  B.print_rows
+    [ "name"; "conns"; "pipeline"; "requests"; "rps"; "p50_us"; "p95_us"; "p99_us" ]
     rows;
   (* The acceptance view: batching-on vs batching-off at each width. *)
-  List.iter
-    (fun c ->
-      match
-        ( List.find_opt (fun r -> r.conns = c) off,
-          List.find_opt (fun r -> r.conns = c) on )
-      with
-      | Some o, Some b ->
-        Printf.printf
-          "c%-4d batching speedup %.2fx · on-p99 %.0fus vs 1.5x off-p50 %.0fus\n"
-          c (rps b /. rps o) b.p99_us (1.5 *. o.p50_us)
-      | _ -> ())
-    conns_list;
-  write_json ~path:out ~sync_us rows;
+  List.iter2
+    (fun c (o, b) ->
+      Printf.printf
+        "c%-4d batching speedup %.2fx · on-p99 %.0fus vs 1.5x off-p50 %.0fus\n"
+        c
+        (B.num b "rps" /. B.num o "rps")
+        (B.num b "p99_us")
+        (1.5 *. B.num o "p50_us"))
+    conns_list pairs;
+  B.write_json B.load ~path:out ~header:[ ("sync_us", B.D sync_us) ] rows;
   Printf.printf "wrote %s\n" out

@@ -136,7 +136,7 @@ let e6 () =
 
 let () =
   let skip_latency = Array.mem "--skip-latency" Sys.argv in
-  let quick = Array.mem "--quick" Sys.argv in
+  let quick = Jim_bench.quick () in
   if quick then ignore (Compare.run ~workload:(5, 80, 2, 2) ())
   else begin
     Experiments.run_all ();

@@ -12,92 +12,30 @@
    Writes BENCH_shard.json (schema_version + generated_by + rows), gated
    in CI by bench/gate against the committed baseline. *)
 
+module B = Jim_bench
 module P = Jim_api.Protocol
 module Node = Jim_shard.Node
 module Wire = Jim_server.Wire
-module Router = Jim_shard.Router
 module Front = Jim_shard.Front
 module Standby = Jim_shard.Standby
 module Repl = Jim_shard.Repl
 module Store = Jim_store.Store
 module Event = Jim_store.Event
 
-type row = {
-  name : string;
-  clients : int;
-  requests : int;
-  wall_s : float;
-  p50_us : float;
-  p99_us : float;
-}
+let latency_row ~name ~clients ~requests ~wall_s lat =
+  [ ("name", B.S name); ("clients", B.D clients) ]
+  @ B.timing ~requests ~wall_s lat [ 50; 99 ]
 
-let rps r = if r.wall_s <= 0.0 then 0.0 else float_of_int r.requests /. r.wall_s
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else
-    let idx = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
-    float_of_int sorted.(max 0 (min (n - 1) idx)) /. 1000.0
-
-let tmp name =
-  Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "jim-bench-shard-%d-%s" (Unix.getpid ()) name)
-
-let sock name = Wire.Unix_path (tmp (name ^ ".sock"))
+let sock name = Wire.Unix_path (B.tmp (name ^ ".sock"))
 
 (* ------------------------------------------------------------------ *)
 (* Routing rows: Stats throughput direct vs through the router.        *)
 
-let start_session client =
-  match
-    Wire.call client
-      (P.Start_session
-         { source = P.Builtin "flights"; strategy = "random"; seed = 7 })
-  with
-  | Ok (P.Started { session; _ }) -> session
-  | Ok other -> failwith ("unexpected reply: " ^ P.response_to_string other)
-  | Error e -> failwith ("start: " ^ e)
-
-let client_run ~requests address latencies slot =
-  let client =
-    match Wire.connect ~retries:50 ~framing:Wire.Binary address with
-    | Ok c -> c
-    | Error e -> failwith ("connect: " ^ e)
-  in
-  let session = start_session client in
-  let line = P.request_to_string (P.Stats { session }) in
-  let lat = Array.make requests 0 in
-  for i = 0 to requests - 1 do
-    let t0 = Jim_core.Metrics.now_ns () in
-    (match Wire.call_line client line with
-    | Ok _ -> ()
-    | Error e -> failwith ("call: " ^ e));
-    lat.(i) <- Jim_core.Metrics.now_ns () - t0
-  done;
-  ignore (Wire.call client (P.End_session { session }));
-  Wire.close client;
-  latencies.(slot) <- lat
-
 let measure ~name ~clients ~requests address =
-  let latencies = Array.make clients [||] in
-  let t0 = Unix.gettimeofday () in
-  let threads =
-    List.init clients (fun slot ->
-        Thread.create (client_run ~requests address latencies) slot)
+  let wall_s, lat =
+    B.stats_load ~framing:Wire.Binary ~clients ~requests address
   in
-  List.iter Thread.join threads;
-  let wall = Unix.gettimeofday () -. t0 in
-  let all = Array.concat (Array.to_list latencies) in
-  Array.sort compare all;
-  {
-    name;
-    clients;
-    requests = clients * requests;
-    wall_s = wall;
-    p50_us = percentile all 50.0;
-    p99_us = percentile all 99.0;
-  }
+  latency_row ~name ~clients ~requests:(clients * requests) ~wall_s lat
 
 let start_node role listen =
   Result.fold ~ok:Fun.id ~error:failwith
@@ -137,14 +75,6 @@ let with_router shards f =
 (* ------------------------------------------------------------------ *)
 (* Replication rows: the persist path with and without the stream.     *)
 
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter
-      (fun f -> Sys.remove (Filename.concat dir f))
-      (Sys.readdir dir);
-    Unix.rmdir dir
-  end
-
 let bench_events ~name ~pairs record =
   (* One Started/Ended pair per iteration: the smallest event mix that
      keeps shadow state flat, so the cost stays per-event. *)
@@ -169,20 +99,13 @@ let bench_events ~name ~pairs record =
     record (Event.Ended { session = i + 1 });
     lat.((2 * i) + 1) <- Jim_core.Metrics.now_ns () - t2
   done;
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall_s = Unix.gettimeofday () -. t0 in
   Array.sort compare lat;
-  {
-    name;
-    clients = 1;
-    requests = 2 * pairs;
-    wall_s = wall;
-    p50_us = percentile lat 50.0;
-    p99_us = percentile lat 99.0;
-  }
+  latency_row ~name ~clients:1 ~requests:(2 * pairs) ~wall_s lat
 
 let bench_record_only ~pairs =
-  let dir = tmp "repl-off" in
-  rm_rf dir;
+  let dir = B.tmp "repl-off" in
+  B.rm_rf dir;
   match Store.open_dir ~fsync:false dir with
   | Error e -> failwith e
   | Ok (store, _) ->
@@ -190,13 +113,13 @@ let bench_record_only ~pairs =
       bench_events ~name:"repl/record-only" ~pairs (Store.record store)
     in
     Store.close store;
-    rm_rf dir;
+    B.rm_rf dir;
     row
 
 let bench_record_stream ~pairs =
-  let dir = tmp "repl-on" and sdir = tmp "repl-standby" in
-  rm_rf dir;
-  rm_rf sdir;
+  let dir = B.tmp "repl-on" and sdir = B.tmp "repl-standby" in
+  B.rm_rf dir;
+  B.rm_rf sdir;
   match Store.open_dir ~fsync:false dir with
   | Error e -> failwith e
   | Ok (store, _) ->
@@ -214,44 +137,14 @@ let bench_record_stream ~pairs =
     Repl.close repl;
     Standby.close stb;
     Store.close store;
-    rm_rf dir;
-    rm_rf sdir;
+    B.rm_rf dir;
+    B.rm_rf sdir;
     row
 
-(* ------------------------------------------------------------------ *)
-(* Output                                                              *)
-
-let json_of_row r =
-  Printf.sprintf
-    "    {\"name\":%S,\"clients\":%d,\"requests\":%d,\"wall_s\":%.6f,\
-     \"rps\":%.1f,\"p50_us\":%.1f,\"p99_us\":%.1f}"
-    r.name r.clients r.requests r.wall_s (rps r) r.p50_us r.p99_us
-
-let write_json ~path rows =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n\
-        \  \"schema_version\": 1,\n\
-        \  \"generated_by\": \"jim bench shard\",\n\
-        \  \"results\": [\n%s\n  ]\n}\n"
-        (String.concat ",\n" (List.map json_of_row rows)))
-
 let () =
-  let quick = Array.mem "--quick" Sys.argv in
-  let out =
-    let rec find i =
-      if i + 1 >= Array.length Sys.argv then "BENCH_shard.json"
-      else if Sys.argv.(i) = "--out" then Sys.argv.(i + 1)
-      else find (i + 1)
-    in
-    find 1
-  in
-  let scale n = if quick then max 1 (n / 10) else n in
-  let requests = scale 10_000 in
-  let pairs = scale 50_000 in
+  let out = B.out "BENCH_shard.json" in
+  let requests = B.scale 10_000 in
+  let pairs = B.scale 50_000 in
   let rows =
     with_shards 3 (fun shards ->
         let s0 = match shards with (_, a, _) :: _ -> a | [] -> assert false in
@@ -269,12 +162,6 @@ let () =
         [ direct; routed1; routed3 ])
     @ [ bench_record_only ~pairs; bench_record_stream ~pairs ]
   in
-  Printf.printf "%-22s %8s %10s %12s %10s %10s\n" "benchmark" "clients"
-    "requests" "rps" "p50 us" "p99 us";
-  List.iter
-    (fun r ->
-      Printf.printf "%-22s %8d %10d %12.1f %10.1f %10.1f\n" r.name r.clients
-        r.requests (rps r) r.p50_us r.p99_us)
-    rows;
-  write_json ~path:out rows;
+  B.print_rows [ "name"; "clients"; "requests"; "rps"; "p50_us"; "p99_us" ] rows;
+  B.write_json B.shard ~path:out rows;
   Printf.printf "wrote %s\n" out

@@ -7,8 +7,10 @@
    Writes the machine-readable BENCH_store.json (schema mirrors
    BENCH_strategies.json: schema_version + generated_by + rows). *)
 
+module B = Jim_bench
 module Pr = Jim_api.Protocol
 module Service = Jim_server.Service
+module Smoke = Jim_server.Smoke
 module Node = Jim_shard.Node
 module Store = Jim_store.Store
 module Journal = Jim_store.Journal
@@ -17,35 +19,22 @@ module Recovery = Jim_store.Recovery
 module W = Jim_workloads
 open Jim_core
 
-type row = {
-  name : string;
-  ops : int;  (* records appended / events replayed *)
-  bytes : int;  (* payload bytes through the journal, 0 if n/a *)
-  wall_s : float;
-}
+(* [ops]: records appended or events replayed; [bytes]: payload bytes
+   through the journal, 0 where none. *)
+let row ~name ~ops ~bytes ~wall_s =
+  [
+    ("name", B.S name);
+    ("ops", B.D ops);
+    ("wall_s", B.F6 wall_s);
+    ("ops_per_s", B.F1 (B.rate ops wall_s));
+    ( "mb_per_s",
+      B.F3
+        (if wall_s <= 0.0 || bytes = 0 then 0.0
+         else float_of_int bytes /. 1048576.0 /. wall_s) );
+  ]
 
-let ops_per_s r =
-  if r.wall_s <= 0.0 then 0.0 else float_of_int r.ops /. r.wall_s
-
-let mb_per_s r =
-  if r.wall_s <= 0.0 || r.bytes = 0 then 0.0
-  else float_of_int r.bytes /. 1048576.0 /. r.wall_s
-
-(* ------------------------------------------------------------------ *)
-(* Scratch space                                                       *)
-
-let scratch_root =
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "jim-bench-store-%d" (Unix.getpid ()))
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | exception Unix.Unix_error _ -> ()
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | _ -> ( try Sys.remove path with Sys_error _ -> ())
+(* Every row's data directory is a fresh subdirectory of one root. *)
+let scratch_root = B.tmp "store"
 
 let scratch =
   let counter = ref 0 in
@@ -93,9 +82,9 @@ let bench_append ~name ~fsync ~threads ~per_thread =
      List.iter Thread.join (List.init threads spawn));
   let wall = Unix.gettimeofday () -. t0 in
   Journal.close j;
-  rm_rf dir;
+  B.rm_rf dir;
   let ops = threads * per_thread in
-  { name; ops; bytes = ops * String.length sample_payload; wall_s = wall }
+  row ~name ~ops ~bytes:(ops * String.length sample_payload) ~wall_s:wall
 
 (* ------------------------------------------------------------------ *)
 (* The Store.record hot path: encode + shadow update + journal append   *)
@@ -145,8 +134,8 @@ let bench_store_record ~name ~fsync ~events =
   let sorted = List.sort compare (windows [] 0.) in
   let wall = List.nth sorted (List.length sorted / 2) in
   Store.close store;
-  rm_rf dir;
-  { name; ops = events; bytes = 0; wall_s = wall }
+  B.rm_rf dir;
+  row ~name ~ops:events ~bytes:0 ~wall_s:wall
 
 (* ------------------------------------------------------------------ *)
 (* Recovery latency                                                    *)
@@ -202,13 +191,9 @@ let bench_recovery_journal ~sessions ~answers =
   in
   let wall = Unix.gettimeofday () -. t0 in
   assert (List.length recovered.Recovery.sessions = sessions);
-  rm_rf dir;
-  {
-    name = "recovery/journal-replay";
-    ops = sessions * (answers + 1);
-    bytes = 0;
-    wall_s = wall;
-  }
+  B.rm_rf dir;
+  row ~name:"recovery/journal-replay" ~ops:(sessions * (answers + 1)) ~bytes:0
+    ~wall_s:wall
 
 let bench_recovery_snapshot ~sessions ~answers =
   let dir, store = populate ~sessions ~answers in
@@ -225,13 +210,9 @@ let bench_recovery_snapshot ~sessions ~answers =
   in
   let wall = Unix.gettimeofday () -. t0 in
   assert (List.length recovered.Recovery.sessions = sessions);
-  rm_rf dir;
-  {
-    name = "recovery/snapshot";
-    ops = sessions * (answers + 1);
-    bytes = 0;
-    wall_s = wall;
-  }
+  B.rm_rf dir;
+  row ~name:"recovery/snapshot" ~ops:(sessions * (answers + 1)) ~bytes:0
+    ~wall_s:wall
 
 (* End-to-end: open the store AND rebuild live Service sessions (replay
    through the engine, the part that actually re-runs inference).        *)
@@ -249,28 +230,13 @@ let bench_recovery_service ~sessions =
   let node = durable_node () in
   let total_answers = ref 0 in
   for seed = 1 to sessions do
-    let params =
-      { W.Synthetic.n_attrs = 5; n_tuples = 40; domain = 8; goal_rank = 2; seed }
-    in
-    let inst = W.Synthetic.generate params in
+    let inst = W.Synthetic.generate (Smoke.synthetic_params seed) in
     let oracle = Oracle.of_goal inst.W.Synthetic.goal in
     let session =
       match
         Node.handle node
           (Pr.Start_session
-             {
-               source =
-                 Pr.Synthetic
-                   {
-                     n_attrs = params.W.Synthetic.n_attrs;
-                     n_tuples = params.W.Synthetic.n_tuples;
-                     domain = params.W.Synthetic.domain;
-                     goal_rank = params.W.Synthetic.goal_rank;
-                     seed = params.W.Synthetic.seed;
-                   };
-               strategy = "random";
-               seed;
-             })
+             { source = Smoke.synthetic_source seed; strategy = "random"; seed })
       with
       | Pr.Started { session; _ } -> session
       | other -> failwith (Pr.response_to_string other)
@@ -300,71 +266,31 @@ let bench_recovery_service ~sessions =
     Option.fold ~none:0 ~some:Service.session_count (Node.service node')
   in
   Node.stop node';
-  rm_rf dir;
+  B.rm_rf dir;
   assert (restored = sessions);
-  {
-    name = "recovery/service-restore";
-    ops = !total_answers;
-    bytes = 0;
-    wall_s = wall;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Output                                                              *)
-
-let json_of_row r =
-  Printf.sprintf
-    "    {\"name\":%S,\"ops\":%d,\"wall_s\":%.6f,\"ops_per_s\":%.1f,\
-     \"mb_per_s\":%.3f}"
-    r.name r.ops r.wall_s (ops_per_s r) (mb_per_s r)
-
-let write_json ~path rows =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n\
-        \  \"schema_version\": 1,\n\
-        \  \"generated_by\": \"jim bench store\",\n\
-        \  \"payload_bytes\": %d,\n\
-        \  \"results\": [\n%s\n  ]\n}\n"
-        (String.length sample_payload)
-        (String.concat ",\n" (List.map json_of_row rows)))
+  row ~name:"recovery/service-restore" ~ops:(!total_answers) ~bytes:0
+    ~wall_s:wall
 
 let () =
-  let quick = Array.mem "--quick" Sys.argv in
-  let out =
-    let rec find i =
-      if i + 1 >= Array.length Sys.argv then "BENCH_store.json"
-      else if Sys.argv.(i) = "--out" then Sys.argv.(i + 1)
-      else find (i + 1)
-    in
-    find 1
-  in
-  let scale n = if quick then max 1 (n / 10) else n in
+  let out = B.out "BENCH_store.json" in
   let rows =
     [
       bench_append ~name:"append/no-fsync" ~fsync:false ~threads:1
-        ~per_thread:(scale 50_000);
+        ~per_thread:(B.scale 50_000);
       bench_append ~name:"append/fsync" ~fsync:true ~threads:1
-        ~per_thread:(scale 500);
+        ~per_thread:(B.scale 500);
       bench_append ~name:"append/fsync-8-writers" ~fsync:true ~threads:8
-        ~per_thread:(scale 500);
+        ~per_thread:(B.scale 500);
       bench_store_record ~name:"store-record/no-fsync" ~fsync:false
-        ~events:(scale 50_000);
-      bench_recovery_journal ~sessions:(scale 20) ~answers:50;
-      bench_recovery_snapshot ~sessions:(scale 20) ~answers:50;
-      bench_recovery_service ~sessions:(scale 10);
+        ~events:(B.scale 50_000);
+      bench_recovery_journal ~sessions:(B.scale 20) ~answers:50;
+      bench_recovery_snapshot ~sessions:(B.scale 20) ~answers:50;
+      bench_recovery_service ~sessions:(B.scale 10);
     ]
   in
-  Printf.printf "%-30s %10s %10s %12s %10s\n" "benchmark" "ops" "wall s"
-    "ops/s" "MB/s";
-  List.iter
-    (fun r ->
-      Printf.printf "%-30s %10d %10.4f %12.1f %10.3f\n" r.name r.ops r.wall_s
-        (ops_per_s r) (mb_per_s r))
+  B.print_rows [ "name"; "ops"; "wall_s"; "ops_per_s"; "mb_per_s" ] rows;
+  B.write_json B.store ~path:out
+    ~header:[ ("payload_bytes", B.D (String.length sample_payload)) ]
     rows;
-  write_json ~path:out rows;
   Printf.printf "\nwrote %s\n" out;
-  rm_rf scratch_root
+  B.rm_rf scratch_root
