@@ -4,8 +4,9 @@
 
    Run with: dune exec bench/main.exe
    Pass --skip-latency to run only the interaction-count experiments,
-   --quick for the CI smoke run (the strategy-scorer compare harness
-   only, which also writes BENCH_strategies.json). *)
+   --quick for the CI smoke run (the strategy-scorer compare harness,
+   which also writes BENCH_strategies.json, and the first two first-pick
+   rows). *)
 
 module W = Jim_workloads
 open Jim_core
@@ -137,10 +138,14 @@ let e6 () =
 let () =
   let skip_latency = Array.mem "--skip-latency" Sys.argv in
   let quick = Jim_bench.quick () in
-  if quick then ignore (Compare.run ~workload:(5, 80, 2, 2) ())
+  if quick then begin
+    ignore (Compare.run ~workload:(5, 80, 2, 2) ());
+    First_pick.run ~rows:2
+  end
   else begin
     Experiments.run_all ();
     ignore (Compare.run ());
+    First_pick.run ~rows:3;
     if not skip_latency then e6 ()
   end;
   Harness.section "DONE" "all experiments executed";

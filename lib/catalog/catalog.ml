@@ -130,7 +130,7 @@ let derive t origin rel schema ~csv ~fp =
     classes;
   let st0 = State.create n in
   let initial_statuses =
-    Array.map (fun (c : Sigclass.cls) -> State.classify st0 c.Sigclass.sg) classes
+    Array.map (fun (c : Sigclass.cls) -> State.classify_bits st0 c.Sigclass.bits) classes
   in
   {
     fingerprint = fp;

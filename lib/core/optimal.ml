@@ -43,7 +43,7 @@ let search ?(max_states = 200_000) st classes =
     let out = ref [] in
     Array.iteri
       (fun i (c : Sigclass.cls) ->
-        if State.classify st c.sg = State.Informative then out := i :: !out)
+        if State.classify_bits st c.bits = State.Informative then out := i :: !out)
       classes;
     List.rev !out
   in

@@ -1,11 +1,13 @@
-module Partition = Jim_partition.Partition
+module Pairs = Jim_partition.Pairs
 
 (* The round-scoped scoring engine every strategy routes through.
 
    A lookahead strategy scores each informative class c by re-classifying
    every informative class i under the two hypothetical states "c labelled
    +" and "c labelled -" — O(k^2) classifications per question, each one a
-   lattice meet.  Three observations make this cheap:
+   lattice meet.  Classes and states carry their partitions as pair
+   words ([Jim_partition.Pairs]), so a meet is a [land] per word and a
+   refinement test a [land lnot].  Three observations make this cheap:
 
    - [meet s sig_i] only depends on the round's state, not on the
      candidate: compute it once per round and share it across candidates
@@ -27,7 +29,7 @@ module Partition = Jim_partition.Partition
    interned in a striped structure:
 
    - a status row ([Bytes.t], one byte per class, keyed by [State.key])
-     and a meet row ([Partition.t array], one slot per class, keyed by
+     and a meet row ([Pairs.t array], one slot per class, keyed by
      [State.canonical_key]) hold values that are pure functions of their
      key, so slot reads and writes need no synchronisation.  A status
      byte is [unset] until computed, then one code per status; a meet
@@ -54,7 +56,7 @@ module Partition = Jim_partition.Partition
 type stripe = {
   lock : Mutex.t;
   rows : (string, Bytes.t) Hashtbl.t;
-  meet_rows : (string, Partition.t array) Hashtbl.t;
+  meet_rows : (string, Pairs.t array) Hashtbl.t;
   mutable bytes : int;
   mutable evicted : int;
 }
@@ -137,18 +139,18 @@ let decode = function
   | '\002' -> State.Certain_neg
   | _ -> State.Informative
 
-(* The "not computed yet" meet slot: a private one-element partition.
-   A real meet is a fresh array from [Partition.meet], so it is never
-   physically equal to this value (a zero-size sentinel would not do: it
-   would be the shared empty array, which is also the meet of two
-   zero-attribute partitions). *)
-let no_meet = Partition.bottom 1
+(* The "not computed yet" meet slot: a private one-word value.  A real
+   meet is a fresh value from [Pairs.meet], so it is never physically
+   equal to this one (a zero-word sentinel would not do: it would be the
+   shared empty array, which is also the meet of two partitions of fewer
+   than two attributes). *)
+let no_meet = Pairs.top 2
 
 type t = {
   st : State.t;
   classes : Sigclass.cls array;
   informative : int array;
-  meets : Partition.t array;
+  meets : Pairs.t array;
       (** per class: [meet st.s sig_i], [no_meet] until computed *)
   hyps : (State.t option * State.t option) option array;
       (** per candidate: the two hypothetical states *)
@@ -178,14 +180,15 @@ let informative_gen classes status =
 let informative_of st classes =
   informative_gen classes (fun i ->
       Metrics.record_classify ();
-      State.classify st classes.(i).Sigclass.sg)
+      State.classify_bits st classes.(i).Sigclass.bits)
 
 (* The per-round meet table only depends on the round's canonical
    predicate [s], so with a shared cache it is interned under
    [State.canonical_key]: every session on the instance that reaches a
    state with the same [s] (most obviously round 0) reuses the same row.
    Its size is counted as if every slot were filled: the array plus one
-   [n]-element partition per class. *)
+   [n]-element representative array per class, which bounds a slot's
+   pair words while [n] is below about 128. *)
 let meets_row cache classes st =
   let k = Array.length classes in
   find_or_add cache
@@ -217,22 +220,22 @@ let meet_s sc i =
   if m != no_meet then m
   else begin
     Metrics.record_meet ();
-    let m = Partition.meet sc.st.State.s sc.classes.(i).Sigclass.sg in
+    let m = Pairs.meet sc.st.State.s_bits sc.classes.(i).Sigclass.bits in
     sc.meets.(i) <- m;
     m
   end
 
-let meet_rank sc i = Partition.rank (meet_s sc i)
+let meet_rank sc i = Pairs.rank sc.st.State.n (meet_s sc i)
 
 let hypothetical sc c =
   match sc.hyps.(c) with
   | Some h -> h
   | None ->
-    let sg = sc.classes.(c).Sigclass.sg in
+    let cls = sc.classes.(c) in
     let branch label =
       (* State.add computes one meet internally. *)
       Metrics.record_meet ();
-      match State.add sc.st label sg with
+      match State.add_bits sc.st label cls.Sigclass.sg cls.Sigclass.bits with
       | Ok st' -> Some st'
       | Error `Contradiction -> None
     in
@@ -248,24 +251,26 @@ let row_of cache classes st' =
     (State.key st') ~size:k
     (fun () -> Bytes.make k unset)
 
+let rec refines_any m = function
+  | [] -> false
+  | u :: us -> Pairs.refines m u || refines_any m us
+
 (* [State.classify st' sig_i], but reusing the shared per-round meets when
    [st'] kept the round's canonical predicate (every negative branch
-   does). *)
+   does); a state that moved tests [s' ∧ sig_i ⊑ u] without building the
+   meet. *)
 let classify_uncached sc st' i =
   Metrics.record_classify ();
-  let sg = sc.classes.(i).Sigclass.sg in
-  if Partition.refines st'.State.s sg then State.Certain_pos
-  else
-    let m =
-      if st'.State.s == sc.st.State.s then meet_s sc i
-      else begin
-        Metrics.record_meet ();
-        Partition.meet st'.State.s sg
-      end
-    in
-    if List.exists (fun u -> Partition.refines m u) st'.State.negatives then
-      State.Certain_neg
-    else State.Informative
+  let g = sc.classes.(i).Sigclass.bits in
+  if st'.State.s != sc.st.State.s then
+    match State.classify_bits st' g with
+    | State.Certain_pos -> State.Certain_pos
+    | v ->
+      Metrics.record_meet ();
+      v
+  else if Pairs.refines st'.State.s_bits g then State.Certain_pos
+  else if refines_any (meet_s sc i) st'.State.neg_bits then State.Certain_neg
+  else State.Informative
 
 (* A memoised slot is decoded on a hit; a miss computes the status and
    stores its code.  (Written out twice rather than through a closure:
@@ -293,7 +298,7 @@ let class_status cache classes st i =
   else begin
     Metrics.record_miss ();
     Metrics.record_classify ();
-    let v = State.classify st classes.(i).Sigclass.sg in
+    let v = State.classify_bits st classes.(i).Sigclass.bits in
     Bytes.set row i (encode v);
     v
   end
@@ -308,12 +313,19 @@ let of_state ?cache st classes =
     create ~cache st classes
       (informative_gen classes (fun i -> class_status cache classes st i))
 
-let decided_under sc st' =
+(* Informative classes decided in [st'], each weighted by [weight]: a
+   loop, not a fold, since this is the inner loop of every lookahead. *)
+let decided_weighted sc st' weight =
   let row = row_of sc.cache sc.classes st' in
-  Array.fold_left
-    (fun acc i ->
-      if classify_row sc st' row i <> State.Informative then acc + 1 else acc)
-    0 sc.informative
+  let acc = ref 0 in
+  for j = 0 to Array.length sc.informative - 1 do
+    let i = sc.informative.(j) in
+    if classify_row sc st' row i <> State.Informative then
+      acc := !acc + weight sc i
+  done;
+  !acc
+
+let decided_under sc st' = decided_weighted sc st' (fun _ _ -> 1)
 
 let decided_counts sc c =
   let st_pos, st_neg = hypothetical sc c in
@@ -333,13 +345,7 @@ let decided_cards sc c =
   let count = function
     | None -> total
     | Some st' ->
-      let row = row_of sc.cache sc.classes st' in
-      Array.fold_left
-        (fun acc i ->
-          if classify_row sc st' row i <> State.Informative then
-            acc + sc.classes.(i).Sigclass.card
-          else acc)
-        0 sc.informative
+      decided_weighted sc st' (fun sc i -> sc.classes.(i).Sigclass.card)
   in
   (count st_pos, count st_neg)
 

@@ -74,8 +74,8 @@ val informative : t -> int array
 
 (** {1 Memoised per-candidate work} *)
 
-val meet_s : t -> int -> Jim_partition.Partition.t
-(** [meet s sig_i], computed once per round per class. *)
+val meet_s : t -> int -> Jim_partition.Pairs.t
+(** [meet s sig_i] as pair words, computed once per round per class. *)
 
 val meet_rank : t -> int -> int
 

@@ -31,7 +31,7 @@ type t = {
 
 let refresh_statuses eng =
   eng.statuses <-
-    Array.map (fun (c : Sigclass.cls) -> State.classify eng.st c.sg) eng.classes
+    Array.map (fun (c : Sigclass.cls) -> State.classify_bits eng.st c.bits) eng.classes
 
 (* Knowledge only grows, so certainty is monotone: a class decided under
    the old state stays decided (with the same polarity) under the new one

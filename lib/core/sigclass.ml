@@ -1,27 +1,27 @@
 module Partition = Jim_partition.Partition
+module Pairs = Jim_partition.Pairs
 module Relation = Jim_relational.Relation
 
-type cls = { sg : Partition.t; rows : int list; card : int }
+type cls = { sg : Partition.t; bits : Pairs.t; rows : int list; card : int }
 
 let group sigs =
-  let tbl = Hashtbl.create 64 in
+  let tbl = Partition.Tbl.create 64 in
+  (* Latest-first: (signature, its rows latest-first). *)
   let order = ref [] in
   List.iteri
     (fun i sg ->
-      let key = Partition.to_string sg in
-      match Hashtbl.find_opt tbl key with
-      | Some (sg', rows) -> Hashtbl.replace tbl key (sg', i :: rows)
+      match Partition.Tbl.find_opt tbl sg with
+      | Some rows -> rows := i :: !rows
       | None ->
-        Hashtbl.add tbl key (sg, [ i ]);
-        order := key :: !order)
+        let rows = ref [ i ] in
+        Partition.Tbl.add tbl sg rows;
+        order := (sg, rows) :: !order)
     sigs;
-  let mk key =
-    let sg, rows = Hashtbl.find tbl key in
-    let rows = List.rev rows in
-    { sg; rows; card = List.length rows }
+  let mk (sg, rows) =
+    let rows = List.rev !rows in
+    { sg; bits = Pairs.of_partition sg; rows; card = List.length rows }
   in
-  (* !order holds keys latest-first; rev_map restores first-occurrence
-     order. *)
+  (* rev_map restores first-occurrence order. *)
   Array.of_list (List.rev_map mk !order)
 
 let of_signatures sigs = group sigs
@@ -30,7 +30,7 @@ let classes r = group (Array.to_list (Relation.signatures r))
 
 let singletons r =
   Array.mapi
-    (fun i sg -> { sg; rows = [ i ]; card = 1 })
+    (fun i sg -> { sg; bits = Pairs.of_partition sg; rows = [ i ]; card = 1 })
     (Relation.signatures r)
 
 let representative c = match c.rows with [] -> assert false | r :: _ -> r

@@ -8,6 +8,9 @@
 
 type cls = {
   sg : Jim_partition.Partition.t;  (** the shared signature *)
+  bits : Jim_partition.Pairs.t;
+      (** [sg] as pair words, computed once with the class: what the
+          engine classifies on *)
   rows : int list;                 (** row numbers in the source relation, ascending *)
   card : int;                      (** [List.length rows] *)
 }

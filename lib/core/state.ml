@@ -1,5 +1,5 @@
 module Partition = Jim_partition.Partition
-module Lattice = Jim_partition.Lattice
+module Pairs = Jim_partition.Pairs
 
 type label = Pos | Neg
 
@@ -9,42 +9,71 @@ type t = {
   negatives : Partition.t list;
   pos_count : int;
   neg_count : int;
+  s_bits : Pairs.t;
+  neg_bits : Pairs.t list;
 }
 
 let create n =
-  { n; s = Partition.top n; negatives = []; pos_count = 0; neg_count = 0 }
+  {
+    n;
+    s = Partition.top n;
+    negatives = [];
+    pos_count = 0;
+    neg_count = 0;
+    s_bits = Pairs.top n;
+    neg_bits = [];
+  }
 
-let normalise_negatives s negs =
-  (* Clip into ↓s, drop the ones swallowed by others, sort for canonical
-     keys.  A clipped negative equal to s means contradiction — callers
-     check before storing. *)
-  List.map (Partition.meet s) negs
-  |> Lattice.maximal_elements
-  |> List.sort Partition.compare
+(* Clip each negative (with its words) into ↓s, drop the ones swallowed
+   by others, sort for canonical keys.  A clipped negative equal to s
+   means contradiction — callers check before storing. *)
+let normalise_negatives s s_bits negs =
+  let clip ((u, ub) as neg) =
+    let ub' = Pairs.meet s_bits ub in
+    if Pairs.equal ub' ub then neg else (Partition.meet s u, ub')
+  in
+  let negs = List.map clip negs in
+  let below (_, ub) (_, vb) = (not (Pairs.equal ub vb)) && Pairs.refines ub vb in
+  List.filter (fun u -> not (List.exists (below u) negs)) negs
+  |> List.sort_uniq (fun (u, _) (v, _) -> Partition.compare u v)
+  |> List.split
 
 let check_arity st sg =
   if Partition.size sg <> st.n then invalid_arg "State: signature arity mismatch"
 
-let add st label sg =
+let add_bits st label sg g =
   check_arity st sg;
+  let negs = List.combine st.negatives st.neg_bits in
   match label with
   | Pos ->
-    let s' = Partition.meet st.s sg in
-    let negatives' = normalise_negatives s' st.negatives in
-    if List.exists (Partition.equal s') negatives' then Error `Contradiction
+    let s' = Partition.meet st.s sg and s_bits' = Pairs.meet st.s_bits g in
+    let negatives', neg_bits' = normalise_negatives s' s_bits' negs in
+    if List.exists (Pairs.equal s_bits') neg_bits' then Error `Contradiction
     else
       Ok
         {
           st with
           s = s';
+          s_bits = s_bits';
           negatives = negatives';
+          neg_bits = neg_bits';
           pos_count = st.pos_count + 1;
         }
   | Neg ->
-    if Partition.refines st.s sg then Error `Contradiction
+    if Pairs.refines st.s_bits g then Error `Contradiction
     else
-      let negatives' = normalise_negatives st.s (sg :: st.negatives) in
-      Ok { st with negatives = negatives'; neg_count = st.neg_count + 1 }
+      let negatives', neg_bits' =
+        normalise_negatives st.s st.s_bits ((sg, g) :: negs)
+      in
+      Ok
+        {
+          st with
+          negatives = negatives';
+          neg_bits = neg_bits';
+          neg_count = st.neg_count + 1;
+        }
+
+let add st label sg = add_bits st label sg (Pairs.of_partition sg)
 
 let add_exn st label sg =
   match add st label sg with
@@ -52,8 +81,9 @@ let add_exn st label sg =
   | Error `Contradiction -> invalid_arg "State.add_exn: contradictory label"
 
 let hypothetical st sg =
+  let g = Pairs.of_partition sg in
   let branch label =
-    match add st label sg with
+    match add_bits st label sg g with
     | Ok st' -> Some st'
     | Error `Contradiction -> None
   in
@@ -61,20 +91,26 @@ let hypothetical st sg =
 
 type status = Certain_pos | Certain_neg | Informative
 
+let rec below_any s g = function
+  | [] -> false
+  | u :: us -> Pairs.meet_refines s g u || below_any s g us
+
+let classify_bits st g =
+  if Pairs.refines st.s_bits g then Certain_pos
+  else if below_any st.s_bits g st.neg_bits then Certain_neg
+  else Informative
+
 let classify st sg =
   check_arity st sg;
-  if Partition.refines st.s sg then Certain_pos
-  else
-    let m = Partition.meet st.s sg in
-    if List.exists (fun u -> Partition.refines m u) st.negatives then
-      Certain_neg
-    else Informative
+  classify_bits st (Pairs.of_partition sg)
 
 let selects st sg = Partition.refines st.s sg
 
 let consistent st q =
-  Partition.refines q st.s
-  && not (List.exists (fun u -> Partition.refines q u) st.negatives)
+  check_arity st q;
+  let qb = Pairs.of_partition q in
+  Pairs.refines qb st.s_bits
+  && not (List.exists (Pairs.refines qb) st.neg_bits)
 
 let canonical st = st.s
 

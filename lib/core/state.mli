@@ -21,6 +21,9 @@ type t = private {
           below [s]); sorted by [Partition.compare] *)
   pos_count : int;
   neg_count : int;
+  s_bits : Jim_partition.Pairs.t;  (** [s] as pair words *)
+  neg_bits : Jim_partition.Pairs.t list;
+      (** [negatives] as pair words, in the same order *)
 }
 
 val create : int -> t
@@ -31,6 +34,15 @@ val add :
 (** Record the signature of a labelled tuple.  [`Contradiction] means no
     predicate is consistent with the labels any more (only possible with a
     noisy user); the state is unchanged in that case. *)
+
+val add_bits :
+  t ->
+  label ->
+  Jim_partition.Partition.t ->
+  Jim_partition.Pairs.t ->
+  (t, [ `Contradiction ]) result
+(** {!add}, given the signature's pair words too (as a
+    {!Sigclass.cls} carries them). *)
 
 val add_exn : t -> label -> Jim_partition.Partition.t -> t
 (** Raises [Invalid_argument] on contradiction. *)
@@ -49,6 +61,10 @@ val classify : t -> Jim_partition.Partition.t -> status
       ([s ∧ sig ⊑ u] for some negative [u]);
     - [Informative]: consistent predicates disagree — labelling it will
       strictly shrink the version space. *)
+
+val classify_bits : t -> Jim_partition.Pairs.t -> status
+(** {!classify} on a signature's pair words (which must be over [n]
+    attributes; nothing checks it). *)
 
 val selects : t -> Jim_partition.Partition.t -> bool
 (** Does the canonical predicate [s] select a tuple with this signature? *)

@@ -20,42 +20,47 @@ let scorer_of ctx =
 
 let hypothetical = State.hypothetical
 
-(* Unmemoised reference implementation, kept as the specification the
-   scorer's memoised [decided_counts] is property-tested against. *)
-let decided_counts st classes informative c =
-  let sg = classes.(c).Sigclass.sg in
-  let st_pos, st_neg = hypothetical st sg in
+(* Unmemoised reference implementations, kept as the specification the
+   scorer's memoised [decided_counts]/[decided_cards] are property-tested
+   against.  They work on [Partition.t] alone ([refines] and [meet], no
+   pair words), so they stay independent of the engine's kernel.  A
+   branch state is [s] and the negatives, neither clipped nor pruned:
+   neither changes any classification.  [ref_decided]: is a class of
+   signature [sg] certain (either way) in the branch? *)
+let ref_decided (s, negatives) sg =
+  Partition.refines s sg
+  ||
+  let m = Partition.meet s sg in
+  List.exists (Partition.refines m) negatives
+
+(* The two branches of labelling [sg]; [None] marks a contradiction. *)
+let ref_branches (st : State.t) sg =
+  let s' = Partition.meet st.s sg in
+  ( (if List.exists (Partition.refines s') st.negatives then None
+     else Some (s', st.negatives)),
+    if Partition.refines st.s sg then None
+    else Some (st.s, sg :: st.negatives) )
+
+let decided_gen weight st classes informative c =
+  let pos, neg = ref_branches st classes.(c).Sigclass.sg in
   let count = function
-    | None -> List.length informative
-    | Some st' ->
+    | None -> List.fold_left (fun acc i -> acc + weight i) 0 informative
+    | Some b ->
       List.fold_left
         (fun acc i ->
-          if State.classify st' classes.(i).Sigclass.sg <> State.Informative then
-            acc + 1
+          if ref_decided b classes.(i).Sigclass.sg then acc + weight i
           else acc)
         0 informative
   in
-  (count st_pos, count st_neg)
+  (count pos, count neg)
+
+let decided_counts st classes informative c =
+  decided_gen (fun _ -> 1) st classes informative c
 
 (* Same, but weighting each decided class by its tuple count — the measure
    shown to the user ("how many tuples got grayed out"). *)
 let decided_cards st classes informative c =
-  let sg = classes.(c).Sigclass.sg in
-  let st_pos, st_neg = hypothetical st sg in
-  let total =
-    List.fold_left (fun acc i -> acc + classes.(i).Sigclass.card) 0 informative
-  in
-  let count = function
-    | None -> total
-    | Some st' ->
-      List.fold_left
-        (fun acc i ->
-          if State.classify st' classes.(i).Sigclass.sg <> State.Informative then
-            acc + classes.(i).Sigclass.card
-          else acc)
-        0 informative
-  in
-  (count st_pos, count st_neg)
+  decided_gen (fun i -> classes.(i).Sigclass.card) st classes informative c
 
 let argmax_by score ctx = Scorer.best (scorer_of ctx) score
 

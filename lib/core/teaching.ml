@@ -16,7 +16,7 @@ let state_after ~goal classes chosen =
 
 let all_decided st classes =
   Array.for_all
-    (fun (c : Sigclass.cls) -> State.classify st c.sg <> State.Informative)
+    (fun (c : Sigclass.cls) -> State.classify_bits st c.bits <> State.Informative)
     classes
 
 let is_teaching_set ~goal classes chosen =
@@ -32,12 +32,12 @@ let greedy ~goal classes =
       let best = ref None in
       Array.iteri
         (fun c (cls : Sigclass.cls) ->
-          if State.classify st cls.sg = State.Informative then begin
+          if State.classify_bits st cls.bits = State.Informative then begin
             let st' = State.add_exn st (goal_label goal cls.sg) cls.sg in
             let decided = ref 0 in
             Array.iter
               (fun (c2 : Sigclass.cls) ->
-                if State.classify st' c2.sg <> State.Informative then
+                if State.classify_bits st' c2.bits <> State.Informative then
                   incr decided)
               classes;
             match !best with

@@ -11,7 +11,7 @@ let log_count st =
 
 let is_singleton_on st classes =
   Array.for_all
-    (fun (c : Sigclass.cls) -> State.classify st c.sg <> State.Informative)
+    (fun (c : Sigclass.cls) -> State.classify_bits st c.bits <> State.Informative)
     classes
 
 let enumerate (st : State.t) =

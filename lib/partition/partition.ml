@@ -135,17 +135,37 @@ let strictly_refines p q = refines p q && not (equal p q)
 
 let comparable p q = refines p q || refines q p
 
+(* Walk each p-block in increasing order through [next] (the following
+   member of the block, or [n]).  Within the block of [b], [stamp.(c)]
+   is the first member seen in q-block [c] when it lies in [b]'s block
+   ([p] of it is [b]); a stale stamp from an earlier block fails that
+   test.  The first member seen is the smallest, hence canonical. *)
 let meet p q =
   check_sizes "meet" p q;
   let n = size p in
-  let tbl = Hashtbl.create (2 * n) in
-  Array.init n (fun i ->
-      let key = (p.(i), q.(i)) in
-      match Hashtbl.find_opt tbl key with
-      | Some r -> r
-      | None ->
-        Hashtbl.add tbl key i;
-        i)
+  let next = Array.make n n and stamp = Array.make n n in
+  (* [stamp] serves first as each block's head while linking. *)
+  for i = n - 1 downto 0 do
+    next.(i) <- stamp.(p.(i));
+    stamp.(p.(i)) <- i
+  done;
+  Array.fill stamp 0 n n;
+  let r = Array.make n 0 in
+  for b = 0 to n - 1 do
+    if p.(b) = b then begin
+      let e = ref b in
+      while !e < n do
+        let f = stamp.(q.(!e)) in
+        if f < n && p.(f) = b then r.(!e) <- f
+        else begin
+          stamp.(q.(!e)) <- !e;
+          r.(!e) <- !e
+        end;
+        e := next.(!e)
+      done
+    end
+  done;
+  r
 
 let join p q =
   check_sizes "join" p q;

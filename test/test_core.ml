@@ -386,11 +386,10 @@ let test_hypothetical_branches () =
   | Some _, None -> ()
   | _ -> Alcotest.fail "expected dead negative branch"
 
-let prop_scorer_matches_reference =
+let scorer_matches_reference name n =
   (* The memoised scorer agrees with the unmemoised list-based reference
      implementations kept in Strategy. *)
-  qtest ~count:120 "scorer counts = unmemoised reference" (arb_scenario 5)
-    (fun (goal, sigs) ->
+  qtest ~count:120 name (arb_scenario n) (fun (goal, sigs) ->
       let k = List.length sigs / 2 in
       let labelled = List.filteri (fun i _ -> i < k) sigs in
       let st = state_of_scenario (goal, labelled) in
@@ -403,6 +402,14 @@ let prop_scorer_matches_reference =
           && Scorer.decided_cards sc c
              = Strategy.decided_cards st classes inf c)
         inf)
+
+let prop_scorer_matches_reference =
+  scorer_matches_reference "scorer counts = unmemoised reference" 5
+
+(* Twelve attributes need 66 pair bits: two words per signature. *)
+let prop_scorer_matches_reference_wide =
+  scorer_matches_reference
+    "scorer counts = unmemoised reference, 12 attributes" 12
 
 let prop_scorer_matches_reference_warm =
   (* The same agreement read back through an already populated cache:
@@ -446,18 +453,17 @@ let prop_scorer_matches_reference_warm =
       let d = Metrics.diff (Metrics.snapshot ()) before in
       first && second && d.Metrics.cache_misses = 0 && d.Metrics.cache_hits > 0)
 
-let prop_parallel_pick_equivalence =
+let parallel_pick_equivalence name n =
   (* Scoring candidates across 4 domains picks the exact question
      sequence of the sequential scan, for every strategy. *)
-  qtest ~count:25 "parallel scorer = sequential picks" (arb_scenario 5)
-    (fun (goal, sigs) ->
+  qtest ~count:25 name (arb_scenario n) (fun (goal, sigs) ->
       let classes = Sigclass.of_signatures sigs in
       let oracle = Oracle.of_goal goal in
       let strategies = Strategy.all @ [ Strategy.lookahead2 () ] in
       let run () =
         List.map
           (fun strat ->
-            Session.run_classes ~seed:7 ~strategy:strat ~oracle ~n:5 classes)
+            Session.run_classes ~seed:7 ~strategy:strat ~oracle ~n classes)
           strategies
       in
       Scorer.set_domains 1;
@@ -470,6 +476,78 @@ let prop_parallel_pick_equivalence =
           compare a.Session.events b.Session.events = 0
           && P.equal a.Session.query b.Session.query)
         seq par)
+
+let prop_parallel_pick_equivalence =
+  parallel_pick_equivalence "parallel scorer = sequential picks" 5
+
+let prop_parallel_pick_equivalence_wide =
+  parallel_pick_equivalence "parallel scorer = sequential picks, 12 attributes"
+    12
+
+(* The engine's logical work, pinned per strategy: questions asked, then
+   the [Metrics.diff] of one closed-loop session — meets, classifications
+   evaluated, memo hits and misses.  These count operations, not time, so
+   a faster kernel must leave every figure as it is.  Instances are
+   (attributes, tuples, domain), goal rank 2, seed 3.  [optimal] is left
+   out: it is exponential on these instances, and it picks without the
+   scorer. *)
+let engine_counts =
+  [
+    ( (6, 120, 6),
+      [
+        ("random", 20, 0, 1001, 0, 1001);
+        ("local-lex", 17, 0, 702, 0, 702);
+        ("local-specific", 20, 110, 759, 0, 759);
+        ("local-general", 31, 88, 2263, 0, 2263);
+        ("lookahead-maximin", 8, 16929, 36474, 5749, 36474);
+        ("lookahead-expected", 14, 18203, 68532, 44947, 68532);
+        ("lookahead-entropy", 5, 12250, 24960, 3027, 24960);
+        ("lookahead-2", 8, 51577, 198473, 340714, 198473);
+      ] );
+    ( (12, 60, 12),
+      [
+        ("random", 51, 0, 1732, 0, 1732);
+        ("local-lex", 25, 0, 1003, 0, 1003);
+        ("local-specific", 5, 124, 179, 0, 179);
+        ("local-general", 3, 60, 177, 0, 177);
+        ("lookahead-maximin", 4, 3921, 7457, 6854, 7457);
+        ("lookahead-expected", 3, 7697, 17172, 3895, 17172);
+        ("lookahead-entropy", 8, 5796, 11723, 6682, 11723);
+        ("lookahead-2", 8, 29816, 91814, 132150, 91814);
+      ] );
+  ]
+
+let test_engine_counts () =
+  Scorer.set_domains 1;
+  List.iter
+    (fun ((n_attrs, n_tuples, domain), rows) ->
+      let inst =
+        W.Synthetic.generate
+          { W.Synthetic.n_attrs; n_tuples; domain; goal_rank = 2; seed = 3 }
+      in
+      let classes = Sigclass.classes inst.W.Synthetic.relation in
+      let oracle = Oracle.of_goal inst.W.Synthetic.goal in
+      List.iter
+        (fun (name, questions, meets, classify, hits, misses) ->
+          let strategy = Result.get_ok (Strategy.of_string name) in
+          let before = Metrics.snapshot () in
+          let o =
+            Session.run_classes ~seed:7 ~strategy ~oracle ~n:n_attrs classes
+          in
+          let d = Metrics.diff (Metrics.snapshot ()) before in
+          Alcotest.(check (list int))
+            (Printf.sprintf "%d attrs, %s: questions meets classify hits misses"
+               n_attrs name)
+            [ questions; meets; classify; hits; misses ]
+            [
+              o.Session.interactions;
+              d.Metrics.meets;
+              d.Metrics.classify_calls;
+              d.Metrics.cache_hits;
+              d.Metrics.cache_misses;
+            ])
+        rows)
+    engine_counts
 
 let test_entropy_wide_instance () =
   (* Regression: on instances wide enough that Version_space.count
@@ -905,6 +983,10 @@ let () =
           prop_scorer_matches_reference;
           prop_scorer_matches_reference_warm;
           prop_parallel_pick_equivalence;
+          prop_scorer_matches_reference_wide;
+          prop_parallel_pick_equivalence_wide;
+          Alcotest.test_case "engine counts per strategy" `Quick
+            test_engine_counts;
         ] );
       ( "optimal",
         [

@@ -6,6 +6,7 @@ module Dsu = Jim_partition.Dsu
 module Bell = Jim_partition.Bell
 module Penum = Jim_partition.Penum
 module Lattice = Jim_partition.Lattice
+module Pairs = Jim_partition.Pairs
 
 let partition = Alcotest.testable P.pp P.equal
 
@@ -312,6 +313,63 @@ let test_antichains () =
   Alcotest.(check bool) "a minimal" true (List.exists (P.equal a) mins);
   Alcotest.(check bool) "c minimal" true (List.exists (P.equal c) mins)
 
+(* ------------------------------------------------------------------ *)
+(* Meet and pair bitsets against references                           *)
+
+(* The meet as it was first written: one Hashtbl entry per distinct
+   (p-rep, q-rep) key, the first element seen being the representative. *)
+let hashtbl_meet p q =
+  let n = P.size p in
+  let tbl = Hashtbl.create (2 * n) in
+  P.of_rep_array
+    (Array.init n (fun i ->
+         let key = (P.rep p i, P.rep q i) in
+         match Hashtbl.find_opt tbl key with
+         | Some r -> r
+         | None ->
+           Hashtbl.add tbl key i;
+           i))
+
+(* Three partitions of one random size 0..20: from 12 elements on, a
+   pair bitset takes two words or more. *)
+let arb_sized_triple =
+  QCheck.make
+    ~print:(fun (a, b, c) ->
+      String.concat " , " [ P.to_string a; P.to_string b; P.to_string c ])
+    QCheck.Gen.(
+      let* n = int_range 0 20 in
+      triple (gen_partition_sized n) (gen_partition_sized n)
+        (gen_partition_sized n))
+
+let prop_meet_hashtbl =
+  qtest ~count:500 "meet = Hashtbl meet, n 0..20" arb_sized_triple
+    (fun (a, b, c) ->
+      let j = P.join a b in
+      List.for_all
+        (fun (p, q) -> P.equal (P.meet p q) (hashtbl_meet p q))
+        [ (a, b); (b, a); (a, c); (j, c); (c, j); (j, a) ])
+
+let prop_pairs_partition =
+  qtest ~count:500 "Pairs = Partition, n 0..20" arb_sized_triple
+    (fun (a, b, c) ->
+      let n = P.size a in
+      let parts = [ a; b; c; P.join a b; P.meet a b; P.bottom n; P.top n ] in
+      let bits = Pairs.of_partition in
+      let each f = List.for_all f parts in
+      let every f = each (fun p -> each (f p)) in
+      each (fun p -> P.equal (Pairs.to_partition n (bits p)) p)
+      && each (fun p -> Pairs.rank n (bits p) = P.rank p)
+      && each (fun p -> Pairs.block_sizes n (bits p) = P.block_sizes p)
+      && Pairs.equal (Pairs.top n) (bits (P.top n))
+      && every (fun p q -> Pairs.equal (bits p) (bits q) = P.equal p q)
+      && every (fun p q ->
+             Pairs.equal (Pairs.meet (bits p) (bits q)) (bits (P.meet p q)))
+      && every (fun p q -> Pairs.refines (bits p) (bits q) = P.refines p q)
+      && every (fun p q ->
+             each (fun u ->
+                 Pairs.meet_refines (bits p) (bits q) (bits u)
+                 = P.refines (P.meet p q) u)))
+
 let test_meet_all_empty_is_top () =
   Alcotest.(check partition) "empty meet" (P.top 4) (Lattice.meet_all 4 []);
   Alcotest.(check partition) "empty join" (P.bottom 4) (Lattice.join_all 4 [])
@@ -338,6 +396,7 @@ let () =
             test_rgs_roundtrip_exhaustive;
         ] );
       ("lattice laws", props);
+      ("meet and pairs", [ prop_meet_hashtbl; prop_pairs_partition ]);
       ( "bell+enum",
         [
           Alcotest.test_case "bell values" `Quick test_bell_values;
