@@ -396,7 +396,7 @@ let () =
             test_rgs_roundtrip_exhaustive;
         ] );
       ("lattice laws", props);
-      ("meet and pairs", [ prop_meet_hashtbl; prop_pairs_partition ]);
+      ("meet+pairs", [ prop_meet_hashtbl; prop_pairs_partition ]);
       ( "bell+enum",
         [
           Alcotest.test_case "bell values" `Quick test_bell_values;
