@@ -1,7 +1,7 @@
 (* Instance-catalog benchmarks: what a session start costs cold (first
    contact with an instance — fingerprint, sigclass grouping, initial
    status derivation) versus warm (the catalog already holds the entry,
-   the start just pins it and builds an engine off the shared memo).
+   the start just pins it and builds an engine off its derivation).
 
    Starts go through [Service.handle] in-process — no sockets — so the
    numbers measure the catalog and engine-construction path, not

@@ -79,9 +79,6 @@ type catalog_stats = {
   evictions : int;
   fingerprints : int;
   derivations : int;
-  memo_rows : int;
-  memo_bytes : int;
-  memo_evictions : int;
 }
 
 type shard_status = {
@@ -457,19 +454,17 @@ let response =
       case "catalog_stats"
         [ req "entries" int; req "bytes" int; req "pinned" int; req "hits" int;
           req "misses" int; req "evictions" int; req "fingerprints" int;
-          req "derivations" int; req "memo_rows" int; req "memo_bytes" int;
-          req "memo_evictions" int ]
+          req "derivations" int ]
         (fun [ entries; bytes; pinned; hits; misses; evictions; fingerprints;
-               derivations; memo_rows; memo_bytes; memo_evictions ] ->
+               derivations ] ->
           Catalog_info
             { entries; bytes; pinned; hits; misses; evictions; fingerprints;
-              derivations; memo_rows; memo_bytes; memo_evictions })
+              derivations })
         (function
           | Catalog_info c ->
             Some
               [ c.entries; c.bytes; c.pinned; c.hits; c.misses; c.evictions;
-                c.fingerprints; c.derivations; c.memo_rows; c.memo_bytes;
-                c.memo_evictions ]
+                c.fingerprints; c.derivations ]
           | _ -> None);
       case "repl_ok" [ req "gen" int; req "records" int ]
         (fun [ gen; records ] -> Repl_ok { gen; records })

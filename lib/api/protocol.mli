@@ -198,12 +198,6 @@ type catalog_stats = {
       (** full instance derivations (sigclass grouping + round-0
           statuses); [misses >= derivations]: a new source naming
           already-cataloged data fingerprints but does not re-derive *)
-  memo_rows : int;  (** scorer-memo rows interned across the entries *)
-  memo_bytes : int;
-      (** their accounted bytes; each entry's memo stays within its
-          budget (see [Catalog]) *)
-  memo_evictions : int;
-      (** memo rows dropped to keep an entry's memo within budget *)
 }
 
 type crowd_stats = {

@@ -5,20 +5,19 @@ open Jim_core
 (* The server-wide instance catalog.
 
    Everything derivable from the instance alone — the relation, its
-   signature-class grouping, the row → class map, the round-0 statuses
-   and the scorer memo — is immutable once derived, so one copy can back
-   every session on that instance.  An [entry] is that copy; the catalog
-   interns entries under the canonical CSV fingerprint (the same one the
-   durable store journals for restore-drift detection) and hands out
-   refcounted references.
+   signature-class grouping (with each class's pair words), the row →
+   class map and the round-0 statuses — is immutable once derived, so
+   one copy can back every session on that instance.  An [entry] is that
+   copy; the catalog interns entries under the canonical CSV fingerprint
+   (the same one the durable store journals for restore-drift detection)
+   and hands out refcounted references.
 
    Concurrency: all bookkeeping (both index tables, the counters, the
    refcounts) lives under one mutex.  Derivation also runs under it —
    cold misses briefly serialise, which is the price of deriving each
    instance exactly once; warm resolves only touch the tables.  The
-   entry payload needs no lock at all: sessions read it freely, and the
-   shared scorer memo synchronises internally and keeps itself within
-   its byte budget (see {!Scorer.cache}). *)
+   entry payload needs no lock at all: sessions only read it (each pick
+   scores on its own memo, see {!Scorer.memo}). *)
 
 let with_lock m f =
   Mutex.lock m;
@@ -34,7 +33,6 @@ type entry = {
   classes : Sigclass.cls array;
   row_class : int array;
   initial_statuses : State.status array;
-  cache : Scorer.cache;
   origin : P.instance_source;
 }
 
@@ -142,7 +140,6 @@ let derive t origin rel schema ~csv ~fp =
     classes;
     row_class;
     initial_statuses;
-    cache = Scorer.new_cache ();
     origin;
   }
 
@@ -249,23 +246,11 @@ let release t entry =
     end
 
 let engine (e : entry) =
-  Session.of_classes ~cache:e.cache ~statuses:e.initial_statuses
+  Session.of_classes ~statuses:e.initial_statuses
     ~row_class:e.row_class ~n:e.arity e.classes
 
 let stats t =
   with_lock t.lock @@ fun () ->
-  let memo =
-    Hashtbl.fold
-      (fun _ slot (acc : Scorer.memo_stats) ->
-        let m = Scorer.memo_stats slot.entry.cache in
-        {
-          rows = acc.rows + m.rows;
-          bytes = acc.bytes + m.bytes;
-          evictions = acc.evictions + m.evictions;
-        })
-      t.by_fp
-      { Scorer.rows = 0; bytes = 0; evictions = 0 }
-  in
   {
     P.entries = Hashtbl.length t.by_fp;
     bytes = t.bytes;
@@ -275,15 +260,11 @@ let stats t =
     evictions = t.evictions;
     fingerprints = t.fingerprints;
     derivations = t.derivations;
-    memo_rows = memo.rows;
-    memo_bytes = memo.bytes;
-    memo_evictions = memo.evictions;
   }
 
 let stats_to_string (s : P.catalog_stats) =
   Printf.sprintf
     "catalog: %d entries (%d pinned, %d bytes), %d hits / %d misses, %d \
-     evictions, %d fingerprints, %d derivations; memo %d rows, %d bytes, %d \
-     evictions"
+     evictions, %d fingerprints, %d derivations"
     s.entries s.pinned s.bytes s.hits s.misses s.evictions s.fingerprints
-    s.derivations s.memo_rows s.memo_bytes s.memo_evictions
+    s.derivations

@@ -1,14 +1,13 @@
 (** Server-wide, immutable, refcounted instance catalog.
 
-    JIM's per-session cost is dominated by per-instance derivation —
-    signature-class grouping, meet tables, scorer memoisation — yet all
-    of it depends only on the instance, not the session.  The catalog
-    interns one {!entry} per distinct instance, keyed by the canonical
-    CSV fingerprint the durable store already journals for restore-drift
+    JIM's per-session set-up cost is per-instance derivation — the
+    canonical CSV and its fingerprint, signature-class grouping with
+    each class's pair words, the round-0 statuses — yet all of it
+    depends only on the instance, not the session.  The catalog interns
+    one {!entry} per distinct instance, keyed by the canonical CSV
+    fingerprint the durable store already journals for restore-drift
     detection, so a thousand sessions on the same dataset share one
-    derivation and one scorer memo (whose reads are lock-free — see
-    {!Jim_core.Scorer.cache} — and whose sharing provably never changes
-    a pick).
+    derivation.
 
     Entries are refcounted: {!resolve} pins, {!release} unpins, and a
     refcount-zero entry idles until the LRU cap ([max_entries]) evicts
@@ -16,12 +15,12 @@
     source re-derives, and a [Catalog fp] start answers
     [Unknown_instance] until someone re-registers.
 
-    Memory: each entry's scorer memo is bounded by
-    {!Jim_core.Scorer.default_budget_bytes} (8 MiB), evicting its own
-    rows past that, so however long its sessions run, the memos of a
-    catalog hold at most [max_entries] × 8 MiB (512 MiB at the default
-    cap) — more only while pinned entries push the catalog past its
-    cap.  {!stats} reports the memos' rows, bytes and evictions. *)
+    Memory: an entry is its derivation and nothing more, so its size is
+    fixed by the instance and does not grow with the sessions it serves
+    or the states they visit (each pick's scorer memo is dropped with
+    the pick, see {!Jim_core.Scorer.memo}).  The catalog holds at most
+    [max_entries] entries — more only while pinned entries push it past
+    its cap. *)
 
 type entry = {
   fingerprint : string;  (** canonical CSV fingerprint = the catalog key *)
@@ -34,17 +33,13 @@ type entry = {
   row_class : int array;  (** row number → class index *)
   initial_statuses : Jim_core.State.status array;
       (** class statuses at round 0 (empty state) *)
-  cache : Jim_core.Scorer.cache;
-      (** shared by every session on the entry; bounded by the default
-          memo budget *)
   origin : Jim_api.Protocol.instance_source;
       (** the concrete (never [Catalog]) source first seen for this data
           — what session-start events journal, so recovery after a
           restart can re-resolve without the (empty) catalog *)
 }
 (** Everything derivable from the instance alone.  Immutable after
-    interning except [cache], which synchronises internally; safe to
-    read from any thread without the catalog lock. *)
+    interning; safe to read from any thread without the catalog lock. *)
 
 type t
 
@@ -77,8 +72,8 @@ val release : t -> entry -> unit
     cataloged (warm) but becomes evictable, LRU by release time. *)
 
 val engine : entry -> Jim_core.Session.t
-(** A warm-started engine: shares the entry's classes, row map and
-    scorer memo, copies the round-0 statuses, derives nothing. *)
+(** A warm-started engine: shares the entry's classes and row map,
+    copies the round-0 statuses, derives nothing. *)
 
 val relation_of :
   Jim_api.Protocol.instance_source ->
@@ -92,8 +87,7 @@ val relation_of :
 val stats : t -> Jim_api.Protocol.catalog_stats
 (** Counter snapshot — the payload of the wire [Catalog_stats] reply.
     [fingerprints] and [derivations] are how tests assert the
-    once-per-entry invariants; the [memo_*] fields sum the scorer memos
-    of the entries currently cataloged. *)
+    once-per-entry invariants. *)
 
 val stats_to_string : Jim_api.Protocol.catalog_stats -> string
 (** One human-readable line ([catalog: N entries (...)]), as

@@ -3,8 +3,9 @@
                    decided(c, a) + best one-step maximin in state(c, a)
    The follow-up term is 0 when the answer already finishes the session.
 
-   All classification work runs through a round's Scorer, so the inner
-   one-step sweeps share the memoised hypothetical classifications.
+   All classification work runs through scorers on the pick's memo, so
+   the inner one-step sweeps share the memoised hypothetical
+   classifications.
 
    This module knows nothing about {!Strategy} (the catalogue wraps
    {!pick} as [Strategy.lookahead2] — keeping the dependency one-way is
@@ -14,16 +15,16 @@ let one_step_maximin sc c =
   let p, n = Scorer.decided_counts sc c in
   min p n
 
-let best_one_step cache st classes =
-  let sc = Scorer.of_state ~cache st classes in
+let best_one_step memo st classes =
+  let sc = Scorer.of_state ~memo st classes in
   Array.fold_left
     (fun acc c -> max acc (one_step_maximin sc c))
     0 (Scorer.informative sc)
 
-let pick ?(beam = 8) ~cache st classes informative =
+let pick ?(beam = 8) ~memo st classes informative =
   if Array.length informative = 0 then None
   else begin
-    let sc = Scorer.create ~cache st classes informative in
+    let sc = Scorer.create ~memo st classes informative in
     (* Beam: keep the candidates with the best one-step maximin. *)
     let scored =
       List.map
@@ -41,7 +42,7 @@ let pick ?(beam = 8) ~cache st classes informative =
         match label_state with
         | None -> max_int (* impossible answer does not constrain the min *)
         | Some st' ->
-          Scorer.decided_under sc st' + best_one_step cache st' classes
+          Scorer.decided_under sc st' + best_one_step memo st' classes
       in
       min (arm st_pos) (arm st_neg)
     in

@@ -9,8 +9,8 @@
 
 val pick :
   ?beam:int ->
-  cache:Scorer.cache ->
+  memo:Scorer.memo ->
   State.t -> Sigclass.cls array -> int array -> int option
-(** [pick ~cache st classes informative] — the raw selection function
-    (default beam 8).  The {!Strategy.t} wrapper, named ["lookahead-2"],
-    is {!Strategy.lookahead2}. *)
+(** [pick ~memo st classes informative] — the raw selection function
+    (default beam 8), scoring on the pick's memo.  The {!Strategy.t}
+    wrapper, named ["lookahead-2"], is {!Strategy.lookahead2}. *)

@@ -1,5 +1,6 @@
-(* Process-wide perf counters for the scoring engine.  Atomic so parallel
-   scoring domains can bump them without synchronisation. *)
+(* Process-wide perf counters for the scoring engine.  Atomic so two
+   threads recording at once lose nothing; the engine counts a pick's work
+   in plain fields and adds it here once per pick (see {!Scorer.record}). *)
 
 type snapshot = {
   meets : int;
@@ -28,10 +29,13 @@ let reset () =
   Atomic.set pick_time_ns 0;
   Atomic.set last_pick_ns 0
 
-let record_meet () = Atomic.incr meets
-let record_classify () = Atomic.incr classify_calls
-let record_hit () = Atomic.incr cache_hits
-let record_miss () = Atomic.incr cache_misses
+let add_to counter n = if n <> 0 then ignore (Atomic.fetch_and_add counter n)
+
+let record ~meets:m ~classify_calls:c ~cache_hits:h ~cache_misses:x =
+  add_to meets m;
+  add_to classify_calls c;
+  add_to cache_hits h;
+  add_to cache_misses x
 
 let record_pick ~ns =
   Atomic.incr picks;

@@ -1,14 +1,15 @@
 (** Process-wide performance counters for the strategy scoring engine:
-    lattice meets computed, {!State.classify} evaluations, memo-cache
-    hits/misses and per-pick wall time.  Counters are atomic, so scoring
-    domains spawned by {!Scorer.best} update them safely; they are
-    surfaced through {!Stats}, the TUI progress panel and the bench
+    lattice meets computed, {!State.classify} evaluations, hits/misses of
+    a pick's memo and per-pick wall time.  The engine counts each pick's
+    work privately and adds it with one {!record} per pick (and one per
+    answer's status refresh); the counters are atomic, so concurrent
+    recorders lose nothing.  They are surfaced through {!Stats}, the TUI progress panel and the bench
     [compare] harness ([BENCH_strategies.json]). *)
 
 type snapshot = {
   meets : int;          (** [Partition.meet]s computed by the scorer *)
   classify_calls : int; (** classifications actually evaluated *)
-  cache_hits : int;     (** classifications answered from the memo *)
+  cache_hits : int;     (** classifications answered from the pick's memo *)
   cache_misses : int;
   picks : int;          (** questions selected *)
   pick_time_ns : int;   (** total wall time spent selecting, ns *)
@@ -41,10 +42,10 @@ val add : snapshot -> snapshot -> snapshot
 
 (** {1 Recording (called by the scorer and the session engine)} *)
 
-val record_meet : unit -> unit
-val record_classify : unit -> unit
-val record_hit : unit -> unit
-val record_miss : unit -> unit
+val record :
+  meets:int -> classify_calls:int -> cache_hits:int -> cache_misses:int -> unit
+(** Add a batch of work to the counters. *)
+
 val record_pick : ns:int -> unit
 
 val now_ns : unit -> int

@@ -1,6 +1,6 @@
 module Pairs = Jim_partition.Pairs
 
-(* The round-scoped scoring engine every strategy routes through.
+(* The pick-scoped scoring engine every strategy routes through.
 
    A lookahead strategy scores each informative class c by re-classifying
    every informative class i under the two hypothetical states "c labelled
@@ -9,120 +9,64 @@ module Pairs = Jim_partition.Pairs
    words ([Jim_partition.Pairs]), so a meet is a [land] per word and a
    refinement test a [land lnot].  Three observations make this cheap:
 
-   - [meet s sig_i] only depends on the round's state, not on the
-     candidate: compute it once per round and share it across candidates
-     (every negative-branch classification, and the certain-negative test
-     of the positive branch of candidates whose meet leaves [s]
-     unchanged, reuses it);
-   - hypothetical states repeat — across candidates (distinct signatures
-     with equal clipped meets), across the two count/cardinality passes,
-     and across rounds (the answered branch becomes the next round's base
-     state) — so classifications are memoised in a [cache] keyed by
-     the packed [State.key] x class index that outlives the round;
+   - [meet s sig_i] only depends on the state's canonical predicate [s],
+     not on the candidate: compute it once per [s] and share it across
+     candidates (every negative-branch classification, and the
+     certain-negative test of the positive branch of candidates whose
+     meet leaves [s] unchanged, reuses it);
+   - hypothetical states repeat within a pick — across candidates
+     (distinct signatures with equal clipped meets), across the two
+     count/cardinality passes, and across the inner sweeps of a depth-2
+     lookahead — so classifications are memoised in a [memo] keyed by
+     the state's pair words x class index.  A memo lives for one pick (or
+     one top-k ranking) and is then dropped, so no session or instance
+     holds memo rows between questions;
    - candidate scoring is effect-free, so it can fan out across domains
      ([JIM_DOMAINS] / [--domains]); the merge is a deterministic
      lowest-index-wins argmax, making parallel and sequential picks
      bit-identical. *)
 
-(* The cross-round memo.  Since the instance catalog (lib/catalog) one
-   cache can be shared by every session on the same instance, so rows are
-   interned in a striped structure:
-
-   - a status row ([Bytes.t], one byte per class, keyed by [State.key])
-     and a meet row ([Pairs.t array], one slot per class, keyed by
-     [State.canonical_key]) hold values that are pure functions of their
-     key, so slot reads and writes need no synchronisation.  A status
-     byte is [unset] until computed, then one code per status; a meet
-     slot is the physical sentinel [no_meet] until computed.  A slot
-     write is a single store (never a read-modify-write of shared bits),
-     so a racing reader either sees the sentinel (and recomputes the
-     identical value) or the value;
-   - interning the row itself is the only write that touches shared
-     bookkeeping, so it takes a per-stripe mutex.  Lookups try a dirty
-     [Hashtbl.find_opt] first; a miss falls into the locked find-or-add,
-     which re-checks — a reader racing a rehash or a reset can only
-     miss, or find a row that is still correct;
-   - the cache has a byte budget, counted per row as its bytes plus its
-     key plus [row_overhead] (headers and the table's bucket).  Each of
-     the 16 stripes owns 1/16 of it; an insert that would overflow its
-     stripe's share first resets that stripe and counts the dropped rows
-     as evictions.  Rows are pure functions of their keys, so an
-     eviction only costs recomputation: counts change, picks never do.
-
-   All shared-cache traffic comes from sys-threads of one domain (the
-   scoring domains spawned by [best] use private clones), so the dirty
-   read is over memory the runtime lock already keeps coherent. *)
-
-type stripe = {
-  lock : Mutex.t;
-  rows : (string, Bytes.t) Hashtbl.t;
-  meet_rows : (string, Pairs.t array) Hashtbl.t;
-  mutable bytes : int;
-  mutable evicted : int;
+(* A status row ([Bytes.t], one byte per class) is keyed by the words of
+   the state's [s] and negatives: the negatives are sorted, so equal
+   states have equal keys, like [State.key], without packing partitions.
+   It is [unset] until computed, then one code per status.  A meet row
+   ([Pairs.t array], one slot per class, keyed by the words of [s])
+   holds the physical sentinel [no_meet] until computed.  The memo also
+   counts the pick's work in plain fields, added to {!Metrics} once by
+   [record]: the hot loops touch no atomic. *)
+type memo = {
+  rows : (Pairs.t * Pairs.t list, Bytes.t) Hashtbl.t;
+  meet_rows : (Pairs.t, Pairs.t array) Hashtbl.t;
+  mutable meets : int;
+  mutable classified : int;
+  mutable hits : int;
+  mutable misses : int;
 }
 
-type cache = { stripes : stripe array; share : int }
+let new_memo () =
+  {
+    rows = Hashtbl.create 16;
+    meet_rows = Hashtbl.create 4;
+    meets = 0;
+    classified = 0;
+    hits = 0;
+    misses = 0;
+  }
 
-let default_budget_bytes = 8 * 1024 * 1024
+let record m =
+  Metrics.record ~meets:m.meets ~classify_calls:m.classified
+    ~cache_hits:m.hits ~cache_misses:m.misses;
+  m.meets <- 0;
+  m.classified <- 0;
+  m.hits <- 0;
+  m.misses <- 0
 
-(* Per row: the table's bucket cell (4 words), its slot in the bucket
-   array, and the row's and key's headers, rounded up. *)
-let row_overhead = 64
-
-let new_cache ?(budget_bytes = default_budget_bytes) () : cache =
-  let stripe () =
-    {
-      lock = Mutex.create ();
-      rows = Hashtbl.create 16;
-      meet_rows = Hashtbl.create 16;
-      bytes = 0;
-      evicted = 0;
-    }
-  in
-  let stripes = Array.init 16 (fun _ -> stripe ()) in
-  { stripes; share = max 1 (budget_bytes / Array.length stripes) }
-
-type memo_stats = { rows : int; bytes : int; evictions : int }
-
-let memo_stats cache =
-  Array.fold_left
-    (fun (acc : memo_stats) (s : stripe) ->
-      {
-        rows = acc.rows + Hashtbl.length s.rows + Hashtbl.length s.meet_rows;
-        bytes = acc.bytes + s.bytes;
-        evictions = acc.evictions + s.evicted;
-      })
-    { rows = 0; bytes = 0; evictions = 0 }
-    cache.stripes
-
-(* [table] picks which of the stripe's two tables the row lives in;
-   [size] is the row's own bytes. *)
-let find_or_add cache table key ~size fresh =
-  let s =
-    cache.stripes.(Hashtbl.hash key land (Array.length cache.stripes - 1))
-  in
-  match Hashtbl.find_opt (table s) key with
+let find_or_add table key fresh =
+  match Hashtbl.find_opt table key with
   | Some v -> v
   | None ->
-    Mutex.lock s.lock;
-    let v =
-      match Hashtbl.find_opt (table s) key with
-      | Some v -> v
-      | None ->
-        let cost = size + String.length key + row_overhead in
-        if s.bytes > 0 && s.bytes + cost > cache.share then begin
-          s.evicted <-
-            s.evicted + Hashtbl.length s.rows + Hashtbl.length s.meet_rows;
-          Hashtbl.reset s.rows;
-          Hashtbl.reset s.meet_rows;
-          s.bytes <- 0
-        end;
-        let v = fresh () in
-        Hashtbl.add (table s) key v;
-        s.bytes <- s.bytes + cost;
-        v
-    in
-    Mutex.unlock s.lock;
+    let v = fresh () in
+    Hashtbl.add table key v;
     v
 
 (* Status bytes.  Decoding is a match on the code, so a read allocates
@@ -154,7 +98,7 @@ type t = {
       (** per class: [meet st.s sig_i], [no_meet] until computed *)
   hyps : (State.t option * State.t option) option array;
       (** per candidate: the two hypothetical states *)
-  cache : cache;
+  memo : memo;
 }
 
 let informative_gen classes status =
@@ -177,39 +121,22 @@ let informative_gen classes status =
   done;
   out
 
-let informative_of st classes =
-  informative_gen classes (fun i ->
-      Metrics.record_classify ();
-      State.classify_bits st classes.(i).Sigclass.bits)
+(* The meet table only depends on the state's canonical predicate [s],
+   so it is interned under [s]'s words: every scorer of the pick whose
+   state has the same [s] (the pick's own, and the inner sweeps of its
+   negative branches) reuses the same row. *)
+let meets_row memo classes st =
+  find_or_add memo.meet_rows st.State.s_bits (fun () ->
+      Array.make (Array.length classes) no_meet)
 
-(* The per-round meet table only depends on the round's canonical
-   predicate [s], so with a shared cache it is interned under
-   [State.canonical_key]: every session on the instance that reaches a
-   state with the same [s] (most obviously round 0) reuses the same row.
-   Its size is counted as if every slot were filled: the array plus one
-   [n]-element representative array per class, which bounds a slot's
-   pair words while [n] is below about 128. *)
-let meets_row cache classes st =
-  let k = Array.length classes in
-  find_or_add cache
-    (fun s -> s.meet_rows)
-    (State.canonical_key st)
-    ~size:(k * (st.State.n + 2) * (Sys.word_size / 8))
-    (fun () -> Array.make k no_meet)
-
-let create ?cache st classes informative =
-  let cache, meets =
-    match cache with
-    | None -> (new_cache (), Array.make (Array.length classes) no_meet)
-    | Some cache -> (cache, meets_row cache classes st)
-  in
+let create ?(memo = new_memo ()) st classes informative =
   {
     st;
     classes;
     informative;
-    meets;
+    meets = meets_row memo classes st;
     hyps = Array.make (Array.length classes) None;
-    cache;
+    memo;
   }
 
 let state sc = sc.st
@@ -219,7 +146,7 @@ let meet_s sc i =
   let m = sc.meets.(i) in
   if m != no_meet then m
   else begin
-    Metrics.record_meet ();
+    sc.memo.meets <- sc.memo.meets + 1;
     let m = Pairs.meet sc.st.State.s_bits sc.classes.(i).Sigclass.bits in
     sc.meets.(i) <- m;
     m
@@ -234,7 +161,7 @@ let hypothetical sc c =
     let cls = sc.classes.(c) in
     let branch label =
       (* State.add computes one meet internally. *)
-      Metrics.record_meet ();
+      sc.memo.meets <- sc.memo.meets + 1;
       match State.add_bits sc.st label cls.Sigclass.sg cls.Sigclass.bits with
       | Ok st' -> Some st'
       | Error `Contradiction -> None
@@ -244,29 +171,26 @@ let hypothetical sc c =
     h
 
 (* The memo row of a (hypothetical) state: one status byte per class. *)
-let row_of cache classes st' =
-  let k = Array.length classes in
-  find_or_add cache
-    (fun s -> s.rows)
-    (State.key st') ~size:k
-    (fun () -> Bytes.make k unset)
+let row_of memo classes st' =
+  find_or_add memo.rows (st'.State.s_bits, st'.State.neg_bits) (fun () ->
+      Bytes.make (Array.length classes) unset)
 
 let rec refines_any m = function
   | [] -> false
   | u :: us -> Pairs.refines m u || refines_any m us
 
-(* [State.classify st' sig_i], but reusing the shared per-round meets when
-   [st'] kept the round's canonical predicate (every negative branch
-   does); a state that moved tests [s' ∧ sig_i ⊑ u] without building the
-   meet. *)
+(* [State.classify st' sig_i], but reusing the shared meets when [st']
+   kept the scorer's canonical predicate (every negative branch does); a
+   state that moved tests [s' ∧ sig_i ⊑ u] without building the meet. *)
 let classify_uncached sc st' i =
-  Metrics.record_classify ();
+  let memo = sc.memo in
+  memo.classified <- memo.classified + 1;
   let g = sc.classes.(i).Sigclass.bits in
   if st'.State.s != sc.st.State.s then
     match State.classify_bits st' g with
     | State.Certain_pos -> State.Certain_pos
     | v ->
-      Metrics.record_meet ();
+      memo.meets <- memo.meets + 1;
       v
   else if Pairs.refines st'.State.s_bits g then State.Certain_pos
   else if refines_any (meet_s sc i) st'.State.neg_bits then State.Certain_neg
@@ -278,45 +202,41 @@ let classify_uncached sc st' i =
 let classify_row sc st' row i =
   let c = Bytes.get row i in
   if c <> unset then begin
-    Metrics.record_hit ();
+    sc.memo.hits <- sc.memo.hits + 1;
     decode c
   end
   else begin
-    Metrics.record_miss ();
+    sc.memo.misses <- sc.memo.misses + 1;
     let v = classify_uncached sc st' i in
     Bytes.set row i (encode v);
     v
   end
 
-let class_status cache classes st i =
-  let row = row_of cache classes st in
-  let c = Bytes.get row i in
-  if c <> unset then begin
-    Metrics.record_hit ();
-    decode c
-  end
-  else begin
-    Metrics.record_miss ();
-    Metrics.record_classify ();
-    let v = State.classify_bits st classes.(i).Sigclass.bits in
-    Bytes.set row i (encode v);
-    v
-  end
-
-(* When a shared cache is supplied the informative set is computed
-   through it, so inner lookahead sweeps reuse the classifications the
-   outer round already paid for. *)
-let of_state ?cache st classes =
-  match cache with
-  | None -> create st classes (informative_of st classes)
-  | Some cache ->
-    create ~cache st classes
-      (informative_gen classes (fun i -> class_status cache classes st i))
+(* The informative set is read through the memo row of [st], so an inner
+   lookahead sweep reuses the classifications its outer scorer already
+   made in that state. *)
+let of_state ?(memo = new_memo ()) st classes =
+  let row = row_of memo classes st in
+  let status i =
+    let c = Bytes.get row i in
+    if c <> unset then begin
+      memo.hits <- memo.hits + 1;
+      decode c
+    end
+    else begin
+      memo.misses <- memo.misses + 1;
+      memo.classified <- memo.classified + 1;
+      let v = State.classify_bits st classes.(i).Sigclass.bits in
+      Bytes.set row i (encode v);
+      v
+    end
+  in
+  create ~memo st classes (informative_gen classes status)
 
 (* Informative classes decided in [st'], each weighted by [weight]: a
    loop, not a fold, since this is the inner loop of every lookahead. *)
 let decided_weighted sc st' weight =
-  let row = row_of sc.cache sc.classes st' in
+  let row = row_of sc.memo sc.classes st' in
   let acc = ref 0 in
   for j = 0 to Array.length sc.informative - 1 do
     let i = sc.informative.(j) in
@@ -403,18 +323,23 @@ let best sc score =
          (fresh memo tables; the shared inputs are immutable), then the
          chunk winners merge in chunk order with the same strict-> rule:
          bit-identical to the sequential scan. *)
-      let clone () = create sc.st sc.classes sc.informative in
+      let clones =
+        Array.init (nd - 1) (fun _ -> create sc.st sc.classes sc.informative)
+      in
       let bounds d = (d * k / nd, (d + 1) * k / nd) in
       let spawned =
-        Array.init (nd - 1) (fun d ->
+        Array.mapi
+          (fun d sc' ->
             let lo, hi = bounds (d + 1) in
-            let sc' = clone () in
             Domain.spawn (fun () -> chunk_argmax sc' score inf lo hi))
+          clones
       in
       let first =
         let lo, hi = bounds 0 in
         chunk_argmax sc score inf lo hi
       in
+      let chunks = Array.map Domain.join spawned in
+      Array.iter (fun c -> record c.memo) clones;
       let winner =
         Array.fold_left
           (fun acc r ->
@@ -423,8 +348,7 @@ let best sc score =
             | acc, None -> acc
             | Some (_, bs), Some (j, s) when s > bs -> Some (j, s)
             | acc, _ -> acc)
-          first
-          (Array.map Domain.join spawned)
+          first chunks
       in
       Option.map fst winner
     end

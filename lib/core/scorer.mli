@@ -1,73 +1,52 @@
-(** The round-scoped scoring engine behind every strategy.
+(** The pick-scoped scoring engine behind every strategy.
 
     Lookahead strategies re-classify every informative class under two
     hypothetical states per candidate — O(k²) lattice meets per question
-    when done naively.  A scorer shares the per-round [meet s sig_i]
-    table across candidates, memoises classifications in a {!cache}
-    keyed by [State.key] × class index (hypothetical states repeat
-    within a round and across rounds: the answered branch becomes the
-    next base state), and optionally fans candidate scoring out across
-    domains with a deterministic lowest-index-wins merge, so parallel
-    and sequential picks are bit-identical.
+    when done naively.  A scorer shares the [meet s sig_i] table across
+    candidates, memoises classifications in a {!memo} keyed by the
+    state × class index (hypothetical states repeat within a pick:
+    across candidates, across the count and cardinality passes, and
+    across the inner sweeps of a depth-2 lookahead), and optionally fans
+    candidate scoring out across domains with a deterministic
+    lowest-index-wins merge, so parallel and sequential picks are
+    bit-identical.
 
-    Perf counters (meets, classifications, cache hits/misses, pick wall
-    time) are recorded in {!Metrics}. *)
+    Perf counters (meets, classifications, memo hits/misses) are counted
+    in the pick's memo and added to {!Metrics} by {!record}. *)
 
 type t
-(** A scorer for one question round: a state, the signature classes and
-    the informative set.  Cheap to build; holds per-round memo tables. *)
+(** A scorer for one state: the state, the signature classes and the
+    informative set.  Cheap to build; reads and fills its pick's memo. *)
 
-type cache
-(** The cross-round classification memo.  A {!Session} keeps one per
-    engine so the work done evaluating a candidate is reused when its
-    answer arrives (and by {!Session.top_questions}'s repeated picks).
+type memo
+(** One pick's classification memo: plain tables that live as long as
+    the pick (or one top-k ranking) and are then dropped, so nothing
+    grows with the states a session or an instance has visited.
 
-    Rows are compact: a status row is one byte per class (0 until
-    computed, then one code per {!State.status}), keyed by the packed
-    {!State.key}; a meet row is one partition slot per class, keyed by
-    {!State.canonical_key}, holding a physical sentinel until computed.
+    A status row is one byte per class (0 until computed, then one code
+    per {!State.status}), keyed by the pair words of the state's [s] and
+    its sorted negatives (equal exactly when {!State.key}s are); a meet
+    row is one pair-word slot per class, keyed by the words of [s].  Every
+    memoised value is a pure function of its key, so the memo changes
+    counts but never a status, score or pick.  A memo is used by one
+    thread at a time; {!best}'s scoring domains get private ones. *)
 
-    A cache may also be shared by every session on one instance (the
-    server's catalog does this): rows are interned in 16 stripes whose
-    reads are lock-free — only interning a new row takes a per-stripe
-    mutex — and every memoised value is a pure function of its key, so
-    sharing changes hit/miss counts but never a status, score, or pick.
+val new_memo : unit -> memo
+(** A fresh, empty memo with zeroed counts. *)
 
-    The memo is bounded: each stripe owns 1/16 of the cache's byte
-    budget, counting a row as its bytes plus its key plus a fixed
-    per-row overhead (a meet row as if every slot were filled).  An
-    insert that would overflow its stripe's share first drops every row
-    of that stripe, counted as evictions.  Eviction only costs
-    recomputation, so it too changes counts but never a pick.  A stripe
-    exceeds its share only when a single row is larger than the share. *)
+val record : memo -> unit
+(** Add the work counted in the memo since the last [record] (meets,
+    classifications, hits, misses) to {!Metrics}, and zero the counts.
+    {!Session} calls it once per pick. *)
 
-val default_budget_bytes : int
-(** 8 MiB. *)
-
-val new_cache : ?budget_bytes:int -> unit -> cache
-(** A fresh, empty memo bounded by [budget_bytes] (default
-    {!default_budget_bytes}). *)
-
-type memo_stats = {
-  rows : int;  (** status and meet rows currently interned *)
-  bytes : int;  (** their accounted size *)
-  evictions : int;  (** rows dropped to keep a stripe within budget *)
-}
-
-val memo_stats : cache -> memo_stats
-(** A snapshot of the memo's counters (unlocked reads; exact when no
-    session is scoring on the cache). *)
-
-val create : ?cache:cache -> State.t -> Sigclass.cls array -> int array -> t
+val create : ?memo:memo -> State.t -> Sigclass.cls array -> int array -> t
 (** [create st classes informative]: scorer over the given informative
-    class indices (first-occurrence order).  A fresh private cache is
-    used unless [?cache] supplies a shared one. *)
+    class indices (first-occurrence order).  A fresh memo is used unless
+    [?memo] supplies the pick's. *)
 
-val of_state : ?cache:cache -> State.t -> Sigclass.cls array -> t
-(** Like {!create}, computing the informative set itself. *)
-
-val informative_of : State.t -> Sigclass.cls array -> int array
-(** Indices of informative classes, first-occurrence order. *)
+val of_state : ?memo:memo -> State.t -> Sigclass.cls array -> t
+(** Like {!create}, computing the informative set itself (through the
+    memo row of the state). *)
 
 val state : t -> State.t
 val informative : t -> int array
@@ -75,7 +54,8 @@ val informative : t -> int array
 (** {1 Memoised per-candidate work} *)
 
 val meet_s : t -> int -> Jim_partition.Pairs.t
-(** [meet s sig_i] as pair words, computed once per round per class. *)
+(** [meet s sig_i] as pair words, computed once per [s] per class in a
+    memo. *)
 
 val meet_rank : t -> int -> int
 
@@ -99,10 +79,6 @@ val vs_split : t -> int -> float * float
     branch).  May be [infinity] for wide instances — see the entropy
     strategy's fallback. *)
 
-val class_status : cache -> Sigclass.cls array -> State.t -> int -> State.status
-(** Classification of one class through the shared cache — lets the
-    session's status refresh reuse the scoring round's work. *)
-
 (** {1 Parallel argmax} *)
 
 val best : t -> (t -> int -> float) -> int option
@@ -110,8 +86,9 @@ val best : t -> (t -> int -> float) -> int option
     lowest index winning ties; [None] iff nothing is informative.
     With {!domains} [> 1] the candidates are scored across that many
     domains ([score] receives each domain's private scorer clone, so it
-    must only depend on the scorer argument and the candidate).  The
-    result is bit-identical to the sequential scan. *)
+    must only depend on the scorer argument and the candidate), whose
+    counts are {!record}ed when they join.  The result is bit-identical
+    to the sequential scan. *)
 
 val domains : unit -> int
 (** Scoring domains used by {!best}: the last {!set_domains} value,

@@ -14,10 +14,6 @@ type t = {
   n : int;
   classes : Sigclass.cls array;
   row_class : int array;  (** row number -> class index *)
-  cache : Scorer.cache;
-      (** classification memo shared by every scoring round of this
-          engine: the work done evaluating a candidate is reused when its
-          answer arrives *)
   mutable st : State.t;
   mutable statuses : State.status array;
   mutable asked : int;
@@ -35,22 +31,28 @@ let refresh_statuses eng =
 
 (* Knowledge only grows, so certainty is monotone: a class decided under
    the old state stays decided (with the same polarity) under the new one
-   — only the informative ones need reclassifying.  (The monotonicity is
-   pinned down by the classify-vs-brute-force property test.) *)
+   — only the informative ones need reclassifying, each on its pair
+   words, counted as one batch.  (The monotonicity is pinned down by the
+   classify-vs-brute-force property test.) *)
 let refresh_statuses_incremental eng =
+  let classified = ref 0 in
   Array.iteri
     (fun i s ->
-      if s = State.Informative then
-        eng.statuses.(i) <- Scorer.class_status eng.cache eng.classes eng.st i)
-    eng.statuses
+      if s = State.Informative then begin
+        incr classified;
+        eng.statuses.(i) <-
+          State.classify_bits eng.st eng.classes.(i).Sigclass.bits
+      end)
+    eng.statuses;
+  Metrics.record ~meets:0 ~classify_calls:!classified ~cache_hits:0
+    ~cache_misses:0
 
-(* [?cache], [?statuses] and [?row_class] let a caller that already
-   derived the instance (the server's catalog) warm-start the engine:
-   classes and row_class are read-only and shared as-is, the round-0
-   statuses are copied (the incremental refresh mutates them in place),
-   and the scorer memo is the shared one.  Without them the engine
-   derives everything itself, exactly as before. *)
-let of_classes ?cache ?statuses ?row_class ~n classes =
+(* [?statuses] and [?row_class] let a caller that already derived the
+   instance (the server's catalog) warm-start the engine: classes and
+   row_class are read-only and shared as-is, and the round-0 statuses are
+   copied (the incremental refresh mutates them in place).  Without them
+   the engine derives everything itself, exactly as before. *)
+let of_classes ?statuses ?row_class ~n classes =
   let row_class =
     match row_class with
     | Some rc -> rc
@@ -63,15 +65,11 @@ let of_classes ?cache ?statuses ?row_class ~n classes =
         classes;
       rc
   in
-  let cache =
-    match cache with Some c -> c | None -> Scorer.new_cache ()
-  in
   let eng =
     {
       n;
       classes;
       row_class;
-      cache;
       st = State.create n;
       statuses = (match statuses with Some s -> Array.copy s | None -> [||]);
       asked = 0;
@@ -83,8 +81,7 @@ let of_classes ?cache ?statuses ?row_class ~n classes =
   (match statuses with None -> refresh_statuses eng | Some _ -> ());
   eng
 
-let create ?cache rel =
-  of_classes ?cache ~n:(Relation.arity rel) (Sigclass.classes rel)
+let create rel = of_classes ~n:(Relation.arity rel) (Sigclass.classes rel)
 
 let state eng = eng.st
 let classes eng = eng.classes
@@ -114,17 +111,24 @@ let finished eng =
 
 let asked eng = eng.asked
 
-let ctx_of eng rng =
+let ctx_of eng memo rng =
   {
     Strategy.state = eng.st;
     classes = eng.classes;
     informative = informative_array eng;
-    cache = eng.cache;
+    memo;
     rng;
   }
 
-let question eng strat rng =
-  Metrics.time_pick (fun () -> strat.Strategy.pick (ctx_of eng rng))
+(* One pick: its work is counted in the memo and added to [Metrics]
+   once. *)
+let pick strat ctx =
+  Metrics.time_pick (fun () ->
+      let c = strat.Strategy.pick ctx in
+      Scorer.record ctx.Strategy.memo;
+      c)
+
+let question eng strat rng = pick strat (ctx_of eng (Scorer.new_memo ()) rng)
 
 let top_questions eng strat rng k =
   (* Mask already-proposed classes with a bool array over class indices
@@ -132,6 +136,8 @@ let top_questions eng strat rng k =
      scan per element would make this O(k^2)). *)
   let masked = Array.make (Array.length eng.classes) false in
   let base = informative_array eng in
+  (* Every pick of the ranking scores the same state: one memo. *)
+  let memo = Scorer.new_memo () in
   let rec go acc k =
     if k = 0 then List.rev acc
     else
@@ -139,9 +145,8 @@ let top_questions eng strat rng k =
         Array.of_seq
           (Seq.filter (fun i -> not masked.(i)) (Array.to_seq base))
       in
-      let ctx = { (ctx_of eng rng) with Strategy.informative = remaining } in
-      let pick = Metrics.time_pick (fun () -> strat.Strategy.pick ctx) in
-      match pick with
+      let ctx = { (ctx_of eng memo rng) with Strategy.informative = remaining } in
+      match pick strat ctx with
       | None -> List.rev acc
       | Some c ->
         masked.(c) <- true;

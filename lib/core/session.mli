@@ -16,13 +16,11 @@ type error = Contradiction | Nothing_to_undo
 val error_to_string : error -> string
 val pp_error : Format.formatter -> error -> unit
 
-val create : ?cache:Scorer.cache -> Jim_relational.Relation.t -> t
-(** Precomputes the signature classes of the instance.  [?cache]
-    supplies a shared scorer memo (see {!Scorer.cache}); by default the
-    engine gets a fresh private one. *)
+val create : Jim_relational.Relation.t -> t
+(** Precomputes the signature classes of the instance.  The engine holds
+    no scorer memo: each question scores on a fresh {!Scorer.memo}. *)
 
 val of_classes :
-  ?cache:Scorer.cache ->
   ?statuses:State.status array ->
   ?row_class:int array ->
   n:int ->
@@ -32,7 +30,7 @@ val of_classes :
     workloads, and for warm starts off a catalog entry: [?statuses]
     supplies the round-0 class statuses (copied — the engine mutates its
     own) and [?row_class] the row → class map, skipping both
-    derivations; [?cache] as in {!create}.  The optional arguments must
+    derivations.  The optional arguments must
     describe exactly these [classes]. *)
 
 val state : t -> State.t
@@ -57,7 +55,8 @@ val question : t -> Strategy.t -> Random.State.t -> int option
 
 val top_questions : t -> Strategy.t -> Random.State.t -> int -> int list
 (** Greedy top-[k] ranking: repeatedly ask the strategy, masking what it
-    already proposed (mode 3 of Fig. 3). *)
+    already proposed (mode 3 of Fig. 3).  The [k] picks score one state,
+    so they share one {!Scorer.memo}. *)
 
 val answer : t -> int -> State.label -> (unit, error) result
 (** Absorb the user's label for a class.  On [Error Contradiction] the

@@ -26,7 +26,30 @@ let group sigs =
 
 let of_signatures sigs = group sigs
 
-let classes r = group (Array.to_list (Relation.signatures r))
+(* Rows grouped by pair words built straight from each tuple's values,
+   with [Value.compare] = 0 as equality — the one [Hashtbl] keys use, so
+   the classes are those of [Tuple0.signature]: [Null] = [Null], [nan] =
+   [nan], [0.0] = [-0.0].  First-occurrence order, as in [group]. *)
+let classes r =
+  let same a b = Jim_relational.Value.compare a b = 0 in
+  let tbl = Hashtbl.create 64 in
+  let order = ref [] in
+  Relation.iteri
+    (fun i t ->
+      let bits = Pairs.of_values same t in
+      match Hashtbl.find_opt tbl bits with
+      | Some rows -> rows := i :: !rows
+      | None ->
+        let rows = ref [ i ] in
+        Hashtbl.add tbl bits rows;
+        order := (bits, rows) :: !order)
+    r;
+  let n = Relation.arity r in
+  let mk (bits, rows) =
+    let rows = List.rev !rows in
+    { sg = Pairs.to_partition n bits; bits; rows; card = List.length rows }
+  in
+  Array.of_list (List.rev_map mk !order)
 
 let singletons r =
   Array.mapi

@@ -139,7 +139,6 @@ let pack n s negatives =
   Bytes.unsafe_to_string b
 
 let key st = pack st.n st.s st.negatives
-let canonical_key st = pack st.n st.s []
 
 let pp fmt st =
   Format.fprintf fmt "@[<v>s = %a@ negatives = {%s}@ (%d+, %d-)@]"

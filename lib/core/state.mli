@@ -80,11 +80,7 @@ val key : t -> string
     [s] and then of each negative, written as raw bytes (one byte per
     element while [n <= 255], two up to 65,535, four past that).  For
     states over the same [n], [key a = key b] iff [a] and [b] have equal
-    [s] and [negatives] (the same consistent set).  Keys the scorer's
-    classification memo and {!Optimal}'s. *)
-
-val canonical_key : t -> string
-(** The same packing of [s] alone — the key of the scorer's per-[s]
-    meet rows. *)
+    [s] and [negatives] (the same consistent set).  Keys {!Optimal}'s
+    memo. *)
 
 val pp : Format.formatter -> t -> unit

@@ -4,7 +4,7 @@ type ctx = {
   state : State.t;
   classes : Sigclass.cls array;
   informative : int array;
-  cache : Scorer.cache;
+  memo : Scorer.memo;
   rng : Random.State.t;
 }
 
@@ -16,7 +16,7 @@ type t = {
 }
 
 let scorer_of ctx =
-  Scorer.create ~cache:ctx.cache ctx.state ctx.classes ctx.informative
+  Scorer.create ~memo:ctx.memo ctx.state ctx.classes ctx.informative
 
 let hypothetical = State.hypothetical
 
@@ -199,7 +199,7 @@ let lookahead2 ?beam () =
     kind = `Lookahead;
     pick =
       (fun ctx ->
-        Lookahead2.pick ?beam ~cache:ctx.cache ctx.state ctx.classes
+        Lookahead2.pick ?beam ~memo:ctx.memo ctx.state ctx.classes
           ctx.informative);
   }
 

@@ -17,8 +17,9 @@ type ctx = {
   classes : Sigclass.cls array;
   informative : int array;
       (** indices into [classes], first-occurrence order *)
-  cache : Scorer.cache;
-      (** classification memo shared across the session's rounds *)
+  memo : Scorer.memo;
+      (** the pick's classification memo: fresh per question (one
+          top-k ranking shares one); it also counts the pick's work *)
   rng : Random.State.t;  (** private to the strategy *)
 }
 
@@ -98,7 +99,7 @@ val to_string : t -> string
 (** {1 Helpers shared with {!Optimal} and the interaction modes} *)
 
 val scorer_of : ctx -> Scorer.t
-(** The round's scoring engine (shares the context's cache). *)
+(** The pick's scoring engine (on the context's memo). *)
 
 val decided_counts : State.t -> Sigclass.cls array -> int list -> int -> int * int
 (** [decided_counts st classes informative c]: numbers of currently

@@ -25,6 +25,16 @@ let of_partition p =
   done;
   b
 
+let of_values eq a =
+  let n = Array.length a in
+  let b = Array.make (words n) 0 in
+  for j = 1 to n - 1 do
+    for i = 0 to j - 1 do
+      if eq a.(i) a.(j) then set b (index i j)
+    done
+  done;
+  b
+
 (* The smallest partner of [j] below it, or [j] when it has none. *)
 let first_partner b j =
   let rec go i = if i >= j then j else if get b (index i j) then i else go (i + 1) in

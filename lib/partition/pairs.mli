@@ -16,6 +16,11 @@ type t
 
 val of_partition : Partition.t -> t
 
+val of_values : ('a -> 'a -> bool) -> 'a array -> t
+(** [of_values eq a]: the partition of [a]'s positions that equates [i]
+    and [j] iff [eq a.(i) a.(j)], built without a {!Partition.t};
+    [eq] must be an equivalence. *)
+
 val to_partition : int -> t -> Partition.t
 (** [to_partition n (of_partition p)] equals [p] for [p] of size [n]. *)
 

@@ -57,18 +57,23 @@ let parse_string ?(sep = ',') s =
 let needs_quoting sep f =
   String.exists (fun c -> c = sep || c = '"' || c = '\n' || c = '\r') f
 
-let quote f =
-  let buf = Buffer.create (String.length f + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      if c = '"' then Buffer.add_string buf "\"\"" else Buffer.add_char buf c)
-    f;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+let add_field ?(sep = ',') buf f =
+  if needs_quoting sep f then begin
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        if c = '"' then Buffer.add_string buf "\"\"" else Buffer.add_char buf c)
+      f;
+    Buffer.add_char buf '"'
+  end
+  else Buffer.add_string buf f
 
 let print_string ?(sep = ',') rows =
-  let field f = if needs_quoting sep f then quote f else f in
+  let field f =
+    let buf = Buffer.create (String.length f + 2) in
+    add_field ~sep buf f;
+    Buffer.contents buf
+  in
   String.concat ""
     (List.map
        (fun row -> String.concat (String.make 1 sep) (List.map field row) ^ "\n")

@@ -10,6 +10,10 @@ val parse_string : ?sep:char -> string -> string list list
 val print_string : ?sep:char -> string list list -> string
 (** Quotes a field iff it contains the separator, a quote or a newline. *)
 
+val add_field : ?sep:char -> Buffer.t -> string -> unit
+(** One field as {!print_string} writes it (quoted iff needed), appended
+    to a buffer: for writers that assemble rows without lists. *)
+
 val load : ?sep:char -> ?name:string -> Schema.t -> string -> (Relation.t, string) result
 (** [load schema path]: reads the file, checks the header row against the
     schema's column names (header is required) and parses each field at

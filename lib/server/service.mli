@@ -36,8 +36,7 @@ val create :
 
     [catalog] is the instance catalog sessions resolve their sources
     through (each session pins its entry for its lifetime; starts on an
-    already-cataloged instance are warm: no re-derivation, shared scorer
-    memo).  A fresh private catalog is made when omitted; pass one to
+    already-cataloged instance are warm: no re-derivation).  A fresh private catalog is made when omitted; pass one to
     share instances across services (e.g. across restarts in the fault
     sweeps).
 

@@ -301,18 +301,7 @@ let run_pipelined ?(clients = 4) ?(pipeline = 8) ?(framing = Wire.Line)
 (* ------------------------------------------------------------------ *)
 (* Catalog drill: register once, start every client by fingerprint, and
    return the server's catalog counters for the caller to assert on
-   (hits > 0, exactly one derivation).  The drill itself fails unless the
-   sessions left rows in the shared memo and the memo kept within its
-   budget. *)
-
-let check_memo (c : P.catalog_stats) =
-  let budget = c.entries * Scorer.default_budget_bytes in
-  if c.memo_rows < 1 then Error "the sessions left no row in the scorer memo"
-  else if c.memo_bytes > budget then
-    Error
-      (Printf.sprintf "scorer memo holds %d bytes, over its %d-byte budget"
-         c.memo_bytes budget)
-  else Ok c
+   (hits > 0, exactly one derivation). *)
 
 let catalog_smoke ?(clients = 2) ?(instance = 7) ?(framing = Wire.Line)
     ?(receive_timeout = default_receive_timeout) ~address () =
@@ -345,7 +334,6 @@ let catalog_smoke ?(clients = 2) ?(instance = 7) ?(framing = Wire.Line)
           | P.Catalog_info c -> Some c
           | _ -> None)
       in
-      let* stats = check_memo stats in
       Ok (reports, stats)
     in
     Wire.close conn;

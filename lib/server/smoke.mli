@@ -107,10 +107,8 @@ val catalog_smoke :
     and are held to the usual bit-identity bar.  Returns the reports
     plus the server's catalog counters (callers assert [hits > 0] and
     [derivations = 1]).  [Error] for the drill's own plumbing
-    (connect/register/stats failures), and when the counters show no
-    scorer-memo row or more memo bytes than [entries] times
-    {!Jim_core.Scorer.default_budget_bytes}; per-client failures are in
-    the reports. *)
+    (connect/register/stats failures); per-client failures are in the
+    reports. *)
 
 val crash_start :
   ?framing:Wire.framing ->

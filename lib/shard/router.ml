@@ -311,9 +311,6 @@ let add_stats (a : P.catalog_stats) (b : P.catalog_stats) : P.catalog_stats =
     evictions = a.evictions + b.evictions;
     fingerprints = a.fingerprints + b.fingerprints;
     derivations = a.derivations + b.derivations;
-    memo_rows = a.memo_rows + b.memo_rows;
-    memo_bytes = a.memo_bytes + b.memo_bytes;
-    memo_evictions = a.memo_evictions + b.memo_evictions;
   }
 
 let zero_stats : P.catalog_stats =
@@ -326,9 +323,6 @@ let zero_stats : P.catalog_stats =
     evictions = 0;
     fingerprints = 0;
     derivations = 0;
-    memo_rows = 0;
-    memo_bytes = 0;
-    memo_evictions = 0;
   }
 
 (* Catalog counters live per shard; the router-level answer is the sum

@@ -251,9 +251,6 @@ let gen_catalog_stats =
     let* evictions = nat in
     let* fingerprints = nat in
     let* derivations = nat in
-    let* memo_rows = nat in
-    let* memo_bytes = nat in
-    let* memo_evictions = nat in
     return
       {
         Pr.entries;
@@ -264,9 +261,6 @@ let gen_catalog_stats =
         evictions;
         fingerprints;
         derivations;
-        memo_rows;
-        memo_bytes;
-        memo_evictions;
       })
 
 let gen_crowd_stats =

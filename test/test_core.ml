@@ -323,7 +323,7 @@ let mk_ctx st classes rng_seed =
     Strategy.state = st;
     classes;
     informative = Array.of_list (List.rev !informative);
-    cache = Scorer.new_cache ();
+    memo = Scorer.new_memo ();
     rng = Random.State.make [| rng_seed |];
   }
 
@@ -412,29 +412,33 @@ let prop_scorer_matches_reference_wide =
     "scorer counts = unmemoised reference, 12 attributes" 12
 
 let prop_scorer_matches_reference_warm =
-  (* The same agreement read back through an already populated cache:
-     the second pass is answered from memo hits only, so every status it
-     returns — counts, and each class under each hypothetical branch — is
-     decoded from a stored byte rather than computed. *)
+  (* The same agreement read back through an already populated memo, as
+     within one pick: the second pass is answered from memo hits only, so
+     every status it returns — counts, and the informative set of the
+     state and of each hypothetical branch — is decoded from a stored
+     byte rather than computed. *)
   qtest ~count:120 "scorer counts = unmemoised reference, populated cache"
     (arb_scenario 5) (fun (goal, sigs) ->
       let k = List.length sigs / 2 in
       let labelled = List.filteri (fun i _ -> i < k) sigs in
       let st = state_of_scenario (goal, labelled) in
       let classes = Sigclass.of_signatures sigs in
-      let cache = Scorer.new_cache () in
+      let memo = Scorer.new_memo () in
       let pass () =
-        let sc = Scorer.of_state ~cache st classes in
+        let sc = Scorer.of_state ~memo st classes in
         let inf = Array.to_list (Scorer.informative sc) in
         let statuses_agree = function
           | None -> true
           | Some st' ->
-            Array.for_all Fun.id
-              (Array.mapi
-                 (fun i (c : Sigclass.cls) ->
-                   Scorer.class_status cache classes st' i
-                   = State.classify st' c.Sigclass.sg)
-                 classes)
+            let expected =
+              List.filter
+                (fun i ->
+                  State.classify st' classes.(i).Sigclass.sg
+                  = State.Informative)
+                (List.init (Array.length classes) Fun.id)
+            in
+            Array.to_list (Scorer.informative (Scorer.of_state ~memo st' classes))
+            = expected
         in
         statuses_agree (Some st)
         && List.for_all
@@ -448,8 +452,10 @@ let prop_scorer_matches_reference_warm =
              inf
       in
       let first = pass () in
+      Scorer.record memo;
       let before = Metrics.snapshot () in
       let second = pass () in
+      Scorer.record memo;
       let d = Metrics.diff (Metrics.snapshot ()) before in
       first && second && d.Metrics.cache_misses = 0 && d.Metrics.cache_hits > 0)
 
@@ -486,7 +492,8 @@ let prop_parallel_pick_equivalence_wide =
 
 (* The engine's logical work, pinned per strategy: questions asked, then
    the [Metrics.diff] of one closed-loop session — meets, classifications
-   evaluated, memo hits and misses.  These count operations, not time, so
+   evaluated (the status refresh after each answer included), and hits
+   and misses of each pick's memo.  These count operations, not time, so
    a faster kernel must leave every figure as it is.  Instances are
    (attributes, tuples, domain), goal rank 2, seed 3.  [optimal] is left
    out: it is exponential on these instances, and it picks without the
@@ -495,25 +502,25 @@ let engine_counts =
   [
     ( (6, 120, 6),
       [
-        ("random", 20, 0, 1001, 0, 1001);
-        ("local-lex", 17, 0, 702, 0, 702);
-        ("local-specific", 20, 110, 759, 0, 759);
-        ("local-general", 31, 88, 2263, 0, 2263);
-        ("lookahead-maximin", 8, 16929, 36474, 5749, 36474);
-        ("lookahead-expected", 14, 18203, 68532, 44947, 68532);
-        ("lookahead-entropy", 5, 12250, 24960, 3027, 24960);
-        ("lookahead-2", 8, 51577, 198473, 340714, 198473);
+        ("random", 20, 0, 1001, 0, 0);
+        ("local-lex", 17, 0, 702, 0, 0);
+        ("local-specific", 20, 759, 759, 0, 0);
+        ("local-general", 31, 2263, 2263, 0, 0);
+        ("lookahead-maximin", 8, 19684, 39879, 2344, 39570);
+        ("lookahead-expected", 14, 56349, 113479, 0, 112598);
+        ("lookahead-entropy", 5, 12621, 25543, 2444, 25326);
+        ("lookahead-2", 8, 74505, 240025, 299162, 239698);
       ] );
     ( (12, 60, 12),
       [
-        ("random", 51, 0, 1732, 0, 1732);
-        ("local-lex", 25, 0, 1003, 0, 1003);
-        ("local-specific", 5, 124, 179, 0, 179);
-        ("local-general", 3, 60, 177, 0, 177);
-        ("lookahead-maximin", 4, 3921, 7457, 6854, 7457);
-        ("lookahead-expected", 3, 7697, 17172, 3895, 17172);
-        ("lookahead-entropy", 8, 5796, 11723, 6682, 11723);
-        ("lookahead-2", 8, 29816, 91814, 132150, 91814);
+        ("random", 51, 0, 1732, 0, 0);
+        ("local-lex", 25, 0, 1003, 0, 0);
+        ("local-specific", 5, 179, 179, 0, 0);
+        ("local-general", 3, 177, 177, 0, 0);
+        ("lookahead-maximin", 4, 4042, 7731, 6580, 7598);
+        ("lookahead-expected", 3, 10778, 21067, 0, 20890);
+        ("lookahead-entropy", 8, 6553, 12689, 5716, 12474);
+        ("lookahead-2", 8, 36216, 105022, 118942, 104802);
       ] );
   ]
 
@@ -781,7 +788,7 @@ let test_top_questions_preference_order () =
             Strategy.state = st;
             classes;
             informative = Array.of_list (List.rev !informative);
-            cache = Scorer.new_cache ();
+            memo = Scorer.new_memo ();
             rng = Random.State.make [| 0 |];
           }
         in

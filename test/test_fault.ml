@@ -216,8 +216,8 @@ let test_chunk_run () =
 let test_crash_sweep_shared_catalog () =
   (* The same crash sweep, but every service — faulted runs and recovery
      verifications alike — resolves through one long-lived shared
-     catalog: recoveries warm-start off shared entries (and shared
-     scorer memos) and the bit-identity contract must hold unchanged.
+     catalog: recoveries warm-start off shared entries and the
+     bit-identity contract must hold unchanged.
      The whole sweep derives each of the 7 instances exactly once. *)
   let catalog = Jim_catalog.Catalog.create () in
   let st = Sweep.crash_sweep ~catalog ~stride:7 Sweep.default in

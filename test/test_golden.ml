@@ -157,11 +157,8 @@ let responses =
           evictions = 6;
           fingerprints = 7;
           derivations = 8;
-          memo_rows = 9;
-          memo_bytes = 10;
-          memo_evictions = 11;
         },
-      {|{"jim":1,"resp":"catalog_stats","entries":1,"bytes":2,"pinned":3,"hits":4,"misses":5,"evictions":6,"fingerprints":7,"derivations":8,"memo_rows":9,"memo_bytes":10,"memo_evictions":11}|}
+      {|{"jim":1,"resp":"catalog_stats","entries":1,"bytes":2,"pinned":3,"hits":4,"misses":5,"evictions":6,"fingerprints":7,"derivations":8}|}
     );
     (Pr.Repl_ok { gen = 2; records = 17 }, {|{"jim":1,"resp":"repl_ok","gen":2,"records":17}|});
     ( Pr.Repl_lag { records = 3; bytes = 420 },
@@ -486,6 +483,23 @@ let prop_mutated =
 
 let prop_snapshot = qtest 2000 "mutated snapshots never raise" mutate_snapshot
 
+(* A shard from before the scorer memo went pick-scoped still sends
+   [memo_rows], [memo_bytes] and [memo_evictions] in its catalog_stats
+   reply; unknown members are ignored, so a newer router decodes it to
+   the same counters. *)
+let test_old_catalog_stats () =
+  let old =
+    {|{"jim":1,"resp":"catalog_stats","entries":1,"bytes":2,"pinned":3,"hits":4,"misses":5,"evictions":6,"fingerprints":7,"derivations":8,"memo_rows":9,"memo_bytes":10,"memo_evictions":11}|}
+  in
+  match Pr.response_of_string old with
+  | Ok (Pr.Catalog_info c) ->
+    Alcotest.(check (list int))
+      "counters" [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+      [ c.entries; c.bytes; c.pinned; c.hits; c.misses; c.evictions;
+        c.fingerprints; c.derivations ]
+  | Ok other -> Alcotest.failf "decoded as %s" (Pr.response_to_string other)
+  | Error e -> Alcotest.failf "refused: %s" (Pr.error_to_string e)
+
 let () =
   Alcotest.run "golden"
     [
@@ -499,4 +513,9 @@ let () =
             ])
           families );
       ("never raise", [ prop_arbitrary; prop_mutated; prop_snapshot ]);
+      ( "compat",
+        [
+          Alcotest.test_case "an old shard's catalog_stats decodes" `Quick
+            test_old_catalog_stats;
+        ] );
     ]

@@ -120,8 +120,8 @@ let test_smoke_pipelined () =
         (after.Netstats.pipelined_depth_max >= 2))
 
 (* The catalog acceptance bar: the same 32 concurrent clients, but all
-   on ONE instance — a single shared catalog entry, one derivation, one
-   scorer memo — must stay bit-identical to isolated in-process runs. *)
+   on ONE instance — a single shared catalog entry, one derivation —
+   must stay bit-identical to isolated in-process runs. *)
 let test_smoke_32_clients_shared_entry () =
   with_server (fun address service ->
       check_reports (Smoke.run ~clients:32 ~instance:7 ~address ()) 32;

@@ -1500,6 +1500,111 @@ let test_crash_drill_over_wire () =
           | Error _ -> ()
           | Ok _ -> Alcotest.fail "a missing state file resumed"))
 
+(* ------------------------------------------------------------------ *)
+(* Registration: grouping and the canonical CSV                        *)
+
+module Value = Jim_relational.Value
+module Schema = Jim_relational.Schema
+module Relation = Jim_relational.Relation
+module Csv = Jim_relational.Csv
+
+(* Relations whose columns share small value pools, so tuples repeat and
+   columns collide: floats with [nan] (both signs) and [-0.0], nulls,
+   and strings with quotes, commas, newlines and carriage returns. *)
+let arb_relation =
+  let pool = function
+    | Value.Tint -> [ Value.Null; Int 0; Int 1; Int (-1) ]
+    | Tfloat ->
+      [ Value.Null; Float Float.nan; Float (-.Float.nan); Float 0.0;
+        Float (-0.0); Float 1.5; Float 1e20; Float Float.infinity ]
+    | Tstring ->
+      [ Value.Null; Str ""; Str "a"; Str "a,b"; Str "say \"hi\""; Str "x\ny";
+        Str "cr\r"; Str "nan" ]
+    | Tbool -> [ Value.Null; Bool true; Bool false ]
+    | Tdate -> [ Value.Null; Value.date 2024 2 29; Value.date 1999 12 31 ]
+  in
+  let gen =
+    QCheck.Gen.(
+      let* arity = int_range 1 7 in
+      let* types =
+        list_repeat arity
+          (frequency
+             [ (3, return Value.Tfloat); (2, return Value.Tstring);
+               (1, return Value.Tint); (1, return Value.Tbool);
+               (1, return Value.Tdate) ])
+      in
+      let* rows = int_range 0 40 in
+      let* tuples =
+        list_repeat rows
+          (flatten_l (List.map (fun ty -> oneofl (pool ty)) types))
+      in
+      let schema =
+        Schema.of_list (List.mapi (fun i ty -> (Printf.sprintf "c%d" i, ty)) types)
+      in
+      return (Relation.of_rows schema tuples))
+  in
+  QCheck.make ~print:(fun r -> Csv.to_string r) gen
+
+(* The register path against references kept here: grouping through
+   [Relation.signatures] (a [Hashtbl] per tuple), and the canonical CSV
+   through [Csv.print_string] over string lists. *)
+let prop_register_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"grouping and canonical CSV = references"
+       arb_relation (fun r ->
+         let same (a : Sigclass.cls) (b : Sigclass.cls) =
+           Jim_partition.Partition.equal a.sg b.sg
+           && Jim_partition.Pairs.equal a.bits b.bits
+           && a.rows = b.rows && a.card = b.card
+         in
+         let reference_classes =
+           Sigclass.of_signatures (Array.to_list (Relation.signatures r))
+         in
+         let schema = Relation.schema r in
+         let reference_csv =
+           Csv.print_string
+             ((Array.to_list (Schema.names schema)
+              @ List.map Value.ty_name (Array.to_list (Schema.types schema)))
+             :: List.map
+                  (fun t -> List.map Value.to_string (Array.to_list t))
+                  (Relation.tuples r))
+         in
+         let classes = Sigclass.classes r in
+         Array.length classes = Array.length reference_classes
+         && Array.for_all2 same classes reference_classes
+         && String.equal (Store.canonical_csv r) reference_csv))
+
+(* Fingerprints key the catalog and are journaled for restore's drift
+   check, so a journal written by an older build must still match: these
+   values were taken before the register path was rewritten. *)
+let test_fingerprints_pinned () =
+  let inline =
+    "i,f,g,s,t,b,d\n\
+     1,0.0,-0.0,\"a,b\",x,true,2024-02-29\n\
+     ,nan,nan,\"say \"\"hi\"\"\",,false,1999-12-31\n\
+     3,-0.0,0.0,\"line1\nline2\",x,,\n\
+     1,1.5,1.5,plain,\"a,b\",true,2024-02-29\n\
+     -7,-2.5e-07,1e+20,\"cr\r\",\"\",TRUE,2000-01-01\n"
+  in
+  let synthetic =
+    W.Synthetic.generate
+      { W.Synthetic.n_attrs = 6; n_tuples = 400; domain = 6; goal_rank = 2; seed = 1 }
+  in
+  let inline_rel =
+    match Csv.load_string ~name:"inline" inline with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "inline CSV: %s" e
+  in
+  List.iter
+    (fun (name, rel, fp) ->
+      Alcotest.(check string) name fp (Store.fingerprint rel))
+    [
+      ("flights", W.Flights.instance, "53e6172c");
+      ("setcards", W.Setcards.pair_instance (), "4305078d");
+      ("synthetic 6 x 400 d6 seed 1", synthetic.W.Synthetic.relation, "9a532381");
+      ("inline, every type and quoting case", inline_rel, "4950b0ca");
+    ]
+
 let () =
   Alcotest.run "store"
     [
@@ -1574,6 +1679,12 @@ let () =
             test_crash_drill_over_wire;
           Alcotest.test_case "fingerprint is canonical" `Quick
             test_fingerprint_canonical;
+        ] );
+      ( "register",
+        [
+          prop_register_matches_reference;
+          Alcotest.test_case "fingerprints pinned" `Quick
+            test_fingerprints_pinned;
         ] );
       ( "instance",
         [
