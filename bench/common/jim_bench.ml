@@ -60,7 +60,8 @@ type kind = {
          baseline and a fresh run must share to be compared *)
   gated : (string * direction) list;
       (* [Higher]: bigger is better (throughput); [Lower]: smaller is
-         better (latency) *)
+         better (latency).  A row is gated on each of these its baseline
+         carries, and must carry at least one. *)
 }
 
 let strategies =
@@ -77,7 +78,7 @@ let wire =
 
 let catalog =
   { generated_by = "jim bench catalog"; rows_field = "results"; params = [];
-    gated = [ ("starts_per_s", Higher) ] }
+    gated = [ ("starts_per_s", Higher); ("registers_per_s", Higher) ] }
 
 let shard =
   { generated_by = "jim bench shard"; rows_field = "results"; params = [];
@@ -133,11 +134,15 @@ let table headers rows =
   print_row (List.map (fun w -> String.make w '-') widths);
   List.iter print_row rows
 
-(* The human-readable view of [rows]: the [columns] keys, as written. *)
+(* The human-readable view of [rows]: the [columns] keys, as written,
+   blank where a row has no such key. *)
 let print_rows columns rows =
   let cell = function S s -> s | v -> render v in
   table columns
-    (List.map (fun row -> List.map (fun k -> cell (List.assoc k row)) columns) rows)
+    (List.map
+       (fun row ->
+         List.map (fun k -> Option.fold ~none:"" ~some:cell (List.assoc_opt k row)) columns)
+       rows)
 
 (* ------------------------------------------------------------------ *)
 (* The gate                                                            *)
@@ -212,6 +217,8 @@ let gate ~tolerance ~skip ~baseline ~fresh =
             incr failures;
             say "FAIL  %s: present in baseline, missing from fresh run" name
           | Some fresh_row ->
+            let gated = List.filter (fun (m, _) -> Json.member m row <> None) kind.gated in
+            if gated = [] then refuse "row %s has no gated metric" name;
             List.iter
               (fun (metric, dir) ->
                 incr checked;
@@ -236,7 +243,7 @@ let gate ~tolerance ~skip ~baseline ~fresh =
                      tolerance %.0f%%)"
                     name metric fresh_v base_v bound (tolerance *. 100.0)
                 end)
-              kind.gated)
+              gated)
       (rows_of kind baseline);
     Ok { lines = List.rev !lines; checked = !checked; failures = !failures }
   with Refused m -> Error m

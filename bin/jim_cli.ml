@@ -402,12 +402,19 @@ let crowd_stats_line (c : Jim_api.Protocol.crowd_stats) =
 
 (* The serving subcommands: parse flags into a start-up (a usage error
    exits 2), run it through [Node.start] (a failure exits [start_fails]),
-   print the banner, then block until the listener shuts down. *)
+   print the banner, then serve until SIGTERM or SIGINT, which stops the
+   node, prints a last stats line under [--stats-every] and exits 0.
+   The two signals are blocked before any thread exists, so every
+   thread inherits the block and only this one takes them, with
+   [Thread.wait_signal]: no handler runs on the event loop's thread,
+   whose shutdown joins it. *)
 let serve_node name ?stats_every ?(start_fails = 1) start =
   let fail code e =
     Printf.eprintf "jim %s: %s\n" name e;
     code
   in
+  let signals = [ Sys.sigint; Sys.sigterm ] in
+  ignore (Thread.sigmask Unix.SIG_BLOCK signals);
   match Result.map (fun start -> start ()) start with
   | Error e -> fail 2 e
   | Ok (Error e) -> fail start_fails e
@@ -425,8 +432,9 @@ let serve_node name ?stats_every ?(start_fails = 1) start =
                done)
              ()))
       stats_every;
-    Node.wait node;
+    ignore (Thread.wait_signal signals);
     Node.stop node;
+    Option.iter (fun _ -> say (Node.stats_line node)) stats_every;
     0
 
 let ( let* ) = Result.bind

@@ -40,14 +40,17 @@ type slot = {
   entry : entry;
   mutable refs : int;
   mutable last_used : float;  (* only meaningful while [refs = 0] *)
-  mutable source_keys : string list;
-      (* every source-JSON key aliasing this entry, for eviction *)
+  mutable sources : P.instance_source list;
+      (* every source aliasing this entry, for eviction *)
 }
 
 type t = {
   lock : Mutex.t;
   by_fp : (string, slot) Hashtbl.t;
-  by_source : (string, string) Hashtbl.t;  (* source JSON -> fingerprint *)
+  by_source : (P.instance_source, string) Hashtbl.t;
+      (* concrete source -> fingerprint; keyed by the source value the
+         request carried, so an inline text is hashed and compared, never
+         re-encoded or copied *)
   max_entries : int;
   now : unit -> float;
   mutable bytes : int;
@@ -117,7 +120,20 @@ let relation_of :
 (* ------------------------------------------------------------------ *)
 (* Interning                                                           *)
 
-let derive t origin rel schema ~csv ~fp =
+(* A concrete source's relation and canonical text: an inline CSV's come
+   out of the reader's one pass, any other source's text is rendered
+   from its relation. *)
+let load = function
+  | P.Csv_inline text ->
+    Result.map_error
+      (fun msg -> P.Bad_source msg)
+      (Jim_relational.Csv.load_canonical ~name:"inline" text)
+  | source ->
+    Result.map
+      (fun (rel, _) -> (rel, Jim_store.Store.canonical_csv rel))
+      (relation_of source)
+
+let derive t origin rel ~csv ~fp =
   t.derivations <- t.derivations + 1;
   let n = Relation.arity rel in
   let classes = Sigclass.classes rel in
@@ -133,7 +149,7 @@ let derive t origin rel schema ~csv ~fp =
   {
     fingerprint = fp;
     relation = rel;
-    schema;
+    schema = Relation.schema rel;
     arity = n;
     tuples = Relation.cardinality rel;
     bytes = String.length csv;
@@ -168,7 +184,7 @@ let evict_to_cap t =
     | None -> false
     | Some s ->
       Hashtbl.remove t.by_fp s.entry.fingerprint;
-      List.iter (Hashtbl.remove t.by_source) s.source_keys;
+      List.iter (Hashtbl.remove t.by_source) s.sources;
       t.bytes <- t.bytes - s.entry.bytes;
       t.evictions <- t.evictions + 1;
       true
@@ -181,26 +197,25 @@ let evict_to_cap t =
    is where the old per-session [Store.fingerprint] call moved — and
    either alias an existing entry (same data under a new source) or
    intern a fresh one. *)
-let intern t key source =
+let intern t source =
   t.misses <- t.misses + 1;
-  match relation_of source with
+  match load source with
   | Error e -> Error e
-  | Ok (rel, schema) -> (
+  | Ok (rel, csv) -> (
     t.fingerprints <- t.fingerprints + 1;
-    let csv = Jim_store.Store.canonical_csv rel in
     let fp = Jim_store.Store.fingerprint_of_csv csv in
     match Hashtbl.find_opt t.by_fp fp with
     | Some slot ->
-      slot.source_keys <- key :: slot.source_keys;
-      Hashtbl.replace t.by_source key fp;
+      slot.sources <- source :: slot.sources;
+      Hashtbl.replace t.by_source source fp;
       acquire t slot
     | None ->
-      let entry = derive t source rel schema ~csv ~fp in
+      let entry = derive t source rel ~csv ~fp in
       let slot =
-        { entry; refs = 0; last_used = t.now (); source_keys = [ key ] }
+        { entry; refs = 0; last_used = t.now (); sources = [ source ] }
       in
       Hashtbl.replace t.by_fp entry.fingerprint slot;
-      Hashtbl.replace t.by_source key entry.fingerprint;
+      Hashtbl.replace t.by_source source entry.fingerprint;
       t.bytes <- t.bytes + entry.bytes;
       (* pin before trimming: the fresh slot must not be its own LRU
          victim *)
@@ -220,8 +235,7 @@ let resolve t source =
       t.misses <- t.misses + 1;
       Error (P.Unknown_instance fp))
   | concrete -> (
-    let key = Jim_api.Codec.to_string P.source concrete in
-    match Hashtbl.find_opt t.by_source key with
+    match Hashtbl.find_opt t.by_source concrete with
     | Some fp -> (
       match Hashtbl.find_opt t.by_fp fp with
       | Some slot ->
@@ -230,9 +244,9 @@ let resolve t source =
       | None ->
         (* Defensive: eviction removes source keys, so this is dead in
            practice; self-heal if the indexes ever disagree. *)
-        Hashtbl.remove t.by_source key;
-        intern t key concrete)
-    | None -> intern t key concrete)
+        Hashtbl.remove t.by_source concrete;
+        intern t concrete)
+    | None -> intern t concrete)
 
 let release t entry =
   with_lock t.lock @@ fun () ->

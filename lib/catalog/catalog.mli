@@ -57,12 +57,16 @@ val resolve :
 
     [Catalog fp] looks up the fingerprint and never derives;
     a miss is [Unknown_instance].  A concrete source is first looked up
-    by its encoded form (a repeat source is a hit: no fingerprinting, no
-    derivation); on a miss it is resolved and fingerprinted — exactly
-    once per entry, counted by [fingerprints] — and either aliased to an
-    existing entry carrying the same data or derived and interned
-    (counted by [derivations]).  Bad concrete sources fail as before
-    with [Bad_source].
+    by value (a repeat source is a hit: no fingerprinting, no
+    derivation; an inline text is hashed and compared, never re-encoded,
+    and the catalog keeps the source it was given rather than a copy);
+    on a miss it is resolved and fingerprinted — exactly once per entry,
+    counted by [fingerprints] — and either aliased to an existing entry
+    carrying the same data or derived and interned (counted by
+    [derivations]).  An inline CSV is read, typed and rendered canonical
+    in one pass ({!Jim_relational.Csv.load_canonical}); other sources
+    render their relation.  Bad concrete sources fail as before with
+    [Bad_source].
 
     Derivation runs under the catalog lock: two racing sessions on a new
     instance serialise briefly rather than derive twice. *)

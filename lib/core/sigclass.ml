@@ -26,30 +26,57 @@ let group sigs =
 
 let of_signatures sigs = group sigs
 
+module Bits = Hashtbl.Make (Pairs)
+
 (* Rows grouped by pair words built straight from each tuple's values,
    with [Value.compare] = 0 as equality — the one [Hashtbl] keys use, so
    the classes are those of [Tuple0.signature]: [Null] = [Null], [nan] =
    [nan], [0.0] = [-0.0].  First-occurrence order, as in [group]. *)
 let classes r =
   let same a b = Jim_relational.Value.compare a b = 0 in
-  let tbl = Hashtbl.create 64 in
-  let order = ref [] in
+  (* A row of ints (most rows of most instances) compares as ints. *)
+  let ints = Array.make (Relation.arity r) 0 in
+  let bits t =
+    let j = ref 0 in
+    while
+      !j < Array.length t
+      &&
+      match t.(!j) with
+      | Jim_relational.Value.Int x ->
+        ints.(!j) <- x;
+        true
+      | _ -> false
+    do
+      incr j
+    done;
+    if !j = Array.length t then Pairs.of_ints ints else Pairs.of_values same t
+  in
+  (* Each row's class index, classes numbered as first met. *)
+  let tbl = Bits.create 64 in
+  let row_class = Array.make (Relation.cardinality r) 0 in
+  let firsts = ref [] in
   Relation.iteri
     (fun i t ->
-      let bits = Pairs.of_values same t in
-      match Hashtbl.find_opt tbl bits with
-      | Some rows -> rows := i :: !rows
-      | None ->
-        let rows = ref [ i ] in
-        Hashtbl.add tbl bits rows;
-        order := (bits, rows) :: !order)
+      let bits = bits t in
+      match Bits.find tbl bits with
+      | c -> row_class.(i) <- c
+      | exception Not_found ->
+        let c = Bits.length tbl in
+        Bits.add tbl bits c;
+        row_class.(i) <- c;
+        firsts := bits :: !firsts)
     r;
+  let k = Bits.length tbl in
+  let rows = Array.make k [] and cards = Array.make k 0 in
+  for i = Array.length row_class - 1 downto 0 do
+    let c = row_class.(i) in
+    rows.(c) <- i :: rows.(c);
+    cards.(c) <- cards.(c) + 1
+  done;
   let n = Relation.arity r in
-  let mk (bits, rows) =
-    let rows = List.rev !rows in
-    { sg = Pairs.to_partition n bits; bits; rows; card = List.length rows }
-  in
-  Array.of_list (List.rev_map mk !order)
+  Array.mapi
+    (fun c bits -> { sg = Pairs.to_partition n bits; bits; rows = rows.(c); card = cards.(c) })
+    (Array.of_list (List.rev !firsts))
 
 let singletons r =
   Array.mapi

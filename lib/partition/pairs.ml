@@ -25,20 +25,41 @@ let of_partition p =
   done;
   b
 
+(* Pairs in bit order: [(i, j)] is bit [k] for the [k]-th pair met. *)
 let of_values eq a =
   let n = Array.length a in
   let b = Array.make (words n) 0 in
+  let k = ref 0 in
   for j = 1 to n - 1 do
+    let x = Array.unsafe_get a j in
     for i = 0 to j - 1 do
-      if eq a.(i) a.(j) then set b (index i j)
+      if eq (Array.unsafe_get a i) x then set b !k;
+      incr k
+    done
+  done;
+  b
+
+(* [of_values ( = )] on ints, with the equality inline. *)
+let of_ints (a : int array) =
+  let n = Array.length a in
+  let b = Array.make (words n) 0 in
+  let k = ref 0 in
+  for j = 1 to n - 1 do
+    let x = Array.unsafe_get a j in
+    for i = 0 to j - 1 do
+      if Array.unsafe_get a i = x then set b !k;
+      incr k
     done
   done;
   b
 
 (* The smallest partner of [j] below it, or [j] when it has none. *)
 let first_partner b j =
-  let rec go i = if i >= j then j else if get b (index i j) then i else go (i + 1) in
-  go 0
+  let i = ref 0 in
+  while !i < j && not (get b (index !i j)) do
+    incr i
+  done;
+  !i
 
 let to_partition n b = Partition.of_rep_array (Array.init n (first_partner b))
 
@@ -71,7 +92,22 @@ let meet_refines s g u =
 
 let refines a b = meet_refines a a b
 
-let equal (a : t) b = a = b
+let equal (a : t) b =
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let w = ref 0 in
+  while !w < n && Array.unsafe_get a !w = Array.unsafe_get b !w do
+    incr w
+  done;
+  !w = n
+
+let hash (a : t) =
+  let h = ref (Array.length a) in
+  for w = 0 to Array.length a - 1 do
+    h := (!h * 0x100000001b3) lxor Array.unsafe_get a w
+  done;
+  !h lxor (!h lsr 29)
 
 let rank n b =
   let r = ref 0 in

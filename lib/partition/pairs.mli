@@ -21,6 +21,10 @@ val of_values : ('a -> 'a -> bool) -> 'a array -> t
     and [j] iff [eq a.(i) a.(j)], built without a {!Partition.t};
     [eq] must be an equivalence. *)
 
+val of_ints : int array -> t
+(** [of_values ( = )] on ints, without a call per pair: for callers that
+    can key their values by ints. *)
+
 val to_partition : int -> t -> Partition.t
 (** [to_partition n (of_partition p)] equals [p] for [p] of size [n]. *)
 
@@ -40,6 +44,9 @@ val meet_refines : t -> t -> t -> bool
     the certain-negative test of a classification. *)
 
 val equal : t -> t -> bool
+
+val hash : t -> int
+(** Consistent with {!equal}: for hash tables keyed by pair sets. *)
 
 val rank : int -> t -> int
 (** {!Partition.rank}: the number of elements that are not the smallest

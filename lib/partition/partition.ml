@@ -21,13 +21,23 @@ let of_dsu d = Dsu.canonical d
 
 let of_rep_array a =
   let n = Array.length a in
-  let d = Dsu.create n in
-  Array.iteri
-    (fun i r ->
-      if r < 0 || r >= n then invalid_arg "Partition.of_rep_array";
-      ignore (Dsu.union d i r))
-    a;
-  of_dsu d
+  (* Already canonical (every element points at its block's smallest
+     element, which points at itself): the array is the partition. *)
+  let rec canonical i =
+    i = n
+    || (let r = a.(i) in
+        r >= 0 && r <= i && a.(r) = r && canonical (i + 1))
+  in
+  if canonical 0 then Array.copy a
+  else begin
+    let d = Dsu.create n in
+    Array.iteri
+      (fun i r ->
+        if r < 0 || r >= n then invalid_arg "Partition.of_rep_array";
+        ignore (Dsu.union d i r))
+      a;
+    of_dsu d
+  end
 
 let of_blocks n blocks =
   let d = Dsu.create n in

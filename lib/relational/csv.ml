@@ -1,58 +1,341 @@
-let parse_string ?(sep = ',') s =
-  let n = String.length s in
-  let rows = ref [] and fields = ref [] in
-  let buf = Buffer.create 32 in
-  (* A quoted empty field leaves the buffer empty, so the end-of-input
-     flush below cannot tell it from "no field at all" — this flag can. *)
-  let started = ref false in
-  let flush_field () =
-    fields := Buffer.contents buf :: !fields;
-    Buffer.clear buf;
-    started := false
+(* ------------------------------------------------------------------ *)
+(* The scanner                                                         *)
+
+(* Every field of a text as bounds into it, found in one pass.  [cells]
+   holds two ints per field: the offset where its raw text begins and
+   the offset of the separator, row break or end of input that ends it.
+   A field in which a quote opened has its begin stored as [lnot begin]
+   (negative): only such a field must be unescaped, every other field
+   is the text's own bytes.  Row [r] is fields [first_cell t r] to
+   [row_ends.(r) - 1]. *)
+type scan = {
+  text : string;
+  mutable cells : int array;
+  mutable n_cells : int;
+  mutable row_ends : int array;
+  mutable n_rows : int;
+}
+
+let[@inline] push_cell t start stop =
+  let k = 2 * t.n_cells in
+  if k + 1 >= Array.length t.cells then
+    t.cells <- Array.append t.cells (Array.make (Array.length t.cells) 0);
+  t.cells.(k) <- start;
+  t.cells.(k + 1) <- stop;
+  t.n_cells <- t.n_cells + 1
+
+let push_row t =
+  if t.n_rows >= Array.length t.row_ends then
+    t.row_ends <- Array.append t.row_ends (Array.make (Array.length t.row_ends) 0);
+  t.row_ends.(t.n_rows) <- t.n_cells;
+  t.n_rows <- t.n_rows + 1
+
+let first_cell t r = if r = 0 then 0 else t.row_ends.(r - 1)
+
+(* The RFC-4180 state machine, with one quirk kept from the start: a
+   quote opens a quoted section only at the start of a field, and
+   anything after a closing quote is a literal (a quote never follows a
+   closing one: the two would be an escaped quote). *)
+let scan ?(sep = ',') text =
+  let n = String.length text in
+  let t =
+    { text; cells = Array.make ((n / 4) + 16) 0; n_cells = 0;
+      row_ends = Array.make ((n / 16) + 4) 0; n_rows = 0 }
   in
-  let flush_row () =
-    flush_field ();
-    rows := List.rev !fields :: !rows;
-    fields := []
-  in
-  let rec plain i =
-    if i >= n then ()
-    else
-      match s.[i] with
-      | c when c = sep ->
-        flush_field ();
-        plain (i + 1)
-      | '\r' when i + 1 < n && s.[i + 1] = '\n' ->
-        flush_row ();
-        plain (i + 2)
-      | '\n' | '\r' ->
-        flush_row ();
-        plain (i + 1)
-      | '"' when Buffer.length buf = 0 ->
-        (* A quote at field start opens a quoted field; elsewhere it is a
-           literal character. *)
-        started := true;
-        quoted (i + 1)
-      | c ->
-        Buffer.add_char buf c;
-        plain (i + 1)
-  and quoted i =
-    if i >= n then failwith "Csv: unterminated quoted field"
-    else
-      match s.[i] with
-      | '"' when i + 1 < n && s.[i + 1] = '"' ->
-        Buffer.add_char buf '"';
-        quoted (i + 2)
-      | '"' -> plain (i + 1)
-      | c ->
-        Buffer.add_char buf c;
-        quoted (i + 1)
-  in
-  plain 0;
-  (* Emit the last row unless the input ended with a newline (or was
+  (* The field being read: where it began and whether a quote opened in
+     it. *)
+  let start = ref 0 and quoted = ref false in
+  let i = ref 0 in
+  while !i < n do
+    let c = String.unsafe_get text !i in
+    if c = sep || c = '\n' || c = '\r' then begin
+      push_cell t (if !quoted then lnot !start else !start) !i;
+      incr i;
+      if c <> sep then begin
+        if c = '\r' && !i < n && String.unsafe_get text !i = '\n' then incr i;
+        push_row t
+      end;
+      start := !i;
+      quoted := false
+    end
+    else if c = '"' then begin
+      (* Only at a field's start: content swallows its quotes below, and
+         a closing quote is never followed by another. *)
+      quoted := true;
+      incr i;
+      let closed = ref false in
+      while not !closed do
+        if !i >= n then failwith "Csv: unterminated quoted field"
+        else if String.unsafe_get text !i <> '"' then incr i
+        else if !i + 1 < n && String.unsafe_get text (!i + 1) = '"' then i := !i + 2
+        else begin
+          closed := true;
+          incr i
+        end
+      done
+    end
+    else begin
+      incr i;
+      while
+        !i < n
+        &&
+        let c = String.unsafe_get text !i in
+        c <> sep && c <> '\n' && c <> '\r'
+      do
+        incr i
+      done
+    end
+  done;
+  (* The last row, unless the input ended with a row break (or was
      empty). *)
-  if Buffer.length buf > 0 || !fields <> [] || !started then flush_row ();
-  List.rev !rows
+  if !start < n || t.n_cells > first_cell t t.n_rows then begin
+    push_cell t (if !quoted then lnot !start else !start) n;
+    push_row t
+  end;
+  t
+
+(* A quoted field's content: the scanner's machine re-run over its raw
+   text, which ends where a closing quote left the field. *)
+let unescape text start stop =
+  let buf = Buffer.create (stop - start) in
+  let i = ref start and in_quotes = ref false in
+  while !i < stop do
+    let c = text.[!i] in
+    if !in_quotes then
+      if c <> '"' then Buffer.add_char buf c
+      else if !i + 1 < String.length text && text.[!i + 1] = '"' then begin
+        Buffer.add_char buf '"';
+        incr i
+      end
+      else in_quotes := false
+    else if c = '"' && !i = start then in_quotes := true
+    else Buffer.add_char buf c;
+    incr i
+  done;
+  Buffer.contents buf
+
+(* [f x s a b] with [s.[a..b-1]] cell [k]'s content: the scanned text
+   itself unless the cell was quoted. *)
+let[@inline] with_cell t k f x =
+  let start = t.cells.(2 * k) and stop = t.cells.((2 * k) + 1) in
+  if start >= 0 then f x t.text start stop
+  else
+    let s = unescape t.text (lnot start) stop in
+    f x s 0 (String.length s)
+
+let sub s a b = if a = 0 && b = String.length s then s else String.sub s a (b - a)
+
+let cell_string t k =
+  let start = t.cells.(2 * k) and stop = t.cells.((2 * k) + 1) in
+  if start >= 0 then String.sub t.text start (stop - start) else unescape t.text (lnot start) stop
+
+let row_strings t r =
+  List.init (t.row_ends.(r) - first_cell t r) (fun j -> cell_string t (first_cell t r + j))
+
+let parse_string ?sep s =
+  let t = scan ?sep s in
+  List.init t.n_rows (row_strings t)
+
+(* ------------------------------------------------------------------ *)
+(* Cells as values                                                     *)
+
+(* The typed reading of a cell straight from its bounds.  Each helper
+   recognises one common shape and says "not this shape" otherwise, so
+   the caller falls back to {!Value.parse} on a copy of the cell: the
+   values and error strings are those of [Value.parse ty s] whatever the
+   shape. *)
+
+let none = min_int
+
+let is_digit c = c >= '0' && c <= '9'
+
+(* [s.[a..b-1]] as [[+-]?[0-9]{1,18}]: its value (what [int_of_string]
+   makes of it, no overflow possible), or [none]. *)
+let small_int s a b =
+  let a' = if b > a && (s.[a] = '-' || s.[a] = '+') then a + 1 else a in
+  if b - a' < 1 || b - a' > 18 then none
+  else begin
+    let v = ref 0 and i = ref a' in
+    while !i < b && is_digit s.[!i] do
+      v := (!v * 10) + Char.code s.[!i] - 48;
+      incr i
+    done;
+    if !i < b then none else if s.[a] = '-' then - !v else !v
+  end
+
+let pow10 =
+  [| 1e0; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12;
+     1e13; 1e14; 1e15 |]
+
+(* [s.[a..b-1]] as [[+-]?[0-9]+(\.[0-9]+)?] with at most 15 digits: its
+   value, or [nan].  The digits make an integer below 2^53 and the
+   fraction an exact power of ten, so the one division rounds correctly,
+   as [float_of_string]'s [strtod] does. *)
+let small_float s a b =
+  let a' = if b > a && (s.[a] = '-' || s.[a] = '+') then a + 1 else a in
+  let m = ref 0 and digits = ref 0 and frac = ref (-1) and ok = ref true in
+  let i = ref a' in
+  while !ok && !i < b do
+    let c = s.[!i] in
+    if is_digit c then begin
+      m := (!m * 10) + Char.code c - 48;
+      incr digits;
+      if !frac >= 0 then incr frac
+    end
+    else if c = '.' && !frac < 0 && !digits > 0 then frac := 0
+    else ok := false;
+    incr i
+  done;
+  if (not !ok) || !digits = 0 || !digits > 15 || !frac = 0 then Float.nan
+  else
+    let v = float_of_int !m /. pow10.(max 0 !frac) in
+    if s.[a] = '-' then -.v else v
+
+(* [s.[a..b-1]] is "true" (1) or "false" (0), in any ASCII case, or
+   neither (-1). *)
+let bool_word s a b =
+  let is w =
+    b - a = String.length w
+    &&
+    let rec go j = j = String.length w || (Char.lowercase_ascii s.[a + j] = w.[j] && go (j + 1)) in
+    go 0
+  in
+  if is "true" then 1 else if is "false" then 0 else -1
+
+(* [s.[a..b-1]] as three [small_int] parts joined by dashes: its date,
+   [Null] for an impossible one, or [Str ""] for another shape. *)
+let small_date s a b =
+  let other = Value.Str "" in
+  match String.index_from_opt s a '-' with
+  | Some d1 when d1 < b -> (
+    match String.index_from_opt s (d1 + 1) '-' with
+    | Some d2 when d2 < b ->
+      let y = small_int s a d1 and m = small_int s (d1 + 1) d2 and d = small_int s (d2 + 1) b in
+      if y = none || m = none || d = none then other
+      else (try Value.date y m d with Invalid_argument _ -> Value.Null)
+    | _ -> other)
+  | _ -> other
+
+exception Bad of string
+
+(* The ints most columns hold, allocated once and shared by every cell
+   that reads as one: values are immutable, so only [==] could tell.
+   256 of them keep the table a minor-heap block: a major-heap table
+   filled with young values at start-up grew an idle server's resident
+   set by ~0.4 MB. *)
+let small_ints = Array.init 256 (fun i -> Value.Int i)
+
+let slow ty s a b =
+  match Value.parse ty (sub s a b) with Ok v -> v | Error e -> raise (Bad e)
+
+(* [Value.parse ty] on a cell, raising [Bad] with its error. *)
+let value ty s a b =
+  if a = b then Value.Null
+  else
+    match ty with
+    | Value.Tint ->
+      let i = small_int s a b in
+      if i = none then slow ty s a b
+      else if i >= 0 && i < Array.length small_ints then small_ints.(i)
+      else Int i
+    | Tfloat ->
+      let f = small_float s a b in
+      if Float.is_nan f then slow ty s a b else Float f
+    | Tstring -> Str (sub s a b)
+    | Tbool -> (
+      match bool_word s a b with 1 -> Bool true | 0 -> Bool false | _ -> slow ty s a b)
+    | Tdate -> ( match small_date s a b with Value.Date _ as v -> v | _ -> slow ty s a b)
+
+(* Whether [s.[a..b-1]] is the string [w]. *)
+let is_sub w s a b =
+  b - a = String.length w
+  &&
+  let j = ref 0 in
+  while !j < b - a && s.[a + !j] = w.[!j] do incr j done;
+  !j = b - a
+
+(* The length of [string_of_int x]. *)
+let decimal_length x =
+  let rec go x k = if x > -10 then k else go (x / 10) (k + 1) in
+  go (if x < 0 then x else -x) (if x < 0 then 2 else 1)
+
+(* Whether [s.[a..b-1]] is all digits; whether it has no quote. *)
+let[@inline] all_digits s a b =
+  let i = ref a in
+  while !i < b && is_digit (String.unsafe_get s !i) do incr i done;
+  !i = b
+
+let no_quote s a b =
+  let i = ref a in
+  while !i < b && s.[!i] <> '"' do incr i done;
+  !i = b
+
+(* Whether the unquoted cell [s.[a..b-1]], read as [v], is already [v]'s
+   canonical field, so that its row may be copied.  [false] only costs
+   a rendering. *)
+let[@inline] canonical_cell v s a b =
+  match v with
+  | Value.Null -> true
+  | Int x ->
+    (* Every other text [int_of_string] reads as [x] is longer (a '+',
+       leading zeros, underscores) or starts "0"/"-0" (a radix prefix). *)
+    let c = String.unsafe_get s a in
+    b - a = decimal_length x
+    && if c = '-' then String.unsafe_get s (a + 1) <> '0' else c <> '0' || x = 0
+  | Str _ -> no_quote s a b
+  | Bool x -> is_sub (if x then "true" else "false") s a b
+  | Date _ ->
+    b - a = 10 && s.[a + 4] = '-' && s.[a + 7] = '-'
+    && all_digits s a (a + 4) && all_digits s (a + 5) (a + 7) && all_digits s (a + 8) b
+  | Float _ -> is_sub (Value.to_string v) s a b
+
+(* Whether cell [k], read as [v], is unquoted and its own canonical
+   field. *)
+let canonical_at t k v =
+  let start = t.cells.(2 * k) in
+  start >= 0 && canonical_cell v t.text start t.cells.((2 * k) + 1)
+
+(* Type inference's reading: {!value}, but a bool column holds only
+   [true] and [false], in any case. *)
+let inferred_value ty s a b =
+  if ty = Value.Tbool && a < b && bool_word s a b < 0 then raise (Bad "not a bool")
+  else value ty s a b
+
+(* The data rows as tuples of the header's width, typed by the data,
+   column by column.  A column is the first of int, float, bool and date
+   that all its non-empty cells read as (at least one), else string;
+   rows too short for a column do not vote, and a ragged row is left to
+   the caller to refuse.  A type is tried by reading the column's cells
+   as it, so the type that wins has read each cell once.  With [canon],
+   each cell's byte there says whether it is its own canonical field
+   (['\001']) or not. *)
+let typed_columns ?canon t arity =
+  let rows = Array.init (t.n_rows - 1) (fun _ -> Array.make arity Value.Null) in
+  let read col ty =
+    let seen = ref (ty = Value.Tstring) in
+    try
+      for r = 1 to t.n_rows - 1 do
+        let k = first_cell t r + col in
+        if k < t.row_ends.(r) then begin
+          let v = with_cell t k inferred_value ty in
+          if v != Value.Null then seen := true;
+          (match canon with
+          | Some flags -> Bytes.set flags k (if canonical_at t k v then '\001' else '\000')
+          | None -> ());
+          rows.(r - 1).(col) <- v
+        end
+      done;
+      !seen
+    with Bad _ -> false
+  in
+  let types =
+    Array.init arity (fun col ->
+        List.find (read col) Value.[ Tint; Tfloat; Tbool; Tdate; Tstring ])
+  in
+  (types, rows)
+
+(* ------------------------------------------------------------------ *)
+(* Writing                                                             *)
 
 let needs_quoting sep f =
   String.exists (fun c -> c = sep || c = '"' || c = '\n' || c = '\r') f
@@ -79,80 +362,155 @@ let print_string ?(sep = ',') rows =
        (fun row -> String.concat (String.make 1 sep) (List.map field row) ^ "\n")
        rows)
 
+(* One line of the canonical text. *)
+let canonical_line buf fields to_string =
+  Array.iteri
+    (fun i f ->
+      if i > 0 then Buffer.add_char buf ',';
+      add_field buf (to_string f))
+    fields;
+  Buffer.add_char buf '\n'
+
+let canonical_header buf schema =
+  canonical_line buf
+    (Array.append (Schema.names schema) (Array.map Value.ty_name (Schema.types schema)))
+    Fun.id
+
+let canonical rel =
+  let buf = Buffer.create 4096 in
+  canonical_header buf (Relation.schema rel);
+  Relation.iteri (fun _ t -> canonical_line buf t Value.to_string) rel;
+  Buffer.contents buf
+
+(* Whether the [width] cells from cell [k0] are all their own canonical
+   fields, by {!typed_columns}' flags. *)
+let copyable flags k0 width =
+  let k = ref k0 in
+  while !k < k0 + width && Bytes.unsafe_get flags !k = '\001' do
+    incr k
+  done;
+  !k = k0 + width
+
+(* The data rows' lines of the canonical text.  A row whose cells are
+   all their own canonical fields is copied from the input, and a run of
+   such rows that the input breaks with lone ['\n']s is copied in one
+   piece, so an input that is already canonical is one copy; any other
+   row is rendered. *)
+let canonical_rows buf t flags rows =
+  let n = String.length t.text in
+  (* [t.text.[!pending .. !upto - 1]] is due. *)
+  let pending = ref 0 and upto = ref 0 in
+  let flush () =
+    Buffer.add_substring buf t.text !pending (!upto - !pending);
+    pending := !upto
+  in
+  Array.iteri
+    (fun r0 tuple ->
+      let k0 = first_cell t (r0 + 1) in
+      let a = t.cells.(2 * k0) and b = t.cells.((2 * (k0 + Array.length tuple)) - 1) in
+      if not (copyable flags k0 (Array.length tuple)) then begin
+        flush ();
+        canonical_line buf tuple Value.to_string
+      end
+      else if b < n && t.text.[b] = '\n' then begin
+        if a <> !upto then begin
+          flush ();
+          pending := a
+        end;
+        upto := b + 1
+      end
+      else begin
+        flush ();
+        Buffer.add_substring buf t.text a (b - a);
+        Buffer.add_char buf '\n'
+      end)
+    rows;
+  flush ()
+
+(* Every data row must have the schema's width: the first check on a
+   row. *)
+let check_width t r arity =
+  let width = t.row_ends.(r) - first_cell t r in
+  if width <> arity then
+    raise (Bad (Printf.sprintf "row %d: expected %d fields, got %d" (r + 1) arity width))
+
+(* Row [r] as a tuple of [types], raising [Bad] on a bad row. *)
+let tuple t types r =
+  check_width t r (Array.length types);
+  let k0 = first_cell t r in
+  let tuple = Array.make (Array.length types) Value.Null in
+  (try
+     for j = 0 to Array.length types - 1 do
+       tuple.(j) <- with_cell t (k0 + j) value types.(j)
+     done
+   with Bad e -> raise (Bad (Printf.sprintf "row %d: %s" (r + 1) e)));
+  tuple
+
+let relation ~name schema rows =
+  match Relation.of_array ~name schema (rows ()) with
+  | r -> Ok r
+  | exception Bad msg -> Error msg
+  | exception Invalid_argument msg -> Error msg
+
+(* ------------------------------------------------------------------ *)
+(* Loading                                                             *)
+
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let parse_rows schema name rows =
-  match rows with
-  | [] -> Error "empty CSV file"
-  | header :: data ->
-    let expected = Array.to_list (Schema.names schema) in
+let load ?sep ?name schema path =
+  let name = Option.value name ~default:(Filename.remove_extension (Filename.basename path)) in
+  match scan ?sep (read_file path) with
+  | exception Failure msg -> Error msg
+  | exception Sys_error msg -> Error msg
+  | t when t.n_rows = 0 -> Error "empty CSV file"
+  | t ->
+    let expected = Array.to_list (Schema.names schema) and header = row_strings t 0 in
     if header <> expected then
       Error
         (Printf.sprintf "header mismatch: expected [%s], got [%s]"
            (String.concat "; " expected)
            (String.concat "; " header))
-    else begin
-      let exception Bad of string in
-      try
-        let parse_row rownum fields =
-          if List.length fields <> Schema.arity schema then
-            raise
-              (Bad (Printf.sprintf "row %d: expected %d fields, got %d" rownum
-                      (Schema.arity schema) (List.length fields)));
-          Tuple0.make
-            (List.mapi
-               (fun i f ->
-                 match Value.parse (Schema.column schema i).Schema.cty f with
-                 | Ok v -> v
-                 | Error e -> raise (Bad (Printf.sprintf "row %d: %s" rownum e)))
-               fields)
-        in
-        Ok (Relation.make ~name schema (List.mapi (fun k -> parse_row (k + 2)) data))
-      with
-      | Bad msg -> Error msg
-      | Invalid_argument msg -> Error msg
-    end
+    else
+      relation ~name schema (fun () ->
+          Array.init (t.n_rows - 1) (fun r0 -> tuple t (Schema.types schema) (r0 + 1)))
 
-let load ?sep ?name schema path =
-  let name = Option.value name ~default:(Filename.remove_extension (Filename.basename path)) in
-  match parse_string ?sep (read_file path) with
-  | rows -> parse_rows schema name rows
+(* The header names the columns and {!typed_columns} types them; with
+   [canonical], the canonical text comes too. *)
+let inferred ?sep ~name ~canonical text =
+  match scan ?sep text with
   | exception Failure msg -> Error msg
-  | exception Sys_error msg -> Error msg
-
-let infer_column_ty cells =
-  let non_empty = List.filter (fun c -> c <> "") cells in
-  let all parser = non_empty <> [] && List.for_all parser non_empty in
-  if all (fun c -> int_of_string_opt c <> None) then Value.Tint
-  else if all (fun c -> float_of_string_opt c <> None) then Value.Tfloat
-  else if
-    all (fun c ->
-        match String.lowercase_ascii c with
-        | "true" | "false" -> true
-        | _ -> false)
-  then Value.Tbool
-  else if all (fun c -> match Value.parse Value.Tdate c with Ok _ -> true | Error _ -> false)
-  then Value.Tdate
-  else Value.Tstring
+  | t when t.n_rows = 0 -> Error "empty CSV file"
+  | t -> (
+    let names = row_strings t 0 in
+    let flags = if canonical then Some (Bytes.make t.n_cells '\000') else None in
+    let types, rows = typed_columns ?canon:flags t (List.length names) in
+    match Schema.make (List.mapi (fun i cname -> { Schema.cname; cty = types.(i) }) names) with
+    | exception Invalid_argument msg -> Error msg
+    | schema ->
+      let text flags =
+        let buf = Buffer.create (String.length t.text + 256) in
+        canonical_header buf schema;
+        canonical_rows buf t flags rows;
+        Buffer.contents buf
+      in
+      relation ~name schema (fun () ->
+          for r = 1 to t.n_rows - 1 do
+            check_width t r (Array.length types)
+          done;
+          rows)
+      |> Result.map (fun r -> (r, Option.map text flags)))
 
 let load_string ?sep ?(name = "csv") text =
-  match parse_string ?sep text with
-  | exception Failure msg -> Error msg
-  | [] -> Error "empty CSV file"
-  | header :: data ->
-    let columns =
-      List.mapi
-        (fun i cname ->
-          let cells = List.filter_map (fun row -> List.nth_opt row i) data in
-          { Schema.cname; cty = infer_column_ty cells })
-        header
-    in
-    (try parse_rows (Schema.make columns) name (header :: data)
-     with Invalid_argument msg -> Error msg)
+  Result.map fst (inferred ?sep ~name ~canonical:false text)
+
+let load_canonical ?(name = "csv") text =
+  Result.map
+    (fun (r, canon) -> (r, Option.value canon ~default:""))
+    (inferred ~name ~canonical:true text)
 
 let load_auto ?sep ?name path =
   let name = Option.value name ~default:(Filename.remove_extension (Filename.basename path)) in

@@ -1,7 +1,17 @@
 (** Minimal RFC-4180-style CSV reader/writer: quoted fields, escaped quotes
     ([""]) and embedded separators/newlines are supported.  Used to load
     external instances into the inference engine and to dump experiment
-    results. *)
+    results.
+
+    One reader serves every entry point below.  It scans the text once,
+    recording each field as offsets into it, so only a quoted field is
+    copied (to unescape it); typing, parsing and the canonical text then
+    read the cells from those offsets.  The common shapes (decimal ints,
+    short decimal floats, [true]/[false], [YYYY-MM-DD]) are read in
+    place, and any other cell is handed to {!Value.parse} as a string,
+    so values and error messages are exactly {!Value.parse}'s.  Its
+    cost is two ints per field plus the values themselves: a string per
+    cell only in string columns, where the cell {e is} the value. *)
 
 val parse_string : ?sep:char -> string -> string list list
 (** Rows of raw fields.  A trailing newline does not produce an empty row.
@@ -21,11 +31,24 @@ val load : ?sep:char -> ?name:string -> Schema.t -> string -> (Relation.t, strin
 
 val load_string : ?sep:char -> ?name:string -> string -> (Relation.t, string) result
 (** {!load_auto} on in-memory CSV text (header row, column types
-    inferred); what the wire protocol's inline-CSV instance source uses. *)
+    inferred). *)
 
 val load_auto : ?sep:char -> ?name:string -> string -> (Relation.t, string) result
 (** Like {!load} but infers each column's type from the data (int ⊂ float
     ⊂ string; bool and date recognised when every non-empty cell parses). *)
+
+val canonical : Relation.t -> string
+(** The relation's canonical text, which instance fingerprints hash: a
+    header line of the column names and then their type names, then one
+    line per tuple of {!Value.to_string} fields, every field as
+    {!add_field} writes it and every line ended by ['\n']. *)
+
+val load_canonical : ?name:string -> string -> (Relation.t * string, string) result
+(** {!load_string} (separator [',']) and the relation's {!canonical}
+    text from the same pass — what the wire protocol's inline-CSV
+    instance source uses.  A row whose fields already read as their
+    values' canonical fields is copied from the input rather than
+    rendered. *)
 
 val to_string : ?sep:char -> Relation.t -> string
 (** A header row of attribute names, then one row per tuple: the text

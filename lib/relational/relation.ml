@@ -5,20 +5,23 @@ type t = { rname : string; schema : Schema.t; rows : Tuple0.t array }
 let check_tuple schema (tup : Tuple0.t) =
   if Tuple0.arity tup <> Schema.arity schema then
     invalid_arg "Relation: tuple arity differs from schema arity";
-  Array.iteri
-    (fun i v ->
-      match Value.type_of v with
-      | None -> ()
-      | Some ty ->
-        if ty <> (Schema.column schema i).Schema.cty then
-          invalid_arg
-            (Printf.sprintf "Relation: type mismatch in column %s"
-               (Schema.column schema i).Schema.cname))
-    tup
+  for i = 0 to Array.length tup - 1 do
+    match Value.type_of tup.(i) with
+    | None -> ()
+    | Some ty ->
+      if ty <> (Schema.column schema i).Schema.cty then
+        invalid_arg
+          (Printf.sprintf "Relation: type mismatch in column %s"
+             (Schema.column schema i).Schema.cname)
+  done
 
 let make ?(name = "r") schema tuples =
   List.iter (check_tuple schema) tuples;
   { rname = name; schema; rows = Array.of_list tuples }
+
+let of_array ?(name = "r") schema rows =
+  Array.iter (check_tuple schema) rows;
+  { rname = name; schema; rows }
 
 let of_rows ?name schema rows = make ?name schema (List.map Tuple0.make rows)
 

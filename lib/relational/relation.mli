@@ -10,6 +10,10 @@ val make : ?name:string -> Schema.t -> Tuple0.t list -> t
 (** Raises [Invalid_argument] if a tuple's arity differs from the schema's
     or a non-null value's type differs from its column's type. *)
 
+val of_array : ?name:string -> Schema.t -> Tuple0.t array -> t
+(** {!make} on an array, which the relation keeps: the caller must not
+    change it afterwards. *)
+
 val of_rows : ?name:string -> Schema.t -> Value.t list list -> t
 
 val name : t -> string

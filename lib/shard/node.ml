@@ -404,7 +404,6 @@ let start cfg =
          (Wire.address_to_string cfg.listen) why)
 
 let address t = Option.map Wire.bound_address t.server
-let wait t = Option.iter Wire.wait t.server
 
 (* ------------------------------------------------------------------ *)
 (* What the node reports                                               *)

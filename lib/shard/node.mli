@@ -124,9 +124,6 @@ val stats_line : t -> string
     combined write).  Safe from any thread: it reads only modules that
     keep their own locks. *)
 
-val wait : t -> unit
-(** Block until the listener shuts down; returns at once in-process. *)
-
 val stop : t -> unit
 (** Shut the listener down and close everything, most recent first.
     Idempotent. *)

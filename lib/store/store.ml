@@ -23,29 +23,7 @@ let commit_stats t = Journal.batch_stats (Mutex.protect t.lock (fun () -> t.jour
 (* ------------------------------------------------------------------ *)
 (* Fingerprint                                                         *)
 
-(* The header (names, then type names) and one line per tuple, written
-   into one buffer: the bytes [Csv.print_string] would make of the same
-   rows. *)
-let canonical_csv rel =
-  let module Relation = Jim_relational.Relation in
-  let module Schema = Jim_relational.Schema in
-  let module Value = Jim_relational.Value in
-  let buf = Buffer.create 4096 in
-  let line fields to_string =
-    Array.iteri
-      (fun i f ->
-        if i > 0 then Buffer.add_char buf ',';
-        Jim_relational.Csv.add_field buf (to_string f))
-      fields;
-    Buffer.add_char buf '\n'
-  in
-  let schema = Relation.schema rel in
-  line
-    (Array.append (Schema.names schema)
-       (Array.map Value.ty_name (Schema.types schema)))
-    Fun.id;
-  Relation.iteri (fun _ t -> line t Value.to_string) rel;
-  Buffer.contents buf
+let canonical_csv = Jim_relational.Csv.canonical
 
 let fingerprint_of_csv csv = Crc32.to_hex (Crc32.digest_string csv)
 let fingerprint rel = fingerprint_of_csv (canonical_csv rel)

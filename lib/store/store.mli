@@ -112,8 +112,9 @@ val commit_stats : t -> Journal.batch_stats
     journal. *)
 
 val canonical_csv : Jim_relational.Relation.t -> string
-(** The instance's canonical CSV rendering — schema header (names then
-    type names) plus every tuple, order-sensitive.  The catalog keys
+(** The instance's canonical CSV rendering ({!Jim_relational.Csv.canonical}):
+    schema header (names then type names) plus every tuple,
+    order-sensitive.  The catalog keys
     entries by its fingerprint and accounts their size in its bytes. *)
 
 val fingerprint_of_csv : string -> string

@@ -125,6 +125,11 @@ let test_regressions () =
     (failures (gate shard (edit_row "route/direct" (scaled "p99_us" 1.6) shard)));
   Alcotest.(check int) "p99_us at 1.4x" 0
     (failures (gate shard (edit_row "route/direct" (scaled "p99_us" 1.4) shard)));
+  let catalog = parse (read "../BENCH_catalog.json") in
+  Alcotest.(check int) "registers_per_s at 0.4x" 1
+    (failures
+       (gate catalog
+          (edit_row "register/inline-6x1600" (scaled "registers_per_s" 0.4) catalog)));
   let missing = edit_row "rps/line" (fun _ -> None) wire in
   Alcotest.(check int) "missing row" 1 (failures (gate wire missing));
   Alcotest.(check int) "missing row, skipped" 0
@@ -156,7 +161,15 @@ let test_refusals () =
   refused "\"sync_us\"" (gate load (with_field "sync_us" (Json.Int 500) load));
   let store = parse (read "../BENCH_store.json") in
   refused "\"payload_bytes\""
-    (gate store (with_field "payload_bytes" (Json.Int 71) store))
+    (gate store (with_field "payload_bytes" (Json.Int 71) store));
+  let catalog = parse (read "../BENCH_catalog.json") in
+  let ungated =
+    edit_row "start/cold"
+      (fun r ->
+        Some (Json.Obj (List.filter (fun (k, _) -> k <> "starts_per_s") (fields r))))
+      catalog
+  in
+  refused "no gated metric" (gate ungated catalog)
 
 let test_percentile () =
   let check name want got = Alcotest.(check (float 1e-9)) name want got in

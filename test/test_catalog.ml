@@ -97,6 +97,27 @@ let test_alias_same_data () =
   Catalog.release cat a;
   Catalog.release cat b
 
+(* Sources key the catalog by value: an equal inline text in another
+   string is a hit, with no second fingerprint or derivation, and the
+   entry keeps the text it was first given rather than a copy. *)
+let test_equal_texts_one_key () =
+  let cat = Catalog.create () in
+  let text = "a,b,c\n1,2,1\n3,\"x,y\",3\n" in
+  let copy = Bytes.to_string (Bytes.of_string text) in
+  Alcotest.(check bool) "distinct strings" false (text == copy);
+  let a = resolve_ok cat (P.Csv_inline text) in
+  let b = resolve_ok cat (P.Csv_inline copy) in
+  Alcotest.(check bool) "one entry" true (a == b);
+  let s = Catalog.stats cat in
+  Alcotest.(check int) "one miss" 1 s.P.misses;
+  Alcotest.(check int) "one hit" 1 s.P.hits;
+  Alcotest.(check int) "one fingerprint" 1 s.P.fingerprints;
+  Alcotest.(check int) "one derivation" 1 s.P.derivations;
+  Alcotest.(check bool) "origin is the first text itself" true
+    (match a.Catalog.origin with P.Csv_inline t -> t == text | _ -> false);
+  Catalog.release cat a;
+  Catalog.release cat b
+
 (* ------------------------------------------------------------------ *)
 (* Warm engines = cold engines, bit for bit                            *)
 
@@ -275,6 +296,8 @@ let () =
           Alcotest.test_case "physical sharing" `Quick test_physical_sharing;
           Alcotest.test_case "alias on identical data" `Quick
             test_alias_same_data;
+          Alcotest.test_case "equal texts, one key" `Quick
+            test_equal_texts_one_key;
         ] );
       ("determinism", [ prop_warm_bit_identical ]);
       ( "memo",

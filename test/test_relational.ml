@@ -826,6 +826,282 @@ let prop_csv_save_load_roundtrip =
           | Error e -> QCheck.Test.fail_reportf "load failed: %s" e
           | Ok rel' -> R.equal_contents rel' rel))
 
+(* ------------------------------------------------------------------ *)
+(* The one-pass reader against the reader it replaced                  *)
+
+(* The CSV reader as it was before the one-pass scanner, kept here
+   verbatim as the reference: a [Buffer] per field, type inference over
+   string lists, then [Value.parse] per cell. *)
+module Old_csv = struct
+  let parse_string ?(sep = ',') s =
+    let n = String.length s in
+    let rows = ref [] and fields = ref [] in
+    let buf = Buffer.create 32 in
+    let started = ref false in
+    let flush_field () =
+      fields := Buffer.contents buf :: !fields;
+      Buffer.clear buf;
+      started := false
+    in
+    let flush_row () =
+      flush_field ();
+      rows := List.rev !fields :: !rows;
+      fields := []
+    in
+    let rec plain i =
+      if i >= n then ()
+      else
+        match s.[i] with
+        | c when c = sep ->
+          flush_field ();
+          plain (i + 1)
+        | '\r' when i + 1 < n && s.[i + 1] = '\n' ->
+          flush_row ();
+          plain (i + 2)
+        | '\n' | '\r' ->
+          flush_row ();
+          plain (i + 1)
+        | '"' when Buffer.length buf = 0 ->
+          started := true;
+          quoted (i + 1)
+        | c ->
+          Buffer.add_char buf c;
+          plain (i + 1)
+    and quoted i =
+      if i >= n then failwith "Csv: unterminated quoted field"
+      else
+        match s.[i] with
+        | '"' when i + 1 < n && s.[i + 1] = '"' ->
+          Buffer.add_char buf '"';
+          quoted (i + 2)
+        | '"' -> plain (i + 1)
+        | c ->
+          Buffer.add_char buf c;
+          quoted (i + 1)
+    in
+    plain 0;
+    if Buffer.length buf > 0 || !fields <> [] || !started then flush_row ();
+    List.rev !rows
+
+  let parse_rows schema name rows =
+    match rows with
+    | [] -> Error "empty CSV file"
+    | header :: data ->
+      let expected = Array.to_list (Schema.names schema) in
+      if header <> expected then
+        Error
+          (Printf.sprintf "header mismatch: expected [%s], got [%s]"
+             (String.concat "; " expected)
+             (String.concat "; " header))
+      else begin
+        let exception Bad of string in
+        try
+          let parse_row rownum fields =
+            if List.length fields <> Schema.arity schema then
+              raise
+                (Bad
+                   (Printf.sprintf "row %d: expected %d fields, got %d" rownum
+                      (Schema.arity schema) (List.length fields)));
+            T.make
+              (List.mapi
+                 (fun i f ->
+                   match V.parse (Schema.column schema i).Schema.cty f with
+                   | Ok v -> v
+                   | Error e -> raise (Bad (Printf.sprintf "row %d: %s" rownum e)))
+                 fields)
+          in
+          Ok (R.make ~name schema (List.mapi (fun k -> parse_row (k + 2)) data))
+        with
+        | Bad msg -> Error msg
+        | Invalid_argument msg -> Error msg
+      end
+
+  let infer_column_ty cells =
+    let non_empty = List.filter (fun c -> c <> "") cells in
+    let all parser = non_empty <> [] && List.for_all parser non_empty in
+    if all (fun c -> int_of_string_opt c <> None) then V.Tint
+    else if all (fun c -> float_of_string_opt c <> None) then V.Tfloat
+    else if
+      all (fun c ->
+          match String.lowercase_ascii c with "true" | "false" -> true | _ -> false)
+    then V.Tbool
+    else if all (fun c -> match V.parse V.Tdate c with Ok _ -> true | Error _ -> false)
+    then V.Tdate
+    else V.Tstring
+
+  let load_string ?sep ?(name = "csv") text =
+    match parse_string ?sep text with
+    | exception Failure msg -> Error msg
+    | [] -> Error "empty CSV file"
+    | header :: data ->
+      let columns =
+        List.mapi
+          (fun i cname ->
+            let cells = List.filter_map (fun row -> List.nth_opt row i) data in
+            { Schema.cname; cty = infer_column_ty cells })
+          header
+      in
+      (try parse_rows (Schema.make columns) name (header :: data)
+       with Invalid_argument msg -> Error msg)
+end
+
+(* Texts that reach every branch of the reader: typed columns of
+   well-formed and odd literals (signs, leading zeros, radix prefixes,
+   underscores, exponents, nan, impossible dates, mixed kinds), quoted
+   and quoted-empty fields holding separators, quotes, CR and LF, all
+   three row breaks, ragged rows, duplicate names, and character soup. *)
+let gen_reader_text =
+  let literals = function
+    | 0 ->
+      [ "0"; "1"; "-1"; "42"; "+5"; "007"; "-0"; "1_000"; "0x1F"; "-0b11"; "0xFFFFFFFFF";
+        "99999999999999999999"; "4611686018427387903"; "123456789012345678" ]
+    | 1 ->
+      [ "1.5"; "-0.0"; "0.0"; "nan"; "-nan"; "1e+20"; "2.5e-07"; "inf"; "3";
+        "0.1"; "1."; ".5"; "+2.25"; "00.5"; "1234567890.12345";
+        "0.30000000000000004"; "9007199254740993.0"; " 1.5" ]
+    | 2 -> [ "true"; "false"; "TRUE"; "False"; "t"; "yes"; "0" ]
+    | 3 ->
+      [ "2024-02-29"; "1999-12-31"; "2023-02-29"; "0024-01-01"; "2024-1-5";
+        "+2024-01-01"; "2024-13-01"; "2024-01-01-01" ]
+    | _ ->
+      [ "a"; "x y"; "a,b"; "say \"hi\""; "line1\nline2"; "cr\r"; "crlf\r\n";
+        "nan"; "true"; " 1"; "a\"b"; "\"" ]
+  in
+  let needs_quotes f =
+    String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') f
+  in
+  let quote f =
+    "\"" ^ String.concat "\"\"" (String.split_on_char '"' f) ^ "\""
+  in
+  let open QCheck.Gen in
+  let field f =
+    if needs_quotes f then return (quote f)
+    else frequency [ (5, return f); (1, return (quote f)) ]
+  in
+  let structured =
+    let* arity = int_range 1 5 in
+    let* kinds = list_repeat arity (int_range 0 4) in
+    let* dup = frequency [ (12, return false); (1, return true) ] in
+    let names =
+      List.mapi (fun i _ -> if dup && i = 1 then "c0" else Printf.sprintf "c%d" i) kinds
+    in
+    let cell kind =
+      frequency
+        [
+          (2, return "");
+          (1, oneofl [ "\"\""; "" ]);
+          (10, oneofl (literals kind));
+          (1, int_range 0 4 >>= fun k -> oneofl (literals k));
+        ]
+    in
+    let* nrows = int_range 0 8 in
+    let* rows =
+      list_repeat nrows
+        (let* cells = flatten_l (List.map cell kinds) in
+         frequency
+           [
+             (20, return cells);
+             (1, return (List.tl cells));
+             (1, return (cells @ [ "1" ]));
+           ])
+    in
+    let line cells =
+      let* fields = flatten_l (List.map field cells) in
+      return (String.concat "," fields)
+    in
+    let* lines = flatten_l (List.map line (names :: rows)) in
+    let* break = oneofl [ "\n"; "\n"; "\r\n"; "\r" ] in
+    let* last = oneofl [ ""; break ] in
+    return (String.concat break lines ^ last)
+  in
+  let soup =
+    string_size ~gen:(oneofl [ 'a'; '1'; ','; '"'; '\r'; '\n'; '-'; '.' ]) (int_bound 30)
+  in
+  frequency [ (4, structured); (1, soup) ]
+
+let same_value a b =
+  match (a, b) with
+  | V.Float x, V.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> V.identical a b
+
+let same_relation a b =
+  R.name a = R.name b
+  && Schema.equal (R.schema a) (R.schema b)
+  && R.cardinality a = R.cardinality b
+  && List.for_all2
+       (fun t u -> Array.length t = Array.length u && Array.for_all2 same_value t u)
+       (R.tuples a) (R.tuples b)
+
+let same_result a b =
+  match (a, b) with
+  | Ok a, Ok b -> same_relation a b
+  | Error a, Error b -> String.equal a b
+  | _ -> false
+
+(* The canonical text as the fingerprint defined it before the reader
+   rendered it: names and type names, then [Value.to_string] fields,
+   through [Csv.print_string]. *)
+let reference_canonical r =
+  let schema = R.schema r in
+  Csv.print_string
+    ((Array.to_list (Schema.names schema)
+     @ List.map V.ty_name (Array.to_list (Schema.types schema)))
+    :: List.map (fun t -> List.map V.to_string (Array.to_list t)) (R.tuples r))
+
+let prop_reader_matches_old =
+  qtest ~count:1000 "one-pass reader = old reader"
+    (QCheck.make ~print:String.escaped gen_reader_text)
+    (fun text ->
+      let rows =
+        match Csv.parse_string text with
+        | rows -> Ok rows
+        | exception Failure m -> Error m
+      and old_rows =
+        match Old_csv.parse_string text with
+        | rows -> Ok rows
+        | exception Failure m -> Error m
+      in
+      if rows <> old_rows then QCheck.Test.fail_report "parse_string differs";
+      let old = Old_csv.load_string ~name:"inline" text in
+      if not (same_result (Csv.load_string ~name:"inline" text) old) then
+        QCheck.Test.fail_report "load_string differs";
+      (match (Csv.load_canonical ~name:"inline" text, old) with
+      | Ok (r, canon), Ok o ->
+        if not (same_relation r o) then QCheck.Test.fail_report "load_canonical differs";
+        if canon <> reference_canonical o then
+          QCheck.Test.fail_reportf "canonical text differs: %S" canon
+      | Error e, Error o when e = o -> ()
+      | _ -> QCheck.Test.fail_report "load_canonical result differs");
+      (* [Csv.load] against a schema of random types: the header's own
+         names, or one renamed. *)
+      match old_rows with
+      | Error _ | Ok [] -> true
+      | Ok (header :: _) ->
+        let rng = Random.State.make [| Hashtbl.hash text |] in
+        let tys = [| V.Tint; V.Tfloat; V.Tbool; V.Tdate; V.Tstring |] in
+        let names =
+          if Random.State.int rng 8 = 0 then List.map (fun n -> n ^ "'") header
+          else header
+        in
+        match
+          Schema.make
+            (List.map
+               (fun cname -> { Schema.cname; cty = tys.(Random.State.int rng 5) })
+               names)
+        with
+        | exception Invalid_argument _ -> true
+        | schema ->
+          let path = Filename.temp_file "jimreader" ".csv" in
+          Fun.protect
+            ~finally:(fun () -> Sys.remove path)
+            (fun () ->
+              let oc = open_out_bin path in
+              output_string oc text;
+              close_out oc;
+              same_result
+                (Csv.load ~name:"t" schema path)
+                (Old_csv.parse_rows schema "t" (Old_csv.parse_string text))))
+
 let () =
   Alcotest.run "relational"
     [
@@ -882,6 +1158,7 @@ let () =
             test_csv_load_auto_types;
           Alcotest.test_case "header mismatch" `Quick test_csv_header_mismatch;
           prop_csv_save_load_roundtrip;
+          prop_reader_matches_old;
         ] );
       ( "expr",
         [
