@@ -60,8 +60,9 @@ type kind = {
          baseline and a fresh run must share to be compared *)
   gated : (string * direction) list;
       (* [Higher]: bigger is better (throughput); [Lower]: smaller is
-         better (latency).  A row is gated on each of these its baseline
-         carries, and must carry at least one. *)
+         better (latency).  A row is gated on each of these that its
+         baseline or its fresh run carries (and refused if the other
+         lacks it), and must carry at least one. *)
 }
 
 let strategies =
@@ -217,7 +218,8 @@ let gate ~tolerance ~skip ~baseline ~fresh =
             incr failures;
             say "FAIL  %s: present in baseline, missing from fresh run" name
           | Some fresh_row ->
-            let gated = List.filter (fun (m, _) -> Json.member m row <> None) kind.gated in
+            let carried m = Json.member m row <> None || Json.member m fresh_row <> None in
+            let gated = List.filter (fun (m, _) -> carried m) kind.gated in
             if gated = [] then refuse "row %s has no gated metric" name;
             List.iter
               (fun (metric, dir) ->

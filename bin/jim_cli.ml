@@ -402,25 +402,33 @@ let crowd_stats_line (c : Jim_api.Protocol.crowd_stats) =
 
 (* The serving subcommands: parse flags into a start-up (a usage error
    exits 2), run it through [Node.start] (a failure exits [start_fails]),
-   print the banner, then serve until SIGTERM or SIGINT, which stops the
-   node, prints a last stats line under [--stats-every] and exits 0.
-   The two signals are blocked before any thread exists, so every
-   thread inherits the block and only this one takes them, with
-   [Thread.wait_signal]: no handler runs on the event loop's thread,
-   whose shutdown joins it. *)
+   print the banner, then serve until the listener shuts down.  SIGTERM
+   and SIGINT start that shutdown; the node is then stopped, a last
+   stats line is printed under [--stats-every] and the exit code is 0.
+   A listener that ends on its own (its loop failed) ends the process
+   the same way. *)
 let serve_node name ?stats_every ?(start_fails = 1) start =
   let fail code e =
     Printf.eprintf "jim %s: %s\n" name e;
     code
   in
-  let signals = [ Sys.sigint; Sys.sigterm ] in
-  ignore (Thread.sigmask Unix.SIG_BLOCK signals);
   match Result.map (fun start -> start ()) start with
   | Error e -> fail 2 e
   | Ok (Error e) -> fail start_fails e
   | Ok (Ok node) ->
     let say line = Printf.printf "jim %s: %s\n%!" name line in
     List.iter say (Node.banner node);
+    (* The handler may run on any thread, the event loop's included: it
+       only starts the shutdown, and this thread finishes it.  Blocking
+       the two signals here, after the loop's thread exists, makes the
+       kernel deliver them to the loop, whose wait they interrupt, so
+       the handler runs at once. *)
+    let request_stop = Sys.Signal_handle (fun _ -> Node.request_stop node) in
+    (try
+       ignore (Sys.signal Sys.sigint request_stop);
+       ignore (Sys.signal Sys.sigterm request_stop)
+     with Invalid_argument _ -> ());
+    ignore (Thread.sigmask Unix.SIG_BLOCK [ Sys.sigint; Sys.sigterm ]);
     Option.iter
       (fun period ->
         ignore
@@ -432,7 +440,7 @@ let serve_node name ?stats_every ?(start_fails = 1) start =
                done)
              ()))
       stats_every;
-    ignore (Thread.wait_signal signals);
+    Node.wait node;
     Node.stop node;
     Option.iter (fun _ -> say (Node.stats_line node)) stats_every;
     0

@@ -120,20 +120,7 @@ let relation_of :
 (* ------------------------------------------------------------------ *)
 (* Interning                                                           *)
 
-(* A concrete source's relation and canonical text: an inline CSV's come
-   out of the reader's one pass, any other source's text is rendered
-   from its relation. *)
-let load = function
-  | P.Csv_inline text ->
-    Result.map_error
-      (fun msg -> P.Bad_source msg)
-      (Jim_relational.Csv.load_canonical ~name:"inline" text)
-  | source ->
-    Result.map
-      (fun (rel, _) -> (rel, Jim_store.Store.canonical_csv rel))
-      (relation_of source)
-
-let derive t origin rel ~csv ~fp =
+let derive t origin rel schema ~csv ~fp =
   t.derivations <- t.derivations + 1;
   let n = Relation.arity rel in
   let classes = Sigclass.classes rel in
@@ -149,7 +136,7 @@ let derive t origin rel ~csv ~fp =
   {
     fingerprint = fp;
     relation = rel;
-    schema = Relation.schema rel;
+    schema;
     arity = n;
     tuples = Relation.cardinality rel;
     bytes = String.length csv;
@@ -199,10 +186,11 @@ let evict_to_cap t =
    intern a fresh one. *)
 let intern t source =
   t.misses <- t.misses + 1;
-  match load source with
+  match relation_of source with
   | Error e -> Error e
-  | Ok (rel, csv) -> (
+  | Ok (rel, schema) -> (
     t.fingerprints <- t.fingerprints + 1;
+    let csv = Jim_store.Store.canonical_csv rel in
     let fp = Jim_store.Store.fingerprint_of_csv csv in
     match Hashtbl.find_opt t.by_fp fp with
     | Some slot ->
@@ -210,7 +198,7 @@ let intern t source =
       Hashtbl.replace t.by_source source fp;
       acquire t slot
     | None ->
-      let entry = derive t source rel ~csv ~fp in
+      let entry = derive t source rel schema ~csv ~fp in
       let slot =
         { entry; refs = 0; last_used = t.now (); sources = [ source ] }
       in

@@ -63,9 +63,7 @@ val resolve :
     on a miss it is resolved and fingerprinted — exactly once per entry,
     counted by [fingerprints] — and either aliased to an existing entry
     carrying the same data or derived and interned (counted by
-    [derivations]).  An inline CSV is read, typed and rendered canonical
-    in one pass ({!Jim_relational.Csv.load_canonical}); other sources
-    render their relation.  Bad concrete sources fail as before with
+    [derivations]).  Bad concrete sources fail as before with
     [Bad_source].
 
     Derivation runs under the catalog lock: two racing sessions on a new

@@ -1,7 +1,7 @@
 (* ------------------------------------------------------------------ *)
 (* The scanner                                                         *)
 
-(* Every field of a text as bounds into it, found in one pass.  [cells]
+(* Every field of a text as bounds into it, found in one scan.  [cells]
    holds two ints per field: the offset where its raw text begins and
    the offset of the separator, row break or end of input that ends it.
    A field in which a quote opened has its begin stored as [lnot begin]
@@ -10,23 +10,19 @@
    [row_ends.(r) - 1]. *)
 type scan = {
   text : string;
-  mutable cells : int array;
+  cells : int array;
   mutable n_cells : int;
-  mutable row_ends : int array;
+  row_ends : int array;
   mutable n_rows : int;
 }
 
 let[@inline] push_cell t start stop =
   let k = 2 * t.n_cells in
-  if k + 1 >= Array.length t.cells then
-    t.cells <- Array.append t.cells (Array.make (Array.length t.cells) 0);
   t.cells.(k) <- start;
   t.cells.(k + 1) <- stop;
   t.n_cells <- t.n_cells + 1
 
 let push_row t =
-  if t.n_rows >= Array.length t.row_ends then
-    t.row_ends <- Array.append t.row_ends (Array.make (Array.length t.row_ends) 0);
   t.row_ends.(t.n_rows) <- t.n_cells;
   t.n_rows <- t.n_rows + 1
 
@@ -38,9 +34,24 @@ let first_cell t r = if r = 0 then 0 else t.row_ends.(r - 1)
    closing one: the two would be an escaped quote). *)
 let scan ?(sep = ',') text =
   let n = String.length text in
+  (* Every field ends at a separator, a row break character or the end
+     of the text, and every row at one of the last two: counting them
+     sizes both arrays once, exactly for a text with no quoted
+     separators or CRLFs.  Growing them instead would leave a series of
+     discarded arrays, too large for the minor heap, in the major
+     heap. *)
+  let fields = ref 1 and rows = ref 1 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get text i in
+    if c = sep then incr fields
+    else if c = '\n' || c = '\r' then begin
+      incr fields;
+      incr rows
+    end
+  done;
   let t =
-    { text; cells = Array.make ((n / 4) + 16) 0; n_cells = 0;
-      row_ends = Array.make ((n / 16) + 4) 0; n_rows = 0 }
+    { text; cells = Array.make (2 * !fields) 0; n_cells = 0;
+      row_ends = Array.make !rows 0; n_rows = 0 }
   in
   (* The field being read: where it began and whether a quote opened in
      it. *)
@@ -218,13 +229,6 @@ let small_date s a b =
 
 exception Bad of string
 
-(* The ints most columns hold, allocated once and shared by every cell
-   that reads as one: values are immutable, so only [==] could tell.
-   256 of them keep the table a minor-heap block: a major-heap table
-   filled with young values at start-up grew an idle server's resident
-   set by ~0.4 MB. *)
-let small_ints = Array.init 256 (fun i -> Value.Int i)
-
 let slow ty s a b =
   match Value.parse ty (sub s a b) with Ok v -> v | Error e -> raise (Bad e)
 
@@ -235,9 +239,7 @@ let value ty s a b =
     match ty with
     | Value.Tint ->
       let i = small_int s a b in
-      if i = none then slow ty s a b
-      else if i >= 0 && i < Array.length small_ints then small_ints.(i)
-      else Int i
+      if i = none then slow ty s a b else Int i
     | Tfloat ->
       let f = small_float s a b in
       if Float.is_nan f then slow ty s a b else Float f
@@ -245,55 +247,6 @@ let value ty s a b =
     | Tbool -> (
       match bool_word s a b with 1 -> Bool true | 0 -> Bool false | _ -> slow ty s a b)
     | Tdate -> ( match small_date s a b with Value.Date _ as v -> v | _ -> slow ty s a b)
-
-(* Whether [s.[a..b-1]] is the string [w]. *)
-let is_sub w s a b =
-  b - a = String.length w
-  &&
-  let j = ref 0 in
-  while !j < b - a && s.[a + !j] = w.[!j] do incr j done;
-  !j = b - a
-
-(* The length of [string_of_int x]. *)
-let decimal_length x =
-  let rec go x k = if x > -10 then k else go (x / 10) (k + 1) in
-  go (if x < 0 then x else -x) (if x < 0 then 2 else 1)
-
-(* Whether [s.[a..b-1]] is all digits; whether it has no quote. *)
-let[@inline] all_digits s a b =
-  let i = ref a in
-  while !i < b && is_digit (String.unsafe_get s !i) do incr i done;
-  !i = b
-
-let no_quote s a b =
-  let i = ref a in
-  while !i < b && s.[!i] <> '"' do incr i done;
-  !i = b
-
-(* Whether the unquoted cell [s.[a..b-1]], read as [v], is already [v]'s
-   canonical field, so that its row may be copied.  [false] only costs
-   a rendering. *)
-let[@inline] canonical_cell v s a b =
-  match v with
-  | Value.Null -> true
-  | Int x ->
-    (* Every other text [int_of_string] reads as [x] is longer (a '+',
-       leading zeros, underscores) or starts "0"/"-0" (a radix prefix). *)
-    let c = String.unsafe_get s a in
-    b - a = decimal_length x
-    && if c = '-' then String.unsafe_get s (a + 1) <> '0' else c <> '0' || x = 0
-  | Str _ -> no_quote s a b
-  | Bool x -> is_sub (if x then "true" else "false") s a b
-  | Date _ ->
-    b - a = 10 && s.[a + 4] = '-' && s.[a + 7] = '-'
-    && all_digits s a (a + 4) && all_digits s (a + 5) (a + 7) && all_digits s (a + 8) b
-  | Float _ -> is_sub (Value.to_string v) s a b
-
-(* Whether cell [k], read as [v], is unquoted and its own canonical
-   field. *)
-let canonical_at t k v =
-  let start = t.cells.(2 * k) in
-  start >= 0 && canonical_cell v t.text start t.cells.((2 * k) + 1)
 
 (* Type inference's reading: {!value}, but a bool column holds only
    [true] and [false], in any case. *)
@@ -306,10 +259,8 @@ let inferred_value ty s a b =
    that all its non-empty cells read as (at least one), else string;
    rows too short for a column do not vote, and a ragged row is left to
    the caller to refuse.  A type is tried by reading the column's cells
-   as it, so the type that wins has read each cell once.  With [canon],
-   each cell's byte there says whether it is its own canonical field
-   (['\001']) or not. *)
-let typed_columns ?canon t arity =
+   as it, so the type that wins has read each cell once. *)
+let typed_columns t arity =
   let rows = Array.init (t.n_rows - 1) (fun _ -> Array.make arity Value.Null) in
   let read col ty =
     let seen = ref (ty = Value.Tstring) in
@@ -319,9 +270,6 @@ let typed_columns ?canon t arity =
         if k < t.row_ends.(r) then begin
           let v = with_cell t k inferred_value ty in
           if v != Value.Null then seen := true;
-          (match canon with
-          | Some flags -> Bytes.set flags k (if canonical_at t k v then '\001' else '\000')
-          | None -> ());
           rows.(r - 1).(col) <- v
         end
       done;
@@ -362,70 +310,32 @@ let print_string ?(sep = ',') rows =
        (fun row -> String.concat (String.make 1 sep) (List.map field row) ^ "\n")
        rows)
 
-(* One line of the canonical text. *)
-let canonical_line buf fields to_string =
-  Array.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char buf ',';
-      add_field buf (to_string f))
-    fields;
-  Buffer.add_char buf '\n'
+(* The decimal digits of [x >= 0], as [string_of_int] writes them. *)
+let rec add_digits buf x =
+  if x >= 10 then add_digits buf (x / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (x mod 10)))
 
-let canonical_header buf schema =
-  canonical_line buf
-    (Array.append (Schema.names schema) (Array.map Value.ty_name (Schema.types schema)))
-    Fun.id
+(* [add_field buf (Value.to_string v)], but a non-negative int, which
+   never needs quoting, is written without a string of its own. *)
+let add_value buf = function
+  | Value.Int i when i >= 0 -> add_digits buf i
+  | v -> add_field buf (Value.to_string v)
 
 let canonical rel =
   let buf = Buffer.create 4096 in
-  canonical_header buf (Relation.schema rel);
-  Relation.iteri (fun _ t -> canonical_line buf t Value.to_string) rel;
-  Buffer.contents buf
-
-(* Whether the [width] cells from cell [k0] are all their own canonical
-   fields, by {!typed_columns}' flags. *)
-let copyable flags k0 width =
-  let k = ref k0 in
-  while !k < k0 + width && Bytes.unsafe_get flags !k = '\001' do
-    incr k
-  done;
-  !k = k0 + width
-
-(* The data rows' lines of the canonical text.  A row whose cells are
-   all their own canonical fields is copied from the input, and a run of
-   such rows that the input breaks with lone ['\n']s is copied in one
-   piece, so an input that is already canonical is one copy; any other
-   row is rendered. *)
-let canonical_rows buf t flags rows =
-  let n = String.length t.text in
-  (* [t.text.[!pending .. !upto - 1]] is due. *)
-  let pending = ref 0 and upto = ref 0 in
-  let flush () =
-    Buffer.add_substring buf t.text !pending (!upto - !pending);
-    pending := !upto
+  let line fields add =
+    for i = 0 to Array.length fields - 1 do
+      if i > 0 then Buffer.add_char buf ',';
+      add buf fields.(i)
+    done;
+    Buffer.add_char buf '\n'
   in
-  Array.iteri
-    (fun r0 tuple ->
-      let k0 = first_cell t (r0 + 1) in
-      let a = t.cells.(2 * k0) and b = t.cells.((2 * (k0 + Array.length tuple)) - 1) in
-      if not (copyable flags k0 (Array.length tuple)) then begin
-        flush ();
-        canonical_line buf tuple Value.to_string
-      end
-      else if b < n && t.text.[b] = '\n' then begin
-        if a <> !upto then begin
-          flush ();
-          pending := a
-        end;
-        upto := b + 1
-      end
-      else begin
-        flush ();
-        Buffer.add_substring buf t.text a (b - a);
-        Buffer.add_char buf '\n'
-      end)
-    rows;
-  flush ()
+  let schema = Relation.schema rel in
+  line
+    (Array.append (Schema.names schema) (Array.map Value.ty_name (Schema.types schema)))
+    (fun buf f -> add_field buf f);
+  Relation.iteri (fun _ t -> line t add_value) rel;
+  Buffer.contents buf
 
 (* Every data row must have the schema's width: the first check on a
    row. *)
@@ -478,39 +388,22 @@ let load ?sep ?name schema path =
       relation ~name schema (fun () ->
           Array.init (t.n_rows - 1) (fun r0 -> tuple t (Schema.types schema) (r0 + 1)))
 
-(* The header names the columns and {!typed_columns} types them; with
-   [canonical], the canonical text comes too. *)
-let inferred ?sep ~name ~canonical text =
+(* The header names the columns and {!typed_columns} types them. *)
+let load_string ?sep ?(name = "csv") text =
   match scan ?sep text with
   | exception Failure msg -> Error msg
   | t when t.n_rows = 0 -> Error "empty CSV file"
   | t -> (
     let names = row_strings t 0 in
-    let flags = if canonical then Some (Bytes.make t.n_cells '\000') else None in
-    let types, rows = typed_columns ?canon:flags t (List.length names) in
+    let types, rows = typed_columns t (List.length names) in
     match Schema.make (List.mapi (fun i cname -> { Schema.cname; cty = types.(i) }) names) with
     | exception Invalid_argument msg -> Error msg
     | schema ->
-      let text flags =
-        let buf = Buffer.create (String.length t.text + 256) in
-        canonical_header buf schema;
-        canonical_rows buf t flags rows;
-        Buffer.contents buf
-      in
       relation ~name schema (fun () ->
           for r = 1 to t.n_rows - 1 do
             check_width t r (Array.length types)
           done;
-          rows)
-      |> Result.map (fun r -> (r, Option.map text flags)))
-
-let load_string ?sep ?(name = "csv") text =
-  Result.map fst (inferred ?sep ~name ~canonical:false text)
-
-let load_canonical ?(name = "csv") text =
-  Result.map
-    (fun (r, canon) -> (r, Option.value canon ~default:""))
-    (inferred ~name ~canonical:true text)
+          rows))
 
 let load_auto ?sep ?name path =
   let name = Option.value name ~default:(Filename.remove_extension (Filename.basename path)) in

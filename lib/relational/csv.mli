@@ -3,15 +3,19 @@
     external instances into the inference engine and to dump experiment
     results.
 
-    One reader serves every entry point below.  It scans the text once,
+    One reader serves every entry point below.  It counts the text's
+    separators and row breaks to size its arrays, then scans it once,
     recording each field as offsets into it, so only a quoted field is
-    copied (to unescape it); typing, parsing and the canonical text then
-    read the cells from those offsets.  The common shapes (decimal ints,
+    copied (to unescape it); typing and parsing then read the cells from
+    those offsets.  The common shapes (decimal ints,
     short decimal floats, [true]/[false], [YYYY-MM-DD]) are read in
     place, and any other cell is handed to {!Value.parse} as a string,
     so values and error messages are exactly {!Value.parse}'s.  Its
     cost is two ints per field plus the values themselves: a string per
-    cell only in string columns, where the cell {e is} the value. *)
+    cell only in string columns, where the cell {e is} the value.  On a
+    2-core VM (release build, minimum of 100), {!load_string} of a
+    19 KB 6 x 1,600 text of small ints takes about 0.4 ms and 31k minor
+    words, and {!canonical} of the relation about 0.12 ms. *)
 
 val parse_string : ?sep:char -> string -> string list list
 (** Rows of raw fields.  A trailing newline does not produce an empty row.
@@ -41,14 +45,9 @@ val canonical : Relation.t -> string
 (** The relation's canonical text, which instance fingerprints hash: a
     header line of the column names and then their type names, then one
     line per tuple of {!Value.to_string} fields, every field as
-    {!add_field} writes it and every line ended by ['\n']. *)
-
-val load_canonical : ?name:string -> string -> (Relation.t * string, string) result
-(** {!load_string} (separator [',']) and the relation's {!canonical}
-    text from the same pass — what the wire protocol's inline-CSV
-    instance source uses.  A row whose fields already read as their
-    values' canonical fields is copied from the input rather than
-    rendered. *)
+    {!add_field} writes it and every line ended by ['\n'].  Non-negative
+    ints are written straight into the text, without a string per
+    field. *)
 
 val to_string : ?sep:char -> Relation.t -> string
 (** A header row of attribute names, then one row per tuple: the text

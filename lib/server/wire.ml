@@ -524,13 +524,16 @@ let serve_handler ?config ?sweep_every ?sweep handler addr =
 let bound_address srv = srv.bound
 let wait srv = Option.iter Thread.join srv.loop
 
-let shutdown srv =
+let request_shutdown srv =
   if not (Atomic.exchange srv.stopping true) then
     (* Wake the loop out of epoll_wait: shutting the listening socket
        down makes it readable (HUP) at once.  The loop itself closes
        it. *)
-    (try Unix.shutdown srv.listen_fd Unix.SHUTDOWN_RECEIVE
-     with Unix.Unix_error _ -> ());
+    try Unix.shutdown srv.listen_fd Unix.SHUTDOWN_RECEIVE
+    with Unix.Unix_error _ -> ()
+
+let shutdown srv =
+  request_shutdown srv;
   wait srv;
   match srv.bound with
   | Unix_path path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())

@@ -111,6 +111,12 @@ val bound_address : server -> address
 val wait : server -> unit
 (** Block until the server is shut down (joins the loop thread). *)
 
+val request_shutdown : server -> unit
+(** Start {!shutdown} without waiting for it: the loop stops accepting
+    and reading and drains, and {!wait} returns once it has.  It never
+    blocks, so a signal handler may call it on any thread, the loop's
+    included.  Idempotent. *)
+
 val shutdown : server -> unit
 (** Stop accepting and reading, wake the event loop (shutting the
     listening socket down wakes it at once), join it, and unlink a

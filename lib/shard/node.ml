@@ -404,6 +404,8 @@ let start cfg =
          (Wire.address_to_string cfg.listen) why)
 
 let address t = Option.map Wire.bound_address t.server
+let wait t = Option.iter Wire.wait t.server
+let request_stop t = Option.iter Wire.request_shutdown t.server
 
 (* ------------------------------------------------------------------ *)
 (* What the node reports                                               *)

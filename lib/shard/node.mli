@@ -124,6 +124,15 @@ val stats_line : t -> string
     combined write).  Safe from any thread: it reads only modules that
     keep their own locks. *)
 
+val wait : t -> unit
+(** Block until the listener shuts down; returns at once in-process. *)
+
+val request_stop : t -> unit
+(** Start the listener's shutdown ({!Jim_server.Wire.request_shutdown})
+    without waiting for it, so that {!wait} returns: for a signal
+    handler, which may run on the listener's own thread.  {!stop} still
+    closes the node. *)
+
 val stop : t -> unit
 (** Shut the listener down and close everything, most recent first.
     Idempotent. *)

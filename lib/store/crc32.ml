@@ -1,47 +1,27 @@
-(* Slicing-by-8: [table] holds eight 256-entry tables, table [k] at
-   [256 * k], where table [k] advances the register over a byte and [k]
-   zero bytes after it, so one step folds in 8 bytes.  Built eagerly: a
-   lazy table forced by two threads at once raises
-   [CamlinternalLazy.Undefined].  The register is a native int holding
-   32 bits, so the loop neither boxes nor masks sign bits. *)
+(* Built eagerly: a lazy table forced by two threads at once raises
+   [CamlinternalLazy.Undefined]. *)
 let table =
-  let t = Array.make (8 * 256) 0 in
-  for n = 0 to 255 do
-    let c = ref n in
-    for _ = 0 to 7 do
-      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-    done;
-    t.(n) <- !c
-  done;
-  for k = 1 to 7 do
-    for n = 0 to 255 do
-      let c = t.((256 * (k - 1)) + n) in
-      t.((256 * k) + n) <- (c lsr 8) lxor t.(c land 0xff)
-    done
-  done;
-  t
-
-let mask = 0xffffffff
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        c :=
+          if Int32.logand !c 1l <> 0l then
+            Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else Int32.shift_right_logical !c 1
+      done;
+      !c)
 
 let digest ?(crc = 0l) buf off len =
   if off < 0 || len < 0 || off + len > Bytes.length buf then
     invalid_arg "Crc32.digest";
-  let t k c = Array.unsafe_get table ((256 * k) + (c land 0xff)) in
-  let c = ref (Int32.to_int crc land mask lxor mask) and i = ref off in
-  let stop = off + len in
-  while !i + 8 <= stop do
-    let lo = !c lxor (Int32.to_int (Bytes.get_int32_le buf !i) land mask)
-    and hi = Int32.to_int (Bytes.get_int32_le buf (!i + 4)) land mask in
-    c :=
-      t 7 lo lxor t 6 (lo lsr 8) lxor t 5 (lo lsr 16) lxor t 4 (lo lsr 24)
-      lxor t 3 hi lxor t 2 (hi lsr 8) lxor t 1 (hi lsr 16) lxor t 0 (hi lsr 24);
-    i := !i + 8
+  let c = ref (Int32.lognot crc) in
+  for i = off to off + len - 1 do
+    let idx =
+      Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code (Bytes.get buf i)))) 0xffl)
+    in
+    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
   done;
-  while !i < stop do
-    c := t 0 (!c lxor Char.code (Bytes.unsafe_get buf !i)) lxor (!c lsr 8);
-    incr i
-  done;
-  Int32.of_int (!c lxor mask)
+  Int32.lognot !c
 
 let digest_string s =
   digest (Bytes.unsafe_of_string s) 0 (String.length s)

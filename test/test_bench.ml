@@ -162,14 +162,19 @@ let test_refusals () =
   let store = parse (read "../BENCH_store.json") in
   refused "\"payload_bytes\""
     (gate store (with_field "payload_bytes" (Json.Int 71) store));
-  let catalog = parse (read "../BENCH_catalog.json") in
-  let ungated =
-    edit_row "start/cold"
-      (fun r ->
-        Some (Json.Obj (List.filter (fun (k, _) -> k <> "starts_per_s") (fields r))))
-      catalog
+  (* A gated metric one side lacks is refused, not left unchecked. *)
+  let drop name metric v =
+    edit_row name
+      (fun r -> Some (Json.Obj (List.filter (fun (k, _) -> k <> metric) (fields r))))
+      v
   in
-  refused "no gated metric" (gate ungated catalog)
+  let no_p50 = drop "rps/line" "p50_us" wire in
+  refused "has no field \"p50_us\"" (gate no_p50 wire);
+  refused "has no field \"p50_us\"" (gate wire no_p50);
+  let catalog = parse (read "../BENCH_catalog.json") in
+  let ungated = drop "start/cold" "starts_per_s" catalog in
+  refused "has no field \"starts_per_s\"" (gate ungated catalog);
+  refused "no gated metric" (gate ungated ungated)
 
 let test_percentile () =
   let check name want got = Alcotest.(check (float 1e-9)) name want got in

@@ -146,34 +146,7 @@ let test_crc32_kat () =
       (Bytes.of_string s) 7
       (String.length s - 7)
   in
-  Alcotest.(check int32) "incremental" (Crc32.digest_string s) part;
-  (* Every length and split point up to 40 bytes against a bit-at-a-time
-     reference, so the 8-byte steps, the byte tail and the seams between
-     chunks are all covered. *)
-  let reference s =
-    let c = ref 0xffffffff in
-    String.iter
-      (fun ch ->
-        c := !c lxor Char.code ch;
-        for _ = 0 to 7 do
-          c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-        done)
-      s;
-    Int32.of_int (!c lxor 0xffffffff)
-  in
-  let text = String.init 40 (fun i -> Char.chr ((i * 97 + 13) land 0xff)) in
-  for len = 0 to 40 do
-    let s = String.sub text 0 len in
-    Alcotest.(check int32) (Printf.sprintf "length %d" len) (reference s) (Crc32.digest_string s);
-    for cut = 0 to len do
-      let b = Bytes.of_string s in
-      let head = Crc32.digest b 0 cut in
-      Alcotest.(check int32)
-        (Printf.sprintf "length %d cut %d" len cut)
-        (reference s)
-        (Crc32.digest ~crc:head b cut (len - cut))
-    done
-  done
+  Alcotest.(check int32) "incremental" (Crc32.digest_string s) part
 
 (* ------------------------------------------------------------------ *)
 (* Event codec                                                         *)
