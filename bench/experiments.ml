@@ -215,7 +215,7 @@ let e4b () =
         seed = 3;
       }
   in
-  let classes = Sigclass.classes inst.W.Synthetic.relation in
+  let classes, _ = Sigclass.classes inst.W.Synthetic.relation in
   let opt_depth =
     Optimal.worst_case_depth (State.create 4) classes
   in
@@ -382,7 +382,7 @@ let e8 ?(seeds = 10) () =
                 seed;
               }
           in
-          let classes = Sigclass.classes inst.W.Synthetic.relation in
+          let classes, _ = Sigclass.classes inst.W.Synthetic.relation in
           let goal = inst.W.Synthetic.goal in
           greedy_total :=
             !greedy_total

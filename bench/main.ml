@@ -48,7 +48,7 @@ let classes_test =
     (fun n_tuples ->
       let inst = synthetic_instance n_tuples in
       Staged.stage (fun () ->
-          ignore (Sigclass.classes inst.W.Synthetic.relation)))
+          ignore (fst (Sigclass.classes inst.W.Synthetic.relation))))
 
 let grouping_ablation_test =
   (* DESIGN.md calls signature-class grouping the key engineering trick:
@@ -59,7 +59,7 @@ let grouping_ablation_test =
       let inst = synthetic_instance 800 in
       let oracle = Oracle.of_goal inst.W.Synthetic.goal in
       let classes =
-        if grouped = 1 then Sigclass.classes inst.W.Synthetic.relation
+        if grouped = 1 then fst (Sigclass.classes inst.W.Synthetic.relation)
         else Sigclass.singletons inst.W.Synthetic.relation
       in
       Staged.stage (fun () ->

@@ -7,7 +7,6 @@
 
 module W = Jim_workloads
 module Relation = Jim_relational.Relation
-module Database = Jim_relational.Database
 open Jim_core
 
 let () =
@@ -34,10 +33,10 @@ let () =
     Printf.printf "Equivalent SQL:\n  %s\n\n"
       (Jquery.to_sql ~from:task.W.Denorm.sources q);
 
-    (* Materialise the target relation through the relational substrate's
-       own SQL engine and check it against the goal join. *)
+    (* Materialise the target relation by running the SQL through the
+       equi-join SQL oracle and check it against the goal join. *)
     let sql = Jquery.to_sql ~from:task.W.Denorm.sources q in
-    (match Database.exec db sql with
+    (match Jim_relational.Sql.exec db sql with
     | Error e -> failwith e
     | Ok result ->
       let goal_result = W.Denorm.goal_join_result task in

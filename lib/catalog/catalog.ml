@@ -123,12 +123,7 @@ let relation_of :
 let derive t origin rel schema ~csv ~fp =
   t.derivations <- t.derivations + 1;
   let n = Relation.arity rel in
-  let classes = Sigclass.classes rel in
-  let row_class = Array.make (Sigclass.total_rows classes) 0 in
-  Array.iteri
-    (fun ci (c : Sigclass.cls) ->
-      List.iter (fun r -> row_class.(r) <- ci) c.Sigclass.rows)
-    classes;
+  let classes, row_class = Sigclass.classes rel in
   let st0 = State.create n in
   let initial_statuses =
     Array.map (fun (c : Sigclass.cls) -> State.classify_bits st0 c.Sigclass.bits) classes

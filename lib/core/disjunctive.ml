@@ -71,7 +71,7 @@ let oracle_of_union u =
   Oracle.of_fun (fun sg -> if selects u sg then State.Pos else State.Neg)
 
 let run ?(seed = 0) ?(strategy = `Maximin) ~oracle rel =
-  let classes = Sigclass.classes rel in
+  let classes, _ = Sigclass.classes rel in
   let rng = Random.State.make [| seed |] in
   let informative st =
     Array.to_list

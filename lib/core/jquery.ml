@@ -2,7 +2,6 @@ module Partition = Jim_partition.Partition
 module Schema = Jim_relational.Schema
 module Relation = Jim_relational.Relation
 module Tuple0 = Jim_relational.Tuple0
-module Sql_ast = Jim_relational.Sql_ast
 
 type t = { pred : Partition.t; schema : Schema.t }
 
@@ -28,21 +27,6 @@ let to_where q =
 let to_sql ~from q =
   Printf.sprintf "SELECT * FROM %s WHERE %s" (String.concat ", " from)
     (to_where q)
-
-let to_sql_query ~from q =
-  let where =
-    match atoms q with
-    | [] -> None
-    | ats ->
-      let eqs =
-        List.map (fun (a, b) -> Sql_ast.Ecmp (Sql_ast.Ceq, Ecol a, Ecol b)) ats
-      in
-      (match eqs with
-      | [] -> None
-      | e :: rest ->
-        Some (List.fold_left (fun acc e' -> Sql_ast.Eand (acc, e')) e rest))
-  in
-  Sql_ast.simple_select ?where from
 
 let to_gav ~head q =
   let names = Schema.names q.schema in

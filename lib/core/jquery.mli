@@ -20,11 +20,13 @@ val to_where : t -> string
     predicate. *)
 
 val to_sql : from:string list -> t -> string
-(** A complete [SELECT * FROM ... WHERE ...] statement. *)
+(** A complete [SELECT * FROM ... WHERE ...] statement.
 
-val to_sql_query : from:string list -> t -> Jim_relational.Sql_ast.query
-(** Same, as an AST (re-executable via {!Jim_relational.Database.exec}
-    when the FROM relations' qualified schemas concatenate to [schema]). *)
+    Each atom is SQL's [=], which never holds on [Null], while the
+    predicate JIM infers (and {!eval}) equates [Null] with [Null]: on an
+    instance with [Null]s the statement selects fewer rows than {!eval},
+    exactly the rows where some equated pair is [Null]-[Null].  The
+    statement is exact on [Null]-free instances. *)
 
 val to_gav : head:string -> t -> string
 (** GAV-mapping reading: ["m(...) :- r1(...), r2(...), x = y, ..."]. *)

@@ -81,7 +81,9 @@ let of_classes ?statuses ?row_class ~n classes =
   (match statuses with None -> refresh_statuses eng | Some _ -> ());
   eng
 
-let create rel = of_classes ~n:(Relation.arity rel) (Sigclass.classes rel)
+let create rel =
+  let classes, row_class = Sigclass.classes rel in
+  of_classes ~row_class ~n:(Relation.arity rel) classes
 
 let state eng = eng.st
 let classes eng = eng.classes
@@ -187,8 +189,6 @@ let undo eng =
     Ok ()
 
 let result eng = State.canonical eng.st
-
-let positive_signatures eng = eng.positives
 
 let explain_class eng c =
   Explain.explain eng.st ~positives:eng.positives eng.classes.(c).Sigclass.sg

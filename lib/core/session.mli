@@ -78,10 +78,6 @@ val result : t -> Jim_partition.Partition.t
 (** The inferred predicate (canonical representative [s]); meaningful once
     {!finished}. *)
 
-val positive_signatures : t -> Jim_partition.Partition.t list
-(** Signatures answered [+] so far, newest first (the witnesses
-    {!Explain} quotes). *)
-
 val explain_class : t -> int -> Explain.why
 (** Certificate for a class's current status (see {!Explain}). *)
 

@@ -74,9 +74,10 @@ let classes r =
     cards.(c) <- cards.(c) + 1
   done;
   let n = Relation.arity r in
-  Array.mapi
-    (fun c bits -> { sg = Pairs.to_partition n bits; bits; rows = rows.(c); card = cards.(c) })
-    (Array.of_list (List.rev !firsts))
+  ( Array.mapi
+      (fun c bits -> { sg = Pairs.to_partition n bits; bits; rows = rows.(c); card = cards.(c) })
+      (Array.of_list (List.rev !firsts)),
+    row_class )
 
 let singletons r =
   Array.mapi

@@ -15,8 +15,9 @@ type cls = {
   card : int;                      (** [List.length rows] *)
 }
 
-val classes : Jim_relational.Relation.t -> cls array
-(** Classes ordered by first occurrence in the relation. *)
+val classes : Jim_relational.Relation.t -> cls array * int array
+(** Classes ordered by first occurrence in the relation, and the row →
+    class map: entry [i] is the index of row [i]'s class. *)
 
 val of_signatures : Jim_partition.Partition.t list -> cls array
 (** Build classes from bare signatures (row [i] is signature [i] of the

@@ -5,10 +5,6 @@ module Penum = Jim_partition.Penum
 let count (st : State.t) =
   Lattice.down_minus_count ~top:st.s ~excluded:st.negatives
 
-let log_count st =
-  let c = count st in
-  if c <= 0.0 then neg_infinity else log c
-
 let is_singleton_on st classes =
   Array.for_all
     (fun (c : Sigclass.cls) -> State.classify_bits st c.bits <> State.Informative)

@@ -10,8 +10,6 @@ val count : State.t -> float
 (** Number of consistent predicates; [0.] exactly on contradiction,
     [>= 1.] otherwise ([s] itself is always consistent). *)
 
-val log_count : State.t -> float
-
 val is_singleton_on : State.t -> Sigclass.cls array -> bool
 (** Have the labels pinned the goal down {e on this instance} — is there
     no informative class left?  (This is JIM's termination test: unique

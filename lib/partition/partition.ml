@@ -141,10 +141,6 @@ let refines p q =
   let rec go i = i >= n || (q.(i) = q.(p.(i)) && go (i + 1)) in
   go 0
 
-let strictly_refines p q = refines p q && not (equal p q)
-
-let comparable p q = refines p q || refines q p
-
 (* Walk each p-block in increasing order through [next] (the following
    member of the block, or [n]).  Within the block of [b], [stamp.(c)]
    is the first member seen in q-block [c] when it lies in [b]'s block

@@ -96,11 +96,6 @@ val refines : t -> t -> bool
 (** [refines p q] iff [p ⊑ q]: every equality demanded by [p] is demanded
     by [q].  Reflexive.  Raises [Invalid_argument] on size mismatch. *)
 
-val strictly_refines : t -> t -> bool
-
-val comparable : t -> t -> bool
-(** [refines p q || refines q p]. *)
-
 val meet : t -> t -> t
 (** Coarsest common refinement: equates exactly the pairs equated by both
     arguments.  Greatest lower bound for {!refines}. *)

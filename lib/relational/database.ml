@@ -11,8 +11,6 @@ let find_exn db name =
   match find db name with Some r -> r | None -> raise Not_found
 
 let names db = List.map fst (M.bindings db)
-let catalog db name = find db name
-let exec db q = Algebra.run_sql (catalog db) q
 
 let pp fmt db =
   Format.fprintf fmt "@[<v>%a@]"

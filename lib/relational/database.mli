@@ -1,4 +1,4 @@
-(** A catalog of named relations plus SQL entry points. *)
+(** A catalog of named relations. *)
 
 type t
 
@@ -10,9 +10,4 @@ val of_relations : Relation.t list -> t
 val find : t -> string -> Relation.t option
 val find_exn : t -> string -> Relation.t
 val names : t -> string list
-val catalog : t -> Algebra.catalog
-
-val exec : t -> string -> (Relation.t, string) result
-(** Parse, compile and run a SQL query against the catalog. *)
-
 val pp : Format.formatter -> t -> unit

@@ -25,55 +25,32 @@ val tuple : t -> int -> Tuple0.t
     range. *)
 
 val tuples : t -> Tuple0.t list
-val to_seq : t -> Tuple0.t Seq.t
 val iteri : (int -> Tuple0.t -> unit) -> t -> unit
 val fold : ('a -> Tuple0.t -> 'a) -> 'a -> t -> 'a
-
-val rename : string -> t -> t
 
 (** {1 Unary operators} *)
 
 val select : (Tuple0.t -> bool) -> t -> t
 val project : int list -> t -> t
-val project_names : string list -> t -> t
-(** Raises [Not_found] on an unknown column. *)
-
 val distinct : t -> t
 (** Keeps the first occurrence of each tuple; preserves order. *)
 
-val sort_by : ?desc:bool -> int list -> t -> t
-(** Stable sort on the given key columns. *)
-
-val limit : int -> t -> t
 val sample : ?seed:int -> int -> t -> t
 (** [sample k r]: [k] rows drawn without replacement (all rows if
     [k >= cardinality]), deterministic for a given seed, order preserved. *)
 
-(** {1 Binary operators} *)
+(** {1 Combining relations} *)
 
-val product : t -> t -> t
-(** Cartesian product; schemas are concatenated after qualification with
-    the operand names.  Row order: left-major. *)
-
-val equi_join : on:(int * int) list -> t -> t -> t
-(** Hash join on the given (left column, right column) pairs, using
-    {!Value.equal} (hence [Null] never joins).  Result schema as for
-    {!product}. *)
+val product : t list -> t
+(** Cartesian product of the relations, in order; the schemas are
+    concatenated after qualification with each relation's name.  Row
+    order: left-major (the last relation's rows vary fastest).  Raises
+    [Invalid_argument] on an empty list or a clash of qualified names
+    (the same relation twice). *)
 
 val union : t -> t -> t
 (** Set union (distinct).  Raises [Invalid_argument] on schema arity/type
     mismatch. *)
-
-val diff : t -> t -> t
-val intersect : t -> t -> t
-
-(** {1 Aggregation} *)
-
-type aggregate = Count | Sum of int | Min of int | Max of int | Avg of int
-
-val group_by : int list -> (string * aggregate) list -> t -> t
-(** Result schema: the key columns followed by one column per aggregate
-    (ints for [Count], column type or float for the rest). *)
 
 (** {1 Join-inference views} *)
 

@@ -23,8 +23,6 @@ let compare (a : t) (b : t) =
     in
     go 0
 
-let hash (t : t) = Hashtbl.hash (Array.map Value.hash t)
-
 let signature (t : t) =
   let n = Array.length t in
   (* Group positions by value; first occurrence is the canonical (smallest)

@@ -13,7 +13,6 @@ val equal : t -> t -> bool
 (** Pointwise {!Value.identical}. *)
 
 val compare : t -> t -> int
-val hash : t -> int
 
 val signature : t -> Jim_partition.Partition.t
 (** The partition of attribute positions induced by value identity: [i]

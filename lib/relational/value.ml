@@ -130,21 +130,3 @@ let parse_auto s =
         | "true" -> Bool true
         | "false" -> Bool false
         | _ -> ( match parse_date s with Some v -> v | None -> Str s)))
-
-let arith name fint ffloat a b =
-  match (a, b) with
-  | Null, _ | _, Null -> Null
-  | Int x, Int y -> fint x y
-  | Float x, Float y -> Float (ffloat x y)
-  | Int x, Float y -> Float (ffloat (float_of_int x) y)
-  | Float x, Int y -> Float (ffloat x (float_of_int y))
-  | _ -> invalid_arg ("Value." ^ name ^ ": non-numeric operand")
-
-let add = arith "add" (fun x y -> Int (x + y)) ( +. )
-let sub = arith "sub" (fun x y -> Int (x - y)) ( -. )
-let mul = arith "mul" (fun x y -> Int (x * y)) ( *. )
-
-let div =
-  arith "div"
-    (fun x y -> if y = 0 then Null else Int (x / y))
-    (fun x y -> x /. y)

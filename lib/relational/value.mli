@@ -1,8 +1,8 @@
 (** Typed atomic values stored in relations.
 
     JIM's inference only ever tests values for equality, so the value
-    domain is deliberately simple; the full comparison order is still
-    defined so that the relational substrate can sort, index and aggregate. *)
+    domain is deliberately simple; the total order below is what sorting
+    tuples and grouping rows into signature classes use. *)
 
 type ty = Tint | Tfloat | Tstring | Tbool | Tdate
 
@@ -46,11 +46,3 @@ val parse_auto : string -> t
 
 val date : int -> int -> int -> t
 (** Raises [Invalid_argument] on an impossible calendar date. *)
-
-(** Arithmetic helpers used by the expression evaluator; [Null] is
-    absorbing, type mismatches raise [Invalid_argument]. *)
-
-val add : t -> t -> t
-val sub : t -> t -> t
-val mul : t -> t -> t
-val div : t -> t -> t

@@ -549,8 +549,6 @@ type client = {
   framing : framing;
 }
 
-let client_framing c = c.framing
-
 let negotiate_binary fd ic oc =
   match
     output_string oc Frame.handshake_request;

@@ -136,8 +136,6 @@ val connect :
     after connecting and fails with a clear error if the server does not
     speak it. *)
 
-val client_framing : client -> framing
-
 val set_timeout : client -> float -> unit
 (** Receive timeout in seconds: a reply overdue past it makes the next
     {!call_line} fail instead of blocking forever.  Best-effort (ignored

@@ -24,37 +24,18 @@ let resolve_relations db names =
     (Ok []) names
   |> Result.map List.rev
 
-let full_product rels names =
-  match rels with
+let full_product = function
   | [] -> Error "empty relation list"
-  | _ -> (
-    match
-      Schema.concat_qualified
-        (List.map2 (fun n r -> (n, Relation.schema r)) names rels)
-    with
+  | rels -> (
+    match Relation.product rels with
+    | prod -> Ok prod
     | exception Invalid_argument _ ->
-      Error "duplicate relation name in product: use distinct names"
-    | schema ->
-      (* Cartesian product built directly on tuples: going through
-         Relation.product would construct intermediate schemas that can
-         clash when sources share column names. *)
-      let rows =
-        List.fold_left
-          (fun acc r ->
-            List.concat_map
-              (fun prefix ->
-                List.map
-                  (fun t -> Jim_relational.Tuple0.concat prefix t)
-                  (Relation.tuples r))
-              acc)
-          [ [||] ] rels
-      in
-      Ok (Relation.make ~name:(String.concat "_x_" names) schema rows))
+      Error "duplicate relation name in product: use distinct names")
 
 let product_instance ?sample ?seed db names =
   let* rels = resolve_relations db names in
   let* prod, schema =
-    Result.map (fun p -> (p, Relation.schema p)) (full_product rels names)
+    Result.map (fun p -> (p, Relation.schema p)) (full_product rels)
   in
   let instance =
     match sample with
@@ -102,7 +83,7 @@ let goal_join_result task =
   match resolve_relations task.db task.sources with
   | Error _ -> assert false (* sources validated at construction *)
   | Ok rels -> (
-    match full_product rels task.sources with
+    match full_product rels with
     | Error _ -> assert false
     | Ok prod -> Relation.satisfying task.goal prod)
 

@@ -79,9 +79,10 @@ let test_sigclass_grouping () =
           [ Str "y"; Str "z" ];
         ]
   in
-  let classes = Sigclass.classes rel in
+  let classes, row_class = Sigclass.classes rel in
   (* Rows 0 and 2 share signature {0,1}; rows 1 and 3 share bottom. *)
   Alcotest.(check int) "two classes" 2 (Array.length classes);
+  Alcotest.(check (array int)) "row -> class" [| 0; 1; 0; 1 |] row_class;
   Alcotest.(check (list int)) "class 0 rows" [ 0; 2 ] classes.(0).Sigclass.rows;
   Alcotest.(check (list int)) "class 1 rows" [ 1; 3 ] classes.(1).Sigclass.rows;
   Alcotest.(check int) "total rows" 4 (Sigclass.total_rows classes);
@@ -291,7 +292,7 @@ let test_vs_singleton_on () =
       (State.create 5)
       [ (3, State.Pos); (7, State.Neg); (8, State.Neg) ]
   in
-  let classes = Sigclass.classes instance in
+  let classes, _ = Sigclass.classes instance in
   Alcotest.(check bool) "done" true (Version_space.is_singleton_on st classes);
   let st_partial = State.add_exn (State.create 5) State.Pos (signature 3) in
   Alcotest.(check bool) "not done" false
@@ -302,7 +303,7 @@ let test_vs_equivalence_classes () =
      fall into distinct instance-equivalence classes. *)
   let open W.Flights in
   let st = State.add_exn (State.create 5) State.Pos (signature 3) in
-  let classes = Sigclass.classes instance in
+  let classes, _ = Sigclass.classes instance in
   let eq = Version_space.equivalence_classes st classes in
   Alcotest.(check int) "4 consistent predicates" 4
     (List.fold_left (fun acc (_, qs) -> acc + List.length qs) 0 eq);
@@ -329,7 +330,7 @@ let mk_ctx st classes rng_seed =
 
 let test_strategies_contract () =
   (* Every strategy returns an informative class, or None iff none left. *)
-  let classes = Sigclass.classes W.Flights.instance in
+  let classes, _ = Sigclass.classes W.Flights.instance in
   let st0 = State.create 5 in
   List.iter
     (fun strat ->
@@ -361,7 +362,7 @@ let test_strategy_find () =
   Alcotest.(check bool) "find missing" true (Strategy.find "nope" = None)
 
 let test_decided_counts_bounds () =
-  let classes = Sigclass.classes W.Flights.instance in
+  let classes, _ = Sigclass.classes W.Flights.instance in
   let st = State.create 5 in
   let ctx = mk_ctx st classes 1 in
   let inf_list = Array.to_list ctx.Strategy.informative in
@@ -532,7 +533,7 @@ let test_engine_counts () =
         W.Synthetic.generate
           { W.Synthetic.n_attrs; n_tuples; domain; goal_rank = 2; seed = 3 }
       in
-      let classes = Sigclass.classes inst.W.Synthetic.relation in
+      let classes, _ = Sigclass.classes inst.W.Synthetic.relation in
       let oracle = Oracle.of_goal inst.W.Synthetic.goal in
       List.iter
         (fun (name, questions, meets, classify, hits, misses) ->
@@ -588,7 +589,7 @@ let test_entropy_wide_instance () =
 (* Optimal                                                             *)
 
 let test_optimal_flights () =
-  let classes = Sigclass.classes W.Flights.instance in
+  let classes, _ = Sigclass.classes W.Flights.instance in
   let d = Optimal.worst_case_depth (State.create 5) classes in
   (* The paper's walkthrough uses 3 labels; the optimal policy cannot
      need more than the number of classes and at least log2 of the
@@ -614,7 +615,7 @@ let test_optimal_flights () =
 let test_optimal_matches_its_own_bound () =
   (* Driving sessions with the optimal strategy never exceeds the
      announced worst-case depth. *)
-  let classes = Sigclass.classes W.Flights.instance in
+  let classes, _ = Sigclass.classes W.Flights.instance in
   let d = Optimal.worst_case_depth (State.create 5) classes in
   let strat = Strategy.optimal () in
   Penum.iter_all 5 (fun goal ->
@@ -632,7 +633,7 @@ let test_optimal_too_large () =
     W.Synthetic.generate
       { W.Synthetic.default with W.Synthetic.n_attrs = 8; n_tuples = 120; seed = 1 }
   in
-  let classes = Sigclass.classes inst.W.Synthetic.relation in
+  let classes, _ = Sigclass.classes inst.W.Synthetic.relation in
   Alcotest.(check bool) "raises Too_large" true
     (try
        ignore (Optimal.worst_case_depth ~max_states:50 (State.create 8) classes);
@@ -766,7 +767,7 @@ let test_top_questions_preference_order () =
   (* top_questions returns k distinct classes in strategy-preference
      order: the sequence produced by repeatedly picking from the
      informative set with the already-proposed classes masked out. *)
-  let classes = Sigclass.classes W.Flights.instance in
+  let classes, _ = Sigclass.classes W.Flights.instance in
   let st = State.create 5 in
   let strat = Strategy.lookahead_maximin in
   let k = 3 in
@@ -933,11 +934,17 @@ let test_jquery_rendering () =
     (R.cardinality (Jquery.eval q W.Flights.instance))
 
 let test_jquery_sql_roundtrip () =
-  (* to_sql output parses back through the SQL front end. *)
+  (* to_sql output runs through the SQL oracle and selects what eval does. *)
   let q = Jquery.make W.Flights.schema W.Flights.q2 in
   let sql = Jquery.to_sql ~from:[ "packages" ] q in
-  Alcotest.(check bool) "parses" true
-    (Result.is_ok (Jim_relational.Sql_parser.parse sql))
+  let db = Jim_relational.Database.of_relations [ W.Flights.instance ] in
+  match Jim_relational.Sql.exec db sql with
+  | Error e -> Alcotest.fail e
+  | Ok r ->
+    Alcotest.(check (list (array string)))
+      "same rows as eval"
+      (List.map (Array.map V.to_string) (R.tuples (Jquery.eval q W.Flights.instance)))
+      (List.map (Array.map V.to_string) (R.tuples r))
 
 let test_jquery_arity_mismatch () =
   Alcotest.(check bool) "make checks size" true

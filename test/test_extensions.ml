@@ -183,7 +183,7 @@ let test_crowd_redundancy_helps () =
 (* Teaching                                                            *)
 
 let test_teaching_flights () =
-  let classes = Sigclass.classes W.Flights.instance in
+  let classes, _ = Sigclass.classes W.Flights.instance in
   let lesson = Teaching.greedy ~goal:W.Flights.q2 classes in
   Alcotest.(check bool) "greedy lesson is a teaching set" true
     (Teaching.is_teaching_set ~goal:W.Flights.q2 classes
@@ -230,7 +230,7 @@ let prop_teaching_lower_bounds_sessions =
             seed;
           }
       in
-      let classes = Sigclass.classes inst.W.Synthetic.relation in
+      let classes, _ = Sigclass.classes inst.W.Synthetic.relation in
       match Teaching.exact_minimum ~max_size:5 ~goal:inst.W.Synthetic.goal classes with
       | None -> QCheck.assume_fail ()
       | Some minimum ->

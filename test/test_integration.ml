@@ -8,7 +8,7 @@ module V = Jim_relational.Value
 module T = Jim_relational.Tuple0
 module R = Jim_relational.Relation
 module Schema = Jim_relational.Schema
-module Database = Jim_relational.Database
+module Sql = Jim_relational.Sql
 module Csv = Jim_relational.Csv
 module W = Jim_workloads
 open Jim_core
@@ -34,7 +34,7 @@ let infer_and_reexecute spec =
     in
     let q = Jquery.make task.W.Denorm.schema cross in
     let sql = Jquery.to_sql ~from:task.W.Denorm.sources q in
-    (match Database.exec db sql with
+    (match Sql.exec db sql with
     | Error e -> Alcotest.fail ("re-execution failed: " ^ e)
     | Ok result ->
       let goal_result = W.Denorm.goal_join_result task in
@@ -49,6 +49,88 @@ let test_pipeline_customer_orders () =
 
 let test_pipeline_nation_chain () =
   infer_and_reexecute W.Tpch.fk_nation_chain
+
+(* ------------------------------------------------------------------ *)
+(* The printed SQL, re-executed through the oracle.                    *)
+
+(* 2-3 NULL-free relations over a small int domain, so that random
+   predicates select some rows, and a random predicate (TRUE included)
+   over their product's attributes. *)
+let gen_sql_case =
+  QCheck.Gen.(
+    let relation k arity =
+      let schema = Schema.of_list (List.init arity (fun c -> (Printf.sprintf "a%d" c, V.Tint))) in
+      map
+        (R.of_rows ~name:(Printf.sprintf "r%d" k) schema)
+        (list_size (int_bound 4) (list_repeat arity (map (fun v -> V.Int v) (int_bound 2))))
+    in
+    let* arities = int_range 2 3 >>= fun k -> list_repeat k (int_range 1 3) in
+    let* rels = flatten_l (List.mapi relation arities) in
+    let n = List.fold_left ( + ) 0 arities in
+    let* pairs = list_size (int_bound 3) (pair (int_bound (n - 1)) (int_bound (n - 1))) in
+    return (rels, P.of_pairs n pairs))
+
+let sql_of (rels, pred) =
+  Jquery.to_sql ~from:(List.map R.name rels) (Jquery.make (R.schema (R.product rels)) pred)
+
+let rows r = List.map Array.to_list (R.tuples r)
+
+let prop_sql_equals_satisfying =
+  qtest ~count:300 "Sql.exec (to_sql q) = satisfying q"
+    (QCheck.make
+       ~print:(fun ((rels, _) as case) ->
+         String.concat "\n"
+           (sql_of case
+           :: List.map
+                (fun r -> R.name r ^ ": " ^ String.concat " " (List.map T.to_string (R.tuples r)))
+                rels))
+       gen_sql_case)
+    (fun ((rels, pred) as case) ->
+      match Sql.exec (Jim_relational.Database.of_relations rels) (sql_of case) with
+      | Error e -> QCheck.Test.fail_report e
+      | Ok got ->
+        let want = R.satisfying pred (R.product rels) in
+        Schema.equal (R.schema got) (R.schema want) && rows got = rows want)
+
+(* On NULLs the two part ways: [Jquery.to_sql] prints SQL's [=], which a
+   NULL-NULL pair fails, while the inferred predicate (like the
+   signatures) equates NULL with NULL.  Exactly those rows drop out. *)
+let test_sql_null_gap () =
+  let r =
+    R.of_rows ~name:"r"
+      (Schema.of_list [ ("a", V.Tint); ("b", V.Tint); ("c", V.Tint) ])
+      V.[
+          [ Int 1; Int 1; Int 1 ];
+          [ Null; Null; Int 1 ];
+          [ Null; Int 1; Null ];
+          [ Int 2; Int 2; Null ];
+          [ Null; Null; Null ];
+          [ Int 1; Int 2; Int 1 ];
+        ]
+  in
+  let db = Jim_relational.Database.of_relations [ r ] in
+  let check pred expected =
+    let sql = sql_of ([ r ], pred) in
+    let prod = R.product [ r ] in
+    let null_null t =
+      List.exists
+        (fun (i, j) -> i < j && P.same pred i j && V.is_null t.(i) && V.is_null t.(j))
+        (List.concat_map (fun i -> List.init 3 (fun j -> (i, j))) [ 0; 1; 2 ])
+    in
+    match Sql.exec db sql with
+    | Error e -> Alcotest.fail e
+    | Ok got ->
+      let want = R.select (fun t -> not (null_null t)) (R.satisfying pred prod) in
+      Alcotest.(check bool) (sql ^ ": satisfying minus NULL-NULL rows") true (rows got = rows want);
+      Alcotest.(check int) (sql ^ ": rows") expected (R.cardinality got)
+  in
+  (* a = b holds on rows 0, 1, 3, 4 for the predicate, on 0 and 3 in SQL. *)
+  check (P.of_pairs 3 [ (0, 1) ]) 2;
+  check (P.of_pairs 3 [ (0, 1); (1, 2) ]) 1;
+  check (P.of_pairs 3 [ (0, 2) ]) 2;
+  check (P.bottom 3) 6;
+  Alcotest.(check int) "the predicate itself keeps the NULL-NULL rows" 4
+    (R.cardinality (R.satisfying (P.of_pairs 3 [ (0, 1) ]) r))
 
 (* ------------------------------------------------------------------ *)
 (* CSV road: dump the flights table, reload it, infer on the reload.   *)
@@ -139,7 +221,7 @@ let prop_mislabelled_runs_still_terminate =
           inst.W.Synthetic.relation
       in
       o.Session.interactions
-      <= Array.length (Sigclass.classes inst.W.Synthetic.relation))
+      <= Array.length (fst (Sigclass.classes inst.W.Synthetic.relation)))
 
 (* ------------------------------------------------------------------ *)
 (* TUI smoke tests (rendering is pure string production).              *)
@@ -260,6 +342,8 @@ let () =
             test_pipeline_nation_chain;
           Alcotest.test_case "csv -> inference" `Quick test_csv_to_inference;
           Alcotest.test_case "gav rendering" `Quick test_gav_rendering;
+          prop_sql_equals_satisfying;
+          Alcotest.test_case "to_sql on NULLs" `Quick test_sql_null_gap;
         ] );
       ( "failure-injection",
         [

@@ -1,17 +1,13 @@
 (* Tests for the relational substrate: values, schemas, tuples, relations,
-   indexes, CSV, expressions, SQL lexer/parser/printer, algebra, database. *)
+   CSV, and the equi-join SQL oracle over a database. *)
 
 module V = Jim_relational.Value
 module Schema = Jim_relational.Schema
 module T = Jim_relational.Tuple0
 module R = Jim_relational.Relation
-module Index = Jim_relational.Index
 module Csv = Jim_relational.Csv
-module Expr = Jim_relational.Expr
-module Sql_lexer = Jim_relational.Sql_lexer
-module Sql_parser = Jim_relational.Sql_parser
-module Sql_print = Jim_relational.Sql_print
 module Database = Jim_relational.Database
+module Sql = Jim_relational.Sql
 module P = Jim_partition.Partition
 
 let value = Alcotest.testable V.pp V.identical
@@ -64,13 +60,6 @@ let test_value_date_validation () =
   Alcotest.check_raises "non-leap feb 29"
     (Invalid_argument "Value.date: impossible date") (fun () ->
       ignore (V.date 2021 2 29))
-
-let test_value_arith () =
-  Alcotest.(check value) "int add" (V.Int 5) V.(add (Int 2) (Int 3));
-  Alcotest.(check value) "mixed mul" (V.Float 5.0) V.(mul (Int 2) (Float 2.5));
-  Alcotest.(check value) "null absorbs" V.Null V.(add Null (Int 1));
-  Alcotest.(check value) "int div by zero is null" V.Null
-    V.(div (Int 1) (Int 0))
 
 (* ------------------------------------------------------------------ *)
 (* Schema                                                              *)
@@ -155,15 +144,17 @@ let test_relation_make_checks () =
 let test_relation_select_project () =
   let r = R.select (fun t -> T.get t 0 = V.Int 2) nums in
   Alcotest.(check int) "two rows" 2 (R.cardinality r);
-  let p = R.project_names [ "v" ] nums in
+  let p = R.project [ 1 ] nums in
   Alcotest.(check int) "arity 1" 1 (R.arity p);
   Alcotest.(check string) "name kept" "nums" (R.name p)
 
-let test_relation_distinct_sort () =
+let test_relation_distinct () =
   let d = R.distinct nums in
   Alcotest.(check int) "distinct drops dup" 3 (R.cardinality d);
-  let s = R.sort_by ~desc:true [ 0 ] nums in
-  Alcotest.(check value) "desc first" (V.Int 3) (T.get (R.tuple s 0) 0)
+  Alcotest.(check (list value))
+    "first occurrences, in order"
+    V.[ Int 1; Int 2; Int 3 ]
+    (List.map (fun t -> T.get t 0) (R.tuples d))
 
 let test_relation_product () =
   let a =
@@ -176,13 +167,27 @@ let test_relation_product () =
       (Schema.of_list [ ("y", V.Tint) ])
       V.[ [ Int 3 ]; [ Int 4 ] ]
   in
-  let p = R.product a b in
+  let p = R.product [ a; b ] in
   Alcotest.(check int) "4 rows" 4 (R.cardinality p);
   Alcotest.(check (array string))
     "qualified schema" [| "a.x"; "b.y" |]
     (Schema.names (R.schema p));
   Alcotest.(check value) "row0 left" (V.Int 1) (T.get (R.tuple p 0) 0);
-  Alcotest.(check value) "row1 right" (V.Int 4) (T.get (R.tuple p 1) 1)
+  Alcotest.(check value) "row1 right" (V.Int 4) (T.get (R.tuple p 1) 1);
+  let c = R.of_rows ~name:"c" (Schema.of_list [ ("x", V.Tint) ]) V.[ [ Int 5 ]; [ Int 6 ] ] in
+  let p3 = R.product [ a; b; c ] in
+  Alcotest.(check (array string))
+    "three-way schema" [| "a.x"; "b.y"; "c.x" |]
+    (Schema.names (R.schema p3));
+  Alcotest.(check (list (list value)))
+    "left-major rows"
+    (List.concat_map
+       (fun x ->
+         List.concat_map (fun y -> List.map (fun z -> V.[ Int x; Int y; Int z ]) [ 5; 6 ]) [ 3; 4 ])
+       [ 1; 2 ])
+    (List.map Array.to_list (R.tuples p3));
+  Alcotest.(check bool) "same relation twice" true
+    (match R.product [ a; a ] with _ -> false | exception Invalid_argument _ -> true)
 
 let test_relation_equi_join () =
   let a =
@@ -195,23 +200,26 @@ let test_relation_equi_join () =
       (Schema.of_list [ ("y", V.Tint) ])
       V.[ [ Int 2 ]; [ Int 2 ]; [ Null ] ]
   in
-  let j = R.equi_join ~on:[ (0, 0) ] a b in
-  (* Only x=2 matches, twice; nulls never join. *)
-  Alcotest.(check int) "2 rows" 2 (R.cardinality j);
-  Alcotest.(check value) "joined value" (V.Int 2) (T.get (R.tuple j 0) 0);
-  let ps =
-    R.select (fun t -> V.equal (T.get t 0) (T.get t 2)) (R.product a b)
-  in
-  Alcotest.(check bool) "join = select over product" true
-    (R.equal_contents (R.make (R.schema ps) (R.tuples j)) ps)
+  match Sql.exec (Database.of_relations [ a; b ]) "SELECT * FROM a, b WHERE x = y" with
+  | Error e -> Alcotest.fail e
+  | Ok j ->
+    (* Only x=2 matches, twice; nulls never join. *)
+    Alcotest.(check int) "2 rows" 2 (R.cardinality j);
+    Alcotest.(check value) "joined value" (V.Int 2) (T.get (R.tuple j 0) 0);
+    let ps =
+      R.select (fun t -> V.equal (T.get t 0) (T.get t 2)) (R.product [ a; b ])
+    in
+    Alcotest.(check bool) "join = select over product" true (R.equal_contents j ps)
 
 let test_relation_set_ops () =
   let s = Schema.of_list [ ("x", V.Tint) ] in
   let a = R.of_rows ~name:"a" s V.[ [ Int 1 ]; [ Int 2 ]; [ Int 2 ] ] in
   let b = R.of_rows ~name:"b" s V.[ [ Int 2 ]; [ Int 3 ] ] in
   Alcotest.(check int) "union distinct" 3 (R.cardinality (R.union a b));
-  Alcotest.(check int) "diff" 1 (R.cardinality (R.diff a b));
-  Alcotest.(check int) "intersect" 2 (R.cardinality (R.intersect a b))
+  Alcotest.(check bool) "incompatible schemas" true
+    (match R.union a (R.of_rows (Schema.of_list [ ("s", V.Tstring) ]) []) with
+     | _ -> false
+     | exception Invalid_argument _ -> true)
 
 let test_relation_sample_deterministic () =
   let big =
@@ -229,27 +237,6 @@ let test_relation_sample_deterministic () =
   in
   Alcotest.(check bool) "row order preserved" true (increasing xs)
 
-let test_relation_group_by () =
-  let g =
-    R.group_by [ 1 ]
-      [ ("n", R.Count); ("min_k", R.Min 0); ("max_k", R.Max 0) ]
-      nums
-  in
-  Alcotest.(check int) "three groups" 3 (R.cardinality g);
-  let row_two = List.find (fun t -> T.get t 0 = V.Str "two") (R.tuples g) in
-  Alcotest.(check value) "count" (V.Int 2) (T.get row_two 1);
-  Alcotest.(check value) "min" (V.Int 2) (T.get row_two 2)
-
-let test_relation_avg_nulls () =
-  let r =
-    R.of_rows ~name:"r"
-      (Schema.of_list [ ("g", V.Tint); ("x", V.Tint) ])
-      V.[ [ Int 1; Int 10 ]; [ Int 1; Null ]; [ Int 1; Int 20 ] ]
-  in
-  let g = R.group_by [ 0 ] [ ("avg", R.Avg 1) ] r in
-  Alcotest.(check value) "null-skipping avg" (V.Float 15.0)
-    (T.get (R.tuple g 0) 1)
-
 let test_relation_satisfying () =
   let r =
     R.of_rows ~name:"r"
@@ -258,17 +245,6 @@ let test_relation_satisfying () =
   in
   Alcotest.(check int) "one satisfying row" 1
     (R.cardinality (R.satisfying (P.top 2) r))
-
-(* ------------------------------------------------------------------ *)
-(* Index                                                               *)
-
-let test_index () =
-  let ix = Index.build nums [ 0 ] in
-  Alcotest.(check (list int)) "k=2 rows" [ 1; 3 ] (Index.lookup ix [ V.Int 2 ]);
-  Alcotest.(check (list int)) "k=9 rows" [] (Index.lookup ix [ V.Int 9 ]);
-  Alcotest.(check int) "distinct keys" 3 (List.length (Index.distinct_keys ix));
-  Alcotest.(check (list int)) "lookup_tuple" [ 1; 3 ]
-    (Index.lookup_tuple ix (R.tuple nums 1))
 
 (* ------------------------------------------------------------------ *)
 (* CSV                                                                 *)
@@ -390,119 +366,7 @@ let test_csv_canonical_fields () =
   Alcotest.(check string) "canonical" reference (Csv.canonical r)
 
 (* ------------------------------------------------------------------ *)
-(* Expressions                                                         *)
-
-let xy = Schema.of_list [ ("x", V.Tint); ("y", V.Tint); ("s", V.Tstring) ]
-let t0 = T.make V.[ Int 3; Int 5; Str "a" ]
-
-let test_expr_eval () =
-  let e = Expr.(Cmp (Lt, Col 0, Col 1)) in
-  Alcotest.(check bool) "3 < 5" true (Expr.eval_bool e t0);
-  let e2 = Expr.(Cmp (Eq, Add (Col 0, Const (V.Int 2)), Col 1)) in
-  Alcotest.(check bool) "3+2 = 5" true (Expr.eval_bool e2 t0)
-
-let test_expr_null_semantics () =
-  let tn = T.make V.[ Null; Int 5; Str "a" ] in
-  let cmp = Expr.(Cmp (Eq, Col 0, Col 1)) in
-  Alcotest.(check value) "null = x is null" V.Null (Expr.eval cmp tn);
-  Alcotest.(check bool) "where drops null" false (Expr.eval_bool cmp tn);
-  Alcotest.(check value) "null or true" (V.Bool true)
-    (Expr.eval Expr.(Or (cmp, Const (V.Bool true))) tn);
-  Alcotest.(check value) "null and false" (V.Bool false)
-    (Expr.eval Expr.(And (cmp, Const (V.Bool false))) tn);
-  Alcotest.(check value) "is null" (V.Bool true)
-    (Expr.eval Expr.(IsNull (Col 0)) tn)
-
-let test_expr_typecheck () =
-  Alcotest.(check bool) "ok" true
-    (Result.is_ok (Expr.typecheck xy Expr.(Cmp (Eq, Col 0, Col 1))));
-  Alcotest.(check bool) "int vs string" true
-    (Result.is_error (Expr.typecheck xy Expr.(Cmp (Eq, Col 0, Col 2))));
-  Alcotest.(check bool) "arith on string" true
-    (Result.is_error (Expr.typecheck xy Expr.(Add (Col 2, Col 0))));
-  Alcotest.(check bool) "col out of range" true
-    (Result.is_error (Expr.typecheck xy (Expr.Col 7)))
-
-let test_expr_of_partition () =
-  let p = P.of_blocks 3 [ [ 0; 1 ] ] in
-  let e = Expr.of_partition p in
-  Alcotest.(check bool) "selects equal" true
-    (Expr.eval_bool e (T.make V.[ Int 1; Int 1; Str "z" ]));
-  Alcotest.(check bool) "rejects unequal" false
-    (Expr.eval_bool e (T.make V.[ Int 1; Int 2; Str "z" ]))
-
-(* ------------------------------------------------------------------ *)
-(* SQL: lexer, parser, printer                                         *)
-
-let test_lexer () =
-  match Sql_lexer.tokenize "SELECT a.x, 'it''s' FROM t WHERE x <= 4.5" with
-  | Error e -> Alcotest.fail e
-  | Ok toks ->
-    (* SELECT a.x , 'it''s' FROM t WHERE x <= 4.5 EOF = 11 tokens *)
-    Alcotest.(check int) "token count" 11 (List.length toks);
-    Alcotest.(check bool) "string unescaped" true
-      (List.mem (Sql_lexer.STRING "it's") toks);
-    Alcotest.(check bool) "float" true (List.mem (Sql_lexer.FLOAT 4.5) toks)
-
-let test_lexer_errors () =
-  Alcotest.(check bool) "unterminated string" true
-    (Result.is_error (Sql_lexer.tokenize "SELECT 'oops"));
-  Alcotest.(check bool) "bad char" true
-    (Result.is_error (Sql_lexer.tokenize "SELECT #"))
-
-let test_parser_roundtrip () =
-  let cases =
-    [
-      "SELECT * FROM t";
-      "SELECT DISTINCT a, b AS c FROM t, u WHERE a = b AND c < 3";
-      "SELECT * FROM t AS x, t AS y WHERE x.a = y.a ORDER BY a DESC LIMIT 5";
-      "SELECT * FROM t WHERE NOT (a = 1 OR b = 2)";
-      "SELECT * FROM t WHERE a IS NULL";
-      "SELECT * FROM t WHERE a + 1 = b * 2";
-    ]
-  in
-  List.iter
-    (fun sql ->
-      match Sql_parser.parse sql with
-      | Error e -> Alcotest.fail (sql ^ " -> " ^ e)
-      | Ok q -> (
-        let printed = Sql_print.query_to_string q in
-        match Sql_parser.parse printed with
-        | Error e -> Alcotest.fail (printed ^ " -> " ^ e)
-        | Ok q2 ->
-          Alcotest.(check string)
-            ("stable print: " ^ sql)
-            printed
-            (Sql_print.query_to_string q2)))
-    cases
-
-let test_parser_errors () =
-  List.iter
-    (fun sql ->
-      Alcotest.(check bool)
-        ("rejects: " ^ sql)
-        true
-        (Result.is_error (Sql_parser.parse sql)))
-    [
-      "SELECT";
-      "SELECT * FROM";
-      "SELECT * FROM t WHERE";
-      "SELECT * FROM t LIMIT x";
-      "FROM t SELECT *";
-      "SELECT * FROM t WHERE a = )";
-      "SELECT * FROM t alias extra";
-    ]
-
-let test_parse_expr_precedence () =
-  match Sql_parser.parse_expr "a = 1 OR b = 2 AND c = 3" with
-  | Error e -> Alcotest.fail e
-  | Ok e -> (
-    match e with
-    | Jim_relational.Sql_ast.Eor (_, Jim_relational.Sql_ast.Eand (_, _)) -> ()
-    | _ -> Alcotest.fail "expected OR(_, AND(_, _))")
-
-(* ------------------------------------------------------------------ *)
-(* Algebra + Database: SQL end to end                                  *)
+(* The equi-join SQL oracle                                            *)
 
 let db =
   Database.of_relations
@@ -518,287 +382,166 @@ let db =
       R.of_rows ~name:"dept"
         (Schema.of_list [ ("did", V.Tint); ("dname", V.Tstring) ])
         V.[ [ Int 10; Str "lab" ]; [ Int 20; Str "ops" ] ];
+      R.of_rows ~name:"site"
+        (Schema.of_list [ ("did", V.Tint); ("city", V.Tstring) ])
+        V.[ [ Int 10; Str "lyon" ] ];
     ]
 
 let exec sql =
-  match Database.exec db sql with
+  match Sql.exec db sql with
   | Ok r -> r
   | Error e -> Alcotest.fail (sql ^ " -> " ^ e)
 
-let test_sql_select_where () =
-  let r = exec "SELECT * FROM emp WHERE dept = 10" in
-  Alcotest.(check int) "two lab members" 2 (R.cardinality r)
-
-let test_sql_join () =
-  let r =
-    exec "SELECT * FROM emp, dept WHERE emp.dept = dept.did AND dname = 'lab'"
-  in
-  Alcotest.(check int) "lab join" 2 (R.cardinality r);
-  Alcotest.(check int) "arity 5" 5 (R.arity r)
-
-let test_sql_projection_order_limit () =
-  let r = exec "SELECT name FROM emp ORDER BY name DESC LIMIT 2" in
-  Alcotest.(check int) "limit" 2 (R.cardinality r);
-  Alcotest.(check value) "desc order" (V.Str "eve") (T.get (R.tuple r 0) 0)
-
-let test_sql_self_join_alias () =
-  let r = exec "SELECT * FROM emp AS a, emp AS b WHERE a.dept = b.dept" in
-  (* dept 10: 2x2, dept 20: 1x1 -> 5 rows *)
-  Alcotest.(check int) "self join" 5 (R.cardinality r)
-
-let test_sql_errors () =
+let rejects sqls =
   List.iter
     (fun sql ->
-      Alcotest.(check bool)
-        ("error: " ^ sql)
-        true
-        (Result.is_error (Database.exec db sql)))
+      Alcotest.(check bool) ("error: " ^ sql) true (Result.is_error (Sql.exec db sql)))
+    sqls
+
+let test_sql_select_where () =
+  let r = exec "SELECT * FROM emp WHERE TRUE" in
+  Alcotest.(check int) "every row" 3 (R.cardinality r);
+  Alcotest.(check (array string))
+    "qualified schema" [| "emp.eid"; "emp.name"; "emp.dept" |]
+    (Schema.names (R.schema r));
+  Alcotest.(check int) "TRUE over two relations is the product" 6
+    (R.cardinality (exec "SELECT * FROM emp, dept WHERE TRUE"))
+
+let test_sql_join () =
+  let r = exec "SELECT * FROM emp, dept WHERE emp.dept = dept.did" in
+  Alcotest.(check int) "every employee has a department" 3 (R.cardinality r);
+  Alcotest.(check int) "arity 5" 5 (R.arity r);
+  Alcotest.(check bool) "bare names resolve alike" true
+    (R.equal_contents r (exec "SELECT * FROM emp, dept WHERE did = dept"));
+  Alcotest.(check int) "three relations, two atoms" 2
+    (R.cardinality
+       (exec "SELECT * FROM emp, dept, site WHERE dept = dept.did AND dept.did = site.did"));
+  Alcotest.(check int) "an atom no row meets" 0
+    (R.cardinality (exec "SELECT * FROM emp, dept WHERE dept = did AND name = dname"))
+
+let test_sql_errors () =
+  rejects
     [
-      "SELECT * FROM nope";
-      "SELECT zzz FROM emp";
-      "SELECT * FROM emp WHERE name = 3";
-      "SELECT * FROM emp, emp";
-      "SELECT * FROM emp WHERE nope = 1";
+      "SELECT * FROM nope WHERE TRUE";
+      "SELECT * FROM emp, nope WHERE TRUE";
+      "SELECT * FROM emp WHERE zzz = eid";
+      "SELECT * FROM emp WHERE eid = dept.did";
+      "SELECT * FROM dept, site WHERE did = city";
+    ]
+
+let test_sql_self_join_alias () =
+  (* The fragment has no aliases, and a relation listed twice would
+     repeat its qualified names. *)
+  rejects
+    [
+      "SELECT * FROM emp AS a, emp AS b WHERE a.dept = b.dept";
+      "SELECT * FROM emp a, emp b WHERE a.dept = b.dept";
+      "SELECT * FROM emp, emp WHERE emp.dept = emp.dept";
+    ]
+
+let test_sql_projection_order_limit () =
+  rejects
+    [
+      "SELECT name FROM emp WHERE TRUE";
+      "SELECT DISTINCT * FROM emp WHERE TRUE";
+      "SELECT * FROM emp WHERE TRUE ORDER BY name";
+      "SELECT * FROM emp WHERE TRUE LIMIT 2";
+      "SELECT * FROM emp WHERE dept = 10";
+      "SELECT * FROM emp, dept WHERE dept = did OR eid = did";
+      "SELECT * FROM emp, dept WHERE dept < did";
+      "SELECT * FROM emp, dept WHERE NOT dept = did";
     ]
 
 let test_sql_group_by () =
-  let r =
-    exec "SELECT dept, COUNT(*) AS n, MIN(name) AS first FROM emp GROUP BY dept \
-          ORDER BY dept"
-  in
-  Alcotest.(check int) "two groups" 2 (R.cardinality r);
-  Alcotest.(check (array string))
-    "output schema" [| "dept"; "n"; "first" |]
-    (Schema.names (R.schema r));
-  Alcotest.(check value) "dept 10 count" (V.Int 2) (T.get (R.tuple r 0) 1);
-  Alcotest.(check value) "dept 10 min name" (V.Str "ada")
-    (T.get (R.tuple r 0) 2)
-
-let test_sql_aggregate_whole_table () =
-  let r = exec "SELECT COUNT(*) AS n, SUM(eid) AS total FROM emp" in
-  Alcotest.(check int) "one row" 1 (R.cardinality r);
-  Alcotest.(check value) "count" (V.Int 3) (T.get (R.tuple r 0) 0);
-  Alcotest.(check value) "sum" (V.Int 6) (T.get (R.tuple r 0) 1)
-
-let test_sql_group_by_join () =
-  let r =
-    exec
-      "SELECT dname, COUNT(*) AS staff FROM emp, dept WHERE emp.dept = \
-       dept.did GROUP BY dname ORDER BY staff DESC"
-  in
-  Alcotest.(check int) "two rows" 2 (R.cardinality r);
-  Alcotest.(check value) "lab first" (V.Str "lab") (T.get (R.tuple r 0) 0);
-  Alcotest.(check value) "lab staff" (V.Int 2) (T.get (R.tuple r 0) 1)
-
-let test_sql_group_by_errors () =
-  List.iter
-    (fun sql ->
-      Alcotest.(check bool)
-        ("error: " ^ sql)
-        true
-        (Result.is_error (Database.exec db sql)))
+  rejects
     [
-      "SELECT name, COUNT(*) FROM emp GROUP BY dept";
-      "SELECT *, COUNT(*) FROM emp";
-      "SELECT SUM(name) FROM emp";
-      "SELECT SUM(*) FROM emp";
-      "SELECT COUNT(*) FROM emp GROUP BY nope";
+      "SELECT dept, COUNT(*) AS n FROM emp GROUP BY dept";
+      "SELECT * FROM emp WHERE TRUE GROUP BY dept";
+      "SELECT COUNT(*) FROM emp WHERE TRUE";
     ]
 
-let test_sql_group_by_roundtrip () =
-  let sql = "SELECT dept, COUNT(*) AS n FROM emp GROUP BY dept" in
-  match Sql_parser.parse sql with
-  | Error e -> Alcotest.fail e
-  | Ok q ->
-    Alcotest.(check string) "print roundtrip" sql (Sql_print.query_to_string q)
+let test_lexer () =
+  let spaced = exec "SELECT * FROM emp, dept WHERE emp.dept = dept.did AND emp.eid = emp.eid" in
+  List.iter
+    (fun sql ->
+      Alcotest.(check bool) sql true (R.equal_contents spaced (exec sql)))
+    [
+      "select*from emp,dept where emp.dept=dept.did and emp.eid=emp.eid";
+      "  Select *\n\tFROM emp ,\r\n dept WhErE emp.dept =dept.did AND\nemp.eid= emp.eid  ";
+    ]
 
-let test_push_joins_equivalence () =
-  (* The EquiJoin pushdown must not change results: compare against the
-     same condition written with inequalities (which cannot be pushed). *)
-  let joined = exec "SELECT * FROM emp, dept WHERE emp.dept = dept.did" in
-  let via_ineq =
-    exec
-      "SELECT * FROM emp, dept WHERE emp.dept <= dept.did AND emp.dept >= \
-       dept.did"
-  in
-  Alcotest.(check bool) "same rows" true (R.equal_contents joined via_ineq)
+let test_lexer_errors () =
+  rejects
+    [
+      "SELECT 'oops";
+      "SELECT #";
+      "SELECT * FROM emp WHERE 'x' = 'x'";
+      "SELECT * FROM emp; WHERE TRUE";
+      "SELECT * FROM emp WHERE TRUE;";
+      "SELECT * FROM \"emp\" WHERE TRUE";
+    ]
+
+let test_parser_errors () =
+  rejects
+    [
+      "";
+      "   ";
+      "SELECT";
+      "SELECT *";
+      "SELECT * FROM";
+      "SELECT * FROM emp";
+      "SELECT * FROM emp,";
+      "SELECT * FROM emp WHERE";
+      "SELECT * FROM emp WHERE eid";
+      "SELECT * FROM emp WHERE eid =";
+      "SELECT * FROM emp WHERE eid = eid AND";
+      "SELECT * FROM emp WHERE eid = eid eid = eid";
+      "SELECT * FROM emp WHERE TRUE TRUE";
+      "SELECT * FROM emp WHERE TRUE AND eid = eid";
+      "SELECT * FROM WHERE TRUE";
+      "FROM emp SELECT * WHERE TRUE";
+      "SELECT * FROM emp WHERE = eid";
+      "\000\255\n,,=*";
+    ];
+  (* Every prefix of a statement, truncated anywhere, returns. *)
+  let sql = "SELECT * FROM emp, dept WHERE emp.dept = dept.did AND name = dname" in
+  for k = 0 to String.length sql do
+    ignore (Sql.exec db (String.sub sql 0 k))
+  done
 
 (* ------------------------------------------------------------------ *)
-(* Differential property tests: the SQL compiler (with its equi-join
-   pushdown) against a naive reference evaluator, on random queries.    *)
+(* Properties of the relation operators the join views build on        *)
 
 let qtest ?(count = 200) name arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
 
-(* Random conjunctive WHERE clauses over the emp x dept product schema:
-   equality/comparison atoms between columns of compatible type or a
-   column and a constant drawn from the data. *)
-let full_schema =
-  Schema.concat_qualified
-    [
-      ("emp", R.schema (Database.find_exn db "emp"));
-      ("dept", R.schema (Database.find_exn db "dept"));
-    ]
+let emp_dept = R.product [ Database.find_exn db "emp"; Database.find_exn db "dept" ]
 
-let product_rows =
-  let emp = Database.find_exn db "emp" and dept = Database.find_exn db "dept" in
-  List.concat_map
-    (fun te -> List.map (fun td -> T.concat te td) (R.tuples dept))
-    (R.tuples emp)
-
-let gen_atom =
-  let n = Schema.arity full_schema in
-  let tys = Schema.types full_schema in
+(* A random equi-join predicate over the emp x dept attributes. *)
+let gen_pred =
+  let n = R.arity emp_dept in
   QCheck.Gen.(
-    let* a = int_bound (n - 1) in
-    let compatible =
-      List.filter (fun b -> b <> a && tys.(b) = tys.(a)) (List.init n Fun.id)
-    in
-    let* use_const = bool in
-    let* op = oneofl [ Expr.Eq; Expr.Neq; Expr.Lt; Expr.Geq ] in
-    if use_const || compatible = [] then
-      (* Constant drawn from the actual column values. *)
-      let vals = List.map (fun t -> T.get t a) product_rows in
-      let* v = oneofl vals in
-      return (Expr.Cmp (op, Expr.Col a, Expr.Const v))
-    else
-      let* b = oneofl compatible in
-      return (Expr.Cmp (op, Expr.Col a, Expr.Col b)))
-
-let gen_where = QCheck.Gen.(list_size (int_range 1 4) gen_atom)
-
-let expr_to_sql_ast e =
-  (* Render the generated Expr back into the SQL AST via column names. *)
-  let names = Schema.names full_schema in
-  let rec go = function
-    | Expr.Cmp (op, a, b) ->
-      let cmp =
-        match op with
-        | Expr.Eq -> Jim_relational.Sql_ast.Ceq
-        | Expr.Neq -> Jim_relational.Sql_ast.Cneq
-        | Expr.Lt -> Jim_relational.Sql_ast.Clt
-        | Expr.Leq -> Jim_relational.Sql_ast.Cleq
-        | Expr.Gt -> Jim_relational.Sql_ast.Cgt
-        | Expr.Geq -> Jim_relational.Sql_ast.Cgeq
-      in
-      Jim_relational.Sql_ast.Ecmp (cmp, go a, go b)
-    | Expr.Col i -> Jim_relational.Sql_ast.Ecol names.(i)
-    | Expr.Const (V.Int i) -> Jim_relational.Sql_ast.Eint i
-    | Expr.Const (V.Str s) -> Jim_relational.Sql_ast.Estr s
-    | Expr.Const (V.Float f) -> Jim_relational.Sql_ast.Enum f
-    | Expr.Const (V.Bool b) -> Jim_relational.Sql_ast.Ebool b
-    | Expr.Const V.Null -> Jim_relational.Sql_ast.Enull
-    | Expr.And (a, b) -> Jim_relational.Sql_ast.Eand (go a, go b)
-    | _ -> assert false (* generator produces none of the rest *)
-  in
-  go e
-
-let prop_compiler_differential =
-  qtest ~count:300 "SQL compiler = naive evaluation (random conjunctions)"
-    (QCheck.make
-       ~print:(fun atoms ->
-         String.concat " AND "
-           (List.map (Expr.to_string full_schema) atoms))
-       gen_where)
-    (fun atoms ->
-      let where = Expr.conj atoms in
-      (* Reference: filter the raw product. *)
-      let expected = List.filter (Expr.eval_bool where) product_rows in
-      (* Compiled: through the SQL pipeline (pushdown included). *)
-      let ast_where =
-        match List.map expr_to_sql_ast atoms with
-        | [] -> assert false
-        | e :: rest ->
-          List.fold_left
-            (fun acc e' -> Jim_relational.Sql_ast.Eand (acc, e'))
-            e rest
-      in
-      let q =
-        Jim_relational.Sql_ast.simple_select ~where:ast_where [ "emp"; "dept" ]
-      in
-      match
-        Result.bind
-          (Jim_relational.Algebra.compile (Database.catalog db) q)
-          (Jim_relational.Algebra.run (Database.catalog db))
-      with
-      | Error e -> QCheck.Test.fail_report e
-      | Ok got ->
-        let norm rows = List.sort T.compare rows in
-        let a = norm expected and b = norm (R.tuples got) in
-        List.length a = List.length b && List.for_all2 T.equal a b)
-
-let prop_parser_total_on_printed =
-  (* Printing any compiled-accepted query and re-parsing never fails and
-     is idempotent. *)
-  qtest ~count:200 "print/parse idempotent on generated queries"
-    (QCheck.make
-       ~print:(fun atoms ->
-         String.concat " AND " (List.map (Expr.to_string full_schema) atoms))
-       gen_where)
-    (fun atoms ->
-      let ast_where =
-        match List.map expr_to_sql_ast atoms with
-        | [] -> assert false
-        | e :: rest ->
-          List.fold_left
-            (fun acc e' -> Jim_relational.Sql_ast.Eand (acc, e'))
-            e rest
-      in
-      let q =
-        Jim_relational.Sql_ast.simple_select ~where:ast_where [ "emp"; "dept" ]
-      in
-      let printed = Sql_print.query_to_string q in
-      match Sql_parser.parse printed with
-      | Error _ -> false
-      | Ok q2 -> String.equal printed (Sql_print.query_to_string q2))
+    map (P.of_pairs n) (list_size (int_bound 3) (pair (int_bound (n - 1)) (int_bound (n - 1)))))
 
 let prop_select_fusion =
-  qtest ~count:200 "select fusion"
+  qtest "select fusion"
     (QCheck.make
-       ~print:(fun (a, b) ->
-         Expr.to_string full_schema a ^ " ; " ^ Expr.to_string full_schema b)
-       QCheck.Gen.(pair gen_atom gen_atom))
+       ~print:(fun (p, q) -> P.to_string p ^ " ; " ^ P.to_string q)
+       QCheck.Gen.(pair gen_pred gen_pred))
     (fun (p, q) ->
-      let rel =
-        R.make ~name:"prod" full_schema product_rows
-      in
-      let lhs = R.select (Expr.eval_bool p) (R.select (Expr.eval_bool q) rel) in
-      let rhs = R.select (Expr.eval_bool (Expr.And (p, q))) rel in
-      R.equal_contents lhs rhs)
+      R.equal_contents
+        (R.satisfying p (R.satisfying q emp_dept))
+        (R.satisfying (P.join p q) emp_dept))
 
 let prop_distinct_idempotent =
   qtest ~count:100 "distinct idempotent"
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 20))
     (fun k ->
       let rel =
-        R.make ~name:"prod" full_schema
-          (List.filteri (fun i _ -> i mod (k + 1) <> 1) product_rows)
+        R.make ~name:"prod" (R.schema emp_dept)
+          (List.filteri (fun i _ -> i mod (k + 1) <> 1) (R.tuples emp_dept))
       in
       R.equal_contents (R.distinct rel) (R.distinct (R.distinct rel)))
-
-let prop_group_by_counts =
-  qtest ~count:100 "group counts sum to cardinality"
-    (QCheck.make ~print:string_of_int
-       QCheck.Gen.(int_bound (Schema.arity full_schema - 1)))
-    (fun key ->
-      let rel = R.make ~name:"prod" full_schema product_rows in
-      let g = R.group_by [ key ] [ ("n", R.Count) ] rel in
-      let total =
-        R.fold
-          (fun acc t ->
-            match T.get t 1 with V.Int n -> acc + n | _ -> acc)
-          0 g
-      in
-      total = R.cardinality rel)
-
-let algebra_props =
-  [
-    prop_compiler_differential;
-    prop_parser_total_on_printed;
-    prop_select_fusion;
-    prop_distinct_idempotent;
-    prop_group_by_counts;
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* CSV save/load round-trip on random relations whose cells exercise
@@ -1126,7 +869,6 @@ let () =
           Alcotest.test_case "typed parse" `Quick test_value_parse;
           Alcotest.test_case "auto parse" `Quick test_value_parse_auto;
           Alcotest.test_case "date validation" `Quick test_value_date_validation;
-          Alcotest.test_case "arithmetic" `Quick test_value_arith;
         ] );
       ( "schema",
         [
@@ -1147,17 +889,14 @@ let () =
           Alcotest.test_case "construction checks" `Quick
             test_relation_make_checks;
           Alcotest.test_case "select/project" `Quick test_relation_select_project;
-          Alcotest.test_case "distinct/sort" `Quick test_relation_distinct_sort;
+          Alcotest.test_case "distinct" `Quick test_relation_distinct;
           Alcotest.test_case "product" `Quick test_relation_product;
           Alcotest.test_case "equi-join" `Quick test_relation_equi_join;
           Alcotest.test_case "set operations" `Quick test_relation_set_ops;
           Alcotest.test_case "deterministic sample" `Quick
             test_relation_sample_deterministic;
-          Alcotest.test_case "group by" `Quick test_relation_group_by;
-          Alcotest.test_case "avg skips nulls" `Quick test_relation_avg_nulls;
           Alcotest.test_case "satisfying" `Quick test_relation_satisfying;
         ] );
-      ("index", [ Alcotest.test_case "hash index" `Quick test_index ]);
       ( "csv",
         [
           Alcotest.test_case "parse simple" `Quick test_csv_parse_simple;
@@ -1175,21 +914,11 @@ let () =
           prop_csv_save_load_roundtrip;
           prop_reader_matches_old;
         ] );
-      ( "expr",
-        [
-          Alcotest.test_case "eval" `Quick test_expr_eval;
-          Alcotest.test_case "null semantics" `Quick test_expr_null_semantics;
-          Alcotest.test_case "typecheck" `Quick test_expr_typecheck;
-          Alcotest.test_case "of_partition" `Quick test_expr_of_partition;
-        ] );
       ( "sql-parse",
         [
           Alcotest.test_case "lexer" `Quick test_lexer;
           Alcotest.test_case "lexer errors" `Quick test_lexer_errors;
-          Alcotest.test_case "parse/print roundtrip" `Quick
-            test_parser_roundtrip;
           Alcotest.test_case "parser errors" `Quick test_parser_errors;
-          Alcotest.test_case "precedence" `Quick test_parse_expr_precedence;
         ] );
       ( "sql-exec",
         [
@@ -1201,14 +930,6 @@ let () =
             test_sql_self_join_alias;
           Alcotest.test_case "errors" `Quick test_sql_errors;
           Alcotest.test_case "group by" `Quick test_sql_group_by;
-          Alcotest.test_case "whole-table aggregates" `Quick
-            test_sql_aggregate_whole_table;
-          Alcotest.test_case "group by over join" `Quick test_sql_group_by_join;
-          Alcotest.test_case "group by errors" `Quick test_sql_group_by_errors;
-          Alcotest.test_case "group by print roundtrip" `Quick
-            test_sql_group_by_roundtrip;
-          Alcotest.test_case "join pushdown equivalence" `Quick
-            test_push_joins_equivalence;
         ] );
-      ("algebra-props", algebra_props);
+      ("algebra-props", [ prop_select_fusion; prop_distinct_idempotent ]);
     ]
