@@ -543,6 +543,36 @@ let prop_distinct_idempotent =
       in
       R.equal_contents (R.distinct rel) (R.distinct (R.distinct rel)))
 
+(* Differential: [Sql.exec] on a random conjunction of column equalities
+   over emp x dept against a naive filter of the product rows.  Columns
+   are printed qualified or bare (every bare name here is unambiguous). *)
+let prop_sql_differential =
+  let names = Schema.names (R.schema emp_dept) in
+  let n = Array.length names in
+  let column =
+    QCheck.Gen.(
+      let* i = int_bound (n - 1) in
+      let* qualified = bool in
+      let full = names.(i) in
+      let dot = String.index full '.' in
+      return (i, if qualified then full else String.sub full (dot + 1) (String.length full - dot - 1)))
+  in
+  let where atoms = String.concat " AND " (List.map (fun ((_, a), (_, b)) -> a ^ " = " ^ b) atoms) in
+  qtest ~count:300 "SQL compiler = naive evaluation (random conjunctions)"
+    (QCheck.make ~print:where QCheck.Gen.(list_size (int_range 1 4) (pair column column)))
+    (fun atoms ->
+      let sql = "SELECT * FROM emp, dept WHERE " ^ where atoms in
+      let expected =
+        List.filter
+          (fun t -> List.for_all (fun ((i, _), (j, _)) -> V.equal (T.get t i) (T.get t j)) atoms)
+          (R.tuples emp_dept)
+      in
+      match Sql.exec db sql with
+      | Error e -> QCheck.Test.fail_report (sql ^ " -> " ^ e)
+      | Ok got ->
+        Schema.equal (R.schema got) (R.schema emp_dept)
+        && List.equal T.equal (R.tuples got) expected)
+
 (* ------------------------------------------------------------------ *)
 (* CSV save/load round-trip on random relations whose cells exercise
    every quoting rule: separators, quotes, CR/LF, embedded newlines.    *)
@@ -931,5 +961,5 @@ let () =
           Alcotest.test_case "errors" `Quick test_sql_errors;
           Alcotest.test_case "group by" `Quick test_sql_group_by;
         ] );
-      ("algebra-props", [ prop_select_fusion; prop_distinct_idempotent ]);
+      ("algebra-props", [ prop_sql_differential; prop_select_fusion; prop_distinct_idempotent ]);
     ]
