@@ -67,7 +67,7 @@ type kind = {
 
 let strategies =
   { generated_by = "jim bench compare"; rows_field = "strategies";
-    params = [ "domains"; "workload" ]; gated = [ ("per_question_ms", Lower) ] }
+    params = [ "workload" ]; gated = [ ("per_question_ms", Lower) ] }
 
 let store =
   { generated_by = "jim bench store"; rows_field = "results";

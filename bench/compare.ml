@@ -76,7 +76,6 @@ let write_json ~path ~workload rows =
   B.write_json B.strategies ~path
     ~header:
       [
-        ("domains", B.D (Scorer.domains ()));
         ( "workload",
           B.Raw
             (Printf.sprintf
@@ -90,9 +89,8 @@ let run ?(out = "BENCH_strategies.json") ?(workload = default_workload) () =
   Harness.section "COMPARE"
     "strategy scorer: interactions, pick latency, cache counters";
   Printf.printf
-    "  (synthetic workload: %d attrs, %d tuples, goal rank %d, %d seeds; \
-     %d scoring domain(s))\n\n"
-    n_attrs n_tuples goal_rank seeds (Scorer.domains ());
+    "  (synthetic workload: %d attrs, %d tuples, goal rank %d, %d seeds)\n\n"
+    n_attrs n_tuples goal_rank seeds;
   let strategies = Strategy.all @ [ Strategy.lookahead2 () ] in
   let rows =
     List.map (measure ~n_attrs ~n_tuples ~goal_rank ~seeds) strategies

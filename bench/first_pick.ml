@@ -4,9 +4,7 @@
    9 x 3,200 domain 9; goal rank 2, seed 1).  Each row times one
    [Session.question] on a fresh engine and counts its meets and
    classifications; the class it picks is printed so two builds can be
-   checked for the same question.  Rows score on one domain, whatever
-   [--domains] says, so their counts compare across runs.  Printed, not
-   gated. *)
+   checked for the same question.  Printed, not gated. *)
 
 module W = Jim_workloads
 open Jim_core
@@ -38,7 +36,6 @@ let row (n_attrs, n_tuples, domain) =
 let run ~rows =
   Harness.section "FIRST PICK"
     "cold lookahead-entropy first question by class count";
-  Scorer.set_domains 1;
   Jim_bench.table
     [ "instance"; "classes"; "first-pick ms"; "meets"; "classify"; "pick" ]
     (List.map row (List.filteri (fun i _ -> i < rows) instances))

@@ -9,7 +9,7 @@
    The file kind is dispatched on "generated_by" through the kind table
    in bench/common, which names each kind's row array, its gated
    metrics with their directions, and its run parameters.  Runs whose
-   parameters differ (e.g. "domains" or "sync_us") are refused (exit 2)
+   parameters differ (e.g. "workload" or "sync_us") are refused (exit 2)
    rather than compared.
 
    --skip excludes rows whose name contains the substring — for rows

@@ -31,23 +31,6 @@ let strategy_arg =
     & opt string "lookahead-entropy"
     & info [ "s"; "strategy" ] ~docv:"STRATEGY" ~doc)
 
-(* Candidate scoring fans out over this many domains (picks stay
-   deterministic).  The flag overrides the JIM_DOMAINS environment
-   variable; the default is sequential scoring. *)
-let domains_arg =
-  let open Cmdliner in
-  let doc =
-    "Score candidate tuples with $(docv) parallel domains (overrides \
-     $(b,JIM_DOMAINS); default 1).  Picks are identical to sequential \
-     scoring."
-  in
-  let set = function
-    | None -> ()
-    | Some d -> Scorer.set_domains d
-  in
-  Term.(
-    const set $ Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc))
-
 (* ------------------------------------------------------------------ *)
 (* Interactive loop shared by `infer`, `demo -i` and `setcards -i`.    *)
 
@@ -1071,9 +1054,7 @@ let demo_cmd =
           ~doc:"Screen-by-screen replay of the paper's Section 2 narrative.")
   in
   let term =
-    Term.(
-      const (fun () i w s -> run_demo i w s)
-      $ domains_arg $ interactive_flag $ walkthrough $ strategy_arg)
+    Term.(const run_demo $ interactive_flag $ walkthrough $ strategy_arg)
   in
   Cmd.v
     (Cmd.info "demo" ~doc:"The guided demonstration on the paper's instance.")
@@ -1101,9 +1082,7 @@ let infer_cmd =
           ~doc:"Replay a previous transcript before asking questions.")
   in
   let term =
-    Term.(
-      const (fun () p s t r -> run_infer p s t r)
-      $ domains_arg $ path $ strategy_arg $ transcript $ replay)
+    Term.(const run_infer $ path $ strategy_arg $ transcript $ replay)
   in
   Cmd.v
     (Cmd.info "infer" ~doc:"Interactive join inference over a CSV instance.")
@@ -1121,9 +1100,7 @@ let compare_cmd =
   in
   let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Random seed.") in
   let term =
-    Term.(
-      const (fun () n r t s -> run_compare n r t s)
-      $ domains_arg $ n_attrs $ rank $ tuples $ seed)
+    Term.(const run_compare $ n_attrs $ rank $ tuples $ seed)
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Compare all strategies on a synthetic instance.")
@@ -1134,9 +1111,7 @@ let setcards_cmd =
     Arg.(value & opt int 400 & info [ "sample" ] ~doc:"Pairs on screen.")
   in
   let term =
-    Term.(
-      const (fun () i s n -> run_setcards i s n)
-      $ domains_arg $ interactive_flag $ strategy_arg $ sample)
+    Term.(const run_setcards $ interactive_flag $ strategy_arg $ sample)
   in
   Cmd.v
     (Cmd.info "setcards" ~doc:"Joining sets of pictures (Set cards, Fig. 5).")
@@ -1144,7 +1119,7 @@ let setcards_cmd =
 
 let tpch_cmd =
   let term =
-    Term.(const (fun () s -> run_tpch s) $ domains_arg $ strategy_arg)
+    Term.(const run_tpch $ strategy_arg)
   in
   Cmd.v
     (Cmd.info "tpch" ~doc:"Foreign-key join tasks over TPC-H-lite.")
@@ -1175,8 +1150,7 @@ let wire_arg =
                 before closing connections.")
   in
   Term.(
-    const (fun drain_timeout ->
-        { Jim_server.Wire.default_config with drain_timeout })
+    const (fun drain_timeout -> { Jim_server.Wire.drain_timeout })
     $ drain_timeout)
 
 (* The service flags, shared by [serve] and [standby]: a standby builds
@@ -1291,8 +1265,8 @@ let serve_cmd =
   in
   let term =
     Term.(
-      const (fun () s t st w d se ste rt -> run_serve s t st w d se ste rt)
-      $ domains_arg $ socket_arg $ tcp_arg $ service_settings_arg $ wire_arg
+      const run_serve
+      $ socket_arg $ tcp_arg $ service_settings_arg $ wire_arg
       $ data_dir $ snapshot_every $ stats_every $ replicate_to)
   in
   Cmd.v

@@ -7,7 +7,7 @@ module Pairs = Jim_partition.Pairs
    +" and "c labelled -" — O(k^2) classifications per question, each one a
    lattice meet.  Classes and states carry their partitions as pair
    words ([Jim_partition.Pairs]), so a meet is a [land] per word and a
-   refinement test a [land lnot].  Three observations make this cheap:
+   refinement test a [land lnot].  Two observations make this cheap:
 
    - [meet s sig_i] only depends on the state's canonical predicate [s],
      not on the candidate: compute it once per [s] and share it across
@@ -20,11 +20,7 @@ module Pairs = Jim_partition.Pairs
      lookahead — so classifications are memoised in a [memo] keyed by
      the state's pair words x class index.  A memo lives for one pick (or
      one top-k ranking) and is then dropped, so no session or instance
-     holds memo rows between questions;
-   - candidate scoring is effect-free, so it can fan out across domains
-     ([JIM_DOMAINS] / [--domains]); the merge is a deterministic
-     lowest-index-wins argmax, making parallel and sequential picks
-     bit-identical. *)
+     holds memo rows between questions. *)
 
 (* A status row ([Bytes.t], one byte per class) is keyed by the words of
    the state's [s] and negatives: the negatives are sorted, so equal
@@ -274,82 +270,20 @@ let vs_split sc c =
   let vs = function None -> 0.0 | Some st' -> Version_space.count st' in
   (vs st_pos, vs st_neg)
 
-(* ------------------------------------------------------------------ *)
-(* Parallel candidate scoring.                                         *)
-
-let domains_override = ref None
-
-let domains () =
-  match !domains_override with
-  | Some d -> d
-  | None ->
-    let d =
-      match Sys.getenv_opt "JIM_DOMAINS" with
-      | Some v -> ( match int_of_string_opt (String.trim v) with
-        | Some d when d >= 1 -> d
-        | _ -> 1)
-      | None -> 1
-    in
-    domains_override := Some d;
-    d
-
-let set_domains d = domains_override := Some (max 1 d)
-
-(* Strict-improvement fold over [inf.(lo..hi-1)]; scanning in increasing
-   index order makes ties resolve to the lowest index. *)
-let chunk_argmax sc score inf lo hi =
-  if hi <= lo then None
+(* Strict-improvement scan in informative order, so ties resolve to
+   the lowest class index. *)
+let best sc score =
+  let inf = sc.informative in
+  let k = Array.length inf in
+  if k = 0 then None
   else begin
-    let bi = ref inf.(lo) and bs = ref (score sc inf.(lo)) in
-    for j = lo + 1 to hi - 1 do
+    let bi = ref inf.(0) and bs = ref (score sc inf.(0)) in
+    for j = 1 to k - 1 do
       let s = score sc inf.(j) in
       if s > !bs then begin
         bi := inf.(j);
         bs := s
       end
     done;
-    Some (!bi, !bs)
-  end
-
-let best sc score =
-  let inf = sc.informative in
-  let k = Array.length inf in
-  if k = 0 then None
-  else begin
-    let nd = min (domains ()) k in
-    if nd <= 1 then Option.map fst (chunk_argmax sc score inf 0 k)
-    else begin
-      (* Each domain scores a contiguous chunk with a private clone
-         (fresh memo tables; the shared inputs are immutable), then the
-         chunk winners merge in chunk order with the same strict-> rule:
-         bit-identical to the sequential scan. *)
-      let clones =
-        Array.init (nd - 1) (fun _ -> create sc.st sc.classes sc.informative)
-      in
-      let bounds d = (d * k / nd, (d + 1) * k / nd) in
-      let spawned =
-        Array.mapi
-          (fun d sc' ->
-            let lo, hi = bounds (d + 1) in
-            Domain.spawn (fun () -> chunk_argmax sc' score inf lo hi))
-          clones
-      in
-      let first =
-        let lo, hi = bounds 0 in
-        chunk_argmax sc score inf lo hi
-      in
-      let chunks = Array.map Domain.join spawned in
-      Array.iter (fun c -> record c.memo) clones;
-      let winner =
-        Array.fold_left
-          (fun acc r ->
-            match (acc, r) with
-            | None, r -> r
-            | acc, None -> acc
-            | Some (_, bs), Some (j, s) when s > bs -> Some (j, s)
-            | acc, _ -> acc)
-          first chunks
-      in
-      Option.map fst winner
-    end
+    Some !bi
   end

@@ -6,10 +6,8 @@
     candidates, memoises classifications in a {!memo} keyed by the
     state × class index (hypothetical states repeat within a pick:
     across candidates, across the count and cardinality passes, and
-    across the inner sweeps of a depth-2 lookahead), and optionally fans
-    candidate scoring out across domains with a deterministic
-    lowest-index-wins merge, so parallel and sequential picks are
-    bit-identical.
+    across the inner sweeps of a depth-2 lookahead), and picks the
+    best-scoring candidate in one sequential scan.
 
     Perf counters (meets, classifications, memo hits/misses) are counted
     in the pick's memo and added to {!Metrics} by {!record}. *)
@@ -29,7 +27,7 @@ type memo
     row is one pair-word slot per class, keyed by the words of [s].  Every
     memoised value is a pure function of its key, so the memo changes
     counts but never a status, score or pick.  A memo is used by one
-    thread at a time; {!best}'s scoring domains get private ones. *)
+    thread at a time. *)
 
 val new_memo : unit -> memo
 (** A fresh, empty memo with zeroed counts. *)
@@ -79,21 +77,10 @@ val vs_split : t -> int -> float * float
     branch).  May be [infinity] for wide instances — see the entropy
     strategy's fallback. *)
 
-(** {1 Parallel argmax} *)
+(** {1 Argmax} *)
 
 val best : t -> (t -> int -> float) -> int option
-(** [best sc score] = the informative class maximising [score],
-    lowest index winning ties; [None] iff nothing is informative.
-    With {!domains} [> 1] the candidates are scored across that many
-    domains ([score] receives each domain's private scorer clone, so it
-    must only depend on the scorer argument and the candidate), whose
-    counts are {!record}ed when they join.  The result is bit-identical
-    to the sequential scan. *)
-
-val domains : unit -> int
-(** Scoring domains used by {!best}: the last {!set_domains} value,
-    else [JIM_DOMAINS], else 1. *)
-
-val set_domains : int -> unit
-(** Override the domain count (the [--domains] CLI flag); clamped to
-    [>= 1]. *)
+(** [best sc score] = the informative class maximising [score]: one
+    scan in {!informative} order that moves only on a strictly greater
+    score, so ties go to the lowest index; [None] iff nothing is
+    informative. *)

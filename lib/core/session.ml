@@ -8,8 +8,6 @@ let error_to_string = function
      consistent with all of them)"
   | Nothing_to_undo -> "nothing to undo"
 
-let pp_error fmt e = Format.pp_print_string fmt (error_to_string e)
-
 type t = {
   n : int;
   classes : Sigclass.cls array;

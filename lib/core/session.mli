@@ -14,7 +14,6 @@ type error = Contradiction | Nothing_to_undo
     wire protocol — can serialise and report engine errors uniformly. *)
 
 val error_to_string : error -> string
-val pp_error : Format.formatter -> error -> unit
 
 val create : Jim_relational.Relation.t -> t
 (** Precomputes the signature classes of the instance.  The engine holds

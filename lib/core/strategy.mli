@@ -9,8 +9,8 @@
     in {!Optimal}.
 
     All scored strategies route through {!Scorer}, which memoises the
-    per-candidate work and (with {!Scorer.set_domains} / [JIM_DOMAINS])
-    scores candidates in parallel with deterministic picks. *)
+    per-candidate work and picks the best-scoring candidate, lowest
+    index winning ties. *)
 
 type ctx = {
   state : State.t;

@@ -1,9 +1,9 @@
 let max_exact = 24
 
 (* Bell triangle in native ints, up to max_exact (Bell 24 < 2^62).
-   Both tables are built eagerly at start-up (microseconds): a lazy one
-   forced from two scoring domains at once raises
-   [CamlinternalLazy.Undefined]. *)
+   Both tables are built eagerly at start-up (microseconds), so sessions
+   running on concurrent threads never race to force a shared lazy
+   (the loser of such a race gets [CamlinternalLazy.Undefined]). *)
 let exact_table =
   let b = Array.make (max_exact + 1) 1 in
   let row = ref [| 1 |] in
@@ -52,14 +52,6 @@ let float_table =
 let bell_float n =
   if n < 0 then invalid_arg "Bell.bell_float: negative";
   if n > max_float_n then infinity else float_table.(n)
-
-let log_bell n =
-  let v = bell_float n in
-  if v = infinity then
-    (* Crude Berend–Tassa style upper bound, good enough as a magnitude. *)
-    let nf = float_of_int n in
-    nf *. (log nf -. log (log (nf +. 2.0)) -. 0.5)
-  else log v
 
 let count_refinements sizes =
   List.fold_left (fun acc s -> acc *. bell_float s) 1.0 sizes

@@ -16,9 +16,6 @@ val bell_float : int -> float
     computations).  Supported up to [n = 218] (beyond which the value
     overflows to [infinity], which is returned). *)
 
-val log_bell : int -> float
-(** Natural log of [bell n], safe for large [n]. *)
-
 val count_refinements : int list -> float
 (** [count_refinements sizes] is the number of partitions refining a
     partition with blocks of the given sizes: [∏ bell_float size]. *)

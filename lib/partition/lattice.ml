@@ -8,10 +8,6 @@ let join_all n = function
 
 let down_count p = Bell.count_refinements (Partition.block_sizes p)
 
-let down_inter_count = function
-  | [] -> invalid_arg "Lattice.down_inter_count: empty list"
-  | p :: rest -> down_count (List.fold_left Partition.meet p rest)
-
 (* Exact inclusion-exclusion costs 2^k meets; strategies call the count
    once per candidate per question, so the cutover to the Bonferroni
    bound has to stay small. *)

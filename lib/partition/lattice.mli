@@ -12,9 +12,6 @@ val join_all : int -> Partition.t list -> Partition.t
 val down_count : Partition.t -> float
 (** [|↓p|]: number of partitions refining [p]. *)
 
-val down_inter_count : Partition.t list -> float
-(** [|↓p₁ ∩ … ∩ ↓pₖ|] = [|↓(p₁ ∧ … ∧ pₖ)|]; requires a non-empty list. *)
-
 val down_minus_count : top:Partition.t -> excluded:Partition.t list -> float
 (** [|↓top \ (↓e₁ ∪ … ∪ ↓eₖ)|] by inclusion–exclusion over the excluded
     tops.  Exact (in float) for up to {!max_exclusions} exclusions after

@@ -41,8 +41,6 @@ let all n =
   iter_all n (fun p -> out := p :: !out);
   List.rev !out
 
-let seq_all n = List.to_seq (all n)
-
 (* Partitions refining [p]: an independent choice of a set partition inside
    each block of [p]. *)
 let iter_below p f =

@@ -13,8 +13,6 @@ val all : int -> Partition.t list
 (** All partitions of size [n].  Raises [Invalid_argument] when
     [n > Bell.max_exact] would not even fit memory ([n > 12]). *)
 
-val seq_all : int -> Partition.t Seq.t
-
 val iter_below : Partition.t -> (Partition.t -> unit) -> unit
 (** Iterate over every partition refining the argument (the order ideal
     [↓p]), including [p] itself and {!Partition.bottom}. *)

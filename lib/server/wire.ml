@@ -153,13 +153,18 @@ module Bq = struct
     go 0
 end
 
-type config = {
-  backlog : int;
-  drain_timeout : float;
-  max_pipeline : int;
-}
+type config = { drain_timeout : float }
 
-let default_config = { backlog = 64; drain_timeout = 2.0; max_pipeline = 8 }
+let default_config = { drain_timeout = 2.0 }
+let backlog = 64
+
+(* Requests one connection may put into a single turn; the rest wait
+   for the next turn, behind the other connections.  Requests pipelined
+   on one connection run one after another, in request order, and their
+   replies leave in request order, so a pipelining client (see
+   [send_line] / [recv_line]) saves round trips and shares barriers but
+   never sees its requests reordered. *)
+let max_pipeline = 8
 
 type conn = {
   fd : Unix.file_descr;
@@ -181,7 +186,6 @@ type server = {
          counting) *)
   sweep : (float * (unit -> int)) option;  (* interval, sweep *)
   drain_timeout : float;
-  max_pipeline : int;  (* requests one connection may put in a turn *)
   listen_fd : Unix.file_descr;
   bound : address;
   stopping : bool Atomic.t;
@@ -375,7 +379,7 @@ let event_loop srv =
       conn.ready <- false;
       if not conn.dead then begin
         let k = ref 0 in
-        while !k < srv.max_pipeline && not (Queue.is_empty conn.pending) do
+        while !k < max_pipeline && not (Queue.is_empty conn.pending) do
           taken := (conn, Queue.pop conn.pending) :: !taken;
           incr k;
           Netstats.record_request ()
@@ -486,7 +490,7 @@ let serve_turns ?(config = default_config) ?(sweep_every = 30.) ?sweep turn addr
   | Unix_path path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
   | Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true);
   Unix.bind fd (sockaddr_of addr);
-  Unix.listen fd config.backlog;
+  Unix.listen fd backlog;
   Unix.set_nonblock fd;
   let bound =
     match addr with
@@ -501,7 +505,6 @@ let serve_turns ?(config = default_config) ?(sweep_every = 30.) ?sweep turn addr
       turn;
       sweep = Option.map (fun f -> (sweep_every, f)) sweep;
       drain_timeout = config.drain_timeout;
-      max_pipeline = max 1 config.max_pipeline;
       listen_fd = fd;
       bound;
       stopping = Atomic.make false;

@@ -64,23 +64,14 @@ type framing =
 type server
 
 type config = {
-  backlog : int;  (** listen backlog *)
   drain_timeout : float;
       (** seconds {!shutdown} lingers for in-flight replies to flush —
           also the bound a failing-over router waits for a dying shard's
           last replies *)
-  max_pipeline : int;
-      (** requests one connection may put into a single turn (clamped
-          to at least 1); the rest wait for the next turn, behind the
-          other connections.  Requests pipelined on one connection run
-          one after another, in request order, and their replies leave
-          in request order, so a pipelining client (see {!send_line} /
-          {!recv_line}) saves round trips and shares barriers but never
-          sees its requests reordered. *)
 }
 
 val default_config : config
-(** [{backlog = 64; drain_timeout = 2.0; max_pipeline = 8}] *)
+(** [{drain_timeout = 2.0}] *)
 
 val serve_turns :
   ?config:config -> ?sweep_every:float -> ?sweep:(unit -> int) ->
@@ -90,12 +81,14 @@ val serve_turns :
     read, in arrival order, and returns one reply per payload in the
     same order, each with whether the payload parsed (malformed
     counting); the replies are written only after it returns.  It runs
-    on the loop thread and must not raise.  Both framings (line +
-    negotiated binary) work against any turn function.  [sweep], when
-    given, runs on the loop every [sweep_every] seconds (default 30);
-    an exception from it is reported on stderr.  The call returns
-    immediately.  For [Tcp (_, 0)] the kernel-chosen port is reflected
-    in {!bound_address}.  Raises [Unix.Unix_error] if the bind fails.
+    on the loop thread and must not raise.  A connection puts at most 8
+    pipelined requests into one turn, and they run and are answered in
+    request order.  Both framings (line + negotiated binary) work
+    against any turn function.  [sweep], when given, runs on the loop
+    every [sweep_every] seconds (default 30); an exception from it is
+    reported on stderr.  The call returns immediately.  For
+    [Tcp (_, 0)] the kernel-chosen port is reflected in
+    {!bound_address}.  Raises [Unix.Unix_error] if the bind fails.
     Ignores [SIGPIPE] process-wide (abandoned connections must not kill
     the server). *)
 

@@ -154,7 +154,6 @@ let test_refusals () =
   refused "unknown generated_by" (gate odd odd);
   refused "kind mismatch" (gate wire (parse (read "../BENCH_shard.json")));
   let strategies = parse (read "../BENCH_strategies.json") in
-  refused "\"domains\"" (gate strategies (with_field "domains" (Json.Int 4) strategies));
   let workload = with_field "workload" (Json.Obj [ ("seeds", Json.Int 3) ]) strategies in
   refused "\"workload\"" (gate strategies workload);
   let load = parse (read "../BENCH_load.json") in

@@ -460,36 +460,43 @@ let prop_scorer_matches_reference_warm =
       let d = Metrics.diff (Metrics.snapshot ()) before in
       first && second && d.Metrics.cache_misses = 0 && d.Metrics.cache_hits > 0)
 
-let parallel_pick_equivalence name n =
-  (* Scoring candidates across 4 domains picks the exact question
-     sequence of the sequential scan, for every strategy. *)
-  qtest ~count:25 name (arb_scenario n) (fun (goal, sigs) ->
-      let classes = Sigclass.of_signatures sigs in
-      let oracle = Oracle.of_goal goal in
-      let strategies = Strategy.all @ [ Strategy.lookahead2 () ] in
-      let run () =
-        List.map
-          (fun strat ->
-            Session.run_classes ~seed:7 ~strategy:strat ~oracle ~n classes)
-          strategies
+(* [Scorer.best] is the first maximum in informative order under
+   strict [>]: the lowest class index of the best group.  Scores come
+   from a table of few values, infinities included, so ties are common
+   (one entry per class: a scenario has at most 8 signatures);
+   labelling every signature leaves nothing informative. *)
+let reference_best inf score =
+  List.fold_left
+    (fun acc i ->
+      match acc with
+      | Some (_, bs) when not (score i > bs) -> acc
+      | _ -> Some (i, score i))
+    None inf
+  |> Option.map fst
+
+let prop_best_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let* ((_, sigs) as sc) = gen_scenario 5 in
+      let* k = int_range 0 (List.length sigs) in
+      let* scores =
+        array_repeat 8 (oneofl [ neg_infinity; -1.0; 0.0; 1.0; infinity ])
       in
-      Scorer.set_domains 1;
-      let seq = run () in
-      Scorer.set_domains 4;
-      let par = run () in
-      Scorer.set_domains 1;
-      List.for_all2
-        (fun (a : Session.outcome) (b : Session.outcome) ->
-          compare a.Session.events b.Session.events = 0
-          && P.equal a.Session.query b.Session.query)
-        seq par)
-
-let prop_parallel_pick_equivalence =
-  parallel_pick_equivalence "parallel scorer = sequential picks" 5
-
-let prop_parallel_pick_equivalence_wide =
-  parallel_pick_equivalence "parallel scorer = sequential picks, 12 attributes"
-    12
+      return (sc, k, scores))
+  in
+  let print ((g, sigs), k, scores) =
+    Printf.sprintf "goal %s sigs %s labelled %d scores %s" (P.to_string g)
+      (String.concat " " (List.map P.to_string sigs))
+      k
+      (String.concat " " (Array.to_list (Array.map string_of_float scores)))
+  in
+  qtest ~count:300 "Scorer.best = first maximum in informative order"
+    (QCheck.make ~print gen) (fun ((goal, sigs), k, scores) ->
+      let st = state_of_scenario (goal, List.filteri (fun i _ -> i < k) sigs) in
+      let sc = Scorer.of_state st (Sigclass.of_signatures sigs) in
+      let score i = scores.(i) in
+      Scorer.best sc (fun _ i -> score i)
+      = reference_best (Array.to_list (Scorer.informative sc)) score)
 
 (* The engine's logical work, pinned per strategy: questions asked, then
    the [Metrics.diff] of one closed-loop session — meets, classifications
@@ -526,7 +533,6 @@ let engine_counts =
   ]
 
 let test_engine_counts () =
-  Scorer.set_domains 1;
   List.iter
     (fun ((n_attrs, n_tuples, domain), rows) ->
       let inst =
@@ -996,9 +1002,8 @@ let () =
         [
           prop_scorer_matches_reference;
           prop_scorer_matches_reference_warm;
-          prop_parallel_pick_equivalence;
           prop_scorer_matches_reference_wide;
-          prop_parallel_pick_equivalence_wide;
+          prop_best_matches_reference;
           Alcotest.test_case "engine counts per strategy" `Quick
             test_engine_counts;
         ] );
