@@ -53,19 +53,20 @@ let config role =
 
 (* A primary's write path.  The persist hook stages each event — a
    journal record assembled in memory plus a shadow fold — and
-   remembers it with its generation; [barrier] writes and fsyncs
-   everything staged at once, then ships it to the standby as one batch
-   and waits for the ack.  The wire runs one barrier per event-loop turn, before any
-   reply of the turn is written; [handle] runs one per request. *)
+   remembers the payload the store journaled with its generation;
+   [barrier] writes and fsyncs everything staged at once, then ships
+   those payloads to the standby as one batch and waits for the ack.
+   The wire runs one barrier per event-loop turn, before any reply of
+   the turn is written; [handle] runs one per request. *)
 type durable = {
   store : Store.t;
   repl : Repl.t option;
-  mutable staged : (int * Jim_store.Event.t) list;  (* newest first *)
+  mutable staged : (int * string) list;  (* newest first *)
 }
 
 let stage d ev =
-  Store.stage d.store ev;
-  d.staged <- (Store.generation d.store, ev) :: d.staged
+  let payload = Store.stage d.store ev in
+  d.staged <- (Store.generation d.store, payload) :: d.staged
 
 let barrier d =
   match d.staged with
@@ -298,8 +299,7 @@ let dispatch t req =
        this turn staged, which the turn's barrier ships. *)
     let bytes =
       List.fold_left
-        (fun n (_, ev) ->
-          n + String.length (Journal.encode_record (Jim_store.Event.to_string ev)))
+        (fun n (_, payload) -> n + Journal.record_header_size + String.length payload)
         0 d.staged
     in
     P.Repl_lag { records = List.length d.staged; bytes }

@@ -2,15 +2,17 @@
 
    A primary attaches one replication target (a warm standby — directly
    in-process for tests, or behind a connection pool via {!Front}).  Its
-   durability barrier ships each turn's events *after*
+   durability barrier ships each turn's records *after*
    {!Jim_store.Store.sync} has made them locally durable.  [ship]
    returns only once the standby has acknowledged — and the standby
    acknowledges only after its own fsync — so an event the client sees
-   acked is durable in two places.  A failed ship raises
-   {!Replication_failed}, which the node turns into error replies: the
-   client is never told "ok" for an event the standby missed
-   (semi-synchronous replication with a hard ack gate, not async
-   shipping).
+   acked is durable in two places.  The records shipped are the payloads
+   the store journaled, byte for byte, so a start that journaled an
+   instance reference ships the reference, not the instance text.  A
+   failed ship raises {!Replication_failed}, which the node turns into
+   error replies: the client is never told "ok" for an event the
+   standby missed (semi-synchronous replication with a hard ack gate,
+   not async shipping).
 
    Batching: a [ship] call's records go out as one [Repl_batch] per
    store generation, so a turn's records cost one round-trip.  A sender
@@ -20,7 +22,6 @@
 module Journal = Jim_store.Journal
 module Recovery = Jim_store.Recovery
 module Store = Jim_store.Store
-module Event = Jim_store.Event
 module Io = Jim_store.Io
 
 type target = {
@@ -126,9 +127,9 @@ let rec same_gen gen = function
    byte-identical.  The first failure stops the shipment: shipping later
    records past a gap would leave the standby's journal ahead of a
    hole. *)
-let ship t evs =
+let ship t payloads =
   let records =
-    List.map (fun (gen, ev) -> (gen, Journal.encode_record (Event.to_string ev))) evs
+    List.map (fun (gen, payload) -> (gen, Journal.encode_record payload)) payloads
   in
   t.pending_records <- List.length records;
   t.pending_bytes <- List.fold_left (fun n (_, r) -> n + String.length r) 0 records;
@@ -155,7 +156,10 @@ let ship t evs =
   | Error msg -> raise (Replication_failed (t.target.describe ^ ": " ^ msg))
 
 (* Called from a persist hook after Store.record: the event is already
-   locally durable, in the store's current generation. *)
-let send t ev = ship t [ (Store.generation t.store, ev) ]
+   locally durable, in the store's current generation.  It ships the
+   concrete event's line; the standby's store writes the form its
+   generation calls for, the same bytes the primary wrote. *)
+let send t ev =
+  ship t [ (Store.generation t.store, Jim_store.Event.to_string ev) ]
 
 let close t = t.target.close ()

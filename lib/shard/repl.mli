@@ -48,18 +48,23 @@ val attach : Jim_store.Store.t -> target -> (t, string) result
     {!send} keeps the stream current.  Call before the service starts
     accepting requests, with the store quiescent. *)
 
-val ship : t -> (int * Jim_store.Event.t) list -> unit
-(** Stream already-durable events, each tagged with the store
-    generation it was journaled in, in journal order; returns once the
-    standby has durably acked them all.  The standby is rotated into a
+val ship : t -> (int * string) list -> unit
+(** Stream already-durable journal payloads, as {!Jim_store.Store.stage}
+    returned them, each tagged with the store generation it was
+    journaled in, in journal order; returns once the standby has durably
+    acked them all.  Attach and steady state ship the same form: the
+    bytes the store wrote.  The standby is rotated into a
     generation before that generation's first batch, so a checkpoint
     between two shipped events falls at the same record on both sides.
     Raises {!Replication_failed} on any stream error; a failed batch
     stops the shipment. *)
 
 val send : t -> Jim_store.Event.t -> unit
-(** [ship] of one just-recorded event, in the store's current
-    generation. *)
+(** [ship] of one just-recorded event's concrete line, in the store's
+    current generation.  A start on an inline instance ships its text
+    even where the store journaled a reference; the standby's store
+    still writes the reference.  A serving node ships the staged
+    payloads with {!ship} instead. *)
 
 val position : t -> int * int
 (** Last acked [(generation, record count)]. *)

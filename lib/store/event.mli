@@ -3,9 +3,27 @@
     Read-only requests (questions, explanations, stats) never reach the
     log.
 
-    Payload encoding is one compact JSON object (reusing the wire
-    protocol's stable sub-encodings for sources, partitions and labels),
-    so [jim journal inspect] output is also valid protocol-style JSON. *)
+    Payload encoding is one positional text line per event, a one-letter
+    tag and its fields separated by single spaces, in the style of a
+    snapshot's [session] line:
+
+    {v
+    s <session> <arity> <strategy> <seed> <fingerprint> <source>
+    a <session> <class> <+|-> <signature>
+    u <session>
+    e <session>
+    v}
+
+    [<source>] is the wire protocol's compact JSON for the instance
+    source; it comes last, so inline CSV text with spaces or newlines
+    (escaped by the JSON) round-trips.  [<signature>] is
+    {!Jim_partition.Partition.to_string}.  A strategy name and a
+    fingerprint are single tokens (canonical names, hex).
+
+    Journals written before this form hold one compact JSON object per
+    event; {!of_string} still reads those, so an older data directory
+    recovers.  The reverse does not hold: an older binary cannot read a
+    journal holding positional lines. *)
 
 type t =
   | Started of {
@@ -33,6 +51,9 @@ type t =
 val session : t -> int
 
 val to_string : t -> string
-(** One line of compact JSON (never contains a newline). *)
+(** The positional line (never contains a newline). *)
 
 val of_string : string -> (t, string) result
+(** A payload starting with [{] is read as the older JSON form,
+    anything else as the positional line.  Never raises: a damaged or
+    short line (a field dropped, the line cut) is an [Error]. *)

@@ -99,23 +99,26 @@ let open_append ?(fsync = true) ?(io = Io.real) path =
       | Error m -> Error (Printf.sprintf "%s: %s" path m)
       | Ok (file, _size) -> Ok (of_file ~fsync file))
 
+let crc_of payload = Int32.to_int (Crc32.digest_string payload) land 0xffffffff
+
+(* Write [payload]'s whole record, header then payload, at the start of
+   [buf], which has room for it. *)
+let assemble buf payload =
+  let plen = String.length payload in
+  Bytes.blit_string record_magic 0 buf 0 4;
+  Bytes.set buf 4 record_version;
+  put_le32 buf 5 plen;
+  put_le32 buf 9 (crc_of payload);
+  Bytes.blit_string payload 0 buf record_header_size plen
+
 (* Assemble the record into [t.scratch] (growing it if the payload needs
    more room); returns the record's total length.  Caller holds the
    lock. *)
 let record_into t payload =
-  let plen = String.length payload in
-  let total = record_header_size + plen in
+  let total = record_header_size + String.length payload in
   if Bytes.length t.scratch < total then
     t.scratch <- Bytes.create (max total (2 * Bytes.length t.scratch));
-  let buf = t.scratch in
-  Bytes.blit_string record_magic 0 buf 0 4;
-  Bytes.set buf 4 record_version;
-  put_le32 buf 5 plen;
-  put_le32 buf 9
-    (Int32.to_int
-       (Int32.logand (Crc32.digest_string payload) 0xffffffffl)
-    land 0xffffffff);
-  Bytes.blit_string payload 0 buf record_header_size plen;
+  assemble t.scratch payload;
   total
 
 let note_batch t n =
@@ -232,9 +235,7 @@ let valid_record_at data size q =
   let crc = get_le32 buf (q + 9) in
   plen >= 0
   && q + record_header_size + plen <= size
-  && Int32.to_int (Int32.logand (Crc32.digest_string (String.sub data (q + record_header_size) plen)) 0xffffffffl)
-     land 0xffffffff
-     = crc
+  && crc_of (String.sub data (q + record_header_size) plen) = crc
 
 let record_follows data size pos =
   let rec go q =
@@ -284,11 +285,7 @@ let scan ?(io = Io.real) path =
             else Ok (List.rev acc, Truncated { offset = pos; bytes = size - pos })
           else begin
             let payload = String.sub data (pos + record_header_size) plen in
-            let actual =
-              Int32.to_int
-                (Int32.logand (Crc32.digest_string payload) 0xffffffffl)
-              land 0xffffffff
-            in
+            let actual = crc_of payload in
             let next = pos + record_header_size + plen in
             if actual <> crc then
               if next = size && not (record_follows data size pos) then
@@ -321,18 +318,9 @@ let truncate ?(io = Io.real) path offset = io.Io.truncate path offset
    can append what it receives and end up with a byte-compatible
    journal. *)
 
-let crc_of payload =
-  Int32.to_int (Int32.logand (Crc32.digest_string payload) 0xffffffffl)
-  land 0xffffffff
-
 let encode_record payload =
-  let plen = String.length payload in
-  let buf = Bytes.create (record_header_size + plen) in
-  Bytes.blit_string record_magic 0 buf 0 4;
-  Bytes.set buf 4 record_version;
-  put_le32 buf 5 plen;
-  put_le32 buf 9 (crc_of payload);
-  Bytes.blit_string payload 0 buf record_header_size plen;
+  let buf = Bytes.create (record_header_size + String.length payload) in
+  assemble buf payload;
   Bytes.unsafe_to_string buf
 
 let decode_record s =

@@ -19,7 +19,10 @@
       version     1 byte    0x01
       length      4 bytes   payload byte count, little-endian unsigned
       crc         4 bytes   CRC-32 (IEEE) of the payload, little-endian
-      payload     [length] bytes (one Event.to_string line, no newline)
+      payload     [length] bytes: one positional text line, no newline
+                            (Event.to_string; the router log holds
+                            Rlog lines); older journals hold one
+                            compact JSON object instead
     v}
 
     Records are assembled in memory and staged; the next durability
@@ -167,6 +170,10 @@ val header_size : int
     wire as the exact record bytes defined above — header, CRC and
     payload — so a standby can append what it receives and end up with a
     byte-compatible journal it can run ordinary recovery over. *)
+
+val record_header_size : int
+(** Size of a record header, bytes (= 13): a record is this plus its
+    payload. *)
 
 val encode_record : string -> string
 (** [encode_record payload] is the full on-disk record for [payload]:

@@ -157,21 +157,22 @@ let stage_many t evs =
       (fun acc ev ->
         let* rev, tbl = acc in
         let* concrete, tbl' = Instances.read_event tbl ev in
-        Ok ((concrete, Instances.compact_event tbl concrete) :: rev, tbl'))
+        let payload = Event.to_string (Instances.compact_event tbl concrete) in
+        Ok ((concrete, payload) :: rev, tbl'))
       (Ok ([], Shadow.instances t.shadow))
       evs
   in
   let* rev, _ = folded in
   let evs = List.rev rev in
-  Journal.write t.journal
-    (List.map (fun (_, written) -> Event.to_string written) evs);
+  let payloads = List.map snd evs in
+  Journal.write t.journal payloads;
   List.iter (fun (ev, _) -> Shadow.apply t.shadow ev) evs;
   t.since_snapshot <- t.since_snapshot + List.length evs;
-  Ok ()
+  Ok payloads
 
 let stage t ev =
   match stage_many t [ ev ] with
-  | Ok () -> ()
+  | Ok payloads -> List.hd payloads  (* one per event *)
   | Error m -> invalid_arg ("Store.record: " ^ m)
 
 let sync t =
@@ -180,12 +181,12 @@ let sync t =
       Journal.sync t.journal)
 
 let record_many t evs =
-  let* () = stage_many t evs in
+  let* _ = stage_many t evs in
   sync t;
   Ok ()
 
 let record t ev =
-  stage t ev;
+  ignore (stage t ev);
   sync t
 
 let checkpoint ?gen t =

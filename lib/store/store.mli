@@ -49,9 +49,10 @@ val open_dir :
     before it is appended.  [io] (default {!Io.real}): the filesystem
     the store runs against — a fault filesystem in tests. *)
 
-val stage : t -> Event.t -> unit
+val stage : t -> Event.t -> string
 (** Stage one (concrete) event for the journal and fold it into the
-    shadow; the next {!sync} writes it and makes it durable.  A
+    shadow; the next {!sync} writes it and makes it durable.  Returns
+    the payload journaled, the bytes a replication stream ships.  A
     [Started] on an inline CSV instance whose text this generation's
     files already hold is journaled as a [Catalog fp] reference (see
     {!Instances}); recovery resolves it back.  Raises

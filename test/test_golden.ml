@@ -8,8 +8,13 @@
    journals.  A round-trip property cannot catch a change that still
    round-trips, so each constructor is pinned to one literal line here.
 
-   For every line the suite also drops each top-level field in turn and
-   checks the decoder names it ("missing field ..."), except for the
+   Journal events and router log entries are positional text lines, not
+   JSON: each is pinned the same way, and a line with any token dropped
+   or cut short must be refused.  The JSON lines journals held before
+   are kept as decode-only cases that must decode to the same values.
+
+   For every JSON line the suite also drops each top-level field in turn
+   and checks the decoder names it ("missing field ..."), except for the
    fields documented as absent-or-null.  The never-raise properties feed
    every decoder arbitrary bytes and mutated golden lines: hostile input
    must come back as [Error], never as an exception. *)
@@ -231,26 +236,52 @@ let responses =
       {|{"jim":1,"resp":"error","error":{"kind":"unknown_labeler","labeler":7}}|} );
   ]
 
+let started source =
+  Event.Started
+    {
+      session = 3;
+      arity = 5;
+      source;
+      strategy = "lookahead-entropy";
+      seed = 7;
+      fingerprint = "9a3c21e0";
+    }
+
+let answered =
+  Event.Answered { session = 3; cls = 1; sg = part "{0}{1,2}"; label = State.Neg }
+
 let events =
   [
-    ( Event.Started
-        {
-          session = 3;
-          arity = 5;
-          source = synthetic;
-          strategy = "lookahead-entropy";
-          seed = 7;
-          fingerprint = "9a3c21e0";
-        },
+    ( started synthetic,
+      {|s 3 5 lookahead-entropy 7 9a3c21e0 {"kind":"synthetic","n_attrs":5,"n_tuples":40,"domain":6,"goal_rank":2,"seed":11}|}
+    );
+    ( started (Pr.Csv_inline "a,b\r\n1,\"x, y\"\n"),
+      {|s 3 5 lookahead-entropy 7 9a3c21e0 {"kind":"csv","text":"a,b\r\n1,\"x, y\"\n"}|} );
+    (answered, {|a 3 1 - {0}{1,2}|});
+    (Event.Undone { session = 3 }, {|u 3|});
+    (Event.Ended { session = 3 }, {|e 3|});
+  ]
+
+let parent_events =
+  [
+    ( started synthetic,
       {|{"ev":"start","session":3,"arity":5,"source":{"kind":"synthetic","n_attrs":5,"n_tuples":40,"domain":6,"goal_rank":2,"seed":11},"strategy":"lookahead-entropy","seed":7,"fp":"9a3c21e0"}|}
     );
-    ( Event.Answered { session = 3; cls = 1; sg = part "{0}{1,2}"; label = State.Neg },
-      {|{"ev":"answer","session":3,"cls":1,"sg":"{0}{1,2}","label":"-"}|} );
+    (answered, {|{"ev":"answer","session":3,"cls":1,"sg":"{0}{1,2}","label":"-"}|});
     (Event.Undone { session = 3 }, {|{"ev":"undo","session":3}|});
     (Event.Ended { session = 3 }, {|{"ev":"end","session":3}|});
   ]
 
 let rlog =
+  [
+    (Rlog.Member_added "one", {|a one|});
+    (Rlog.Member_removed "two", {|d two|});
+    (Rlog.Placed { session = 12; shard = "one" }, {|p 12 one|});
+    (Rlog.Released { session = 12 }, {|r 12|});
+    (Rlog.Failed_over { shard = "one" }, {|f one|});
+  ]
+
+let parent_rlog =
   [
     (Rlog.Member_added "one", {|{"rl":"add","shard":"one"}|});
     (Rlog.Member_removed "two", {|{"rl":"remove","shard":"two"}|});
@@ -266,7 +297,14 @@ let rlog =
 type family = {
   name : string;
   lines : string list;
+  json_lines : string list;
+      (** the JSON lines the dropped-field check runs on: the golden
+          lines, or for a positional family the older JSON lines *)
+  positional : bool;
+  refused : string list;  (** more lines a positional decoder refuses *)
   check_encode : unit -> unit;
+  check_parent : unit -> unit;
+      (** each older JSON line decodes to its value *)
   reencode : string -> (string, string) result;
       (** decode, then encode again; [Error] carries the error text *)
   missing : string -> string -> bool;
@@ -274,17 +312,32 @@ type family = {
   optional : string list;  (** top-level fields a decoder may lack *)
 }
 
-let family name ?(optional = []) ~encode ~decode ~error ~missing pairs =
+let family name ?(optional = []) ?parent ?(refused = []) ~encode ~decode ~error ~missing
+    pairs =
+  let reencode s =
+    match decode s with Ok v -> Ok (encode v) | Error e -> Error (error e)
+  in
+  let parent_pairs = Option.value parent ~default:[] in
   {
     name;
     lines = List.map snd pairs;
+    json_lines = List.map snd (if parent = None then pairs else parent_pairs);
+    positional = parent <> None;
+    refused;
     check_encode =
       (fun () ->
         List.iter
           (fun (v, lit) -> Alcotest.(check string) "encoded bytes" lit (encode v))
           pairs);
-    reencode =
-      (fun s -> match decode s with Ok v -> Ok (encode v) | Error e -> Error (error e));
+    check_parent =
+      (fun () ->
+        List.iter
+          (fun (v, json) ->
+            match reencode json with
+            | Ok s -> Alcotest.(check string) ("decoded " ^ json) (encode v) s
+            | Error e -> Alcotest.failf "%s: %s" json e)
+          parent_pairs);
+    reencode;
     missing;
     optional;
   }
@@ -298,11 +351,15 @@ let families =
       ~missing:(missing_field "bad request: ") requests;
     family "response" ~encode:Pr.response_to_string ~decode:Pr.response_of_string
       ~error:Pr.error_to_string ~missing:(missing_field "bad request: ") responses;
-    family "event" ~encode:Event.to_string ~decode:Event.of_string ~error:Fun.id
+    family "event" ~parent:parent_events
+      ~refused:
+        [ "a 3 1 - "; "a 3 1 x {0}"; "s 3 5 lookahead-entropy 7 9a3c21e0 "; "u 3 4" ]
+      ~encode:Event.to_string ~decode:Event.of_string ~error:Fun.id
       ~missing:(missing_field "") events;
     (* The router log's wording of a missing field is not pinned, only
        that it names the field. *)
-    family "rlog" ~encode:Rlog.to_string ~decode:Rlog.of_string ~error:Fun.id
+    family "rlog" ~parent:parent_rlog ~refused:[ "p x one"; "z one"; "r 1 2" ]
+      ~encode:Rlog.to_string ~decode:Rlog.of_string ~error:Fun.id
       ~missing:(fun field err ->
         String.ends_with ~suffix:(Printf.sprintf " %S" field) err
         && List.mem "missing" (String.split_on_char ' ' err))
@@ -340,12 +397,38 @@ let check_drops f () =
             if not (f.missing k e) then
               Alcotest.failf "dropping %S from %s: unexpected error %S" k line e)
         fields)
+    f.json_lines
+
+(* A positional line with any one space-separated token dropped, or cut
+   after any token, is refused, and so is each of the family's other
+   malformed lines. *)
+let check_tokens f () =
+  let refused what line damaged =
+    match f.reencode damaged with
+    | Ok s -> Alcotest.failf "%s of %S accepted: %S" what line s
+    | Error _ -> ()
+  in
+  List.iter (fun line -> refused "malformed" line line) f.refused;
+  List.iter
+    (fun line ->
+      let tokens = String.split_on_char ' ' line in
+      let refused what damaged = refused what line damaged in
+      List.iteri
+        (fun i _ ->
+          refused
+            (Printf.sprintf "token %d dropped" i)
+            (String.concat " " (List.filteri (fun j _ -> j <> i) tokens));
+          refused
+            (Printf.sprintf "cut before token %d" i)
+            (String.concat " " (List.filteri (fun j _ -> j < i) tokens)))
+        tokens)
     f.lines
 
 (* ------------------------------------------------------------------ *)
 (* Hostile bytes never raise                                           *)
 
-let golden_lines = List.concat_map (fun f -> f.lines) families
+let golden_lines =
+  List.concat_map (fun f -> f.lines @ if f.positional then f.json_lines else []) families
 
 let golden_snapshot =
   Snapshot.to_string
@@ -483,6 +566,97 @@ let prop_mutated =
 
 let prop_snapshot = qtest 2000 "mutated snapshots never raise" mutate_snapshot
 
+(* ------------------------------------------------------------------ *)
+(* Positional lines round-trip                                         *)
+
+(* Inline CSV text with spaces, quotes, commas, CR/LF and arbitrary
+   bytes; ints at the edges; shard names with spaces. *)
+let gen_text =
+  QCheck.Gen.(
+    string_size (int_bound 40)
+      ~gen:
+        (frequency
+           [ (3, oneofl [ ' '; '"'; ','; '\r'; '\n'; '\\' ]); (6, printable); (1, char) ]))
+
+let gen_int =
+  QCheck.Gen.(oneof [ int; oneofl [ 0; -1; max_int; min_int ]; small_signed_int ])
+
+let gen_token =
+  QCheck.Gen.(
+    string_size (int_range 1 12)
+      ~gen:(oneofl (List.of_seq (String.to_seq "abcdef0123456789-"))))
+
+let gen_source =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun t -> Pr.Csv_inline t) gen_text;
+        map (fun t -> Pr.Builtin t) gen_text;
+        map (fun t -> Pr.Catalog t) gen_token;
+        map
+          (fun (n_attrs, n_tuples, seed) ->
+            Pr.Synthetic { n_attrs; n_tuples; domain = 6; goal_rank = 2; seed })
+          (triple small_nat small_nat gen_int);
+      ])
+
+let gen_partition =
+  QCheck.Gen.(
+    int_range 1 9 >>= fun n ->
+    map
+      (fun reps -> P.of_rep_array (Array.of_list reps))
+      (flatten_l (List.init n (fun i -> int_bound i))))
+
+let gen_event =
+  QCheck.Gen.(
+    oneof
+      [
+        map
+          (fun ((session, arity, seed), (strategy, fingerprint, source)) ->
+            Event.Started { session; arity; source; strategy; seed; fingerprint })
+          (pair (triple gen_int small_nat gen_int) (triple gen_token gen_token gen_source));
+        map
+          (fun ((session, cls), (sg, pos)) ->
+            Event.Answered
+              { session; cls; sg; label = (if pos then State.Pos else State.Neg) })
+          (pair (pair gen_int gen_int) (pair gen_partition bool));
+        map (fun session -> Event.Undone { session }) gen_int;
+        map (fun session -> Event.Ended { session }) gen_int;
+      ])
+
+let gen_rlog =
+  let name =
+    QCheck.Gen.(string_size (int_bound 16) ~gen:(map Char.chr (int_range 32 126)))
+  in
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun s -> Rlog.Member_added s) name;
+        map (fun s -> Rlog.Member_removed s) name;
+        map (fun (session, shard) -> Rlog.Placed { session; shard }) (pair gen_int name);
+        map (fun session -> Rlog.Released { session }) gen_int;
+        map (fun shard -> Rlog.Failed_over { shard }) name;
+      ])
+
+let roundtrip name ~encode ~decode gen =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:2000 ~name
+       (QCheck.make ~print:(fun v -> String.escaped (encode v)) gen)
+       (fun v ->
+         let line = encode v in
+         if String.contains line '\n' then
+           QCheck.Test.fail_reportf "newline in %S" line;
+         match decode line with
+         | Ok v' -> v' = v
+         | Error e -> QCheck.Test.fail_reportf "%S: %s" line e))
+
+let prop_event_roundtrip =
+  roundtrip "event lines round-trip" ~encode:Event.to_string ~decode:Event.of_string
+    gen_event
+
+let prop_rlog_roundtrip =
+  roundtrip "rlog lines round-trip" ~encode:Rlog.to_string ~decode:Rlog.of_string
+    gen_rlog
+
 (* A shard from before the scorer memo went pick-scoped still sends
    [memo_rows], [memo_bytes] and [memo_evictions] in its catalog_stats
    reply; unknown members are ignored, so a newer router decodes it to
@@ -510,8 +684,18 @@ let () =
               Alcotest.test_case (f.name ^ " encodes to golden bytes") `Quick f.check_encode;
               Alcotest.test_case (f.name ^ " decodes and re-encodes") `Quick (check_decode f);
               Alcotest.test_case (f.name ^ " names each dropped field") `Quick (check_drops f);
-            ])
+            ]
+            @
+            if f.positional then
+              [
+                Alcotest.test_case (f.name ^ " decodes older JSON lines") `Quick
+                  f.check_parent;
+                Alcotest.test_case (f.name ^ " refuses dropped or cut tokens") `Quick
+                  (check_tokens f);
+              ]
+            else [])
           families );
+      ("round trip", [ prop_event_roundtrip; prop_rlog_roundtrip ]);
       ("never raise", [ prop_arbitrary; prop_mutated; prop_snapshot ]);
       ( "compat",
         [

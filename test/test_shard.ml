@@ -1054,6 +1054,94 @@ let test_standby_matches_every_generation () =
   Repl.close repl;
   Store.close store
 
+(* A primary ships the payloads its store journaled, byte for byte:
+   sessions on one inline instance put its text on the stream at most
+   once per generation, where re-encoding each concrete event would ship
+   it with every start, and the two directories stay byte-identical. *)
+let test_ships_what_was_written () =
+  let fs_p = Memfs.create () and fs_s = Memfs.create () in
+  let stb = Standby.create ~io:(Memfs.io fs_s) ~fsync:false ~dir:"/standby" () in
+  let gen = ref 0 and shipped = ref [] in
+  let target =
+    let t = Repl.of_standby stb in
+    {
+      t with
+      Repl.rotate =
+        (fun ~gen:g ->
+          gen := g;
+          t.Repl.rotate ~gen:g);
+      append_batch =
+        (fun records ->
+          shipped := List.map (fun r -> (!gen, r)) records @ !shipped;
+          t.Repl.append_batch records);
+    }
+  in
+  let primary =
+    create_node
+      {
+        (primary_config ~replicate_to:target fs_p) with
+        snapshot_every = 8;
+        fsync = false;
+      }
+  in
+  let inst =
+    Jim_workloads.Synthetic.generate
+      { Jim_workloads.Synthetic.n_attrs = 6; n_tuples = 400; domain = 6;
+        goal_rank = 2; seed = 5 }
+  in
+  let src =
+    P.Csv_inline (Jim_relational.Csv.to_string inst.Jim_workloads.Synthetic.relation)
+  in
+  let oracle = Oracle.of_goal inst.Jim_workloads.Synthetic.goal in
+  let text = Jim_api.Codec.to_string P.source src in
+  let holds payload =
+    let n = String.length text in
+    let rec go i =
+      i + n <= String.length payload && (String.sub payload i n = text || go (i + 1))
+    in
+    go 0
+  in
+  let n = 12 in
+  for seed = 1 to n do
+    let session =
+      match
+        Node.handle primary (P.Start_session { source = src; strategy = "random"; seed })
+      with
+      | P.Started { session; _ } -> session
+      | other -> Alcotest.failf "start: %s" (P.response_to_string other)
+    in
+    for _ = 1 to 2 do
+      match Node.handle primary (P.Get_question { session }) with
+      | P.Question (Some { P.cls; sg; _ }) ->
+        let label = Oracle.label oracle sg in
+        ignore (Node.handle primary (P.Answer { session; cls; label }))
+      | _ -> ()
+    done;
+    if seed mod 3 = 0 then ignore (Node.handle primary (P.End_session { session }));
+    Alcotest.(check (list (pair string (option string))))
+      (Printf.sprintf "after session %d: files byte-identical" seed)
+      (files fs_p "/data") (files fs_s "/standby")
+  done;
+  let carrying =
+    List.filter_map
+      (fun (g, record) ->
+        match Journal.decode_record record with
+        | Ok payload when holds payload -> Some g
+        | Ok _ -> None
+        | Error e -> Alcotest.failf "shipped record: %s" e)
+      !shipped
+  in
+  if !gen < 2 then Alcotest.failf "only %d checkpoints crossed" !gen;
+  if carrying = [] then Alcotest.fail "the instance text was never shipped";
+  List.iter
+    (fun g ->
+      Alcotest.(check int)
+        (Printf.sprintf "records carrying the text in generation %d" g)
+        1
+        (List.length (List.filter (( = ) g) carrying)))
+    (List.sort_uniq compare carrying);
+  Node.stop primary
+
 (* Hostile stream control: a rotate the standby cannot follow is an
    error, and the files stay as they were. *)
 let refused_rotate ~what setup gen =
@@ -1196,6 +1284,8 @@ let () =
         [
           Alcotest.test_case "standby recovers the same sessions every generation"
             `Quick test_standby_matches_every_generation;
+          Alcotest.test_case "ships what the store wrote" `Quick
+            test_ships_what_was_written;
           Alcotest.test_case "rotate before install is refused" `Quick
             test_standby_rotate_before_install;
           Alcotest.test_case "rotate backwards is refused" `Quick

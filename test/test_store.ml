@@ -1430,6 +1430,100 @@ let test_all_concrete_dir_recovers () =
       | Ok r -> check_concrete "after appending" csv r [ 1; 2; 3; 4; 5 ]
       | Error e -> Alcotest.fail e)
 
+(* The JSON line journals held for [ev] before positional records. *)
+let json_line ev =
+  let c = Jim_api.Codec.to_string and str s = Jim_api.Json.(to_string (String s)) in
+  match ev with
+  | Event.Started e ->
+    Printf.sprintf
+      {|{"ev":"start","session":%d,"arity":%d,"source":%s,"strategy":%s,"seed":%d,"fp":%s}|}
+      e.session e.arity (c Pr.source e.source) (str e.strategy) e.seed
+      (str e.fingerprint)
+  | Event.Answered e ->
+    Printf.sprintf {|{"ev":"answer","session":%d,"cls":%d,"sg":%s,"label":%s}|}
+      e.session e.cls (c Pr.partition e.sg) (c Pr.label e.label)
+  | Event.Undone { session } -> Printf.sprintf {|{"ev":"undo","session":%d}|} session
+  | Event.Ended { session } -> Printf.sprintf {|{"ev":"end","session":%d}|} session
+
+(* A data directory whose journal alternates older JSON records with
+   positional ones recovers the same sessions as the all-positional
+   directory it was rewritten from, with a clean tail (what
+   [jim journal verify] accepts), and a store opened over it appends
+   and resumes as usual. *)
+let test_mixed_formats_recover () =
+  let csv = Lazy.force big_csv in
+  let inline = Pr.Csv_inline csv in
+  with_dir (fun root ->
+      Unix.mkdir root 0o755;
+      let fresh = Filename.concat root "positional"
+      and mixed = Filename.concat root "mixed" in
+      let store, _ = open_store fresh in
+      let service = Service.create ~persist:(Store.record store) () in
+      let s1 = start service ~seed:101 ~strategy:"random" in
+      ignore (drive service s1 (oracle_of 101) 3);
+      let start_inline seed =
+        match
+          Service.handle service
+            (Pr.Start_session { source = inline; strategy = "random"; seed })
+        with
+        | Pr.Started { session; _ } -> session
+        | other -> Alcotest.failf "start: %s" (Pr.response_to_string other)
+      in
+      let s2 = start_inline 1 and s3 = start_inline 2 in
+      let big_oracle =
+        Oracle.of_goal
+          (W.Synthetic.generate
+             { W.Synthetic.n_attrs = 6; n_tuples = 1600; domain = 6;
+               goal_rank = 2; seed = 3 })
+            .W.Synthetic.goal
+      in
+      ignore (drive service s2 big_oracle 2);
+      ignore (drive service s3 big_oracle 2);
+      (match Service.handle service (Pr.Undo { session = s3 }) with
+      | Pr.Undone _ -> ()
+      | other -> Alcotest.failf "undo: %s" (Pr.response_to_string other));
+      ignore (Service.handle service (Pr.End_session { session = s2 }));
+      Store.close store;
+      let payloads = journal_payloads (Recovery.journal_path fresh 0) in
+      Unix.mkdir mixed 0o755;
+      let j = Journal.create ~fsync:false (Recovery.journal_path mixed 0) in
+      List.iteri
+        (fun i p ->
+          match Event.of_string p with
+          | Ok ev -> Journal.append j (if i mod 2 = 0 then json_line ev else p)
+          | Error e -> Alcotest.failf "%S: %s" p e)
+        payloads;
+      Journal.close j;
+      let json =
+        List.filter
+          (String.starts_with ~prefix:"{")
+          (journal_payloads (Recovery.journal_path mixed 0))
+      in
+      Alcotest.(check int) "half the records are JSON"
+        ((List.length payloads + 1) / 2)
+        (List.length json);
+      let load dir =
+        match Recovery.load dir with Ok r -> r | Error e -> Alcotest.failf "%s: %s" dir e
+      in
+      let a = load fresh and b = load mixed in
+      Alcotest.(check bool) "clean tail" true (b.Recovery.torn = None);
+      Alcotest.(check int) "next id" a.Recovery.next_id b.Recovery.next_id;
+      Alcotest.(check int) "records" a.Recovery.journal_records
+        b.Recovery.journal_records;
+      Alcotest.(check bool) "the same sessions" true
+        (a.Recovery.sessions = b.Recovery.sessions);
+      check_concrete "mixed" csv b [ s3 ];
+      let service, store, _ = durable_service mixed in
+      ignore (drive service s1 (oracle_of 101) (-1));
+      let got = result_of service s1 in
+      Store.close store;
+      Alcotest.(check bool) "resumed outcome bit-identical" true
+        (Smoke.outcome_equal (expected_outcome ~seed:101 ~strategy:"random") got);
+      let tail = journal_payloads (Recovery.journal_path mixed 0) in
+      Alcotest.(check bool) "appended positional records" true
+        (List.length tail > List.length payloads
+        && not (String.starts_with ~prefix:"{" (List.nth tail (List.length tail - 1)))))
+
 (* ------------------------------------------------------------------ *)
 (* The crash drill over the wire                                       *)
 
@@ -1694,5 +1788,7 @@ let () =
             `Quick test_dangling_reference_refused;
           Alcotest.test_case "all-concrete directories still recover" `Quick
             test_all_concrete_dir_recovers;
+          Alcotest.test_case "JSON and positional records recover alike" `Quick
+            test_mixed_formats_recover;
         ] );
     ]
