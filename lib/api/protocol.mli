@@ -234,8 +234,8 @@ type session_stats = {
   total : int;
   version_space : float;
   scoring : Jim_core.Metrics.snapshot;
-      (** this session's own scorer counters (per-request
-          {!Jim_core.Metrics.diff}s, not the process-wide totals) *)
+      (** this session's own engine counters, exact
+          ({!Jim_core.Session.counters}, not the process-wide totals) *)
 }
 
 type response =

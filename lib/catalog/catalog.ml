@@ -78,8 +78,6 @@ let create ?(max_entries = 64) ?(now = Unix.gettimeofday) () =
     derivations = 0;
   }
 
-let max_entries t = t.max_entries
-
 (* ------------------------------------------------------------------ *)
 (* Concrete sources (moved here from Service so recovery, the wire and
    the catalog all resolve through the same table).                     *)

@@ -47,8 +47,6 @@ val create : ?max_entries:int -> ?now:(unit -> float) -> unit -> t
 (** [max_entries] (default 64, clamped to [>= 1]) bounds the cataloged
     instances; [now] injects a clock for eviction tests. *)
 
-val max_entries : t -> int
-
 val resolve :
   t ->
   Jim_api.Protocol.instance_source ->

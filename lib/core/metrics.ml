@@ -1,6 +1,7 @@
 (* Process-wide perf counters for the scoring engine.  Atomic so two
-   threads recording at once lose nothing; the engine counts a pick's work
-   in plain fields and adds it here once per pick (see {!Scorer.record}). *)
+   threads recording at once lose nothing; each engine counts its own
+   work in a snapshot and adds every batch here once (see
+   {!Session.pick}). *)
 
 type snapshot = {
   meets : int;
@@ -31,24 +32,18 @@ let reset () =
 
 let add_to counter n = if n <> 0 then ignore (Atomic.fetch_and_add counter n)
 
-let record ~meets:m ~classify_calls:c ~cache_hits:h ~cache_misses:x =
-  add_to meets m;
-  add_to classify_calls c;
-  add_to cache_hits h;
-  add_to cache_misses x
-
-let record_pick ~ns =
-  Atomic.incr picks;
-  ignore (Atomic.fetch_and_add pick_time_ns ns);
-  Atomic.set last_pick_ns ns
+let record d =
+  add_to meets d.meets;
+  add_to classify_calls d.classify_calls;
+  add_to cache_hits d.cache_hits;
+  add_to cache_misses d.cache_misses;
+  if d.picks > 0 then begin
+    add_to picks d.picks;
+    add_to pick_time_ns d.pick_time_ns;
+    Atomic.set last_pick_ns d.last_pick_ns
+  end
 
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
-
-let time_pick f =
-  let t0 = now_ns () in
-  let r = f () in
-  record_pick ~ns:(now_ns () - t0);
-  r
 
 let snapshot () =
   {
@@ -91,7 +86,7 @@ let add a b =
     cache_misses = a.cache_misses + b.cache_misses;
     picks = a.picks + b.picks;
     pick_time_ns = a.pick_time_ns + b.pick_time_ns;
-    last_pick_ns = b.last_pick_ns;
+    last_pick_ns = (if b.picks > 0 then b.last_pick_ns else a.last_pick_ns);
   }
 
 let hit_rate s =
@@ -119,5 +114,3 @@ let to_json s =
     s.picks s.pick_time_ns
     (avg_pick_ns s /. 1e6)
     s.meets s.classify_calls s.cache_hits s.cache_misses (hit_rate s)
-
-let pp fmt s = Format.pp_print_string fmt (to_string s)

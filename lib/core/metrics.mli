@@ -1,10 +1,12 @@
-(** Process-wide performance counters for the strategy scoring engine:
-    lattice meets computed, {!State.classify} evaluations, hits/misses of
-    a pick's memo and per-pick wall time.  The engine counts each pick's
-    work privately and adds it with one {!record} per pick (and one per
-    answer's status refresh); the counters are atomic, so concurrent
-    recorders lose nothing.  They are surfaced through {!Stats}, the TUI progress panel and the bench
-    [compare] harness ([BENCH_strategies.json]). *)
+(** Performance counters for the strategy scoring engine: lattice meets
+    computed, {!State.classify} evaluations, hits/misses of a pick's memo
+    and per-pick wall time.  Each engine ({!Session.t}) counts its own
+    work in a {!snapshot} and adds every batch — one per pick, one per
+    answer's status refresh — to the process-wide totals with {!record};
+    the totals are atomic, so concurrent recorders lose nothing.  An
+    engine's own counters are surfaced through {!Stats} (the TUI
+    progress panel, the server's per-session stats), the totals through
+    the bench [compare] harness ([BENCH_strategies.json]). *)
 
 type snapshot = {
   meets : int;          (** [Partition.meet]s computed by the scorer *)
@@ -20,15 +22,14 @@ val reset : unit -> unit
 (** Zero every counter (bench harnesses call this between strategies). *)
 
 val snapshot : unit -> snapshot
+(** The process-wide totals. *)
 
 (** {1 Snapshot arithmetic}
 
-    The counters are process-global, so a server hosting many concurrent
-    sessions cannot report {!snapshot} per session — it would mix every
-    session's work.  Instead each request takes a snapshot before and
-    after its engine work and accumulates the {!diff}; the sum is that
-    session's own counters (up to work racing in from requests of other
-    sessions that overlap the same window). *)
+    A snapshot is also a batch of work: an engine's own counters are the
+    {!add} of its batches, and the work recorded process-wide between
+    two {!snapshot}s is their {!diff} (which, with several engines
+    running at once, mixes their work). *)
 
 val zero : snapshot
 
@@ -37,22 +38,19 @@ val diff : snapshot -> snapshot -> snapshot
     between the two snapshots.  [last_pick_ns] is taken from [later]. *)
 
 val add : snapshot -> snapshot -> snapshot
-(** Field-wise sum ([last_pick_ns] is taken from the second argument, the
-    more recent increment). *)
+(** Field-wise sum; [last_pick_ns] is the second argument's (the more
+    recent batch) when that batch holds a pick, else the first's. *)
 
-(** {1 Recording (called by the scorer and the session engine)} *)
+(** {1 Recording} *)
 
-val record :
-  meets:int -> classify_calls:int -> cache_hits:int -> cache_misses:int -> unit
-(** Add a batch of work to the counters. *)
-
-val record_pick : ns:int -> unit
+val record : snapshot -> unit
+(** Add a batch of work to the process-wide totals (its [last_pick_ns]
+    replaces theirs when the batch holds a pick).  The one way work
+    reaches them: the session engine calls it per pick and per status
+    refresh, {!Scorer.record} per memo. *)
 
 val now_ns : unit -> int
 (** Wall clock in nanoseconds (microsecond resolution). *)
-
-val time_pick : (unit -> 'a) -> 'a
-(** Run a question selection, recording its wall time as one pick. *)
 
 (** {1 Derived figures} *)
 
@@ -64,5 +62,3 @@ val avg_pick_ns : snapshot -> float
 val to_string : snapshot -> string
 val to_json : snapshot -> string
 (** One-line JSON object (the [BENCH_strategies.json] per-strategy shape). *)
-
-val pp : Format.formatter -> snapshot -> unit

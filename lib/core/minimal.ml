@@ -48,5 +48,3 @@ let most_general (st : State.t) =
       minimal_hitting_sets diffs
       |> List.map (fun h -> Partition.of_pairs n (PairSet.elements h))
       |> Lattice.minimal_elements
-
-let describe st = (State.canonical st, most_general st)

@@ -13,6 +13,3 @@ val most_general : State.t -> Jim_partition.Partition.t list
     the version space); [[Partition.bottom n]] when there are no
     negatives.  Worst-case exponential in the number of negatives, fine
     for interactive-scale states.  Empty on a contradictory state. *)
-
-val describe : State.t -> Jim_partition.Partition.t * Jim_partition.Partition.t list
-(** [(most specific, most general list)] — the version space's frame. *)

@@ -28,8 +28,8 @@ module Pairs = Jim_partition.Pairs
    It is [unset] until computed, then one code per status.  A meet row
    ([Pairs.t array], one slot per class, keyed by the words of [s])
    holds the physical sentinel [no_meet] until computed.  The memo also
-   counts the pick's work in plain fields, added to {!Metrics} once by
-   [record]: the hot loops touch no atomic. *)
+   counts the pick's work in plain fields, handed on once by [take]: the
+   hot loops touch no atomic. *)
 type memo = {
   rows : (Pairs.t * Pairs.t list, Bytes.t) Hashtbl.t;
   meet_rows : (Pairs.t, Pairs.t array) Hashtbl.t;
@@ -49,13 +49,23 @@ let new_memo () =
     misses = 0;
   }
 
-let record m =
-  Metrics.record ~meets:m.meets ~classify_calls:m.classified
-    ~cache_hits:m.hits ~cache_misses:m.misses;
+let take m =
+  let d =
+    {
+      Metrics.zero with
+      meets = m.meets;
+      classify_calls = m.classified;
+      cache_hits = m.hits;
+      cache_misses = m.misses;
+    }
+  in
   m.meets <- 0;
   m.classified <- 0;
   m.hits <- 0;
-  m.misses <- 0
+  m.misses <- 0;
+  d
+
+let record m = Metrics.record (take m)
 
 let find_or_add table key fresh =
   match Hashtbl.find_opt table key with

@@ -10,7 +10,7 @@
     best-scoring candidate in one sequential scan.
 
     Perf counters (meets, classifications, memo hits/misses) are counted
-    in the pick's memo and added to {!Metrics} by {!record}. *)
+    in the pick's memo and handed on as one batch by {!take}. *)
 
 type t
 (** A scorer for one state: the state, the signature classes and the
@@ -32,10 +32,13 @@ type memo
 val new_memo : unit -> memo
 (** A fresh, empty memo with zeroed counts. *)
 
+val take : memo -> Metrics.snapshot
+(** The work counted in the memo since the last [take] (meets,
+    classifications, hits, misses; no pick), and zero the counts.
+    {!Session} takes it once per pick into the engine's own counters. *)
+
 val record : memo -> unit
-(** Add the work counted in the memo since the last [record] (meets,
-    classifications, hits, misses) to {!Metrics}, and zero the counts.
-    {!Session} calls it once per pick. *)
+(** [Metrics.record (take memo)], for scoring done outside an engine. *)
 
 val create : ?memo:memo -> State.t -> Sigclass.cls array -> int array -> t
 (** [create st classes informative]: scorer over the given informative

@@ -8,48 +8,66 @@ let error_to_string = function
      consistent with all of them)"
   | Nothing_to_undo -> "nothing to undo"
 
-type t = {
-  n : int;
-  classes : Sigclass.cls array;
-  row_class : int array;  (** row number -> class index *)
-  mutable st : State.t;
-  mutable statuses : State.status array;
-  mutable asked : int;
-  mutable positives : Jim_partition.Partition.t list;
-      (** signatures labelled +, newest first (witnesses for Explain) *)
-  mutable history : (Jim_partition.Partition.t * State.label) list;
-      (** every absorbed label, newest first (for transcripts) *)
-  mutable snapshots : (State.t * Jim_partition.Partition.t list) list;
-      (** states before each absorbed label, newest first (for undo) *)
+(* One absorbed label and what it left behind: the engine's only record
+   of a session.  [history], the Explain witnesses, [undo] and the
+   outcome's events all read the list of these. *)
+type entry = {
+  step : int;  (** labels absorbed, this one included *)
+  cls : int option;  (** the class answered; [None] for [absorb] *)
+  sg : Jim_partition.Partition.t;
+  label : State.label;
+  after : State.t;  (** the state after it *)
+  decided : int;  (** classes decided after it *)
+  tuples_decided : int;  (** tuples (cardinality-weighted) decided after it *)
+  mutable vs : float;
+      (** version-space size after it; [nan] until an outcome asks *)
 }
 
-let refresh_statuses eng =
-  eng.statuses <-
-    Array.map (fun (c : Sigclass.cls) -> State.classify_bits eng.st c.bits) eng.classes
+type t = {
+  classes : Sigclass.cls array;
+  row_class : int array;  (** row number -> class index *)
+  initial : State.t;  (** the state before any label *)
+  statuses : State.status array;  (** of the current state *)
+  mutable decided : int;  (** classes not informative under [statuses] *)
+  mutable tuples_decided : int;
+  mutable labels : entry list;  (** newest first *)
+  mutable contradiction : bool;  (** sticky: some label was refused *)
+  mutable counters : Metrics.snapshot;  (** this engine's own work *)
+}
 
-(* Knowledge only grows, so certainty is monotone: a class decided under
-   the old state stays decided (with the same polarity) under the new one
-   — only the informative ones need reclassifying, each on its pair
-   words, counted as one batch.  (The monotonicity is pinned down by the
-   classify-vs-brute-force property test.) *)
-let refresh_statuses_incremental eng =
-  let classified = ref 0 in
+let state eng = match eng.labels with [] -> eng.initial | e :: _ -> e.after
+
+(* Reclassify under [st] the classes whose status [stale] selects, then
+   count what is decided — the one decided-totals scan.  Returns the
+   number of classifications made. *)
+let refresh eng st stale =
+  let classified = ref 0 and decided = ref 0 and tuples = ref 0 in
   Array.iteri
-    (fun i s ->
-      if s = State.Informative then begin
+    (fun i (c : Sigclass.cls) ->
+      if stale eng.statuses.(i) then begin
         incr classified;
-        eng.statuses.(i) <-
-          State.classify_bits eng.st eng.classes.(i).Sigclass.bits
+        eng.statuses.(i) <- State.classify_bits st c.bits
+      end;
+      if eng.statuses.(i) <> State.Informative then begin
+        incr decided;
+        tuples := !tuples + c.card
       end)
-    eng.statuses;
-  Metrics.record ~meets:0 ~classify_calls:!classified ~cache_hits:0
-    ~cache_misses:0
+    eng.classes;
+  eng.decided <- !decided;
+  eng.tuples_decided <- !tuples;
+  !classified
+
+(* Add a batch of work to the engine's own counters and to the
+   process-wide totals. *)
+let record eng d =
+  eng.counters <- Metrics.add eng.counters d;
+  Metrics.record d
 
 (* [?statuses] and [?row_class] let a caller that already derived the
    instance (the server's catalog) warm-start the engine: classes and
    row_class are read-only and shared as-is, and the round-0 statuses are
-   copied (the incremental refresh mutates them in place).  Without them
-   the engine derives everything itself, exactly as before. *)
+   copied (the refresh mutates them in place).  Without them the engine
+   derives everything itself. *)
 let of_classes ?statuses ?row_class ~n classes =
   let row_class =
     match row_class with
@@ -63,27 +81,31 @@ let of_classes ?statuses ?row_class ~n classes =
         classes;
       rc
   in
+  let initial = State.create n in
   let eng =
     {
-      n;
       classes;
       row_class;
-      st = State.create n;
-      statuses = (match statuses with Some s -> Array.copy s | None -> [||]);
-      asked = 0;
-      positives = [];
-      history = [];
-      snapshots = [];
+      initial;
+      statuses =
+        (match statuses with
+        | Some s -> Array.copy s
+        | None -> Array.make (Array.length classes) State.Informative);
+      decided = 0;
+      tuples_decided = 0;
+      labels = [];
+      contradiction = false;
+      counters = Metrics.zero;
     }
   in
-  (match statuses with None -> refresh_statuses eng | Some _ -> ());
+  let derive = Option.is_none statuses in
+  ignore (refresh eng initial (fun _ -> derive));
   eng
 
 let create rel =
   let classes, row_class = Sigclass.classes rel in
   of_classes ~row_class ~n:(Relation.arity rel) classes
 
-let state eng = eng.st
 let classes eng = eng.classes
 let status eng i = eng.statuses.(i)
 let row_status eng r = eng.statuses.(eng.row_class.(r))
@@ -106,29 +128,39 @@ let informative_array eng =
 
 let informative eng = Array.to_list (informative_array eng)
 
-let finished eng =
-  Array.for_all (fun s -> s <> State.Informative) eng.statuses
+let finished eng = eng.decided = Array.length eng.classes
 
-let asked eng = eng.asked
+let asked eng = match eng.labels with [] -> 0 | e :: _ -> e.step
+
+let decided_totals eng = (eng.decided, eng.tuples_decided)
+let counters eng = eng.counters
 
 let ctx_of eng memo rng =
   {
-    Strategy.state = eng.st;
+    Strategy.state = state eng;
     classes = eng.classes;
     informative = informative_array eng;
     memo;
     rng;
   }
 
-(* One pick: its work is counted in the memo and added to [Metrics]
-   once. *)
-let pick strat ctx =
-  Metrics.time_pick (fun () ->
-      let c = strat.Strategy.pick ctx in
-      Scorer.record ctx.Strategy.memo;
-      c)
+(* One pick: its work is counted in the memo and added to the counters
+   once, with its wall time. *)
+let pick eng strat ctx =
+  let t0 = Metrics.now_ns () in
+  let c = strat.Strategy.pick ctx in
+  let ns = Metrics.now_ns () - t0 in
+  record eng
+    {
+      (Scorer.take ctx.Strategy.memo) with
+      picks = 1;
+      pick_time_ns = ns;
+      last_pick_ns = ns;
+    };
+  c
 
-let question eng strat rng = pick strat (ctx_of eng (Scorer.new_memo ()) rng)
+let question eng strat rng =
+  pick eng strat (ctx_of eng (Scorer.new_memo ()) rng)
 
 let top_questions eng strat rng k =
   (* Mask already-proposed classes with a bool array over class indices
@@ -146,7 +178,7 @@ let top_questions eng strat rng k =
           (Seq.filter (fun i -> not masked.(i)) (Array.to_seq base))
       in
       let ctx = { (ctx_of eng memo rng) with Strategy.informative = remaining } in
-      match pick strat ctx with
+      match pick eng strat ctx with
       | None -> List.rev acc
       | Some c ->
         masked.(c) <- true;
@@ -154,42 +186,57 @@ let top_questions eng strat rng k =
   in
   go [] k
 
-(* Absorb a labelled signature that need not correspond to a class of the
-   instance (transcript replay across instance revisions). *)
-let absorb eng sg label =
-  match State.add eng.st label sg with
-  | Error `Contradiction -> Error Contradiction
-  | Ok st' ->
-    eng.snapshots <- (eng.st, eng.positives) :: eng.snapshots;
-    eng.st <- st';
-    eng.asked <- eng.asked + 1;
-    if label = State.Pos then eng.positives <- sg :: eng.positives;
-    eng.history <- (sg, label) :: eng.history;
-    refresh_statuses_incremental eng;
+(* Knowledge only grows, so certainty is monotone: a class decided under
+   the old state stays decided (with the same polarity) under the new one
+   — only the informative ones need reclassifying, each on its pair
+   words, counted as one batch.  (The monotonicity is pinned down by the
+   classify-vs-brute-force property test.) *)
+let push eng cls sg label =
+  match State.add (state eng) label sg with
+  | Error `Contradiction ->
+    eng.contradiction <- true;
+    Error Contradiction
+  | Ok after ->
+    let classified = refresh eng after (fun s -> s = State.Informative) in
+    record eng { Metrics.zero with classify_calls = classified };
+    eng.labels <-
+      {
+        step = asked eng + 1;
+        cls;
+        sg;
+        label;
+        after;
+        decided = eng.decided;
+        tuples_decided = eng.tuples_decided;
+        vs = Float.nan;
+      }
+      :: eng.labels;
     Ok ()
 
-let answer eng c label = absorb eng eng.classes.(c).Sigclass.sg label
+let absorb eng sg label = push eng None sg label
+let answer eng c label = push eng (Some c) eng.classes.(c).Sigclass.sg label
 
-let history eng = List.rev eng.history
+let history eng = List.rev_map (fun e -> (e.sg, e.label)) eng.labels
 
 let undo eng =
-  match (eng.snapshots, eng.history) with
-  | [], _ | _, [] -> Error Nothing_to_undo
-  | (st, positives) :: snaps, _ :: hist ->
-    eng.st <- st;
-    eng.positives <- positives;
-    eng.snapshots <- snaps;
-    eng.history <- hist;
-    eng.asked <- eng.asked - 1;
-    (* Statuses may loosen; the incremental refresh only tightens, so do
-       the full recomputation here. *)
-    refresh_statuses eng;
+  match eng.labels with
+  | [] -> Error Nothing_to_undo
+  | _ :: older ->
+    eng.labels <- older;
+    (* Statuses may loosen; the incremental refresh only tightens, so
+       reclassify every class. *)
+    ignore (refresh eng (state eng) (fun _ -> true));
     Ok ()
 
-let result eng = State.canonical eng.st
+let result eng = State.canonical (state eng)
 
 let explain_class eng c =
-  Explain.explain eng.st ~positives:eng.positives eng.classes.(c).Sigclass.sg
+  let positives =
+    List.filter_map
+      (fun e -> if e.label = State.Pos then Some e.sg else None)
+      eng.labels
+  in
+  Explain.explain (state eng) ~positives eng.classes.(c).Sigclass.sg
 
 let explain_row eng r = explain_class eng eng.row_class.(r)
 
@@ -211,57 +258,47 @@ type outcome = {
   contradiction : bool;
 }
 
-let decided_totals eng =
-  let classes_decided = ref 0 and tuples_decided = ref 0 in
-  Array.iteri
-    (fun i s ->
-      if s <> State.Informative then begin
-        incr classes_decided;
-        tuples_decided := !tuples_decided + eng.classes.(i).Sigclass.card
-      end)
-    eng.statuses;
-  (!classes_decided, !tuples_decided)
+(* Entries absorbed by class become events, oldest first.  Each
+   version-space count is made once, when an outcome first needs it, so
+   an answer pays none and a repeated read pays nothing again. *)
+let outcome eng =
+  let event events (e : entry) =
+    match e.cls with
+    | None -> events
+    | Some c ->
+      if Float.is_nan e.vs then e.vs <- Version_space.count e.after;
+      let cls = eng.classes.(c) in
+      {
+        step = e.step;
+        cls = c;
+        row = Sigclass.representative cls;
+        sg = e.sg;
+        label = e.label;
+        decided_after = e.decided;
+        tuples_decided_after = e.tuples_decided;
+        vs_after = e.vs;
+      }
+      :: events
+  in
+  {
+    query = result eng;
+    events = List.fold_left event [] eng.labels;
+    interactions = asked eng;
+    contradiction = eng.contradiction;
+  }
 
 let run_engine ?(seed = 0) ~strategy ~oracle eng =
   let rng = Random.State.make [| seed |] in
-  let events = ref [] in
-  let rec loop step =
+  let rec loop () =
     match question eng strategy rng with
-    | None ->
-      {
-        query = result eng;
-        events = List.rev !events;
-        interactions = eng.asked;
-        contradiction = false;
-      }
-    | Some c ->
-      let cls = eng.classes.(c) in
-      let label = Oracle.label oracle cls.Sigclass.sg in
-      (match answer eng c label with
-      | Error _ ->
-        {
-          query = result eng;
-          events = List.rev !events;
-          interactions = eng.asked;
-          contradiction = true;
-        }
-      | Ok () ->
-        let decided, tuples_decided = decided_totals eng in
-        events :=
-          {
-            step;
-            cls = c;
-            row = Sigclass.representative cls;
-            sg = cls.Sigclass.sg;
-            label;
-            decided_after = decided;
-            tuples_decided_after = tuples_decided;
-            vs_after = Version_space.count eng.st;
-          }
-          :: !events;
-        loop (step + 1))
+    | None -> ()
+    | Some c -> (
+      match answer eng c (Oracle.label oracle eng.classes.(c).Sigclass.sg) with
+      | Ok () -> loop ()
+      | Error _ -> ())
   in
-  loop 1
+  loop ();
+  outcome eng
 
 let run ?seed ~strategy ~oracle rel =
   run_engine ?seed ~strategy ~oracle (create rel)

@@ -3,8 +3,12 @@
     according to a strategy, absorb answers, detect termination.
 
     The engine is a thin mutable shell over the immutable {!State.t}
-    (needed by the TUI, which interleaves rendering with answers);
-    {!run} is the closed-loop driver used by experiments. *)
+    (needed by the TUI, which interleaves rendering with answers), and
+    the one record of a session: every absorbed label with the state
+    after it, the decided totals, a sticky contradiction flag and the
+    engine's own work counters.  {!history}, {!explain_class}, {!undo},
+    {!outcome} and {!Stats.of_engine} all read that record, so the
+    server's replies and the in-process {!run} cannot drift apart. *)
 
 type t
 
@@ -49,8 +53,20 @@ val finished : t -> bool
 val asked : t -> int
 (** Number of answers absorbed so far. *)
 
+val decided_totals : t -> int * int
+(** [(classes, tuples)] no longer informative: classes, and tuples
+    weighted by class cardinality.  Counted while the statuses are
+    refreshed, so reading it costs nothing. *)
+
+val counters : t -> Metrics.snapshot
+(** This engine's own work since it was built: each pick (meets,
+    classifications, memo hits and misses, wall time) and each answer's
+    status refresh, exactly the batches it added to the process-wide
+    {!Metrics} totals.  An {!undo} keeps them: work done stays done. *)
+
 val question : t -> Strategy.t -> Random.State.t -> int option
-(** Ask the strategy for the next class; [None] iff finished. *)
+(** Ask the strategy for the next class; [None] iff finished.  The
+    pick's work is added to {!counters} and to {!Metrics}. *)
 
 val top_questions : t -> Strategy.t -> Random.State.t -> int -> int list
 (** Greedy top-[k] ranking: repeatedly ask the strategy, masking what it
@@ -59,19 +75,22 @@ val top_questions : t -> Strategy.t -> Random.State.t -> int -> int list
 
 val answer : t -> int -> State.label -> (unit, error) result
 (** Absorb the user's label for a class.  On [Error Contradiction] the
-    engine is unchanged ([Nothing_to_undo] cannot occur here). *)
+    engine is unchanged but for its contradiction flag, which stays set
+    (see {!outcome}); [Nothing_to_undo] cannot occur here. *)
 
 val absorb :
   t -> Jim_partition.Partition.t -> State.label -> (unit, error) result
 (** Absorb a labelled signature directly (it need not be a class of the
-    instance) — transcript replay across instance revisions. *)
+    instance) — transcript replay across instance revisions.  Like
+    {!answer}, but the label yields no {!event}. *)
 
 val history : t -> (Jim_partition.Partition.t * State.label) list
 (** Every label absorbed so far, in chronological order. *)
 
 val undo : t -> (unit, error) result
 (** Retract the most recent label (the user mis-clicked): the state,
-    statuses, history and counters roll back to just before it. *)
+    statuses, history, {!asked} and {!decided_totals} roll back to just
+    before it. *)
 
 val result : t -> Jim_partition.Partition.t
 (** The inferred predicate (canonical representative [s]); meaningful once
@@ -102,6 +121,13 @@ type outcome = {
   contradiction : bool;           (** true iff aborted on an inconsistent user *)
 }
 
+val outcome : t -> outcome
+(** The session so far: {!result}, one event per label still held that
+    was absorbed by {!answer} (oldest first, [step] = {!asked} just
+    after it), {!asked}, and whether any label was ever refused as
+    contradictory (an {!undo} does not clear that).  Each event's
+    version-space size is counted the first time an outcome needs it. *)
+
 val run :
   ?seed:int -> strategy:Strategy.t -> oracle:Oracle.t ->
   Jim_relational.Relation.t -> outcome
@@ -112,6 +138,7 @@ val run_classes :
 
 val run_engine :
   ?seed:int -> strategy:Strategy.t -> oracle:Oracle.t -> t -> outcome
-(** Drive an already-built engine to completion — the building block of
-    {!run} and {!run_classes}, exposed so warm-started engines (see
+(** Drive an already-built engine until it is finished or a label is
+    refused, then return its {!outcome} — the building block of {!run}
+    and {!run_classes}, exposed so warm-started engines (see
     {!of_classes}) can be driven the same way. *)

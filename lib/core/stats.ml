@@ -12,7 +12,10 @@ type t = {
 let pct part total =
   if total = 0 then 0.0 else 100.0 *. float_of_int part /. float_of_int total
 
-let build ~labeled ~decided_tuples ~total ~version_space =
+let of_engine eng =
+  let labeled = Session.asked eng in
+  let _, decided_tuples = Session.decided_totals eng in
+  let total = Sigclass.total_rows (Session.classes eng) in
   let auto_determined = max 0 (decided_tuples - labeled) in
   {
     labeled;
@@ -21,38 +24,6 @@ let build ~labeled ~decided_tuples ~total ~version_space =
     total;
     labeled_pct = pct labeled total;
     auto_pct = pct auto_determined total;
-    version_space;
-    scoring = Metrics.snapshot ();
+    version_space = Version_space.count (Session.state eng);
+    scoring = Session.counters eng;
   }
-
-let of_engine eng =
-  let classes = Session.classes eng in
-  let decided_tuples = ref 0 in
-  Array.iteri
-    (fun i (c : Sigclass.cls) ->
-      if Session.status eng i <> State.Informative then
-        decided_tuples := !decided_tuples + c.Sigclass.card)
-    classes;
-  build ~labeled:(Session.asked eng) ~decided_tuples:!decided_tuples
-    ~total:(Sigclass.total_rows classes)
-    ~version_space:(Version_space.count (Session.state eng))
-
-let of_outcome ~total (o : Session.outcome) =
-  let decided_tuples, vs =
-    match List.rev o.Session.events with
-    | [] -> (0, nan)
-    | last :: _ -> (last.Session.tuples_decided_after, last.Session.vs_after)
-  in
-  build ~labeled:o.Session.interactions ~decided_tuples ~total ~version_space:vs
-
-let to_string s =
-  let base =
-    Printf.sprintf
-      "labeled %d/%d (%.1f%%), auto-determined %d (%.1f%%), open %d, VS %.0f"
-      s.labeled s.total s.labeled_pct s.auto_determined s.auto_pct
-      s.still_informative s.version_space
-  in
-  if s.scoring.Metrics.picks = 0 then base
-  else base ^ "; scorer: " ^ Metrics.to_string s.scoring
-
-let pp fmt s = Format.pp_print_string fmt (to_string s)

@@ -11,13 +11,7 @@ type t = {
   auto_pct : float;
   version_space : float;      (** consistent predicates remaining *)
   scoring : Metrics.snapshot;
-      (** scorer perf counters at snapshot time (process-wide) *)
+      (** the engine's own work counters ({!Session.counters}) *)
 }
 
 val of_engine : Session.t -> t
-
-val of_outcome : total:int -> Session.outcome -> t
-(** Final statistics of a closed-loop run. *)
-
-val to_string : t -> string
-val pp : Format.formatter -> t -> unit

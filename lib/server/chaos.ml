@@ -180,12 +180,6 @@ let release t index fd =
   Mutex.protect t.lock (fun () -> Hashtbl.remove t.live index);
   close_fd fd
 
-let le32_of s =
-  Char.code s.[0]
-  lor (Char.code s.[1] lsl 8)
-  lor (Char.code s.[2] lsl 16)
-  lor (Char.code s.[3] lsl 24)
-
 let handle_conn t index fd =
   let mode = mode_of t.plan index in
   (match mode with
@@ -250,7 +244,7 @@ let handle_conn t index fd =
           match really_input_string ic Frame.header_size with
           | exception (End_of_file | Sys_error _) -> ()
           | hdr -> (
-            let len = le32_of hdr in
+            let len = Frame.read_length (Bytes.unsafe_of_string hdr) ~off:0 in
             if len < 0 || len > Frame.max_payload then
               t.log
                 (Printf.sprintf "conn %d: bad frame length %d" index len)

@@ -22,20 +22,24 @@ let header_size = 4
    largest legitimate payload is an inline-CSV request, well under). *)
 let max_payload = 64 * 1024 * 1024
 
-let encode buf payload =
-  let n = String.length payload in
-  if n > max_payload then
-    invalid_arg (Printf.sprintf "Frame.encode: payload of %d bytes exceeds max" n);
-  Buffer.add_char buf (Char.chr (n land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 24) land 0xff));
-  Buffer.add_string buf payload
+let write_length buf ~off n =
+  Bytes.set buf off (Char.unsafe_chr (n land 0xff));
+  Bytes.set buf (off + 1) (Char.unsafe_chr ((n lsr 8) land 0xff));
+  Bytes.set buf (off + 2) (Char.unsafe_chr ((n lsr 16) land 0xff));
+  Bytes.set buf (off + 3) (Char.unsafe_chr ((n lsr 24) land 0xff))
+
+let read_length buf ~off =
+  let b i = Char.code (Bytes.get buf (off + i)) in
+  b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
 
 let to_string payload =
-  let buf = Buffer.create (header_size + String.length payload) in
-  encode buf payload;
-  Buffer.contents buf
+  let n = String.length payload in
+  if n > max_payload then
+    invalid_arg (Printf.sprintf "Frame.to_string: payload of %d bytes exceeds max" n);
+  let buf = Bytes.create (header_size + n) in
+  write_length buf ~off:0 n;
+  Bytes.blit_string payload 0 buf header_size n;
+  Bytes.unsafe_to_string buf
 
 type decoded =
   | Frame of string * int
@@ -45,8 +49,7 @@ type decoded =
 let decode buf ~off ~len =
   if len < header_size then Need_more
   else begin
-    let b i = Char.code (Bytes.get buf (off + i)) in
-    let n = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
+    let n = read_length buf ~off in
     if n < 0 || n > max_payload then
       Junk
         (Printf.sprintf "frame length %d out of range (max %d) — not a frame"

@@ -27,11 +27,17 @@ val max_payload : int
     {!Junk} rather than stalling the read waiting for impossible
     bytes. *)
 
-val encode : Buffer.t -> string -> unit
-(** Append one frame.  Raises [Invalid_argument] past {!max_payload}. *)
+val write_length : Bytes.t -> off:int -> int -> unit
+(** Write a payload length as the {!header_size}-byte header at [off],
+    in place (no allocation, no {!max_payload} check). *)
+
+val read_length : Bytes.t -> off:int -> int
+(** The payload length in the header at [off]: in [0, 2{^32}), so a
+    caller checks it against {!max_payload}. *)
 
 val to_string : string -> string
-(** [to_string p] is one whole encoded frame. *)
+(** [to_string p] is one whole encoded frame.  Raises [Invalid_argument]
+    past {!max_payload}. *)
 
 type decoded =
   | Frame of string * int

@@ -77,13 +77,3 @@ let to_string s =
      depth %d)"
     s.accepted s.active s.failed s.requests s.binary_conns s.malformed
     s.bytes_in s.bytes_out s.flushes s.writes_coalesced s.pipelined_depth_max
-
-let to_json s =
-  Printf.sprintf
-    "{\"accepted\":%d,\"active\":%d,\"closed\":%d,\"failed\":%d,\
-     \"malformed\":%d,\"requests\":%d,\"binary_conns\":%d,\
-     \"bytes_in\":%d,\"bytes_out\":%d,\"writes_coalesced\":%d,\
-     \"flushes\":%d,\"pipelined_depth_max\":%d}"
-    s.accepted s.active s.closed s.failed s.malformed s.requests
-    s.binary_conns s.bytes_in s.bytes_out s.writes_coalesced s.flushes
-    s.pipelined_depth_max

@@ -33,7 +33,6 @@ val snapshot : unit -> snapshot
 val reset : unit -> unit
 
 val to_string : snapshot -> string
-val to_json : snapshot -> string
 
 (** {1 Recording (called by the wire loop)} *)
 

@@ -16,9 +16,6 @@ type session = {
       (* memoised next question: [Some q] until an answer or undo
          invalidates it, so repeated Get_questions advance the RNG exactly
          once per round — the determinism the smoke test pins. *)
-  mutable events_rev : Session.event list;
-  mutable contradiction : bool;
-  mutable metrics : Metrics.snapshot;
   mutable last_used : float;
   crowd : Coordinator.t option;
       (* Some iff the service was created with crowd labeling enabled:
@@ -89,30 +86,6 @@ let sweep t =
 (* ------------------------------------------------------------------ *)
 (* Per-session helpers                                                 *)
 
-(* Scorer counters are process-global (see Metrics); we attribute each
-   engine-touching request's delta to the session that caused it.  A
-   service is owned by the thread that serves it, so its own requests
-   never interleave; another service in the same process (a second node
-   in a test) can still add to a delta — the totals stay exact, the
-   attribution is best-effort, which is all the Stats reply promises. *)
-let measured s f =
-  let before = Metrics.snapshot () in
-  let r = f () in
-  s.metrics <- Metrics.add s.metrics (Metrics.diff (Metrics.snapshot ()) before);
-  r
-
-let decided_totals eng =
-  let classes = Session.classes eng in
-  let cd = ref 0 and td = ref 0 in
-  Array.iteri
-    (fun i c ->
-      if Session.status eng i <> State.Informative then begin
-        incr cd;
-        td := !td + c.Sigclass.card
-      end)
-    classes;
-  (!cd, !td)
-
 let question_of_cls eng c =
   let cls = (Session.classes eng).(c) in
   { P.cls = c; row = Sigclass.representative cls; sg = cls.Sigclass.sg }
@@ -121,7 +94,7 @@ let pending_question s =
   match s.pending with
   | Some q -> q
   | None ->
-    let q = measured s (fun () -> Session.question s.eng s.strategy s.rng) in
+    let q = Session.question s.eng s.strategy s.rng in
     s.pending <- Some q;
     q
 
@@ -148,9 +121,6 @@ let new_session t ~id ~strategy ~eng ~entry ~seed =
     schema = entry.Catalog.schema;
     rng = Random.State.make [| seed |];
     pending = None;
-    events_rev = [];
-    contradiction = false;
-    metrics = Metrics.zero;
     last_used = t.now ();
     crowd =
       Option.map (fun cfg -> Coordinator.create ~now:(t.now ()) cfg) t.crowd;
@@ -231,9 +201,7 @@ let get_question s = P.Question (Option.map (question_of_cls s.eng) (pending_que
 let top_questions s k =
   if k < 0 then P.Failed (P.Bad_request "k must be non-negative")
   else
-    let cs =
-      measured s (fun () -> Session.top_questions s.eng s.strategy s.rng k)
-    in
+    let cs = Session.top_questions s.eng s.strategy s.rng k in
     P.Questions (List.map (question_of_cls s.eng) cs)
 
 (* The engine-mutating core, shared by live requests and crash-recovery
@@ -245,27 +213,11 @@ let apply_answer s c label =
     (* Advance the round's question first so the RNG consumption matches
        [Session.run] even if the client answers without asking. *)
     ignore (pending_question s);
-    match measured s (fun () -> Session.answer s.eng c label) with
-    | Error e ->
-      if e = Session.Contradiction then s.contradiction <- true;
-      P.Failed (P.Engine e)
+    match Session.answer s.eng c label with
+    | Error e -> P.Failed (P.Engine e)
     | Ok () ->
       s.pending <- None;
-      let cls = (Session.classes s.eng).(c) in
-      let decided, tuples = decided_totals s.eng in
-      let ev =
-        {
-          Session.step = Session.asked s.eng;
-          cls = c;
-          row = Sigclass.representative cls;
-          sg = cls.Sigclass.sg;
-          label;
-          decided_after = decided;
-          tuples_decided_after = tuples;
-          vs_after = Version_space.count (Session.state s.eng);
-        }
-      in
-      s.events_rev <- ev :: s.events_rev;
+      let decided, tuples = Session.decided_totals s.eng in
       P.Answered
         {
           finished = Session.finished s.eng;
@@ -275,11 +227,10 @@ let apply_answer s c label =
         })
 
 let apply_undo s =
-  match measured s (fun () -> Session.undo s.eng) with
+  match Session.undo s.eng with
   | Error e -> P.Failed (P.Engine e)
   | Ok () ->
     s.pending <- None;
-    (match s.events_rev with [] -> () | _ :: tl -> s.events_rev <- tl);
     P.Undone { asked = Session.asked s.eng }
 
 let do_answer t s c label =
@@ -309,28 +260,18 @@ let do_explain s c =
         text = Explain.to_string s.schema why;
       }
 
-let do_result s =
-  P.Outcome
-    {
-      Session.query = Session.result s.eng;
-      events = List.rev s.events_rev;
-      interactions = Session.asked s.eng;
-      contradiction = s.contradiction;
-    }
+let do_result s = P.Outcome (Session.outcome s.eng)
 
 let do_stats s =
-  let classes = Session.classes s.eng in
-  let _, decided_tuples = decided_totals s.eng in
-  let total = Sigclass.total_rows classes in
-  let labeled = Session.asked s.eng in
+  let st = Stats.of_engine s.eng in
   P.Session_stats
     {
-      P.labeled;
-      auto_determined = max 0 (decided_tuples - labeled);
-      still_informative = total - decided_tuples;
-      total;
-      version_space = Version_space.count (Session.state s.eng);
-      scoring = s.metrics;
+      P.labeled = st.Stats.labeled;
+      auto_determined = st.Stats.auto_determined;
+      still_informative = st.Stats.still_informative;
+      total = st.Stats.total;
+      version_space = st.Stats.version_space;
+      scoring = st.Stats.scoring;
     }
 
 let do_transcript s =

@@ -18,7 +18,10 @@
     cached until an answer or undo invalidates it, so a session driven
     through this interface asks exactly the question sequence of the
     in-process {!Jim_core.Session.run} with the same seed and strategy
-    (the server smoke test pins outcomes bit-identical). *)
+    (the server smoke test pins outcomes bit-identical).  The service
+    keeps no record of a session beside its engine: [Result], [Stats]
+    and [Answered] replies read {!Jim_core.Session.outcome},
+    {!Jim_core.Stats.of_engine} and {!Jim_core.Session.decided_totals}. *)
 
 type t
 

@@ -125,10 +125,7 @@ module Bq = struct
     let n = String.length payload in
     reserve t (Frame.header_size + n);
     let base = t.off + t.len in
-    Bytes.set t.buf base (Char.chr (n land 0xff));
-    Bytes.set t.buf (base + 1) (Char.chr ((n lsr 8) land 0xff));
-    Bytes.set t.buf (base + 2) (Char.chr ((n lsr 16) land 0xff));
-    Bytes.set t.buf (base + 3) (Char.chr ((n lsr 24) land 0xff));
+    Frame.write_length t.buf ~off:base n;
     Bytes.blit_string payload 0 t.buf (base + Frame.header_size) n;
     t.len <- t.len + Frame.header_size + n
 
@@ -619,10 +616,9 @@ let send_line ?(flush = true) c line =
     match
       let n = String.length line in
       if n > Frame.max_payload then failwith "request too large to frame";
-      output_char c.oc (Char.chr (n land 0xff));
-      output_char c.oc (Char.chr ((n lsr 8) land 0xff));
-      output_char c.oc (Char.chr ((n lsr 16) land 0xff));
-      output_char c.oc (Char.chr ((n lsr 24) land 0xff));
+      let hdr = Bytes.create Frame.header_size in
+      Frame.write_length hdr ~off:0 n;
+      output_bytes c.oc hdr;
       output_string c.oc line;
       if flush then Stdlib.flush c.oc
     with
@@ -650,12 +646,7 @@ let recv_line c =
     match
       flush c.oc;
       let hdr = really_input_string c.ic Frame.header_size in
-      let len =
-        Char.code hdr.[0]
-        lor (Char.code hdr.[1] lsl 8)
-        lor (Char.code hdr.[2] lsl 16)
-        lor (Char.code hdr.[3] lsl 24)
-      in
+      let len = Frame.read_length (Bytes.unsafe_of_string hdr) ~off:0 in
       if len < 0 || len > Frame.max_payload then
         failwith (Printf.sprintf "bad reply frame length %d" len);
       really_input_string c.ic len

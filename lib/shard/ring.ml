@@ -35,7 +35,6 @@ let create ?(vnodes = 64) members =
 
 let members t = t.members
 let vnodes t = t.vnodes
-let is_empty t = t.members = []
 let add t m = build t.vnodes (m :: t.members)
 let remove t m = build t.vnodes (List.filter (fun x -> x <> m) t.members)
 

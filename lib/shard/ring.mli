@@ -23,7 +23,6 @@ val members : t -> string list
 (** Sorted, distinct. *)
 
 val vnodes : t -> int
-val is_empty : t -> bool
 
 val add : t -> string -> t
 val remove : t -> string -> t

@@ -8,7 +8,6 @@ type batch_stats = {
   batches : int;
   records : int;
   max_batch : int;
-  by_size : int array;
 }
 
 type t = {
@@ -28,9 +27,6 @@ type t = {
   mutable batches : int;  (* barriers that wrote several records *)
   mutable batched_records : int;  (* records those batches carried *)
   mutable max_batch : int;  (* largest batch, in records *)
-  by_size : int array;
-      (* batch size histogram: bucket [i] counts batches of
-         [2^i .. 2^(i+1) - 1] records, last bucket open-ended *)
 }
 
 exception Poisoned
@@ -74,7 +70,6 @@ let of_file ~fsync file =
     batches = 0;
     batched_records = 0;
     max_batch = 0;
-    by_size = Array.make 8 0;
   }
 
 let create ?(fsync = true) ?(io = Io.real) path =
@@ -124,11 +119,7 @@ let record_into t payload =
 let note_batch t n =
   t.batches <- t.batches + 1;
   t.batched_records <- t.batched_records + n;
-  if n > t.max_batch then t.max_batch <- n;
-  let last = Array.length t.by_size - 1 in
-  let rec bucket i n = if n <= 1 || i >= last then i else bucket (i + 1) (n / 2) in
-  let b = bucket 0 n in
-  t.by_size.(b) <- t.by_size.(b) + 1
+  if n > t.max_batch then t.max_batch <- n
 
 let batch_stats t =
   Mutex.protect t.lock (fun () : batch_stats ->
@@ -136,7 +127,6 @@ let batch_stats t =
         batches = t.batches;
         records = t.batched_records;
         max_batch = t.max_batch;
-        by_size = Array.copy t.by_size;
       })
 
 (* Caller holds the lock.  Stage one record into [t.pending]. *)

@@ -122,9 +122,6 @@ type batch_stats = {
   batches : int;  (** combined appends drained *)
   records : int;  (** records those batches carried *)
   max_batch : int;  (** largest batch, in records *)
-  by_size : int array;
-      (** histogram: bucket [i] counts batches of [2{^i} .. 2{^i+1} - 1]
-          records; the last bucket is open-ended *)
 }
 
 val batch_stats : t -> batch_stats

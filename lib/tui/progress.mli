@@ -1,12 +1,6 @@
 (** The statistics panel the demo keeps on screen: labelled /
     auto-determined percentages and the shrinking version space. *)
 
-val line : Jim_core.Stats.t -> string
-(** One-line summary for the status bar. *)
-
-val scorer_line : Jim_core.Metrics.snapshot -> string
-(** One-line scorer perf summary (pick latency, cache hit rate). *)
-
 val panel : Jim_core.Stats.t -> string
 (** Multi-line panel with a proportion bar; includes the scorer line
     once at least one question has been picked. *)

@@ -8,9 +8,6 @@ val stdin_source : source
 val of_list : string list -> source
 (** Canned answers; raises [End_of_file] past the end. *)
 
-val read_line : source -> string option
-(** [None] on end of input. *)
-
 type answer = Yes | No | Quit | Help | Undo
 
 val ask_label : ?out:out_channel -> source -> string -> answer

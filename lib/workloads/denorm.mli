@@ -16,13 +16,6 @@ type task = {
           inferred predicate *)
 }
 
-val product_instance :
-  ?sample:int -> ?seed:int -> Jim_relational.Database.t -> string list ->
-  (Jim_relational.Relation.t * Jim_relational.Schema.t, string) result
-(** Cartesian product of the named relations under their qualified
-    concatenated schema, down-sampled to [sample] rows if given (the
-    product can dwarf what a user could ever label). *)
-
 val task_of_names :
   ?sample:int -> ?seed:int -> Jim_relational.Database.t ->
   string list * (string * string) list -> (task, string) result

@@ -14,6 +14,7 @@ module Service = Jim_server.Service
 module Wire = Jim_server.Wire
 module Smoke = Jim_server.Smoke
 module Netstats = Jim_server.Netstats
+module Catalog = Jim_catalog.Catalog
 open Jim_core
 
 let fresh_socket =
@@ -389,6 +390,144 @@ let test_session_stats () =
     Alcotest.(check bool) "scoring attributed to this session" true
       (st.Pr.scoring.Metrics.picks >= 1)
   | other -> Alcotest.failf "stats failed: %s" (Pr.response_to_string other)
+
+(* The engine is a session's only record: after any answer/undo
+   sequence (contradictory labels included), its outcome is that of a
+   fresh engine given only the surviving labels, with the contradiction
+   flag set iff some answer was refused; and the same sequence sent
+   through [Service.handle] replies with exactly that outcome, stats and
+   counters.  The in-process mirror asks a question exactly when the
+   service does (on a read, or before an answer when none is pending),
+   so both draw the same picks. *)
+type op = Answer_asked of State.label | Answer_cls of int * State.label | Undo
+
+let gen_session =
+  QCheck.Gen.(
+    let* n = int_range 2 6 in
+    let* rows = list_size (int_range 1 8) (list_repeat n (int_range 0 2)) in
+    let csv =
+      String.concat "\n"
+        (String.concat "," (List.init n (Printf.sprintf "a%d"))
+        :: List.map (fun r -> String.concat "," (List.map string_of_int r)) rows)
+      ^ "\n"
+    in
+    let* strategy =
+      oneofl [ "lookahead-entropy"; "lookahead-maximin"; "local-lex"; "random" ]
+    in
+    let* seed = int_range 0 1000 in
+    let label = map (fun b -> if b then State.Pos else State.Neg) bool in
+    let op =
+      frequency
+        [
+          (4, map (fun l -> Answer_asked l) label);
+          (3, map2 (fun k l -> Answer_cls (k, l)) (int_range 0 63) label);
+          (2, return Undo);
+        ]
+    in
+    let* ops = list_size (int_range 0 14) op in
+    return (csv, strategy, seed, ops))
+
+let print_session (csv, strategy, seed, ops) =
+  let l = function State.Pos -> "+" | State.Neg -> "-" in
+  let op = function
+    | Answer_asked x -> "asked" ^ l x
+    | Answer_cls (k, x) -> Printf.sprintf "%d%s" k (l x)
+    | Undo -> "undo"
+  in
+  Printf.sprintf "%s seed %d, [%s] on\n%s" strategy seed
+    (String.concat " " (List.map op ops))
+    csv
+
+let counts (m : Metrics.snapshot) =
+  Metrics.[ m.meets; m.classify_calls; m.cache_hits; m.cache_misses; m.picks ]
+
+let prop_one_session_record (csv, strategy_name, seed, ops) =
+  let strategy = Result.get_ok (Strategy.of_string strategy_name) in
+  let entry =
+    match Catalog.resolve (Catalog.create ()) (Pr.Csv_inline csv) with
+    | Ok e -> e
+    | Error e -> QCheck.Test.fail_report (Pr.error_to_string e)
+  in
+  let eng = Catalog.engine entry in
+  let n_classes = Array.length (Session.classes eng) in
+  let rng = Random.State.make [| seed |] in
+  let pending = ref None and refused = ref false in
+  let asked () =
+    match !pending with
+    | Some q -> q
+    | None ->
+      let q = Session.question eng strategy rng in
+      pending := Some q;
+      q
+  in
+  let service = Service.create () in
+  let sid =
+    match
+      Service.handle service
+        (Pr.Start_session
+           { source = Pr.Csv_inline csv; strategy = strategy_name; seed })
+    with
+    | Pr.Started { session; _ } -> session
+    | other -> QCheck.Test.fail_report (Pr.response_to_string other)
+  in
+  let answer c label =
+    ignore (asked ());
+    let local = Session.answer eng c label in
+    (match local with
+    | Ok () -> pending := None
+    | Error _ -> refused := true);
+    match
+      (local, Service.handle service (Pr.Answer { session = sid; cls = c; label }))
+    with
+    | Ok (), Pr.Answered _ | Error _, Pr.Failed (Pr.Engine _) -> ()
+    | _, other -> QCheck.Test.fail_reportf "answer: %s" (Pr.response_to_string other)
+  in
+  List.iter
+    (function
+      | Answer_asked l -> (
+        let q = asked () in
+        (match Service.handle service (Pr.Get_question { session = sid }) with
+        | Pr.Question w when Option.map (fun w -> w.Pr.cls) w = q -> ()
+        | other ->
+          QCheck.Test.fail_reportf "question: %s" (Pr.response_to_string other));
+        match q with Some c -> answer c l | None -> ())
+      | Answer_cls (k, l) -> answer (k mod n_classes) l
+      | Undo -> (
+        let local = Session.undo eng in
+        if local = Ok () then pending := None;
+        match (local, Service.handle service (Pr.Undo { session = sid })) with
+        | Ok (), Pr.Undone _ | Error _, Pr.Failed (Pr.Engine _) -> ()
+        | _, other ->
+          QCheck.Test.fail_reportf "undo: %s" (Pr.response_to_string other)))
+    ops;
+  let o = Session.outcome eng in
+  let fresh = Catalog.engine entry in
+  List.iter
+    (fun (e : Session.event) ->
+      if Session.answer fresh e.Session.cls e.Session.label <> Ok () then
+        QCheck.Test.fail_report "a surviving label is refused on its own")
+    o.Session.events;
+  let replayed = Session.outcome fresh in
+  let st = Stats.of_engine eng in
+  let same_stats =
+    match Service.handle service (Pr.Stats { session = sid }) with
+    | Pr.Session_stats w ->
+      w.Pr.labeled = st.Stats.labeled
+      && w.Pr.auto_determined = st.Stats.auto_determined
+      && w.Pr.still_informative = st.Stats.still_informative
+      && w.Pr.total = st.Stats.total
+      && Float.equal w.Pr.version_space st.Stats.version_space
+      && counts w.Pr.scoring = counts (Session.counters eng)
+    | _ -> false
+  in
+  let same_result =
+    match Service.handle service (Pr.Result { session = sid }) with
+    | Pr.Outcome w -> Smoke.outcome_equal w o
+    | _ -> false
+  in
+  Smoke.outcome_equal { o with Session.contradiction = false } replayed
+  && o.Session.contradiction = !refused
+  && same_result && same_stats
 
 let test_get_transcript () =
   let service = Service.create () in
@@ -776,6 +915,11 @@ let () =
           Alcotest.test_case "per-session stats" `Quick test_session_stats;
           Alcotest.test_case "transcript over the wire" `Quick
             test_get_transcript;
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make ~count:150
+               ~name:"engine = replay of survivors = Service replies"
+               (QCheck.make ~print:print_session gen_session)
+               prop_one_session_record);
         ] );
       ( "protocol errors",
         [
