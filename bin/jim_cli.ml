@@ -48,11 +48,11 @@ let interactive_loop ?(describe_row = fun rel r ->
     Jim_relational.Tuple0.to_string (Relation.tuple rel r))
     ?transcript ?eng ~strategy rel =
   let eng = match eng with Some e -> e | None -> Session.create rel in
-  let rng = Random.State.make_self_init () in
+  let seed = Random.State.bits (Random.State.make_self_init ()) in
   let src = Jim_tui.Prompt.stdin_source in
   let schema = Relation.schema rel in
   let rec loop () =
-    match Session.question eng strategy rng with
+    match Session.question eng strategy (Session.pick_rng ~seed eng) with
     | None ->
       let q = Session.result eng in
       Printf.printf "\nInferred join predicate: %s\n"
@@ -120,14 +120,13 @@ let run_walkthrough strategy =
   let goal = W.Flights.q2 in
   let oracle = Oracle.of_goal goal in
   let eng = Session.create instance in
-  let rng = Random.State.make [| 0 |] in
   Printf.printf "Goal the simulated user has in mind: %s\n\n"
     (Jim_tui.Render.partition_line schema goal);
   print_string (Jim_tui.Render.engine_view eng instance);
   print_string (Jim_tui.Progress.panel (Stats.of_engine eng));
   let step = ref 0 in
   let rec go () =
-    match Session.question eng strategy rng with
+    match Session.question eng strategy (Session.pick_rng ~seed:0 eng) with
     | None ->
       Printf.printf "\nNo informative tuple left: unique up to \
                      instance-equivalence.\nInferred: %s\n"

@@ -54,9 +54,9 @@ type question = {
 type request =
   | Start_session of { source : instance_source; strategy : string; seed : int }
   | Get_question of { session : int }
-      (** Idempotent: the pending question is computed once and repeated
-          until an answer or undo invalidates it (so re-asking does not
-          advance the strategy's RNG). *)
+      (** Idempotent: the question is a function of the session's seed
+          and its labels ({!Jim_core.Session.pick_rng}), computed once
+          and repeated until an answer or undo invalidates it. *)
   | Top_questions of { session : int; k : int }
       (** Greedy top-[k] ranking (mode 3 of Fig. 3).  Not idempotent:
           each call re-runs the strategy with masking. *)
@@ -149,8 +149,8 @@ type request =
           drives the round's straggler deadline: an expired round is
           closed (decisive ballots) or re-asked (tie/absence) before the
           reply is built.  Idempotent — the underlying question is the
-          session's memoised pending question, so polling never advances
-          the strategy RNG. *)
+          session's pending question, a function of its seed and labels,
+          so polling changes nothing. *)
   | Vote of { session : int; labeler : int; round : int; label : Jim_core.State.label }
       (** Cast labeler [labeler]'s ballot for voting round [round].
           Reply: {!Vote_ok}.  A ballot for a round that already closed

@@ -71,11 +71,12 @@ let mode2_gray_out ~order ~oracle rel =
 
 let mode3_top_k ~k ?(seed = 0) ~strategy ~oracle rel =
   let eng = Session.create rel in
-  let rng = Random.State.make [| seed |] in
   let labels = ref 0 in
   let rec rounds () =
     if not (Session.finished eng) then begin
-      let proposals = Session.top_questions eng strategy rng k in
+      let proposals =
+        Session.top_questions eng strategy (Session.pick_rng ~seed eng) k
+      in
       (* The whole round is labelled: answers given earlier in the round
          may make later proposals redundant, but the user cannot know —
          that extra cost is exactly what mode 4 shaves off. *)

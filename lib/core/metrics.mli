@@ -47,7 +47,7 @@ val record : snapshot -> unit
 (** Add a batch of work to the process-wide totals (its [last_pick_ns]
     replaces theirs when the batch holds a pick).  The one way work
     reaches them: the session engine calls it per pick and per status
-    refresh, {!Scorer.record} per memo. *)
+    refresh. *)
 
 val now_ns : unit -> int
 (** Wall clock in nanoseconds (microsecond resolution). *)

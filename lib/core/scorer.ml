@@ -65,8 +65,6 @@ let take m =
   m.misses <- 0;
   d
 
-let record m = Metrics.record (take m)
-
 let find_or_add table key fresh =
   match Hashtbl.find_opt table key with
   | Some v -> v

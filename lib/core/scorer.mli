@@ -37,9 +37,6 @@ val take : memo -> Metrics.snapshot
     classifications, hits, misses; no pick), and zero the counts.
     {!Session} takes it once per pick into the engine's own counters. *)
 
-val record : memo -> unit
-(** [Metrics.record (take memo)], for scoring done outside an engine. *)
-
 val create : ?memo:memo -> State.t -> Sigclass.cls array -> int array -> t
 (** [create st classes informative]: scorer over the given informative
     class indices (first-occurrence order).  A fresh memo is used unless
@@ -53,10 +50,6 @@ val state : t -> State.t
 val informative : t -> int array
 
 (** {1 Memoised per-candidate work} *)
-
-val meet_s : t -> int -> Jim_partition.Pairs.t
-(** [meet s sig_i] as pair words, computed once per [s] per class in a
-    memo. *)
 
 val meet_rank : t -> int -> int
 

@@ -159,6 +159,10 @@ let pick eng strat ctx =
     };
   c
 
+(* A pick's randomness is a function of the session seed and the step,
+   so a re-asked or undone step draws the same numbers again. *)
+let pick_rng ~seed eng = Random.State.make [| seed; asked eng |]
+
 let question eng strat rng =
   pick eng strat (ctx_of eng (Scorer.new_memo ()) rng)
 
@@ -288,9 +292,8 @@ let outcome eng =
   }
 
 let run_engine ?(seed = 0) ~strategy ~oracle eng =
-  let rng = Random.State.make [| seed |] in
   let rec loop () =
-    match question eng strategy rng with
+    match question eng strategy (pick_rng ~seed eng) with
     | None -> ()
     | Some c -> (
       match answer eng c (Oracle.label oracle eng.classes.(c).Sigclass.sg) with

@@ -64,9 +64,16 @@ val counters : t -> Metrics.snapshot
     status refresh, exactly the batches it added to the process-wide
     {!Metrics} totals.  An {!undo} keeps them: work done stays done. *)
 
+val pick_rng : seed:int -> t -> Random.State.t
+(** [Random.State.make [| seed; asked eng |]], the random state of the
+    next pick.  A pick then depends only on the seed and the labels
+    held: re-asking, or asking again after an {!undo}, draws the same
+    class, and a session rebuilt from its labels resumes without one. *)
+
 val question : t -> Strategy.t -> Random.State.t -> int option
 (** Ask the strategy for the next class; [None] iff finished.  The
-    pick's work is added to {!counters} and to {!Metrics}. *)
+    pick's work is added to {!counters} and to {!Metrics}.  Drivers
+    pass {!pick_rng}'s state. *)
 
 val top_questions : t -> Strategy.t -> Random.State.t -> int -> int list
 (** Greedy top-[k] ranking: repeatedly ask the strategy, masking what it
@@ -139,6 +146,7 @@ val run_classes :
 val run_engine :
   ?seed:int -> strategy:Strategy.t -> oracle:Oracle.t -> t -> outcome
 (** Drive an already-built engine until it is finished or a label is
-    refused, then return its {!outcome} — the building block of {!run}
-    and {!run_classes}, exposed so warm-started engines (see
+    refused, each pick on [pick_rng ~seed] (default seed 0), then
+    return its {!outcome} — the building block of {!run} and
+    {!run_classes}, exposed so warm-started engines (see
     {!of_classes}) can be driven the same way. *)

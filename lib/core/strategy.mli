@@ -20,7 +20,9 @@ type ctx = {
   memo : Scorer.memo;
       (** the pick's classification memo: fresh per question (one
           top-k ranking shares one); it also counts the pick's work *)
-  rng : Random.State.t;  (** private to the strategy *)
+  rng : Random.State.t;
+      (** the pick's random state, a function of the session seed and
+          step ({!Session.pick_rng}); private to the strategy *)
 }
 
 type t = {

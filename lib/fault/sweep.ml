@@ -1,7 +1,5 @@
 module Pr = Jim_api.Protocol
-module Service = Jim_server.Service
 module Smoke = Jim_server.Smoke
-module Store = Jim_store.Store
 module Recovery = Jim_store.Recovery
 module Journal = Jim_store.Journal
 module W = Jim_workloads
@@ -256,26 +254,29 @@ let crowd_config votes =
      only, so the ballot count per aggregate is exact. *)
   { Coordinator.votes; timeout = 3600.; weighted = false }
 
+(* A node in [role] over [fs], assembled as [jim serve] assembles its
+   own; a crowd one with [votes]. *)
+let node_config ?votes env role fs =
+  {
+    (Node.config role) with
+    settings = { Node.default_settings with crowd = Option.map crowd_config votes };
+    snapshot_every = env.spec.snapshot_every;
+    io = Memfs.io fs;
+    catalog = env.catalog;
+  }
+
+let primary replicate_to = Node.Primary { data_dir = Some data_dir; replicate_to }
+
 (* Run the workload on a fresh primary node over [fs] — a crowd one with
-   [votes], a replicating one with [replicate_to] — assembled as
-   [jim serve] assembles its own.  Returns [`Completed] (live outcomes
-   pinned to the in-process runs) or [`Interrupted], with [progress]
-   holding exactly what was acked.  A node that dies mid-run is
-   abandoned, never stopped: the process "died". *)
+   [votes], a replicating one with [replicate_to].  Returns [`Completed]
+   (live outcomes pinned to the in-process runs) or [`Interrupted], with
+   [progress] holding exactly what was acked.  A node that dies mid-run
+   is abandoned, never stopped: the process "died". *)
 let drive ?votes ?replicate_to env fs progress =
   try
     let node =
       Result.fold ~ok:Fun.id ~error:(div "fresh primary: %s")
-        (Node.create
-           {
-             (Node.config (Node.Primary { data_dir = Some data_dir; replicate_to }))
-             with
-             settings =
-               { Node.default_settings with crowd = Option.map crowd_config votes };
-             snapshot_every = env.spec.snapshot_every;
-             io = Memfs.io fs;
-             catalog = env.catalog;
-           })
+        (Node.create (node_config ?votes env (primary replicate_to) fs))
     in
     let handle = Node.handle node in
     run_workload ?votes env handle progress;
@@ -288,19 +289,18 @@ let drive ?votes ?replicate_to env fs progress =
     `Completed
   with e when interrupted e -> `Interrupted
 
-(* The three-part contract, against recovered state — from a post-crash
-   disk image or from a promoted replication standby.  Recovery goes
-   into a service {e without} crowd labeling: a crowd journal must
-   replay as plain answers, proving no ballot or partial tally ever
-   reached disk. *)
-let verify_recovered env progress (store, recovered) =
-  let service =
-    Service.create ?catalog:env.catalog ~persist:(Store.record store) ()
+(* The three-part contract, against a node that recovered [dir] on [fs]
+   — a post-crash disk image, or a promoted replication standby.  The
+   node runs {e without} crowd labeling: a crowd journal must replay as
+   plain answers, proving no ballot or partial tally ever reached disk.
+   Which sessions it restored is read back from [dir] itself. *)
+let verify_recovered env progress node fs dir =
+  let recovered =
+    match Recovery.load ~io:(Memfs.io fs) dir with
+    | Ok r -> r
+    | Error m -> div "recovered directory unreadable: %s" m
   in
-  (match Service.restore service recovered with
-  | Ok _ -> ()
-  | Error m -> div "restore refused: %s" m);
-  let handle = Service.handle service in
+  let handle = Node.handle node in
   let find_seed seed =
     List.find_opt
       (fun s -> s.Recovery.seed = seed)
@@ -337,16 +337,14 @@ let verify_recovered env progress (store, recovered) =
       if not (Smoke.outcome_equal (result_of handle id) env.expected.(i))
       then div "session %d (seed %d): resumed outcome diverges" i s.Recovery.seed)
     recovered.Recovery.sessions;
-  Store.close store
+  Node.stop node
 
-(* The three-part contract, against one post-crash disk image. *)
+(* The three-part contract, against a primary restarted on one
+   post-crash disk image. *)
 let verify_image env progress fs =
-  match
-    Store.open_dir ~fsync:false ~snapshot_every:env.spec.snapshot_every
-      ~io:(Memfs.io fs) data_dir
-  with
+  match Node.create (node_config env (primary None) fs) with
   | Error m -> div "recovery refused: %s" m
-  | Ok recovered -> verify_recovered env progress recovered
+  | Ok node -> verify_recovered env progress node fs data_dir
 
 (* One faulted run + both disk images verified.  A violation names the
    plan that provoked it — the sweep's whole reproduction recipe. *)
@@ -481,17 +479,19 @@ let drive_pair ?votes env plan =
   let outcome =
     drive ?votes ~replicate_to:(Repl.of_standby stb) env fs_p progress
   in
-  (outcome, (fs_p, fs_s), stb, progress)
+  (outcome, fs_p, (fs_s, stb), progress)
 
-(* Promote the survivor and hold it to the same three-part contract a
-   recovered disk image must meet: every acked event present, at most
-   one in-flight beyond, every session resuming bit-identically. *)
-let verify_pair env progress stb =
-  match
-    Standby.promote ~fsync:false ~snapshot_every:env.spec.snapshot_every stb
-  with
-  | Error m -> div "standby promotion refused: %s" m
-  | Ok recovered -> verify_recovered env progress recovered
+(* Promote the survivor with a [Promote] request, as a router fails
+   over, and hold it to the same three-part contract a recovered disk
+   image must meet: every acked event present, at most one in-flight
+   beyond, every session resuming bit-identically. *)
+let verify_pair env progress (fs_s, stb) =
+  let node =
+    Node.of_standby (node_config env (Node.Standby { data_dir = standby_dir }) fs_s) stb
+  in
+  match Node.handle node Pr.Promote with
+  | Pr.Promoted _ -> verify_recovered env progress node fs_s standby_dir
+  | other -> div "standby promotion refused: %s" (Pr.response_to_string other)
 
 (* The store files under [dir], by name, with their bytes. *)
 let files fs dir =
@@ -505,14 +505,16 @@ let files fs dir =
    completed session verbatim — and counts the primary write ordinals a
    sweep enumerates. *)
 let reference_pair ?votes env =
-  let outcome, (fs_p, fs_s), stb, progress = drive_pair ?votes env Plan.none in
+  let outcome, fs_p, ((fs_s, _) as survivor), progress =
+    drive_pair ?votes env Plan.none
+  in
   completed "reference pair run" outcome;
   let primary = files fs_p data_dir and standby = files fs_s standby_dir in
   if primary <> standby then
     div "standby files differ in bytes from the primary's: [%s] vs [%s]"
       (String.concat " " (List.map fst primary))
       (String.concat " " (List.map fst standby));
-  verify_pair env progress stb;
+  verify_pair env progress survivor;
   (fs_p, progress)
 
 let replicated_sweep ?catalog ?(stride = 1) ?(applied = [ 0; 3 ]) spec =
@@ -520,8 +522,8 @@ let replicated_sweep ?catalog ?(stride = 1) ?(applied = [ 0; 3 ]) spec =
   let env = env_of ?catalog spec in
   let fs_p, progress = reference_pair env in
   let check env plan =
-    let _outcome, _fs, stb, prog = drive_pair env plan in
-    try verify_pair env prog stb
+    let _outcome, _fs, survivor, prog = drive_pair env plan in
+    try verify_pair env prog survivor
     with Divergence m -> div "[%s, promoted standby] %s" (Plan.to_string plan) m
   in
   stats_of progress

@@ -5,8 +5,9 @@
 
     Each sweep replays the {e same} deterministic workload (sessions over
     synthetic instances, oracle-answered, round-robin) under a family of
-    {!Plan}s, then checks both post-crash disk images ({!Memfs.durable_image}
-    and {!Memfs.flushed_image}) for the store's contract:
+    {!Plan}s, then restarts a primary node on each post-crash disk image
+    ({!Memfs.durable_image} and {!Memfs.flushed_image}) and holds it to
+    the store's contract:
 
     - every session whose [Start_session] was acknowledged is recovered;
     - per session, recovered answers ∈ [acked, acked + 1] (at most the
@@ -136,10 +137,11 @@ val replicated_sweep :
     ship; the client is acked only after both), the primary power-cut at
     every write ordinal ([stride]/[applied] as in {!crash_sweep}) — i.e.
     at every record boundary and torn mid-record — and the standby
-    promoted ({!Jim_shard.Standby.promote}) in its place.  The promoted
-    standby must meet the same three-part contract as a recovered disk
-    image: every acked event present, at most one in-flight beyond,
-    every session resuming bit-identically.  [images] counts promoted
+    promoted in its place by a [Promote] request to its
+    {!Jim_shard.Node.of_standby} node, as a router fails over.  The
+    promoted standby must meet the same three-part contract as a
+    recovered disk image: every acked event present, at most one
+    in-flight beyond, every session resuming bit-identically.  [images] counts promoted
     standbys (one per run; the primary's corpse is not re-examined —
     {!crash_sweep} owns that).  A fault-free reference pair is verified
     first, pinning the stream end-to-end. *)

@@ -9,9 +9,6 @@ val meet_all : int -> Partition.t list -> Partition.t
 val join_all : int -> Partition.t list -> Partition.t
 (** Join of a list; the empty join is {!Partition.bottom} [n]. *)
 
-val down_count : Partition.t -> float
-(** [|↓p|]: number of partitions refining [p]. *)
-
 val down_minus_count : top:Partition.t -> excluded:Partition.t list -> float
 (** [|↓top \ (↓e₁ ∪ … ∪ ↓eₖ)|] by inclusion–exclusion over the excluded
     tops.  Exact (in float) for up to {!max_exclusions} exclusions after

@@ -24,10 +24,6 @@ val parse_string : ?sep:char -> string -> string list list
 val print_string : ?sep:char -> string list list -> string
 (** Quotes a field iff it contains the separator, a quote or a newline. *)
 
-val add_field : ?sep:char -> Buffer.t -> string -> unit
-(** One field as {!print_string} writes it (quoted iff needed), appended
-    to a buffer: for writers that assemble rows without lists. *)
-
 val load : ?sep:char -> ?name:string -> Schema.t -> string -> (Relation.t, string) result
 (** [load schema path]: reads the file, checks the header row against the
     schema's column names (header is required) and parses each field at
@@ -45,7 +41,7 @@ val canonical : Relation.t -> string
 (** The relation's canonical text, which instance fingerprints hash: a
     header line of the column names and then their type names, then one
     line per tuple of {!Value.to_string} fields, every field as
-    {!add_field} writes it and every line ended by ['\n'].  Non-negative
+    {!print_string} writes it and every line ended by ['\n'].  Non-negative
     ints are written straight into the text, without a string per
     field. *)
 

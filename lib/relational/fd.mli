@@ -15,9 +15,6 @@ val unary_fds : Relation.t -> (int * int) list
 val holds_fd : Relation.t -> lhs:int list -> rhs:int -> bool
 (** Does the composite dependency [lhs -> rhs] hold? *)
 
-val is_key : Relation.t -> int list -> bool
-(** Do the columns jointly distinguish every tuple? *)
-
 val minimal_keys : ?max_size:int -> Relation.t -> int list list
 (** Minimal keys, levelwise up to [max_size] columns (default 3);
     supersets of found keys are pruned.  Sorted by size then

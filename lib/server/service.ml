@@ -11,11 +11,11 @@ type session = {
       (* the catalog entry the engine was warm-started from; holds this
          session's pin — released when the session ends or is swept *)
   schema : Jim_relational.Schema.t;
-  rng : Random.State.t;
+  seed : int;
   mutable pending : int option option;
       (* memoised next question: [Some q] until an answer or undo
-         invalidates it, so repeated Get_questions advance the RNG exactly
-         once per round — the determinism the smoke test pins. *)
+         invalidates it, so a round is picked (and its work counted) once
+         however often it is read *)
   mutable last_used : float;
   crowd : Coordinator.t option;
       (* Some iff the service was created with crowd labeling enabled:
@@ -90,11 +90,13 @@ let question_of_cls eng c =
   let cls = (Session.classes eng).(c) in
   { P.cls = c; row = Sigclass.representative cls; sg = cls.Sigclass.sg }
 
+let pick_rng s = Session.pick_rng ~seed:s.seed s.eng
+
 let pending_question s =
   match s.pending with
   | Some q -> q
   | None ->
-    let q = Session.question s.eng s.strategy s.rng in
+    let q = Session.question s.eng s.strategy (pick_rng s) in
     s.pending <- Some q;
     q
 
@@ -109,8 +111,7 @@ let check_cls s c =
 (* Request handlers                                                    *)
 
 (* A fresh session on [eng], warm-started off [entry].  Live starts and
-   recovery both build it here, so a restored session replays its labels
-   from the same initial RNG state as the session it replaces. *)
+   recovery both build it here. *)
 let new_session t ~id ~strategy ~eng ~entry ~seed =
   {
     id;
@@ -119,7 +120,7 @@ let new_session t ~id ~strategy ~eng ~entry ~seed =
     eng;
     entry;
     schema = entry.Catalog.schema;
-    rng = Random.State.make [| seed |];
+    seed;
     pending = None;
     last_used = t.now ();
     crowd =
@@ -201,22 +202,19 @@ let get_question s = P.Question (Option.map (question_of_cls s.eng) (pending_que
 let top_questions s k =
   if k < 0 then P.Failed (P.Bad_request "k must be non-negative")
   else
-    let cs = Session.top_questions s.eng s.strategy s.rng k in
+    let cs = Session.top_questions s.eng s.strategy (pick_rng s) k in
     P.Questions (List.map (question_of_cls s.eng) cs)
 
-(* The engine-mutating core, shared by live requests and crash-recovery
-   replay (which must not re-journal what it replays). *)
-let apply_answer s c label =
+let do_answer t s c label =
   match check_cls s c with
   | Error e -> P.Failed e
   | Ok () -> (
-    (* Advance the round's question first so the RNG consumption matches
-       [Session.run] even if the client answers without asking. *)
-    ignore (pending_question s);
     match Session.answer s.eng c label with
     | Error e -> P.Failed (P.Engine e)
     | Ok () ->
       s.pending <- None;
+      let sg = (Session.classes s.eng).(c).Sigclass.sg in
+      persist t (Jim_store.Event.Answered { session = s.id; cls = c; sg; label });
       let decided, tuples = Session.decided_totals s.eng in
       P.Answered
         {
@@ -226,27 +224,13 @@ let apply_answer s c label =
           decided_tuples = tuples;
         })
 
-let apply_undo s =
+let do_undo t s =
   match Session.undo s.eng with
   | Error e -> P.Failed (P.Engine e)
   | Ok () ->
     s.pending <- None;
-    P.Undone { asked = Session.asked s.eng }
-
-let do_answer t s c label =
-  match apply_answer s c label with
-  | P.Answered _ as r ->
-    let sg = (Session.classes s.eng).(c).Sigclass.sg in
-    persist t (Jim_store.Event.Answered { session = s.id; cls = c; sg; label });
-    r
-  | r -> r
-
-let do_undo t s =
-  match apply_undo s with
-  | P.Undone _ as r ->
     persist t (Jim_store.Event.Undone { session = s.id });
-    r
-  | r -> r
+    P.Undone { asked = Session.asked s.eng }
 
 let do_explain s c =
   match check_cls s c with
@@ -385,11 +369,10 @@ let register_instance t source =
 
 let ( let* ) = Result.bind
 
-(* Rebuild one recovered session by re-resolving its source and replaying
-   its surviving labels through the exact live-request code path
-   ([pending_question] before every answer), so engine state, RNG state,
-   the cached question and the event log all land bit-identical to an
-   uninterrupted run. *)
+(* Rebuild one recovered session by re-resolving its source and applying
+   its recovered steps to the engine.  A pick is a function of the seed
+   and the labels held ([Session.pick_rng]), so the engine state alone
+   resumes the uninterrupted run: recovery makes no pick. *)
 let restore_session t (rs : Jim_store.Recovery.session) =
   let fail fmt =
     Printf.ksprintf (fun m -> Error (Printf.sprintf "session %d: %s" rs.id m)) fmt
@@ -416,46 +399,29 @@ let restore_session t (rs : Jim_store.Recovery.session) =
           expected %s)"
          entry.Catalog.fingerprint rs.fingerprint)
   else
-    let strategy_or_err =
-      match Strategy.of_string rs.strategy with
-      | Ok s -> Ok s
-      | Error m -> fail "%s" m
-    in
-    match strategy_or_err with
-    | Error e -> abort (Error e)
+    match Strategy.of_string rs.strategy with
+    | Error m -> abort (fail "%s" m)
     | Ok strategy -> (
-    let eng = Catalog.engine entry in
-    let s = new_session t ~id:rs.id ~strategy ~eng ~entry ~seed:rs.seed in
-    let classes = Session.classes eng in
-    let cls_of_sg sg =
-      let n = Array.length classes in
-      let rec go i =
-        if i >= n then fail "snapshot signature matches no class"
-        else if Jim_partition.Partition.equal classes.(i).Sigclass.sg sg then
-          Ok i
-        else go (i + 1)
+      let eng = Catalog.engine entry in
+      let classes = Session.classes eng in
+      let engine what = function
+        | Ok () -> Ok ()
+        | Error e -> fail "%s: %s" what (Session.error_to_string e)
       in
-      go 0
-    in
-    let replay =
-      List.fold_left
-        (fun acc step ->
-          let* () = acc in
-          match (step : Jim_store.Recovery.step) with
-          | Label { cls; sg; label } -> (
-            let* c = match cls with Some c -> Ok c | None -> cls_of_sg sg in
-            match apply_answer s c label with
-            | P.Answered _ -> Ok ()
-            | P.Failed e -> fail "replay: %s" (P.error_to_string e)
-            | _ -> fail "replay: unexpected reply")
-          | Undo -> (
-            match apply_undo s with
-            | P.Undone _ -> Ok ()
-            | P.Failed e -> fail "replay undo: %s" (P.error_to_string e)
-            | _ -> fail "replay undo: unexpected reply"))
-        (Ok ()) rs.steps
-    in
-    match replay with Error e -> abort (Error e) | Ok () -> Ok s)
+      let apply : Jim_store.Recovery.step -> _ = function
+        | Label { cls; sg; label } -> (
+          let matches (c : Sigclass.cls) = Jim_partition.Partition.equal c.sg sg in
+          match if cls = None then Array.find_index matches classes else cls with
+          | None -> fail "snapshot signature matches no class"
+          | Some c when c < 0 || c >= Array.length classes ->
+            fail "replay: class index %d out of range" c
+          | Some c -> engine "replay" (Session.answer eng c label))
+        | Undo -> engine "replay undo" (Session.undo eng)
+      in
+      let replay acc step = Result.bind acc (fun () -> apply step) in
+      match List.fold_left replay (Ok ()) rs.steps with
+      | Error e -> abort (Error e)
+      | Ok () -> Ok (new_session t ~id:rs.id ~strategy ~eng ~entry ~seed:rs.seed))
 
 let restore t (r : Jim_store.Recovery.t) =
   let rec go acc = function

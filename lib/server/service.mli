@@ -14,11 +14,13 @@
     {!sweep}, which runs on every [Start_session] and periodically on
     the wire's event loop.
 
-    Determinism: the pending question is computed once per round and
-    cached until an answer or undo invalidates it, so a session driven
-    through this interface asks exactly the question sequence of the
-    in-process {!Jim_core.Session.run} with the same seed and strategy
-    (the server smoke test pins outcomes bit-identical).  The service
+    Determinism: every pick draws from {!Jim_core.Session.pick_rng}, a
+    function of the session seed and the labels held, so reads change
+    nothing and a session driven through this interface asks exactly
+    the question sequence of the in-process {!Jim_core.Session.run}
+    with the same seed and strategy (the server smoke test pins
+    outcomes bit-identical).  The pending question is cached until an
+    answer or undo, so a round is picked once.  The service
     keeps no record of a session beside its engine: [Result], [Stats]
     and [Answered] replies read {!Jim_core.Session.outcome},
     {!Jim_core.Stats.of_engine} and {!Jim_core.Session.decided_totals}. *)
@@ -75,9 +77,10 @@ val catalog : t -> Jim_catalog.Catalog.t
 
 val restore : t -> Jim_store.Recovery.t -> (int, string) result
 (** Rebuild sessions from recovered state: re-resolve each source, verify
-    its fingerprint, and replay the surviving labels through the same
-    code path live requests use — so the resumed session's questions,
-    RNG stream and result are bit-identical to an uninterrupted run.
+    its fingerprint, and apply the recovered labels and undos to a fresh
+    engine.  No pick is made: the next question depends only on the seed
+    and the labels held, so the resumed session's questions and result
+    are bit-identical to an uninterrupted run's.
     Returns how many sessions were restored; an error (drifted instance,
     unreplayable label) aborts the whole restore and registers nothing.
     Call once, before serving traffic: replay does not invoke [persist]

@@ -41,8 +41,8 @@ val reference :
   strategy:string ->
   Jim_core.Oracle.t * Jim_core.Session.outcome
 (** The goal oracle of the synthetic instance seeded [instance_seed] and
-    the in-process {!Jim_core.Session.run} over it, its strategy RNG
-    seeded [seed] — the bar every drill holds the wire to.  Raises
+    the in-process {!Jim_core.Session.run} over it with session seed
+    [seed] — the bar every drill holds the wire to.  Raises
     [Invalid_argument] on an unknown strategy. *)
 
 type fail = { transport : bool; msg : string }
@@ -69,7 +69,7 @@ val run :
     hang.  [instance] decouples the instance seed from the session seed:
     when given, every client drives the synthetic instance seeded
     [instance] (so they all resolve to one catalog entry) while the
-    session seed still seeds the strategy RNG.  Reports come back sorted
+    session seed still seeds the strategy's picks.  Reports come back sorted
     by seed; [questions] counts the answers the server acknowledged. *)
 
 val run_pipelined :

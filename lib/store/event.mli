@@ -31,7 +31,9 @@ type t =
       arity : int;  (** attribute count (the transcript arity) *)
       source : Jim_api.Protocol.instance_source;
       strategy : string;  (** canonical {!Jim_core.Strategy} name *)
-      seed : int;  (** the session RNG seed — replay re-derives the RNG *)
+      seed : int;
+          (** the session seed: with the labels held, it determines every
+              pick ({!Jim_core.Session.pick_rng}) *)
       fingerprint : string;
           (** {!Store.fingerprint} of the resolved instance, checked on
               recovery so a drifted builtin/synthetic source fails loudly *)

@@ -453,10 +453,10 @@ let prop_scorer_matches_reference_warm =
              inf
       in
       let first = pass () in
-      Scorer.record memo;
+      Metrics.record (Scorer.take memo);
       let before = Metrics.snapshot () in
       let second = pass () in
-      Scorer.record memo;
+      Metrics.record (Scorer.take memo);
       let d = Metrics.diff (Metrics.snapshot ()) before in
       first && second && d.Metrics.cache_misses = 0 && d.Metrics.cache_hits > 0)
 
@@ -510,7 +510,7 @@ let engine_counts =
   [
     ( (6, 120, 6),
       [
-        ("random", 20, 0, 1001, 0, 0);
+        ("random", 32, 0, 1491, 0, 0);
         ("local-lex", 17, 0, 702, 0, 0);
         ("local-specific", 20, 759, 759, 0, 0);
         ("local-general", 31, 2263, 2263, 0, 0);
@@ -521,7 +521,7 @@ let engine_counts =
       ] );
     ( (12, 60, 12),
       [
-        ("random", 51, 0, 1732, 0, 0);
+        ("random", 4, 0, 133, 0, 0);
         ("local-lex", 25, 0, 1003, 0, 0);
         ("local-specific", 5, 179, 179, 0, 0);
         ("local-general", 3, 177, 177, 0, 0);

@@ -450,13 +450,12 @@ let prop_one_session_record (csv, strategy_name, seed, ops) =
   in
   let eng = Catalog.engine entry in
   let n_classes = Array.length (Session.classes eng) in
-  let rng = Random.State.make [| seed |] in
   let pending = ref None and refused = ref false in
   let asked () =
     match !pending with
     | Some q -> q
     | None ->
-      let q = Session.question eng strategy rng in
+      let q = Session.question eng strategy (Session.pick_rng ~seed eng) in
       pending := Some q;
       q
   in
@@ -471,7 +470,6 @@ let prop_one_session_record (csv, strategy_name, seed, ops) =
     | other -> QCheck.Test.fail_report (Pr.response_to_string other)
   in
   let answer c label =
-    ignore (asked ());
     let local = Session.answer eng c label in
     (match local with
     | Ok () -> pending := None

@@ -1091,6 +1091,108 @@ let test_undo_replayed () =
         "undone history replays bit-identical to the in-memory service" true
         (Smoke.outcome_equal want got))
 
+(* Restore = uninterrupted: a session crashed at any point of a mix of
+   asked answers, answers by class, undos and reads, then restored,
+   asks the next question and finishes exactly as an in-memory service
+   given the same requests.  Reads are never journaled, so this holds
+   only if a pick depends on nothing but the seed and the labels held. *)
+type op = Ask_answer | Answer_cls of int | Undo | Read | Top of int
+
+let op_to_string = function
+  | Ask_answer -> "ask+answer"
+  | Answer_cls k -> Printf.sprintf "answer %d" k
+  | Undo -> "undo"
+  | Read -> "read"
+  | Top k -> Printf.sprintf "top %d" k
+
+let apply_op ~classes ~oracle service session op =
+  let answer cls =
+    let label = Oracle.label oracle classes.(cls).Sigclass.sg in
+    ignore (Service.handle service (Pr.Answer { session; cls; label }))
+  in
+  match op with
+  | Ask_answer -> (
+    match Service.handle service (Pr.Get_question { session }) with
+    | Pr.Question (Some q) -> answer q.Pr.cls
+    | _ -> ())
+  | Answer_cls k -> answer (k mod Array.length classes)
+  | Undo -> ignore (Service.handle service (Pr.Undo { session }))
+  | Read -> ignore (Service.handle service (Pr.Get_question { session }))
+  | Top k -> ignore (Service.handle service (Pr.Top_questions { session; k }))
+
+let gen_restore_case =
+  QCheck.Gen.(
+    let* strategy = oneofl (List.map Strategy.to_string Strategy.all) in
+    let* seed = int_range 1 200 in
+    let* ops =
+      list_size (int_range 0 14)
+        (frequency
+           [
+             (4, return Ask_answer);
+             (2, map (fun k -> Answer_cls k) (int_range 0 63));
+             (2, return Undo);
+             (2, return Read);
+             (1, map (fun k -> Top k) (int_range 1 3));
+           ])
+    in
+    let* cut = int_range 0 (List.length ops) in
+    let* snapshot_every = oneofl [ 2; 1024 ] in
+    return (strategy, seed, ops, cut, snapshot_every))
+
+let print_restore_case (strategy, seed, ops, cut, snapshot_every) =
+  Printf.sprintf "%s seed %d, snapshot every %d, crash after %d of [%s]"
+    strategy seed snapshot_every cut
+    (String.concat "; " (List.map op_to_string ops))
+
+let prop_restore_is_uninterrupted (strategy, seed, ops, cut, snapshot_every) =
+  let before = List.filteri (fun i _ -> i < cut) ops
+  and after = List.filteri (fun i _ -> i >= cut) ops in
+  let inst = W.Synthetic.generate (params seed) in
+  let classes = fst (Sigclass.classes inst.W.Synthetic.relation) in
+  let oracle = Oracle.of_goal inst.W.Synthetic.goal in
+  let apply service session = List.iter (apply_op ~classes ~oracle service session) in
+  (* the question at the crash point, then the rest of the requests *)
+  let finish service session =
+    let q = Service.handle service (Pr.Get_question { session }) in
+    apply service session after;
+    let _ = drive service session oracle (-1) in
+    (q, result_of service session)
+  in
+  let reference = Service.create () in
+  let rs = start reference ~seed ~strategy in
+  apply reference rs before;
+  let want_q, want = finish reference rs in
+  with_dir (fun dir ->
+      let store, _ = open_store ~snapshot_every dir in
+      let crashed = Service.create ~persist:(Store.record store) () in
+      let ds = start crashed ~seed ~strategy in
+      apply crashed ds before;
+      Store.close store;
+      let restored, store', _ = durable_service ~snapshot_every dir in
+      let got_q, got = finish restored ds in
+      Store.close store';
+      if got_q <> want_q then
+        QCheck.Test.fail_reportf "next question after restore: %s, uninterrupted: %s"
+          (Pr.response_to_string got_q) (Pr.response_to_string want_q);
+      Smoke.outcome_equal want got)
+
+let test_restore_makes_no_pick () =
+  with_dir (fun dir ->
+      let store, _ = open_store dir in
+      let service = Service.create ~persist:(Store.record store) () in
+      let session = start service ~seed:111 ~strategy:"random" in
+      let _ = drive service session (oracle_of 111) 3 in
+      ignore (Service.handle service (Pr.Undo { session }));
+      Store.close store;
+      let picks () = (Metrics.snapshot ()).Metrics.picks in
+      let before = picks () in
+      let _, store', recovered = durable_service dir in
+      let after = picks () in
+      Store.close store';
+      Alcotest.(check int) "one session restored" 1
+        (List.length recovered.Recovery.sessions);
+      Alcotest.(check int) "picks made by the restore" 0 (after - before))
+
 let test_ended_sessions_stay_dead () =
   with_dir (fun dir ->
       let store, _ = open_store dir in
@@ -1761,6 +1863,13 @@ let () =
             test_recovery_rejects_midlog_corruption;
           Alcotest.test_case "undo history replays exactly" `Quick
             test_undo_replayed;
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make ~count:200
+               ~name:"restore = uninterrupted, across reads and undos"
+               (QCheck.make ~print:print_restore_case gen_restore_case)
+               prop_restore_is_uninterrupted);
+          Alcotest.test_case "restore makes no pick" `Quick
+            test_restore_makes_no_pick;
           Alcotest.test_case "ended sessions stay dead, ids never recycle"
             `Quick test_ended_sessions_stay_dead;
           Alcotest.test_case "post-Ended events are dropped, like the shadow"
